@@ -20,10 +20,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from ._config import check_grade
+from .logseries import descent_coefficient
 from .surjections import Surjection, enumerate_grade
 from .words import (
     BracketWord,
@@ -87,12 +87,10 @@ class LogTerm:
 
     @classmethod
     def from_surjection(cls, f: Surjection) -> "LogTerm":
-        n = len(f)
-        d = f.descent_count()
         return cls(
-            order=n,
+            order=len(f),
             partition=f.fibers(),
-            coeff=Fraction((-1) ** d, n * comb(n - 1, d)),
+            coeff=descent_coefficient(len(f), f.descent_count()),
         )
 
     def surjection(self) -> Surjection:

@@ -30,6 +30,11 @@ from .surjections import (
 )
 
 
+def descent_coefficient(n: int, d: int) -> Fraction:
+    """Log-element coefficient of an arity-n surjection with d descents."""
+    return Fraction((-1) ** d, n * comb(n - 1, d))
+
+
 def _check_order(n: int) -> None:
     if n < 1:
         raise ValueError("max grade must be >= 1")
@@ -69,8 +74,7 @@ def log_identity_closed_form(max_grade: int) -> SurjElement:
     data = {}
     for n in range(1, max_grade + 1):
         for f in enumerate_grade(n):
-            d = f.descent_count()
-            data[f] = Fraction((-1) ** d, n * comb(n - 1, d))
+            data[f] = descent_coefficient(n, f.descent_count())
     return SurjElement._raw(data)
 
 
@@ -99,7 +103,7 @@ def _subsets(items: Iterable[int]):
 def subset_alternating_sum(n: int, positions: Iterable[int]) -> Fraction:
     """Sum of (-1)^|J| / (|J|+1) over supersets J of the given set in [n-1].
 
-    Equals (-1)^|I| / (n * binomial(n-1, |I|)); the identity that collapses
+    Equals descent_coefficient(n, |I|); the identity that collapses
     the subset form into the closed form.  Exact rational arithmetic.
     """
     base = set(positions)

@@ -122,20 +122,21 @@ class MatrixExpansion:
         truncated-series arithmetic from exploding past the working order.
         """
         self._check(other)
-        d = self.dim
-        rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = Expansion.zero()
-                for k in range(d):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a and b:
-                        acc = acc + qsh(a, b, max_weight=max_weight)
-                row.append(acc)
-            rows.append(row)
-        return MatrixExpansion(d, rows)
+        cols = list(zip(*other.entries))
+        return MatrixExpansion(
+            self.dim,
+            [
+                [
+                    Expansion.sum(
+                        qsh(a, b, max_weight=max_weight)
+                        for a, b in zip(row, col)
+                        if a and b
+                    )
+                    for col in cols
+                ]
+                for row in self.entries
+            ],
+        )
 
     def map_entries(self, fn: Callable[[Expansion], Expansion]) -> "MatrixExpansion":
         return MatrixExpansion(
@@ -245,15 +246,12 @@ def matrix_log(dim: int, order: int) -> MatrixExpansion:
     log_el = log_identity_closed_form(order)
     taylor = matrix_ito_taylor(dim, order)
 
-    def act(e: Expansion) -> Expansion:
-        out = Expansion.zero()
-        for w, c in e:
-            if len(w) == 0:
-                continue  # the identity part has no log contribution
-            out = out + apply_element(log_el, w, weight_graded=True) * c
-        return out
+    def act(w: BracketWord) -> Expansion:
+        if not w:
+            return Expansion.zero()  # the identity part has no log contribution
+        return apply_element(log_el, w, weight_graded=True)
 
-    return taylor.map_entries(act)
+    return taylor.map_entries(lambda e: e.map_words(act))
 
 
 def matrix_exp(me: MatrixExpansion, order: int) -> MatrixExpansion:

@@ -230,6 +230,8 @@ def bundle_to_csv(bundle: PathBundle) -> str:
 
 def bundle_from_csv(text: str) -> PathBundle:
     rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
+        raise ValueError("empty CSV: expected a 't,x<letter>,...' header and data rows")
     header = rows[0]
     if not header or header[0] != "t":
         raise ValueError("first CSV column must be 't'")
@@ -238,6 +240,8 @@ def bundle_from_csv(text: str) -> PathBundle:
         if not name.startswith("x") or not name[1:].isdigit():
             raise ValueError(f"bad driver column {name!r}")
         letters.append(int(name[1:]))
+    if len(rows) < 2:
+        raise ValueError("CSV has a header but no data rows")
     data = np.array([[float(v) for v in row] for row in rows[1:]])
     grid = data[:, 0]
     paths = {

@@ -19,18 +19,30 @@ qsh; the half-products are left undefined on it.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from ._config import check_weight
 from .kernels import diamond_words, qsh_words, apply_to_blocks
-from .words import BracketWord, Expansion, WordLike, as_word, block_product
+from .words import (
+    BracketWord,
+    Expansion,
+    WordLike,
+    as_word,
+    block_product,
+    graded_pairs,
+)
+
+_weight = attrgetter("weight")
 
 
-def _pairs(a, b):
-    """Bilinear iteration: yield (u, v, coeff) over term pairs."""
-    ea = a if isinstance(a, Expansion) else Expansion.of_word(as_word(a))
-    eb = b if isinstance(b, Expansion) else Expansion.of_word(as_word(b))
-    for u, cu in ea:
-        for v, cv in eb:
-            yield u, v, cu * cv
+def _as_expansion(x) -> Expansion:
+    return x if isinstance(x, Expansion) else Expansion.of_word(as_word(x))
+
+
+def _weight_pairs(a, b, max_weight: int | None = None):
+    """Term pairs (u, v, cu * cv) of words or expansions, pruned by weight."""
+    ea, eb = _as_expansion(a), _as_expansion(b)
+    return graded_pairs(ea._terms, eb._terms, _weight, max_weight, check_weight)
 
 
 def qsh(*operands, max_weight: int | None = None) -> Expansion:
@@ -38,21 +50,18 @@ def qsh(*operands, max_weight: int | None = None) -> Expansion:
 
     With more than two operands the product is folded left to right, which
     is safe because qsh is associative.  Every term of a product of words
-    has the summed weight of its factors, so max_weight prunes whole term
-    pairs before any work: the tool for truncated-series arithmetic.
+    has the summed weight of its factors, so max_weight prunes per weight
+    class: both operands' terms are grouped by weight once, and a pair of
+    classes whose weights sum past max_weight is skipped whole, before the
+    cap check and before any coefficient work.  This is the tool for
+    truncated-series arithmetic.
     """
     if not operands:
         return Expansion.unit()
-    acc = operands[0]
-    if not isinstance(acc, Expansion):
-        acc = Expansion.of_word(as_word(acc))
+    acc = _as_expansion(operands[0])
     for rhs in operands[1:]:
         data = {}
-        for u, v, c in _pairs(acc, rhs):
-            weight = u.weight + v.weight
-            if max_weight is not None and weight > max_weight:
-                continue
-            check_weight(weight)
+        for u, v, c in _weight_pairs(acc, rhs, max_weight):
             for w, mult in qsh_words(tuple(u), tuple(v)).items():
                 key = BracketWord._wrap(w)
                 tot = data.get(key, 0) + c * mult
@@ -83,9 +92,8 @@ def _bullet_pair(u: BracketWord, v: BracketWord):
 
 def _bilinear(pair_op, a, b) -> Expansion:
     data = {}
-    for u, v, c in _pairs(a, b):
+    for u, v, c in _weight_pairs(a, b):
         _require_nonempty(u, v)
-        check_weight(u.weight + v.weight)
         for w, mult in pair_op(u, v):
             tot = data.get(w, 0) + c * mult
             if tot:

@@ -35,6 +35,7 @@ from .words import (
     as_word,
     frac_from_json,
     frac_to_json,
+    graded_pairs,
 )
 
 
@@ -333,26 +334,23 @@ def diamond(a: ElementLike, b: ElementLike, max_grade: int | None = None) -> Sur
     """Product on surjections, extended bilinearly.
 
     For surjections f, g the product is the multiplicity-free sum of all h
-    with pack(h restricted to the first block) = f and pack(rest) = g.
-    max_grade drops higher grades during the computation, which keeps
-    truncated series work bounded.
+    with pack(h restricted to the first block) = f and pack(rest) = g, so
+    every term has the summed arity of its factors.  max_grade prunes per
+    grade class: both operands' terms are grouped by arity once, and a pair
+    of classes whose arities sum past max_grade is skipped whole, before
+    the cap check and before any coefficient work.  That keeps truncated
+    series work bounded.
     """
     ea, eb = _as_element(a), _as_element(b)
     data: dict[Surjection, Fraction] = {}
-    for f, cf in ea._terms.items():
-        for g, cg in eb._terms.items():
-            n = len(f) + len(g)
-            if max_grade is not None and n > max_grade:
-                continue
-            check_grade(n)
-            c = cf * cg
-            for h in diamond_words(tuple(f), tuple(g)):
-                key = Surjection._wrap(h)
-                acc = data.get(key, 0) + c
-                if acc:
-                    data[key] = acc
-                else:
-                    del data[key]
+    for f, g, c in graded_pairs(ea._terms, eb._terms, len, max_grade, check_grade):
+        for h in diamond_words(tuple(f), tuple(g)):
+            key = Surjection._wrap(h)
+            acc = data.get(key, 0) + c
+            if acc:
+                data[key] = acc
+            else:
+                del data[key]
     return SurjElement._raw(data)
 
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
-from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +21,7 @@ import numpy as np
 from .evaluate import Evaluator
 from .flows import FlowProblem, compare_flows
 from .logseries import (
+    descent_coefficient,
     exp_element,
     identity_series,
     log_identity_closed_form,
@@ -34,6 +33,7 @@ from .paths import DriverSpec, discrete_bracket, make_grid, simulate_bundle
 from .quasishuffle import qsh, qsh_via_surjections
 from .surjections import (
     SurjElement,
+    compositions_of,
     descent_sum_exact,
     descent_sum_within,
     diamond,
@@ -167,12 +167,11 @@ def suite_theorem(grade: int = 4) -> list[dict]:
         for r in range(n):
             for I in itertools.combinations(range(1, n), r):
                 got = subset_alternating_sum(n, I)
-                want = Fraction((-1) ** len(I), n * comb(n - 1, len(I)))
-                err += got != want
+                err += got != descent_coefficient(n, len(I))
     reports.append(_case("alternating subset sum identity, n <= 8", err, 0))
 
     err = 0
-    small = [c for t in range(1, 4) for c in _compositions(t)]
+    small = [c for t in range(1, 4) for c in compositions_of(t)]
     for c1 in small:
         for c2 in small:
             if sum(c1) + sum(c2) > 6:
@@ -182,15 +181,6 @@ def suite_theorem(grade: int = 4) -> list[dict]:
             err += _mismatch(lhs, rhs)
     reports.append(_case("composition embedding is multiplicative", err, 0))
     return reports
-
-
-def _compositions(n: int) -> list[tuple[int, ...]]:
-    if n == 0:
-        return [()]
-    out = []
-    for first in range(1, n + 1):
-        out.extend((first,) + rest for rest in _compositions(n - first))
-    return out
 
 
 def suite_pathwise(seed: int = 42, steps: int = 4096, max_weight: int = 3) -> list[dict]:

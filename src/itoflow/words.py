@@ -242,6 +242,35 @@ def frac_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
+def graded_pairs(left: dict, right: dict, grade, max_grade, check):
+    """Term pairs (x, y, cx * cy) of two coefficient maps, by grade class.
+
+    grade must add up on products (word weight for qsh, arity for the
+    surjection product).  Each map's terms are bucketed by grade once, and
+    a bucket pair whose summed grade exceeds max_grade (None: no limit) is
+    skipped whole, before check and before any coefficient multiply.
+    check(summed grade) is the size cap, applied once per surviving bucket
+    pair, so a pruned pair never raises.
+    """
+    right_classes = _grade_classes(right, grade)
+    for gx, xs in _grade_classes(left, grade).items():
+        for gy, ys in right_classes.items():
+            g = gx + gy
+            if max_grade is not None and g > max_grade:
+                continue
+            check(g)
+            for x, cx in xs:
+                for y, cy in ys:
+                    yield x, y, cx * cy
+
+
+def _grade_classes(terms: dict, grade) -> dict:
+    classes: dict = {}
+    for x, c in terms.items():
+        classes.setdefault(grade(x), []).append((x, c))
+    return classes
+
+
 class Expansion:
     """Finite formal sum of bracket words with exact rational coefficients.
 
@@ -314,14 +343,7 @@ class Expansion:
     def __add__(self, other: "Expansion") -> "Expansion":
         if not isinstance(other, Expansion):
             return NotImplemented
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            acc = out.get(w, 0) + c
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
-        return Expansion._raw(out)
+        return Expansion.sum((self, other))
 
     def __sub__(self, other: "Expansion") -> "Expansion":
         if not isinstance(other, Expansion):
@@ -353,6 +375,19 @@ class Expansion:
         e = cls.__new__(cls)
         e._terms = data
         return e
+
+    @classmethod
+    def sum(cls, expansions: Iterable["Expansion"]) -> "Expansion":
+        """Sum of expansions, accumulated into one dict (no copy per term)."""
+        data: dict[BracketWord, Fraction] = {}
+        for e in expansions:
+            for w, c in e._terms.items():
+                acc = data.get(w, 0) + c
+                if acc:
+                    data[w] = acc
+                else:
+                    data.pop(w, None)
+        return cls._raw(data)
 
     # structure
     def max_weight(self) -> int:

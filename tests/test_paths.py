@@ -166,6 +166,11 @@ class TestSerialization:
             for letter in b.letters():
                 assert np.array_equal(again[letter].values, b[letter].values)
 
+    @pytest.mark.parametrize("text", ["", "t,x1\n"], ids=["empty", "header-only"])
+    def test_csv_without_data_rows_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="CSV"):
+            bundle_from_csv(text)
+
     def test_binary_rejects_bad_magic(self):
         with pytest.raises(ValueError):
             bundle_from_binary(b"NOTMAGIC" + b"\x00" * 64)

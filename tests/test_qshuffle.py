@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from itoflow import (
     UNIT_WORD,
     BracketWord,
+    CapExceeded,
     Expansion,
     bullet,
     qsh,
@@ -17,6 +18,7 @@ from itoflow import (
     shuffle_projection,
     half_down,
     half_up,
+    set_weight_cap,
 )
 
 letters = st.integers(min_value=1, max_value=3)
@@ -24,6 +26,12 @@ blocks = st.lists(letters, min_size=1, max_size=2).map(lambda ls: tuple(sorted(l
 words = st.lists(blocks, min_size=0, max_size=3).map(BracketWord)
 nonempty_words = st.lists(blocks, min_size=1, max_size=3).map(BracketWord)
 small_words = st.lists(blocks, min_size=1, max_size=2).map(BracketWord)
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+# multi-term expansions whose words differ in weight
+expansions = st.lists(st.tuples(words, coeffs), min_size=1, max_size=4).map(Expansion)
+nonempty_expansions = st.lists(
+    st.tuples(nonempty_words, coeffs), min_size=1, max_size=4
+).map(Expansion)
 
 
 def test_known_product_one_letter_each():
@@ -83,6 +91,26 @@ def test_max_weight_prunes_exactly():
     assert qsh(u, v, max_weight=0) == Expansion.zero()
 
 
+@given(expansions, expansions, st.integers(min_value=0, max_value=7))
+@settings(max_examples=60, deadline=None)
+def test_max_weight_equals_truncated_full_product(a, b, k):
+    assert qsh(a, b, max_weight=k) == qsh(a, b).truncate_weight(k)
+
+
+def test_pruned_pairs_do_not_hit_the_weight_cap():
+    a = Expansion({BracketWord.from_letters(1): 1, BracketWord.from_letters(1, 2, 3): 2})
+    b = Expansion({BracketWord.from_letters(2): -1, BracketWord([(1, 2), (3,)]): 3})
+    full = qsh(a, b)
+    old = set_weight_cap(4)
+    try:
+        # weight 3 + 3 is over the cap, but max_weight prunes it first
+        assert qsh(a, b, max_weight=4) == full.truncate_weight(4)
+        with pytest.raises(CapExceeded):
+            qsh(a, b)
+    finally:
+        set_weight_cap(old)
+
+
 @given(words, words)
 @settings(max_examples=60, deadline=None)
 def test_commutative(u, v):
@@ -102,7 +130,10 @@ def test_weight_homogeneous(u, v):
     assert all(w.weight == target for w, _ in qsh(u, v))
 
 
-@given(nonempty_words, nonempty_words)
+@given(
+    st.one_of(nonempty_words, nonempty_expansions),
+    st.one_of(nonempty_words, nonempty_expansions),
+)
 @settings(max_examples=60, deadline=None)
 def test_three_way_split(u, v):
     assert qsh(u, v) == half_up(u, v) + half_down(u, v) + bullet(u, v)

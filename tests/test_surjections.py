@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from itoflow import (
     BracketWord,
+    CapExceeded,
     Composition,
     SurjElement,
     Surjection,
@@ -23,6 +24,7 @@ from itoflow import (
     enumerate_surjections_bounded,
     pack,
     parse_surjection,
+    set_grade_cap,
 )
 from itoflow.surjections import diamond_reference
 
@@ -49,6 +51,13 @@ def surjection_strategy(max_n=4):
 
 surjs = surjection_strategy()
 small_surjs = surjection_strategy(max_n=3)
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+# multi-term elements whose surjections differ in grade, unit included
+elements = st.lists(
+    st.tuples(st.one_of(st.just(Surjection()), small_surjs), coeffs),
+    min_size=1,
+    max_size=4,
+).map(SurjElement)
 
 
 class TestSurjection:
@@ -178,6 +187,23 @@ class TestDiamond:
         full = diamond(a, a)
         assert diamond(a, a, max_grade=4) == full
         assert diamond(a, a, max_grade=3) == SurjElement.zero()
+
+    @given(elements, elements, st.integers(min_value=0, max_value=6))
+    @settings(max_examples=40, deadline=None)
+    def test_max_grade_equals_truncated_full_product(self, a, b, k):
+        assert diamond(a, b, max_grade=k) == diamond(a, b).truncate_grade(k)
+
+    def test_pruned_pairs_do_not_hit_the_grade_cap(self):
+        a = SurjElement({Surjection((1,)): 1, Surjection((1, 2, 1)): -2})
+        full = diamond(a, a)
+        old = set_grade_cap(4)
+        try:
+            # grade 3 + 3 is over the cap, but max_grade prunes it first
+            assert diamond(a, a, max_grade=4) == full.truncate_grade(4)
+            with pytest.raises(CapExceeded):
+                diamond(a, a)
+        finally:
+            set_grade_cap(old)
 
 
 class TestDescentSums:

@@ -28,6 +28,7 @@ from .surjections import Surjection, enumerate_grade
 from .words import (
     BracketWord,
     Expansion,
+    accumulate,
     frac_from_json,
     frac_str,
     frac_to_json,
@@ -194,12 +195,7 @@ def apply_vanishing_rules(e: Expansion, alphabet: DriverAlphabet) -> Expansion:
             blocks.append(b)
         if dead:
             continue
-        key = BracketWord(blocks)
-        acc = out.get(key, 0) + c
-        if acc:
-            out[key] = acc
-        else:
-            del out[key]
+        accumulate(out, BracketWord(blocks), c)
     return Expansion._raw(out)
 
 
@@ -223,11 +219,7 @@ def log_flow_expansion(
     for term in log_flow_terms(alphabet, order):
         for combo in _tuples(pool, term.order):
             w, c = term.instantiate(combo)
-            acc = data.get(w, 0) + c
-            if acc:
-                data[w] = acc
-            else:
-                del data[w]
+            accumulate(data, w, c)
     return apply_vanishing_rules(Expansion._raw(data), alphabet)
 
 

@@ -47,8 +47,10 @@ class FlowProblem:
             raise ValueError("dim must be >= 1")
         if self.drift.shape != (d, d) or self.diffusion.shape != (d, d):
             raise ValueError(f"coefficient matrices must be {d}x{d}")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not (np.isfinite(self.drift).all() and np.isfinite(self.diffusion).all()):
+            raise ValueError("coefficient matrices must be finite")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError("horizon must be positive and finite")
         if self.steps < 1:
             raise ValueError("need at least one step")
 
@@ -138,6 +140,8 @@ def truncated_expm(mats: np.ndarray, tol: float = EXPM_TOL) -> np.ndarray:
     converges in a handful of terms.
     """
     mats = np.asarray(mats, dtype=np.float64)
+    if not np.isfinite(mats).all():
+        raise ValueError("matrix exponential of a non-finite stack")
     d = mats.shape[-1]
     norm = float(np.max(np.sum(np.abs(mats), axis=-1))) if mats.size else 0.0
     squarings = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
@@ -183,6 +187,9 @@ def compare_flows(
     kmax = orders[-1]
     taylor_sym = matrix_ito_taylor(problem.dim, kmax + 1)
     log_sym = matrix_log(problem.dim, kmax)
+    words = {
+        w for me in (taylor_sym, log_sym) for row in me.entries for e in row for w in e.words()
+    }
 
     err_log = {k: 0.0 for k in orders}
     gap_taylor = {k: 0.0 for k in orders}
@@ -193,6 +200,7 @@ def compare_flows(
         dW = brownian_increments(problem, seed, range(done, done + batch))
         x_ref = flow_reference(problem, dW)
         ev = Evaluator(entry_increments(problem, dW))
+        ev.terminals(words)  # one depth-first walk over every word of the batch
         taylor_orders = sorted(set(orders) | {k + 1 for k in orders})
         taylor_vals = {
             k: _evaluate_matrix(taylor_sym.truncate_weight(k), ev, batch)

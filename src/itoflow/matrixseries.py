@@ -23,7 +23,7 @@ from ._config import check_weight
 from .logseries import log_identity_closed_form
 from .quasishuffle import qsh
 from .surjections import apply_element
-from .words import BracketWord, Expansion
+from .words import BracketWord, Expansion, accumulate
 
 LETTER_ENCODING = "row-major: letter(i, j) = (i - 1) * dim + j, 1-based"
 
@@ -209,12 +209,7 @@ def integrate_against(me: MatrixExpansion) -> MatrixExpansion:
             for k in range(d):
                 letter = entry_letter(k + 1, j + 1, d)
                 for w, c in me.entries[i][k]:
-                    key = BracketWord._wrap(tuple(w) + ((letter,),))
-                    tot = acc.get(key, 0) + c
-                    if tot:
-                        acc[key] = tot
-                    else:
-                        del acc[key]
+                    accumulate(acc, BracketWord._wrap(tuple(w) + ((letter,),)), c)
             row.append(Expansion._raw(acc))
         rows.append(row)
     return MatrixExpansion(d, rows)

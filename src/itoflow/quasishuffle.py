@@ -27,6 +27,7 @@ from .words import (
     BracketWord,
     Expansion,
     WordLike,
+    accumulate,
     as_word,
     block_product,
     graded_pairs,
@@ -63,12 +64,7 @@ def qsh(*operands, max_weight: int | None = None) -> Expansion:
         data = {}
         for u, v, c in _weight_pairs(acc, rhs, max_weight):
             for w, mult in qsh_words(tuple(u), tuple(v)).items():
-                key = BracketWord._wrap(w)
-                tot = data.get(key, 0) + c * mult
-                if tot:
-                    data[key] = tot
-                else:
-                    del data[key]
+                accumulate(data, BracketWord._wrap(w), c * mult)
         acc = Expansion._raw(data)
     return acc
 
@@ -95,11 +91,7 @@ def _bilinear(pair_op, a, b) -> Expansion:
     for u, v, c in _weight_pairs(a, b):
         _require_nonempty(u, v)
         for w, mult in pair_op(u, v):
-            tot = data.get(w, 0) + c * mult
-            if tot:
-                data[w] = tot
-            elif w in data:
-                del data[w]
+            accumulate(data, w, c * mult)
     return Expansion._raw(data)
 
 

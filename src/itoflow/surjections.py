@@ -32,6 +32,7 @@ from .words import (
     BracketWord,
     Expansion,
     WordLike,
+    accumulate,
     as_word,
     frac_from_json,
     frac_to_json,
@@ -169,15 +170,7 @@ class SurjElement:
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for f, c in items:
-                f = as_surjection(f)
-                c = Fraction(c)
-                if not c:
-                    continue
-                acc = data.get(f, 0) + c
-                if acc:
-                    data[f] = acc
-                else:
-                    data.pop(f, None)
+                accumulate(data, as_surjection(f), Fraction(c))
         self._terms = data
 
     @classmethod
@@ -230,11 +223,7 @@ class SurjElement:
             return NotImplemented
         out = dict(self._terms)
         for f, c in other._terms.items():
-            acc = out.get(f, 0) + c
-            if acc:
-                out[f] = acc
-            else:
-                out.pop(f, None)
+            accumulate(out, f, c)
         return SurjElement._raw(out)
 
     def __sub__(self, other: "SurjElement") -> "SurjElement":
@@ -345,12 +334,7 @@ def diamond(a: ElementLike, b: ElementLike, max_grade: int | None = None) -> Sur
     data: dict[Surjection, Fraction] = {}
     for f, g, c in graded_pairs(ea._terms, eb._terms, len, max_grade, check_grade):
         for h in diamond_words(tuple(f), tuple(g)):
-            key = Surjection._wrap(h)
-            acc = data.get(key, 0) + c
-            if acc:
-                data[key] = acc
-            else:
-                del data[key]
+            accumulate(data, Surjection._wrap(h), c)
     return SurjElement._raw(data)
 
 
@@ -482,10 +466,5 @@ def apply_element(e: SurjElement, w: WordLike, weight_graded: bool = False) -> E
             raise ValueError(
                 f"arity {len(f)} does not match word length {len(w)}"
             )
-        key = BracketWord._wrap(apply_to_blocks(tuple(f), tuple(w)))
-        acc = data.get(key, 0) + c
-        if acc:
-            data[key] = acc
-        else:
-            del data[key]
+        accumulate(data, BracketWord._wrap(apply_to_blocks(tuple(f), tuple(w))), c)
     return Expansion._raw(data)

@@ -264,6 +264,20 @@ def graded_pairs(left: dict, right: dict, grade, max_grade, check):
                     yield x, y, cx * cy
 
 
+def accumulate(data: dict, key, c) -> None:
+    """data[key] += c for exact coefficients; a zero sum drops the key.
+
+    A new key starts at c itself: 0 + c would take the slow
+    Fraction.__radd__ route for every new term.
+    """
+    prev = data.get(key)
+    tot = c if prev is None else prev + c
+    if tot:
+        data[key] = tot
+    else:
+        data.pop(key, None)
+
+
 def _grade_classes(terms: dict, grade) -> dict:
     classes: dict = {}
     for x, c in terms.items():
@@ -286,15 +300,7 @@ class Expansion:
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for w, c in items:
-                w = as_word(w)
-                c = Fraction(c)
-                if not c:
-                    continue
-                acc = data.get(w, 0) + c
-                if acc:
-                    data[w] = acc
-                else:
-                    data.pop(w, None)
+                accumulate(data, as_word(w), Fraction(c))
         self._terms = data
 
     # construction helpers
@@ -382,11 +388,7 @@ class Expansion:
         data: dict[BracketWord, Fraction] = {}
         for e in expansions:
             for w, c in e._terms.items():
-                acc = data.get(w, 0) + c
-                if acc:
-                    data[w] = acc
-                else:
-                    data.pop(w, None)
+                accumulate(data, w, c)
         return cls._raw(data)
 
     # structure
@@ -412,11 +414,7 @@ class Expansion:
             img = fn(w)
             pairs = img._terms.items() if isinstance(img, Expansion) else [(as_word(img), 1)]
             for w2, c2 in pairs:
-                acc = data.get(w2, 0) + c * c2
-                if acc:
-                    data[w2] = acc
-                else:
-                    data.pop(w2, None)
+                accumulate(data, w2, c * c2)
         return Expansion._raw(data)
 
     # rendering

@@ -32,6 +32,17 @@ class TestFlowProblem:
         with pytest.raises(ValueError):
             FlowProblem(dim=2, drift=A, diffusion=B, horizon=1.0, steps=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_inputs_are_refused(self, bad):
+        drift = A.copy()
+        drift[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FlowProblem(dim=2, drift=drift, diffusion=B, horizon=1.0, steps=4)
+        with pytest.raises(ValueError, match="finite"):
+            FlowProblem(dim=2, drift=A, diffusion=np.full((2, 2), bad), horizon=1.0, steps=4)
+        with pytest.raises(ValueError, match="finite"):
+            FlowProblem(dim=2, drift=A, diffusion=B, horizon=bad, steps=4)
+
     def test_grid(self):
         p = small_problem(steps=4, horizon=1.0)
         assert np.allclose(p.grid(), [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -49,6 +60,13 @@ class TestTruncatedExpm:
     def test_handles_large_norm_by_squaring(self):
         m = np.array([[[0.0, 30.0], [-30.0, 0.0]]])
         assert np.max(np.abs(truncated_expm(m)[0] - expm(m[0]))) < 1e-8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_stack_is_refused(self, bad):
+        mats = np.zeros((3, 2, 2))
+        mats[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            truncated_expm(mats)
 
     def test_zero_matrix(self):
         z = np.zeros((1, 2, 2))
@@ -107,3 +125,8 @@ class TestCompareFlows:
         assert r1["mean_strong_error_log"]["1"] == pytest.approx(
             r2["mean_strong_error_log"]["1"], rel=1e-12
         )
+
+    def test_reports_repeat_exactly(self):
+        p = small_problem(steps=64)
+        runs = [compare_flows(p, orders=[1, 2], n_paths=6, seed=11, batch_size=4) for _ in range(2)]
+        assert runs[0] == runs[1]

@@ -1,42 +1,161 @@
-"""Backend selection for the combinatorial kernels.
+"""Pure-Python combinatorial kernels.
 
-The compiled extension (itoflow._speedups, built from Cython) and the pure
-interpreter module (itoflow._kernels_py) export the same functions over the
-same plain-tuple data.  The compiled one is used when importable; set the
-environment variable ITOFLOW_PURE_PYTHON=1 to force the fallback.
+Everything here works on plain tuples: words are tuples of blocks, blocks
+are sorted tuples of ints, surjections are tuples of values covering 1..k.
+
+These functions are the hot loops of the symbolic layer; keep them free of
+class machinery.
 """
 
 from __future__ import annotations
 
-import os
+from itertools import combinations
 
-if os.environ.get("ITOFLOW_PURE_PYTHON"):
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
+# Kept for callers that record it in run metadata; there is no other backend.
+BACKEND = "python"
 
-BACKEND: str = _impl.BACKEND
 
-pack_word = _impl.pack_word
-is_surjection = _impl.is_surjection
-descent_count = _impl.descent_count
-descent_set = _impl.descent_set
-surjections = _impl.surjections
-qsh_words = _impl.qsh_words
-apply_to_blocks = _impl.apply_to_blocks
-diamond_words = _impl.diamond_words
+def pack_word(values):
+    """Rank-normalize a sequence of ints onto 1..k preserving order.
 
-__all__ = [
-    "BACKEND",
-    "pack_word",
-    "is_surjection",
-    "descent_count",
-    "descent_set",
-    "surjections",
-    "qsh_words",
-    "apply_to_blocks",
-    "diamond_words",
-]
+    pack((3, 5, 7, 3, 1)) == (2, 3, 4, 2, 1); pack((7, 7, 2)) == (2, 2, 1).
+    """
+    ranks = {v: i + 1 for i, v in enumerate(sorted(set(values)))}
+    return tuple(ranks[v] for v in values)
+
+
+def is_surjection(values):
+    """True when values is onto 1..k for k = max(values) (empty is onto [0])."""
+    if not values:
+        return True
+    k = max(values)
+    return min(values) >= 1 and len(set(values)) == k
+
+
+def descent_count(f):
+    """Number of positions i with f[i] >= f[i+1] (ties count as descents)."""
+    return sum(1 for i in range(len(f) - 1) if f[i] >= f[i + 1])
+
+
+def descent_set(f):
+    """Positions i (1-based) with f[i-1] >= f[i], as a sorted tuple."""
+    return tuple(i + 1 for i in range(len(f) - 1) if f[i] >= f[i + 1])
+
+
+def surjections(n, k, max_fiber=0):
+    """All surjections [n] -> [k] as value tuples, lexicographically sorted.
+
+    max_fiber > 0 restricts every preimage to at most that many elements
+    (max_fiber=2 gives the continuous-semimartingale index set).
+    """
+    if k > n or k < 0 or (max_fiber and k * max_fiber < n):
+        return []
+    if n == 0:
+        return [()]
+    out = []
+    counts = [0] * (k + 1)
+    buf = [0] * n
+    missing = k  # values of 1..k not yet used
+
+    def rec(pos, missing):
+        if missing > n - pos:
+            return
+        if pos == n:
+            out.append(tuple(buf))
+            return
+        for v in range(1, k + 1):
+            c = counts[v]
+            if max_fiber and c >= max_fiber:
+                continue
+            counts[v] = c + 1
+            buf[pos] = v
+            rec(pos + 1, missing - (c == 0))
+            counts[v] = c
+
+    rec(0, missing)
+    return out
+
+
+def qsh_words(u, v):
+    """Quasi-shuffle of two block words, as a dict word -> multiplicity.
+
+    Row-by-row dynamic program over prefix pairs: a word ending is reached by
+    appending the next block of u, the next block of v, or their merge.
+    """
+    nu, nv = len(u), len(v)
+    if nu == 0:
+        return {tuple(v): 1}
+    if nv == 0:
+        return {tuple(u): 1}
+    # table[j] holds the expansion of qsh(u[:i], v[:j]) for the current i
+    prev = [None] * (nv + 1)
+    prev[0] = {(): 1}
+    for j in range(1, nv + 1):
+        prev[j] = {tuple(v[:j]): 1}
+    for i in range(1, nu + 1):
+        cur = [None] * (nv + 1)
+        cur[0] = {tuple(u[:i]): 1}
+        bu = u[i - 1]
+        for j in range(1, nv + 1):
+            bv = v[j - 1]
+            merged = tuple(sorted(bu + bv))
+            acc = {}
+            for w, c in cur[j - 1].items():
+                key = w + (bv,)
+                acc[key] = acc.get(key, 0) + c
+            for w, c in prev[j].items():
+                key = w + (bu,)
+                acc[key] = acc.get(key, 0) + c
+            for w, c in prev[j - 1].items():
+                key = w + (merged,)
+                acc[key] = acc.get(key, 0) + c
+            cur[j] = acc
+        prev = cur
+    return prev[nv]
+
+
+def apply_to_blocks(f, blocks):
+    """Merge a tuple of blocks along the fibers of a surjection f.
+
+    Block i of the result is the multiset union of input blocks at positions
+    mapped to i; len(f) must equal len(blocks).
+    """
+    if not f:
+        return ()
+    k = max(f)
+    fibers = [[] for _ in range(k)]
+    for pos, val in enumerate(f):
+        fibers[val - 1].extend(blocks[pos])
+    return tuple(tuple(sorted(fb)) for fb in fibers)
+
+
+def diamond_words(f, g):
+    """All terms of the surjection product f diamond g, coefficient 1 each.
+
+    A term is built from a pair of strictly increasing maps alpha: [k] -> [r]
+    and beta: [l] -> [r] whose images jointly cover [r]; the term is the
+    concatenation (alpha o f, beta o g).  Distinct pairs give distinct terms.
+    """
+    if not f:
+        return [tuple(g)]
+    if not g:
+        return [tuple(f)]
+    k = max(f)
+    l = max(g)
+    out = []
+    for r in range(max(k, l), k + l + 1):
+        universe = range(1, r + 1)
+        for alpha in combinations(universe, k):
+            aset = set(alpha)
+            need = [x for x in universe if x not in aset]
+            if len(need) > l:
+                continue
+            # beta must contain every value alpha misses
+            free = [x for x in universe if x in aset]
+            for extra in combinations(free, l - len(need)):
+                beta = tuple(sorted(need + list(extra)))
+                term = tuple(alpha[x - 1] for x in f) + tuple(
+                    beta[y - 1] for y in g
+                )
+                out.append(term)
+    return out

@@ -25,6 +25,14 @@ class GridResolutionWarning(UserWarning):
     """Two jumps landed in one grid cell; refine the grid."""
 
 
+class BundleFormatError(ValueError):
+    """A binary path bundle is malformed; ``offset`` is the first bad byte."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} (at byte {offset})")
+        self.offset = offset
+
+
 class SamplePath:
     """Values on a shared time grid; grid[0] = 0 and values[0] = 0."""
 
@@ -267,11 +275,33 @@ def bundle_to_binary(bundle: PathBundle) -> bytes:
 
 
 def bundle_from_binary(blob: bytes) -> PathBundle:
+    """Inverse of bundle_to_binary; a malformed blob raises BundleFormatError.
+
+    The header counts are checked against the blob length before anything
+    past the header is read, so a corrupt count cannot ask for more bytes
+    than the blob holds.
+    """
     if blob[:8] != BINARY_MAGIC:
-        raise ValueError("not a path-bundle binary (bad magic)")
+        raise BundleFormatError("not a path-bundle binary (bad magic)", 0)
+    if len(blob) < 24:
+        raise BundleFormatError("header ends early", len(blob))
     rows, n_drivers = struct.unpack_from("<QQ", blob, 8)
     offset = 24
+    expected = offset + 8 * n_drivers + 8 * rows * (1 + n_drivers)
+    if len(blob) < expected:
+        raise BundleFormatError(
+            f"blob ends early: header asks for {expected} bytes", len(blob)
+        )
+    if len(blob) > expected:
+        raise BundleFormatError(
+            f"{len(blob) - expected} trailing bytes after the data", expected
+        )
     letters = list(struct.unpack_from(f"<{n_drivers}Q", blob, offset))
+    seen = set()
+    for i, letter in enumerate(letters):
+        if letter in seen:
+            raise BundleFormatError(f"driver letter {letter} is repeated", offset + 8 * i)
+        seen.add(letter)
     offset += 8 * n_drivers
     count = rows * (1 + n_drivers)
     matrix = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)

@@ -1,10 +1,14 @@
 """Discretized driver paths: simulation, brackets, file round-trips."""
 
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itoflow import (
+    BundleFormatError,
     DriverSpec,
     GridResolutionWarning,
     PathBundle,
@@ -24,6 +28,19 @@ from itoflow import (
 
 
 GRID = make_grid(1.0, 64)
+
+
+@st.composite
+def bundle_blobs(draw):
+    """The binary form of a small bundle with arbitrary finite values."""
+    letters = draw(st.sets(st.integers(1, 2**64 - 1), min_size=1, max_size=3))
+    steps = draw(st.integers(1, 5))
+    grid = make_grid(1.0, steps)
+    values = st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=steps, max_size=steps
+    )
+    paths = {letter: SamplePath(grid, [0.0] + draw(values)) for letter in letters}
+    return bundle_to_binary(PathBundle(paths, grid))
 
 
 class TestSamplePath:
@@ -174,3 +191,38 @@ class TestSerialization:
     def test_binary_rejects_bad_magic(self):
         with pytest.raises(ValueError):
             bundle_from_binary(b"NOTMAGIC" + b"\x00" * 64)
+
+    def test_binary_header_count_beyond_the_blob(self):
+        blob = b"ITOPATH1" + struct.pack("<QQ", 1, 2**61) + b"\x00" * 16
+        with pytest.raises(BundleFormatError, match="ends early") as info:
+            bundle_from_binary(blob)
+        assert info.value.offset == len(blob)
+
+    def test_binary_rejects_a_repeated_letter(self):
+        header = b"ITOPATH1" + struct.pack("<QQQQ", 2, 2, 1, 1)
+        matrix = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.25]]).astype("<f8")
+        with pytest.raises(BundleFormatError, match="repeated") as info:
+            bundle_from_binary(header + matrix.tobytes())
+        assert info.value.offset == 32
+
+    @given(bundle_blobs(), st.binary(min_size=1, max_size=32))
+    @settings(max_examples=40, deadline=None)
+    def test_binary_truncated_or_extended_is_a_format_error(self, blob, extra):
+        for end in range(len(blob)):
+            with pytest.raises(BundleFormatError):
+                bundle_from_binary(blob[:end])
+        with pytest.raises(BundleFormatError) as info:
+            bundle_from_binary(blob + extra)
+        assert info.value.offset == len(blob)
+
+    @given(bundle_blobs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_binary_bit_flip_is_a_bundle_or_a_value_error(self, blob, data):
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        try:
+            result = bundle_from_binary(bytes(flipped))
+        except ValueError:
+            return
+        assert isinstance(result, PathBundle)

@@ -1,6 +1,7 @@
 """Surjection algebra: packing, descents, the diamond product, embeddings."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from itoflow import (
     parse_surjection,
     set_grade_cap,
 )
+from itoflow import kernels
 from itoflow.surjections import diamond_reference
 
 # numbers of surjections [n] -> [k]: k! * S(n, k) (Stirling second kind)
@@ -121,6 +123,20 @@ class TestEnumeration:
         # fiber size <= 2: n=3 gives 6 bijections + 6 one-pair maps
         assert len(enumerate_grade(3, max_fiber=2)) == 12
         assert len(enumerate_grade(2, max_fiber=2)) == 3
+
+
+@pytest.mark.parametrize("max_fiber", range(4))
+@pytest.mark.parametrize(("n", "k"), [(n, k) for n in range(6) for k in range(n + 2)])
+def test_kernel_surjections_match_brute_force(n, k, max_fiber):
+    """Includes k > n, k = 0 and fiber caps that leave nothing, which the
+    public enumerators refuse before reaching the kernel."""
+    onto = set(range(1, k + 1))
+    expected = sorted(
+        f
+        for f in product(range(1, k + 1), repeat=n)
+        if set(f) == onto and all(f.count(v) <= (max_fiber or n) for v in onto)
+    )
+    assert kernels.surjections(n, k, max_fiber) == expected
 
 
 class TestDiamond:

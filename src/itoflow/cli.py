@@ -3,7 +3,8 @@
 Subcommands: qsh, surj-log, logflow, matrix-log, verify, simulate,
 flow-compare.  Common flags: --json for machine output, --out FILE to
 write instead of printing, --seed for anything stochastic, --max-grade to
-move the size caps, --deterministic to suppress the report timestamp.
+set the size caps for one call, --deterministic to suppress the report
+timestamp.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 """
 
@@ -29,7 +30,7 @@ from .matrixseries import matrix_ito_taylor, matrix_log
 from .paths import DriverSpec, make_grid, simulate_bundle, write_bundle, bundle_to_csv
 from .quasishuffle import qsh
 from .verify import run_suite
-from .words import UNIT_WORD, Expansion, WordParseError, parse_word
+from .words import UNIT_WORD, Expansion, parse_word
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -40,7 +41,8 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
         "--max-grade",
         type=int,
         metavar="N",
-        help="raise or lower the symbolic size caps to N",
+        help="set the surjection-grade cap to N and raise the word-weight cap "
+        "to at least N, for this call only",
     )
     p.add_argument(
         "--deterministic",
@@ -312,15 +314,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    weight_cap, grade_cap = _config.weight_cap(), _config.grade_cap()
     try:
         _apply_caps(args)
         return args.fn(args)
-    except WordParseError as exc:
+    except ValueError as exc:  # CapExceeded and WordParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (_config.CapExceeded, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    finally:
+        # --max-grade holds for this invocation only
+        _config.set_weight_cap(weight_cap)
+        _config.set_grade_cap(grade_cap)
 
 
 if __name__ == "__main__":

@@ -14,9 +14,8 @@ provided exactly and as subset-closed sums, related by inclusion-exclusion.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from ._config import check_grade
 from .kernels import (
@@ -30,12 +29,11 @@ from .kernels import (
 )
 from .words import (
     BracketWord,
+    Combination,
     Expansion,
     WordLike,
     accumulate,
     as_word,
-    frac_from_json,
-    frac_to_json,
     graded_pairs,
 )
 
@@ -160,154 +158,28 @@ def as_surjection(f: SurjLike) -> Surjection:
     return f if isinstance(f, Surjection) else Surjection(f)
 
 
-class SurjElement:
+class SurjElement(Combination):
     """Finite rational linear combination of surjections, graded by arity."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data: dict[Surjection, Fraction] = {}
-        if terms is not None:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for f, c in items:
-                accumulate(data, as_surjection(f), Fraction(c))
-        self._terms = data
+    _coerce = staticmethod(as_surjection)
+    _sort_key = staticmethod(surjection_sort_key)
+    _grade = len
+    _json_key = "f"
+    _product = "diamond for products of surjection elements"
 
-    @classmethod
-    def zero(cls) -> "SurjElement":
-        return cls()
+    @staticmethod
+    def _render(f: Surjection) -> str:
+        return f"({f})" if f else "()"
 
-    @classmethod
-    def unit(cls) -> "SurjElement":
-        return cls([(Surjection(), 1)])
+    grade_part = Combination.restrict
+    truncate_grade = Combination.truncate
 
-    @classmethod
-    def of(cls, f: SurjLike, coeff=1) -> "SurjElement":
-        return cls([(as_surjection(f), coeff)])
-
-    @classmethod
-    def _raw(cls, data: dict) -> "SurjElement":
-        e = cls.__new__(cls)
-        e._terms = data
-        return e
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __iter__(self) -> Iterator[tuple[Surjection, Fraction]]:
-        for f in sorted(self._terms, key=surjection_sort_key):
-            yield f, self._terms[f]
-
-    def __getitem__(self, f: SurjLike) -> Fraction:
-        return self._terms.get(as_surjection(f), Fraction(0))
-
-    def __contains__(self, f: SurjLike) -> bool:
-        return as_surjection(f) in self._terms
-
-    def support(self) -> list[Surjection]:
-        return sorted(self._terms, key=surjection_sort_key)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SurjElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "SurjElement") -> "SurjElement":
-        if not isinstance(other, SurjElement):
-            return NotImplemented
-        out = dict(self._terms)
-        for f, c in other._terms.items():
-            accumulate(out, f, c)
-        return SurjElement._raw(out)
-
-    def __sub__(self, other: "SurjElement") -> "SurjElement":
-        if not isinstance(other, SurjElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "SurjElement":
-        return SurjElement._raw({f: -c for f, c in self._terms.items()})
-
-    def __mul__(self, scalar) -> "SurjElement":
-        if isinstance(scalar, SurjElement):
-            raise TypeError("use diamond for products of surjection elements")
-        if not isinstance(scalar, (int, Fraction)):
-            raise TypeError(
-                f"coefficients are exact rationals; got {type(scalar).__name__} "
-                "(wrap in fractions.Fraction)"
-            )
-        c = Fraction(scalar)
-        if not c:
-            return SurjElement()
-        return SurjElement._raw({f: b * c for f, b in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def grades(self) -> list[int]:
-        return sorted({len(f) for f in self._terms})
-
-    def grade_part(self, n: int) -> "SurjElement":
-        return SurjElement._raw(
-            {f: c for f, c in self._terms.items() if len(f) == n}
-        )
-
-    def truncate_grade(self, max_grade: int) -> "SurjElement":
-        return SurjElement._raw(
-            {f: c for f, c in self._terms.items() if len(f) <= max_grade}
-        )
-
-    def is_homogeneous(self) -> bool:
-        return len({len(f) for f in self._terms}) <= 1
-
-    def pretty(self) -> str:
-        from .words import frac_str
-
-        if not self._terms:
-            return "0"
-        parts = []
-        for i, (f, c) in enumerate(self):
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            body = f"({f})" if f else "()"
-            coeff = "" if mag == 1 else frac_str(mag) + " "
-            if i == 0:
-                parts.append(("-" if c < 0 else "") + coeff + body)
-            else:
-                parts.append(f"{sign} {coeff}{body}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"SurjElement({self.pretty()})"
-
-    def to_json_dict(self) -> dict:
+    def _json_header(self) -> dict:
+        """The arity of a homogeneous element, else None."""
         grades = self.grades()
-        grade = grades[0] if len(grades) == 1 else None
-        return {
-            "grade": grade,
-            "terms": [
-                {"f": list(f), "coeff": frac_to_json(c)} for f, c in self
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SurjElement":
-        return cls(
-            (Surjection(t["f"]), frac_from_json(t["coeff"]))
-            for t in obj["terms"]
-        )
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SurjElement":
-        return cls.from_json_dict(json.loads(text))
+        return {"grade": grades[0] if len(grades) == 1 else None}
 
 
 ElementLike = Union[SurjElement, Surjection, Sequence[int]]

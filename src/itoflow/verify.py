@@ -58,8 +58,7 @@ def _case(test, err, tol, seed=None, grid_points=None, paths=None) -> dict:
 
 def _mismatch(a, b) -> int:
     """Number of differing coefficients between two linear combinations."""
-    keys = set(a._terms) | set(b._terms)
-    return sum(1 for k in keys if a[k] != b[k])
+    return len(a - b)
 
 
 def _random_words(rng: random.Random, count: int, max_weight: int, letters: int = 3):

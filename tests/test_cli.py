@@ -5,7 +5,16 @@ import subprocess
 import sys
 
 
-from itoflow import Expansion, SurjElement, read_bundle
+from itoflow import (
+    Expansion,
+    SurjElement,
+    grade_cap,
+    log_identity_closed_form,
+    read_bundle,
+    set_grade_cap,
+    set_weight_cap,
+    weight_cap,
+)
 from itoflow.cli import main
 
 
@@ -31,6 +40,11 @@ class TestQsh:
         code, out = run_cli("qsh", "e", "2", capsys=capsys)
         assert code == 0
         assert out.out.strip() == "I_{2}"
+
+    def test_unit_product_prints_its_coefficient(self, capsys):
+        code, out = run_cli("qsh", "e", "e", capsys=capsys)
+        assert code == 0
+        assert out.out.strip() == "1"
 
     def test_empty_argument_is_unit(self, capsys):
         code, out = run_cli("qsh", "", "1", capsys=capsys)
@@ -87,6 +101,21 @@ class TestSurjLog:
         code, out = run_cli("surj-log", "--grade", "1", capsys=capsys)
         assert code == 0
         assert out.out.strip() == "(1)"
+
+    def test_max_grade_lasts_one_call(self, capsys):
+        old_w, old_g = set_weight_cap(8), set_grade_cap(6)
+        try:
+            assert run_cli("surj-log", "--grade", "2", "--max-grade", "3")[0] == 0
+            assert (weight_cap(), grade_cap()) == (8, 6)
+            log_identity_closed_form(4)  # grade 4 is within the default cap
+            # also when the command itself fails
+            code, out = run_cli("surj-log", "--grade", "5", "--max-grade", "3", capsys=capsys)
+            assert code == 2
+            assert "cap" in out.err
+            assert (weight_cap(), grade_cap()) == (8, 6)
+        finally:
+            set_weight_cap(old_w)
+            set_grade_cap(old_g)
 
 
 class TestLogflow:

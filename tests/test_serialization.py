@@ -3,9 +3,6 @@
 import json
 from fractions import Fraction
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from itoflow import (
     BracketWord,
     Expansion,
@@ -17,23 +14,6 @@ from itoflow import (
     MatrixExpansion,
 )
 from itoflow.flowmaps import DriverAlphabet, log_flow_terms, terms_from_json, terms_to_json
-
-letters = st.integers(min_value=1, max_value=5)
-blocks = st.lists(letters, min_size=1, max_size=3).map(lambda ls: tuple(sorted(ls)))
-words = st.lists(blocks, min_size=0, max_size=3).map(BracketWord)
-coeffs = st.builds(
-    Fraction,
-    st.integers(min_value=-(10**40), max_value=10**40).filter(lambda n: n != 0),
-    st.integers(min_value=1, max_value=10**40),
-)
-
-
-@given(st.dictionaries(words, coeffs, max_size=5))
-@settings(max_examples=50, deadline=None)
-def test_expansion_round_trip(data):
-    e = Expansion(data)
-    encoded = json.dumps(e.to_json_dict())
-    assert Expansion.from_json_dict(json.loads(encoded)) == e
 
 
 def test_expansion_coefficients_survive_as_strings():

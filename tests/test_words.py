@@ -10,6 +10,7 @@ from itoflow import (
     UNIT_WORD,
     BracketWord,
     Expansion,
+    SurjElement,
     WordParseError,
     block,
     parse_word,
@@ -151,6 +152,17 @@ class TestExpansion:
             BracketWord.from_letters(2)
         )
         assert e.pretty() == "I_{1} - I_{2}"
+
+    def test_pretty_constant_term_is_its_coefficient(self):
+        i1 = Expansion.of_word(BracketWord.from_letters(1))
+        assert Expansion.unit().pretty() == "1"
+        assert (3 * Expansion.unit()).pretty() == "3"
+        assert (Expansion.unit() - i1).pretty() == "1 - I_{1}"
+        assert (i1 - Fraction(1, 2) * Expansion.unit()).pretty() == "-1/2 + I_{1}"
+        assert repr(-Expansion.unit()) == "Expansion(-1)"
+        # a surjection element's unit keeps its "()" rendering
+        assert (3 * SurjElement.unit()).pretty() == "3 ()"
+        assert SurjElement.unit().pretty() == "()"
 
     @given(words, words)
     def test_map_words_is_linear(self, u, v):

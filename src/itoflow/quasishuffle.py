@@ -19,6 +19,8 @@ qsh; the half-products are left undefined on it.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter
 
 from ._config import check_weight
@@ -64,7 +66,7 @@ def qsh(*operands, max_weight: int | None = None) -> Expansion:
         data = {}
         for u, v, c in _weight_pairs(acc, rhs, max_weight):
             for w, mult in qsh_words(tuple(u), tuple(v)).items():
-                accumulate(data, BracketWord._wrap(w), c * mult)
+                accumulate(data, BracketWord._wrap(w), c if mult == 1 else c * mult)
         acc = Expansion._raw(data)
     return acc
 
@@ -114,6 +116,12 @@ def bullet(u, v) -> Expansion:
     return _bilinear(_bullet_pair, u, v)
 
 
+@lru_cache(maxsize=64)
+def _identity_diamond(n: int, m: int) -> tuple:
+    """Terms of ident_n diamond ident_m, the surjections of qsh shape (n, m)."""
+    return tuple(diamond_words(tuple(range(1, n + 1)), tuple(range(1, m + 1))))
+
+
 def qsh_via_surjections(u: WordLike, v: WordLike) -> Expansion:
     """qsh computed from its surjection-sum form, as an independent route.
 
@@ -122,18 +130,23 @@ def qsh_via_surjections(u: WordLike, v: WordLike) -> Expansion:
     word obtained by merging the concatenated blocks along the fibers of f.
     Those f are exactly the terms of the product of the two identity
     surjections, so the enumeration is shared with the surjection algebra.
+
+    The terms depend only on the shape (n, m), so they are enumerated once
+    per shape and kept in a memo of at most 64 shapes (least recently used
+    dropped first), which holds every shape the default weight cap allows.
+    The weight cap is checked before the memo is read, so a memoized shape
+    still raises CapExceeded when the cap is lowered.
     """
     u, v = as_word(u), as_word(v)
     check_weight(u.weight + v.weight)
-    n, m = len(u), len(v)
     cat = tuple(u) + tuple(v)
-    ident_n = tuple(range(1, n + 1))
-    ident_m = tuple(range(1, m + 1))
-    out = {}
-    for f in diamond_words(ident_n, ident_m):
-        w = BracketWord(apply_to_blocks(f, cat))
-        out[w] = out.get(w, 0) + 1
-    return Expansion(out.items())
+    counts: dict = {}
+    for f in _identity_diamond(len(u), len(v)):
+        w = apply_to_blocks(f, cat)
+        counts[w] = counts.get(w, 0) + 1
+    return Expansion._raw(
+        {BracketWord._wrap(w): Fraction(c) for w, c in counts.items()}
+    )
 
 
 def shuffle_projection(e: Expansion) -> Expansion:

@@ -44,7 +44,10 @@ class Surjection(tuple):
     __slots__ = ()
 
     def __new__(cls, values: Iterable[int] = ()) -> "Surjection":
-        vals = tuple(int(v) for v in values)
+        vals = tuple(values)
+        for v in vals:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"surjection values are integers, got {v!r}")
         if not is_surjection(vals):
             raise ValueError(f"{vals} is not onto 1..max")
         return super().__new__(cls, vals)
@@ -96,15 +99,22 @@ class Surjection(tuple):
 
 
 def parse_surjection(text: str) -> Surjection:
-    """Inverse of str: digit string '212' or comma list '(2,1,2)'; '()' is unit."""
+    """Inverse of str and of an element's term display.
+
+    Accepts a digit string '212', the same in parentheses '(212)' (how
+    SurjElement.pretty shows it) or a comma list '(2,1,2)'; '()' is the unit.
+    """
     text = text.strip()
     if text in ("", "()"):
         return Surjection()
+    body = text
     if text.startswith("(") and text.endswith(")"):
-        return Surjection(int(p) for p in text[1:-1].split(","))
-    if not text.isdigit():
+        body = text[1:-1]
+        if "," in body:
+            return Surjection(int(p) for p in body.split(","))
+    if not body.isdigit():
         raise ValueError(f"cannot parse surjection from {text!r}")
-    return Surjection(int(ch) for ch in text)
+    return Surjection(int(ch) for ch in body)
 
 
 def pack(values: Sequence[int]) -> Surjection:
@@ -171,7 +181,8 @@ class SurjElement(Combination):
 
     @staticmethod
     def _render(f: Surjection) -> str:
-        return f"({f})" if f else "()"
+        s = str(f)  # the unit and the comma form are already parenthesized
+        return s if s.startswith("(") else f"({s})"
 
     grade_part = Combination.restrict
     truncate_grade = Combination.truncate

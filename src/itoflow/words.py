@@ -452,8 +452,14 @@ class Combination:
 
     @classmethod
     def from_json_dict(cls, obj: dict):
+        """Inverse of to_json_dict; a malformed blob raises ValueError."""
         key = cls._json_key
-        return cls((t[key], frac_from_json(t["coeff"])) for t in obj["terms"])
+        try:
+            return cls((t[key], frac_from_json(t["coeff"])) for t in obj["terms"])
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(
+                f"malformed {cls.__name__} JSON: {type(exc).__name__}: {exc}"
+            ) from exc
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_json_dict(), **kwargs)

@@ -86,3 +86,33 @@ def test_types_never_compare_equal():
     with pytest.raises(TypeError):
         Expansion.unit() - SurjElement.unit()
 
+
+
+ONE = {"num": "1", "den": "1"}
+
+
+@pytest.mark.parametrize(
+    "cls, key, good",
+    [
+        pytest.param(Expansion, "word", [[1]], id="Expansion"),
+        pytest.param(SurjElement, "f", [1], id="SurjElement"),
+    ],
+)
+@pytest.mark.parametrize(
+    "blob",
+    [
+        pytest.param(lambda key, good: {}, id="no-terms"),
+        pytest.param(lambda key, good: {"terms": [{key: 5, "coeff": ONE}]}, id="int-key"),
+        pytest.param(
+            lambda key, good: {"terms": [{key: good, "coeff": {"num": "1", "den": "0"}}]},
+            id="zero-den",
+        ),
+    ],
+)
+def test_malformed_json_raises_value_error(cls, key, good, blob):
+    obj = blob(key, good)
+    assert cls.from_json_dict({"terms": [{key: good, "coeff": ONE}]})  # the well-formed twin
+    with pytest.raises(ValueError):
+        cls.from_json_dict(obj)
+    with pytest.raises(ValueError):
+        cls.from_json(json.dumps(obj))

@@ -18,8 +18,10 @@ from itoflow import (
     shuffle_projection,
     half_down,
     half_up,
+    parse_word,
     set_weight_cap,
 )
+from itoflow import quasishuffle
 
 letters = st.integers(min_value=1, max_value=3)
 blocks = st.lists(letters, min_size=1, max_size=2).map(lambda ls: tuple(sorted(ls)))
@@ -172,6 +174,58 @@ def test_half_shuffles_reject_unit():
 @settings(max_examples=40, deadline=None)
 def test_surjection_route_matches(u, v):
     assert qsh_via_surjections(u, v) == qsh(u, v)
+
+
+@given(words, words)
+@settings(max_examples=40, deadline=None)
+def test_surjection_route_coefficients_are_fractions(u, v):
+    assert all(type(c) is Fraction for _, c in qsh_via_surjections(u, v))
+
+
+def test_surjection_route_checks_the_cap_on_a_memoized_shape():
+    u, v = BracketWord.from_letters(1, 2), BracketWord.from_letters(3)
+    qsh_via_surjections(u, v)  # shape (2, 1) is now memoized
+    old = set_weight_cap(2)
+    try:
+        with pytest.raises(CapExceeded):
+            qsh_via_surjections(u, v)
+    finally:
+        set_weight_cap(old)
+
+
+def test_surjection_route_memo_is_bounded():
+    memo = quasishuffle._identity_diamond
+    memo.cache_clear()
+    for n in range(9):
+        for m in range(9 - n):
+            qsh_via_surjections(
+                BracketWord.from_letters(*[1] * n), BracketWord.from_letters(*[2] * m)
+            )
+            info = memo.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
+    # every shape the default weight cap allows fits without eviction
+    assert memo.cache_info().currsize == 45
+
+
+def test_surjection_route_does_not_use_qsh_words(monkeypatch):
+    def refuse(u, v):
+        raise AssertionError("qsh_words called by the surjection route")
+
+    monkeypatch.setattr(quasishuffle, "qsh_words", refuse)
+    quasishuffle._identity_diamond.cache_clear()
+    expected = Expansion(
+        (parse_word(w), 1)
+        for w in [
+            "1234", "1324", "1342", "3124", "3142", "3412",
+            "[13]24", "[13]42", "3[14]2", "1[23]4", "13[24]", "31[24]",
+            "[13][24]",
+        ]
+    )
+    got = qsh_via_surjections(
+        BracketWord.from_letters(1, 2), BracketWord.from_letters(3, 4)
+    )
+    assert len(got) == 13
+    assert got == expected
 
 
 def test_shuffle_projection_kills_merged_blocks():

@@ -52,6 +52,16 @@ def surjection_strategy(max_n=4):
 
 
 small_surjs = surjection_strategy(max_n=3)
+
+
+@st.composite
+def wide_surjections(draw, max_onto=12):
+    """Surjections onto up to max_onto values, so both str forms occur."""
+    k = draw(st.integers(min_value=0, max_value=max_onto))
+    extra = draw(st.lists(st.integers(min_value=1, max_value=k), max_size=3)) if k else []
+    return Surjection(draw(st.permutations(list(range(1, k + 1)) + extra)))
+
+
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 # multi-term elements whose surjections differ in grade, unit included
 elements = st.lists(
@@ -98,6 +108,26 @@ class TestSurjection:
             assert parse_surjection(str(Surjection(f))) == f
         assert str(Surjection(())) == "()"
         assert parse_surjection("()") == ()
+
+    def test_rejects_non_integer_values(self):
+        with pytest.raises(ValueError):
+            Surjection([2.9, 1])  # would truncate to (2, 1)
+        with pytest.raises(ValueError):
+            Surjection([True])  # bool is not a value
+        with pytest.raises(ValueError):
+            Surjection(["1"])
+
+    def test_pretty_of_a_comma_form_has_one_pair_of_parentheses(self):
+        f = Surjection(range(1, 11))
+        assert SurjElement.of(f).pretty() == "(1,2,3,4,5,6,7,8,9,10)"
+        assert parse_surjection(SurjElement.of(f).pretty()) == f
+        assert parse_surjection("(212)") == (2, 1, 2)
+
+    @given(wide_surjections())
+    @settings(max_examples=80, deadline=None)
+    def test_pretty_parse_round_trip(self, f):
+        assert parse_surjection(SurjElement.of(f).pretty()) == f
+        assert parse_surjection(str(f)) == f
 
 
 class TestEnumeration:

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import _config
-from .flowmaps import DriverAlphabet, log_flow_terms
+from .flowmaps import DriverAlphabet, log_flow_terms, terms_to_json
 from .flows import FlowProblem, compare_flows
 from .logseries import (
     log_identity_closed_form,
@@ -67,15 +67,16 @@ def _apply_caps(args) -> None:
         _config.set_weight_cap(max(args.max_grade, _config.weight_cap()))
 
 
+def _emit_result(args, result) -> int:
+    """An exact result as indented JSON with --json, else as its pretty text."""
+    _emit(args, json.dumps(result.to_json_dict(), indent=2) if args.json else result.pretty())
+    return 0
+
+
 def cmd_qsh(args) -> int:
     # an empty shell argument is the unit word, like the literal "e"
     words = [parse_word(w) if w else UNIT_WORD for w in args.words]
-    result = qsh(*words) if words else Expansion.unit()
-    if args.json:
-        _emit(args, json.dumps(result.to_json_dict(), indent=2))
-    else:
-        _emit(args, result.pretty())
-    return 0
+    return _emit_result(args, qsh(*words) if words else Expansion.unit())
 
 
 def cmd_surj_log(args) -> int:
@@ -87,16 +88,12 @@ def cmd_surj_log(args) -> int:
     el = forms[args.form](args.grade)
     if args.strichartz:
         el = strichartz_restriction(args.grade)
-    if args.json:
-        _emit(args, json.dumps(el.to_json_dict(), indent=2))
-    else:
-        _emit(args, el.pretty())
-    return 0
+    return _emit_result(args, el)
 
 
 def cmd_logflow(args) -> int:
     if args.matrix:
-        return _emit_matrix_log(args, args.matrix, args.order)
+        return _emit_result(args, matrix_log(args.matrix, args.order))
     alphabet = DriverAlphabet(
         n_primary=args.drivers,
         continuous=args.continuous,
@@ -105,30 +102,15 @@ def cmd_logflow(args) -> int:
     )
     terms = log_flow_terms(alphabet, args.order)
     if args.json:
-        _emit(args, json.dumps({"terms": [t.to_json_dict() for t in terms]}, indent=2))
+        _emit(args, terms_to_json(terms, indent=2))
     else:
         _emit(args, "\n".join(t.pretty() for t in terms))
     return 0
 
 
-def _emit_matrix_log(args, dim: int, order: int) -> int:
-    me = matrix_log(dim, order)
-    if args.json:
-        _emit(args, json.dumps(me.to_json_dict(), indent=2))
-    else:
-        _emit(args, me.pretty())
-    return 0
-
-
 def cmd_matrix_log(args) -> int:
-    if args.taylor:
-        me = matrix_ito_taylor(args.dim, args.order)
-        if args.json:
-            _emit(args, json.dumps(me.to_json_dict(), indent=2))
-        else:
-            _emit(args, me.pretty())
-        return 0
-    return _emit_matrix_log(args, args.dim, args.order)
+    series = matrix_ito_taylor if args.taylor else matrix_log
+    return _emit_result(args, series(args.dim, args.order))
 
 
 def cmd_verify(args) -> int:

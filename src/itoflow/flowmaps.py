@@ -17,10 +17,11 @@ separate, so the exponential blowup over all letter words is opt-in.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from ._config import check_grade
 from .logseries import descent_coefficient
@@ -32,6 +33,7 @@ from .words import (
     frac_from_json,
     frac_str,
     frac_to_json,
+    refuse_malformed,
 )
 
 POSITION_SYMBOLS = "ijklmnopqrstuvwxyz"
@@ -136,11 +138,13 @@ class LogTerm:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LogTerm":
-        return cls(
-            order=int(obj["n"]),
-            partition=tuple(tuple(int(p) for p in b) for b in obj["partition"]),
-            coeff=frac_from_json(obj["coeff"]),
-        )
+        """Inverse of to_json_dict; a malformed blob raises ValueError."""
+        with refuse_malformed(cls.__name__):
+            return cls(
+                order=int(obj["n"]),
+                partition=tuple(tuple(int(p) for p in b) for b in obj["partition"]),
+                coeff=frac_from_json(obj["coeff"]),
+            )
 
 
 def log_flow_terms(alphabet: DriverAlphabet, order: int) -> list[LogTerm]:
@@ -217,24 +221,17 @@ def log_flow_expansion(
     )
     data: dict[BracketWord, Fraction] = {}
     for term in log_flow_terms(alphabet, order):
-        for combo in _tuples(pool, term.order):
+        for combo in itertools.product(pool, repeat=term.order):
             w, c = term.instantiate(combo)
             accumulate(data, w, c)
     return apply_vanishing_rules(Expansion._raw(data), alphabet)
 
 
-def _tuples(pool: tuple, n: int) -> Iterator[tuple]:
-    if n == 0:
-        yield ()
-        return
-    for rest in _tuples(pool, n - 1):
-        for x in pool:
-            yield rest + (x,)
-
-
-def terms_to_json(terms: Iterable[LogTerm]) -> str:
-    return json.dumps({"terms": [t.to_json_dict() for t in terms]})
+def terms_to_json(terms: Iterable[LogTerm], **kwargs) -> str:
+    return json.dumps({"terms": [t.to_json_dict() for t in terms]}, **kwargs)
 
 
 def terms_from_json(text: str) -> list[LogTerm]:
-    return [LogTerm.from_json_dict(t) for t in json.loads(text)["terms"]]
+    """Inverse of terms_to_json; a malformed blob raises ValueError."""
+    with refuse_malformed("LogTerm list"):
+        return [LogTerm.from_json_dict(t) for t in json.loads(text)["terms"]]

@@ -23,7 +23,7 @@ from ._config import check_weight
 from .logseries import log_identity_closed_form
 from .quasishuffle import qsh
 from .surjections import apply_element
-from .words import BracketWord, Expansion, accumulate
+from .words import BracketWord, Expansion, accumulate, refuse_malformed
 
 LETTER_ENCODING = "row-major: letter(i, j) = (i - 1) * dim + j, 1-based"
 
@@ -178,13 +178,10 @@ class MatrixExpansion:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MatrixExpansion":
-        return cls(
-            int(obj["dim"]),
-            [
-                [Expansion.from_json_dict(e) for e in row]
-                for row in obj["entries"]
-            ],
-        )
+        """Inverse of to_json_dict; a malformed blob raises ValueError."""
+        with refuse_malformed(cls.__name__):
+            entries = [[Expansion.from_json_dict(e) for e in row] for row in obj["entries"]]
+            return cls(int(obj["dim"]), entries)
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_json_dict(), **kwargs)

@@ -8,13 +8,17 @@ Each suite returns a list of case reports shaped
 For exact symbolic checks the error is the number of differing
 coefficients and the tolerance is zero; for pathwise checks it is a
 floating-point residual.  A suite passes when every case does.
+
+Each identity that the acceptance criteria also check is one check_*
+function with its sizes as parameters: the suites call it at the CLI
+defaults, the criteria at their own, larger sizes.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +33,15 @@ from .logseries import (
     log_identity_subset_form,
     subset_alternating_sum,
 )
-from .paths import DriverSpec, discrete_bracket, make_grid, simulate_bundle
+from .matrixseries import matrix_exp, matrix_ito_taylor, matrix_log
+from .paths import (
+    DriverSpec,
+    PathBundle,
+    SamplePath,
+    discrete_bracket,
+    make_grid,
+    simulate_bundle,
+)
 from .quasishuffle import qsh, qsh_via_surjections
 from .surjections import (
     SurjElement,
@@ -42,6 +54,8 @@ from .surjections import (
     enumerate_grade,
 )
 from .words import BracketWord, Expansion
+
+PATHWISE_TOL = 1e-9  # relative residual allowed in a pathwise product identity
 
 
 def _case(test, err, tol, seed=None, grid_points=None, paths=None) -> dict:
@@ -76,16 +90,129 @@ def _random_words(rng: random.Random, count: int, max_weight: int, letters: int 
     return out
 
 
+def words_up_to(max_weight: int) -> dict[int, list[BracketWord]]:
+    """All bracket words over the letters 1, 2, 3, grouped by weight."""
+    sizes = range(1, max_weight + 1)
+    blocks = {s: list(itertools.combinations_with_replacement((1, 2, 3), s)) for s in sizes}
+    raw: dict[int, list[tuple]] = {0: [()]}
+    for w in range(1, max_weight + 1):
+        raw[w] = [p + (b,) for s in range(1, w + 1) for p in raw[w - s] for b in blocks[s]]
+    return {w: [BracketWord(t) for t in ts] for w, ts in raw.items()}
+
+
+def check_log_series(grades: Iterable[int]) -> int:
+    """Coefficients where the power-series log differs from the closed form."""
+    return sum(_mismatch(log_identity_series(g), log_identity_closed_form(g)) for g in grades)
+
+
+def check_exp_log(grade: int, matrix_orders: Iterable[int] = ()) -> int:
+    """Coefficients where exp(log) differs from the flow it is the log of: the
+    identity series at the grade, and the dim-2 matrix flow at each matrix order."""
+    err = _mismatch(exp_element(log_identity_closed_form(grade), grade), identity_series(grade))
+    for k in matrix_orders:
+        got, want = matrix_exp(matrix_log(2, k), k), matrix_ito_taylor(2, k)
+        for got_row, want_row in zip(got.entries, want.entries):
+            err += sum(map(_mismatch, got_row, want_row))
+    return err
+
+
+def check_qsh_routes(pairs: Iterable[tuple[BracketWord, BracketWord]]) -> tuple[int, int]:
+    """Differing coefficients of qsh against the surjection-sum route, and the pair count."""
+    err = count = 0
+    for u, v in pairs:
+        err += _mismatch(qsh(u, v), qsh_via_surjections(u, v))
+        count += 1
+    return err, count
+
+
+def check_composition_embedding(max_part: int) -> tuple[int, int]:
+    """Pairs of compositions of 1..max_part, totals summing to <= 6, where
+    diamond(embed(c1), embed(c2)) != embed(c1 c2); and the pair count."""
+    err = count = 0
+    for t1, t2 in itertools.product(range(1, max_part + 1), repeat=2):
+        if t1 + t2 > 6:
+            continue
+        for c1, c2 in itertools.product(compositions_of(t1), compositions_of(t2)):
+            lhs = diamond(embed_composition(c1), embed_composition(c2))
+            err += _mismatch(lhs, embed_composition(c1 + c2))
+            count += 1
+    return err, count
+
+
+def check_subset_law() -> tuple[int, int]:
+    """Subsets I of {1..n-1}, n <= 8, whose alternating sum misses the
+    descent coefficient law at d = |I|, and the subset count."""
+    err = count = 0
+    for n in range(1, 9):
+        for r in range(n):
+            for I in itertools.combinations(range(1, n), r):
+                err += subset_alternating_sum(n, I) != descent_coefficient(n, len(I))
+                count += 1
+    return err, count
+
+
+def pathwise_bundle(seed: int, steps: int) -> PathBundle:
+    """Brownian (letter 1), rate-2 Poisson (2) and unit drift (3) on [0, 1]."""
+    specs = {
+        1: DriverSpec.brownian(1.0),
+        2: DriverSpec.poisson(2.0),
+        3: DriverSpec.linear_drift(1.0),
+    }
+    return simulate_bundle(specs, make_grid(1.0, steps), seed=seed)
+
+
+def check_pathwise_qsh(
+    ev: Evaluator, pairs: Iterable[tuple[BracketWord, BracketWord]]
+) -> tuple[float, int]:
+    """Worst relative residual of value(u) value(v) == value(qsh(u, v)), and the pair count."""
+    worst, count = 0.0, 0
+    for u, v in pairs:
+        product = float(ev.word_terminal(u)) * float(ev.word_terminal(v))
+        worst = max(worst, abs(float(ev(qsh(u, v))) - product) / max(1.0, abs(product)))
+        count += 1
+    return worst, count
+
+
+def check_jump_bracket(path: SamplePath) -> tuple[float, float]:
+    """|[X, X, X]_T - X_T| for a path X of unit jumps, and X_T, its jump count."""
+    triple = Evaluator.from_paths({1: path}).word_terminal(BracketWord([(1, 1, 1)]))
+    return abs(float(triple) - path.terminal), path.terminal
+
+
+def flow_problem(steps: int) -> FlowProblem:
+    """The flow study: non-commuting 2x2 drift and diffusion, horizon 0.1."""
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    b = np.array([[0.5, 0.0], [1.0, -0.5]])
+    return FlowProblem(dim=2, drift=a, diffusion=b, horizon=0.1, steps=steps)
+
+
+def check_flow(
+    problem: FlowProblem, orders: Sequence[int], paths: int, seed: int
+) -> tuple[list[float], list[tuple[int, float, float]]]:
+    """Mean strong errors of exp(log_k), by order, and (k, gap, bound) per order.
+
+    The gap is between the exp(log) and Taylor routes; its bound is the
+    truncation effect, ten times the next Taylor layer, plus the
+    matrix-exponential tolerance.
+    """
+    rep = compare_flows(problem, orders, paths, seed)
+    errs, gaps = [], []
+    for k in rep["orders"]:
+        errs.append(rep["mean_strong_error_log"][str(k)])
+        bound = 10.0 * rep["mean_next_taylor_layer"][str(k)] + rep["expm_tolerance"]
+        gaps.append((k, rep["mean_gap_log_vs_taylor"][str(k)], bound))
+    return errs, gaps
+
+
 def suite_algebra(grade: int = 4, seed: int = 0) -> list[dict]:
     rng = random.Random(seed)
     reports = []
 
     words = _random_words(rng, 8, max_weight=max(1, grade - 1))
-    err = 0
-    for u, v in itertools.combinations(words, 2):
-        if u.weight + v.weight > 2 * grade:
-            continue
-        err += _mismatch(qsh(u, v), qsh(v, u))
+    pairs = [
+        (u, v) for u, v in itertools.combinations(words, 2) if u.weight + v.weight <= 2 * grade
+    ]
+    err = sum(_mismatch(qsh(u, v), qsh(v, u)) for u, v in pairs)
     reports.append(_case("qsh commutative (sampled)", err, 0, seed=seed))
 
     err = 0
@@ -100,11 +227,7 @@ def suite_algebra(grade: int = 4, seed: int = 0) -> list[dict]:
     err += _mismatch(qsh(words[0], unit), Expansion.of_word(words[0]))
     reports.append(_case("empty word is the unit", err, 0, seed=seed))
 
-    err = 0
-    for u, v in itertools.combinations(words, 2):
-        if u.weight + v.weight > 2 * grade:
-            continue
-        err += _mismatch(qsh(u, v), qsh_via_surjections(u, v))
+    err, _ = check_qsh_routes(pairs)
     reports.append(_case("recursive qsh == surjection-sum qsh", err, 0, seed=seed))
 
     surjs = [f for n in range(1, min(grade, 4) + 1) for f in enumerate_grade(n)]
@@ -140,57 +263,23 @@ def suite_algebra(grade: int = 4, seed: int = 0) -> list[dict]:
 
 
 def suite_theorem(grade: int = 4) -> list[dict]:
-    reports = []
-    series = log_identity_series(grade)
-    closed = log_identity_closed_form(grade)
-    reports.append(
-        _case(f"power series log == closed form, grade {grade}", _mismatch(series, closed), 0)
-    )
     subset_grade = min(grade, 5)
-    reports.append(
-        _case(
-            f"subset form == closed form, grade {subset_grade}",
-            _mismatch(log_identity_subset_form(subset_grade), closed.truncate_grade(subset_grade)),
-            0,
-        )
+    subset_err = _mismatch(
+        log_identity_subset_form(subset_grade),
+        log_identity_closed_form(grade).truncate_grade(subset_grade),
     )
-    reports.append(
-        _case(
-            f"exp(log) == identity series, grade {grade}",
-            _mismatch(exp_element(closed, grade), identity_series(grade)),
-            0,
-        )
-    )
-    err = 0
-    for n in range(1, 9):
-        for r in range(n):
-            for I in itertools.combinations(range(1, n), r):
-                got = subset_alternating_sum(n, I)
-                err += got != descent_coefficient(n, len(I))
-    reports.append(_case("alternating subset sum identity, n <= 8", err, 0))
-
-    err = 0
-    small = [c for t in range(1, 4) for c in compositions_of(t)]
-    for c1 in small:
-        for c2 in small:
-            if sum(c1) + sum(c2) > 6:
-                continue
-            lhs = diamond(embed_composition(c1), embed_composition(c2))
-            rhs = embed_composition(c1 + c2)
-            err += _mismatch(lhs, rhs)
-    reports.append(_case("composition embedding is multiplicative", err, 0))
-    return reports
+    return [
+        _case(f"power series log == closed form, grade {grade}", check_log_series([grade]), 0),
+        _case(f"subset form == closed form, grade {subset_grade}", subset_err, 0),
+        _case(f"exp(log) == identity series, grade {grade}", check_exp_log(grade), 0),
+        _case("alternating subset sum identity, n <= 8", check_subset_law()[0], 0),
+        _case("composition embedding is multiplicative", check_composition_embedding(3)[0], 0),
+    ]
 
 
-def suite_pathwise(seed: int = 42, steps: int = 4096, max_weight: int = 3) -> list[dict]:
+def suite_pathwise(seed: int = 0, steps: int = 4096, max_weight: int = 3) -> list[dict]:
     reports = []
-    grid = make_grid(1.0, steps)
-    specs = {
-        1: DriverSpec.brownian(1.0),
-        2: DriverSpec.poisson(2.0),
-        3: DriverSpec.linear_drift(1.0),
-    }
-    bundle = simulate_bundle(specs, grid, seed=seed)
+    bundle = pathwise_bundle(seed, steps)
     gp = steps + 1
 
     x, y = bundle[1], bundle[2]
@@ -199,9 +288,7 @@ def suite_pathwise(seed: int = 42, steps: int = 4096, max_weight: int = 3) -> li
     residual = x.values * y.values - np.concatenate(
         ([0.0], np.cumsum(x.values[:-1] * dy))
     ) - np.concatenate(([0.0], np.cumsum(y.values[:-1] * dx))) - br.values
-    reports.append(
-        _case("discrete product rule", np.max(np.abs(residual)), 1e-9, seed, gp, 1)
-    )
+    reports.append(_case("discrete product rule", np.max(np.abs(residual)), 1e-9, seed, gp, 1))
 
     sym = np.max(np.abs(discrete_bracket(x, y).values - discrete_bracket(y, x).values))
     z = bundle[3]
@@ -216,63 +303,32 @@ def suite_pathwise(seed: int = 42, steps: int = 4096, max_weight: int = 3) -> li
     rng = random.Random(seed)
     words = _random_words(rng, 10, max_weight=max_weight)
     ev = Evaluator.from_bundle(bundle)
-    worst = 0.0
-    for u, v in itertools.combinations(words, 2):
-        lhs = float(ev(qsh(u, v)))
-        rhs = float(ev.word_terminal(u)) * float(ev.word_terminal(v))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    worst, _ = check_pathwise_qsh(ev, itertools.combinations(words, 2))
     reports.append(
-        _case("pathwise quasi-shuffle identity (sampled)", worst, 1e-9, seed, gp, 1)
+        _case("pathwise quasi-shuffle identity (sampled)", worst, PATHWISE_TOL, seed, gp, 1)
     )
 
-    lhs = float(ev.word_terminal(BracketWord.from_letters(1))) * float(
-        ev.word_terminal(BracketWord.from_letters(2, 3))
-    )
-    rhs = float(ev(qsh(BracketWord.from_letters(1), BracketWord.from_letters(2, 3))))
-    reports.append(
-        _case("one-letter times two-letter product", abs(lhs - rhs) / max(1.0, abs(lhs)), 1e-9, seed, gp, 1)
-    )
+    pair = (BracketWord.from_letters(1), BracketWord.from_letters(2, 3))
+    err, _ = check_pathwise_qsh(ev, [pair])
+    reports.append(_case("one-letter times two-letter product", err, PATHWISE_TOL, seed, gp, 1))
 
-    jump_err = abs(float(ev.word_terminal(BracketWord([[2, 2, 2]]))) - bundle[2].terminal)
-    reports.append(_case("triple self-bracket of a unit-jump path", jump_err, 0.0, seed, gp, 1))
+    err, _ = check_jump_bracket(bundle[2])
+    reports.append(_case("triple self-bracket of a unit-jump path", err, 0.0, seed, gp, 1))
     return reports
 
 
 def suite_flow(
-    seed: int = 2026,
-    steps: int = 2048,
+    seed: int = 0,
+    steps: int = 4096,
     paths: int = 128,
     orders: Sequence[int] = (1, 2, 3),
 ) -> list[dict]:
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    b = np.array([[0.5, 0.0], [1.0, -0.5]])
-    problem = FlowProblem(dim=2, drift=a, diffusion=b, horizon=0.1, steps=steps)
-    rep = compare_flows(problem, orders, paths, seed)
-    errs = [rep["mean_strong_error_log"][str(k)] for k in rep["orders"]]
+    errs, gaps = check_flow(flow_problem(steps), orders, paths, seed)
     mono = all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
-    reports = [
-        _case(
-            "strong error decreases with order",
-            0.0 if mono else 1.0,
-            0.0,
-            seed,
-            steps + 1,
-            paths,
-        )
-    ]
-    for k in rep["orders"]:
-        gap = rep["mean_gap_log_vs_taylor"][str(k)]
-        yardstick = 10.0 * rep["mean_next_taylor_layer"][str(k)] + rep["expm_tolerance"]
-        reports.append(
-            _case(
-                f"exp(log_{k}) matches taylor_{k} up to truncation",
-                gap,
-                yardstick,
-                seed,
-                steps + 1,
-                paths,
-            )
-        )
+    where = (seed, steps + 1, paths)
+    reports = [_case("strong error decreases with order", 0.0 if mono else 1.0, 0.0, *where)]
+    for k, gap, bound in gaps:
+        reports.append(_case(f"exp(log_{k}) matches taylor_{k} up to truncation", gap, bound, *where))
     return reports
 
 

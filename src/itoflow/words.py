@@ -14,6 +14,7 @@ blockwise lexicographic comparison.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Union
@@ -234,9 +235,30 @@ def frac_to_json(c: Fraction) -> dict:
 
 
 def frac_from_json(obj) -> Fraction:
+    """Inverse of frac_to_json; also reads an int or a fraction string.
+
+    A float or a bool is refused with ValueError: JSON numbers with a
+    fraction part are binary floats, not the exact rational meant.
+    """
     if isinstance(obj, dict):
-        return Fraction(int(obj["num"]), int(obj["den"]))
-    return Fraction(obj)
+        return Fraction(int(_exact(obj["num"])), int(_exact(obj["den"])))
+    return Fraction(_exact(obj))
+
+
+def _exact(x):
+    if isinstance(x, (bool, float)):
+        raise ValueError(f"inexact JSON coefficient {x!r}; write integers as strings")
+    return x
+
+
+@contextmanager
+def refuse_malformed(kind: str):
+    """Raise ValueError where reading a malformed JSON blob would raise
+    KeyError, TypeError or ZeroDivisionError."""
+    try:
+        yield
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed {kind} JSON: {type(exc).__name__}: {exc}") from exc
 
 
 def frac_str(c: Fraction) -> str:
@@ -454,12 +476,8 @@ class Combination:
     def from_json_dict(cls, obj: dict):
         """Inverse of to_json_dict; a malformed blob raises ValueError."""
         key = cls._json_key
-        try:
+        with refuse_malformed(cls.__name__):
             return cls((t[key], frac_from_json(t["coeff"])) for t in obj["terms"])
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
-            raise ValueError(
-                f"malformed {cls.__name__} JSON: {type(exc).__name__}: {exc}"
-            ) from exc
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_json_dict(), **kwargs)

@@ -3,7 +3,8 @@
 Each test covers one acceptance criterion with explicit tolerances and
 time budgets, and prints one ``[PASS]``/``[FAIL]`` line straight to the
 terminal (bypassing pytest capture) so a full run ends with one status
-line per criterion.
+line per criterion.  Where ``itoflow verify`` checks the same identity,
+the criterion calls the same ``itoflow.verify`` check at its own sizes.
 
 Criteria, in order:
 
@@ -30,75 +31,70 @@ Criteria, in order:
 from __future__ import annotations
 
 import gc
-import math
+import itertools
 import time
 import warnings
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
+import pytest
 
 from itoflow import (
     BracketWord,
-    Composition,
     DriverAlphabet,
     DriverSpec,
     Expansion,
-    FlowProblem,
     GridResolutionWarning,
     LogTerm,
     Surjection,
-    compare_flows,
-    compositions_of,
-    diamond,
-    embed_composition,
     enumerate_grade,
-    exp_element,
-    identity_series,
     log_flow_terms,
-    log_identity_closed_form,
-    log_identity_series,
     make_grid,
-    matrix_exp,
-    matrix_ito_taylor,
-    matrix_log,
     qsh,
-    qsh_via_surjections,
     simulate,
-    simulate_bundle,
-    subset_alternating_sum,
 )
 from itoflow.cli import main as cli_main
 from itoflow.evaluate import Evaluator
+from itoflow.verify import (
+    PATHWISE_TOL,
+    check_composition_embedding,
+    check_exp_log,
+    check_flow,
+    check_jump_bracket,
+    check_log_series,
+    check_pathwise_qsh,
+    check_qsh_routes,
+    check_subset_law,
+    flow_problem,
+    pathwise_bundle,
+    words_up_to,
+)
+
+pytestmark = pytest.mark.acceptance
 
 F = Fraction
 
 
 @contextmanager
-def criterion(capsys, name: str):
-    """Print exactly one [PASS]/[FAIL] line for the enclosed checks."""
+def criterion(capsys, name: str, budget: float | None = None):
+    """Print exactly one [PASS]/[FAIL] line for the enclosed checks, which
+    must finish within budget seconds when one is given."""
     info = {"detail": ""}
     t0 = time.perf_counter()
     try:
         yield info
+        elapsed = time.perf_counter() - t0
+        if budget is not None and elapsed >= budget:
+            info["detail"] = f"took {elapsed:.2f}s, budget {budget:g}s"
+            raise AssertionError(info["detail"])
     except BaseException:
         with capsys.disabled():
             print(f"[FAIL] {name}: {info['detail'] or 'check failed'}")
         raise
-    elapsed = time.perf_counter() - t0
     with capsys.disabled():
         print(f"[PASS] {name}: {info['detail']} [{elapsed:.2f}s]")
-
-
-def words_up_to(max_weight: int, letters=(1, 2, 3)) -> dict[int, list[BracketWord]]:
-    """All bracket words over the given letters, grouped by weight."""
-    blocks = {s: list(combinations_with_replacement(letters, s)) for s in range(1, max_weight + 1)}
-    raw: dict[int, list[tuple]] = {0: [()]}
-    for w in range(1, max_weight + 1):
-        raw[w] = [p + (b,) for s in range(1, w + 1) for p in raw[w - s] for b in blocks[s]]
-    return {w: [BracketWord(t) for t in ts] for w, ts in raw.items()}
 
 
 def surjection_of_partition(partition: tuple[tuple[int, ...], ...]) -> Surjection:
@@ -116,12 +112,8 @@ def surjection_of_partition(partition: tuple[tuple[int, ...], ...]) -> Surjectio
 # --------------------------------------------------------------------------
 
 def test_c01_log_series_matches_closed_form(capsys):
-    with criterion(capsys, "C1 log power series == closed descent formula") as info:
-        t0 = time.perf_counter()
-        for grade in range(1, 6):
-            assert log_identity_series(grade) == log_identity_closed_form(grade)
-        elapsed = time.perf_counter() - t0
-        assert elapsed < 60.0, f"took {elapsed:.1f}s, budget 60s"
+    with criterion(capsys, "C1 log power series == closed descent formula", budget=60.0) as info:
+        assert check_log_series(range(1, 6)) == 0
         info["detail"] = "grades 1..5 identical term by term (exact rationals)"
 
 
@@ -165,8 +157,7 @@ ORDER3_COEFFS = {
 
 
 def test_c02_order3_continuous_template_table(capsys):
-    with criterion(capsys, "C2 order-3 continuous template table") as info:
-        t0 = time.perf_counter()
+    with criterion(capsys, "C2 order-3 continuous template table", budget=1.0) as info:
         terms = log_flow_terms(DriverAlphabet(3), 3)
         by_order: dict[int, list[LogTerm]] = {}
         for t in terms:
@@ -202,9 +193,6 @@ def test_c02_order3_continuous_template_table(capsys):
         assert cli_main(["logflow", "--order", "3", "--continuous"]) == 0
         out = capsys.readouterr().out.strip()
         assert out == GOLDEN_ORDER3_CONTINUOUS
-
-        elapsed = time.perf_counter() - t0
-        assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
         info["detail"] = "16 templates exact; CLI block matches golden; multiset {1, 1/2, -1/2 x2, 1/3 x4, -1/6 x8}"
 
 
@@ -226,13 +214,8 @@ def test_c03_single_template_coefficient(capsys):
 # --------------------------------------------------------------------------
 
 def test_c04_exp_inverts_log(capsys):
-    with criterion(capsys, "C4 exponential inverts logarithm") as info:
-        t0 = time.perf_counter()
-        assert exp_element(log_identity_closed_form(5), 5) == identity_series(5)
-        for order in range(1, 5):
-            assert matrix_exp(matrix_log(2, order), order) == matrix_ito_taylor(2, order)
-        elapsed = time.perf_counter() - t0
-        assert elapsed < 300.0, f"took {elapsed:.1f}s, budget 300s"
+    with criterion(capsys, "C4 exponential inverts logarithm", budget=300.0) as info:
+        assert check_exp_log(5, matrix_orders=range(1, 5)) == 0
         info["detail"] = "identity series grade 5 and dim-2 matrix orders 1..4, exact"
 
 
@@ -243,15 +226,14 @@ def test_c04_exp_inverts_log(capsys):
 def test_c05_quasi_shuffle_equals_surjection_route(capsys):
     with criterion(capsys, "C5 quasi-shuffle == surjection route") as info:
         by_weight = words_up_to(5)
-        pairs = 0
-        for wu in range(0, 6):
-            for wv in range(0, 6):
-                if wu + wv > 6:
-                    continue
-                for u in by_weight[wu]:
-                    for v in by_weight[wv]:
-                        assert qsh(u, v) == qsh_via_surjections(u, v)
-                        pairs += 1
+        err, pairs = check_qsh_routes(
+            (u, v)
+            for (wu, us), (wv, vs) in itertools.product(by_weight.items(), repeat=2)
+            if wu + wv <= 6
+            for u in us
+            for v in vs
+        )
+        assert err == 0
 
         # two two-letter words with distinct letters multiply into the
         # 13 interleave-or-merge terms, each with coefficient one
@@ -268,15 +250,8 @@ def test_c05_quasi_shuffle_equals_surjection_route(capsys):
 
 def test_c06_composition_embedding_multiplicative(capsys):
     with criterion(capsys, "C6 composition embedding multiplicative") as info:
-        pairs = 0
-        for total1 in range(1, 6):
-            for total2 in range(1, 7 - total1):
-                for c1 in compositions_of(total1):
-                    for c2 in compositions_of(total2):
-                        concat = Composition(tuple(c1) + tuple(c2))
-                        lhs = diamond(embed_composition(c1), embed_composition(c2))
-                        assert lhs == embed_composition(concat)
-                        pairs += 1
+        err, pairs = check_composition_embedding(max_part=5)
+        assert err == 0
         info["detail"] = f"{pairs} composition pairs (total <= 6): embed(concat) == diamond of embeds"
 
 
@@ -286,15 +261,8 @@ def test_c06_composition_embedding_multiplicative(capsys):
 
 def test_c07_subset_alternating_sum_law(capsys):
     with criterion(capsys, "C7 subset alternating sum == closed coefficient law") as info:
-        checked = 0
-        for n in range(1, 9):
-            positions = list(range(1, n))
-            for mask in range(1 << len(positions)):
-                subset = tuple(p for i, p in enumerate(positions) if mask >> i & 1)
-                d = len(subset)
-                expected = F((-1) ** d, n * math.comb(n - 1, d))
-                assert subset_alternating_sum(n, subset) == expected
-                checked += 1
+        err, checked = check_subset_law()
+        assert err == 0
         info["detail"] = f"{checked} subsets through n=8, exact"
 
 
@@ -302,35 +270,13 @@ def test_c07_subset_alternating_sum_law(capsys):
 # 8. pathwise product identity on simulated data
 # --------------------------------------------------------------------------
 
-PATHWISE_RELATIVE_TOL = 1e-9
-
-
 def test_c08_pathwise_product_identity(capsys):
-    with criterion(capsys, "C8 pathwise quasi-shuffle identity") as info:
-        t0 = time.perf_counter()
-        grid = make_grid(1.0, 4096)
-        bundle = simulate_bundle(
-            {
-                1: DriverSpec("brownian"),
-                2: DriverSpec("poisson", rate=2.0),
-                3: DriverSpec("linear_drift"),
-            },
-            grid,
-            seed=20260818,
-        )
-        ev = Evaluator.from_bundle(bundle)
-
+    with criterion(capsys, "C8 pathwise quasi-shuffle identity", budget=30.0) as info:
+        ev = Evaluator.from_bundle(pathwise_bundle(seed=20260818, steps=4096))
         words = [w for wt, ws in words_up_to(3).items() if wt > 0 for w in ws]
         assert len(words) == 91
-        worst = 0.0
-        for u in words:
-            left = ev.word_terminal(u)
-            for v in words:
-                lhs = float(left * ev.word_terminal(v))
-                rhs = float(ev(qsh(u, v)))
-                rel = abs(lhs - rhs) / max(1.0, abs(lhs))
-                worst = max(worst, rel)
-        assert worst <= PATHWISE_RELATIVE_TOL
+        worst, pairs = check_pathwise_qsh(ev, itertools.product(words, repeat=2))
+        assert worst <= PATHWISE_TOL
 
         # five-term identity: value(B) * value(int C dD) pathwise
         u = BracketWord([(1,)])
@@ -346,12 +292,10 @@ def test_c08_pathwise_product_identity(capsys):
         lhs = float(ev.word_terminal(u) * ev.word_terminal(v))
         rhs = float(ev(five))
         five_rel = abs(lhs - rhs) / max(1.0, abs(lhs))
-        assert five_rel <= PATHWISE_RELATIVE_TOL
+        assert five_rel <= PATHWISE_TOL
 
-        elapsed = time.perf_counter() - t0
-        assert elapsed < 30.0, f"took {elapsed:.1f}s, budget 30s"
         info["detail"] = (
-            f"worst rel err {worst:.2e} over {len(words) ** 2} pairs (tol 1e-09); "
+            f"worst rel err {worst:.2e} over {pairs} pairs (tol {PATHWISE_TOL:.0e}); "
             f"five-term identity rel err {five_rel:.2e}"
         )
 
@@ -370,10 +314,9 @@ def test_c09_jump_and_refinement_behavior(capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error", GridResolutionWarning)
             pois = simulate(DriverSpec("poisson", rate=1.0), grid, seed=3)
-        n_jumps = float(pois.values[-1])
+        err, n_jumps = check_jump_bracket(pois)
         assert n_jumps >= 2.0, "seed must give a path with several jumps"
-        value = float(Evaluator.from_paths({1: pois}).word_terminal(triple))
-        assert value == n_jumps  # exact, tolerance zero
+        assert err == 0.0  # exact, tolerance zero
 
         # Brownian: mean |third-power bracket| over 128 paths must shrink
         # at least 2x when the grid is refined 4x
@@ -403,33 +346,21 @@ def test_c09_jump_and_refinement_behavior(capsys):
 
 def test_c10_matrix_flow_convergence(capsys):
     gc.collect()  # drop garbage left by earlier tests before the timed run
-    with criterion(capsys, "C10 matrix flow convergence") as info:
-        t0 = time.perf_counter()
-        problem = FlowProblem(
-            dim=2,
-            drift=np.array([[0.0, 1.0], [0.0, 0.0]]),
-            diffusion=np.array([[0.5, 0.0], [1.0, -0.5]]),
-            horizon=0.1,
-            steps=2**14,
-        )
+    with criterion(capsys, "C10 matrix flow convergence", budget=600.0) as info:
+        problem = flow_problem(steps=2**14)
         # drift and diffusion must not commute, or orders collapse
         a, b = problem.drift, problem.diffusion
         assert not np.allclose(a @ b, b @ a)
 
-        report = compare_flows(problem, orders=(1, 2, 3), n_paths=1000, seed=7)
-        errs = [report["mean_strong_error_log"][str(k)] for k in (1, 2, 3)]
+        errs, gaps = check_flow(problem, orders=(1, 2, 3), paths=1000, seed=7)
         assert errs[0] > errs[1] > errs[2], f"errors not strictly decreasing: {errs}"
 
         # the log-signature and Taylor routes agree up to truncation
         # effects (bounded by the next Taylor layer) plus the matrix-exp
         # evaluation tolerance
-        for k in (1, 2, 3):
-            gap = report["mean_gap_log_vs_taylor"][str(k)]
-            bound = 10.0 * report["mean_next_taylor_layer"][str(k)] + report["expm_tolerance"]
+        for k, gap, bound in gaps:
             assert gap <= bound, f"order {k}: gap {gap:.3e} exceeds {bound:.3e}"
 
-        elapsed = time.perf_counter() - t0
-        assert elapsed < 600.0, f"took {elapsed:.1f}s, budget 600s"
         info["detail"] = (
             f"strong errors {errs[0]:.2e} > {errs[1]:.2e} > {errs[2]:.2e}; "
             "log vs Taylor gaps within truncation + expm tolerance"

@@ -20,6 +20,21 @@ sorted block order (Evaluator.terminals) are a depth-first walk of their
 prefix trie, with one cumulative sum per distinct prefix.  At most
 len(word) path arrays are live at a time.
 
+A row-major cumulative sum is latency-bound: each element waits for the
+one before it.  So Evaluator.terminals has a second route for wide
+inputs, used when rows x (distinct nonempty prefixes of the words not
+cached yet) is at least _SWEEP_WIDTH.  It sweeps the cells in time order
+and, at each cell, updates the running value of every trie node on every
+row at once: I_{w.b} += P_b * I_w, with the parent's value taken at the
+left end of the cell.  Each running value sees the same products and the
+same additions, in the same order, as the cumulative sum that builds it
+on the stack route, and the first cell is assigned rather than added to
+zero, as cumsum's first element is; so both routes give the same bits.
+The sweep keeps one value per node and row, and no path array.  The
+crossover was measured with the C10 words on 4 letters (ROADMAP.md);
+below it the stack route is faster, since the sweep pays a few numpy
+calls per cell whatever its width.
+
 All core routines are shaped (..., cells): a batch axis in front
 evaluates many Monte Carlo paths in one sweep.
 """
@@ -38,6 +53,12 @@ from .paths import PathBundle, SamplePath
 # A block's product is formed and summed a few rows at a time, about this
 # many floats, so the cumsum reads it from cache and not from memory.
 _CHUNK_FLOATS = 1 << 15
+# terminals() sweeps the prefix trie cell by cell from this many
+# (row, trie node) running values on
+_SWEEP_WIDTH = 2048
+# the sweep forms its block products for about this many floats' worth of
+# cells at a time, so they are still in L2 when the cells read them
+_SWEEP_FLOATS = 1 << 17
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -56,6 +77,10 @@ class Evaluator:
     Those arrays are returned read-only: a caller cannot corrupt the words
     built on them later.  Word terminal values are cached as owned,
     read-only copies, which pin no path array.
+
+    terminals takes one of two routes, with bit-identical results: the
+    stack, for narrow inputs, or one cell-major sweep over the words'
+    prefix trie once rows x trie nodes reaches _SWEEP_WIDTH.
     """
 
     def __init__(self, increments: Mapping[int, np.ndarray]):
@@ -91,6 +116,13 @@ class Evaluator:
                 raise ValueError("paths must share a grid")
         return cls({l: p.increments() for l, p in paths.items()})
 
+    def _letters(self, block) -> list[np.ndarray]:
+        """The (rows, cells) increments of the block's letters, in order."""
+        try:
+            return [self._inc[letter] for letter in block]
+        except KeyError as e:
+            raise KeyError(f"letter {e.args[0]} is not bound to a path") from None
+
     def _extend(self, block, parent: np.ndarray | None) -> np.ndarray:
         """Running path of the parent prefix's word followed by block.
 
@@ -99,10 +131,7 @@ class Evaluator:
         the empty word, all ones), then summed.  Chunking by rows changes
         no element's operations or their order.
         """
-        try:
-            incs = [self._inc[letter] for letter in block]
-        except KeyError as e:
-            raise KeyError(f"letter {e.args[0]} is not bound to a path") from None
+        incs = self._letters(block)
         rows, cells = incs[0].shape
         path = np.empty((rows, cells + 1))
         path[:, 0] = 0.0
@@ -150,14 +179,65 @@ class Evaluator:
         """Terminal values of the words, in the order given.
 
         The words not cached yet are evaluated in sorted block order,
-        where every prefix comes before its extensions, so each word's
-        parent is on the stack when the word is built.
+        where every prefix comes before its extensions: on the stack, so
+        each word's parent is on it when the word is built, or, for wide
+        inputs, in one sweep over their prefix trie.
         """
         words = [as_word(w) for w in words]
         cache = self._terminal_cache
-        for w in sorted({w for w in words if w not in cache}):
-            self.word_terminal(w)
+        todo = sorted({w for w in words if w not in cache})
+        trie = _prefix_trie(todo)
+        if prod(self.shape[:-1]) * (len(trie) - 1) >= _SWEEP_WIDTH:
+            self._sweep(trie, todo)
+        else:
+            for w in todo:
+                self.word_terminal(w)
         return [cache[w] for w in words]
+
+    def _sweep(self, trie: dict[tuple, int], words: list[BracketWord]) -> None:
+        """Cache the words' terminals from one pass over the cells.
+
+        run holds each trie node's running value on each row, at the left
+        end of the current cell; node 0 is the empty word, all ones.  Per
+        cell, every node's parent value is gathered, multiplied by the
+        node's block product (its letters' increments multiplied in
+        order) and added to the node's value.  An unbound letter raises
+        before any work, with nothing cached.
+        """
+        nodes = list(trie)[1:]
+        # blocks in the order the stack route would first build them, so an
+        # unbound letter is reported as that route reports it
+        blocks = {b: k for k, b in enumerate(dict.fromkeys(key[-1] for key in nodes))}
+        letters = {letter: inc for b in blocks for letter, inc in zip(b, self._letters(b))}
+        parent = np.array([trie[key[:-1]] for key in nodes], dtype=np.intp)
+        block = np.array([blocks[key[-1]] for key in nodes], dtype=np.intp)
+        rows, cells = prod(self.shape[:-1]), self.shape[-1]
+        run = np.zeros((len(trie), rows))
+        run[0] = 1.0
+        values = run[1:]
+        gathered, factor = np.empty_like(values), np.empty_like(values)
+        step = max(1, _SWEEP_FLOATS // max(len(blocks) * rows, 1))
+        products = np.empty((min(step, cells), len(blocks), rows))
+        for c0 in range(0, cells, step):
+            c1 = min(c0 + step, cells)
+            chunk = {l: np.ascontiguousarray(inc[:, c0:c1].T) for l, inc in letters.items()}
+            for b, k in blocks.items():
+                out = products[: c1 - c0, k]
+                np.copyto(out, chunk[b[0]])
+                for letter in b[1:]:
+                    np.multiply(out, chunk[letter], out=out)
+            for i in range(c1 - c0):
+                # mode="clip" writes straight into out; "raise" buffers it
+                np.take(run, parent, axis=0, out=gathered, mode="clip")
+                np.take(products[i], block, axis=0, out=factor, mode="clip")
+                np.multiply(gathered, factor, out=gathered)
+                if c0 + i:
+                    np.add(values, gathered, out=values)
+                else:  # as cumsum's out[0] = x[0]: 0 + x would lose a -0.0
+                    values[...] = gathered
+        shape = self.shape[:-1]
+        for w in words:
+            self._terminal_cache[w] = _read_only(run[trie[w]].reshape(shape).copy())
 
     def __call__(self, e: Union[Expansion, WordLike]) -> np.ndarray:
         """Terminal value of an expansion: rationals become floats here."""
@@ -168,6 +248,19 @@ class Evaluator:
         for (_, c), value in zip(terms, self.terminals(w for w, _ in terms)):
             out = out + float(c) * value
         return out
+
+
+def _prefix_trie(words: Iterable[BracketWord]) -> dict[tuple, int]:
+    """A slot for every prefix of the words, the empty one first.
+
+    Slots are given in the order the words' prefixes are first met, so
+    for sorted words every prefix's slot comes before its extensions'.
+    """
+    trie: dict[tuple, int] = {(): 0}
+    for w in words:
+        for i in range(1, len(w) + 1):
+            trie.setdefault(w[:i], len(trie))
+    return trie
 
 
 Binding = Union[PathBundle, Mapping[int, SamplePath]]

@@ -27,6 +27,8 @@ from .matrixseries import MatrixExpansion, entry_letter, matrix_ito_taylor, matr
 from .paths import make_grid, rng_for
 
 EXPM_TOL = 1e-12
+# flow_reference forms dM for about this many floats' worth of steps at once
+_STEP_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,15 +89,25 @@ def entry_increments(problem: FlowProblem, dW: np.ndarray) -> dict[int, np.ndarr
 
 
 def flow_reference(problem: FlowProblem, dW: np.ndarray) -> np.ndarray:
-    """Left-point Euler recursion X <- X + X dM over the grid, batched."""
+    """Left-point Euler recursion X <- X + X dM over the grid, batched.
+
+    The steps' dM = drift dt + dW diffusion are formed a chunk of steps
+    at a time, as one contiguous (steps, paths, d, d) stack.  Each step's
+    dM is then a contiguous (paths, d, d) array, as one formed on its own
+    would be, so the matmul runs the same kernel and rounds the same way.
+    """
     paths = dW.shape[0]
     d = problem.dim
     a_dt = problem.drift * problem.dt
     b = problem.diffusion
     x = np.broadcast_to(np.eye(d), (paths, d, d)).copy()
-    for m in range(problem.steps):
-        dm = a_dt + dW[:, m, None, None] * b
-        x = x + x @ dm
+    xdm = np.empty_like(x)
+    chunk = max(1, _STEP_FLOATS // max(x.size, 1))
+    for m0 in range(0, problem.steps, chunk):
+        dms = a_dt + dW[:, m0 : m0 + chunk].T[:, :, None, None] * b
+        for dm in dms:
+            np.matmul(x, dm, out=xdm)
+            np.add(x, xdm, out=x)
     return x
 
 
@@ -200,7 +212,7 @@ def compare_flows(
         dW = brownian_increments(problem, seed, range(done, done + batch))
         x_ref = flow_reference(problem, dW)
         ev = Evaluator(entry_increments(problem, dW))
-        ev.terminals(words)  # one depth-first walk over every word of the batch
+        ev.terminals(words)  # every word of the batch in one trie sweep or walk
         taylor_orders = sorted(set(orders) | {k + 1 for k in orders})
         taylor_vals = {
             k: _evaluate_matrix(taylor_sym.truncate_weight(k), ev, batch)

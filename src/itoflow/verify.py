@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._config import weight_cap
 from .evaluate import Evaluator
 from .flows import FlowProblem, compare_flows
 from .logseries import (
@@ -209,15 +210,18 @@ def suite_algebra(grade: int = 4, seed: int = 0) -> list[dict]:
     reports = []
 
     words = _random_words(rng, 8, max_weight=max(1, grade - 1))
+    # products are sampled up to the word-weight cap, which 2 * grade
+    # passes from grade 5 on
+    max_weight = min(2 * grade, weight_cap())
     pairs = [
-        (u, v) for u, v in itertools.combinations(words, 2) if u.weight + v.weight <= 2 * grade
+        (u, v) for u, v in itertools.combinations(words, 2) if u.weight + v.weight <= max_weight
     ]
     err = sum(_mismatch(qsh(u, v), qsh(v, u)) for u, v in pairs)
     reports.append(_case("qsh commutative (sampled)", err, 0, seed=seed))
 
     err = 0
     for u, v, w in itertools.combinations(words[:5], 3):
-        if u.weight + v.weight + w.weight > 2 * grade:
+        if u.weight + v.weight + w.weight > max_weight:
             continue
         err += _mismatch(qsh(qsh(u, v), w), qsh(u, qsh(v, w)))
     reports.append(_case("qsh associative (sampled)", err, 0, seed=seed))

@@ -170,6 +170,19 @@ class TestVerify:
         assert "PASS" in out.out
         assert "FAIL" not in out.out
 
+    def test_algebra_suite_runs_past_the_weight_cap(self, capsys):
+        # 2 x grade 5 is past the default weight cap 8
+        old_w, old_g = set_weight_cap(8), set_grade_cap(6)
+        try:
+            code, out = run_cli(
+                "verify", "algebra", "--grade", "5", "--deterministic", capsys=capsys
+            )
+        finally:
+            set_weight_cap(old_w)
+            set_grade_cap(old_g)
+        assert code == 0
+        assert "FAIL" not in out.out
+
     def test_json_report_schema(self, capsys):
         code, out = run_cli(
             "verify", "theorem", "--grade", "3", "--json", "--deterministic",

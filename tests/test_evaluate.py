@@ -1,7 +1,10 @@
 """Pathwise evaluation of bracket words on discretized drivers."""
 
+import importlib
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +27,9 @@ from itoflow import (
     simulate_bundle,
 )
 from itoflow.flows import _evaluate_matrix
+
+# the package rebinds the name `evaluate` to the function
+evaluate_module = importlib.import_module("itoflow.evaluate")
 
 
 def reference_word_path(increments, w):
@@ -73,6 +79,22 @@ def c10_words():
             for w in e.words()
         }
     )
+
+
+# values of the terminals route's crossover that force the sweep or the stack
+SWEEP, STACK = 0, 1 << 62
+
+
+@contextmanager
+def terminals_route(width, sweep_floats=None):
+    """Evaluator.terminals with the crossover, and the sweep's chunk, set."""
+    floats = evaluate_module._SWEEP_FLOATS if sweep_floats is None else sweep_floats
+    with mock.patch.multiple(evaluate_module, _SWEEP_WIDTH=width, _SWEEP_FLOATS=floats):
+        yield
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the other route was taken")
 
 
 def two_step_bundle(a1, a2, b1, b2):
@@ -221,6 +243,76 @@ class TestPrefixStackAgainstOracle:
                 assert np.array_equal(got[:, i, j], reference_value(inc, me.entries[i][j]))
 
 
+# words over the bound letters 1-3
+sweep_blocks = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3)
+sweep_words = st.lists(sweep_blocks.map(lambda ls: tuple(sorted(ls))), max_size=4).map(
+    BracketWord
+)
+
+
+class TestSweepAgainstOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        batch=st.sampled_from([None, 1, 3]),
+        cells=st.sampled_from([1, 2, 7, 33]),
+        # 1 float is one cell per chunk; 64 and 512 give a few cells per
+        # chunk, rarely dividing the cell count; the default is one chunk
+        sweep_floats=st.sampled_from([1, 64, 512, None]),
+        zero_letter=st.sampled_from([None, 1, 3]),
+        seed=st.integers(min_value=0, max_value=2**16),
+        words=st.lists(sweep_words, min_size=1, max_size=10),
+    )
+    def test_terminals_are_bit_identical(
+        self, batch, cells, sweep_floats, zero_letter, seed, words
+    ):
+        shape = (cells,) if batch is None else (batch, cells)
+        inc = random_increments(seed, shape)
+        if zero_letter is not None:
+            # signed zeros: a -0.0 lost to 0.0 + -0.0 shows in the bytes
+            inc[zero_letter] = np.random.default_rng(seed).choice([0.0, -0.0], size=shape)
+        asked = words + words[::-1] + [BracketWord()]
+        ev = Evaluator(inc)
+        with terminals_route(SWEEP, sweep_floats), mock.patch.object(
+            Evaluator, "_extend", refuse
+        ):
+            got = ev.terminals(asked)
+        for w, value in zip(asked, got):
+            expected = reference_word_path(inc, w)[..., -1]
+            assert value.shape == expected.shape
+            assert value.tobytes() == expected.tobytes()
+            assert value.base is None
+            assert not value.flags.writeable
+
+    def test_unbound_letter_is_reported_as_on_the_stack(self):
+        inc = random_increments(4, (3, 5), letters=(1, 2))
+        # in sorted order the stack caches (1) and then fails on block (6),
+        # which sorts after the unbound block (5)
+        words = [BracketWord([(5,)]), BracketWord([(1,), (6,)]), BracketWord([(1,)])]
+        messages = []
+        for width in (STACK, SWEEP):
+            ev = Evaluator(inc)
+            with terminals_route(width), pytest.raises(KeyError) as err:
+                ev.terminals(words)
+            messages.append(err.value.args[0])
+        assert messages == ["letter 6 is not bound to a path"] * 2
+        assert ev._terminal_cache == {}
+
+    @pytest.mark.parametrize(
+        "shape, unused",
+        # 64 x 166 C10 trie nodes is past the crossover; 4 x 166 and 1 x 166
+        # are not
+        [((64, 4096), "_extend"), ((4, 256), "_sweep"), ((256,), "_sweep")],
+    )
+    def test_width_picks_the_route(self, monkeypatch, shape, unused):
+        inc = random_increments(8, shape, letters=(1, 2, 3, 4))
+        words = c10_words()
+        with terminals_route(STACK):
+            expected = Evaluator(inc).terminals(words)
+        monkeypatch.setattr(Evaluator, unused, refuse)
+        got = Evaluator(inc).terminals(words)
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+
 class TestMemory:
     def test_paths_are_read_only(self):
         ev = Evaluator(random_increments(1, (2, 8)))
@@ -238,6 +330,7 @@ class TestMemory:
                 assert not terminal.flags.writeable
 
     def test_c10_words_peak_below_twelve_paths(self):
+        # 8 rows x 166 trie nodes: the stack route
         shape = (8, 4096)
         ev = Evaluator(random_increments(3, shape, letters=(1, 2, 3, 4)))
         words = c10_words()
@@ -252,3 +345,18 @@ class TestMemory:
         # a cache of word_path(w)[..., -1] views would pin one full path per
         # word: more than 160 paths here
         assert peak < 12 * path_bytes
+
+    def test_c10_sweep_peaks_below_two_paths(self, monkeypatch):
+        shape = (64, 4096)
+        ev = Evaluator(random_increments(3, shape, letters=(1, 2, 3, 4)))
+        monkeypatch.setattr(Evaluator, "_extend", refuse)
+        path_bytes = 8 * shape[0] * (shape[1] + 1)
+        tracemalloc.start()
+        try:
+            ev.terminals(c10_words())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the sweep keeps one running value per trie node and row, and block
+        # products for a chunk of cells: no path array
+        assert peak < 2 * path_bytes

@@ -23,6 +23,17 @@ def small_problem(steps=64, horizon=0.1):
     return FlowProblem(dim=2, drift=A, diffusion=B, horizon=horizon, steps=steps)
 
 
+def reference_flow(problem, dW):
+    """Oracle: the Euler recursion one step at a time, dM formed per step."""
+    paths, d = dW.shape[0], problem.dim
+    a_dt = problem.drift * problem.dt
+    x = np.broadcast_to(np.eye(d), (paths, d, d)).copy()
+    for m in range(problem.steps):
+        dm = a_dt + dW[:, m, None, None] * problem.diffusion
+        x = x + x @ dm
+    return x
+
+
 class TestFlowProblem:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -47,6 +58,26 @@ class TestFlowProblem:
         p = small_problem(steps=4, horizon=1.0)
         assert np.allclose(p.grid(), [0.0, 0.25, 0.5, 0.75, 1.0])
         assert p.dt == 0.25
+
+
+class TestFlowReference:
+    @pytest.mark.parametrize(
+        "dim, paths, steps",
+        # 64 paths of 2x2 take 128 steps a chunk: 300 steps are 2 chunks and
+        # a part; fewer paths make one partial chunk
+        [(2, 64, 300), (2, 64, 128), (3, 1, 5), (3, 1, 1), (2, 7, 1000)],
+    )
+    def test_bytes_equal_the_per_step_loop(self, dim, paths, steps):
+        rng = np.random.default_rng(dim * steps + paths)
+        p = FlowProblem(
+            dim=dim,
+            drift=rng.normal(size=(dim, dim)),
+            diffusion=rng.normal(size=(dim, dim)),
+            horizon=0.1,
+            steps=steps,
+        )
+        dW = brownian_increments(p, seed=2, path_indices=range(paths))
+        assert flow_reference(p, dW).tobytes() == reference_flow(p, dW).tobytes()
 
 
 class TestTruncatedExpm:

@@ -18,6 +18,7 @@ comparisons are pure truncation studies, free of scheme mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +30,15 @@ from .paths import make_grid, rng_for
 EXPM_TOL = 1e-12
 # flow_reference forms dM for about this many floats' worth of steps at once
 _STEP_FLOATS = 1 << 15
+
+
+def _count(name: str, value) -> int:
+    """value as an int of at least 1, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, not {value}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,17 +54,15 @@ class FlowProblem:
     def __post_init__(self):
         object.__setattr__(self, "drift", np.asarray(self.drift, dtype=np.float64))
         object.__setattr__(self, "diffusion", np.asarray(self.diffusion, dtype=np.float64))
+        object.__setattr__(self, "dim", _count("dim", self.dim))
+        object.__setattr__(self, "steps", _count("steps", self.steps))
         d = self.dim
-        if d < 1:
-            raise ValueError("dim must be >= 1")
         if self.drift.shape != (d, d) or self.diffusion.shape != (d, d):
             raise ValueError(f"coefficient matrices must be {d}x{d}")
         if not (np.isfinite(self.drift).all() and np.isfinite(self.diffusion).all()):
             raise ValueError("coefficient matrices must be finite")
         if not 0 < self.horizon < np.inf:
             raise ValueError("horizon must be positive and finite")
-        if self.steps < 1:
-            raise ValueError("need at least one step")
 
     @property
     def dt(self) -> float:
@@ -74,6 +82,16 @@ def brownian_increments(
     for row, p in enumerate(idx):
         out[row] = rng_for(seed, p, 0).normal(0.0, scale, size=problem.steps)
     return out
+
+
+def _check_increments(problem: FlowProblem, dW) -> np.ndarray:
+    """dW as a finite (paths, problem.steps) float array, else ValueError."""
+    dW = np.asarray(dW, dtype=np.float64)
+    if dW.ndim != 2 or dW.shape[1] != problem.steps:
+        raise ValueError(f"dW must be shaped (paths, {problem.steps}), not {dW.shape}")
+    if not np.isfinite(dW).all():
+        raise ValueError("dW is not all finite")
+    return dW
 
 
 def entry_increments(problem: FlowProblem, dW: np.ndarray) -> dict[int, np.ndarray]:
@@ -96,6 +114,7 @@ def flow_reference(problem: FlowProblem, dW: np.ndarray) -> np.ndarray:
     dM is then a contiguous (paths, d, d) array, as one formed on its own
     would be, so the matmul runs the same kernel and rounds the same way.
     """
+    dW = _check_increments(problem, dW)
     paths = dW.shape[0]
     d = problem.dim
     a_dt = problem.drift * problem.dt
@@ -126,6 +145,7 @@ def flow_from_taylor(
     problem: FlowProblem, order: int, dW: np.ndarray, _symbolic: MatrixExpansion | None = None
 ) -> np.ndarray:
     """Truncated series evaluated pathwise: one (dim, dim) matrix per path."""
+    dW = _check_increments(problem, dW)
     me = _symbolic if _symbolic is not None else matrix_ito_taylor(problem.dim, order)
     me = me.truncate_weight(order)
     ev = Evaluator(entry_increments(problem, dW))
@@ -136,6 +156,7 @@ def flow_from_log(
     problem: FlowProblem, order: int, dW: np.ndarray, _symbolic: MatrixExpansion | None = None
 ) -> np.ndarray:
     """exp(truncated log series), evaluated pathwise."""
+    dW = _check_increments(problem, dW)
     me = _symbolic if _symbolic is not None else matrix_log(problem.dim, order)
     me = me.truncate_weight(order)
     ev = Evaluator(entry_increments(problem, dW))
@@ -152,10 +173,14 @@ def truncated_expm(mats: np.ndarray, tol: float = EXPM_TOL) -> np.ndarray:
     converges in a handful of terms.
     """
     mats = np.asarray(mats, dtype=np.float64)
+    if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
+        raise ValueError(f"need a stack of square matrices, not shape {mats.shape}")
     if not np.isfinite(mats).all():
         raise ValueError("matrix exponential of a non-finite stack")
+    if not mats.size:
+        return np.empty(mats.shape)
     d = mats.shape[-1]
-    norm = float(np.max(np.sum(np.abs(mats), axis=-1))) if mats.size else 0.0
+    norm = float(np.max(np.sum(np.abs(mats), axis=-1)))
     squarings = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
     scaled = mats / (2.0 ** squarings)
     eye = np.broadcast_to(np.eye(d), mats.shape)
@@ -193,6 +218,7 @@ def compare_flows(
     (the natural yardstick for that gap).  Accumulation runs in a fixed
     path order, so a given (seed, batch_size) is bit-reproducible.
     """
+    n_paths, batch_size = _count("n_paths", n_paths), _count("batch_size", batch_size)
     orders = sorted(set(int(k) for k in orders))
     if not orders or orders[0] < 1:
         raise ValueError("orders must be positive")

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from itoflow import (
     Expansion,
@@ -209,6 +210,12 @@ class TestVerify:
         assert code == 0
         assert first.out == second.out
 
+    @pytest.mark.parametrize("paths", ["0", "-3"])
+    def test_flow_suite_with_no_paths_exits_2(self, capsys, paths):
+        code, out = run_cli("verify", "flow", "--steps", "8", "--paths", paths, capsys=capsys)
+        assert code == 2
+        assert "n_paths must be >= 1" in out.err
+
 
 class TestSimulate:
     def test_csv_to_stdout(self, capsys):
@@ -248,6 +255,13 @@ class TestFlowCompare:
             payload["mean_strong_error_log"]["1"]
             > payload["mean_strong_error_log"]["2"]
         )
+
+    @pytest.mark.parametrize("paths", ["0", "-3"])
+    def test_no_paths_exits_2(self, capsys, paths):
+        code, out = run_cli("flow-compare", "--steps", "8", "--paths", paths, capsys=capsys)
+        assert code == 2
+        assert "n_paths must be >= 1" in out.err
+        assert out.out == ""
 
 
 def test_console_script_runs():

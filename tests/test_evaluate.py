@@ -27,6 +27,7 @@ from itoflow import (
     simulate_bundle,
 )
 from itoflow.flows import _evaluate_matrix
+from itoflow.verify import words_up_to
 
 # the package rebinds the name `evaluate` to the function
 evaluate_module = importlib.import_module("itoflow.evaluate")
@@ -312,6 +313,23 @@ class TestSweepAgainstOracle:
         got = Evaluator(inc).terminals(words)
         assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
 
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("at", [False, True])
+    def test_routes_agree_either_side_of_the_crossover(self, monkeypatch, rows, at):
+        crossover = evaluate_module._SWEEP_WIDTH
+        nodes = -(-crossover // rows) if at else (crossover - 1) // rows
+        # a prefix-closed pool in sorted order: each word adds one trie node
+        pool = sorted(w for ws in words_up_to(6).values() for w in ws if w)
+        words = pool[:nodes]
+        assert len(evaluate_module._prefix_trie(words)) - 1 == nodes
+        assert (rows * nodes >= crossover) == at
+        inc = random_increments(9, (rows, 24))
+        with terminals_route(STACK if at else SWEEP):
+            other = Evaluator(inc).terminals(words)
+        monkeypatch.setattr(Evaluator, "_extend" if at else "_sweep", refuse)
+        got = Evaluator(inc).terminals(words)
+        assert [g.tobytes() for g in got] == [o.tobytes() for o in other]
+
 
 class TestMemory:
     def test_paths_are_read_only(self):
@@ -330,7 +348,7 @@ class TestMemory:
                 assert not terminal.flags.writeable
 
     def test_c10_words_peak_below_twelve_paths(self):
-        # 8 rows x 166 trie nodes: the stack route
+        # 8 rows x 166 trie nodes, on the stack route
         shape = (8, 4096)
         ev = Evaluator(random_increments(3, shape, letters=(1, 2, 3, 4)))
         words = c10_words()
@@ -338,7 +356,8 @@ class TestMemory:
         path_bytes = 8 * shape[0] * (shape[1] + 1)
         tracemalloc.start()
         try:
-            ev.terminals(words)
+            with terminals_route(STACK):
+                ev.terminals(words)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

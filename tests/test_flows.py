@@ -13,6 +13,7 @@ from itoflow import (
     strong_errors,
     truncated_expm,
 )
+from itoflow import flows as flows_module
 from itoflow.flows import brownian_increments
 
 A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -54,6 +55,18 @@ class TestFlowProblem:
         with pytest.raises(ValueError, match="finite"):
             FlowProblem(dim=2, drift=A, diffusion=B, horizon=bad, steps=4)
 
+    @pytest.mark.parametrize("field", ["dim", "steps"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", True, None])
+    def test_non_int_sizes_are_refused(self, field, bad):
+        kwargs = dict(dim=2, drift=A, diffusion=B, horizon=1.0, steps=4)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=field):
+            FlowProblem(**kwargs)
+
+    def test_numpy_int_sizes_become_ints(self):
+        p = FlowProblem(dim=np.int64(2), drift=A, diffusion=B, horizon=1.0, steps=np.int32(4))
+        assert (type(p.dim), type(p.steps)) == (int, int)
+
     def test_grid(self):
         p = small_problem(steps=4, horizon=1.0)
         assert np.allclose(p.grid(), [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -80,6 +93,36 @@ class TestFlowReference:
         assert flow_reference(p, dW).tobytes() == reference_flow(p, dW).tobytes()
 
 
+ROUTES = [
+    pytest.param(flow_reference, id="euler"),
+    pytest.param(lambda p, dW: flow_from_taylor(p, order=2, dW=dW), id="taylor"),
+    pytest.param(lambda p, dW: flow_from_log(p, order=2, dW=dW), id="log"),
+]
+
+
+class TestIncrementsAreChecked:
+    # a 64-step problem: 10 or 128 columns would run another grid than
+    # problem.dt describes
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("shape", [(4, 10), (4, 128), (64,), (4, 64, 1), ()])
+    def test_wrong_shape_is_refused(self, route, shape):
+        with pytest.raises(ValueError, match=r"dW must be shaped \(paths, 64\)"):
+            route(small_problem(steps=64), np.zeros(shape))
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_values_are_refused(self, route, bad):
+        dW = np.zeros((4, 64))
+        dW[2, 17] = bad
+        with pytest.raises(ValueError, match="finite"):
+            route(small_problem(steps=64), dW)
+
+    def test_a_nested_list_is_an_array(self):
+        p = small_problem(steps=4)
+        dW = brownian_increments(p, seed=1, path_indices=range(2))
+        assert flow_reference(p, dW.tolist()).tobytes() == flow_reference(p, dW).tobytes()
+
+
 class TestTruncatedExpm:
     def test_matches_scipy_on_random_stack(self):
         rng = np.random.default_rng(0)
@@ -98,6 +141,17 @@ class TestTruncatedExpm:
         mats[1, 0, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             truncated_expm(mats)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (0, 3, 3), (2, 0, 3, 3), (4, 0, 0)])
+    def test_empty_stack_is_empty(self, shape):
+        out = truncated_expm(np.zeros(shape))
+        assert out.shape == shape
+        assert out.dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (4, 2, 3), (0, 2, 3)])
+    def test_non_square_input_is_refused(self, shape):
+        with pytest.raises(ValueError, match="square matrices"):
+            truncated_expm(np.zeros(shape))
 
     def test_zero_matrix(self):
         z = np.zeros((1, 2, 2))
@@ -156,6 +210,23 @@ class TestCompareFlows:
         assert r1["mean_strong_error_log"]["1"] == pytest.approx(
             r2["mean_strong_error_log"]["1"], rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(n_paths=0), "n_paths must be >= 1"),
+            (dict(n_paths=-3), "n_paths must be >= 1"),
+            (dict(n_paths=2.5), "n_paths must be an int"),
+            (dict(n_paths=4, batch_size=0), "batch_size must be >= 1"),
+            (dict(n_paths=4, batch_size=-1), "batch_size must be >= 1"),
+            (dict(n_paths=4, batch_size=2.0), "batch_size must be an int"),
+        ],
+    )
+    def test_path_counts_are_checked_first(self, monkeypatch, kwargs, message):
+        # refused before the first symbolic call
+        monkeypatch.setattr(flows_module, "matrix_ito_taylor", None)
+        with pytest.raises(ValueError, match=message):
+            compare_flows(small_problem(steps=8), orders=[1], seed=0, **kwargs)
 
     def test_reports_repeat_exactly(self):
         p = small_problem(steps=64)

@@ -13,9 +13,8 @@ embeddings) are plain Python in ``itoflow.kernels``.
 
 from ._config import (
     CapExceeded,
+    caps,
     grade_cap,
-    set_grade_cap,
-    set_weight_cap,
     weight_cap,
 )
 from .kernels import BACKEND
@@ -52,7 +51,6 @@ from .surjections import (
     embed_composition,
     enumerate_grade,
     enumerate_surjections,
-    enumerate_surjections_bounded,
     pack,
     parse_surjection,
 )
@@ -143,6 +141,7 @@ __all__ = [
     "bundle_from_csv",
     "bundle_to_binary",
     "bundle_to_csv",
+    "caps",
     "compare_flows",
     "compositions_of",
     "descent_sum_exact",
@@ -153,7 +152,6 @@ __all__ = [
     "entry_letter",
     "enumerate_grade",
     "enumerate_surjections",
-    "enumerate_surjections_bounded",
     "evaluate",
     "evaluate_path",
     "exp_element",
@@ -184,8 +182,6 @@ __all__ = [
     "read_bundle",
     "rng_for",
     "run_suite",
-    "set_grade_cap",
-    "set_weight_cap",
     "shuffle",
     "shuffle_projection",
     "simulate",

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import _config
+from ._config import caps, weight_cap
 from .flowmaps import DriverAlphabet, log_flow_terms, terms_to_json
 from .flows import FlowProblem, compare_flows
 from .logseries import (
@@ -59,12 +59,15 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _apply_caps(args) -> None:
-    if args.max_grade is not None:
-        if args.max_grade < 1:
-            raise ValueError("--max-grade must be >= 1")
-        _config.set_grade_cap(args.max_grade)
-        _config.set_weight_cap(max(args.max_grade, _config.weight_cap()))
+def _call_caps(args):
+    """The caps for one call: --max-grade N sets the grade cap to N and
+    raises the word-weight cap to at least N."""
+    n = args.max_grade
+    if n is None:
+        return caps()
+    if n < 1:
+        raise ValueError("--max-grade must be >= 1")
+    return caps(grade=n, weight=max(n, weight_cap()))
 
 
 def _emit_result(args, result) -> int:
@@ -296,17 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    weight_cap, grade_cap = _config.weight_cap(), _config.grade_cap()
     try:
-        _apply_caps(args)
-        return args.fn(args)
+        with _call_caps(args):
+            return args.fn(args)
     except ValueError as exc:  # CapExceeded and WordParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        # --max-grade holds for this invocation only
-        _config.set_weight_cap(weight_cap)
-        _config.set_grade_cap(grade_cap)
 
 
 if __name__ == "__main__":

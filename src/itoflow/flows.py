@@ -18,27 +18,17 @@ comparisons are pure truncation studies, free of scheme mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .evaluate import Evaluator
 from .matrixseries import MatrixExpansion, entry_letter, matrix_ito_taylor, matrix_log
-from .paths import make_grid, rng_for
+from .paths import _count, make_grid, rng_for
 
 EXPM_TOL = 1e-12
 # flow_reference forms dM for about this many floats' worth of steps at once
 _STEP_FLOATS = 1 << 15
-
-
-def _count(name: str, value) -> int:
-    """value as an int of at least 1, else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an int, not {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, not {value}")
-    return int(value)
 
 
 @dataclass(frozen=True, eq=False)

@@ -124,7 +124,7 @@ def exp_element(e: SurjElement, max_grade: int) -> SurjElement:
     _check_order(max_grade)
     if Surjection() in e:
         raise ValueError("exp needs an element with no grade-0 term")
-    e = e.truncate_grade(max_grade)
+    e = e.truncate(max_grade)
     out = SurjElement.unit()
     power = SurjElement.unit()
     fact = 1

@@ -144,13 +144,13 @@ class MatrixExpansion:
         )
 
     def truncate_weight(self, max_weight: int) -> "MatrixExpansion":
-        return self.map_entries(lambda e: e.truncate_weight(max_weight))
+        return self.map_entries(lambda e: e.truncate(max_weight))
 
     def restrict_weight(self, weight: int) -> "MatrixExpansion":
-        return self.map_entries(lambda e: e.restrict_weight(weight))
+        return self.map_entries(lambda e: e.restrict(weight))
 
     def max_weight(self) -> int:
-        return max(e.max_weight() for row in self.entries for e in row)
+        return max(e.max_grade() for row in self.entries for e in row)
 
     def has_constant_part(self) -> bool:
         return any(

@@ -14,6 +14,7 @@ import io
 import struct
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -81,13 +82,20 @@ class SamplePath:
         )
 
 
+def _count(name: str, value) -> int:
+    """value as an int of at least 1, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, not {value}")
+    return int(value)
+
+
 def make_grid(horizon: float, steps: int) -> np.ndarray:
     """Uniform grid 0 = t_0 < ... < t_steps = horizon."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if steps < 1:
-        raise ValueError("need at least one step")
-    return np.linspace(0.0, float(horizon), steps + 1)
+    return np.linspace(0.0, float(horizon), _count("steps", steps) + 1)
 
 
 @dataclass(frozen=True)
@@ -247,7 +255,10 @@ def bundle_from_csv(text: str) -> PathBundle:
     for name in header[1:]:
         if not name.startswith("x") or not name[1:].isdigit():
             raise ValueError(f"bad driver column {name!r}")
-        letters.append(int(name[1:]))
+        letter = int(name[1:])
+        if letter in letters:
+            raise ValueError(f"driver column {name!r} repeats driver letter {letter}")
+        letters.append(letter)
     if len(rows) < 2:
         raise ValueError("CSV has a header but no data rows")
     data = np.array([[float(v) for v in row] for row in rows[1:]])

@@ -39,7 +39,7 @@ _weight = attrgetter("weight")
 
 
 def _as_expansion(x) -> Expansion:
-    return x if isinstance(x, Expansion) else Expansion.of_word(as_word(x))
+    return x if isinstance(x, Expansion) else Expansion.of(as_word(x))
 
 
 def _weight_pairs(a, b, max_weight: int | None = None):

@@ -127,26 +127,18 @@ def surjection_sort_key(f) -> tuple:
     return (len(f), tuple(f))
 
 
-def enumerate_surjections(n: int, k: int) -> list[Surjection]:
-    """All surjections [n] onto [k] in lexicographic order."""
-    if n == 0 and k == 0:
-        return [Surjection()]
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    return [Surjection._wrap(f) for f in _enumerate(n, k)]
+def enumerate_surjections(n: int, k: int, max_fiber: int = 0) -> list[Surjection]:
+    """All surjections [n] onto [k] in lexicographic order.
 
-
-def enumerate_surjections_bounded(n: int, k: int, max_fiber: int = 2) -> list[Surjection]:
-    """Surjections [n] onto [k] with every preimage of size <= max_fiber.
-
+    max_fiber > 0 keeps only those with every preimage of size <= max_fiber;
     max_fiber=2 is the index set that survives for continuous drivers.
     """
     if n == 0 and k == 0:
         return [Surjection()]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    if max_fiber < 1:
-        raise ValueError("max_fiber must be >= 1")
+    if max_fiber < 0:
+        raise ValueError("max_fiber must be >= 0 (0 is unbounded)")
     return [Surjection._wrap(f) for f in _enumerate(n, k, max_fiber)]
 
 
@@ -183,9 +175,6 @@ class SurjElement(Combination):
     def _render(f: Surjection) -> str:
         s = str(f)  # the unit and the comma form are already parenthesized
         return s if s.startswith("(") else f"({s})"
-
-    grade_part = Combination.restrict
-    truncate_grade = Combination.truncate
 
     def _json_header(self) -> dict:
         """The arity of a homogeneous element, else None."""
@@ -270,9 +259,10 @@ class Composition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Composition":
-        vals = tuple(int(p) for p in parts)
-        if any(p < 1 for p in vals):
-            raise ValueError("composition parts must be positive")
+        vals = tuple(parts)
+        for p in vals:
+            if isinstance(p, bool) or not isinstance(p, int) or p < 1:
+                raise ValueError(f"composition parts are positive integers, got {p!r}")
         return super().__new__(cls, vals)
 
     @property

@@ -227,8 +227,8 @@ def suite_algebra(grade: int = 4, seed: int = 0) -> list[dict]:
     reports.append(_case("qsh associative (sampled)", err, 0, seed=seed))
 
     unit = BracketWord()
-    err = _mismatch(qsh(unit, words[0]), Expansion.of_word(words[0]))
-    err += _mismatch(qsh(words[0], unit), Expansion.of_word(words[0]))
+    err = _mismatch(qsh(unit, words[0]), Expansion.of(words[0]))
+    err += _mismatch(qsh(words[0], unit), Expansion.of(words[0]))
     reports.append(_case("empty word is the unit", err, 0, seed=seed))
 
     err, _ = check_qsh_routes(pairs)
@@ -270,7 +270,7 @@ def suite_theorem(grade: int = 4) -> list[dict]:
     subset_grade = min(grade, 5)
     subset_err = _mismatch(
         log_identity_subset_form(subset_grade),
-        log_identity_closed_form(grade).truncate_grade(subset_grade),
+        log_identity_closed_form(grade).truncate(subset_grade),
     )
     return [
         _case(f"power series log == closed form, grade {grade}", check_log_series([grade]), 0),

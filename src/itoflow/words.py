@@ -514,11 +514,7 @@ class Expansion(Combination):
     __mul__ = Combination.__mul__
     __rmul__ = Combination.__rmul__
 
-    of_word = vars(Combination)["of"]  # the classmethod itself, not a bound one
-    words = Combination.support
-    max_weight = Combination.max_grade
-    restrict_weight = Combination.restrict
-    truncate_weight = Combination.truncate
+    words = Combination.support  # the name perfbench/tracing.py calls
 
     def map_words(self, fn) -> "Expansion":
         """Linear extension of a word -> Expansion (or word -> word) map."""

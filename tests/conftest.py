@@ -3,18 +3,15 @@
 The default caps are small on purpose (they catch accidental blowups in
 interactive use); the tests deliberately build larger objects, so raise
 them once for the whole session.  Tests that exercise the cap machinery
-itself set and restore their own values.
+itself set their own values in a nested ``with caps(...)`` block.
 """
 
 import pytest
 
-from itoflow import set_grade_cap, set_weight_cap
+from itoflow import caps
 
 
 @pytest.fixture(autouse=True, scope="session")
 def _relaxed_caps():
-    old_w = set_weight_cap(64)
-    old_g = set_grade_cap(16)
-    yield
-    set_weight_cap(old_w)
-    set_grade_cap(old_g)
+    with caps(weight=64, grade=16):
+        yield

@@ -282,11 +282,11 @@ def test_c08_pathwise_product_identity(capsys):
         u = BracketWord([(1,)])
         v = BracketWord([(2,), (3,)])
         five = (
-            Expansion.of_word(BracketWord([(1,), (2,), (3,)]))
-            + Expansion.of_word(BracketWord([(2,), (1,), (3,)]))
-            + Expansion.of_word(BracketWord([(2,), (3,), (1,)]))
-            + Expansion.of_word(BracketWord([(1, 2), (3,)]))
-            + Expansion.of_word(BracketWord([(2,), (1, 3)]))
+            Expansion.of(BracketWord([(1,), (2,), (3,)]))
+            + Expansion.of(BracketWord([(2,), (1,), (3,)]))
+            + Expansion.of(BracketWord([(2,), (3,), (1,)]))
+            + Expansion.of(BracketWord([(1, 2), (3,)]))
+            + Expansion.of(BracketWord([(2,), (1, 3)]))
         )
         assert qsh(u, v) == five
         lhs = float(ev.word_terminal(u) * ev.word_terminal(v))

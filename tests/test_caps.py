@@ -1,0 +1,108 @@
+"""Scoped size caps: itoflow.caps holds for one block, in one context."""
+
+import contextvars
+import threading
+
+import pytest
+
+from itoflow import CapExceeded, caps, grade_cap, log_identity_closed_form, weight_cap
+from itoflow._config import DEFAULT_GRADE_CAP, DEFAULT_WEIGHT_CAP
+from itoflow.cli import main
+
+
+def current():
+    return weight_cap(), grade_cap()
+
+
+def test_none_keeps_the_current_value():
+    with caps(weight=5, grade=3):
+        with caps(grade=4):
+            assert current() == (5, 4)
+        with caps(weight=7):
+            assert current() == (7, 3)
+        with caps():
+            assert current() == (5, 3)
+
+
+def test_nested_blocks_restore_the_outer_values():
+    outer = current()
+    with caps(weight=10, grade=5):
+        with caps(weight=3, grade=2):
+            with caps(weight=4):
+                assert current() == (4, 2)
+            assert current() == (3, 2)
+        assert current() == (10, 5)
+    assert current() == outer
+
+
+def test_caps_come_back_after_cap_exceeded():
+    outer = current()
+    with pytest.raises(CapExceeded, match=r"itoflow\.caps\(grade=\.\.\.\)"):
+        with caps(grade=2):
+            log_identity_closed_form(3)
+    assert current() == outer
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(weight=0),
+        dict(grade=True),
+        dict(weight=2.5),
+        dict(grade=-1),
+        dict(weight="8"),
+    ],
+)
+def test_bad_values_are_value_errors_before_the_block(kwargs):
+    outer = current()
+    with pytest.raises(ValueError, match="cap must be a positive int"):
+        caps(**kwargs)
+    with pytest.raises(ValueError, match="cap must be a positive int"):
+        with caps(**kwargs):
+            pytest.fail("the block must not run")
+    assert current() == outer
+
+
+def test_a_thread_started_inside_a_block_does_not_see_it():
+    seen = []
+    inside, release = threading.Event(), threading.Event()
+
+    def worker():
+        seen.append(current())
+        with caps(weight=5, grade=3):
+            inside.set()
+            release.wait(timeout=10)
+
+    with caps(weight=20, grade=10):
+        thread = threading.Thread(target=worker)
+        thread.start()
+        assert inside.wait(timeout=10)
+        while_thread_holds_its_own = current()
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen == [(DEFAULT_WEIGHT_CAP, DEFAULT_GRADE_CAP)]
+    assert while_thread_holds_its_own == (20, 10)
+
+
+def test_a_context_copied_before_a_block_does_not_see_it():
+    outer = current()
+    before = contextvars.copy_context()
+
+    def raise_inside():
+        with caps(weight=7):
+            return current()
+
+    with caps(weight=5, grade=3):
+        assert before.run(current) == outer
+        # a block run in the copy stays in the copy
+        assert before.run(raise_inside) == (7, outer[1])
+        assert current() == (5, 3)
+    assert before.run(current) == outer
+
+
+def test_cli_max_grade_below_one_exits_2(capsys):
+    outer = current()
+    assert main(["surj-log", "--grade", "1", "--max-grade", "0"]) == 2
+    assert "--max-grade must be >= 1" in capsys.readouterr().err
+    assert current() == outer

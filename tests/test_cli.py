@@ -9,11 +9,10 @@ import pytest
 from itoflow import (
     Expansion,
     SurjElement,
+    caps,
     grade_cap,
     log_identity_closed_form,
     read_bundle,
-    set_grade_cap,
-    set_weight_cap,
     weight_cap,
 )
 from itoflow.cli import main
@@ -63,27 +62,16 @@ class TestQsh:
         assert "error" in out.err
 
     def test_cap_exceeded_exits_2(self, capsys):
-        from itoflow import set_weight_cap
-
-        old = set_weight_cap(8)
-        try:
+        with caps(weight=8):
             code, out = run_cli("qsh", "1.1.1.1.1", "1.1.1.1.1", capsys=capsys)
-        finally:
-            set_weight_cap(old)
         assert code == 2
         assert "cap" in out.err
 
     def test_max_grade_flag_raises_cap(self, capsys):
-        from itoflow import set_grade_cap, set_weight_cap
-
-        old_w, old_g = set_weight_cap(8), set_grade_cap(6)
-        try:
+        with caps(weight=8, grade=6):
             code, out = run_cli(
                 "qsh", "1.1.1.1.1", "1.1.1.1.1", "--max-grade", "10", capsys=capsys
             )
-        finally:
-            set_weight_cap(old_w)
-            set_grade_cap(old_g)
         assert code == 0
 
 
@@ -104,8 +92,7 @@ class TestSurjLog:
         assert out.out.strip() == "(1)"
 
     def test_max_grade_lasts_one_call(self, capsys):
-        old_w, old_g = set_weight_cap(8), set_grade_cap(6)
-        try:
+        with caps(weight=8, grade=6):
             assert run_cli("surj-log", "--grade", "2", "--max-grade", "3")[0] == 0
             assert (weight_cap(), grade_cap()) == (8, 6)
             log_identity_closed_form(4)  # grade 4 is within the default cap
@@ -114,9 +101,6 @@ class TestSurjLog:
             assert code == 2
             assert "cap" in out.err
             assert (weight_cap(), grade_cap()) == (8, 6)
-        finally:
-            set_weight_cap(old_w)
-            set_grade_cap(old_g)
 
 
 class TestLogflow:
@@ -173,14 +157,10 @@ class TestVerify:
 
     def test_algebra_suite_runs_past_the_weight_cap(self, capsys):
         # 2 x grade 5 is past the default weight cap 8
-        old_w, old_g = set_weight_cap(8), set_grade_cap(6)
-        try:
+        with caps(weight=8, grade=6):
             code, out = run_cli(
                 "verify", "algebra", "--grade", "5", "--deterministic", capsys=capsys
             )
-        finally:
-            set_weight_cap(old_w)
-            set_grade_cap(old_g)
         assert code == 0
         assert "FAIL" not in out.out
 

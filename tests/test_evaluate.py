@@ -108,7 +108,7 @@ def two_step_bundle(a1, a2, b1, b2):
 class TestHandComputed:
     def test_single_letter_is_terminal(self):
         b = two_step_bundle(1.0, 2.0, 0.5, -0.5)
-        assert evaluate(Expansion.of_word(BracketWord([(1,)])), b) == 3.0
+        assert evaluate(Expansion.of(BracketWord([(1,)])), b) == 3.0
 
     def test_two_letter_word_uses_left_endpoints(self):
         # integral of x dy on two cells: x_0 b1 + x_1 b2 = a1 * b2
@@ -118,7 +118,7 @@ class TestHandComputed:
     def test_bracket_block_is_increment_product_sum(self):
         b = two_step_bundle(2.0, 3.0, 5.0, 7.0)
         # [x, y] accumulates a1*b1 + a2*b2 = 10 + 21
-        assert evaluate(Expansion.of_word(BracketWord([(1, 2)])), b) == pytest.approx(
+        assert evaluate(Expansion.of(BracketWord([(1, 2)])), b) == pytest.approx(
             31.0
         )
 
@@ -143,14 +143,14 @@ class TestQuasiShuffleIdentityNumerically:
         u = BracketWord([(1,), (2,)])
         v = BracketWord([(1,)])
         lhs = evaluate(qsh(u, v), bundle)
-        rhs = evaluate(Expansion.of_word(u), bundle) * evaluate(
-            Expansion.of_word(v), bundle
+        rhs = evaluate(Expansion.of(u), bundle) * evaluate(
+            Expansion.of(v), bundle
         )
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_square_of_single_letter(self):
         b = two_step_bundle(3.0, 4.0, 0.0, 0.0)
-        total = evaluate(Expansion.of_word(BracketWord([(1,)])), b)
+        total = evaluate(Expansion.of(BracketWord([(1,)])), b)
         sq = evaluate(qsh(BracketWord([(1,)]), BracketWord([(1,)])), b)
         assert sq == pytest.approx(total**2)
 
@@ -170,7 +170,7 @@ class TestEvaluator:
 
     def test_expansion_with_rational_coefficients(self):
         b = two_step_bundle(1.0, 2.0, 3.0, 4.0)
-        e = Fraction(1, 3) * Expansion.of_word(BracketWord([(1,)]))
+        e = Fraction(1, 3) * Expansion.of(BracketWord([(1,)]))
         assert evaluate(e, b) == pytest.approx(1.0)
 
     def test_batched_paths(self):

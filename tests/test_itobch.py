@@ -91,32 +91,32 @@ class TestTermEnumeration:
 
 class TestVanishingRules:
     def test_cross_bracket_kill(self):
-        e = Expansion.of_word(BracketWord([(1, 2)]))
+        e = Expansion.of(BracketWord([(1, 2)]))
         assert apply_vanishing_rules(e, CONTINUOUS) == Expansion.zero()
 
     def test_qv_pair_rewrite(self):
-        e = Expansion.of_word(BracketWord([(1, 1)]))
-        assert apply_vanishing_rules(e, CONTINUOUS) == Expansion.of_word(
+        e = Expansion.of(BracketWord([(1, 1)]))
+        assert apply_vanishing_rules(e, CONTINUOUS) == Expansion.of(
             BracketWord([(3,)])
         )
 
     def test_depth_kill(self):
         # triple bracket of a continuous driver vanishes
-        e = Expansion.of_word(BracketWord([(1, 1, 1)]))
+        e = Expansion.of(BracketWord([(1, 1, 1)]))
         assert apply_vanishing_rules(e, CONTINUOUS) == Expansion.zero()
         # bracket of a QV letter with its driver vanishes too (depth 3)
-        e2 = Expansion.of_word(BracketWord([(1, 3)]))
+        e2 = Expansion.of(BracketWord([(1, 3)]))
         assert apply_vanishing_rules(e2, CONTINUOUS) == Expansion.zero()
 
     def test_jump_mode_keeps_everything(self):
         for blocks in [[(1, 2)], [(1, 1, 1)], [(1, 1)]]:
-            e = Expansion.of_word(BracketWord(blocks))
+            e = Expansion.of(BracketWord(blocks))
             assert apply_vanishing_rules(e, JUMPY) == e
 
     def test_rules_act_per_block(self):
-        e = Expansion.of_word(BracketWord([(2,), (1, 1), (1,)]))
+        e = Expansion.of(BracketWord([(2,), (1, 1), (1,)]))
         out = apply_vanishing_rules(e, CONTINUOUS)
-        assert out == Expansion.of_word(BracketWord([(2,), (3,), (1,)]))
+        assert out == Expansion.of(BracketWord([(2,), (3,), (1,)]))
 
 
 class TestLogFlowExpansion:
@@ -139,4 +139,4 @@ class TestLogFlowExpansion:
     def test_letters_argument_restricts_pool(self):
         alph = DriverAlphabet(n_primary=3)
         e = log_flow_expansion(alph, 1, letters=(2,))
-        assert e == Expansion.of_word(BracketWord([(2,)]))
+        assert e == Expansion.of(BracketWord([(2,)]))

@@ -99,7 +99,7 @@ class TestSubsetIdentity:
                 total = total + Fraction((-1) ** size, size + 1) * descent_sum_within(
                     n, I
                 )
-        assert total == log_identity_closed_form(3).grade_part(3)
+        assert total == log_identity_closed_form(3).restrict(3)
 
 
 class TestStrichartzRestriction:

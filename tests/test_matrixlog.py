@@ -61,8 +61,8 @@ class TestMatrixExpansion:
 
     def test_matmul_entries_use_qsh(self):
         # (A B)_{13} for single-word entries is the quasi-shuffle of the words
-        w1 = Expansion.of_word(BracketWord([(1,)]))
-        w2 = Expansion.of_word(BracketWord([(2,)]))
+        w1 = Expansion.of(BracketWord([(1,)]))
+        w2 = Expansion.of(BracketWord([(2,)]))
         a = MatrixExpansion(1, ((w1,),))
         b = MatrixExpansion(1, ((w2,),))
         assert a.matmul(b)[1, 1] == qsh(BracketWord([(1,)]), BracketWord([(2,)]))
@@ -87,7 +87,7 @@ class TestTaylorSeries:
     def test_order_two_entry_words_are_paths(self):
         m = matrix_ito_taylor(2, 2)
         # words of weight 2 in entry (1, 1) follow index paths 1 -> k -> 1
-        e = m[1, 1].restrict_weight(2)
+        e = m[1, 1].restrict(2)
         assert set(e.words()) == {
             BracketWord([(1,), (1,)]),  # (1,1)(1,1)
             BracketWord([(2,), (3,)]),  # (1,2)(2,1)

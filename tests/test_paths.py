@@ -43,6 +43,24 @@ def bundle_blobs(draw):
     return bundle_to_binary(PathBundle(paths, grid))
 
 
+class TestGrid:
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            (0, "steps must be >= 1"),
+            (2.5, "steps must be an int"),
+            (True, "steps must be an int"),
+            (np.float64(3.0), "steps must be an int"),
+        ],
+    )
+    def test_steps_are_a_positive_int(self, steps, message):
+        with pytest.raises(ValueError, match=message):
+            make_grid(1.0, steps)
+
+    def test_numpy_int_steps(self):
+        assert np.array_equal(make_grid(1.0, np.int64(4)), make_grid(1.0, 4))
+
+
 class TestSamplePath:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -187,6 +205,11 @@ class TestSerialization:
     def test_csv_without_data_rows_is_a_value_error(self, text):
         with pytest.raises(ValueError, match="CSV"):
             bundle_from_csv(text)
+
+    @pytest.mark.parametrize("second", ["x1", "x01"])
+    def test_csv_repeated_driver_column_is_a_value_error(self, second):
+        with pytest.raises(ValueError, match=f"'{second}' repeats driver letter 1"):
+            bundle_from_csv(f"t,x1,{second}\n0,0,0\n1,1,5\n")
 
     def test_binary_rejects_bad_magic(self):
         with pytest.raises(ValueError):

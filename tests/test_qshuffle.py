@@ -18,8 +18,8 @@ from itoflow import (
     shuffle_projection,
     half_down,
     half_up,
+    caps,
     parse_word,
-    set_weight_cap,
 )
 from itoflow import quasishuffle
 
@@ -70,13 +70,13 @@ def test_known_product_two_by_one_term_count():
 
 def test_unit():
     w = BracketWord([(1,), (2, 3)])
-    assert qsh(UNIT_WORD, w) == Expansion.of_word(w)
-    assert qsh(w, UNIT_WORD) == Expansion.of_word(w)
+    assert qsh(UNIT_WORD, w) == Expansion.of(w)
+    assert qsh(w, UNIT_WORD) == Expansion.of(w)
 
 
 def test_accepts_expansions_and_words():
     w = BracketWord.from_letters(1)
-    e = Expansion.of_word(w)
+    e = Expansion.of(w)
     assert qsh(w, e) == qsh(e, w) == qsh(w, w)
 
 
@@ -89,28 +89,25 @@ def test_max_weight_prunes_exactly():
     u = BracketWord.from_letters(1, 2)
     v = BracketWord.from_letters(3, 1)
     full = qsh(u, v)
-    assert qsh(u, v, max_weight=3) == full.truncate_weight(3)
+    assert qsh(u, v, max_weight=3) == full.truncate(3)
     assert qsh(u, v, max_weight=0) == Expansion.zero()
 
 
 @given(expansions, expansions, st.integers(min_value=0, max_value=7))
 @settings(max_examples=60, deadline=None)
 def test_max_weight_equals_truncated_full_product(a, b, k):
-    assert qsh(a, b, max_weight=k) == qsh(a, b).truncate_weight(k)
+    assert qsh(a, b, max_weight=k) == qsh(a, b).truncate(k)
 
 
 def test_pruned_pairs_do_not_hit_the_weight_cap():
     a = Expansion({BracketWord.from_letters(1): 1, BracketWord.from_letters(1, 2, 3): 2})
     b = Expansion({BracketWord.from_letters(2): -1, BracketWord([(1, 2), (3,)]): 3})
     full = qsh(a, b)
-    old = set_weight_cap(4)
-    try:
+    with caps(weight=4):
         # weight 3 + 3 is over the cap, but max_weight prunes it first
-        assert qsh(a, b, max_weight=4) == full.truncate_weight(4)
+        assert qsh(a, b, max_weight=4) == full.truncate(4)
         with pytest.raises(CapExceeded):
             qsh(a, b)
-    finally:
-        set_weight_cap(old)
 
 
 @given(words, words)
@@ -185,12 +182,8 @@ def test_surjection_route_coefficients_are_fractions(u, v):
 def test_surjection_route_checks_the_cap_on_a_memoized_shape():
     u, v = BracketWord.from_letters(1, 2), BracketWord.from_letters(3)
     qsh_via_surjections(u, v)  # shape (2, 1) is now memoized
-    old = set_weight_cap(2)
-    try:
-        with pytest.raises(CapExceeded):
-            qsh_via_surjections(u, v)
-    finally:
-        set_weight_cap(old)
+    with caps(weight=2), pytest.raises(CapExceeded):
+        qsh_via_surjections(u, v)
 
 
 def test_surjection_route_memo_is_bounded():

@@ -1,5 +1,7 @@
-"""Repository hygiene: no tracked file is one that .gitignore marks as generated."""
+"""Repository hygiene: no tracked file is one that .gitignore marks as
+generated, and no library module rebinds a module-level name from a function."""
 
+import ast
 import shutil
 import subprocess
 from pathlib import Path
@@ -24,3 +26,14 @@ def test_no_tracked_file_is_ignored():
     listed = _git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == "", f"tracked but ignored:\n{listed.stdout}"
+
+
+def test_library_has_no_global_statement():
+    # state that must be settable lives in a ContextVar (see itoflow._config)
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {', '.join(node.names)}"
+        for path in sorted((ROOT / "src" / "itoflow").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []

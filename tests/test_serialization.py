@@ -27,14 +27,14 @@ from itoflow.words import frac_from_json
 
 def test_expansion_coefficients_survive_as_strings():
     huge = Fraction(10**60 + 7, 10**59 + 1)
-    e = huge * Expansion.of_word(BracketWord([(1,)]))
+    e = huge * Expansion.of(BracketWord([(1,)]))
     blob = json.loads(json.dumps(e.to_json_dict()))
     assert blob["terms"][0]["coeff"]["num"] == str(huge.numerator)
     assert Expansion.from_json_dict(blob) == e
 
 
 def test_expansion_terms_sorted_by_word():
-    e = Expansion.of_word(BracketWord([(2,), (1,)])) + Expansion.of_word(
+    e = Expansion.of(BracketWord([(2,), (1,)])) + Expansion.of(
         BracketWord([(1,)])
     )
     blob = e.to_json_dict()

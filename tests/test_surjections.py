@@ -15,6 +15,7 @@ from itoflow import (
     Surjection,
     apply_element,
     apply_surjection,
+    caps,
     compositions_of,
     descent_sum_exact,
     descent_sum_within,
@@ -22,10 +23,8 @@ from itoflow import (
     embed_composition,
     enumerate_grade,
     enumerate_surjections,
-    enumerate_surjections_bounded,
     pack,
     parse_surjection,
-    set_grade_cap,
 )
 from itoflow import kernels
 from itoflow.surjections import diamond_reference
@@ -144,9 +143,14 @@ class TestEnumeration:
         assert fs == sorted(set(fs))
 
     def test_bounded_fibers(self):
-        fs = enumerate_surjections_bounded(4, 2, max_fiber=2)
+        fs = enumerate_surjections(4, 2, max_fiber=2)
         assert all(max(f.count(v) for v in set(f)) <= 2 for f in fs)
         assert len(fs) == 6  # pairings of {1,2,3,4} into two ordered fibers of size 2
+
+    def test_max_fiber_zero_is_unbounded(self):
+        assert enumerate_surjections(4, 2, max_fiber=0) == enumerate_surjections(4, 2)
+        with pytest.raises(ValueError, match="max_fiber"):
+            enumerate_surjections(4, 2, max_fiber=-1)
 
     def test_bounded_grade_continuous_counts(self):
         # fiber size <= 2: n=3 gives 6 bijections + 6 one-pair maps
@@ -236,19 +240,16 @@ class TestDiamond:
     @given(elements, elements, st.integers(min_value=0, max_value=6))
     @settings(max_examples=40, deadline=None)
     def test_max_grade_equals_truncated_full_product(self, a, b, k):
-        assert diamond(a, b, max_grade=k) == diamond(a, b).truncate_grade(k)
+        assert diamond(a, b, max_grade=k) == diamond(a, b).truncate(k)
 
     def test_pruned_pairs_do_not_hit_the_grade_cap(self):
         a = SurjElement({Surjection((1,)): 1, Surjection((1, 2, 1)): -2})
         full = diamond(a, a)
-        old = set_grade_cap(4)
-        try:
+        with caps(grade=4):
             # grade 3 + 3 is over the cap, but max_grade prunes it first
-            assert diamond(a, a, max_grade=4) == full.truncate_grade(4)
+            assert diamond(a, a, max_grade=4) == full.truncate(4)
             with pytest.raises(CapExceeded):
                 diamond(a, a)
-        finally:
-            set_grade_cap(old)
 
 
 class TestDescentSums:
@@ -295,6 +296,11 @@ class TestCompositions:
             Composition((1, 1, 1)),
         }
         assert len(list(compositions_of(5))) == 2 ** 4
+
+    @pytest.mark.parametrize("parts", [[1.7, 2], [True, 2], [2.0], ["2"], [0, 1], [-1]])
+    def test_parts_are_positive_ints(self, parts):
+        with pytest.raises(ValueError, match="composition parts are positive integers"):
+            Composition(parts)
 
     def test_embedding_of_single_part(self):
         # one part: descents forbidden everywhere, only the increasing map
@@ -361,5 +367,5 @@ class TestSurjElement:
         el = SurjElement(
             {Surjection((1,)): Fraction(1), Surjection((1, 2)): Fraction(2)}
         )
-        assert el.grade_part(2) == SurjElement({Surjection((1, 2)): Fraction(2)})
-        assert el.truncate_grade(1) == SurjElement({Surjection((1,)): Fraction(1)})
+        assert el.restrict(2) == SurjElement({Surjection((1, 2)): Fraction(2)})
+        assert el.truncate(1) == SurjElement({Surjection((1,)): Fraction(1)})

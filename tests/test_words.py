@@ -126,7 +126,7 @@ class TestExpansion:
     def test_linear_arithmetic(self):
         w1 = BracketWord.from_letters(1)
         w2 = BracketWord.from_letters(2)
-        e = 2 * Expansion.of_word(w1) - Expansion.of_word(w2)
+        e = 2 * Expansion.of(w1) - Expansion.of(w2)
         assert e[w1] == 2
         assert e[w2] == -1
         assert (e + e)[w1] == 4
@@ -141,20 +141,20 @@ class TestExpansion:
             Expansion.unit() * Expansion.unit()
 
     def test_restrict_and_truncate_weight(self):
-        e = Expansion.of_word(BracketWord.from_letters(1)) + Expansion.of_word(
+        e = Expansion.of(BracketWord.from_letters(1)) + Expansion.of(
             BracketWord([(1, 2)])
-        ) + Expansion.of_word(BracketWord.from_letters(1, 2, 3))
-        assert set(e.restrict_weight(2).words()) == {BracketWord([(1, 2)])}
-        assert e.truncate_weight(2).max_weight() == 2
+        ) + Expansion.of(BracketWord.from_letters(1, 2, 3))
+        assert set(e.restrict(2).words()) == {BracketWord([(1, 2)])}
+        assert e.truncate(2).max_grade() == 2
 
     def test_pretty_signs(self):
-        e = Expansion.of_word(BracketWord.from_letters(1)) - Expansion.of_word(
+        e = Expansion.of(BracketWord.from_letters(1)) - Expansion.of(
             BracketWord.from_letters(2)
         )
         assert e.pretty() == "I_{1} - I_{2}"
 
     def test_pretty_constant_term_is_its_coefficient(self):
-        i1 = Expansion.of_word(BracketWord.from_letters(1))
+        i1 = Expansion.of(BracketWord.from_letters(1))
         assert Expansion.unit().pretty() == "1"
         assert (3 * Expansion.unit()).pretty() == "3"
         assert (Expansion.unit() - i1).pretty() == "1 - I_{1}"
@@ -166,6 +166,6 @@ class TestExpansion:
 
     @given(words, words)
     def test_map_words_is_linear(self, u, v):
-        e = Expansion.of_word(u) + 3 * Expansion.of_word(v)
-        doubled = e.map_words(lambda w: 2 * Expansion.of_word(w))
+        e = Expansion.of(u) + 3 * Expansion.of(v)
+        doubled = e.map_words(lambda w: 2 * Expansion.of(w))
         assert doubled == 2 * e

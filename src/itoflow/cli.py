@@ -14,12 +14,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from ._config import caps, weight_cap
 from .flowmaps import DriverAlphabet, log_flow_terms, terms_to_json
-from .flows import FlowProblem, compare_flows
+from .flows import compare_flows
 from .logseries import (
     log_identity_closed_form,
     log_identity_series,
@@ -29,7 +30,7 @@ from .logseries import (
 from .matrixseries import matrix_ito_taylor, matrix_log
 from .paths import DriverSpec, make_grid, simulate_bundle, write_bundle, bundle_to_csv
 from .quasishuffle import qsh
-from .verify import run_suite
+from .verify import flow_problem, run_suite
 from .words import UNIT_WORD, Expansion, parse_word
 
 
@@ -95,8 +96,6 @@ def cmd_surj_log(args) -> int:
 
 
 def cmd_logflow(args) -> int:
-    if args.matrix:
-        return _emit_result(args, matrix_log(args.matrix, args.order))
     alphabet = DriverAlphabet(
         n_primary=args.drivers,
         continuous=args.continuous,
@@ -180,13 +179,11 @@ def _parse_matrix(text: str, dim: int) -> np.ndarray:
 
 def cmd_flow_compare(args) -> int:
     dim = args.dim
-    drift = _parse_matrix(args.drift, dim) if args.drift else _default_drift(dim)
-    diffusion = (
-        _parse_matrix(args.diffusion, dim) if args.diffusion else _default_diffusion(dim)
-    )
-    problem = FlowProblem(
-        dim=dim, drift=drift, diffusion=diffusion, horizon=args.horizon, steps=args.steps
-    )
+    problem = flow_problem(args.steps, dim=dim, horizon=args.horizon)
+    if args.drift:
+        problem = replace(problem, drift=_parse_matrix(args.drift, dim))
+    if args.diffusion:
+        problem = replace(problem, diffusion=_parse_matrix(args.diffusion, dim))
     orders = [int(k) for k in args.orders.split(",")]
     report = compare_flows(problem, orders, args.paths, args.seed)
     if not args.deterministic:
@@ -205,22 +202,6 @@ def cmd_flow_compare(args) -> int:
         _emit(args, "\n".join(lines))
     errs = [report["mean_strong_error_log"][str(k)] for k in report["orders"]]
     return 0 if all(a > b for a, b in zip(errs, errs[1:])) else 1
-
-
-def _default_drift(dim: int) -> np.ndarray:
-    m = np.zeros((dim, dim))
-    for i in range(dim - 1):
-        m[i, i + 1] = 1.0
-    return m
-
-
-def _default_diffusion(dim: int) -> np.ndarray:
-    m = np.zeros((dim, dim))
-    for i in range(dim):
-        m[i, i] = 0.5 * (-1.0) ** i
-    for i in range(1, dim):
-        m[i, i - 1] = 1.0
-    return m
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.set_defaults(fn=cmd_surj_log)
 
-    p = sub.add_parser("logflow", help="flow-map log templates (or matrix form)")
+    p = sub.add_parser("logflow", help="flow-map log templates")
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--drivers", type=int, default=2, help="number of primary drivers")
     p.add_argument(
@@ -250,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="restrict to continuous drivers (drops deep-bracket terms)",
     )
-    p.add_argument("--matrix", type=int, metavar="DIM", help="emit the matrix log instead")
     _common_flags(p)
     p.set_defaults(fn=cmd_logflow)
 

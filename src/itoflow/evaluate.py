@@ -47,7 +47,7 @@ from typing import Iterable, Mapping, Union
 import numpy as np
 
 from .words import BracketWord, Expansion, WordLike, as_word
-from .paths import PathBundle, SamplePath
+from .paths import PathBundle
 
 
 # A block's product is formed and summed a few rows at a time, about this
@@ -106,15 +106,12 @@ class Evaluator:
 
     @classmethod
     def from_bundle(cls, bundle: PathBundle) -> "Evaluator":
+        if not isinstance(bundle, PathBundle):
+            raise TypeError(
+                f"expected a PathBundle, not {type(bundle).__name__}; "
+                "wrap a {letter: SamplePath} mapping in PathBundle(mapping)"
+            )
         return cls({l: bundle[l].increments() for l in bundle.letters()})
-
-    @classmethod
-    def from_paths(cls, paths: Mapping[int, SamplePath]) -> "Evaluator":
-        grids = list(paths.values())
-        for p in grids[1:]:
-            if not grids[0].same_grid(p):
-                raise ValueError("paths must share a grid")
-        return cls({l: p.increments() for l, p in paths.items()})
 
     def _letters(self, block) -> list[np.ndarray]:
         """The (rows, cells) increments of the block's letters, in order."""
@@ -264,21 +261,11 @@ def _prefix_trie(words: Iterable[BracketWord]) -> dict[tuple, int]:
     return trie
 
 
-Binding = Union[PathBundle, Mapping[int, SamplePath]]
+def evaluate(e: Union[Expansion, WordLike], bundle: PathBundle) -> float:
+    """Terminal value of an expansion or word on one path bundle."""
+    return float(Evaluator.from_bundle(bundle)(e))
 
 
-def _evaluator(binding: Binding) -> Evaluator:
-    if isinstance(binding, PathBundle):
-        return Evaluator.from_bundle(binding)
-    return Evaluator.from_paths(binding)
-
-
-def evaluate(e: Union[Expansion, WordLike], binding: Binding) -> float:
-    """Terminal value of an expansion or word on one path set."""
-    out = _evaluator(binding)(e)
-    return float(out)
-
-
-def evaluate_path(w: WordLike, binding: Binding) -> np.ndarray:
-    """Full running path of one word on one path set."""
-    return _evaluator(binding).word_path(w)
+def evaluate_path(w: WordLike, bundle: PathBundle) -> np.ndarray:
+    """Full running path of one word on one path bundle."""
+    return Evaluator.from_bundle(bundle).word_path(w)

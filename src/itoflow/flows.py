@@ -24,7 +24,7 @@ import numpy as np
 
 from .evaluate import Evaluator
 from .matrixseries import MatrixExpansion, entry_letter, matrix_ito_taylor, matrix_log
-from .paths import _count, make_grid, rng_for
+from .paths import _check_horizon, _count, make_grid, rng_for
 
 EXPM_TOL = 1e-12
 # flow_reference forms dM for about this many floats' worth of steps at once
@@ -51,8 +51,7 @@ class FlowProblem:
             raise ValueError(f"coefficient matrices must be {d}x{d}")
         if not (np.isfinite(self.drift).all() and np.isfinite(self.diffusion).all()):
             raise ValueError("coefficient matrices must be finite")
-        if not 0 < self.horizon < np.inf:
-            raise ValueError("horizon must be positive and finite")
+        _check_horizon(self.horizon)
 
     @property
     def dt(self) -> float:
@@ -131,30 +130,24 @@ def _evaluate_matrix(
     return out
 
 
-def flow_from_taylor(
-    problem: FlowProblem, order: int, dW: np.ndarray, _symbolic: MatrixExpansion | None = None
-) -> np.ndarray:
+def flow_from_taylor(problem: FlowProblem, order: int, dW: np.ndarray) -> np.ndarray:
     """Truncated series evaluated pathwise: one (dim, dim) matrix per path."""
     dW = _check_increments(problem, dW)
-    me = _symbolic if _symbolic is not None else matrix_ito_taylor(problem.dim, order)
-    me = me.truncate_weight(order)
+    me = matrix_ito_taylor(problem.dim, order).truncate_weight(order)
     ev = Evaluator(entry_increments(problem, dW))
     return _evaluate_matrix(me, ev, dW.shape[0])
 
 
-def flow_from_log(
-    problem: FlowProblem, order: int, dW: np.ndarray, _symbolic: MatrixExpansion | None = None
-) -> np.ndarray:
+def flow_from_log(problem: FlowProblem, order: int, dW: np.ndarray) -> np.ndarray:
     """exp(truncated log series), evaluated pathwise."""
     dW = _check_increments(problem, dW)
-    me = _symbolic if _symbolic is not None else matrix_log(problem.dim, order)
-    me = me.truncate_weight(order)
+    me = matrix_log(problem.dim, order).truncate_weight(order)
     ev = Evaluator(entry_increments(problem, dW))
     logs = _evaluate_matrix(me, ev, dW.shape[0])
-    return truncated_expm(logs, tol=EXPM_TOL)
+    return truncated_expm(logs)
 
 
-def truncated_expm(mats: np.ndarray, tol: float = EXPM_TOL) -> np.ndarray:
+def truncated_expm(mats: np.ndarray) -> np.ndarray:
     """Matrix exponential of a stack: scaling and squaring on the series.
 
     The scaling count is shared across the stack (from the largest norm),
@@ -179,7 +172,7 @@ def truncated_expm(mats: np.ndarray, tol: float = EXPM_TOL) -> np.ndarray:
     for k in range(1, 64):
         term = term @ scaled / k
         acc = acc + term
-        if float(np.max(np.abs(term))) < tol:
+        if float(np.max(np.abs(term))) < EXPM_TOL:
             break
     else:
         raise ArithmeticError("matrix exponential series failed to converge")

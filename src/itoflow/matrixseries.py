@@ -146,9 +146,6 @@ class MatrixExpansion:
     def truncate_weight(self, max_weight: int) -> "MatrixExpansion":
         return self.map_entries(lambda e: e.truncate(max_weight))
 
-    def restrict_weight(self, weight: int) -> "MatrixExpansion":
-        return self.map_entries(lambda e: e.restrict(weight))
-
     def max_weight(self) -> int:
         return max(e.max_grade() for row in self.entries for e in row)
 

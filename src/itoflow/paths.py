@@ -39,20 +39,19 @@ class SamplePath:
 
     __slots__ = ("grid", "values")
 
-    def __init__(self, grid, values, validate: bool = True):
+    def __init__(self, grid, values):
         grid = np.asarray(grid, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
-        if validate:
-            if grid.ndim != 1 or values.shape != grid.shape:
-                raise ValueError("grid and values must be equal-length 1-D arrays")
-            if len(grid) < 2:
-                raise ValueError("need at least two grid points")
-            if grid[0] != 0.0:
-                raise ValueError("grid must start at time 0")
-            if not np.all(np.diff(grid) > 0):
-                raise ValueError("grid must be strictly increasing")
-            if values[0] != 0.0:
-                raise ValueError("paths are normalized to start at 0")
+        if grid.ndim != 1 or values.shape != grid.shape:
+            raise ValueError("grid and values must be equal-length 1-D arrays")
+        if len(grid) < 2:
+            raise ValueError("need at least two grid points")
+        if grid[0] != 0.0:
+            raise ValueError("grid must start at time 0")
+        if not np.all(np.diff(grid) > 0):
+            raise ValueError("grid must be strictly increasing")
+        if values[0] != 0.0:
+            raise ValueError("paths are normalized to start at 0")
         self.grid = grid
         self.values = values
 
@@ -91,10 +90,14 @@ def _count(name: str, value) -> int:
     return int(value)
 
 
+def _check_horizon(horizon) -> None:
+    if not 0 < horizon < np.inf:
+        raise ValueError(f"horizon must be positive and finite, not {horizon!r}")
+
+
 def make_grid(horizon: float, steps: int) -> np.ndarray:
     """Uniform grid 0 = t_0 < ... < t_steps = horizon."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(horizon)
     return np.linspace(0.0, float(horizon), _count("steps", steps) + 1)
 
 
@@ -113,6 +116,11 @@ class DriverSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown driver kind {self.kind!r}")
+        for name in ("sigma", "rate", "slope"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
+        if self.table is not None and not np.isfinite(self.table).all():
+            raise ValueError("table values must be finite")
         if self.kind == "brownian" and self.sigma < 0:
             raise ValueError("sigma must be >= 0")
         if self.kind == "poisson" and self.rate <= 0:
@@ -184,7 +192,7 @@ def discrete_bracket(x: SamplePath, y: SamplePath) -> SamplePath:
     if not x.same_grid(y):
         raise ValueError("paths must share a grid")
     inc = x.increments() * y.increments()
-    return SamplePath(x.grid, np.concatenate(([0.0], np.cumsum(inc))), validate=False)
+    return SamplePath(x.grid, np.concatenate(([0.0], np.cumsum(inc))))
 
 
 class PathBundle:
@@ -192,13 +200,11 @@ class PathBundle:
 
     __slots__ = ("grid", "paths")
 
-    def __init__(self, paths: Mapping[int, SamplePath], grid=None):
+    def __init__(self, paths: Mapping[int, SamplePath]):
         self.paths = dict(paths)
         if not self.paths:
             raise ValueError("a bundle needs at least one path")
-        if grid is None:
-            grid = next(iter(self.paths.values())).grid
-        self.grid = np.asarray(grid, dtype=np.float64)
+        self.grid = next(iter(self.paths.values())).grid
         for letter, p in self.paths.items():
             if not isinstance(letter, int) or letter < 1:
                 raise ValueError(f"letters are positive integers, got {letter!r}")
@@ -226,7 +232,7 @@ def simulate_bundle(
         letter: simulate(spec, grid, seed, path_index, driver_index=letter)
         for letter, spec in specs.items()
     }
-    return PathBundle(paths, grid)
+    return PathBundle(paths)
 
 
 # -- serialization ------------------------------------------------------------
@@ -267,7 +273,7 @@ def bundle_from_csv(text: str) -> PathBundle:
         letter: SamplePath(grid, data[:, i + 1])
         for i, letter in enumerate(letters)
     }
-    return PathBundle(paths, grid)
+    return PathBundle(paths)
 
 
 def bundle_to_binary(bundle: PathBundle) -> bytes:
@@ -322,7 +328,7 @@ def bundle_from_binary(blob: bytes) -> PathBundle:
         letter: SamplePath(grid, matrix[:, i + 1].copy())
         for i, letter in enumerate(letters)
     }
-    return PathBundle(paths, grid)
+    return PathBundle(paths)
 
 
 def write_bundle(path, bundle: PathBundle, binary: bool | None = None) -> None:

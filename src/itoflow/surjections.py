@@ -144,6 +144,10 @@ def enumerate_surjections(n: int, k: int, max_fiber: int = 0) -> list[Surjection
 
 def enumerate_grade(n: int, max_fiber: int = 0) -> list[Surjection]:
     """All surjections of arity n, any target size, in (k, lex) order."""
+    if n < 0:
+        raise ValueError(f"need 0 <= n, got n={n}")
+    if max_fiber < 0:
+        raise ValueError("max_fiber must be >= 0 (0 is unbounded)")
     if n == 0:
         return [Surjection()]
     out = []

@@ -39,6 +39,7 @@ from .paths import (
     DriverSpec,
     PathBundle,
     SamplePath,
+    _count,
     discrete_bracket,
     make_grid,
     simulate_bundle,
@@ -176,15 +177,21 @@ def check_pathwise_qsh(
 
 def check_jump_bracket(path: SamplePath) -> tuple[float, float]:
     """|[X, X, X]_T - X_T| for a path X of unit jumps, and X_T, its jump count."""
-    triple = Evaluator.from_paths({1: path}).word_terminal(BracketWord([(1, 1, 1)]))
+    triple = Evaluator({1: path.increments()}).word_terminal(BracketWord([(1, 1, 1)]))
     return abs(float(triple) - path.terminal), path.terminal
 
 
-def flow_problem(steps: int) -> FlowProblem:
-    """The flow study: non-commuting 2x2 drift and diffusion, horizon 0.1."""
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    b = np.array([[0.5, 0.0], [1.0, -0.5]])
-    return FlowProblem(dim=2, drift=a, diffusion=b, horizon=0.1, steps=steps)
+def flow_problem(steps: int, dim: int = 2, horizon: float = 0.1) -> FlowProblem:
+    """The flow study: non-commuting dim x dim drift and diffusion.
+
+    The drift has ones on the superdiagonal; the diffusion has 0.5, -0.5,
+    0.5, ... on the diagonal and ones on the subdiagonal.  At dim 2 they
+    are [[0, 1], [0, 0]] and [[0.5, 0], [1, -0.5]].
+    """
+    dim = _count("dim", dim)
+    a = np.eye(dim, k=1)
+    b = np.eye(dim, k=-1) + np.diag(0.5 * (-1.0) ** np.arange(dim))
+    return FlowProblem(dim=dim, drift=a, diffusion=b, horizon=horizon, steps=steps)
 
 
 def check_flow(

@@ -517,11 +517,9 @@ class Expansion(Combination):
     words = Combination.support  # the name perfbench/tracing.py calls
 
     def map_words(self, fn) -> "Expansion":
-        """Linear extension of a word -> Expansion (or word -> word) map."""
+        """Linear extension of a word -> Expansion map."""
         data: dict[BracketWord, Fraction] = {}
         for w, c in self._terms.items():
-            img = fn(w)
-            pairs = img._terms.items() if isinstance(img, Expansion) else [(as_word(img), 1)]
-            for w2, c2 in pairs:
+            for w2, c2 in fn(w)._terms.items():
                 accumulate(data, w2, c * c2)
         return Expansion._raw(data)

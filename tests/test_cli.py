@@ -3,19 +3,23 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from itoflow import (
     Expansion,
     SurjElement,
     caps,
+    compare_flows,
     grade_cap,
     log_identity_closed_form,
     read_bundle,
     weight_cap,
 )
 from itoflow.cli import main
+from itoflow.verify import flow_problem
 
 
 def run_cli(*argv, capsys=None):
@@ -121,9 +125,11 @@ class TestLogflow:
         assert len(jump.out.splitlines()) == len(cont.out.splitlines()) + 1
 
     def test_matrix_variant(self, capsys):
-        code, out = run_cli("logflow", "--order", "1", "--matrix", "2", capsys=capsys)
-        assert code == 0
-        assert "(1,1):" in out.out
+        # the matrix log is matrix-log's output (TestMatrixLog); logflow has no --matrix
+        with pytest.raises(SystemExit) as exit_:
+            main(["logflow", "--order", "1", "--matrix", "2"])
+        assert exit_.value.code == 2
+        assert "--matrix" in capsys.readouterr().err
 
 
 class TestMatrixLog:
@@ -235,6 +241,26 @@ class TestFlowCompare:
             payload["mean_strong_error_log"]["1"]
             > payload["mean_strong_error_log"]["2"]
         )
+
+    def test_default_problem_is_the_flow_study(self, capsys):
+        code, out = run_cli(
+            "flow-compare", "--dim", "3", "--steps", "64", "--paths", "8",
+            "--json", "--deterministic", capsys=capsys,
+        )
+        assert code == 0
+        report = compare_flows(flow_problem(64, dim=3), (1, 2, 3), 8, 0)
+        assert json.loads(out.out) == report
+
+    @pytest.mark.parametrize("field", ["drift", "diffusion"])
+    def test_one_matrix_overrides_its_default_alone(self, capsys, field):
+        matrix = np.array([[0.0, 0.5], [-0.5, 0.0]])
+        code, out = run_cli(
+            "flow-compare", "--steps", "64", "--paths", "8", f"--{field}", "0,0.5;-0.5,0",
+            "--json", "--deterministic", capsys=capsys,
+        )
+        assert code == 0
+        problem = replace(flow_problem(64), **{field: matrix})
+        assert json.loads(out.out) == compare_flows(problem, (1, 2, 3), 8, 0)
 
     @pytest.mark.parametrize("paths", ["0", "-3"])
     def test_no_paths_exits_2(self, capsys, paths):

@@ -134,6 +134,21 @@ class TestHandComputed:
         assert unit_path[0] == 1.0
 
 
+class TestBundleOnly:
+    @pytest.mark.parametrize("route", [evaluate, evaluate_path])
+    @pytest.mark.parametrize(
+        "binding",
+        [
+            {1: SamplePath([0.0, 1.0], [0.0, 2.0])},
+            {1: np.array([2.0])},
+            [SamplePath([0.0, 1.0], [0.0, 2.0])],
+        ],
+    )
+    def test_anything_but_a_bundle_is_a_type_error(self, route, binding):
+        with pytest.raises(TypeError, match=r"PathBundle\(mapping\)"):
+            route(BracketWord([(1,)]), binding)
+
+
 class TestQuasiShuffleIdentityNumerically:
     @pytest.mark.parametrize("steps", [16, 256])
     def test_product_rule_brownian(self, steps):

@@ -15,6 +15,7 @@ from itoflow import (
 )
 from itoflow import flows as flows_module
 from itoflow.flows import brownian_increments
+from itoflow.verify import flow_problem
 
 A = np.array([[0.0, 1.0], [0.0, 0.0]])
 B = np.array([[0.5, 0.0], [1.0, -0.5]])
@@ -66,6 +67,18 @@ class TestFlowProblem:
     def test_numpy_int_sizes_become_ints(self):
         p = FlowProblem(dim=np.int64(2), drift=A, diffusion=B, horizon=1.0, steps=np.int32(4))
         assert (type(p.dim), type(p.steps)) == (int, int)
+
+    def test_flow_study_problem(self):
+        p2, p3 = flow_problem(8), flow_problem(8, dim=3, horizon=0.5)
+        assert np.array_equal(p2.drift, A) and np.array_equal(p2.diffusion, B)
+        assert (p2.horizon, p3.horizon) == (0.1, 0.5)
+        assert np.array_equal(p3.drift, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        assert np.array_equal(p3.diffusion, [[0.5, 0, 0], [1, -0.5, 0], [0, 1, 0.5]])
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5])
+    def test_flow_study_dim_is_a_count(self, bad):
+        with pytest.raises(ValueError, match="dim"):
+            flow_problem(8, dim=bad)
 
     def test_grid(self):
         p = small_problem(steps=4, horizon=1.0)

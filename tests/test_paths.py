@@ -40,7 +40,7 @@ def bundle_blobs(draw):
         st.floats(allow_nan=False, allow_infinity=False), min_size=steps, max_size=steps
     )
     paths = {letter: SamplePath(grid, [0.0] + draw(values)) for letter in letters}
-    return bundle_to_binary(PathBundle(paths, grid))
+    return bundle_to_binary(PathBundle(paths))
 
 
 class TestGrid:
@@ -56,6 +56,11 @@ class TestGrid:
     def test_steps_are_a_positive_int(self, steps, message):
         with pytest.raises(ValueError, match=message):
             make_grid(1.0, steps)
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_horizon_is_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            make_grid(horizon, 2)
 
     def test_numpy_int_steps(self):
         assert np.array_equal(make_grid(1.0, np.int64(4)), make_grid(1.0, 4))
@@ -130,6 +135,21 @@ class TestSimulate:
             DriverSpec.poisson(rate=0.0)
         with pytest.raises(ValueError):
             DriverSpec(kind="weird")
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (DriverSpec.brownian, "sigma"),
+            (DriverSpec.poisson, "rate"),
+            (DriverSpec.linear_drift, "slope"),
+            (lambda v: DriverSpec.from_table([0.0, v]), "table"),
+        ],
+    )
+    def test_nonfinite_parameters_are_refused(self, make, field, bad):
+        with pytest.raises(ValueError, match=f"{field}.* must be finite"):
+            make(bad)
 
 
 class TestDiscreteBracket:

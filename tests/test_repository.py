@@ -1,5 +1,6 @@
 """Repository hygiene: no tracked file is one that .gitignore marks as
-generated, and no library module rebinds a module-level name from a function."""
+generated, no library module rebinds a module-level name from a function,
+and no public library function takes a private parameter."""
 
 import ast
 import shutil
@@ -36,4 +37,20 @@ def test_library_has_no_global_statement():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         if isinstance(node, ast.Global)
     ]
+    assert found == []
+
+
+def test_public_functions_take_no_private_parameter():
+    # a parameter named _x on a public function is an option its callers
+    # are told not to set: either it is part of the interface or it goes
+    found = []
+    for path in sorted((ROOT / "src" / "itoflow").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            found += [f"{node.name}.{p.arg}" for p in params if p.arg.startswith("_")]
     assert found == []

@@ -152,6 +152,13 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="max_fiber"):
             enumerate_surjections(4, 2, max_fiber=-1)
 
+    @pytest.mark.parametrize(
+        "args, message", [((3, -1), "max_fiber must be >= 0"), ((-2,), "need 0 <= n")]
+    )
+    def test_grade_bounds_are_checked(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            enumerate_grade(*args)
+
     def test_bounded_grade_continuous_counts(self):
         # fiber size <= 2: n=3 gives 6 bijections + 6 one-pair maps
         assert len(enumerate_grade(3, max_fiber=2)) == 12

@@ -9,7 +9,9 @@ class machinery.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 
 # Kept for callers that record it in run metadata; there is no other backend.
 BACKEND = "python"
@@ -129,19 +131,17 @@ def apply_to_blocks(f, blocks):
     return tuple(tuple(sorted(fb)) for fb in fibers)
 
 
-def diamond_words(f, g):
-    """All terms of the surjection product f diamond g, coefficient 1 each.
+@lru_cache(maxsize=64)
+def diamond_plan(k, l):
+    """Index pairs of every surjection product of shape (k, l), in term order.
 
-    A term is built from a pair of strictly increasing maps alpha: [k] -> [r]
-    and beta: [l] -> [r] whose images jointly cover [r]; the term is the
-    concatenation (alpha o f, beta o g).  Distinct pairs give distinct terms.
+    One tuple alpha + beta per pair of strictly increasing maps
+    alpha: [k] -> [r] and beta: [l] -> [r] whose images jointly cover [r].
+    The pairs depend only on the targets k and l, so they are enumerated
+    once per shape and kept for at most 64 shapes (least recently used
+    dropped first).  For identity operands the entries are the terms
+    themselves: alpha o id = alpha.
     """
-    if not f:
-        return [tuple(g)]
-    if not g:
-        return [tuple(f)]
-    k = max(f)
-    l = max(g)
     out = []
     for r in range(max(k, l), k + l + 1):
         universe = range(1, r + 1)
@@ -153,9 +153,23 @@ def diamond_words(f, g):
             # beta must contain every value alpha misses
             free = [x for x in universe if x in aset]
             for extra in combinations(free, l - len(need)):
-                beta = tuple(sorted(need + list(extra)))
-                term = tuple(alpha[x - 1] for x in f) + tuple(
-                    beta[y - 1] for y in g
-                )
-                out.append(term)
-    return out
+                out.append(alpha + tuple(sorted(need + list(extra))))
+    return tuple(out)
+
+
+def diamond_words(f, g):
+    """All terms of the surjection product f diamond g, coefficient 1 each.
+
+    A term is built from a pair of strictly increasing maps alpha: [k] -> [r]
+    and beta: [l] -> [r] whose images jointly cover [r]; the term is the
+    concatenation (alpha o f, beta o g).  Distinct pairs give distinct terms.
+    Each term selects its values from the pair's entry of diamond_plan(k, l).
+    """
+    if not f:
+        return [tuple(g)]
+    if not g:
+        return [tuple(f)]
+    k = max(f)
+    # both operands are nonempty, so pick always returns a tuple
+    pick = itemgetter(*[x - 1 for x in f], *[k + y - 1 for y in g])
+    return list(map(pick, diamond_plan(k, max(g))))

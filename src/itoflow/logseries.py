@@ -73,8 +73,9 @@ def log_identity_closed_form(max_grade: int) -> SurjElement:
     _check_order(max_grade)
     data = {}
     for n in range(1, max_grade + 1):
+        by_descents = [descent_coefficient(n, d) for d in range(n)]
         for f in enumerate_grade(n):
-            data[f] = descent_coefficient(n, f.descent_count())
+            data[f] = by_descents[f.descent_count()]
     return SurjElement._raw(data)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -296,8 +297,14 @@ def bundle_from_binary(blob: bytes) -> PathBundle:
 
     The header counts are checked against the blob length before anything
     past the header is read, so a corrupt count cannot ask for more bytes
-    than the blob holds.
+    than the blob holds.  Anything but bytes, bytearray or memoryview
+    raises TypeError.
     """
+    if not isinstance(blob, (bytes, bytearray, memoryview)):
+        raise TypeError(
+            f"a path-bundle binary is bytes, bytearray or memoryview, not {type(blob).__name__}"
+        )
+    blob = memoryview(blob).cast("B")  # lengths and offsets count bytes
     if blob[:8] != BINARY_MAGIC:
         raise BundleFormatError("not a path-bundle binary (bad magic)", 0)
     if len(blob) < 24:
@@ -331,8 +338,15 @@ def bundle_from_binary(blob: bytes) -> PathBundle:
     return PathBundle(paths)
 
 
+def _check_file_path(path) -> None:
+    # open() would adopt an int (or bool) as a file descriptor and close it
+    if not isinstance(path, (str, os.PathLike)):
+        raise TypeError(f"a bundle file path is a str or os.PathLike, not {type(path).__name__}")
+
+
 def write_bundle(path, bundle: PathBundle, binary: bool | None = None) -> None:
     """Write CSV or binary, inferred from a .bin/.itopath suffix by default."""
+    _check_file_path(path)
     if binary is None:
         binary = str(path).endswith((".bin", ".itopath"))
     if binary:
@@ -344,6 +358,8 @@ def write_bundle(path, bundle: PathBundle, binary: bool | None = None) -> None:
 
 
 def read_bundle(path) -> PathBundle:
+    """Read a bundle written by write_bundle, binary or CSV by its magic."""
+    _check_file_path(path)
     with open(path, "rb") as fh:
         head = fh.read(8)
         rest = fh.read()

@@ -20,11 +20,10 @@ qsh; the half-products are left undefined on it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from operator import attrgetter
 
 from ._config import check_weight
-from .kernels import diamond_words, qsh_words, apply_to_blocks
+from .kernels import apply_to_blocks, diamond_plan, qsh_words
 from .words import (
     BracketWord,
     Expansion,
@@ -116,12 +115,6 @@ def bullet(u, v) -> Expansion:
     return _bilinear(_bullet_pair, u, v)
 
 
-@lru_cache(maxsize=64)
-def _identity_diamond(n: int, m: int) -> tuple:
-    """Terms of ident_n diamond ident_m, the surjections of qsh shape (n, m)."""
-    return tuple(diamond_words(tuple(range(1, n + 1)), tuple(range(1, m + 1))))
-
-
 def qsh_via_surjections(u: WordLike, v: WordLike) -> Expansion:
     """qsh computed from its surjection-sum form, as an independent route.
 
@@ -131,17 +124,17 @@ def qsh_via_surjections(u: WordLike, v: WordLike) -> Expansion:
     Those f are exactly the terms of the product of the two identity
     surjections, so the enumeration is shared with the surjection algebra.
 
-    The terms depend only on the shape (n, m), so they are enumerated once
-    per shape and kept in a memo of at most 64 shapes (least recently used
-    dropped first), which holds every shape the default weight cap allows.
-    The weight cap is checked before the memo is read, so a memoized shape
-    still raises CapExceeded when the cap is lowered.
+    The terms depend only on the shape (n, m): they are the entries of
+    kernels.diamond_plan(n, m), enumerated once per shape in the kernel's
+    memo of at most 64 shapes, which holds every shape the default weight
+    cap allows.  The weight cap is checked before the memo is read, so a
+    memoized shape still raises CapExceeded when the cap is lowered.
     """
     u, v = as_word(u), as_word(v)
     check_weight(u.weight + v.weight)
     cat = tuple(u) + tuple(v)
     counts: dict = {}
-    for f in _identity_diamond(len(u), len(v)):
+    for f in diamond_plan(len(u), len(v)):
         w = apply_to_blocks(f, cat)
         counts[w] = counts.get(w, 0) + 1
     return Expansion._raw(

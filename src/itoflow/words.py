@@ -66,7 +66,7 @@ class BracketWord(tuple):
     @property
     def weight(self) -> int:
         """Total letter count over all blocks, with multiplicity."""
-        return sum(len(b) for b in self)
+        return sum(map(len, self))
 
     @property
     def length(self) -> int:

@@ -1,5 +1,6 @@
 """Discretized driver paths: simulation, brackets, file round-trips."""
 
+import os
 import struct
 
 import numpy as np
@@ -218,6 +219,29 @@ class TestSerialization:
         write_bundle(bin_file, b)
         for f in (csv_file, bin_file):
             again = read_bundle(f)
+            for letter in b.letters():
+                assert np.array_equal(again[letter].values, b[letter].values)
+
+    @pytest.mark.parametrize("path", [True, 1, b"paths.csv", None])
+    def test_file_path_of_another_type_is_refused(self, path):
+        # an int or a bool would be taken as a file descriptor and closed
+        with pytest.raises(TypeError, match="str or os.PathLike"):
+            read_bundle(path)
+        with pytest.raises(TypeError, match="str or os.PathLike"):
+            write_bundle(path, _bundle())
+        os.fstat(1)
+
+    @pytest.mark.parametrize("blob", [np.int64(3), 3, "ITOPATH1", None, [0] * 24])
+    def test_binary_of_another_type_is_refused(self, blob):
+        with pytest.raises(TypeError, match="bytes, bytearray or memoryview"):
+            bundle_from_binary(blob)
+
+    def test_binary_from_a_buffer(self):
+        b = _bundle()
+        blob = bundle_to_binary(b)
+        wide = memoryview(np.frombuffer(blob, dtype="<f8"))  # counts 8-byte items
+        for view in (bytearray(blob), memoryview(blob), wide):
+            again = bundle_from_binary(view)
             for letter in b.letters():
                 assert np.array_equal(again[letter].values, b[letter].values)
 

@@ -21,7 +21,7 @@ from itoflow import (
     caps,
     parse_word,
 )
-from itoflow import quasishuffle
+from itoflow import kernels, quasishuffle
 
 letters = st.integers(min_value=1, max_value=3)
 blocks = st.lists(letters, min_size=1, max_size=2).map(lambda ls: tuple(sorted(ls)))
@@ -187,7 +187,7 @@ def test_surjection_route_checks_the_cap_on_a_memoized_shape():
 
 
 def test_surjection_route_memo_is_bounded():
-    memo = quasishuffle._identity_diamond
+    memo = kernels.diamond_plan
     memo.cache_clear()
     for n in range(9):
         for m in range(9 - n):
@@ -205,7 +205,7 @@ def test_surjection_route_does_not_use_qsh_words(monkeypatch):
         raise AssertionError("qsh_words called by the surjection route")
 
     monkeypatch.setattr(quasishuffle, "qsh_words", refuse)
-    quasishuffle._identity_diamond.cache_clear()
+    kernels.diamond_plan.cache_clear()
     expected = Expansion(
         (parse_word(w), 1)
         for w in [

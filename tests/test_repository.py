@@ -1,6 +1,7 @@
 """Repository hygiene: no tracked file is one that .gitignore marks as
 generated, no library module rebinds a module-level name from a function,
-and no public library function takes a private parameter."""
+every library memo has a stated finite size, and no public library
+function takes a private parameter."""
 
 import ast
 import shutil
@@ -36,6 +37,37 @@ def test_library_has_no_global_statement():
         for path in sorted((ROOT / "src" / "itoflow").rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         if isinstance(node, ast.Global)
+    ]
+    assert found == []
+
+
+def _callee_name(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    if isinstance(target, ast.Attribute):
+        return target.attr
+    return target.id if isinstance(target, ast.Name) else None
+
+
+def _literal_maxsize(decorator):
+    if not isinstance(decorator, ast.Call):
+        return None  # bare @lru_cache / @cache: the size is not stated
+    given = [k.value for k in decorator.keywords if k.arg == "maxsize"] + decorator.args[:1]
+    if given and isinstance(given[0], ast.Constant):
+        value = given[0].value
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+    return None
+
+
+def test_library_memos_are_bounded():
+    # a memo without a stated finite size grows with every distinct argument
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+        for path in sorted((ROOT / "src" / "itoflow").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for d in node.decorator_list
+        if _callee_name(d) in ("lru_cache", "cache") and _literal_maxsize(d) is None
     ]
     assert found == []
 

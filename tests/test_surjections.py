@@ -179,6 +179,26 @@ def test_kernel_surjections_match_brute_force(n, k, max_fiber):
     assert kernels.surjections(n, k, max_fiber) == expected
 
 
+
+def test_diamond_kernel_matches_brute_force():
+    """Every (f, g) of arity sum <= 6, empty operands included: the kernel's
+    terms are distinct and are exactly the arity-(n+m) surjections whose two
+    blocks pack to f and g; the per-shape plan memo stays bounded."""
+    kernels.diamond_plan.cache_clear()
+    for total in range(7):
+        for n in range(total + 1):
+            m = total - n
+            expected = {}
+            for h in enumerate_grade(total):
+                expected.setdefault((pack(h[:n]), pack(h[n:])), set()).add(h)
+            for f in enumerate_grade(n):
+                for g in enumerate_grade(m):
+                    terms = kernels.diamond_words(f, g)
+                    assert len(set(terms)) == len(terms), (f, g)
+                    assert set(terms) == expected[f, g], (f, g)
+                    info = kernels.diamond_plan.cache_info()
+                    assert info.maxsize is not None and info.currsize <= info.maxsize
+
 class TestDiamond:
     def test_grade_adds_no_higher(self):
         a = SurjElement.of(Surjection((1, 2)))

@@ -41,6 +41,15 @@ def _checked(name: str, value):
     return value
 
 
+def _count(name: str, value) -> int:
+    """value as an int of at least 1, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, not {value}")
+    return int(value)
+
+
 def caps(weight: int | None = None, grade: int | None = None):
     """Context manager that sets the (weight, grade) caps for the body of a
     with block.  None keeps the current cap; any other value must be a

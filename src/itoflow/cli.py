@@ -1,16 +1,17 @@
 """Command-line front end.
 
 Subcommands: qsh, surj-log, logflow, matrix-log, verify, simulate,
-flow-compare.  Common flags: --json for machine output, --out FILE to
-write instead of printing, --seed for anything stochastic, --max-grade to
-set the size caps for one call, --deterministic to suppress the report
-timestamp.
+flow-compare.  Each declares only the flags it reads: --json for machine
+output, --out FILE to write instead of printing, --max-grade to set the
+size caps for one call, --seed, and --deterministic to suppress the report
+timestamp.  A default that the called library function has is left to it.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -30,26 +31,40 @@ from .logseries import (
 from .matrixseries import matrix_ito_taylor, matrix_log
 from .paths import DriverSpec, make_grid, simulate_bundle, write_bundle, bundle_to_csv
 from .quasishuffle import qsh
-from .verify import flow_problem, run_suite
+from .verify import SUITES, flow_problem, run_suite
 from .words import UNIT_WORD, Expansion, parse_word
 
+LOG_FORMS = {
+    "closed": log_identity_closed_form,
+    "series": log_identity_series,
+    "subset": log_identity_subset_form,
+    "strichartz": strichartz_restriction,
+}
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.add_argument("--out", metavar="FILE", help="write output to FILE")
-    p.add_argument("--seed", type=int, default=0, help="master seed for stochastic commands")
-    p.add_argument(
-        "--max-grade",
+FLAGS = {
+    "--json": dict(action="store_true", help="emit JSON instead of text"),
+    "--out": dict(metavar="FILE", help="write output to FILE"),
+    "--max-grade": dict(
         type=int,
         metavar="N",
         help="set the surjection-grade cap to N and raise the word-weight cap "
         "to at least N, for this call only",
-    )
-    p.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="suppress the timestamp field in reports",
-    )
+    ),
+    "--seed": dict(type=int, default=argparse.SUPPRESS, help="master seed"),
+    "--deterministic": dict(action="store_true", help="suppress the timestamp field in reports"),
+}
+OUTPUT_FLAGS = ("--json", "--out", "--max-grade")
+REPORT_FLAGS = OUTPUT_FLAGS + ("--seed", "--deterministic")
+
+
+def _flags(p: argparse.ArgumentParser, names) -> None:
+    for name in names:
+        p.add_argument(name, **FLAGS[name])
+
+
+def _given(args, *names) -> dict:
+    """The named flags the command line set; the others keep the library's defaults."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _emit(args, text: str) -> None:
@@ -60,10 +75,8 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _call_caps(args):
-    """The caps for one call: --max-grade N sets the grade cap to N and
-    raises the word-weight cap to at least N."""
-    n = args.max_grade
+def _call_caps(n):
+    """The caps for one call: grade cap n and a word-weight cap of at least n."""
     if n is None:
         return caps()
     if n < 1:
@@ -84,15 +97,7 @@ def cmd_qsh(args) -> int:
 
 
 def cmd_surj_log(args) -> int:
-    forms = {
-        "closed": log_identity_closed_form,
-        "series": log_identity_series,
-        "subset": log_identity_subset_form,
-    }
-    el = forms[args.form](args.grade)
-    if args.strichartz:
-        el = strichartz_restriction(args.grade)
-    return _emit_result(args, el)
+    return _emit_result(args, LOG_FORMS[args.form](args.grade))
 
 
 def cmd_logflow(args) -> int:
@@ -103,10 +108,8 @@ def cmd_logflow(args) -> int:
         paired_qv=args.continuous,
     )
     terms = log_flow_terms(alphabet, args.order)
-    if args.json:
-        _emit(args, terms_to_json(terms, indent=2))
-    else:
-        _emit(args, "\n".join(t.pretty() for t in terms))
+    text = terms_to_json(terms, indent=2) if args.json else "\n".join(t.pretty() for t in terms)
+    _emit(args, text)
     return 0
 
 
@@ -116,15 +119,11 @@ def cmd_matrix_log(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite in ("algebra", "theorem"):
-        kwargs["grade"] = args.grade
-    if args.suite == "algebra":
-        kwargs["seed"] = args.seed
-    if args.suite == "pathwise":
-        kwargs.update(seed=args.seed, steps=args.steps)
-    if args.suite == "flow":
-        kwargs.update(seed=args.seed, steps=args.steps, paths=args.paths)
+    params = inspect.signature(SUITES[args.suite]).parameters
+    kwargs = _given(args, "grade", "steps", "paths", "seed")
+    unread = [f"--{name}" for name in kwargs if name not in params]
+    if unread:
+        raise ValueError(f"suite {args.suite} does not take {', '.join(unread)}")
     ok, reports = run_suite(args.suite, **kwargs)
     payload = {"suite": args.suite, "pass": ok, "cases": reports}
     if not args.deterministic:
@@ -132,12 +131,14 @@ def cmd_verify(args) -> int:
     if args.json:
         _emit(args, json.dumps(payload, indent=2))
     else:
+        # a suite without a seed (theorem) reports seed 0
+        seed = kwargs.get("seed", params["seed"].default if "seed" in params else 0)
         lines = [
             f"[{'PASS' if r['pass'] else 'FAIL'}] {r['test']} "
             f"(err {r['max_abs_err']:.3g}, tol {r['tolerance']:.3g})"
             for r in reports
         ]
-        lines.append(f"suite {args.suite}: {'PASS' if ok else 'FAIL'} (seed {args.seed})")
+        lines.append(f"suite {args.suite}: {'PASS' if ok else 'FAIL'} (seed {seed})")
         _emit(args, "\n".join(lines))
     return 0 if ok else 1
 
@@ -145,27 +146,24 @@ def cmd_verify(args) -> int:
 def _parse_driver(spec: str) -> DriverSpec:
     kind, _, param = spec.partition(":")
     kind = kind.strip().lower()
-    value = float(param) if param else None
+    value = float(param) if param else 1.0
     if kind == "brownian":
-        return DriverSpec.brownian(1.0 if value is None else value)
+        return DriverSpec.brownian(value)
     if kind == "poisson":
-        return DriverSpec.poisson(1.0 if value is None else value)
+        return DriverSpec.poisson(value)
     if kind in ("drift", "linear_drift"):
-        return DriverSpec.linear_drift(1.0 if value is None else value)
+        return DriverSpec.linear_drift(value)
     raise ValueError(f"unknown driver {kind!r}; use brownian, poisson or drift")
 
 
 def cmd_simulate(args) -> int:
-    specs = {
-        i + 1: _parse_driver(s)
-        for i, s in enumerate(args.drivers.split(","))
-    }
+    specs = {i: _parse_driver(s) for i, s in enumerate(args.drivers.split(","), 1)}
     grid = make_grid(args.horizon, args.steps)
-    bundle = simulate_bundle(specs, grid, seed=args.seed, path_index=args.path_index)
+    bundle = simulate_bundle(specs, grid, **_given(args, "seed", "path_index"))
     if args.out:
-        write_bundle(args.out, bundle, binary=args.binary or None)
-        return 0
-    _emit(args, bundle_to_csv(bundle))
+        write_bundle(args.out, bundle)
+    else:
+        print(bundle_to_csv(bundle))
     return 0
 
 
@@ -178,12 +176,11 @@ def _parse_matrix(text: str, dim: int) -> np.ndarray:
 
 
 def cmd_flow_compare(args) -> int:
-    dim = args.dim
-    problem = flow_problem(args.steps, dim=dim, horizon=args.horizon)
+    problem = flow_problem(args.steps, **_given(args, "dim", "horizon"))
     if args.drift:
-        problem = replace(problem, drift=_parse_matrix(args.drift, dim))
+        problem = replace(problem, drift=_parse_matrix(args.drift, problem.dim))
     if args.diffusion:
-        problem = replace(problem, diffusion=_parse_matrix(args.diffusion, dim))
+        problem = replace(problem, diffusion=_parse_matrix(args.diffusion, problem.dim))
     orders = [int(k) for k in args.orders.split(",")]
     report = compare_flows(problem, orders, args.paths, args.seed)
     if not args.deterministic:
@@ -192,7 +189,8 @@ def cmd_flow_compare(args) -> int:
         _emit(args, json.dumps(report, indent=2))
     else:
         lines = [
-            f"dim {dim}, T {args.horizon}, steps {args.steps}, paths {args.paths}, seed {args.seed}"
+            f"dim {problem.dim}, T {problem.horizon}, steps {args.steps}, "
+            f"paths {args.paths}, seed {args.seed}"
         ]
         for k in report["orders"]:
             lines.append(
@@ -213,14 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qsh", help="quasi-shuffle product of word literals")
     p.add_argument("words", nargs="+", help="word literals like 1.2 or [1,3].2")
-    _common_flags(p)
+    _flags(p, OUTPUT_FLAGS)
     p.set_defaults(fn=cmd_qsh)
 
     p = sub.add_parser("surj-log", help="log of the identity series of surjections")
     p.add_argument("--grade", type=int, default=4)
-    p.add_argument("--form", choices=("closed", "series", "subset"), default="closed")
-    p.add_argument("--strichartz", action="store_true", help="bijection part only")
-    _common_flags(p)
+    p.add_argument(
+        "--form", choices=tuple(LOG_FORMS), default="closed", help="strichartz: bijection part only"
+    )
+    _flags(p, OUTPUT_FLAGS)
     p.set_defaults(fn=cmd_surj_log)
 
     p = sub.add_parser("logflow", help="flow-map log templates")
@@ -231,25 +230,25 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="restrict to continuous drivers (drops deep-bracket terms)",
     )
-    _common_flags(p)
+    _flags(p, OUTPUT_FLAGS)
     p.set_defaults(fn=cmd_logflow)
 
     p = sub.add_parser("matrix-log", help="entry-wise log of a linear matrix flow")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--taylor", action="store_true", help="emit the flow series instead")
-    _common_flags(p)
+    _flags(p, OUTPUT_FLAGS)
     p.set_defaults(fn=cmd_matrix_log)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=("algebra", "theorem", "pathwise", "flow"))
-    p.add_argument("--grade", type=int, default=4)
-    p.add_argument("--steps", type=int, default=4096)
-    p.add_argument("--paths", type=int, default=128)
-    _common_flags(p)
+    p.add_argument("suite", choices=tuple(SUITES))
+    p.add_argument("--grade", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--steps", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--paths", type=int, default=argparse.SUPPRESS)
+    _flags(p, REPORT_FLAGS)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("simulate", help="simulate a driver bundle to CSV or binary")
+    p = sub.add_parser("simulate", help="simulate a driver bundle to CSV or a .bin/.itopath file")
     p.add_argument(
         "--drivers",
         default="brownian:1.0",
@@ -257,30 +256,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=1024)
-    p.add_argument("--path-index", type=int, default=0)
-    p.add_argument("--binary", action="store_true", help="force the binary format")
-    _common_flags(p)
+    p.add_argument("--path-index", type=int, default=argparse.SUPPRESS)
+    _flags(p, ("--out", "--seed"))
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("flow-compare", help="strong-error study of the flow routes")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=int, default=argparse.SUPPRESS)
     p.add_argument("--orders", default="1,2,3")
-    p.add_argument("--horizon", type=float, default=0.1)
+    p.add_argument("--horizon", type=float, default=argparse.SUPPRESS)
     p.add_argument("--steps", type=int, default=16384)
     p.add_argument("--paths", type=int, default=1000)
     p.add_argument("--drift", help="matrix as rows 'a,b;c,d'")
     p.add_argument("--diffusion", help="matrix as rows 'a,b;c,d'")
-    _common_flags(p)
-    p.set_defaults(fn=cmd_flow_compare)
+    _flags(p, REPORT_FLAGS)
+    p.set_defaults(fn=cmd_flow_compare, seed=0)  # compare_flows takes no default seed
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        with _call_caps(args):
+        with _call_caps(getattr(args, "max_grade", None)):
             return args.fn(args)
     except ValueError as exc:  # CapExceeded and WordParseError included
         print(f"error: {exc}", file=sys.stderr)

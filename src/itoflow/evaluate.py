@@ -84,6 +84,8 @@ class Evaluator:
     """
 
     def __init__(self, increments: Mapping[int, np.ndarray]):
+        if not isinstance(increments, Mapping):
+            raise TypeError(f"increments is a mapping of letters, not {type(increments).__name__}")
         incs = {int(k): np.asarray(v, dtype=np.float64) for k, v in increments.items()}
         if not incs:
             raise ValueError("need at least one driver")

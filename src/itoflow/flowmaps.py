@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._config import check_grade
+from ._config import _count, check_grade
 from .logseries import descent_coefficient
 from .surjections import Surjection, enumerate_grade
 from .words import (
@@ -56,8 +56,7 @@ class DriverAlphabet:
     paired_qv: bool = True
 
     def __post_init__(self):
-        if self.n_primary < 1:
-            raise ValueError("need at least one primary driver")
+        object.__setattr__(self, "n_primary", _count("n_primary", self.n_primary))
 
     @property
     def n_letters(self) -> int:

@@ -22,9 +22,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._config import _count
 from .evaluate import Evaluator
 from .matrixseries import MatrixExpansion, entry_letter, matrix_ito_taylor, matrix_log
-from .paths import _check_horizon, _count, make_grid, rng_for
+from .paths import _check_horizon, make_grid, rng_for
 
 EXPM_TOL = 1e-12
 # flow_reference forms dM for about this many floats' worth of steps at once
@@ -202,9 +203,9 @@ def compare_flows(
     path order, so a given (seed, batch_size) is bit-reproducible.
     """
     n_paths, batch_size = _count("n_paths", n_paths), _count("batch_size", batch_size)
-    orders = sorted(set(int(k) for k in orders))
-    if not orders or orders[0] < 1:
-        raise ValueError("orders must be positive")
+    orders = sorted({_count("order", k) for k in orders})
+    if not orders:
+        raise ValueError("need at least one order")
     kmax = orders[-1]
     taylor_sym = matrix_ito_taylor(problem.dim, kmax + 1)
     log_sym = matrix_log(problem.dim, kmax)

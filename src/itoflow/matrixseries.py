@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from ._config import check_weight
+from ._config import _count, check_weight
 from .logseries import log_identity_closed_form
 from .quasishuffle import qsh
 from .surjections import apply_element
@@ -48,8 +48,7 @@ class MatrixExpansion:
     __slots__ = ("dim", "entries")
 
     def __init__(self, dim: int, entries: Iterable[Iterable[Expansion]]):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        dim = _count("dim", dim)
         grid = tuple(tuple(row) for row in entries)
         if len(grid) != dim or any(len(row) != dim for row in grid):
             raise ValueError(f"entries must form a {dim}x{dim} grid")

@@ -15,10 +15,11 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from ._config import _count
 
 BINARY_MAGIC = b"ITOPATH1"
 
@@ -80,15 +81,6 @@ class SamplePath:
             f"SamplePath(T={self.grid[-1]:g}, steps={self.n_steps}, "
             f"terminal={self.terminal:g})"
         )
-
-
-def _count(name: str, value) -> int:
-    """value as an int of at least 1, else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an int, not {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, not {value}")
-    return int(value)
 
 
 def _check_horizon(horizon) -> None:
@@ -344,12 +336,10 @@ def _check_file_path(path) -> None:
         raise TypeError(f"a bundle file path is a str or os.PathLike, not {type(path).__name__}")
 
 
-def write_bundle(path, bundle: PathBundle, binary: bool | None = None) -> None:
-    """Write CSV or binary, inferred from a .bin/.itopath suffix by default."""
+def write_bundle(path, bundle: PathBundle) -> None:
+    """Write binary for a .bin or .itopath suffix, else CSV."""
     _check_file_path(path)
-    if binary is None:
-        binary = str(path).endswith((".bin", ".itopath"))
-    if binary:
+    if str(path).endswith((".bin", ".itopath")):
         with open(path, "wb") as fh:
             fh.write(bundle_to_binary(bundle))
     else:

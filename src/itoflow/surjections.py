@@ -104,6 +104,8 @@ def parse_surjection(text: str) -> Surjection:
     Accepts a digit string '212', the same in parentheses '(212)' (how
     SurjElement.pretty shows it) or a comma list '(2,1,2)'; '()' is the unit.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"a surjection literal is a str, not {type(text).__name__}")
     text = text.strip()
     if text in ("", "()"):
         return Surjection()
@@ -133,6 +135,7 @@ def enumerate_surjections(n: int, k: int, max_fiber: int = 0) -> list[Surjection
     max_fiber > 0 keeps only those with every preimage of size <= max_fiber;
     max_fiber=2 is the index set that survives for continuous drivers.
     """
+    check_grade(n)
     if n == 0 and k == 0:
         return [Surjection()]
     if not 1 <= k <= n:
@@ -146,6 +149,7 @@ def enumerate_grade(n: int, max_fiber: int = 0) -> list[Surjection]:
     """All surjections of arity n, any target size, in (k, lex) order."""
     if n < 0:
         raise ValueError(f"need 0 <= n, got n={n}")
+    check_grade(n)
     if max_fiber < 0:
         raise ValueError("max_fiber must be >= 0 (0 is unbounded)")
     if n == 0:
@@ -279,7 +283,10 @@ class Composition(tuple):
 
 def compositions_of(n: int) -> list[Composition]:
     """All compositions of n, in length-then-lex order."""
-    out = [[]] if n == 0 else []
+    if n < 0:
+        raise ValueError(f"need 0 <= n, got n={n}")
+    check_grade(n)
+    out = []
     stack = [(n, [])]
     while stack:
         rest, parts = stack.pop()

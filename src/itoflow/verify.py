@@ -10,8 +10,8 @@ coefficients and the tolerance is zero; for pathwise checks it is a
 floating-point residual.  A suite passes when every case does.
 
 Each identity that the acceptance criteria also check is one check_*
-function with its sizes as parameters: the suites call it at the CLI
-defaults, the criteria at their own, larger sizes.
+function with its sizes as parameters: the suites call it at their own
+defaults, which the CLI leaves to them, the criteria at larger sizes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._config import weight_cap
+from ._config import _count, weight_cap
 from .evaluate import Evaluator
 from .flows import FlowProblem, compare_flows
 from .logseries import (
@@ -39,7 +39,6 @@ from .paths import (
     DriverSpec,
     PathBundle,
     SamplePath,
-    _count,
     discrete_bracket,
     make_grid,
     simulate_bundle,

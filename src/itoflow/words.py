@@ -161,6 +161,8 @@ def parse_word(text: str) -> BracketWord:
     '2[13]', '112'.  The unit word is written 'e'; an empty string is an
     error so that silently blank CLI arguments do not pass as units.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"a word literal is a str, not {type(text).__name__}")
     text = text.strip()
     if not text:
         raise WordParseError(text, 0, "empty word literal (write 'e' for the unit)")

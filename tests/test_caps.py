@@ -1,13 +1,26 @@
-"""Scoped size caps: itoflow.caps holds for one block, in one context."""
+"""Scoped size caps: itoflow.caps holds for one block, in one context; and
+sizes in the exact layer are ints of at least 1."""
 
 import contextvars
 import threading
 
 import pytest
 
-from itoflow import CapExceeded, caps, grade_cap, log_identity_closed_form, weight_cap
+from itoflow import (
+    CapExceeded,
+    DriverAlphabet,
+    Expansion,
+    MatrixExpansion,
+    caps,
+    compare_flows,
+    grade_cap,
+    log_identity_closed_form,
+    matrix_log,
+    weight_cap,
+)
 from itoflow._config import DEFAULT_GRADE_CAP, DEFAULT_WEIGHT_CAP
 from itoflow.cli import main
+from itoflow.verify import flow_problem
 
 
 def current():
@@ -106,3 +119,27 @@ def test_cli_max_grade_below_one_exits_2(capsys):
     assert main(["surj-log", "--grade", "1", "--max-grade", "0"]) == 2
     assert "--max-grade must be >= 1" in capsys.readouterr().err
     assert current() == outer
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: matrix_log(True, 2), "dim must be an int, not True"),
+        (lambda: MatrixExpansion(2.5, [[Expansion.unit()]]), "dim must be an int, not 2.5"),
+        (lambda: MatrixExpansion(0, []), "dim must be >= 1, not 0"),
+        (lambda: DriverAlphabet(2.5), "n_primary must be an int, not 2.5"),
+        (lambda: DriverAlphabet(True), "n_primary must be an int, not True"),
+        (lambda: DriverAlphabet(0), "n_primary must be >= 1, not 0"),
+        (lambda: compare_flows(flow_problem(8), [1.5], 2, 0), "order must be an int, not 1.5"),
+        (lambda: compare_flows(flow_problem(8), [0, 1], 2, 0), "order must be >= 1, not 0"),
+        (lambda: compare_flows(flow_problem(8), [], 2, 0), "need at least one order"),
+    ],
+    ids=[
+        "matrix_log-dim-bool", "MatrixExpansion-dim-float", "MatrixExpansion-dim-zero",
+        "DriverAlphabet-float", "DriverAlphabet-bool", "DriverAlphabet-zero",
+        "compare_flows-order-float", "compare_flows-order-zero", "compare_flows-no-order",
+    ],
+)
+def test_sizes_are_counts(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

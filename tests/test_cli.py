@@ -1,5 +1,6 @@
 """Command-line interface: output forms, files, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -16,9 +17,10 @@ from itoflow import (
     grade_cap,
     log_identity_closed_form,
     read_bundle,
+    strichartz_restriction,
     weight_cap,
 )
-from itoflow.cli import main
+from itoflow.cli import build_parser, main
 from itoflow.verify import flow_problem
 
 
@@ -26,6 +28,49 @@ def run_cli(*argv, capsys=None):
     code = main(list(argv))
     out = capsys.readouterr() if capsys else None
     return code, out
+
+
+OUTPUT = ["--json", "--out", "--max-grade"]
+REPORT = OUTPUT + ["--seed", "--deterministic"]
+OPTIONS = {
+    "qsh": OUTPUT,
+    "surj-log": ["--grade", "--form"] + OUTPUT,
+    "logflow": ["--order", "--drivers", "--continuous"] + OUTPUT,
+    "matrix-log": ["--dim", "--order", "--taylor"] + OUTPUT,
+    "verify": ["--grade", "--steps", "--paths"] + REPORT,
+    "simulate": ["--drivers", "--horizon", "--steps", "--path-index", "--out", "--seed"],
+    "flow-compare": [
+        "--dim", "--orders", "--horizon", "--steps", "--paths", "--drift", "--diffusion",
+    ] + REPORT,
+}
+
+
+def test_each_subcommand_declares_the_flags_it_reads():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {
+        name: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
+        for name, p in sub.choices.items()
+    }
+    assert declared == OPTIONS
+    assert sum(map(len, declared.values())) == 46
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qsh", "1", "--seed", "1"),
+        ("matrix-log", "--deterministic"),
+        ("simulate", "--json"),
+        ("simulate", "--binary"),
+        ("surj-log", "--strichartz"),
+    ],
+)
+def test_a_flag_the_command_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    assert exit_.value.code == 2
+    flag = next(a for a in argv if a.startswith("--"))
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestQsh:
@@ -89,6 +134,13 @@ class TestSurjLog:
             assert code == 0
             outputs.append(SurjElement.from_json_dict(json.loads(out.out)))
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_strichartz_form_is_the_bijection_part(self, capsys):
+        code, out = run_cli(
+            "surj-log", "--grade", "3", "--form", "strichartz", "--json", capsys=capsys
+        )
+        assert code == 0
+        assert SurjElement.from_json_dict(json.loads(out.out)) == strichartz_restriction(3)
 
     def test_text_form(self, capsys):
         code, out = run_cli("surj-log", "--grade", "1", capsys=capsys)
@@ -196,6 +248,21 @@ class TestVerify:
         assert code == 0
         assert first.out == second.out
 
+    @pytest.mark.parametrize(
+        "argv, unread",
+        [
+            (("theorem", "--steps", "8"), "--steps"),
+            (("theorem", "--seed", "3"), "--seed"),
+            (("algebra", "--paths", "2", "--steps", "8"), "--steps, --paths"),
+            (("pathwise", "--grade", "3"), "--grade"),
+        ],
+    )
+    def test_a_flag_the_suite_does_not_take_exits_2(self, capsys, argv, unread):
+        code, out = run_cli("verify", *argv, capsys=capsys)
+        assert code == 2
+        assert out.err == f"error: suite {argv[0]} does not take {unread}\n"
+        assert out.out == ""
+
     @pytest.mark.parametrize("paths", ["0", "-3"])
     def test_flow_suite_with_no_paths_exits_2(self, capsys, paths):
         code, out = run_cli("verify", "flow", "--steps", "8", "--paths", paths, capsys=capsys)
@@ -250,6 +317,13 @@ class TestFlowCompare:
         assert code == 0
         report = compare_flows(flow_problem(64, dim=3), (1, 2, 3), 8, 0)
         assert json.loads(out.out) == report
+
+    def test_text_header_shows_the_problem_run(self, capsys):
+        code, out = run_cli(
+            "flow-compare", "--steps", "64", "--paths", "8", "--orders", "1", capsys=capsys
+        )
+        assert code == 0
+        assert out.out.splitlines()[0] == "dim 2, T 0.1, steps 64, paths 8, seed 0"
 
     @pytest.mark.parametrize("field", ["drift", "diffusion"])
     def test_one_matrix_overrides_its_default_alone(self, capsys, field):

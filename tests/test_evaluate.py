@@ -201,6 +201,11 @@ class TestEvaluator:
             with pytest.raises(ValueError, match="letter 2"):
                 Evaluator({1: np.zeros(3), 2: np.array([0.0, bad, 1.0])})
 
+    @pytest.mark.parametrize("increments", [float("nan"), [1], None, np.zeros(3)])
+    def test_increments_of_another_type_are_refused(self, increments):
+        with pytest.raises(TypeError, match="mapping of letters"):
+            Evaluator(increments)
+
 
 # words over letters 1-4, of which only 1..n are bound; short, so blocks
 # and whole prefixes repeat often

@@ -122,6 +122,11 @@ class TestSurjection:
         assert parse_surjection(SurjElement.of(f).pretty()) == f
         assert parse_surjection("(212)") == (2, 1, 2)
 
+    @pytest.mark.parametrize("text", [5, None, b"12", (1, 2)])
+    def test_parse_refuses_a_non_string(self, text):
+        with pytest.raises(TypeError, match="surjection literal is a str"):
+            parse_surjection(text)
+
     @given(wide_surjections())
     @settings(max_examples=80, deadline=None)
     def test_pretty_parse_round_trip(self, f):
@@ -158,6 +163,19 @@ class TestEnumeration:
     def test_grade_bounds_are_checked(self, args, message):
         with pytest.raises(ValueError, match=message):
             enumerate_grade(*args)
+
+    @pytest.mark.parametrize(
+        "enumerate_, args",
+        [(enumerate_grade, (4,)), (enumerate_surjections, (4, 2)), (compositions_of, (4,))],
+    )
+    def test_enumerators_are_capped(self, enumerate_, args):
+        with caps(grade=3):
+            with pytest.raises(CapExceeded, match="grade 4 exceeds cap 3"):
+                enumerate_(*args)
+            with pytest.raises(CapExceeded):
+                enumerate_(10**30, *args[1:])
+        with caps(grade=4):
+            assert enumerate_(*args)
 
     def test_bounded_grade_continuous_counts(self):
         # fiber size <= 2: n=3 gives 6 bijections + 6 one-pair maps
@@ -323,6 +341,11 @@ class TestCompositions:
             Composition((1, 1, 1)),
         }
         assert len(list(compositions_of(5))) == 2 ** 4
+
+    def test_zero_has_one_composition_and_negatives_none(self):
+        assert compositions_of(0) == [Composition(())]
+        with pytest.raises(ValueError, match="need 0 <= n"):
+            compositions_of(-1)
 
     @pytest.mark.parametrize("parts", [[1.7, 2], [True, 2], [2.0], ["2"], [0, 1], [-1]])
     def test_parts_are_positive_ints(self, parts):

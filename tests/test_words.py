@@ -103,6 +103,11 @@ class TestParsing:
         with pytest.raises(WordParseError):
             parse_word(bad)
 
+    @pytest.mark.parametrize("text", [12, None, b"12", ["1"]])
+    def test_refuses_a_non_string(self, text):
+        with pytest.raises(TypeError, match="word literal is a str"):
+            parse_word(text)
+
     @given(words)
     def test_round_trip_literal(self, w):
         assert parse_word(word_literal(w)) == w

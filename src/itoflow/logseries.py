@@ -17,7 +17,7 @@ log of the flow map, the reason this module exists.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable
 
 from ._config import check_grade
@@ -28,6 +28,7 @@ from .surjections import (
     diamond,
     enumerate_grade,
 )
+from .words import add_scaled
 
 
 def descent_coefficient(n: int, d: int) -> Fraction:
@@ -57,15 +58,16 @@ def log_identity_series(max_grade: int) -> SurjElement:
     positive-arity identities, truncated beyond max_grade.
     """
     _check_order(max_grade)
-    x = SurjElement(
-        [(Surjection.identity(n), 1) for n in range(1, max_grade + 1)]
-    )
-    out = SurjElement.zero()
-    power = SurjElement.unit()
+    # int-valued throughout: the sum is scaled by L = lcm(1..max_grade), so
+    # the k-th power enters with the integer weight (-1)^(k-1) L/k
+    x = SurjElement._raw({Surjection.identity(n): 1 for n in range(1, max_grade + 1)})
+    scale = lcm(*range(1, max_grade + 1))
+    out: dict = {}
+    power = SurjElement._raw({Surjection(): 1})
     for k in range(1, max_grade + 1):
         power = diamond(power, x, max_grade=max_grade)
-        out = out + power * Fraction((-1) ** (k - 1), k)
-    return out
+        add_scaled(out, power._terms, (-1) ** (k - 1) * (scale // k))
+    return SurjElement._over(out, scale)
 
 
 def log_identity_closed_form(max_grade: int) -> SurjElement:
@@ -125,15 +127,25 @@ def exp_element(e: SurjElement, max_grade: int) -> SurjElement:
     _check_order(max_grade)
     if Surjection() in e:
         raise ValueError("exp needs an element with no grade-0 term")
-    e = e.truncate(max_grade)
-    out = SurjElement.unit()
-    power = SurjElement.unit()
-    fact = 1
+    # e = nums / d; the sum is scaled by n! d^n (n = max_grade), so the k-th
+    # power of nums enters with the integer weight n!/k! d^(n-k)
+    nums, d = e.truncate(max_grade)._numerators()
+    unit = Surjection()
+    weights = _exp_weights(max_grade, d)
+    out = {unit: weights[0]}
+    power = SurjElement._raw({unit: 1})
     for k in range(1, max_grade + 1):
-        power = diamond(power, e, max_grade=max_grade)
-        fact *= k
-        out = out + power * Fraction(1, fact)
-    return out
+        power = diamond(power, nums, max_grade=max_grade)
+        add_scaled(out, power._terms, weights[k])
+    return SurjElement._over(out, weights[0])
+
+
+def _exp_weights(n: int, d: int) -> list[int]:
+    """n!/k! d^(n-k) for k = 0..n: the exponential series scaled by n! d^n."""
+    weights = [1] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        weights[k] = weights[k + 1] * (k + 1) * d
+    return weights
 
 
 def strichartz_restriction(max_grade: int) -> SurjElement:

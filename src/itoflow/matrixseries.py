@@ -17,13 +17,21 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable
 
 from ._config import _count, check_weight
-from .logseries import log_identity_closed_form
+from .logseries import _exp_weights, log_identity_closed_form
 from .quasishuffle import qsh
 from .surjections import apply_element
-from .words import BracketWord, Expansion, accumulate, refuse_malformed
+from .words import (
+    UNIT_WORD,
+    BracketWord,
+    Expansion,
+    accumulate,
+    add_scaled,
+    refuse_malformed,
+)
 
 LETTER_ENCODING = "row-major: letter(i, j) = (i - 1) * dim + j, 1-based"
 
@@ -231,15 +239,19 @@ def matrix_log(dim: int, order: int) -> MatrixExpansion:
     if order < 1:
         raise ValueError("order must be >= 1")
     check_weight(order)
-    log_el = log_identity_closed_form(order)
+    log_nums, d = log_identity_closed_form(order)._numerators()
     taylor = matrix_ito_taylor(dim, order)
 
     def act(w: BracketWord) -> Expansion:
         if not w:
             return Expansion.zero()  # the identity part has no log contribution
-        return apply_element(log_el, w, weight_graded=True)
+        return apply_element(log_nums, w, weight_graded=True)
 
-    return taylor.map_entries(lambda e: e.map_words(act))
+    def log_entry(e: Expansion) -> Expansion:
+        nums, t = e._numerators()
+        return Expansion._over(nums.map_words(act)._terms, t * d)
+
+    return taylor.map_entries(log_entry)
 
 
 def matrix_exp(me: MatrixExpansion, order: int) -> MatrixExpansion:
@@ -253,12 +265,23 @@ def matrix_exp(me: MatrixExpansion, order: int) -> MatrixExpansion:
     check_weight(order)
     if me.has_constant_part():
         raise ValueError("exp needs an expansion with no weight-0 part")
+    # as in exp_element: me = nums / d, and the sum is scaled by n! d^n
+    # (n = order), so the k-th power of nums enters with weight n!/k! d^(n-k)
     me = me.truncate_weight(order)
-    total = MatrixExpansion.identity(me.dim)
-    power = MatrixExpansion.identity(me.dim)
-    fact = 1
+    dim = me.dim
+    d = lcm(*(e._denominator() for row in me.entries for e in row))
+    nums = me.map_entries(lambda e: e._numerators(d)[0])
+    weights = _exp_weights(order, d)
+    diagonal = [[i == j for j in range(dim)] for i in range(dim)]
+    total = [[{UNIT_WORD: weights[0]} if on else {} for on in row] for row in diagonal]
+    power = MatrixExpansion(
+        dim, [[Expansion._raw({UNIT_WORD: 1} if on else {}) for on in row] for row in diagonal]
+    )
     for k in range(1, order + 1):
-        power = power.matmul(me, max_weight=order)
-        fact *= k
-        total = total + power * Fraction(1, fact)
-    return total
+        power = power.matmul(nums, max_weight=order)
+        for acc_row, row in zip(total, power.entries):
+            for acc, e in zip(acc_row, row):
+                add_scaled(acc, e._terms, weights[k])
+    return MatrixExpansion(
+        dim, [[Expansion._over(acc, weights[0]) for acc in row] for row in total]
+    )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from fractions import Fraction
+from math import lcm
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -303,6 +304,12 @@ def accumulate(data: dict, key, c) -> None:
         data.pop(key, None)
 
 
+def add_scaled(data: dict, terms: dict, s) -> None:
+    """data[key] += s * c for every term of terms; a zero sum drops the key."""
+    for k, c in terms.items():
+        accumulate(data, k, s * c)
+
+
 def _grade_classes(terms: dict, grade) -> dict:
     classes: dict = {}
     for x, c in terms.items():
@@ -365,6 +372,29 @@ class Combination:
             for k, c in e._terms.items():
                 accumulate(data, k, c)
         return cls._raw(data)
+
+    # integer numerators: the exact series loops multiply and add int-valued
+    # combinations over one common denominator and build one Fraction per
+    # output term at the end, instead of normalizing a Fraction per step
+    def _numerators(self, d: int | None = None):
+        """(copy with int coefficients c * d, d).
+
+        d defaults to the lcm of the denominators; a given d must be a
+        multiple of each of them.
+        """
+        terms = self._terms
+        if d is None:
+            d = self._denominator()
+        return self._raw({k: c.numerator * (d // c.denominator) for k, c in terms.items()}), d
+
+    def _denominator(self) -> int:
+        """lcm of the coefficient denominators (1 for zero)."""
+        return lcm(*(c.denominator for c in self._terms.values()))
+
+    @classmethod
+    def _over(cls, nums: dict, d: int):
+        """The Fraction-valued combination nums / d; zero numerators are dropped."""
+        return cls._raw({k: Fraction(n, d) for k, n in nums.items() if n})
 
     # container protocol
     def __len__(self) -> int:

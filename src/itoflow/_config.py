@@ -33,20 +33,16 @@ def grade_cap() -> int:
     return _caps.get()[1]
 
 
-def _checked(name: str, value):
-    if value is not None and (
-        isinstance(value, bool) or not isinstance(value, Integral) or value < 1
-    ):
-        raise ValueError(f"{name} cap must be a positive int, not {value!r}")
-    return value
+def _count(name: str, value, least: int = 1) -> int:
+    """value as an int no less than least, else ValueError.
 
-
-def _count(name: str, value) -> int:
-    """value as an int of at least 1, else ValueError."""
+    The one check for every size argument: counts, orders, grades, fiber
+    bounds and the caps themselves.
+    """
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an int, not {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, not {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, not {value}")
     return int(value)
 
 
@@ -54,31 +50,36 @@ def caps(weight: int | None = None, grade: int | None = None):
     """Context manager that sets the (weight, grade) caps for the body of a
     with block.  None keeps the current cap; any other value must be a
     positive int, checked on this call, before the block runs."""
-    return _scoped(_checked("weight", weight), _checked("grade", grade))
+    return _scoped(
+        None if weight is None else _count("weight cap", weight),
+        None if grade is None else _count("grade cap", grade),
+    )
 
 
 @contextmanager
 def _scoped(*new):
-    token = _caps.set(tuple(old if n is None else int(n) for n, old in zip(new, _caps.get())))
+    token = _caps.set(tuple(old if n is None else n for n, old in zip(new, _caps.get())))
     try:
         yield
     finally:
         _caps.reset(token)
 
 
-def check_weight(weight: int) -> None:
+def check_weight(weight: int) -> int:
     cap = _caps.get()[0]
     if weight > cap:
         raise CapExceeded(
             f"word weight {weight} exceeds cap {cap}; "
             "raise it with itoflow.caps(weight=...)"
         )
+    return weight
 
 
-def check_grade(grade: int) -> None:
+def check_grade(grade: int) -> int:
     cap = _caps.get()[1]
     if grade > cap:
         raise CapExceeded(
             f"surjection grade {grade} exceeds cap {cap}; "
             "raise it with itoflow.caps(grade=...)"
         )
+    return grade

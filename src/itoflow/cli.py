@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ._config import caps, weight_cap
+from ._config import _count, caps, weight_cap
 from .flowmaps import DriverAlphabet, log_flow_terms, terms_to_json
 from .flows import compare_flows
 from .logseries import (
@@ -79,8 +79,7 @@ def _call_caps(n):
     """The caps for one call: grade cap n and a word-weight cap of at least n."""
     if n is None:
         return caps()
-    if n < 1:
-        raise ValueError("--max-grade must be >= 1")
+    n = _count("--max-grade", n)
     return caps(grade=n, weight=max(n, weight_cap()))
 
 

@@ -153,9 +153,7 @@ def log_flow_terms(alphabet: DriverAlphabet, order: int) -> list[LogTerm]:
     positions survive (larger fibers are iterated brackets of three or
     more continuous factors); with jumps every surjection contributes.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    check_grade(order)
+    order = check_grade(_count("order", order))
     max_fiber = 2 if alphabet.continuous else 0
     out = []
     for n in range(1, order + 1):

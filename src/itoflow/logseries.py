@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable
 
-from ._config import check_grade
+from ._config import _count, check_grade
 from .surjections import (
     SurjElement,
     Surjection,
@@ -36,15 +36,9 @@ def descent_coefficient(n: int, d: int) -> Fraction:
     return Fraction((-1) ** d, n * comb(n - 1, d))
 
 
-def _check_order(n: int) -> None:
-    if n < 1:
-        raise ValueError("max grade must be >= 1")
-    check_grade(n)
-
-
 def identity_series(max_grade: int) -> SurjElement:
     """Unit plus the identity surjection of every arity up to max_grade."""
-    _check_order(max_grade)
+    max_grade = check_grade(_count("max_grade", max_grade))
     return SurjElement(
         [(Surjection(), 1)]
         + [(Surjection.identity(n), 1) for n in range(1, max_grade + 1)]
@@ -57,7 +51,7 @@ def log_identity_series(max_grade: int) -> SurjElement:
     log(1 + x) = sum over k >= 1 of (-1)^(k-1)/k x^k with x the sum of the
     positive-arity identities, truncated beyond max_grade.
     """
-    _check_order(max_grade)
+    max_grade = check_grade(_count("max_grade", max_grade))
     # int-valued throughout: the sum is scaled by L = lcm(1..max_grade), so
     # the k-th power enters with the integer weight (-1)^(k-1) L/k
     x = SurjElement._raw({Surjection.identity(n): 1 for n in range(1, max_grade + 1)})
@@ -72,7 +66,7 @@ def log_identity_series(max_grade: int) -> SurjElement:
 
 def log_identity_closed_form(max_grade: int) -> SurjElement:
     """The same element from the descent-count coefficient law directly."""
-    _check_order(max_grade)
+    max_grade = check_grade(_count("max_grade", max_grade))
     data = {}
     for n in range(1, max_grade + 1):
         by_descents = [descent_coefficient(n, d) for d in range(n)]
@@ -88,7 +82,7 @@ def log_identity_subset_form(max_grade: int) -> SurjElement:
     (-1)^|I| / (|I| + 1) times the sum of surjections with descents in I.
     Exponential in n; intended as a cross-check, not a compute path.
     """
-    _check_order(max_grade)
+    max_grade = check_grade(_count("max_grade", max_grade))
     out = SurjElement.zero()
     for n in range(1, max_grade + 1):
         for I in _subsets(range(1, n)):
@@ -124,7 +118,7 @@ def exp_element(e: SurjElement, max_grade: int) -> SurjElement:
     The input must have no grade-0 part, so the sum terminates at the
     max_grade-th power.
     """
-    _check_order(max_grade)
+    max_grade = check_grade(_count("max_grade", max_grade))
     if Surjection() in e:
         raise ValueError("exp needs an element with no grade-0 term")
     # e = nums / d; the sum is scaled by n! d^n (n = max_grade), so the k-th
@@ -155,7 +149,7 @@ def strichartz_restriction(max_grade: int) -> SurjElement:
     coefficients of chronological calculus: (-1)^d / (n * binomial(n-1, d))
     with d the number of strict descents of the permutation.
     """
-    _check_order(max_grade)
+    max_grade = check_grade(_count("max_grade", max_grade))
     full = log_identity_closed_form(max_grade)
     return SurjElement(
         (f, c) for f, c in full if f.is_bijection()

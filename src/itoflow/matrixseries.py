@@ -218,9 +218,7 @@ def integrate_against(me: MatrixExpansion) -> MatrixExpansion:
 
 def matrix_ito_taylor(dim: int, order: int) -> MatrixExpansion:
     """Flow series to the given order: identity plus iterated integrals of M."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    check_weight(order)
+    order = check_weight(_count("order", order, 0))
     total = MatrixExpansion.identity(dim)
     layer = MatrixExpansion.identity(dim)
     for _ in range(order):
@@ -236,16 +234,15 @@ def matrix_log(dim: int, order: int) -> MatrixExpansion:
     entry word of the flow series; fibers of two or more positions become
     bracket blocks of entry letters.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    check_weight(order)
+    order = check_weight(_count("order", order))
     log_nums, d = log_identity_closed_form(order)._numerators()
+    # the arity-n part acts on each length-n word; there is no arity-0 part,
+    # so the identity part has no log contribution
+    by_arity = [log_nums.restrict(n) for n in range(order + 1)]
     taylor = matrix_ito_taylor(dim, order)
 
     def act(w: BracketWord) -> Expansion:
-        if not w:
-            return Expansion.zero()  # the identity part has no log contribution
-        return apply_element(log_nums, w, weight_graded=True)
+        return apply_element(by_arity[len(w)], w)
 
     def log_entry(e: Expansion) -> Expansion:
         nums, t = e._numerators()
@@ -260,9 +257,7 @@ def matrix_exp(me: MatrixExpansion, order: int) -> MatrixExpansion:
     The input must have no constant (weight-0) part, so the series stops
     at the order-th power.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    check_weight(order)
+    order = check_weight(_count("order", order, 0))
     if me.has_constant_part():
         raise ValueError("exp needs an expansion with no weight-0 part")
     # as in exp_element: me = nums / d, and the sum is scaled by n! d^n

@@ -48,6 +48,8 @@ class SamplePath:
             raise ValueError("grid and values must be equal-length 1-D arrays")
         if len(grid) < 2:
             raise ValueError("need at least two grid points")
+        if not (np.isfinite(grid).all() and np.isfinite(values).all()):
+            raise ValueError("grid and values must be finite")
         if grid[0] != 0.0:
             raise ValueError("grid must start at time 0")
         if not np.all(np.diff(grid) > 0):
@@ -199,7 +201,7 @@ class PathBundle:
             raise ValueError("a bundle needs at least one path")
         self.grid = next(iter(self.paths.values())).grid
         for letter, p in self.paths.items():
-            if not isinstance(letter, int) or letter < 1:
+            if isinstance(letter, bool) or not isinstance(letter, int) or letter < 1:
                 raise ValueError(f"letters are positive integers, got {letter!r}")
             if not np.array_equal(p.grid, self.grid):
                 raise ValueError(f"path for letter {letter} is on another grid")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from ._config import check_grade
+from ._config import _count, check_grade
 from .kernels import (
     descent_count as _descent_count,
     descent_set as _descent_set,
@@ -132,26 +132,23 @@ def surjection_sort_key(f) -> tuple:
 def enumerate_surjections(n: int, k: int, max_fiber: int = 0) -> list[Surjection]:
     """All surjections [n] onto [k] in lexicographic order.
 
-    max_fiber > 0 keeps only those with every preimage of size <= max_fiber;
-    max_fiber=2 is the index set that survives for continuous drivers.
+    max_fiber > 0 keeps only those with every preimage of size <= max_fiber
+    (0 keeps all); max_fiber=2 is the index set that survives for
+    continuous drivers.
     """
-    check_grade(n)
+    n, k = check_grade(_count("n", n, 0)), _count("k", k, 0)
+    max_fiber = _count("max_fiber", max_fiber, 0)
     if n == 0 and k == 0:
         return [Surjection()]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    if max_fiber < 0:
-        raise ValueError("max_fiber must be >= 0 (0 is unbounded)")
     return [Surjection._wrap(f) for f in _enumerate(n, k, max_fiber)]
 
 
 def enumerate_grade(n: int, max_fiber: int = 0) -> list[Surjection]:
     """All surjections of arity n, any target size, in (k, lex) order."""
-    if n < 0:
-        raise ValueError(f"need 0 <= n, got n={n}")
-    check_grade(n)
-    if max_fiber < 0:
-        raise ValueError("max_fiber must be >= 0 (0 is unbounded)")
+    n = check_grade(_count("n", n, 0))
+    max_fiber = _count("max_fiber", max_fiber, 0)
     if n == 0:
         return [Surjection()]
     out = []
@@ -283,9 +280,7 @@ class Composition(tuple):
 
 def compositions_of(n: int) -> list[Composition]:
     """All compositions of n, in length-then-lex order."""
-    if n < 0:
-        raise ValueError(f"need 0 <= n, got n={n}")
-    check_grade(n)
+    n = check_grade(_count("n", n, 0))
     out = []
     stack = [(n, [])]
     while stack:
@@ -334,19 +329,12 @@ def apply_surjection(f: SurjLike, w: WordLike) -> BracketWord:
     return BracketWord._wrap(apply_to_blocks(tuple(f), tuple(w)))
 
 
-def apply_element(e: SurjElement, w: WordLike, weight_graded: bool = False) -> Expansion:
-    """Linear extension of apply_surjection in the surjection slot.
-
-    With weight_graded=True the arity-n part of e acts on each word of
-    length n and other grades contribute nothing, so one inhomogeneous
-    element can act on an inhomogeneous expansion grade by grade.
-    """
+def apply_element(e: SurjElement, w: WordLike) -> Expansion:
+    """Linear extension of apply_surjection in the surjection slot."""
     w = as_word(w)
     data: dict[BracketWord, Fraction] = {}
     for f, c in e._terms.items():
         if len(f) != len(w):
-            if weight_graded:
-                continue
             raise ValueError(
                 f"arity {len(f)} does not match word length {len(w)}"
             )

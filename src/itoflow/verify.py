@@ -57,6 +57,7 @@ from .surjections import (
 from .words import BracketWord, Expansion
 
 PATHWISE_TOL = 1e-9  # relative residual allowed in a pathwise product identity
+_PATHWISE_MAX_WEIGHT = 3  # word weight sampled by the pathwise quasi-shuffle case
 
 
 def _case(test, err, tol, seed=None, grid_points=None, paths=None) -> dict:
@@ -212,6 +213,7 @@ def check_flow(
 
 
 def suite_algebra(grade: int = 4, seed: int = 0) -> list[dict]:
+    grade = _count("grade", grade)
     rng = random.Random(seed)
     reports = []
 
@@ -287,7 +289,7 @@ def suite_theorem(grade: int = 4) -> list[dict]:
     ]
 
 
-def suite_pathwise(seed: int = 0, steps: int = 4096, max_weight: int = 3) -> list[dict]:
+def suite_pathwise(seed: int = 0, steps: int = 4096) -> list[dict]:
     reports = []
     bundle = pathwise_bundle(seed, steps)
     gp = steps + 1
@@ -311,7 +313,7 @@ def suite_pathwise(seed: int = 0, steps: int = 4096, max_weight: int = 3) -> lis
     reports.append(_case("bracket symmetry and associativity", max(sym, assoc), 1e-12, seed, gp, 1))
 
     rng = random.Random(seed)
-    words = _random_words(rng, 10, max_weight=max_weight)
+    words = _random_words(rng, 10, max_weight=_PATHWISE_MAX_WEIGHT)
     ev = Evaluator.from_bundle(bundle)
     worst, _ = check_pathwise_qsh(ev, itertools.combinations(words, 2))
     reports.append(

@@ -1,8 +1,10 @@
 """Scoped size caps: itoflow.caps holds for one block, in one context; and
-sizes in the exact layer are ints of at least 1."""
+every size argument is an int of at least its least value."""
 
 import contextvars
+import re
 import threading
+from functools import partial
 
 import pytest
 
@@ -11,16 +13,28 @@ from itoflow import (
     DriverAlphabet,
     Expansion,
     MatrixExpansion,
+    SurjElement,
     caps,
     compare_flows,
+    compositions_of,
+    enumerate_grade,
+    enumerate_surjections,
+    exp_element,
     grade_cap,
+    identity_series,
+    log_flow_terms,
     log_identity_closed_form,
+    log_identity_series,
+    log_identity_subset_form,
+    matrix_exp,
+    matrix_ito_taylor,
     matrix_log,
+    strichartz_restriction,
     weight_cap,
 )
 from itoflow._config import DEFAULT_GRADE_CAP, DEFAULT_WEIGHT_CAP
-from itoflow.cli import main
-from itoflow.verify import flow_problem
+from itoflow.cli import _call_caps, main
+from itoflow.verify import flow_problem, suite_algebra
 
 
 def current():
@@ -68,9 +82,11 @@ def test_caps_come_back_after_cap_exceeded():
 )
 def test_bad_values_are_value_errors_before_the_block(kwargs):
     outer = current()
-    with pytest.raises(ValueError, match="cap must be a positive int"):
+    ((name, value),) = kwargs.items()
+    message = rf"^{name} cap must be (an int|>= 1), not {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
         caps(**kwargs)
-    with pytest.raises(ValueError, match="cap must be a positive int"):
+    with pytest.raises(ValueError, match=message):
         with caps(**kwargs):
             pytest.fail("the block must not run")
     assert current() == outer
@@ -121,6 +137,39 @@ def test_cli_max_grade_below_one_exits_2(capsys):
     assert current() == outer
 
 
+# every size argument checked by _config._count: a call taking the value,
+# the argument's name, and the least value it accepts
+COUNT_SITES = {
+    "identity_series": (identity_series, "max_grade", 1),
+    "log_identity_series": (log_identity_series, "max_grade", 1),
+    "log_identity_closed_form": (log_identity_closed_form, "max_grade", 1),
+    "log_identity_subset_form": (log_identity_subset_form, "max_grade", 1),
+    "strichartz_restriction": (strichartz_restriction, "max_grade", 1),
+    "exp_element": (lambda v: exp_element(SurjElement.zero(), v), "max_grade", 1),
+    "matrix_ito_taylor-order": (lambda v: matrix_ito_taylor(2, v), "order", 0),
+    "matrix_log-order": (lambda v: matrix_log(2, v), "order", 1),
+    "matrix_exp-order": (lambda v: matrix_exp(matrix_log(2, 2), v), "order", 0),
+    "log_flow_terms-order": (lambda v: log_flow_terms(DriverAlphabet(2), v), "order", 1),
+    "enumerate_surjections-n": (lambda v: enumerate_surjections(v, 1), "n", 0),
+    "enumerate_surjections-k": (lambda v: enumerate_surjections(3, v), "k", 0),
+    "enumerate_surjections-max_fiber": (
+        lambda v: enumerate_surjections(3, 2, v), "max_fiber", 0
+    ),
+    "enumerate_grade-n": (enumerate_grade, "n", 0),
+    "enumerate_grade-max_fiber": (lambda v: enumerate_grade(3, v), "max_fiber", 0),
+    "compositions_of": (compositions_of, "n", 0),
+    "suite_algebra": (suite_algebra, "grade", 1),
+    "cli-max-grade": (_call_caps, "--max-grade", 1),
+}
+# the call with a bad value, and the anchored message that names it
+COUNT_ROWS = [
+    (partial(call, bad), f"^{re.escape(f'{name} must be {rule}, not {bad}')}$")
+    for call, name, least in COUNT_SITES.values()
+    for bad, rule in [(True, "an int"), (2.5, "an int"), (least - 1, f">= {least}")]
+]
+COUNT_IDS = [f"{site}-{kind}" for site in COUNT_SITES for kind in ("bool", "float", "below")]
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -133,12 +182,14 @@ def test_cli_max_grade_below_one_exits_2(capsys):
         (lambda: compare_flows(flow_problem(8), [1.5], 2, 0), "order must be an int, not 1.5"),
         (lambda: compare_flows(flow_problem(8), [0, 1], 2, 0), "order must be >= 1, not 0"),
         (lambda: compare_flows(flow_problem(8), [], 2, 0), "need at least one order"),
-    ],
+    ]
+    + COUNT_ROWS,
     ids=[
         "matrix_log-dim-bool", "MatrixExpansion-dim-float", "MatrixExpansion-dim-zero",
         "DriverAlphabet-float", "DriverAlphabet-bool", "DriverAlphabet-zero",
         "compare_flows-order-float", "compare_flows-order-zero", "compare_flows-no-order",
-    ],
+    ]
+    + COUNT_IDS,
 )
 def test_sizes_are_counts(call, message):
     with pytest.raises(ValueError, match=message):

@@ -263,6 +263,13 @@ class TestVerify:
         assert out.err == f"error: suite {argv[0]} does not take {unread}\n"
         assert out.out == ""
 
+    @pytest.mark.parametrize("grade", ["0", "-3"])
+    def test_algebra_suite_below_grade_1_exits_2(self, capsys, grade):
+        code, out = run_cli("verify", "algebra", "--grade", grade, capsys=capsys)
+        assert code == 2
+        assert out.err == f"error: grade must be >= 1, not {grade}\n"
+        assert out.out == ""
+
     @pytest.mark.parametrize("paths", ["0", "-3"])
     def test_flow_suite_with_no_paths_exits_2(self, capsys, paths):
         code, out = run_cli("verify", "flow", "--steps", "8", "--paths", paths, capsys=capsys)

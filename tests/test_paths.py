@@ -245,6 +245,28 @@ class TestSerialization:
             for letter in b.letters():
                 assert np.array_equal(again[letter].values, b[letter].values)
 
+    @pytest.mark.parametrize(
+        "load, message",
+        [
+            (lambda: bundle_from_csv("t,x1\n0,0\n1,nan"), "must be finite"),
+            (
+                lambda: bundle_from_binary(
+                    bundle_to_binary(_bundle())[:-8] + struct.pack("<d", np.nan)
+                ),
+                "must be finite",
+            ),
+            (lambda: SamplePath([0.0, 1.0, np.inf], [0.0, 1.0, 2.0]), "must be finite"),
+            (
+                lambda: PathBundle({True: SamplePath([0.0, 1.0], [0.0, 1.0])}),
+                "letters are positive integers, got True",
+            ),
+        ],
+        ids=["csv-nan", "binary-nan", "grid-inf", "bool-letter"],
+    )
+    def test_non_finite_points_and_bool_letters_are_value_errors(self, load, message):
+        with pytest.raises(ValueError, match=message):
+            load()
+
     @pytest.mark.parametrize("text", ["", "t,x1\n"], ids=["empty", "header-only"])
     def test_csv_without_data_rows_is_a_value_error(self, text):
         with pytest.raises(ValueError, match="CSV"):

@@ -131,6 +131,26 @@ def apply_to_blocks(f, blocks):
     return tuple(tuple(sorted(fb)) for fb in fibers)
 
 
+def fibers_of(f):
+    """Fibers of a surjection f: for each value 1..k, its 0-based positions."""
+    out = [[] for _ in range(max(f, default=0))]
+    for pos, val in enumerate(f):
+        out[val - 1].append(pos)
+    return tuple(map(tuple, out))
+
+
+def merge_fibers(fibers, blocks):
+    """apply_to_blocks(f, blocks) from fibers = fibers_of(f), worked out once.
+
+    A one-position fiber is its block, which is already sorted; only a
+    fiber of two or more positions is merged and sorted.
+    """
+    return tuple([
+        blocks[fb[0]] if len(fb) == 1 else tuple(sorted([x for i in fb for x in blocks[i]]))
+        for fb in fibers
+    ])
+
+
 @lru_cache(maxsize=64)
 def diamond_plan(k, l):
     """Index pairs of every surjection product of shape (k, l), in term order.
@@ -140,7 +160,8 @@ def diamond_plan(k, l):
     The pairs depend only on the targets k and l, so they are enumerated
     once per shape and kept for at most 64 shapes (least recently used
     dropped first).  For identity operands the entries are the terms
-    themselves: alpha o id = alpha.
+    themselves: alpha o id = alpha.  Returns (values, fibers): the value
+    tuples, and beside each its fibers_of, for merging blocks along it.
     """
     out = []
     for r in range(max(k, l), k + l + 1):
@@ -154,7 +175,7 @@ def diamond_plan(k, l):
             free = [x for x in universe if x in aset]
             for extra in combinations(free, l - len(need)):
                 out.append(alpha + tuple(sorted(need + list(extra))))
-    return tuple(out)
+    return tuple(out), tuple(map(fibers_of, out))
 
 
 def diamond_words(f, g):
@@ -172,4 +193,4 @@ def diamond_words(f, g):
     k = max(f)
     # both operands are nonempty, so pick always returns a tuple
     pick = itemgetter(*[x - 1 for x in f], *[k + y - 1 for y in g])
-    return list(map(pick, diamond_plan(k, max(g))))
+    return list(map(pick, diamond_plan(k, max(g))[0]))

@@ -24,6 +24,7 @@ from ._config import _count, check_grade
 from .surjections import (
     SurjElement,
     Surjection,
+    _check_positions,
     descent_sum_within,
     diamond,
     enumerate_grade,
@@ -101,9 +102,12 @@ def subset_alternating_sum(n: int, positions: Iterable[int]) -> Fraction:
     """Sum of (-1)^|J| / (|J|+1) over supersets J of the given set in [n-1].
 
     Equals descent_coefficient(n, |I|); the identity that collapses
-    the subset form into the closed form.  Exact rational arithmetic.
+    the subset form into the closed form.  Exact rational arithmetic over
+    2^(n-1-|I|) supersets, so n is bounded by the grade cap.
     """
+    n = check_grade(_count("n", n))
     base = set(positions)
+    _check_positions(n, tuple(base))
     rest = [i for i in range(1, n) if i not in base]
     total = Fraction(0)
     for extra in _subsets(rest):

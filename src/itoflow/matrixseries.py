@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from typing import Callable, Iterable
 
 from ._config import _count, check_weight
+from .kernels import fibers_of, merge_fibers
 from .logseries import _exp_weights, log_identity_closed_form
 from .quasishuffle import qsh
-from .surjections import apply_element
 from .words import (
     UNIT_WORD,
     BracketWord,
@@ -232,21 +233,30 @@ def matrix_log(dim: int, order: int) -> MatrixExpansion:
 
     The surjection log element of each grade n acts on every length-n
     entry word of the flow series; fibers of two or more positions become
-    bracket blocks of entry letters.
+    bracket blocks of entry letters.  Each surjection's fibers are worked
+    out once per call, and apply_element is the per-term oracle.
     """
     order = check_weight(_count("order", order))
     log_nums, d = log_identity_closed_form(order)._numerators()
     # the arity-n part acts on each length-n word; there is no arity-0 part,
     # so the identity part has no log contribution
-    by_arity = [log_nums.restrict(n) for n in range(order + 1)]
+    fibers = [[] for _ in range(order + 1)]
+    coeffs = [[] for _ in range(order + 1)]
+    for f, c in log_nums._terms.items():
+        fibers[len(f)].append(fibers_of(f))
+        coeffs[len(f)].append(c)
     taylor = matrix_ito_taylor(dim, order)
-
-    def act(w: BracketWord) -> Expansion:
-        return apply_element(by_arity[len(w)], w)
 
     def log_entry(e: Expansion) -> Expansion:
         nums, t = e._numerators()
-        return Expansion._over(nums.map_words(act)._terms, t * d)
+        data: dict = {}
+        get = data.get
+        for w, cw in nums._terms.items():
+            n = len(w)
+            for v, c in zip(map(merge_fibers, fibers[n], repeat(w)), coeffs[n]):
+                prev = get(v)
+                data[v] = cw * c if prev is None else prev + cw * c
+        return Expansion._over({BracketWord._wrap(v): c for v, c in data.items()}, t * d)
 
     return taylor.map_entries(log_entry)
 
@@ -258,6 +268,8 @@ def matrix_exp(me: MatrixExpansion, order: int) -> MatrixExpansion:
     at the order-th power.
     """
     order = check_weight(_count("order", order, 0))
+    if not isinstance(me, MatrixExpansion):
+        raise TypeError(f"me must be a MatrixExpansion, not {type(me).__name__}")
     if me.has_constant_part():
         raise ValueError("exp needs an expansion with no weight-0 part")
     # as in exp_element: me = nums / d, and the sum is scaled by n! d^n

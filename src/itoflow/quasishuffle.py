@@ -19,11 +19,12 @@ qsh; the half-products are left undefined on it.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from operator import attrgetter
+from itertools import repeat
 
 from ._config import check_weight
-from .kernels import apply_to_blocks, diamond_plan, qsh_words
+from .kernels import diamond_plan, merge_fibers, qsh_words
 from .words import (
     BracketWord,
     Expansion,
@@ -34,7 +35,10 @@ from .words import (
     graded_pairs,
 )
 
-_weight = attrgetter("weight")
+
+def _weight(w) -> int:
+    """BracketWord.weight, without the property lookup, for plain tuples too."""
+    return sum(map(len, w))
 
 
 def _as_expansion(x) -> Expansion:
@@ -57,16 +61,24 @@ def qsh(*operands, max_weight: int | None = None) -> Expansion:
     classes whose weights sum past max_weight is skipped whole, before the
     cap check and before any coefficient work.  This is the tool for
     truncated-series arithmetic.
+
+    The terms of each product are added into one dict keyed by plain
+    tuples; each distinct word is wrapped once, and zero sums are dropped,
+    at the end.
     """
     if not operands:
         return Expansion.unit()
     acc = _as_expansion(operands[0])
     for rhs in operands[1:]:
-        data = {}
+        data: dict = {}
+        get = data.get
         for u, v, c in _weight_pairs(acc, rhs, max_weight):
-            for w, mult in qsh_words(tuple(u), tuple(v)).items():
-                accumulate(data, BracketWord._wrap(w), c if mult == 1 else c * mult)
-        acc = Expansion._raw(data)
+            for w, mult in qsh_words(u, v).items():
+                t = c if mult == 1 else c * mult
+                prev = get(w)
+                # a new key starts at t: 0 + t takes Fraction's slow __radd__
+                data[w] = t if prev is None else prev + t
+        acc = Expansion._raw({BracketWord._wrap(w): c for w, c in data.items() if c})
     return acc
 
 
@@ -127,19 +139,16 @@ def qsh_via_surjections(u: WordLike, v: WordLike) -> Expansion:
     The terms depend only on the shape (n, m): they are the entries of
     kernels.diamond_plan(n, m), enumerated once per shape in the kernel's
     memo of at most 64 shapes, which holds every shape the default weight
-    cap allows.  The weight cap is checked before the memo is read, so a
-    memoized shape still raises CapExceeded when the cap is lowered.
+    cap allows, each term beside its fibers.  The weight cap is checked
+    before the memo is read, so a memoized shape still raises CapExceeded
+    when the cap is lowered.
     """
     u, v = as_word(u), as_word(v)
     check_weight(u.weight + v.weight)
-    cat = tuple(u) + tuple(v)
-    counts: dict = {}
-    for f in diamond_plan(len(u), len(v)):
-        w = apply_to_blocks(f, cat)
-        counts[w] = counts.get(w, 0) + 1
-    return Expansion._raw(
-        {BracketWord._wrap(w): Fraction(c) for w, c in counts.items()}
-    )
+    _, plan = diamond_plan(len(u), len(v))
+    counts = Counter(map(merge_fibers, plan, repeat(tuple(u) + tuple(v))))
+    fracs = {c: Fraction(c) for c in set(counts.values())}
+    return Expansion._raw({BracketWord._wrap(w): fracs[c] for w, c in counts.items()})
 
 
 def shuffle_projection(e: Expansion) -> Expansion:

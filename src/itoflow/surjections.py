@@ -22,6 +22,7 @@ from .kernels import (
     descent_count as _descent_count,
     descent_set as _descent_set,
     diamond_words,
+    fibers_of,
     is_surjection,
     pack_word,
     surjections as _enumerate,
@@ -82,10 +83,7 @@ class Surjection(tuple):
 
     def fibers(self) -> tuple[tuple[int, ...], ...]:
         """Preimages of 1..k, each a sorted tuple of 1-based positions."""
-        out = [[] for _ in range(self.onto)]
-        for pos, val in enumerate(self, start=1):
-            out[val - 1].append(pos)
-        return tuple(tuple(fb) for fb in out)
+        return tuple(tuple(pos + 1 for pos in fb) for fb in fibers_of(self))
 
     def __str__(self) -> str:
         if not self:
@@ -205,14 +203,17 @@ def diamond(a: ElementLike, b: ElementLike, max_grade: int | None = None) -> Sur
     grade class: both operands' terms are grouped by arity once, and a pair
     of classes whose arities sum past max_grade is skipped whole, before
     the cap check and before any coefficient work.  That keeps truncated
-    series work bounded.
+    series work bounded.  As in qsh, the terms are added into one dict of
+    plain tuples, and each distinct term is wrapped once at the end.
     """
     ea, eb = _as_element(a), _as_element(b)
-    data: dict[Surjection, Fraction] = {}
+    data: dict = {}
+    get = data.get
     for f, g, c in graded_pairs(ea._terms, eb._terms, len, max_grade, check_grade):
-        for h in diamond_words(tuple(f), tuple(g)):
-            accumulate(data, Surjection._wrap(h), c)
-    return SurjElement._raw(data)
+        for h in diamond_words(f, g):
+            prev = get(h)
+            data[h] = c if prev is None else prev + c
+    return SurjElement._raw({Surjection._wrap(h): c for h, c in data.items() if c})
 
 
 def diamond_reference(f: SurjLike, g: SurjLike) -> SurjElement:
@@ -330,7 +331,13 @@ def apply_surjection(f: SurjLike, w: WordLike) -> BracketWord:
 
 
 def apply_element(e: SurjElement, w: WordLike) -> Expansion:
-    """Linear extension of apply_surjection in the surjection slot."""
+    """Linear extension of apply_surjection in the surjection slot.
+
+    One apply_to_blocks per term: the oracle for matrix_log, which merges
+    along fibers worked out once per call.
+    """
+    if not isinstance(e, SurjElement):
+        raise TypeError(f"e must be a SurjElement, not {type(e).__name__}")
     w = as_word(w)
     data: dict[BracketWord, Fraction] = {}
     for f, c in e._terms.items():

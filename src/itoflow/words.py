@@ -393,8 +393,12 @@ class Combination:
 
     @classmethod
     def _over(cls, nums: dict, d: int):
-        """The Fraction-valued combination nums / d; zero numerators are dropped."""
-        return cls._raw({k: Fraction(n, d) for k, n in nums.items() if n})
+        """The Fraction-valued combination nums / d; zero numerators are dropped.
+
+        One Fraction is built per distinct numerator and shared by its terms.
+        """
+        fracs = {n: Fraction(n, d) for n in set(nums.values()) if n}
+        return cls._raw({k: fracs[n] for k, n in nums.items() if n})
 
     # container protocol
     def __len__(self) -> int:

@@ -30,6 +30,7 @@ from itoflow import (
     matrix_ito_taylor,
     matrix_log,
     strichartz_restriction,
+    subset_alternating_sum,
     weight_cap,
 )
 from itoflow._config import DEFAULT_GRADE_CAP, DEFAULT_WEIGHT_CAP
@@ -158,6 +159,7 @@ COUNT_SITES = {
     "enumerate_grade-n": (enumerate_grade, "n", 0),
     "enumerate_grade-max_fiber": (lambda v: enumerate_grade(3, v), "max_fiber", 0),
     "compositions_of": (compositions_of, "n", 0),
+    "subset_alternating_sum": (lambda v: subset_alternating_sum(v, []), "n", 1),
     "suite_algebra": (suite_algebra, "grade", 1),
     "cli-max-grade": (_call_caps, "--max-grade", 1),
 }

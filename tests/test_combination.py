@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itoflow import BracketWord, Expansion, SurjElement, Surjection, enumerate_surjections
+from itoflow import (
+    BracketWord,
+    Expansion,
+    SurjElement,
+    Surjection,
+    diamond,
+    enumerate_surjections,
+    qsh,
+)
 
 letters = st.integers(min_value=1, max_value=5)
 blocks = st.lists(letters, min_size=1, max_size=3).map(lambda ls: tuple(sorted(ls)))
@@ -75,6 +83,25 @@ def test_shared_behaviour(cls, keys, grade, data):
     kept = cls({k: c for k, c in a if grade(k) <= g})
     assert a.truncate(g) == kept
     assert a.restrict(g) == cls({k: c for k, c in a if grade(k) == g})
+
+
+def test_cancelling_products_and_sums_keep_no_zero_term():
+    one, two = BracketWord.from_letters(1), BracketWord.from_letters(2)
+    # qsh(2, 1) - qsh(1, 2) = 0: the cross terms cancel in one product
+    e = qsh(Expansion([(one, 1), (two, 1)]), Expansion([(one, 1), (two, -1)]))
+    assert e == Expansion(
+        [(one + one, 2), (BracketWord([(1, 1)]), 1), (two + two, -2), (BracketWord([(2, 2)]), -1)]
+    )
+    # (1, 1, 1) is a term of both diamond(1, 11) and diamond(11, 1)
+    f, g = Surjection((1,)), Surjection((1, 1))
+    d = diamond(SurjElement([(f, 1), (g, 1)]), SurjElement([(f, 1), (g, -1)]))
+    assert d == diamond(f, f) - diamond(f, g) + diamond(g, f) - diamond(g, g)
+    assert Surjection((1, 1, 1)) not in d
+    s = Expansion.sum([e, -e, Expansion.of(one)])
+    assert s == Expansion.of(one)
+    assert not Expansion.sum([e, -e])
+    for x in (e, d, s):
+        assert all(c != 0 and type(c) is Fraction for _, c in x)
 
 
 def test_types_never_compare_equal():

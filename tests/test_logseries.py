@@ -6,8 +6,10 @@ from math import comb
 import pytest
 
 from itoflow import (
+    CapExceeded,
     SurjElement,
     Surjection,
+    caps,
     descent_sum_within,
     diamond,
     enumerate_grade,
@@ -100,6 +102,15 @@ class TestSubsetIdentity:
                     n, I
                 )
         assert total == log_identity_closed_form(3).restrict(3)
+
+    def test_size_is_capped_and_positions_checked(self):
+        # 2^19 supersets at n = 20: refused by the grade cap before any work
+        with pytest.raises(CapExceeded):
+            subset_alternating_sum(20, [])
+        with caps(grade=8):
+            assert subset_alternating_sum(8, [2]) == Fraction(-1, 8 * comb(7, 1))
+        with pytest.raises(ValueError, match=r"descent position 3 outside 1\.\.2"):
+            subset_alternating_sum(3, [3])
 
 
 class TestStrichartzRestriction:

@@ -8,9 +8,11 @@ from itoflow import (
     BracketWord,
     Expansion,
     MatrixExpansion,
+    apply_element,
     entry_letter,
     integrate_against,
     letter_entry,
+    log_identity_closed_form,
     matrix_exp,
     matrix_ito_taylor,
     matrix_log,
@@ -135,3 +137,21 @@ class TestMatrixLogExp:
     def test_exp_rejects_constant_part(self):
         with pytest.raises(ValueError):
             matrix_exp(MatrixExpansion.identity(2), 2)
+
+    def test_exp_refuses_a_non_matrix(self):
+        with pytest.raises(TypeError, match="MatrixExpansion, not str"):
+            matrix_exp("x", 2)
+
+    @pytest.mark.parametrize("dim, order", [(2, 4), (3, 3)])
+    def test_log_equals_the_apply_element_route(self, dim, order):
+        # the oracle: one apply_element per Taylor word, with the arity-n
+        # part of the log element acting on each length-n word
+        element = log_identity_closed_form(order)
+        by_arity = [element.restrict(n) for n in range(order + 1)]
+        taylor = matrix_ito_taylor(dim, order)
+        got = matrix_log(dim, order)
+        for i in range(1, dim + 1):
+            for j in range(1, dim + 1):
+                want = taylor[i, j].map_words(lambda w: apply_element(by_arity[len(w)], w))
+                assert got[i, j] == want, (i, j)
+                assert all(type(c) is Fraction for _, c in got[i, j])

@@ -25,9 +25,6 @@ from .words import (
     WordParseError,
     block,
     parse_word,
-    pretty_word,
-    word_compact,
-    word_literal,
 )
 from .quasishuffle import (
     bullet,
@@ -73,8 +70,6 @@ from .flowmaps import (
 from .matrixseries import (
     MatrixExpansion,
     entry_letter,
-    integrate_against,
-    letter_entry,
     matrix_exp,
     matrix_ito_taylor,
     matrix_log,
@@ -97,14 +92,11 @@ from .paths import (
     simulate_bundle,
     write_bundle,
 )
-from .evaluate import Evaluator, evaluate, evaluate_path
+from .evaluate import Evaluator, evaluate
 from .flows import (
     FlowProblem,
     compare_flows,
-    flow_from_log,
-    flow_from_taylor,
     flow_reference,
-    strong_errors,
     truncated_expm,
 )
 from .verify import SUITES, run_suite
@@ -153,17 +145,12 @@ __all__ = [
     "enumerate_grade",
     "enumerate_surjections",
     "evaluate",
-    "evaluate_path",
     "exp_element",
-    "flow_from_log",
-    "flow_from_taylor",
     "flow_reference",
     "grade_cap",
     "half_down",
     "half_up",
     "identity_series",
-    "integrate_against",
-    "letter_entry",
     "log_flow_expansion",
     "log_flow_terms",
     "log_identity_closed_form",
@@ -176,7 +163,6 @@ __all__ = [
     "pack",
     "parse_surjection",
     "parse_word",
-    "pretty_word",
     "qsh",
     "qsh_via_surjections",
     "read_bundle",
@@ -187,11 +173,8 @@ __all__ = [
     "simulate",
     "simulate_bundle",
     "strichartz_restriction",
-    "strong_errors",
     "subset_alternating_sum",
     "truncated_expm",
     "weight_cap",
-    "word_compact",
-    "word_literal",
     "write_bundle",
 ]

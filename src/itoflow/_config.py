@@ -46,6 +46,17 @@ def _count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
+def _typed(name: str, value, *types):
+    """value if it is an instance of one of types, else TypeError.
+
+    The one check for an argument's type, as _count is for sizes.
+    """
+    if not isinstance(value, types):
+        expected = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{name} must be {expected}, not {type(value).__name__}")
+    return value
+
+
 def caps(weight: int | None = None, grade: int | None = None):
     """Context manager that sets the (weight, grade) caps for the body of a
     with block.  None keeps the current cap; any other value must be a

@@ -266,8 +266,3 @@ def _prefix_trie(words: Iterable[BracketWord]) -> dict[tuple, int]:
 def evaluate(e: Union[Expansion, WordLike], bundle: PathBundle) -> float:
     """Terminal value of an expansion or word on one path bundle."""
     return float(Evaluator.from_bundle(bundle)(e))
-
-
-def evaluate_path(w: WordLike, bundle: PathBundle) -> np.ndarray:
-    """Full running path of one word on one path bundle."""
-    return Evaluator.from_bundle(bundle).word_path(w)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._config import _count, check_grade
+from ._config import _count, _typed, check_grade
 from .logseries import descent_coefficient
 from .surjections import Surjection, enumerate_grade
 from .words import (
@@ -153,6 +153,7 @@ def log_flow_terms(alphabet: DriverAlphabet, order: int) -> list[LogTerm]:
     positions survive (larger fibers are iterated brackets of three or
     more continuous factors); with jumps every surjection contributes.
     """
+    _typed("alphabet", alphabet, DriverAlphabet)
     order = check_grade(_count("order", order))
     max_fiber = 2 if alphabet.continuous else 0
     out = []
@@ -171,6 +172,7 @@ def apply_vanishing_rules(e: Expansion, alphabet: DriverAlphabet) -> Expansion:
     exact self-bracket {i, i} of a primary driver folds to its
     quadratic-variation letter when those are named.
     """
+    _typed("alphabet", alphabet, DriverAlphabet)
     out: dict[BracketWord, Fraction] = {}
     for w, c in e:
         blocks = []
@@ -213,11 +215,12 @@ def log_flow_expansion(
     driver), e.g. the scalar case.  Keep the templates when the fields do
     not commute.  Exponential in the order; meant for small cases.
     """
+    terms = log_flow_terms(alphabet, order)
     pool = tuple(letters) if letters is not None else tuple(
         range(1, alphabet.n_primary + 1)
     )
     data: dict[BracketWord, Fraction] = {}
-    for term in log_flow_terms(alphabet, order):
+    for term in terms:
         for combo in itertools.product(pool, repeat=term.order):
             w, c = term.instantiate(combo)
             accumulate(data, w, c)

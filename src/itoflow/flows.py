@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._config import _count
+from ._config import _count, _typed
 from .evaluate import Evaluator
 from .matrixseries import MatrixExpansion, entry_letter, matrix_ito_taylor, matrix_log
 from .paths import _check_horizon, make_grid, rng_for
@@ -75,7 +75,9 @@ def brownian_increments(
 
 
 def _check_increments(problem: FlowProblem, dW) -> np.ndarray:
-    """dW as a finite (paths, problem.steps) float array, else ValueError."""
+    """dW as a finite (paths, problem.steps) float array, else ValueError;
+    a problem that is not a FlowProblem raises TypeError."""
+    _typed("problem", problem, FlowProblem)
     dW = np.asarray(dW, dtype=np.float64)
     if dW.ndim != 2 or dW.shape[1] != problem.steps:
         raise ValueError(f"dW must be shaped (paths, {problem.steps}), not {dW.shape}")
@@ -134,7 +136,7 @@ def _evaluate_matrix(
 def flow_from_taylor(problem: FlowProblem, order: int, dW: np.ndarray) -> np.ndarray:
     """Truncated series evaluated pathwise: one (dim, dim) matrix per path."""
     dW = _check_increments(problem, dW)
-    me = matrix_ito_taylor(problem.dim, order).truncate_weight(order)
+    me = matrix_ito_taylor(problem.dim, order)
     ev = Evaluator(entry_increments(problem, dW))
     return _evaluate_matrix(me, ev, dW.shape[0])
 
@@ -142,7 +144,7 @@ def flow_from_taylor(problem: FlowProblem, order: int, dW: np.ndarray) -> np.nda
 def flow_from_log(problem: FlowProblem, order: int, dW: np.ndarray) -> np.ndarray:
     """exp(truncated log series), evaluated pathwise."""
     dW = _check_increments(problem, dW)
-    me = matrix_log(problem.dim, order).truncate_weight(order)
+    me = matrix_log(problem.dim, order)
     ev = Evaluator(entry_increments(problem, dW))
     logs = _evaluate_matrix(me, ev, dW.shape[0])
     return truncated_expm(logs)
@@ -182,7 +184,7 @@ def truncated_expm(mats: np.ndarray) -> np.ndarray:
     return acc
 
 
-def strong_errors(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _strong_errors(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Frobenius distance per path."""
     return np.sqrt(np.sum((x - y) ** 2, axis=(-2, -1)))
 
@@ -202,6 +204,7 @@ def compare_flows(
     (the natural yardstick for that gap).  Accumulation runs in a fixed
     path order, so a given (seed, batch_size) is bit-reproducible.
     """
+    _typed("problem", problem, FlowProblem)
     n_paths, batch_size = _count("n_paths", n_paths), _count("batch_size", batch_size)
     orders = sorted({_count("order", k) for k in orders})
     if not orders:
@@ -210,7 +213,7 @@ def compare_flows(
     taylor_sym = matrix_ito_taylor(problem.dim, kmax + 1)
     log_sym = matrix_log(problem.dim, kmax)
     words = {
-        w for me in (taylor_sym, log_sym) for row in me.entries for e in row for w in e.words()
+        w for me in (taylor_sym, log_sym) for row in me.entries for e in row for w in e.support()
     }
 
     err_log = {k: 0.0 for k in orders}
@@ -232,10 +235,10 @@ def compare_flows(
             x_log = truncated_expm(
                 _evaluate_matrix(log_sym.truncate_weight(k), ev, batch)
             )
-            err_log[k] += float(np.sum(strong_errors(x_ref, x_log)))
-            gap_taylor[k] += float(np.sum(strong_errors(taylor_vals[k], x_log)))
+            err_log[k] += float(np.sum(_strong_errors(x_ref, x_log)))
+            gap_taylor[k] += float(np.sum(_strong_errors(taylor_vals[k], x_log)))
             next_layer[k] += float(
-                np.sum(strong_errors(taylor_vals[k + 1], taylor_vals[k]))
+                np.sum(_strong_errors(taylor_vals[k + 1], taylor_vals[k]))
             )
         done += batch
 

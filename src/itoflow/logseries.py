@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable
 
-from ._config import _count, check_grade
+from ._config import _count, _typed, check_grade
 from .surjections import (
     SurjElement,
     Surjection,
@@ -122,6 +122,7 @@ def exp_element(e: SurjElement, max_grade: int) -> SurjElement:
     The input must have no grade-0 part, so the sum terminates at the
     max_grade-th power.
     """
+    _typed("e", e, SurjElement)
     max_grade = check_grade(_count("max_grade", max_grade))
     if Surjection() in e:
         raise ValueError("exp needs an element with no grade-0 term")

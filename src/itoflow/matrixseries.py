@@ -21,7 +21,7 @@ from itertools import repeat
 from math import lcm
 from typing import Callable, Iterable
 
-from ._config import _count, check_weight
+from ._config import _count, _typed, check_weight
 from .kernels import fibers_of, merge_fibers
 from .logseries import _exp_weights, log_identity_closed_form
 from .quasishuffle import qsh
@@ -44,13 +44,6 @@ def entry_letter(i: int, j: int, dim: int) -> int:
     return (i - 1) * dim + j
 
 
-def letter_entry(letter: int, dim: int) -> tuple[int, int]:
-    """Inverse of entry_letter."""
-    if not 1 <= letter <= dim * dim:
-        raise ValueError(f"letter {letter} outside a {dim}x{dim} matrix")
-    return (letter - 1) // dim + 1, (letter - 1) % dim + 1
-
-
 class MatrixExpansion:
     """Square grid of bracket-word expansions with exact coefficients."""
 
@@ -63,8 +56,7 @@ class MatrixExpansion:
             raise ValueError(f"entries must form a {dim}x{dim} grid")
         for row in grid:
             for e in row:
-                if not isinstance(e, Expansion):
-                    raise TypeError("entries must be Expansions")
+                _typed("entries", e, Expansion)
         self.dim = dim
         self.entries = grid
 
@@ -196,7 +188,7 @@ class MatrixExpansion:
         return cls.from_json_dict(json.loads(text))
 
 
-def integrate_against(me: MatrixExpansion) -> MatrixExpansion:
+def _integrate_against(me: MatrixExpansion) -> MatrixExpansion:
     """Left-point integral of a matrix expansion against dM.
 
     Entry (i, j) of the result sums entry (i, k) of the input with the
@@ -223,7 +215,7 @@ def matrix_ito_taylor(dim: int, order: int) -> MatrixExpansion:
     total = MatrixExpansion.identity(dim)
     layer = MatrixExpansion.identity(dim)
     for _ in range(order):
-        layer = integrate_against(layer)
+        layer = _integrate_against(layer)
         total = total + layer
     return total
 
@@ -268,8 +260,7 @@ def matrix_exp(me: MatrixExpansion, order: int) -> MatrixExpansion:
     at the order-th power.
     """
     order = check_weight(_count("order", order, 0))
-    if not isinstance(me, MatrixExpansion):
-        raise TypeError(f"me must be a MatrixExpansion, not {type(me).__name__}")
+    _typed("me", me, MatrixExpansion)
     if me.has_constant_part():
         raise ValueError("exp needs an expansion with no weight-0 part")
     # as in exp_element: me = nums / d, and the sum is scaled by n! d^n

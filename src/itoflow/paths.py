@@ -14,12 +14,12 @@ import io
 import os
 import struct
 import warnings
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._config import _count
+from ._config import _count, _typed
 
 BINARY_MAGIC = b"ITOPATH1"
 
@@ -154,6 +154,7 @@ def simulate(
     driver_index: int = 0,
 ) -> SamplePath:
     """One path of the given driver on the grid."""
+    _typed("spec", spec, DriverSpec)
     grid = np.asarray(grid, dtype=np.float64)
     dt = np.diff(grid)
     if spec.kind == "linear_drift":
@@ -184,6 +185,8 @@ def discrete_bracket(x: SamplePath, y: SamplePath) -> SamplePath:
     identically (telescoping), which is what makes every symbolic identity
     here exact pathwise.
     """
+    _typed("x", x, SamplePath)
+    _typed("y", y, SamplePath)
     if not x.same_grid(y):
         raise ValueError("paths must share a grid")
     inc = x.increments() * y.increments()
@@ -223,6 +226,7 @@ def simulate_bundle(
     path_index: int = 0,
 ) -> PathBundle:
     """Simulate one path per letter; the letter doubles as driver index."""
+    _typed("specs", specs, Mapping)
     paths = {
         letter: simulate(spec, grid, seed, path_index, driver_index=letter)
         for letter, spec in specs.items()
@@ -235,6 +239,7 @@ def simulate_bundle(
 
 def bundle_to_csv(bundle: PathBundle) -> str:
     """Time column then one column per letter, headers 't' and 'x<letter>'."""
+    _typed("bundle", bundle, PathBundle)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     letters = bundle.letters()
@@ -274,6 +279,7 @@ def bundle_from_csv(text: str) -> PathBundle:
 def bundle_to_binary(bundle: PathBundle) -> bytes:
     """Magic, row/driver counts and letters (little-endian uint64), then the
     float64 matrix (time column first) row-major, little-endian."""
+    _typed("bundle", bundle, PathBundle)
     letters = bundle.letters()
     rows = len(bundle.grid)
     out = [BINARY_MAGIC]
@@ -341,6 +347,7 @@ def _check_file_path(path) -> None:
 def write_bundle(path, bundle: PathBundle) -> None:
     """Write binary for a .bin or .itopath suffix, else CSV."""
     _check_file_path(path)
+    _typed("bundle", bundle, PathBundle)
     if str(path).endswith((".bin", ".itopath")):
         with open(path, "wb") as fh:
             fh.write(bundle_to_binary(bundle))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from ._config import _count, check_grade
+from ._config import _count, _typed, check_grade
 from .kernels import (
     descent_count as _descent_count,
     descent_set as _descent_set,
@@ -336,8 +336,7 @@ def apply_element(e: SurjElement, w: WordLike) -> Expansion:
     One apply_to_blocks per term: the oracle for matrix_log, which merges
     along fibers worked out once per call.
     """
-    if not isinstance(e, SurjElement):
-        raise TypeError(f"e must be a SurjElement, not {type(e).__name__}")
+    _typed("e", e, SurjElement)
     w = as_word(w)
     data: dict[BracketWord, Fraction] = {}
     for f, c in e._terms.items():

@@ -1,0 +1,128 @@
+"""The boundary contract, its type clause: every public function, given one
+argument of a wrong type, raises TypeError, ValueError (CapExceeded,
+BundleFormatError and WordParseError included) or OSError, and nothing else.
+
+Each function in itoflow.__all__ has one row of small valid arguments.
+Each argument of the row is swapped in turn for every value in HOSTILE.
+The size values -1, 0 and 10**30 are left out: an unbounded dimension
+(matrix_ito_taylor(10**30, 1)) does not return.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import itoflow
+from itoflow import (
+    BracketWord,
+    DriverAlphabet,
+    DriverSpec,
+    Expansion,
+    FlowProblem,
+    Surjection,
+    bundle_to_binary,
+    bundle_to_csv,
+    log_identity_closed_form,
+    make_grid,
+    matrix_log,
+    simulate_bundle,
+    write_bundle,
+)
+
+HOSTILE = ("x", None, (), True, 2.5, math.nan)
+
+WORD = BracketWord([(1,), (1, 2)])
+SURJ = Surjection([2, 1, 2])
+GRID = make_grid(1.0, 4)
+BUNDLE = simulate_bundle({1: DriverSpec.brownian(), 2: DriverSpec.linear_drift()}, GRID)
+PROBLEM = FlowProblem(1, [[0.5]], [[1.0]], 0.1, 4)
+ALPHABET = DriverAlphabet(2)
+FILE = "bundle.bin"  # relative to the test's tmp_path, its working directory
+
+ROWS = {
+    "apply_element": (log_identity_closed_form(2).restrict(2), WORD),
+    "apply_surjection": (SURJ, BracketWord.from_letters(1, 2, 3)),
+    "apply_vanishing_rules": (Expansion.of(WORD), ALPHABET),
+    "block": (2, 1),
+    "bullet": (WORD, WORD),
+    "bundle_from_binary": (bundle_to_binary(BUNDLE),),
+    "bundle_from_csv": (bundle_to_csv(BUNDLE),),
+    "bundle_to_binary": (BUNDLE,),
+    "bundle_to_csv": (BUNDLE,),
+    "caps": (8, 6),
+    "compare_flows": (PROBLEM, [1], 1, 0),
+    "compositions_of": (3,),
+    "descent_sum_exact": (3, [1]),
+    "descent_sum_within": (3, [1]),
+    "diamond": (SURJ, SURJ),
+    "discrete_bracket": (BUNDLE[1], BUNDLE[2]),
+    "embed_composition": ([1, 2],),
+    "entry_letter": (1, 2, 2),
+    "enumerate_grade": (3,),
+    "enumerate_surjections": (3, 2),
+    "evaluate": (WORD, BUNDLE),
+    "exp_element": (log_identity_closed_form(2), 2),
+    "flow_reference": (PROBLEM, np.zeros((1, 4))),
+    "grade_cap": (),
+    "half_down": (WORD, WORD),
+    "half_up": (WORD, WORD),
+    "identity_series": (3,),
+    "log_flow_expansion": (ALPHABET, 2),
+    "log_flow_terms": (ALPHABET, 2),
+    "log_identity_closed_form": (3,),
+    "log_identity_series": (3,),
+    "log_identity_subset_form": (3,),
+    "make_grid": (1.0, 4),
+    "matrix_exp": (matrix_log(2, 2), 2),
+    "matrix_ito_taylor": (2, 2),
+    "matrix_log": (2, 2),
+    "pack": ([3, 5, 3],),
+    "parse_surjection": ("212",),
+    "parse_word": ("2.[1,3]",),
+    "qsh": (WORD, WORD),
+    "qsh_via_surjections": (WORD, WORD),
+    "read_bundle": (FILE,),
+    "rng_for": (7,),
+    "run_suite": ("algebra",),
+    "shuffle": (WORD, WORD),
+    "shuffle_projection": (Expansion.of(WORD),),
+    "simulate": (DriverSpec.poisson(0.5), GRID),
+    "simulate_bundle": ({1: DriverSpec.brownian()}, GRID),
+    "strichartz_restriction": (3,),
+    "subset_alternating_sum": (3, [1]),
+    "truncated_expm": (np.zeros((2, 2, 2)),),
+    "weight_cap": (),
+    "write_bundle": (FILE, BUNDLE),
+}
+# keyword arguments that keep a row fast; they are not swapped
+OPTIONS = {"run_suite": {"grade": 2}}
+
+FUNCTIONS = sorted(
+    name
+    for name in itoflow.__all__
+    if callable(getattr(itoflow, name)) and not isinstance(getattr(itoflow, name), type)
+)
+
+
+def test_every_public_function_has_a_row():
+    assert sorted(ROWS) == FUNCTIONS
+
+
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_wrong_argument_types_raise_the_contract_errors(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_bundle(FILE, BUNDLE)
+    fn, row, options = getattr(itoflow, name), ROWS[name], OPTIONS.get(name, {})
+    fn(*row, **options)  # the row is valid and gives every required argument
+    escaped = []
+    for i in range(len(row)):
+        for value in HOSTILE:
+            args = row[:i] + (value,) + row[i + 1 :]
+            try:
+                fn(*args, **options)
+            except (TypeError, ValueError, OSError):
+                pass
+            except Exception as e:  # anything else breaks the contract
+                escaped.append(f"argument {i} = {value!r}: {type(e).__name__}: {e}")
+    assert not escaped, f"{name}:\n" + "\n".join(escaped)

@@ -19,7 +19,6 @@ from itoflow import (
     SamplePath,
     PathBundle,
     evaluate,
-    evaluate_path,
     make_grid,
     matrix_ito_taylor,
     matrix_log,
@@ -77,7 +76,7 @@ def c10_words():
             for me in (matrix_ito_taylor(2, 4), matrix_log(2, 3))
             for row in me.entries
             for e in row
-            for w in e.words()
+            for w in e.support()
         }
     )
 
@@ -113,7 +112,8 @@ class TestHandComputed:
     def test_two_letter_word_uses_left_endpoints(self):
         # integral of x dy on two cells: x_0 b1 + x_1 b2 = a1 * b2
         b = two_step_bundle(2.0, 9.0, 7.0, 3.0)
-        assert evaluate_path(BracketWord([(1,), (2,)]), b)[-1] == pytest.approx(6.0)
+        path = Evaluator.from_bundle(b).word_path(BracketWord([(1,), (2,)]))
+        assert path[-1] == pytest.approx(6.0)
 
     def test_bracket_block_is_increment_product_sum(self):
         b = two_step_bundle(2.0, 3.0, 5.0, 7.0)
@@ -128,14 +128,20 @@ class TestHandComputed:
 
     def test_word_path_starts_at_indicator(self):
         b = two_step_bundle(1.0, 1.0, 1.0, 1.0)
-        path = evaluate_path(BracketWord([(1,)]), b)
-        assert path[0] == 0.0
-        unit_path = evaluate_path(BracketWord([]), b)
+        ev = Evaluator.from_bundle(b)
+        assert ev.word_path(BracketWord([(1,)]))[0] == 0.0
+        unit_path = ev.word_path(BracketWord([]))
         assert unit_path[0] == 1.0
 
 
 class TestBundleOnly:
-    @pytest.mark.parametrize("route", [evaluate, evaluate_path])
+    @pytest.mark.parametrize(
+        "route",
+        [
+            evaluate,
+            pytest.param(lambda w, b: Evaluator.from_bundle(b).word_path(w), id="evaluate_path"),
+        ],
+    )
     @pytest.mark.parametrize(
         "binding",
         [

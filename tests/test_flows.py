@@ -7,14 +7,11 @@ from scipy.linalg import expm
 from itoflow import (
     FlowProblem,
     compare_flows,
-    flow_from_log,
-    flow_from_taylor,
     flow_reference,
-    strong_errors,
     truncated_expm,
 )
 from itoflow import flows as flows_module
-from itoflow.flows import brownian_increments
+from itoflow.flows import _strong_errors, brownian_increments, flow_from_log, flow_from_taylor
 from itoflow.verify import flow_problem
 
 A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -130,6 +127,11 @@ class TestIncrementsAreChecked:
         with pytest.raises(ValueError, match="finite"):
             route(small_problem(steps=64), dW)
 
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_anything_but_a_flow_problem_is_a_type_error(self, route):
+        with pytest.raises(TypeError, match="problem must be FlowProblem, not str"):
+            route("x", np.zeros((4, 64)))
+
     def test_a_nested_list_is_an_array(self):
         p = small_problem(steps=4)
         dW = brownian_increments(p, seed=1, path_indices=range(2))
@@ -200,7 +202,7 @@ class TestRoutes:
     def test_strong_errors_shape(self):
         a = np.zeros((4, 2, 2))
         b = np.ones((4, 2, 2))
-        errs = strong_errors(a, b)
+        errs = _strong_errors(a, b)
         assert errs.shape == (4,)
         assert np.allclose(errs, 2.0)
 

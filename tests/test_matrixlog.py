@@ -10,8 +10,6 @@ from itoflow import (
     MatrixExpansion,
     apply_element,
     entry_letter,
-    integrate_against,
-    letter_entry,
     log_identity_closed_form,
     matrix_exp,
     matrix_ito_taylor,
@@ -27,19 +25,11 @@ class TestLetterEncoding:
         assert entry_letter(2, 1, dim=2) == 3
         assert entry_letter(2, 2, dim=2) == 4
 
-    def test_inverse(self):
-        for dim in (1, 2, 3):
-            for i in range(1, dim + 1):
-                for j in range(1, dim + 1):
-                    assert letter_entry(entry_letter(i, j, dim=dim), dim=dim) == (i, j)
-
     def test_bounds(self):
         with pytest.raises(ValueError):
             entry_letter(0, 1, dim=2)
         with pytest.raises(ValueError):
             entry_letter(1, 3, dim=2)
-        with pytest.raises(ValueError):
-            letter_entry(5, dim=2)
 
 
 class TestMatrixExpansion:
@@ -90,20 +80,14 @@ class TestTaylorSeries:
         m = matrix_ito_taylor(2, 2)
         # words of weight 2 in entry (1, 1) follow index paths 1 -> k -> 1
         e = m[1, 1].restrict(2)
-        assert set(e.words()) == {
+        assert set(e.support()) == {
             BracketWord([(1,), (1,)]),  # (1,1)(1,1)
             BracketWord([(2,), (3,)]),  # (1,2)(2,1)
         }
 
-    def test_integrate_against_raises_weight(self):
-        m0 = MatrixExpansion.identity(2)
-        m1 = integrate_against(m0)
-        assert m1.max_weight() == 1
-        assert integrate_against(m1).max_weight() == 2
-
     def test_grading_by_order(self):
-        m = matrix_ito_taylor(2, 3)
-        assert m.max_weight() == 3
+        for order in (1, 2, 3):
+            assert matrix_ito_taylor(2, order).max_weight() == order
 
 
 class TestMatrixLogExp:

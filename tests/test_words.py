@@ -14,10 +14,8 @@ from itoflow import (
     WordParseError,
     block,
     parse_word,
-    pretty_word,
-    word_compact,
-    word_literal,
 )
+from itoflow.words import pretty_word, word_compact, word_literal
 
 letters = st.integers(min_value=1, max_value=9)
 blocks = st.lists(letters, min_size=1, max_size=3).map(lambda ls: tuple(sorted(ls)))
@@ -149,7 +147,7 @@ class TestExpansion:
         e = Expansion.of(BracketWord.from_letters(1)) + Expansion.of(
             BracketWord([(1, 2)])
         ) + Expansion.of(BracketWord.from_letters(1, 2, 3))
-        assert set(e.restrict(2).words()) == {BracketWord([(1, 2)])}
+        assert set(e.restrict(2).support()) == {BracketWord([(1, 2)])}
         assert e.truncate(2).max_grade() == 2
 
     def test_pretty_signs(self):

@@ -16,6 +16,7 @@ from itoflow import (
     matrix_log,
     qsh,
 )
+from itoflow.matrixseries import _integrate_against
 
 
 class TestLetterEncoding:
@@ -84,6 +85,12 @@ class TestTaylorSeries:
             BracketWord([(1,), (1,)]),  # (1,1)(1,1)
             BracketWord([(2,), (3,)]),  # (1,2)(2,1)
         }
+
+    def test_integrate_against_raises_weight(self):
+        m0 = MatrixExpansion.identity(2)
+        m1 = _integrate_against(m0)
+        assert m1.max_weight() == 1
+        assert _integrate_against(m1).max_weight() == 2
 
     def test_grading_by_order(self):
         for order in (1, 2, 3):

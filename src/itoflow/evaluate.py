@@ -120,7 +120,7 @@ class Evaluator:
         try:
             return [self._inc[letter] for letter in block]
         except KeyError as e:
-            raise KeyError(f"letter {e.args[0]} is not bound to a path") from None
+            raise ValueError(f"letter {e.args[0]} is not bound to a path") from None
 
     def _extend(self, block, parent: np.ndarray | None) -> np.ndarray:
         """Running path of the parent prefix's word followed by block.
@@ -177,13 +177,18 @@ class Evaluator:
     def terminals(self, words: Iterable[WordLike]) -> list[np.ndarray]:
         """Terminal values of the words, in the order given.
 
-        The words not cached yet are evaluated in sorted block order,
-        where every prefix comes before its extensions: on the stack, so
-        each word's parent is on it when the word is built, or, for wide
-        inputs, in one sweep over their prefix trie.
+        When every word is cached, the cached values are returned as they
+        are.  Otherwise the words not cached yet are evaluated in sorted
+        block order, where every prefix comes before its extensions: on
+        the stack, so each word's parent is on it when the word is built,
+        or, for wide inputs, in one sweep over their prefix trie.
         """
         words = [as_word(w) for w in words]
         cache = self._terminal_cache
+        try:
+            return [cache[w] for w in words]
+        except KeyError:  # some word is not cached yet
+            pass
         todo = sorted({w for w in words if w not in cache})
         trie = _prefix_trie(todo)
         if prod(self.shape[:-1]) * (len(trie) - 1) >= _SWEEP_WIDTH:
@@ -243,10 +248,12 @@ class Evaluator:
         """Terminal value of an expansion: rationals become floats here."""
         if not isinstance(e, Expansion):
             return self.word_terminal(e)
-        terms = list(e)
+        words, coeffs = e.support(), e._terms
         out = np.zeros(self.shape[:-1])
-        for (_, c), value in zip(terms, self.terminals(w for w, _ in terms)):
-            out = out + float(c) * value
+        # one term at a time, in support order: a vectorised sum would add
+        # in another order and change the bits
+        for w, value in zip(words, self.terminals(words)):
+            out = out + float(coeffs[w]) * value
         return out
 
 

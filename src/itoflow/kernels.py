@@ -151,6 +151,27 @@ def merge_fibers(fibers, blocks):
     ])
 
 
+def _pick(term, k, l):
+    """Selector of term's word from (*u, *v, *merges) for identity operands.
+
+    term = alpha + beta with alpha, beta strictly increasing, so a fiber
+    holds one position of u (index i), one of v (index k + j), or one of
+    each, whose merge sits at index k + l + i * l + j.  A one-block or
+    empty word is picked by a slice, so every pick of a tuple is a tuple.
+    """
+    slot = {}
+    for i, x in enumerate(term[:k]):
+        slot[x] = i
+    for j, x in enumerate(term[k:]):
+        slot[x] = k + l + slot[x] * l + j if x in slot else k + j
+    index = [slot[x] for x in range(1, len(slot) + 1)]
+    if not index:  # the empty word, shape (0, 0)
+        return itemgetter(slice(0))
+    if len(index) == 1:  # itemgetter(i) would return the bare block
+        return itemgetter(slice(index[0], index[0] + 1))
+    return itemgetter(*index)
+
+
 @lru_cache(maxsize=64)
 def diamond_plan(k, l):
     """Index pairs of every surjection product of shape (k, l), in term order.
@@ -160,8 +181,10 @@ def diamond_plan(k, l):
     The pairs depend only on the targets k and l, so they are enumerated
     once per shape and kept for at most 64 shapes (least recently used
     dropped first).  For identity operands the entries are the terms
-    themselves: alpha o id = alpha.  Returns (values, fibers): the value
-    tuples, and beside each its fibers_of, for merging blocks along it.
+    themselves: alpha o id = alpha.  Returns (values, picks): the value
+    tuples, and beside each a selector that, applied to the tuple
+    (*u, *v, *(block_product(a, b) for a in u for b in v)) of two words
+    of lengths k and l, returns the term's word as a tuple of blocks.
     """
     out = []
     for r in range(max(k, l), k + l + 1):
@@ -175,7 +198,7 @@ def diamond_plan(k, l):
             free = [x for x in universe if x in aset]
             for extra in combinations(free, l - len(need)):
                 out.append(alpha + tuple(sorted(need + list(extra))))
-    return tuple(out), tuple(map(fibers_of, out))
+    return tuple(out), tuple(_pick(term, k, l) for term in out)
 
 
 def diamond_words(f, g):

@@ -39,7 +39,8 @@ LETTER_ENCODING = "row-major: letter(i, j) = (i - 1) * dim + j, 1-based"
 
 def entry_letter(i: int, j: int, dim: int) -> int:
     """Pack matrix position (i, j) into a single positive letter."""
-    if not (1 <= i <= dim and 1 <= j <= dim):
+    i, j, dim = _count("i", i), _count("j", j), _count("dim", dim)
+    if not (i <= dim and j <= dim):
         raise ValueError(f"entry ({i},{j}) outside a {dim}x{dim} matrix")
     return (i - 1) * dim + j
 

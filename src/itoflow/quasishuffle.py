@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
 
 from ._config import check_weight
-from .kernels import diamond_plan, merge_fibers, qsh_words
+from .kernels import diamond_plan, qsh_words
 from .words import (
     BracketWord,
     Expansion,
@@ -41,8 +40,12 @@ def _weight(w) -> int:
     return sum(map(len, w))
 
 
+# the coefficient of a word operand, shared: a Fraction is immutable
+ONE = Fraction(1)
+
+
 def _as_expansion(x) -> Expansion:
-    return x if isinstance(x, Expansion) else Expansion.of(as_word(x))
+    return x if isinstance(x, Expansion) else Expansion._raw({as_word(x): ONE})
 
 
 def _weight_pairs(a, b, max_weight: int | None = None):
@@ -139,14 +142,17 @@ def qsh_via_surjections(u: WordLike, v: WordLike) -> Expansion:
     The terms depend only on the shape (n, m): they are the entries of
     kernels.diamond_plan(n, m), enumerated once per shape in the kernel's
     memo of at most 64 shapes, which holds every shape the default weight
-    cap allows, each term beside its fibers.  The weight cap is checked
-    before the memo is read, so a memoized shape still raises CapExceeded
-    when the cap is lowered.
+    cap allows, each term beside its pick: the term's blocks as indices
+    into u's blocks, v's blocks and the merges of a block of u with a
+    block of v, which are worked out once per call.  The weight cap is
+    checked before the memo is read, so a memoized shape still raises
+    CapExceeded when the cap is lowered.
     """
     u, v = as_word(u), as_word(v)
     check_weight(u.weight + v.weight)
-    _, plan = diamond_plan(len(u), len(v))
-    counts = Counter(map(merge_fibers, plan, repeat(tuple(u) + tuple(v))))
+    _, picks = diamond_plan(len(u), len(v))
+    blocks = (*u, *v, *[block_product(a, b) for a in u for b in v])
+    counts = Counter(pick(blocks) for pick in picks)
     fracs = {c: Fraction(c) for c in set(counts.values())}
     return Expansion._raw({BracketWord._wrap(w): fracs[c] for w, c in counts.items()})
 

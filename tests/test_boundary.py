@@ -1,6 +1,7 @@
 """The boundary contract, its type clause: every public function, given one
 argument of a wrong type, raises TypeError, ValueError (CapExceeded,
 BundleFormatError and WordParseError included) or OSError, and nothing else.
+And its value clause: a malformed value of the right type raises ValueError.
 
 Each function in itoflow.__all__ has one row of small valid arguments.
 Each argument of the row is swapped in turn for every value in HOSTILE.
@@ -126,3 +127,15 @@ def test_wrong_argument_types_raise_the_contract_errors(name, tmp_path, monkeypa
             except Exception as e:  # anything else breaks the contract
                 escaped.append(f"argument {i} = {value!r}: {type(e).__name__}: {e}")
     assert not escaped, f"{name}:\n" + "\n".join(escaped)
+
+
+# malformed values of the right type, each of which must raise ValueError
+VALUE_ROWS = {
+    "evaluate-unbound-letter": lambda: itoflow.evaluate(BracketWord.from_letters(3), BUNDLE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_ROWS))
+def test_malformed_values_raise_value_error(name):
+    with pytest.raises(ValueError):
+        VALUE_ROWS[name]()

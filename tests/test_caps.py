@@ -17,6 +17,7 @@ from itoflow import (
     caps,
     compare_flows,
     compositions_of,
+    entry_letter,
     enumerate_grade,
     enumerate_surjections,
     exp_element,
@@ -159,6 +160,9 @@ COUNT_SITES = {
     "enumerate_grade-n": (enumerate_grade, "n", 0),
     "enumerate_grade-max_fiber": (lambda v: enumerate_grade(3, v), "max_fiber", 0),
     "compositions_of": (compositions_of, "n", 0),
+    "entry_letter-i": (lambda v: entry_letter(v, 1, 2), "i", 1),
+    "entry_letter-j": (lambda v: entry_letter(1, v, 2), "j", 1),
+    "entry_letter-dim": (lambda v: entry_letter(1, 1, v), "dim", 1),
     "subset_alternating_sum": (lambda v: subset_alternating_sum(v, []), "n", 1),
     "suite_algebra": (suite_algebra, "grade", 1),
     "cli-max-grade": (_call_caps, "--max-grade", 1),

@@ -46,7 +46,7 @@ def reference_word_path(increments, w):
             try:
                 x = increments[letter]
             except KeyError:
-                raise KeyError(f"letter {letter} is not bound to a path") from None
+                raise ValueError(f"letter {letter} is not bound to a path") from None
             inc = x.copy() if inc is None else inc * x
         step = path[..., :-1] * inc
         path = np.zeros(shape[:-1] + (shape[-1] + 1,))
@@ -79,6 +79,10 @@ def c10_words():
             for w in e.support()
         }
     )
+
+
+# the words over the letters 1, 2, 3, by weight (weight 0 is the empty word)
+CALL_WORDS = words_up_to(4)
 
 
 # values of the terminals route's crossover that force the sweep or the stack
@@ -186,7 +190,7 @@ class TestEvaluator:
     def test_unbound_letter_message(self):
         b = two_step_bundle(1.0, 2.0, 3.0, 4.0)
         ev = Evaluator.from_bundle(b)
-        with pytest.raises(KeyError, match="letter 5"):
+        with pytest.raises(ValueError, match="letter 5"):
             ev.word_terminal(BracketWord([(5,)]))
 
     def test_expansion_with_rational_coefficients(self):
@@ -243,7 +247,7 @@ class TestPrefixStackAgainstOracle:
             method = ev.word_path if kind == "path" else ev.word_terminal
             if unbound:
                 message = f"letter {unbound[0]} is not bound to a path"
-                with pytest.raises(KeyError, match=message):
+                with pytest.raises(ValueError, match=message):
                     method(w)
                 continue
             expected = reference_word_path(inc, w)
@@ -252,6 +256,55 @@ class TestPrefixStackAgainstOracle:
             got = method(w)
             assert got.shape == expected.shape
             assert np.array_equal(got, expected)
+
+    def cached_call(self, inc, e):
+        """ev(e) on a one-row evaluator that already holds every word."""
+        ev = Evaluator(inc)
+        ev.terminals(e.support())
+        with mock.patch.object(Evaluator, "_extend", refuse), mock.patch.object(
+            Evaluator, "_sweep", refuse
+        ):
+            return ev(e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.sampled_from([None, 1]),
+        n_terms=st.integers(min_value=8, max_value=16),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_cached_call_is_bit_identical(self, batch, n_terms, seed):
+        """Terms are added one at a time, in support order: a pairwise or
+        vectorised sum rounds in another order."""
+        shape = (64,) if batch is None else (batch, 64)
+        rng = np.random.default_rng(seed)
+        inc = {x: rng.normal(scale=10.0 ** rng.integers(-3, 2), size=shape) for x in (1, 2, 3)}
+        pool = [w for weight in range(1, 5) for w in CALL_WORDS[weight]]
+        chosen = rng.choice(len(pool), size=n_terms, replace=False)
+        numerators = rng.integers(1, 50, size=n_terms) * rng.choice([-1, 1], size=n_terms)
+        denominators = rng.integers(1, 7, size=n_terms)
+        e = Expansion(
+            (pool[k], Fraction(int(a), int(b)))
+            for k, a, b in zip(chosen, numerators, denominators)
+        )
+        got, expected = self.cached_call(inc, e), reference_value(inc, e)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_cached_call_of_negative_zeros_is_a_positive_zero(self):
+        """Every term is -0.0: letter 1 moves by -0.0 on every cell and the
+        prefixes before it are never negative.  The sum starts from 0.0, and
+        0.0 + -0.0 is 0.0; a sum that starts from its first term keeps -0.0."""
+        inc = {1: np.full((1, 5), -0.0), 2: np.full((1, 5), 0.5), 3: np.full((1, 5), 2.0)}
+        prefixes = [BracketWord()] + CALL_WORDS[1] + CALL_WORDS[2]
+        e = Expansion(
+            (p + BracketWord.from_letters(1), 1)
+            for p in prefixes
+            if all(1 not in b for b in p)
+        )
+        assert len(e) >= 8
+        got, expected = self.cached_call(inc, e), reference_value(inc, e)
+        assert expected.tobytes() == np.zeros(1).tobytes()
+        assert got.tobytes() == expected.tobytes()
 
     def test_terminals_keep_the_order_asked(self):
         inc = random_increments(5, (2, 17))
@@ -318,7 +371,7 @@ class TestSweepAgainstOracle:
         messages = []
         for width in (STACK, SWEEP):
             ev = Evaluator(inc)
-            with terminals_route(width), pytest.raises(KeyError) as err:
+            with terminals_route(width), pytest.raises(ValueError) as err:
                 ev.terminals(words)
             messages.append(err.value.args[0])
         assert messages == ["letter 6 is not bound to a path"] * 2

@@ -1,9 +1,10 @@
 """Quasi-shuffle product: axioms, half-shuffle splitting, surjection route."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from itoflow import (
@@ -22,6 +23,7 @@ from itoflow import (
     parse_word,
 )
 from itoflow import kernels, quasishuffle
+from itoflow._config import DEFAULT_WEIGHT_CAP
 
 letters = st.integers(min_value=1, max_value=3)
 blocks = st.lists(letters, min_size=1, max_size=2).map(lambda ls: tuple(sorted(ls)))
@@ -198,6 +200,30 @@ def test_surjection_route_memo_is_bounded():
             assert info.maxsize is not None and info.currsize <= info.maxsize
     # every shape the default weight cap allows fits without eviction
     assert memo.cache_info().currsize == 45
+
+
+# two letters, so equal blocks repeat and a word can come up more than once
+repeating_words = st.lists(
+    st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=2).map(
+        lambda ls: tuple(sorted(ls))
+    ),
+    max_size=4,
+).map(BracketWord)
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=repeating_words, v=repeating_words)
+@example(u=UNIT_WORD, v=UNIT_WORD)
+@example(u=UNIT_WORD, v=BracketWord.from_letters(2, 1))
+@example(u=BracketWord([(1, 2)]), v=UNIT_WORD)
+@example(u=BracketWord.from_letters(1, 1), v=BracketWord.from_letters(1))  # (1)(1)(1) 3 times
+def test_surjection_route_merges_along_the_plan(u, v):
+    """The picks of diamond_plan give the words apply_to_blocks builds
+    from its value tuples, with the same multiplicities."""
+    assume(u.weight + v.weight <= DEFAULT_WEIGHT_CAP)
+    values, _ = kernels.diamond_plan(len(u), len(v))
+    expected = Counter(kernels.apply_to_blocks(h, u + v) for h in values)
+    assert qsh_via_surjections(u, v) == Expansion(expected.items())
 
 
 def test_surjection_route_does_not_use_qsh_words(monkeypatch):

@@ -253,7 +253,9 @@ class Evaluator:
         # one term at a time, in support order: a vectorised sum would add
         # in another order and change the bits
         for w, value in zip(words, self.terminals(words)):
-            out = out + float(coeffs[w]) * value
+            c = coeffs[w]
+            # float(c), correctly rounded, without numbers.Rational.__float__
+            out = out + c.numerator / c.denominator * value
         return out
 
 

@@ -60,14 +60,14 @@ def surjections(n, k, max_fiber=0):
     missing = k  # values of 1..k not yet used
 
     def rec(pos, missing):
-        if missing > n - pos:
-            return
         if pos == n:
             out.append(tuple(buf))
             return
+        # as many slots left as values unused: each must take an unused one
+        tight = missing == n - pos
         for v in range(1, k + 1):
             c = counts[v]
-            if max_fiber and c >= max_fiber:
+            if (c and tight) or (max_fiber and c >= max_fiber):
                 continue
             counts[v] = c + 1
             buf[pos] = v

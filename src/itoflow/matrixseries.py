@@ -123,6 +123,8 @@ class MatrixExpansion:
         truncated-series arithmetic from exploding past the working order.
         """
         self._check(other)
+        if max_weight is not None:
+            max_weight = _count("max_weight", max_weight, 0)
         cols = list(zip(*other.entries))
         return MatrixExpansion(
             self.dim,
@@ -145,6 +147,7 @@ class MatrixExpansion:
         )
 
     def truncate_weight(self, max_weight: int) -> "MatrixExpansion":
+        # every entry's truncate checks max_weight: dim is at least 1
         return self.map_entries(lambda e: e.truncate(max_weight))
 
     def max_weight(self) -> int:

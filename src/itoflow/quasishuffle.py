@@ -20,9 +20,8 @@ qsh; the half-products are left undefined on it.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 
-from ._config import check_weight
+from ._config import _count, check_weight
 from .kernels import diamond_plan, qsh_words
 from .words import (
     BracketWord,
@@ -32,6 +31,7 @@ from .words import (
     as_word,
     block_product,
     graded_pairs,
+    whole,
 )
 
 
@@ -40,18 +40,25 @@ def _weight(w) -> int:
     return sum(map(len, w))
 
 
-# the coefficient of a word operand, shared: a Fraction is immutable
-ONE = Fraction(1)
+# the coefficient of a word as an expansion, shared: a Fraction is immutable
+ONE = whole(1)
 
 
 def _as_expansion(x) -> Expansion:
     return x if isinstance(x, Expansion) else Expansion._raw({as_word(x): ONE})
 
 
-def _weight_pairs(a, b, max_weight: int | None = None):
-    """Term pairs (u, v, cu * cv) of words or expansions, pruned by weight."""
-    ea, eb = _as_expansion(a), _as_expansion(b)
-    return graded_pairs(ea._terms, eb._terms, _weight, max_weight, check_weight)
+def _terms(x, one) -> dict:
+    """An expansion's coefficient map, or {word: one} for a word."""
+    return x._terms if isinstance(x, Expansion) else {as_word(x): one}
+
+
+def _weight_pairs(a, b, max_weight: int | None = None, one=ONE):
+    """Term pairs (u, v, cu * cv) of words or expansions, pruned by weight.
+
+    A word operand carries the coefficient one.
+    """
+    return graded_pairs(_terms(a, one), _terms(b, one), _weight, max_weight, check_weight)
 
 
 def qsh(*operands, max_weight: int | None = None) -> Expansion:
@@ -67,22 +74,30 @@ def qsh(*operands, max_weight: int | None = None) -> Expansion:
 
     The terms of each product are added into one dict keyed by plain
     tuples; each distinct word is wrapped once, and zero sums are dropped,
-    at the end.
+    at the end.  A word operand carries the int 1, so a product of two
+    words adds int multiplicities, and each becomes a coefficient once, at
+    the end, from the shared table of words.whole: two equal products then
+    hold the same coefficient objects.
     """
+    if max_weight is not None:
+        max_weight = _count("max_weight", max_weight, 0)
     if not operands:
         return Expansion.unit()
-    acc = _as_expansion(operands[0])
+    acc = operands[0]
     for rhs in operands[1:]:
         data: dict = {}
         get = data.get
-        for u, v, c in _weight_pairs(acc, rhs, max_weight):
+        for u, v, c in _weight_pairs(acc, rhs, max_weight, one=1):
             for w, mult in qsh_words(u, v).items():
                 t = c if mult == 1 else c * mult
                 prev = get(w)
                 # a new key starts at t: 0 + t takes Fraction's slow __radd__
                 data[w] = t if prev is None else prev + t
-        acc = Expansion._raw({BracketWord._wrap(w): c for w, c in data.items() if c})
-    return acc
+        if isinstance(acc, Expansion) or isinstance(rhs, Expansion):
+            acc = Expansion._raw({BracketWord._wrap(w): c for w, c in data.items() if c})
+        else:  # two words: every sum is a positive int
+            acc = Expansion._raw({BracketWord._wrap(w): whole(c) for w, c in data.items()})
+    return _as_expansion(acc)
 
 
 def _require_nonempty(u: BracketWord, v: BracketWord) -> None:
@@ -146,15 +161,15 @@ def qsh_via_surjections(u: WordLike, v: WordLike) -> Expansion:
     into u's blocks, v's blocks and the merges of a block of u with a
     block of v, which are worked out once per call.  The weight cap is
     checked before the memo is read, so a memoized shape still raises
-    CapExceeded when the cap is lowered.
+    CapExceeded when the cap is lowered.  Each word's count becomes its
+    coefficient from the shared table of words.whole, as in qsh.
     """
     u, v = as_word(u), as_word(v)
     check_weight(u.weight + v.weight)
     _, picks = diamond_plan(len(u), len(v))
     blocks = (*u, *v, *[block_product(a, b) for a in u for b in v])
     counts = Counter(pick(blocks) for pick in picks)
-    fracs = {c: Fraction(c) for c in set(counts.values())}
-    return Expansion._raw({BracketWord._wrap(w): fracs[c] for w, c in counts.items()})
+    return Expansion._raw({BracketWord._wrap(w): whole(c) for w, c in counts.items()})
 
 
 def shuffle_projection(e: Expansion) -> Expansion:

@@ -122,11 +122,6 @@ def pack(values: Sequence[int]) -> Surjection:
     return Surjection._wrap(pack_word(tuple(values)))
 
 
-def surjection_sort_key(f) -> tuple:
-    """Grade first, then lexicographic on value sequences."""
-    return (len(f), tuple(f))
-
-
 def enumerate_surjections(n: int, k: int, max_fiber: int = 0) -> list[Surjection]:
     """All surjections [n] onto [k] in lexicographic order.
 
@@ -169,7 +164,6 @@ class SurjElement(Combination):
     __slots__ = ()
 
     _coerce = staticmethod(as_surjection)
-    _sort_key = staticmethod(surjection_sort_key)
     _grade = len
     _json_key = "f"
     _product = "diamond for products of surjection elements"
@@ -206,6 +200,8 @@ def diamond(a: ElementLike, b: ElementLike, max_grade: int | None = None) -> Sur
     series work bounded.  As in qsh, the terms are added into one dict of
     plain tuples, and each distinct term is wrapped once at the end.
     """
+    if max_grade is not None:
+        max_grade = _count("max_grade", max_grade, 0)
     ea, eb = _as_element(a), _as_element(b)
     data: dict = {}
     get = data.get

@@ -20,6 +20,8 @@ from math import lcm
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Union
 
+from ._config import _count
+
 Block = tuple  # sorted tuple of positive ints
 
 
@@ -51,7 +53,10 @@ class BracketWord(tuple):
                     f"blocks must be iterables of letters, got bare int {b!r}; "
                     "use BracketWord.from_letters for singleton-block words"
                 )
-            canon.append(block(*b))
+            c = block(*b)
+            # a canonical block tuple is kept, not copied: words built from
+            # shared blocks share them
+            canon.append(b if type(b) is tuple and b == c else c)
         return super().__new__(cls, canon)
 
     @classmethod
@@ -92,11 +97,6 @@ WordLike = Union[BracketWord, Iterable[Iterable[int]]]
 
 def as_word(w: WordLike) -> BracketWord:
     return w if isinstance(w, BracketWord) else BracketWord(w)
-
-
-def word_sort_key(w) -> tuple:
-    """Deterministic ordering key: block count first, then blockwise lex."""
-    return (len(w), tuple(w))
 
 
 # -- text forms ---------------------------------------------------------------
@@ -233,6 +233,18 @@ def _parse_compact(text: str) -> BracketWord:
 # -- exact coefficients -------------------------------------------------------
 
 
+# Fraction(n) for 0 <= n < 256, one shared object per value.  A product of
+# words has non-negative int multiplicities; taking its coefficients from
+# this fixed table makes two equal products hold the same objects, so
+# comparing them is decided by identity, never by Fraction.__eq__.
+_WHOLE = tuple(map(Fraction, range(256)))
+
+
+def whole(n: int) -> Fraction:
+    """Fraction(n) for an int multiplicity n >= 0, shared while n < 256."""
+    return _WHOLE[n] if n < 256 else Fraction(n)
+
+
 def frac_to_json(c: Fraction) -> dict:
     return {"num": str(c.numerator), "den": str(c.denominator)}
 
@@ -327,10 +339,11 @@ class Combination:
 
     Zero coefficients are never stored; equality is exact coefficient-map
     equality between combinations of one type.  A subclass sets what is
-    particular to its keys: _coerce (key coercion), _sort_key (output
-    order), _grade (key grade), _render (display; an empty string marks a
-    constant term), _json_key (name of the key field in JSON) and _product
-    (where the product of two combinations lives).
+    particular to its keys: _coerce (key coercion), _grade (key grade),
+    _render (display; an empty string marks a constant term), _json_key
+    (name of the key field in JSON) and _product (where the product of two
+    combinations lives).  Keys are tuples, listed in length-lexicographic
+    order: fewer entries first, then lexicographic.
     """
 
     __slots__ = ("_terms",)
@@ -408,7 +421,7 @@ class Combination:
         return bool(self._terms)
 
     def __iter__(self) -> Iterator[tuple]:
-        for k in sorted(self._terms, key=self._sort_key):
+        for k in self.support():
             yield k, self._terms[k]
 
     def __getitem__(self, key) -> Fraction:
@@ -418,7 +431,10 @@ class Combination:
         return self._coerce(key) in self._terms
 
     def support(self) -> list:
-        return sorted(self._terms, key=self._sort_key)
+        """The keys in length-lexicographic order."""
+        # two sorts with C-level keys: the second is stable, so keys of one
+        # length stay in lexicographic order
+        return sorted(sorted(self._terms), key=len)
 
     # arithmetic
     def __eq__(self, other) -> bool:
@@ -469,11 +485,13 @@ class Combination:
 
     def restrict(self, grade: int):
         """Homogeneous part of the given grade."""
+        grade = _count("grade", grade, 0)
         g = self._grade
         return self._raw({k: c for k, c in self._terms.items() if g(k) == grade})
 
     def truncate(self, max_grade: int):
         """Drop every term of grade above max_grade."""
+        max_grade = _count("max_grade", max_grade, 0)
         g = self._grade
         return self._raw({k: c for k, c in self._terms.items() if g(k) <= max_grade})
 
@@ -532,7 +550,6 @@ class Expansion(Combination):
     __slots__ = ()
 
     _coerce = staticmethod(as_word)
-    _sort_key = staticmethod(word_sort_key)
     _grade = attrgetter("weight")
     _json_key = "word"
     _product = "itoflow.quasishuffle.qsh for products of expansions"

@@ -1,7 +1,9 @@
 """The boundary contract, its type clause: every public function, given one
 argument of a wrong type, raises TypeError, ValueError (CapExceeded,
 BundleFormatError and WordParseError included) or OSError, and nothing else.
-And its value clause: a malformed value of the right type raises ValueError.
+And its value clause: a malformed value of the right type raises ValueError,
+as every size bound of the products and truncations that is not an int >= 0
+(or None, where None means no limit) does.
 
 Each function in itoflow.__all__ has one row of small valid arguments.
 Each argument of the row is swapped in turn for every value in HOSTILE.
@@ -10,6 +12,7 @@ The size values -1, 0 and 10**30 are left out: an unbounded dimension
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +24,9 @@ from itoflow import (
     DriverSpec,
     Expansion,
     FlowProblem,
+    MatrixExpansion,
     Surjection,
+    SurjElement,
     bundle_to_binary,
     bundle_to_csv,
     log_identity_closed_form,
@@ -129,9 +134,30 @@ def test_wrong_argument_types_raise_the_contract_errors(name, tmp_path, monkeypa
     assert not escaped, f"{name}:\n" + "\n".join(escaped)
 
 
+# the size bounds of the products and truncations, each called with a bound:
+# an int >= 0, where None (if it is allowed) means no limit
+EXPANSION = Expansion.unit() + Expansion.of(WORD)
+LOG = matrix_log(2, 2)
+BOUNDS = {
+    "qsh-max_weight": lambda b: itoflow.qsh(WORD, WORD, max_weight=b),
+    "qsh-expansions-max_weight": lambda b: itoflow.qsh(EXPANSION, EXPANSION, max_weight=b),
+    "diamond-max_grade": lambda b: itoflow.diamond(SURJ, SURJ, max_grade=b),
+    "matmul-max_weight": lambda b: LOG.matmul(LOG, max_weight=b),
+    "matmul-zero-max_weight": lambda b: MatrixExpansion.zero(2).matmul(LOG, max_weight=b),
+    "truncate-max_grade": lambda b: EXPANSION.truncate(b),
+    "truncate-zero-max_grade": lambda b: Expansion.zero().truncate(b),
+    "restrict-grade": lambda b: EXPANSION.restrict(b),
+    "truncate_weight-max_weight": lambda b: LOG.truncate_weight(b),
+}
+
 # malformed values of the right type, each of which must raise ValueError
 VALUE_ROWS = {
     "evaluate-unbound-letter": lambda: itoflow.evaluate(BracketWord.from_letters(3), BUNDLE),
+    **{
+        f"{site}={bad!r}": partial(call, bad)
+        for site, call in BOUNDS.items()
+        for bad in (-1, True, 2.5, math.nan)
+    },
 }
 
 
@@ -139,3 +165,29 @@ VALUE_ROWS = {
 def test_malformed_values_raise_value_error(name):
     with pytest.raises(ValueError):
         VALUE_ROWS[name]()
+
+
+ZERO_MATRIX = MatrixExpansion.zero(2)
+# what each bound gives at 0, and at None: no limit where None is allowed
+BOUND_OUTPUTS = {
+    "qsh-max_weight": (Expansion.zero(), itoflow.qsh(WORD, WORD)),
+    "qsh-expansions-max_weight": (Expansion.unit(), itoflow.qsh(EXPANSION, EXPANSION)),
+    "diamond-max_grade": (SurjElement.zero(), itoflow.diamond(SURJ, SURJ)),
+    "matmul-max_weight": (ZERO_MATRIX, LOG.matmul(LOG)),
+    "matmul-zero-max_weight": (ZERO_MATRIX, ZERO_MATRIX),
+    "truncate-max_grade": (Expansion.unit(), ValueError),
+    "truncate-zero-max_grade": (Expansion.zero(), ValueError),
+    "restrict-grade": (Expansion.unit(), ValueError),
+    "truncate_weight-max_weight": (ZERO_MATRIX, ValueError),
+}
+
+
+@pytest.mark.parametrize("site", sorted(BOUNDS))
+def test_size_bounds_of_zero_and_none(site):
+    at_zero, at_none = BOUND_OUTPUTS[site]
+    assert BOUNDS[site](0) == at_zero
+    if at_none is ValueError:
+        with pytest.raises(ValueError):
+            BOUNDS[site](None)
+    else:
+        assert BOUNDS[site](None) == at_none

@@ -24,6 +24,7 @@ from itoflow import (
 )
 from itoflow import kernels, quasishuffle
 from itoflow._config import DEFAULT_WEIGHT_CAP
+from itoflow.verify import words_up_to
 
 letters = st.integers(min_value=1, max_value=3)
 blocks = st.lists(letters, min_size=1, max_size=2).map(lambda ls: tuple(sorted(ls)))
@@ -110,6 +111,36 @@ def test_pruned_pairs_do_not_hit_the_weight_cap():
         assert qsh(a, b, max_weight=4) == full.truncate(4)
         with pytest.raises(CapExceeded):
             qsh(a, b)
+
+
+# every word of weight at most 6 over the letters 1, 2, 3, lightest first
+light_words = st.sampled_from([w for ws in words_up_to(6).values() for w in ws])
+max_weights = st.one_of(st.none(), st.integers(min_value=0, max_value=7))
+
+
+@given(light_words, light_words, max_weights)
+@settings(max_examples=150, deadline=None)
+@example(BracketWord.from_letters(1, 1, 1), BracketWord.from_letters(1, 1, 1), None)
+def test_word_products_are_exact_and_checked(u, v, max_weight):
+    """A product of two words equals the product of their expansions, and
+    the surjection route when nothing is pruned; its coefficients are
+    Fractions; and only a kept pair meets the weight cap."""
+    weight = u.weight + v.weight
+    kept = max_weight is None or weight <= max_weight
+    with caps(weight=12):
+        product = qsh(u, v, max_weight=max_weight)
+        assert product == qsh(Expansion.of(u), Expansion.of(v), max_weight=max_weight)
+        if kept:
+            assert product == qsh_via_surjections(u, v)
+        else:
+            assert product == Expansion.zero()
+    assert all(type(c) is Fraction for _, c in product)
+    with caps(weight=3):
+        if kept and weight > 3:
+            with pytest.raises(CapExceeded):
+                qsh(u, v, max_weight=max_weight)
+        else:
+            assert qsh(u, v, max_weight=max_weight) == product
 
 
 @given(words, words)

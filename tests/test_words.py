@@ -50,6 +50,15 @@ class TestBracketWord:
     def test_canonicalizes_block_order(self):
         assert BracketWord([(3, 1)]) == BracketWord([(1, 3)])
 
+    def test_keeps_canonical_block_tuples(self):
+        canonical, unsorted, as_list = (1, 3), (3, 1), [1, 3]
+        w = BracketWord([canonical, unsorted, as_list])
+        assert w == BracketWord([(1, 3)] * 3)
+        assert w[0] is canonical  # shared, not copied
+        assert w[1] is not unsorted and w[2] == (1, 3) and type(w[2]) is tuple
+        with pytest.raises(ValueError):
+            BracketWord([(0, 1)])  # a sorted tuple is still checked
+
     def test_rejects_bare_ints(self):
         with pytest.raises(TypeError):
             BracketWord([1, 2])

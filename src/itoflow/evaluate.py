@@ -41,11 +41,13 @@ evaluates many Monte Carlo paths in one sweep.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from math import prod
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 import numpy as np
 
+from ._config import _count, _finite, _typed
 from .words import BracketWord, Expansion, WordLike, as_word
 from .paths import PathBundle
 
@@ -84,17 +86,15 @@ class Evaluator:
     """
 
     def __init__(self, increments: Mapping[int, np.ndarray]):
-        if not isinstance(increments, Mapping):
-            raise TypeError(f"increments is a mapping of letters, not {type(increments).__name__}")
-        incs = {int(k): np.asarray(v, dtype=np.float64) for k, v in increments.items()}
+        incs = {
+            _count("letter", k): _finite(f"increments of letter {k}", v)
+            for k, v in _typed("increments", increments, Mapping).items()
+        }
         if not incs:
             raise ValueError("need at least one driver")
         shapes = {v.shape for v in incs.values()}
         if len(shapes) != 1:
             raise ValueError("drivers must share one grid shape")
-        for letter, inc in incs.items():
-            if not np.isfinite(inc).all():
-                raise ValueError(f"increments of letter {letter} are not all finite")
         self.shape = shapes.pop()
         rows, cells = prod(self.shape[:-1]), self.shape[-1]
         # the increments as (rows, cells), and the row chunks blocks are built in

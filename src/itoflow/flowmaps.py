@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from ._config import _count, _typed, check_grade
 from .logseries import descent_coefficient
-from .surjections import Surjection, enumerate_grade
+from .surjections import Surjection, apply_surjection, enumerate_grade
 from .words import (
     BracketWord,
     Expansion,
@@ -105,15 +105,7 @@ class LogTerm:
 
     def instantiate(self, letters: Sequence[int]) -> tuple[BracketWord, Fraction]:
         """Fill the template with concrete driver letters, one per position."""
-        if len(letters) != self.order:
-            raise ValueError(
-                f"need {self.order} letters, got {len(letters)}"
-            )
-        blocks = (
-            tuple(sorted(letters[p - 1] for p in positions))
-            for positions in self.partition
-        )
-        return BracketWord(blocks), self.coeff
+        return apply_surjection(self.surjection(), BracketWord.from_letters(*letters)), self.coeff
 
     def pretty(self) -> str:
         """Theorem-style rendering, e.g. '-1/6 V_i V_j V_k I_{j[ik]}'."""
@@ -139,11 +131,11 @@ class LogTerm:
     def from_json_dict(cls, obj: dict) -> "LogTerm":
         """Inverse of to_json_dict; a malformed blob raises ValueError."""
         with refuse_malformed(cls.__name__):
-            return cls(
-                order=int(obj["n"]),
-                partition=tuple(tuple(int(p) for p in b) for b in obj["partition"]),
-                coeff=frac_from_json(obj["coeff"]),
-            )
+            n = _count("n", obj["n"])
+            partition = tuple(tuple(_count("position", p) for p in b) for b in obj["partition"])
+            if not all(partition) or sorted(itertools.chain(*partition)) != list(range(1, n + 1)):
+                raise ValueError(f"partition {partition} is not a set partition of 1..{n}")
+            return cls(order=n, partition=partition, coeff=frac_from_json(obj["coeff"]))
 
 
 def log_flow_terms(alphabet: DriverAlphabet, order: int) -> list[LogTerm]:

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._config import _count, _typed
+from ._config import _count, _finite, _typed
 from .evaluate import Evaluator
 from .matrixseries import MatrixExpansion, entry_letter, matrix_ito_taylor, matrix_log
 from .paths import _check_horizon, make_grid, rng_for
@@ -43,15 +43,13 @@ class FlowProblem:
     steps: int
 
     def __post_init__(self):
-        object.__setattr__(self, "drift", np.asarray(self.drift, dtype=np.float64))
-        object.__setattr__(self, "diffusion", np.asarray(self.diffusion, dtype=np.float64))
+        object.__setattr__(self, "drift", _finite("drift", self.drift))
+        object.__setattr__(self, "diffusion", _finite("diffusion", self.diffusion))
         object.__setattr__(self, "dim", _count("dim", self.dim))
         object.__setattr__(self, "steps", _count("steps", self.steps))
         d = self.dim
         if self.drift.shape != (d, d) or self.diffusion.shape != (d, d):
             raise ValueError(f"coefficient matrices must be {d}x{d}")
-        if not (np.isfinite(self.drift).all() and np.isfinite(self.diffusion).all()):
-            raise ValueError("coefficient matrices must be finite")
         _check_horizon(self.horizon)
 
     @property
@@ -78,11 +76,9 @@ def _check_increments(problem: FlowProblem, dW) -> np.ndarray:
     """dW as a finite (paths, problem.steps) float array, else ValueError;
     a problem that is not a FlowProblem raises TypeError."""
     _typed("problem", problem, FlowProblem)
-    dW = np.asarray(dW, dtype=np.float64)
+    dW = _finite("dW", dW)
     if dW.ndim != 2 or dW.shape[1] != problem.steps:
         raise ValueError(f"dW must be shaped (paths, {problem.steps}), not {dW.shape}")
-    if not np.isfinite(dW).all():
-        raise ValueError("dW is not all finite")
     return dW
 
 
@@ -158,11 +154,9 @@ def truncated_expm(mats: np.ndarray) -> np.ndarray:
     are short-horizon logarithms with norms well below 1, so the series
     converges in a handful of terms.
     """
-    mats = np.asarray(mats, dtype=np.float64)
+    mats = _finite("matrix stack", mats)
     if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
         raise ValueError(f"need a stack of square matrices, not shape {mats.shape}")
-    if not np.isfinite(mats).all():
-        raise ValueError("matrix exponential of a non-finite stack")
     if not mats.size:
         return np.empty(mats.shape)
     d = mats.shape[-1]

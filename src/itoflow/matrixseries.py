@@ -182,7 +182,7 @@ class MatrixExpansion:
         """Inverse of to_json_dict; a malformed blob raises ValueError."""
         with refuse_malformed(cls.__name__):
             entries = [[Expansion.from_json_dict(e) for e in row] for row in obj["entries"]]
-            return cls(int(obj["dim"]), entries)
+            return cls(obj["dim"], entries)
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_json_dict(), **kwargs)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import _count, _typed
+from ._config import _count, _finite, _typed
 
 BINARY_MAGIC = b"ITOPATH1"
 
@@ -42,14 +42,11 @@ class SamplePath:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid, values):
-        grid = np.asarray(grid, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
+        grid, values = _finite("grid", grid), _finite("values", values)
         if grid.ndim != 1 or values.shape != grid.shape:
             raise ValueError("grid and values must be equal-length 1-D arrays")
         if len(grid) < 2:
             raise ValueError("need at least two grid points")
-        if not (np.isfinite(grid).all() and np.isfinite(values).all()):
-            raise ValueError("grid and values must be finite")
         if grid[0] != 0.0:
             raise ValueError("grid must start at time 0")
         if not np.all(np.diff(grid) > 0):
@@ -112,10 +109,9 @@ class DriverSpec:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown driver kind {self.kind!r}")
         for name in ("sigma", "rate", "slope"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
-        if self.table is not None and not np.isfinite(self.table).all():
-            raise ValueError("table values must be finite")
+            _finite(name, getattr(self, name))
+        if self.table is not None:
+            _finite("table", self.table)
         if self.kind == "brownian" and self.sigma < 0:
             raise ValueError("sigma must be >= 0")
         if self.kind == "poisson" and self.rate <= 0:
@@ -155,12 +151,12 @@ def simulate(
 ) -> SamplePath:
     """One path of the given driver on the grid."""
     _typed("spec", spec, DriverSpec)
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = _finite("grid", grid)
     dt = np.diff(grid)
     if spec.kind == "linear_drift":
         return SamplePath(grid, spec.slope * grid)
     if spec.kind == "table":
-        return SamplePath(grid, np.asarray(spec.table, dtype=np.float64))
+        return SamplePath(grid, spec.table)
     rng = rng_for(seed, path_index, driver_index)
     if spec.kind == "brownian":
         inc = rng.normal(0.0, 1.0, size=len(dt)) * spec.sigma * np.sqrt(dt)
@@ -199,13 +195,11 @@ class PathBundle:
     __slots__ = ("grid", "paths")
 
     def __init__(self, paths: Mapping[int, SamplePath]):
-        self.paths = dict(paths)
+        self.paths = {_count("letter", k): p for k, p in dict(paths).items()}
         if not self.paths:
             raise ValueError("a bundle needs at least one path")
         self.grid = next(iter(self.paths.values())).grid
         for letter, p in self.paths.items():
-            if isinstance(letter, bool) or not isinstance(letter, int) or letter < 1:
-                raise ValueError(f"letters are positive integers, got {letter!r}")
             if not np.array_equal(p.grid, self.grid):
                 raise ValueError(f"path for letter {letter} is on another grid")
 
@@ -300,10 +294,7 @@ def bundle_from_binary(blob: bytes) -> PathBundle:
     than the blob holds.  Anything but bytes, bytearray or memoryview
     raises TypeError.
     """
-    if not isinstance(blob, (bytes, bytearray, memoryview)):
-        raise TypeError(
-            f"a path-bundle binary is bytes, bytearray or memoryview, not {type(blob).__name__}"
-        )
+    _typed("path-bundle binary", blob, bytes, bytearray, memoryview)
     blob = memoryview(blob).cast("B")  # lengths and offsets count bytes
     if blob[:8] != BINARY_MAGIC:
         raise BundleFormatError("not a path-bundle binary (bad magic)", 0)
@@ -338,15 +329,10 @@ def bundle_from_binary(blob: bytes) -> PathBundle:
     return PathBundle(paths)
 
 
-def _check_file_path(path) -> None:
-    # open() would adopt an int (or bool) as a file descriptor and close it
-    if not isinstance(path, (str, os.PathLike)):
-        raise TypeError(f"a bundle file path is a str or os.PathLike, not {type(path).__name__}")
-
-
 def write_bundle(path, bundle: PathBundle) -> None:
     """Write binary for a .bin or .itopath suffix, else CSV."""
-    _check_file_path(path)
+    # open() would adopt an int (or bool) as a file descriptor and close it
+    _typed("path", path, str, os.PathLike)
     _typed("bundle", bundle, PathBundle)
     if str(path).endswith((".bin", ".itopath")):
         with open(path, "wb") as fh:
@@ -358,7 +344,7 @@ def write_bundle(path, bundle: PathBundle) -> None:
 
 def read_bundle(path) -> PathBundle:
     """Read a bundle written by write_bundle, binary or CSV by its magic."""
-    _check_file_path(path)
+    _typed("path", path, str, os.PathLike)
     with open(path, "rb") as fh:
         head = fh.read(8)
         rest = fh.read()

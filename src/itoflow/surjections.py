@@ -45,10 +45,7 @@ class Surjection(tuple):
     __slots__ = ()
 
     def __new__(cls, values: Iterable[int] = ()) -> "Surjection":
-        vals = tuple(values)
-        for v in vals:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"surjection values are integers, got {v!r}")
+        vals = tuple([_count("surjection value", v) for v in values])
         if not is_surjection(vals):
             raise ValueError(f"{vals} is not onto 1..max")
         return super().__new__(cls, vals)
@@ -102,9 +99,7 @@ def parse_surjection(text: str) -> Surjection:
     Accepts a digit string '212', the same in parentheses '(212)' (how
     SurjElement.pretty shows it) or a comma list '(2,1,2)'; '()' is the unit.
     """
-    if not isinstance(text, str):
-        raise TypeError(f"a surjection literal is a str, not {type(text).__name__}")
-    text = text.strip()
+    text = _typed("surjection literal", text, str).strip()
     if text in ("", "()"):
         return Surjection()
     body = text
@@ -261,11 +256,7 @@ class Composition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Composition":
-        vals = tuple(parts)
-        for p in vals:
-            if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-                raise ValueError(f"composition parts are positive integers, got {p!r}")
-        return super().__new__(cls, vals)
+        return super().__new__(cls, [_count("composition part", p) for p in parts])
 
     @property
     def total(self) -> int:

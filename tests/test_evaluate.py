@@ -211,9 +211,29 @@ class TestEvaluator:
             with pytest.raises(ValueError, match="letter 2"):
                 Evaluator({1: np.zeros(3), 2: np.array([0.0, bad, 1.0])})
 
+    @pytest.mark.parametrize(
+        "increments",
+        [
+            {1: np.ones(4), "1": 2 * np.ones(4)},
+            {1.7: np.ones(4)},
+            {True: np.ones(4)},
+            {0: np.ones(4)},
+            {-3: np.ones(4)},
+        ],
+        ids=["int-and-str", "float", "bool", "zero", "negative"],
+    )
+    def test_letters_are_positive_ints(self, increments):
+        with pytest.raises(ValueError, match="letter must be"):
+            Evaluator(increments)
+
+    def test_numpy_letters_are_read_as_ints(self):
+        ev = Evaluator({np.int64(1): np.ones(4), np.int32(2): 2 * np.ones(4)})
+        assert ev.word_terminal(BracketWord.from_letters(2)) == 8.0
+        assert ev.word_terminal(BracketWord.from_letters(1)) == 4.0
+
     @pytest.mark.parametrize("increments", [float("nan"), [1], None, np.zeros(3)])
     def test_increments_of_another_type_are_refused(self, increments):
-        with pytest.raises(TypeError, match="mapping of letters"):
+        with pytest.raises(TypeError, match="increments must be Mapping"):
             Evaluator(increments)
 
 

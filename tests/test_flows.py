@@ -154,7 +154,7 @@ class TestTruncatedExpm:
     def test_nonfinite_stack_is_refused(self, bad):
         mats = np.zeros((3, 2, 2))
         mats[1, 0, 1] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="matrix stack must be finite"):
             truncated_expm(mats)
 
     @pytest.mark.parametrize("shape", [(0, 2, 2), (0, 3, 3), (2, 0, 3, 3), (4, 0, 0)])

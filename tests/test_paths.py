@@ -225,15 +225,15 @@ class TestSerialization:
     @pytest.mark.parametrize("path", [True, 1, b"paths.csv", None])
     def test_file_path_of_another_type_is_refused(self, path):
         # an int or a bool would be taken as a file descriptor and closed
-        with pytest.raises(TypeError, match="str or os.PathLike"):
+        with pytest.raises(TypeError, match="path must be str or PathLike"):
             read_bundle(path)
-        with pytest.raises(TypeError, match="str or os.PathLike"):
+        with pytest.raises(TypeError, match="path must be str or PathLike"):
             write_bundle(path, _bundle())
         os.fstat(1)
 
     @pytest.mark.parametrize("blob", [np.int64(3), 3, "ITOPATH1", None, [0] * 24])
     def test_binary_of_another_type_is_refused(self, blob):
-        with pytest.raises(TypeError, match="bytes, bytearray or memoryview"):
+        with pytest.raises(TypeError, match="binary must be bytes or bytearray or memoryview"):
             bundle_from_binary(blob)
 
     def test_binary_from_a_buffer(self):
@@ -258,7 +258,7 @@ class TestSerialization:
             (lambda: SamplePath([0.0, 1.0, np.inf], [0.0, 1.0, 2.0]), "must be finite"),
             (
                 lambda: PathBundle({True: SamplePath([0.0, 1.0], [0.0, 1.0])}),
-                "letters are positive integers, got True",
+                "letter must be an int, not True",
             ),
         ],
         ids=["csv-nan", "binary-nan", "grid-inf", "bool-letter"],

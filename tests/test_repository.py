@@ -1,7 +1,8 @@
 """Repository hygiene: no tracked file is one that .gitignore marks as
 generated, no library module rebinds a module-level name from a function,
-every library memo has a stated finite size, and no public library
-function takes a private parameter."""
+every library memo has a stated finite size, no public library function
+takes a private parameter, and every argument check goes through
+itoflow._config."""
 
 import ast
 import shutil
@@ -85,4 +86,31 @@ def test_public_functions_take_no_private_parameter():
             a = node.args
             params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
             found += [f"{node.name}.{p.arg}" for p in params if p.arg.startswith("_")]
+    assert found == []
+
+
+def _inline_check(node):
+    """An np.isfinite call or an isinstance(x, bool): the checks that
+    _config._finite and _config._count make."""
+    if not isinstance(node, ast.Call):
+        return False
+    if _callee_name(node) == "isfinite":
+        return True
+    return (
+        _callee_name(node) == "isinstance"
+        and len(node.args) == 2
+        and isinstance(node.args[1], ast.Name)
+        and node.args[1].id == "bool"
+    )
+
+
+def test_argument_checks_live_in_config():
+    # _count checks integers and _finite float inputs; a copy elsewhere drifts
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "itoflow").rglob("*.py"))
+        if path.name != "_config.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if _inline_check(node)
+    ]
     assert found == []

@@ -105,6 +105,8 @@ def _matrix_blob():
         pytest.param(lambda: {k: v for k, v in _matrix_blob().items() if k != "entries"}, id="no-entries"),
         pytest.param(lambda: {k: v for k, v in _matrix_blob().items() if k != "dim"}, id="no-dim"),
         pytest.param(lambda: {**_matrix_blob(), "entries": 5}, id="entries-not-rows"),
+        pytest.param(lambda: {**_matrix_blob(), "dim": 2.9}, id="float-dim"),
+        pytest.param(lambda: {**_matrix_blob(), "dim": True}, id="bool-dim"),
     ],
 )
 def test_malformed_matrix_json_raises_value_error(blob):
@@ -126,6 +128,12 @@ GOOD_TERM = {"n": 2, "partition": [[1, 2]], "coeff": {"num": "-1", "den": "2"}}
         pytest.param({"coeff": None}, id="no-coeff"),
         pytest.param({"coeff": {"num": "1", "den": "0"}}, id="zero-den"),
         pytest.param({"coeff": -0.5}, id="float-coeff"),
+        pytest.param({"n": 2.5}, id="float-n"),
+        pytest.param({"partition": [[1.9, 2]]}, id="float-position"),
+        pytest.param({"partition": [[1, 5]]}, id="position-out-of-range"),
+        pytest.param({"n": 3}, id="position-missing"),
+        pytest.param({"partition": [[1], [1, 2]]}, id="position-repeated"),
+        pytest.param({"partition": [[1, 2], []]}, id="empty-block"),
     ],
 )
 def test_malformed_log_term_json_raises_value_error(change):

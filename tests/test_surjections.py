@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,7 +126,7 @@ class TestSurjection:
 
     @pytest.mark.parametrize("text", [5, None, b"12", (1, 2)])
     def test_parse_refuses_a_non_string(self, text):
-        with pytest.raises(TypeError, match="surjection literal is a str"):
+        with pytest.raises(TypeError, match="surjection literal must be str"):
             parse_surjection(text)
 
     @given(wide_surjections())
@@ -356,8 +357,13 @@ class TestCompositions:
 
     @pytest.mark.parametrize("parts", [[1.7, 2], [True, 2], [2.0], ["2"], [0, 1], [-1]])
     def test_parts_are_positive_ints(self, parts):
-        with pytest.raises(ValueError, match="composition parts are positive integers"):
+        with pytest.raises(ValueError, match="composition part must be"):
             Composition(parts)
+
+    def test_numpy_parts_and_values_are_read_as_ints(self):
+        c, f = Composition([np.int64(2)]), Surjection(np.array([2, 1, 2]))
+        assert c == (2,) and type(c[0]) is int
+        assert f == (2, 1, 2) and {type(v) for v in f} == {int}
 
     def test_embedding_of_single_part(self):
         # one part: descents forbidden everywhere, only the increasing map

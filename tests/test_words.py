@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -35,6 +36,13 @@ class TestBlock:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             block()
+
+    def test_numpy_letters_are_read_as_ints(self):
+        # letters follow the one rule for integers, as sizes do
+        assert block(np.int64(2)) == (2,)
+        assert [type(x) for x in block(np.int64(3), 1)] == [int, int]
+        w = BracketWord([(np.int64(1), np.int64(2))])
+        assert w == BracketWord([(1, 2)]) and [type(x) for x in w[0]] == [int, int]
 
 
 class TestBracketWord:
@@ -112,7 +120,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("text", [12, None, b"12", ["1"]])
     def test_refuses_a_non_string(self, text):
-        with pytest.raises(TypeError, match="word literal is a str"):
+        with pytest.raises(TypeError, match="word literal must be str"):
             parse_word(text)
 
     @given(words)

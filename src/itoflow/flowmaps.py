@@ -133,7 +133,9 @@ class LogTerm:
         with refuse_malformed(cls.__name__):
             n = _count("n", obj["n"])
             partition = tuple(tuple(_count("position", p) for p in b) for b in obj["partition"])
-            if not all(partition) or sorted(itertools.chain(*partition)) != list(range(1, n + 1)):
+            positions = sorted(itertools.chain(*partition))
+            # lengths first: the range is built only when it is as short as the blob
+            if not all(partition) or len(positions) != n or positions != list(range(1, n + 1)):
                 raise ValueError(f"partition {partition} is not a set partition of 1..{n}")
             return cls(order=n, partition=partition, coeff=frac_from_json(obj["coeff"]))
 
@@ -208,14 +210,13 @@ def log_flow_expansion(
     not commute.  Exponential in the order; meant for small cases.
     """
     terms = log_flow_terms(alphabet, order)
-    pool = tuple(letters) if letters is not None else tuple(
-        range(1, alphabet.n_primary + 1)
-    )
+    pool = letters if letters is not None else range(1, alphabet.n_primary + 1)
+    singletons = BracketWord.from_letters(*pool)  # checks each letter once
     data: dict[BracketWord, Fraction] = {}
     for term in terms:
-        for combo in itertools.product(pool, repeat=term.order):
-            w, c = term.instantiate(combo)
-            accumulate(data, w, c)
+        f = term.surjection()  # once per template, not per letter tuple
+        for combo in itertools.product(singletons, repeat=term.order):
+            accumulate(data, apply_surjection(f, BracketWord._wrap(combo)), term.coeff)
     return apply_vanishing_rules(Expansion._raw(data), alphabet)
 
 

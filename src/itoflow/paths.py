@@ -16,6 +16,7 @@ import struct
 import warnings
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -109,9 +110,9 @@ class DriverSpec:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown driver kind {self.kind!r}")
         for name in ("sigma", "rate", "slope"):
-            _finite(name, getattr(self, name))
+            _finite(name, _typed(name, getattr(self, name), Real))
         if self.table is not None:
-            _finite("table", self.table)
+            _finite("table", [_typed("table entry", v, Real) for v in self.table])
         if self.kind == "brownian" and self.sigma < 0:
             raise ValueError("sigma must be >= 0")
         if self.kind == "poisson" and self.rate <= 0:

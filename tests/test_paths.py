@@ -152,6 +152,20 @@ class TestSimulate:
         with pytest.raises(ValueError, match=f"{field}.* must be finite"):
             make(bad)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"kind": "linear_drift", "slope": "2"}, id="str-slope"),
+            pytest.param({"kind": "brownian", "sigma": None}, id="none-sigma"),
+            pytest.param({"kind": "poisson", "rate": "1"}, id="str-rate"),
+            pytest.param({"kind": "table", "table": ("1", "2", "3")}, id="str-table"),
+            pytest.param({"kind": "table", "table": (0.0, None)}, id="none-in-table"),
+        ],
+    )
+    def test_parameters_of_another_type_are_refused(self, kwargs):
+        with pytest.raises(TypeError, match="must be Real"):
+            DriverSpec(**kwargs)
+
 
 class TestDiscreteBracket:
     def test_unit_jump_square(self):

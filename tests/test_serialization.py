@@ -106,7 +106,8 @@ def _matrix_blob():
         pytest.param(lambda: {k: v for k, v in _matrix_blob().items() if k != "dim"}, id="no-dim"),
         pytest.param(lambda: {**_matrix_blob(), "entries": 5}, id="entries-not-rows"),
         pytest.param(lambda: {**_matrix_blob(), "dim": 2.9}, id="float-dim"),
-        pytest.param(lambda: {**_matrix_blob(), "dim": True}, id="bool-dim"),
+        # 1x1, so that only the bool rule refuses it: int(True) == 1 fits the grid
+        pytest.param(lambda: {**matrix_ito_taylor(1, 1).to_json_dict(), "dim": True}, id="bool-dim"),
     ],
 )
 def test_malformed_matrix_json_raises_value_error(blob):
@@ -134,6 +135,7 @@ GOOD_TERM = {"n": 2, "partition": [[1, 2]], "coeff": {"num": "-1", "den": "2"}}
         pytest.param({"n": 3}, id="position-missing"),
         pytest.param({"partition": [[1], [1, 2]]}, id="position-repeated"),
         pytest.param({"partition": [[1, 2], []]}, id="empty-block"),
+        pytest.param({"n": 10**12}, id="huge-n"),
     ],
 )
 def test_malformed_log_term_json_raises_value_error(change):

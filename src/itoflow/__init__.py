@@ -94,6 +94,7 @@ from .paths import (
 )
 from .evaluate import Evaluator, evaluate
 from .flows import (
+    FloatRangeError,
     FlowProblem,
     compare_flows,
     flow_reference,
@@ -113,6 +114,7 @@ __all__ = [
     "DriverSpec",
     "Evaluator",
     "Expansion",
+    "FloatRangeError",
     "FlowProblem",
     "GridResolutionWarning",
     "LogTerm",

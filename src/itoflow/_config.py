@@ -65,15 +65,17 @@ def _typed(name: str, value, *types):
     return value
 
 
-def _finite(name: str, value) -> np.ndarray:
-    """value as a float64 array if every entry is finite, else ValueError.
+def _finite(name: str, value, error: type[Exception] = ValueError) -> np.ndarray:
+    """value as a float64 array if every entry is finite, else error.
 
     The one check for every float input: paths, increments, coefficient
-    matrices and driver parameters.
+    matrices and driver parameters; and, with an ArithmeticError subclass
+    as error, for a float result that finite inputs drove past the float
+    range.
     """
     array = np.asarray(value, dtype=np.float64)
     if not np.isfinite(array).all():
-        raise ValueError(f"{name} must be finite")
+        raise error(f"{name} must be finite")
     return array
 
 

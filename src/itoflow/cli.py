@@ -21,7 +21,7 @@ import numpy as np
 
 from ._config import _count, caps, weight_cap
 from .flowmaps import DriverAlphabet, log_flow_terms, terms_to_json
-from .flows import compare_flows
+from .flows import FloatRangeError, compare_flows
 from .logseries import (
     log_identity_closed_form,
     log_identity_series,
@@ -278,7 +278,8 @@ def main(argv=None) -> int:
     try:
         with _call_caps(getattr(args, "max_grade", None)):
             return args.fn(args)
-    except ValueError as exc:  # CapExceeded and WordParseError included
+    # CapExceeded and WordParseError are ValueErrors
+    except (ValueError, FloatRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._config import _count, _typed, check_grade
-from .logseries import descent_coefficient
-from .surjections import Surjection, apply_surjection, enumerate_grade
+from .logseries import _descent_law_terms, descent_coefficient
+from .surjections import Surjection, apply_surjection
 from .words import (
     BracketWord,
     Expansion,
@@ -150,11 +150,11 @@ def log_flow_terms(alphabet: DriverAlphabet, order: int) -> list[LogTerm]:
     _typed("alphabet", alphabet, DriverAlphabet)
     order = check_grade(_count("order", order))
     max_fiber = 2 if alphabet.continuous else 0
-    out = []
-    for n in range(1, order + 1):
-        for f in enumerate_grade(n, max_fiber=max_fiber):
-            out.append(LogTerm.from_surjection(f))
-    return out
+    return [
+        LogTerm(order=n, partition=f.fibers(), coeff=c)
+        for n in range(1, order + 1)
+        for f, c in _descent_law_terms(n, max_fiber)
+    ]
 
 
 def apply_vanishing_rules(e: Expansion, alphabet: DriverAlphabet) -> Expansion:

@@ -146,6 +146,11 @@ def flow_from_log(problem: FlowProblem, order: int, dW: np.ndarray) -> np.ndarra
     return truncated_expm(logs)
 
 
+class FloatRangeError(ArithmeticError):
+    """truncated_expm found no finite result for finite inputs: its series
+    did not converge, or squaring left the float range."""
+
+
 def truncated_expm(mats: np.ndarray) -> np.ndarray:
     """Matrix exponential of a stack: scaling and squaring on the series.
 
@@ -172,10 +177,12 @@ def truncated_expm(mats: np.ndarray) -> np.ndarray:
         if float(np.max(np.abs(term))) < EXPM_TOL:
             break
     else:
-        raise ArithmeticError("matrix exponential series failed to converge")
-    for _ in range(squarings):
-        acc = acc @ acc
-    return acc
+        raise FloatRangeError("matrix exponential series failed to converge")
+    # an overflow here is reported once, as FloatRangeError, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            acc = acc @ acc
+    return _finite("matrix exponential", acc, FloatRangeError)
 
 
 def _strong_errors(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -25,9 +25,9 @@ from .surjections import (
     SurjElement,
     Surjection,
     _check_positions,
+    _grade_table,
     descent_sum_within,
     diamond,
-    enumerate_grade,
 )
 from .words import add_scaled
 
@@ -65,14 +65,25 @@ def log_identity_series(max_grade: int) -> SurjElement:
     return SurjElement._over(out, scale)
 
 
+def _descent_law_terms(n: int, max_fiber: int = 0):
+    """The descent law over the arity's table: (f, descent_coefficient(n, d))
+    for each arity-n surjection f in (k, lex) order, d its descent count.
+
+    Both log_identity_closed_form and flowmaps.log_flow_terms read their
+    coefficients here.  n must already be within the grade cap; max_fiber
+    is as in enumerate_grade.
+    """
+    surjs, descents = _grade_table(n, max_fiber)
+    by_descents = [descent_coefficient(n, d) for d in range(n)]
+    return zip(surjs, map(by_descents.__getitem__, descents))
+
+
 def log_identity_closed_form(max_grade: int) -> SurjElement:
     """The same element from the descent-count coefficient law directly."""
     max_grade = check_grade(_count("max_grade", max_grade))
     data = {}
     for n in range(1, max_grade + 1):
-        by_descents = [descent_coefficient(n, d) for d in range(n)]
-        for f in enumerate_grade(n):
-            data[f] = by_descents[f.descent_count()]
+        data.update(_descent_law_terms(n))
     return SurjElement._raw(data)
 
 

@@ -315,6 +315,8 @@ def bundle_from_binary(blob: bytes) -> PathBundle:
     letters = list(struct.unpack_from(f"<{n_drivers}Q", blob, offset))
     seen = set()
     for i, letter in enumerate(letters):
+        if letter == 0:  # unsigned, so 0 is the one value below the least letter
+            raise BundleFormatError("driver letter 0 is not allowed", offset + 8 * i)
         if letter in seen:
             raise BundleFormatError(f"driver letter {letter} is repeated", offset + 8 * i)
         seen.add(letter)

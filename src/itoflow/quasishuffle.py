@@ -35,11 +35,6 @@ from .words import (
 )
 
 
-def _weight(w) -> int:
-    """BracketWord.weight, without the property lookup, for plain tuples too."""
-    return sum(map(len, w))
-
-
 # the coefficient of a word as an expansion, shared: a Fraction is immutable
 ONE = whole(1)
 
@@ -48,9 +43,13 @@ def _as_expansion(x) -> Expansion:
     return x if isinstance(x, Expansion) else Expansion._raw({as_word(x): ONE})
 
 
-def _terms(x, one) -> dict:
-    """An expansion's coefficient map, or {word: one} for a word."""
-    return x._terms if isinstance(x, Expansion) else {as_word(x): one}
+def _weight_classes(x, one) -> dict:
+    """An expansion's terms bucketed by weight, kept on it, or for a word
+    its one bucket {weight: [(word, one)]}."""
+    if isinstance(x, Expansion):
+        return x._graded()
+    w = as_word(x)
+    return {w.weight: [(w, one)]}
 
 
 def _weight_pairs(a, b, max_weight: int | None = None, one=ONE):
@@ -58,7 +57,7 @@ def _weight_pairs(a, b, max_weight: int | None = None, one=ONE):
 
     A word operand carries the coefficient one.
     """
-    return graded_pairs(_terms(a, one), _terms(b, one), _weight, max_weight, check_weight)
+    return graded_pairs(_weight_classes(a, one), _weight_classes(b, one), max_weight, check_weight)
 
 
 def qsh(*operands, max_weight: int | None = None) -> Expansion:
@@ -67,10 +66,10 @@ def qsh(*operands, max_weight: int | None = None) -> Expansion:
     With more than two operands the product is folded left to right, which
     is safe because qsh is associative.  Every term of a product of words
     has the summed weight of its factors, so max_weight prunes per weight
-    class: both operands' terms are grouped by weight once, and a pair of
-    classes whose weights sum past max_weight is skipped whole, before the
-    cap check and before any coefficient work.  This is the tool for
-    truncated-series arithmetic.
+    class: an expansion's terms are grouped by weight the first time it
+    is an operand and kept on it, and a pair of classes whose weights sum
+    past max_weight is skipped whole, before the cap check and before any
+    coefficient work.  This is the tool for truncated-series arithmetic.
 
     The terms of each product are added into one dict keyed by plain
     tuples; each distinct word is wrapped once, and zero sums are dropped,

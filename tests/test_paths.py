@@ -308,6 +308,14 @@ class TestSerialization:
             bundle_from_binary(header + matrix.tobytes())
         assert info.value.offset == 32
 
+    @pytest.mark.parametrize("letters, offset", [((0, 1), 24), ((2, 0), 32)])
+    def test_binary_rejects_letter_0_at_its_offset(self, letters, offset):
+        header = b"ITOPATH1" + struct.pack("<QQQQ", 2, 2, *letters)
+        matrix = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.25]]).astype("<f8")
+        with pytest.raises(BundleFormatError, match="letter 0") as info:
+            bundle_from_binary(header + matrix.tobytes())
+        assert info.value.offset == offset
+
     @given(bundle_blobs(), st.binary(min_size=1, max_size=32))
     @settings(max_examples=40, deadline=None)
     def test_binary_truncated_or_extended_is_a_format_error(self, blob, extra):

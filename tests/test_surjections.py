@@ -29,7 +29,10 @@ from itoflow import (
     parse_surjection,
 )
 from itoflow import kernels
-from itoflow.surjections import diamond_reference
+from itoflow.flowmaps import DriverAlphabet, log_flow_terms
+from itoflow.logseries import log_identity_closed_form
+from itoflow import surjections as surjections_module
+from itoflow.surjections import _grade_table, _kept_grade_table, diamond_reference
 
 # numbers of surjections [n] -> [k]: k! * S(n, k) (Stirling second kind)
 STIRLING_TIMES_FACTORIAL = {
@@ -183,6 +186,67 @@ class TestEnumeration:
         # fiber size <= 2: n=3 gives 6 bijections + 6 one-pair maps
         assert len(enumerate_grade(3, max_fiber=2)) == 12
         assert len(enumerate_grade(2, max_fiber=2)) == 3
+
+
+class TestGradeTable:
+    @pytest.mark.parametrize("max_fiber", [0, 2])
+    @pytest.mark.parametrize("n", range(7))
+    def test_table_equals_a_fresh_enumeration(self, n, max_fiber):
+        surjs, descents = _grade_table(n, max_fiber)
+        fresh = [f for k in range(n + 1) for f in kernels.surjections(n, k, max_fiber)]
+        assert list(surjs) == fresh  # (k, lex) order
+        assert all(type(f) is Surjection for f in surjs)
+        assert descents == tuple(map(kernels.descent_count, fresh))
+        assert enumerate_grade(n, max_fiber) == fresh
+
+    def test_changing_the_returned_list_leaves_the_next_call_unchanged(self):
+        first = enumerate_grade(4)
+        expected = list(first)
+        first.reverse()
+        first.append(Surjection((1,)))
+        assert enumerate_grade(4) == expected
+        assert enumerate_grade(4) is not enumerate_grade(4)
+
+    def test_a_lowered_cap_raises_on_a_warm_table(self):
+        alphabet = DriverAlphabet(1, continuous=False)
+        calls = [
+            lambda: enumerate_grade(4),
+            lambda: enumerate_grade(4, max_fiber=2),
+            lambda: log_identity_closed_form(4),
+            lambda: log_flow_terms(alphabet, 4),
+        ]
+        warm = [call() for call in calls]
+        assert _kept_grade_table.cache_info().currsize
+        with caps(grade=3):
+            for call in calls:
+                with pytest.raises(CapExceeded, match="grade 4 exceeds cap 3"):
+                    call()
+        assert [call() for call in calls] == warm
+
+    def test_the_memo_is_bounded(self):
+        """At most 16 tables, and only arities within the default grade cap."""
+        assert _kept_grade_table.cache_info().maxsize == 16
+        before = _kept_grade_table.cache_info()
+        with caps(grade=7):
+            surjs, descents = _grade_table(7, 2)
+            assert enumerate_grade(7, max_fiber=2) == list(surjs)
+        assert len(descents) == sum(len(kernels.surjections(7, k, 2)) for k in range(8))
+        assert _kept_grade_table.cache_info() == before
+
+    def test_filling_the_table_calls_no_exported_kernel(self, monkeypatch):
+        """So a traced run makes the same kernel calls on a cold table as
+        on a warm one."""
+        expected = [_grade_table(n, mf) for n in range(6) for mf in (0, 2)]
+
+        def refuse(*args):
+            raise AssertionError("exported kernel called")
+
+        for name in ("surjections", "descent_count"):
+            monkeypatch.setattr(kernels, name, refuse)
+        monkeypatch.setattr(surjections_module, "_enumerate", refuse)
+        monkeypatch.setattr(surjections_module, "_descent_count", refuse)
+        _kept_grade_table.cache_clear()
+        assert [_grade_table(n, mf) for n in range(6) for mf in (0, 2)] == expected
 
 
 @lru_cache(maxsize=64)

@@ -100,12 +100,7 @@ def cmd_surj_log(args) -> int:
 
 
 def cmd_logflow(args) -> int:
-    alphabet = DriverAlphabet(
-        n_primary=args.drivers,
-        continuous=args.continuous,
-        cross_brackets_zero=args.continuous,
-        paired_qv=args.continuous,
-    )
+    alphabet = DriverAlphabet(n_primary=args.drivers, continuous=args.continuous)
     terms = log_flow_terms(alphabet, args.order)
     text = terms_to_json(terms, indent=2) if args.json else "\n".join(t.pretty() for t in terms)
     _emit(args, text)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._config import _count, _typed, check_grade
-from .logseries import _descent_law_terms, descent_coefficient
+from .logseries import _descent_law_terms
 from .surjections import Surjection, apply_surjection
 from .words import (
     BracketWord,
@@ -86,14 +86,6 @@ class LogTerm:
     order: int
     partition: tuple[tuple[int, ...], ...]
     coeff: Fraction
-
-    @classmethod
-    def from_surjection(cls, f: Surjection) -> "LogTerm":
-        return cls(
-            order=len(f),
-            partition=f.fibers(),
-            coeff=descent_coefficient(len(f), f.descent_count()),
-        )
 
     def surjection(self) -> Surjection:
         """Recover f: position p maps to the index of its block."""

@@ -25,7 +25,7 @@ import numpy as np
 from ._config import _count, _finite, _typed
 from .evaluate import Evaluator
 from .matrixseries import MatrixExpansion, entry_letter, matrix_ito_taylor, matrix_log
-from .paths import _check_horizon, make_grid, rng_for
+from .paths import _check_horizon, rng_for
 
 EXPM_TOL = 1e-12
 # flow_reference forms dM for about this many floats' worth of steps at once
@@ -55,9 +55,6 @@ class FlowProblem:
     @property
     def dt(self) -> float:
         return self.horizon / self.steps
-
-    def grid(self) -> np.ndarray:
-        return make_grid(self.horizon, self.steps)
 
 
 def brownian_increments(
@@ -217,6 +214,8 @@ def compare_flows(
         w for me in (taylor_sym, log_sym) for row in me.entries for e in row for w in e.support()
     }
 
+    taylor_orders = sorted(set(orders) | {k + 1 for k in orders})
+
     err_log = {k: 0.0 for k in orders}
     gap_taylor = {k: 0.0 for k in orders}
     next_layer = {k: 0.0 for k in orders}
@@ -224,24 +223,32 @@ def compare_flows(
     while done < n_paths:
         batch = min(batch_size, n_paths - done)
         dW = brownian_increments(problem, seed, range(done, done + batch))
-        x_ref = flow_reference(problem, dW)
-        ev = Evaluator(entry_increments(problem, dW))
-        ev.terminals(words)  # every word of the batch in one trie sweep or walk
-        taylor_orders = sorted(set(orders) | {k + 1 for k in orders})
-        taylor_vals = {
-            k: _evaluate_matrix(taylor_sym.truncate_weight(k), ev, batch)
-            for k in taylor_orders
-        }
-        for k in orders:
-            x_log = truncated_expm(
-                _evaluate_matrix(log_sym.truncate_weight(k), ev, batch)
-            )
-            err_log[k] += float(np.sum(_strong_errors(x_ref, x_log)))
-            gap_taylor[k] += float(np.sum(_strong_errors(taylor_vals[k], x_log)))
-            next_layer[k] += float(
-                np.sum(_strong_errors(taylor_vals[k + 1], taylor_vals[k]))
-            )
+        # finite inputs can still overflow: that is reported once, as
+        # FloatRangeError from the checks below, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_ref = _finite("Euler product", flow_reference(problem, dW), FloatRangeError)
+            ev = Evaluator(entry_increments(problem, dW))
+            ev.terminals(words)  # every word of the batch in one trie sweep or walk
+            taylor_vals = {
+                k: _finite(
+                    "Taylor series",
+                    _evaluate_matrix(taylor_sym.truncate_weight(k), ev, batch),
+                    FloatRangeError,
+                )
+                for k in taylor_orders
+            }
+            for k in orders:
+                logs = _evaluate_matrix(log_sym.truncate_weight(k), ev, batch)
+                x_log = truncated_expm(_finite("log series", logs, FloatRangeError))
+                err_log[k] += float(np.sum(_strong_errors(x_ref, x_log)))
+                gap_taylor[k] += float(np.sum(_strong_errors(taylor_vals[k], x_log)))
+                next_layer[k] += float(
+                    np.sum(_strong_errors(taylor_vals[k + 1], taylor_vals[k]))
+                )
         done += batch
+    # finite flows far from the identity can still overflow their squared distances
+    sums = [*err_log.values(), *gap_taylor.values(), *next_layer.values()]
+    _finite("strong error", sums, FloatRangeError)
 
     return {
         "dim": problem.dim,

@@ -10,8 +10,8 @@ class machinery.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from operator import itemgetter
+from itertools import combinations, compress, count
+from operator import ge, itemgetter
 
 # Kept for callers that record it in run metadata; there is no other backend.
 BACKEND = "python"
@@ -40,12 +40,12 @@ def descent_count(f):
 
 
 def _descents(f):
-    return sum(1 for i in range(len(f) - 1) if f[i] >= f[i + 1])
+    return sum(map(ge, f, f[1:]))
 
 
 def descent_set(f):
     """Positions i (1-based) with f[i-1] >= f[i], as a sorted tuple."""
-    return tuple(i + 1 for i in range(len(f) - 1) if f[i] >= f[i + 1])
+    return tuple(compress(count(1), map(ge, f, f[1:])))
 
 
 def surjections(n, k, max_fiber=0):

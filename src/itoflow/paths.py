@@ -14,7 +14,7 @@ import io
 import os
 import struct
 import warnings
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from numbers import Real
 
@@ -112,7 +112,9 @@ class DriverSpec:
         for name in ("sigma", "rate", "slope"):
             _finite(name, _typed(name, getattr(self, name), Real))
         if self.table is not None:
-            _finite("table", [_typed("table entry", v, Real) for v in self.table])
+            table = _finite("table", [_typed("table entry", v, Real) for v in self.table])
+            # a tuple of floats, so that specs hash and compare by value
+            object.__setattr__(self, "table", tuple(table.tolist()))
         if self.kind == "brownian" and self.sigma < 0:
             raise ValueError("sigma must be >= 0")
         if self.kind == "poisson" and self.rate <= 0:
@@ -131,10 +133,6 @@ class DriverSpec:
     @classmethod
     def linear_drift(cls, slope: float = 1.0) -> "DriverSpec":
         return cls(kind="linear_drift", slope=slope)
-
-    @classmethod
-    def from_table(cls, values: Sequence[float]) -> "DriverSpec":
-        return cls(kind="table", table=tuple(float(v) for v in values))
 
 
 def rng_for(seed: int, path_index: int = 0, driver_index: int = 0) -> np.random.Generator:

@@ -61,11 +61,6 @@ class Surjection(tuple):
         return cls._wrap(range(1, n + 1))
 
     @property
-    def grade(self) -> int:
-        """Arity n (the number of positions)."""
-        return len(self)
-
-    @property
     def onto(self) -> int:
         """The target size k."""
         return max(self) if self else 0
@@ -138,15 +133,10 @@ def enumerate_surjections(n: int, k: int, max_fiber: int = 0) -> list[Surjection
 def enumerate_grade(n: int, max_fiber: int = 0) -> list[Surjection]:
     """All surjections of arity n, any target size, in (k, lex) order.
 
-    A fresh list each call, copied from the arity's table in _grade_table
-    when the arity is kept there.
+    A fresh list each call, copied from the arity's table in _grade_table.
     """
     n = check_grade(_count("n", n, 0))
-    max_fiber = _count("max_fiber", max_fiber, 0)
-    if n <= DEFAULT_GRADE_CAP:
-        return list(_kept_grade_table(n, max_fiber)[0])
-    # not kept (see _grade_table), and without the descent counts
-    return [Surjection._wrap(f) for k in range(1, n + 1) for f in _enumerate(n, k, max_fiber)]
+    return list(_grade_table(n, _count("max_fiber", max_fiber, 0))[0])
 
 
 def _grade_table(n: int, max_fiber: int) -> tuple[tuple[Surjection, ...], tuple[int, ...]]:

@@ -76,11 +76,6 @@ class BracketWord(tuple):
         """Total letter count over all blocks, with multiplicity."""
         return sum(map(len, self))
 
-    @property
-    def length(self) -> int:
-        """Number of blocks."""
-        return len(self)
-
     def __add__(self, other: "BracketWord") -> "BracketWord":
         """Concatenation."""
         return BracketWord(tuple(self) + tuple(other))
@@ -578,11 +573,3 @@ class Expansion(Combination):
     __rmul__ = Combination.__rmul__
 
     words = Combination.support  # the name perfbench/tracing.py calls
-
-    def map_words(self, fn) -> "Expansion":
-        """Linear extension of a word -> Expansion map."""
-        data: dict[BracketWord, Fraction] = {}
-        for w, c in self._terms.items():
-            for w2, c2 in fn(w)._terms.items():
-                accumulate(data, w2, c * c2)
-        return Expansion._raw(data)

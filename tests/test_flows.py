@@ -11,6 +11,7 @@ from itoflow import (
     FlowProblem,
     compare_flows,
     flow_reference,
+    make_grid,
     truncated_expm,
 )
 from itoflow import flows as flows_module
@@ -82,7 +83,7 @@ class TestFlowProblem:
 
     def test_grid(self):
         p = small_problem(steps=4, horizon=1.0)
-        assert np.allclose(p.grid(), [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.allclose(make_grid(p.horizon, p.steps), [0.0, 0.25, 0.5, 0.75, 1.0])
         assert p.dt == 0.25
 
 
@@ -256,6 +257,30 @@ class TestCompareFlows:
         monkeypatch.setattr(flows_module, "matrix_ito_taylor", None)
         with pytest.raises(ValueError, match=message):
             compare_flows(small_problem(steps=8), orders=[1], seed=0, **kwargs)
+
+    @pytest.mark.parametrize(
+        "problem, stage",
+        [
+            (flow_problem(8, horizon=1e200), "Euler product"),
+            (flow_problem(8, horizon=60.0), "strong error"),
+            # nilpotent: Euler and Taylor stay finite, the log's brackets do not
+            (
+                FlowProblem(
+                    dim=2,
+                    drift=np.zeros((2, 2)),
+                    diffusion=np.array([[0.0, 1e200], [0.0, 0.0]]),
+                    horizon=1.0,
+                    steps=8,
+                ),
+                "log series",
+            ),
+        ],
+    )
+    def test_an_overflow_on_finite_inputs_raises_once_without_warnings(self, problem, stage):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatRangeError, match=f"{stage} must be finite"):
+                compare_flows(problem, orders=[1, 2, 3], n_paths=2, seed=0)
 
     def test_reports_repeat_exactly(self):
         p = small_problem(steps=64)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 
 from itoflow import (
     BracketWord,
@@ -10,15 +11,25 @@ from itoflow import (
     LogTerm,
     Surjection,
     apply_vanishing_rules,
+    enumerate_grade,
     log_flow_expansion,
     log_flow_terms,
 )
+from itoflow.logseries import descent_coefficient
 
 
 CONTINUOUS = DriverAlphabet(n_primary=2)
 JUMPY = DriverAlphabet(
     n_primary=2, continuous=False, cross_brackets_zero=False, paired_qv=False
 )
+
+
+def template(values) -> LogTerm:
+    """The jump-mode template whose partition is the fibers of values."""
+    f = Surjection(values)
+    terms = log_flow_terms(DriverAlphabet(1, continuous=False), len(f))
+    (t,) = [t for t in terms if t.partition == f.fibers()]
+    return t
 
 
 class TestDriverAlphabet:
@@ -36,31 +47,30 @@ class TestDriverAlphabet:
 
 
 class TestLogTerm:
-    def test_from_surjection(self):
-        t = LogTerm.from_surjection(Surjection((2, 1, 2)))
+    def test_template_of_a_surjection(self):
+        t = template((2, 1, 2))
         assert t.order == 3
         assert t.partition == ((2,), (1, 3))
         assert t.coeff == Fraction(-1, 6)
 
     def test_round_trips_surjection(self):
         for f in [(1,), (1, 2), (2, 1, 2), (1, 2, 1), (3, 1, 2)]:
-            t = LogTerm.from_surjection(Surjection(f))
-            assert t.surjection() == f
+            assert template(f).surjection() == f
 
     def test_instantiate(self):
-        t = LogTerm.from_surjection(Surjection((2, 1, 2)))
+        t = template((2, 1, 2))
         word, coeff = t.instantiate((1, 2, 3))
         assert word == BracketWord([(2,), (1, 3)])
         assert coeff == Fraction(-1, 6)
 
     def test_pretty(self):
-        t = LogTerm.from_surjection(Surjection((2, 1, 2)))
+        t = template((2, 1, 2))
         assert t.pretty() == "-1/6 V_i V_j V_k I_{j[ik]}"
-        t1 = LogTerm.from_surjection(Surjection((1,)))
+        t1 = template((1,))
         assert t1.pretty() == "V_i I_{i}"
 
     def test_json_round_trip(self):
-        t = LogTerm.from_surjection(Surjection((1, 2, 1)))
+        t = template((1, 2, 1))
         assert LogTerm.from_json_dict(t.to_json_dict()) == t
 
 
@@ -80,6 +90,13 @@ class TestTermEnumeration:
     def test_continuous_omits_triple_fiber(self):
         terms = log_flow_terms(CONTINUOUS, 3)
         assert all(max(len(p) for p in t.partition) <= 2 for t in terms)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_each_order_holds_every_surjection_once_at_its_descent_law(self, n):
+        terms = [t for t in log_flow_terms(DriverAlphabet(1, continuous=False), n) if t.order == n]
+        assert [t.surjection() for t in terms] == enumerate_grade(n)
+        for t in terms:
+            assert t.coeff == descent_coefficient(n, t.surjection().descent_count())
 
     def test_coefficients_follow_descent_law(self):
         terms = log_flow_terms(CONTINUOUS, 3)

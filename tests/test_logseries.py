@@ -24,7 +24,7 @@ from itoflow import (
 
 
 def closed_coeff(f: Surjection) -> Fraction:
-    n, d = f.grade, f.descent_count()
+    n, d = len(f), f.descent_count()
     return Fraction((-1) ** d, n * comb(n - 1, d))
 
 

@@ -125,7 +125,9 @@ class TestSimulate:
         assert np.allclose(p.values, 2.0 * GRID)
 
     def test_table_driver(self):
-        spec = DriverSpec.from_table([0.0, 1.0, -1.0])
+        spec = DriverSpec("table", table=[0, 1.0, -1.0])
+        assert spec.table == (0.0, 1.0, -1.0) and type(spec.table[0]) is float
+        assert hash(spec) == hash(DriverSpec("table", table=(0.0, 1.0, -1.0)))
         p = simulate(spec, make_grid(1.0, 2), seed=0, path_index=0, driver_index=1)
         assert np.allclose(p.values, [0.0, 1.0, -1.0])
 
@@ -145,7 +147,7 @@ class TestSimulate:
             (DriverSpec.brownian, "sigma"),
             (DriverSpec.poisson, "rate"),
             (DriverSpec.linear_drift, "slope"),
-            (lambda v: DriverSpec.from_table([0.0, v]), "table"),
+            (lambda v: DriverSpec("table", table=(0.0, v)), "table"),
         ],
     )
     def test_nonfinite_parameters_are_refused(self, make, field, bad):

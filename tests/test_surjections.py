@@ -89,7 +89,7 @@ class TestSurjection:
 
     def test_grade_and_onto(self):
         f = Surjection((2, 1, 2))
-        assert f.grade == 3
+        assert len(f) == 3
         assert f.onto == 2
 
     def test_fibers_in_target_order(self):
@@ -101,6 +101,13 @@ class TestSurjection:
         assert Surjection((2, 1, 2)).descent_set() == (1,)
         assert Surjection((3, 2, 1)).descent_count() == 2
         assert Surjection((1, 2, 3)).descent_count() == 0
+
+    @given(st.lists(st.integers(1, 6), max_size=9))
+    def test_descents_are_their_definition(self, values):
+        f = pack(values)
+        want = tuple(i for i in range(1, len(f)) if f[i - 1] >= f[i])
+        assert f.descent_set() == kernels.descent_set(list(f)) == want
+        assert f.descent_count() == len(want)
 
     def test_pack(self):
         assert pack((3, 5, 3)) == Surjection((1, 2, 1))

@@ -13,6 +13,8 @@ from functools import lru_cache
 from itertools import combinations, compress, count
 from operator import ge, itemgetter
 
+from ._config import DEFAULT_WEIGHT_CAP
+
 # Kept for callers that record it in run metadata; there is no other backend.
 BACKEND = "python"
 
@@ -106,39 +108,68 @@ def grade_table(n, max_fiber=0):
 def qsh_words(u, v):
     """Quasi-shuffle of two block words, as a dict word -> multiplicity.
 
-    Row-by-row dynamic program over prefix pairs: a word ending is reached by
-    appending the next block of u, the next block of v, or their merge.
+    Each term is a lattice path from (0, 0) to (len(u), len(v)) whose
+    steps append the next block of u, the next block of v, or their
+    merge.  The paths depend only on the two lengths, so each shape's
+    picks come from _lattice_plan: every call forms its len(u) * len(v)
+    merged blocks once, applies every pick to (*u, *v, *merges) and
+    counts the words.  Shapes within DEFAULT_WEIGHT_CAP letters in all
+    are planned once and kept; a larger one, reachable only under a
+    raised weight cap, is planned on each call and dropped.
     """
     nu, nv = len(u), len(v)
     if nu == 0:
         return {tuple(v): 1}
     if nv == 0:
         return {tuple(u): 1}
-    # table[j] holds the expansion of qsh(u[:i], v[:j]) for the current i
-    prev = [None] * (nv + 1)
-    prev[0] = {(): 1}
-    for j in range(1, nv + 1):
-        prev[j] = {tuple(v[:j]): 1}
-    for i in range(1, nu + 1):
-        cur = [None] * (nv + 1)
-        cur[0] = {tuple(u[:i]): 1}
-        bu = u[i - 1]
-        for j in range(1, nv + 1):
-            bv = v[j - 1]
-            merged = tuple(sorted(bu + bv))
-            acc = {}
-            for w, c in cur[j - 1].items():
-                key = w + (bv,)
-                acc[key] = acc.get(key, 0) + c
-            for w, c in prev[j].items():
-                key = w + (bu,)
-                acc[key] = acc.get(key, 0) + c
-            for w, c in prev[j - 1].items():
-                key = w + (merged,)
-                acc[key] = acc.get(key, 0) + c
-            cur[j] = acc
-        prev = cur
-    return prev[nv]
+    plan = _kept_lattice_plan(nu, nv) if nu + nv <= DEFAULT_WEIGHT_CAP else _lattice_plan(nu, nv)
+    blocks = (*u, *v, *[tuple(sorted(x + y)) for x in u for y in v])
+    out = {}
+    get = out.get
+    for pick in plan:
+        w = pick(blocks)
+        out[w] = get(w, 0) + 1
+    return out
+
+
+def _lattice_plan(a, b):
+    """Picks of every lattice path of shape (a, b), a, b >= 1, as a tuple.
+
+    A path is an index tuple into (*u, *v, *merges) for words u, v of
+    lengths a and b: u[i] sits at i, v[j] at a + j, and the merge of u[i]
+    and v[j] at a + b + i * b + j.  Rows are built one i at a time: the
+    paths to (i, j) end with a v-step from (i, j - 1), a u-step from
+    (i - 1, j) or a merge from (i - 1, j - 1), listed in that order, as
+    the recursion on last blocks lists them.  There are sum over k of
+    C(a, k) C(b, k) 2^k paths (the Delannoy number).
+
+    This enumeration shares no code with diamond_plan, which the
+    surjection route reads, so qsh_via_surjections stays an independent
+    check of qsh.  It calls no other kernel, so a traced run makes the
+    same kernel calls on a cold memo as on a warm one.
+    """
+    row = [[tuple(range(a, a + j))] for j in range(b + 1)]
+    for i in range(1, a + 1):
+        cur = [[tuple(range(i))]]
+        for j in range(1, b + 1):
+            v_step, u_step, merge = a + j - 1, i - 1, a + b + (i - 1) * b + j - 1
+            cur.append(
+                [p + (v_step,) for p in cur[j - 1]]
+                + [p + (u_step,) for p in row[j]]
+                + [p + (merge,) for p in row[j - 1]]
+            )
+        row = cur
+    # a one-block path is picked by a slice: itemgetter(i) would return the bare block
+    return tuple(
+        itemgetter(*p) if len(p) > 1 else itemgetter(slice(p[0], p[0] + 1)) for p in row[b]
+    )
+
+
+@lru_cache(maxsize=32)
+def _kept_lattice_plan(a, b):
+    """_lattice_plan(a, b), kept.  qsh_words calls it only for a + b within
+    DEFAULT_WEIGHT_CAP: 28 shapes, 1664 picks, 0.26 MiB by tracemalloc."""
+    return _lattice_plan(a, b)
 
 
 def apply_to_blocks(f, blocks):

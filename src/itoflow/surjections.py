@@ -15,7 +15,7 @@ provided exactly and as subset-closed sums, related by inclusion-exclusion.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Sequence, Union
 
 from ._config import DEFAULT_GRADE_CAP, _count, _typed, check_grade
@@ -201,6 +201,10 @@ def _as_element(x: ElementLike) -> SurjElement:
     return SurjElement.of(as_surjection(x))
 
 
+# Surjection._wrap without the classmethod call, for diamond's per-term loop
+_new_surjection = partial(tuple.__new__, Surjection)
+
+
 def diamond(a: ElementLike, b: ElementLike, max_grade: int | None = None) -> SurjElement:
     """Product on surjections, extended bilinearly.
 
@@ -223,7 +227,8 @@ def diamond(a: ElementLike, b: ElementLike, max_grade: int | None = None) -> Sur
         for h in diamond_words(f, g):
             prev = get(h)
             data[h] = c if prev is None else prev + c
-    return SurjElement._raw({Surjection._wrap(h): c for h, c in data.items() if c})
+    wrapped = zip(map(_new_surjection, data), data.values())
+    return SurjElement._raw({h: c for h, c in wrapped if c})
 
 
 def diamond_reference(f: SurjLike, g: SurjLike) -> SurjElement:

@@ -218,7 +218,9 @@ def suite_algebra(grade: int = 4, seed: int = 0) -> list[dict]:
     rng = random.Random(seed)
     reports = []
 
-    words = _random_words(rng, 8, max_weight=max(1, grade - 1))
+    # word weights stop at the weight cap: an uncapped draw up to grade - 1
+    # could exceed it, or never end for a huge grade
+    words = _random_words(rng, 8, max_weight=min(max(1, grade - 1), weight_cap()))
     # products are sampled up to the word-weight cap, which 2 * grade
     # passes from grade 5 on
     max_weight = min(2 * grade, weight_cap())

@@ -311,9 +311,15 @@ def accumulate(data: dict, key, c) -> None:
 
 
 def add_scaled(data: dict, terms: dict, s) -> None:
-    """data[key] += s * c for every term of terms; a zero sum drops the key."""
+    """data[key] += s * c for every term of terms.
+
+    A zero sum stays in data: each caller drops its zeros once, at the
+    end, as Combination._over does.
+    """
+    get = data.get
     for k, c in terms.items():
-        accumulate(data, k, s * c)
+        prev = get(k)
+        data[k] = s * c if prev is None else prev + s * c
 
 
 def _json_list(key):
@@ -367,12 +373,15 @@ class Combination:
 
     @classmethod
     def sum(cls, combinations: Iterable["Combination"]):
-        """Sum of combinations, accumulated into one dict (no copy per term)."""
+        """Sum of combinations, accumulated into one dict (no copy per term);
+        zero sums are dropped once, at the end."""
         data: dict = {}
+        get = data.get
         for e in combinations:
             for k, c in e._terms.items():
-                accumulate(data, k, c)
-        return cls._raw(data)
+                prev = get(k)
+                data[k] = c if prev is None else prev + c
+        return cls._raw({k: c for k, c in data.items() if c})
 
     # integer numerators: the exact series loops multiply and add int-valued
     # combinations over one common denominator and build one Fraction per

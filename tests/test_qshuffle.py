@@ -1,7 +1,10 @@
 """Quasi-shuffle product: axioms, half-shuffle splitting, surjection route."""
 
+import ast
 from collections import Counter
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -257,25 +260,137 @@ def test_surjection_route_merges_along_the_plan(u, v):
     assert qsh_via_surjections(u, v) == Expansion(expected.items())
 
 
-def test_surjection_route_does_not_use_qsh_words(monkeypatch):
-    def refuse(u, v):
-        raise AssertionError("qsh_words called by the surjection route")
+# (1)(2) qsh (3)(4), every term with coefficient 1
+TWO_BY_TWO = Expansion(
+    (parse_word(w), 1)
+    for w in [
+        "1234", "1324", "1342", "3124", "3142", "3412",
+        "[13]24", "[13]42", "3[14]2", "1[23]4", "13[24]", "31[24]",
+        "[13][24]",
+    ]
+)
 
+
+def refuse(*args):
+    raise AssertionError("a refused function was called")
+
+
+def test_surjection_route_does_not_use_qsh_words(monkeypatch):
     monkeypatch.setattr(quasishuffle, "qsh_words", refuse)
     kernels.diamond_plan.cache_clear()
-    expected = Expansion(
-        (parse_word(w), 1)
-        for w in [
-            "1234", "1324", "1342", "3124", "3142", "3412",
-            "[13]24", "[13]42", "3[14]2", "1[23]4", "13[24]", "31[24]",
-            "[13][24]",
-        ]
-    )
     got = qsh_via_surjections(
         BracketWord.from_letters(1, 2), BracketWord.from_letters(3, 4)
     )
     assert len(got) == 13
-    assert got == expected
+    assert got == TWO_BY_TWO
+
+
+def test_surjection_route_does_not_use_the_lattice_planner(monkeypatch):
+    u, v = BracketWord.from_letters(1, 2), BracketWord.from_letters(3, 4)
+    monkeypatch.setattr(kernels, "_lattice_plan", refuse)
+    kernels._kept_lattice_plan.cache_clear()
+    with pytest.raises(AssertionError, match="refused"):
+        qsh(u, v)  # the patch bites
+    kernels.diamond_plan.cache_clear()
+    assert qsh_via_surjections(u, v) == TWO_BY_TWO
+
+
+def test_the_lattice_route_does_not_use_diamond_plan(monkeypatch):
+    u, v = BracketWord.from_letters(1, 2), BracketWord.from_letters(3, 4)
+    kernels.diamond_plan.cache_clear()
+    monkeypatch.setattr(kernels, "diamond_plan", refuse)
+    monkeypatch.setattr(quasishuffle, "diamond_plan", refuse)
+    with pytest.raises(AssertionError, match="refused"):
+        qsh_via_surjections(u, v)  # the patch bites
+    kernels._kept_lattice_plan.cache_clear()
+    assert qsh(u, v) == TWO_BY_TWO
+    # (1)(2) qsh (5): 125, 152, 512, [15]2, 1[25]
+    five = Expansion((parse_word(w), 1) for w in ["125", "152", "512", "[15]2", "1[25]"])
+    assert qsh(u, Expansion({v: 2, BracketWord.from_letters(5): -1})) == TWO_BY_TWO * 2 - five
+    assert half_up(u, v) == Expansion((w, c) for w, c in TWO_BY_TWO if w[-1] == (2,))
+    assert bullet(u, v) == Expansion((w, c) for w, c in TWO_BY_TWO if w[-1] == (2, 4))
+
+
+def recursive_qsh(u: tuple, v: tuple) -> Counter:
+    """The textbook recursion on the last blocks, on plain tuples."""
+    if not u or not v:
+        return Counter([u + v])
+    out = Counter()
+    for w, c in recursive_qsh(u, v[:-1]).items():
+        out[w + v[-1:]] += c
+    for w, c in recursive_qsh(u[:-1], v).items():
+        out[w + u[-1:]] += c
+    for w, c in recursive_qsh(u[:-1], v[:-1]).items():
+        out[w + (tuple(sorted(u[-1] + v[-1])),)] += c
+    return out
+
+
+# repeated blocks, so several paths give one word
+U_BLOCKS = ((1,), (1, 2), (1,), (2,), (1,))
+V_BLOCKS = ((1,), (2,), (1, 1), (1,))
+
+
+@pytest.mark.parametrize("a", range(len(U_BLOCKS) + 1))
+@pytest.mark.parametrize("b", range(len(V_BLOCKS) + 1))
+def test_qsh_words_is_the_recursion(a, b):
+    """Every shape up to (5, 4), the kept ones and (5, 4), which is not."""
+    u, v = U_BLOCKS[:a], V_BLOCKS[:b]
+    assert kernels.qsh_words(u, v) == recursive_qsh(u, v)
+
+
+# every shape within the default weight cap with both lengths positive
+KEPT_SHAPES = [
+    (a, b) for a in range(1, DEFAULT_WEIGHT_CAP) for b in range(1, DEFAULT_WEIGHT_CAP - a + 1)
+]
+
+
+def lattice_paths(plan, a, b):
+    """The index tuples of a plan, read back by picking from the indices."""
+    indices = tuple(range(a + b + a * b))
+    return [pick(indices) for pick in plan]
+
+
+class TestLatticePlan:
+    def test_filling_the_memo_calls_no_exported_kernel(self, monkeypatch):
+        """So a traced run makes the same kernel calls on a cold memo as
+        on a warm one: every kernel perfbench records is refused."""
+        tracing = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
+        recorded = next(
+            ast.literal_eval(node.value)
+            for node in ast.parse(tracing).body
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "KERNELS"
+        )
+        assert "qsh_words" in recorded
+        expected = [lattice_paths(kernels._kept_lattice_plan(a, b), a, b) for a, b in KEPT_SHAPES]
+        for name in recorded:
+            monkeypatch.setattr(kernels, name, refuse)
+        kernels._kept_lattice_plan.cache_clear()
+        got = [lattice_paths(kernels._kept_lattice_plan(a, b), a, b) for a, b in KEPT_SHAPES]
+        assert got == expected
+
+    def test_the_default_shapes_fill_28_entries(self):
+        kernels._kept_lattice_plan.cache_clear()
+        for n in range(DEFAULT_WEIGHT_CAP + 1):
+            for m in range(DEFAULT_WEIGHT_CAP + 1 - n):
+                qsh(BracketWord.from_letters(*[1] * n), BracketWord.from_letters(*[2] * m))
+        info = kernels._kept_lattice_plan.cache_info()
+        assert info.currsize == len(KEPT_SHAPES) == 28
+        assert info.currsize <= info.maxsize
+        assert sum(len(kernels._kept_lattice_plan(a, b)) for a, b in KEPT_SHAPES) == 1664
+
+    def test_a_shape_past_the_default_cap_is_not_kept(self):
+        u, v = BracketWord.from_letters(1, 2, 1, 2, 1), BracketWord.from_letters(2, 1, 1, 2, 2)
+        before = kernels._kept_lattice_plan.cache_info().currsize
+        with caps(weight=12):
+            assert qsh(u, v) == qsh_via_surjections(u, v)
+        assert kernels._kept_lattice_plan.cache_info().currsize == before
+
+    @pytest.mark.parametrize("a", range(1, 7))
+    @pytest.mark.parametrize("b", range(1, 7))
+    def test_plan_lengths_are_delannoy_numbers(self, a, b):
+        plan = kernels._lattice_plan(a, b)
+        assert len(plan) == sum(comb(a, k) * comb(b, k) * 2**k for k in range(min(a, b) + 1))
+        assert len(set(lattice_paths(plan, a, b))) == len(plan)
 
 
 def test_shuffle_projection_kills_merged_blocks():

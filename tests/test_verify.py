@@ -1,11 +1,14 @@
 """Verification suites: report schema and pass status."""
 
 import json
+import threading
 
 import pytest
 
-from itoflow import SUITES, run_suite
+from itoflow import SUITES, caps, run_suite
+from itoflow._config import DEFAULT_GRADE_CAP, DEFAULT_WEIGHT_CAP
 from itoflow.cli import main
+from itoflow.verify import suite_algebra
 
 SCHEMA = {"test", "max_abs_err", "tolerance", "pass", "seed", "grid_points", "paths"}
 
@@ -119,3 +122,32 @@ def test_python_defaults_are_the_cli_defaults(capsys, name):
     ok, reports = run_suite(name)
     assert (code, ok) == (0, True)
     assert json.loads(out)["cases"] == reports
+
+
+
+def _algebra_at_default_caps(grade, seed=0):
+    """suite_algebra under the library's default caps, not the session's."""
+    with caps(weight=DEFAULT_WEIGHT_CAP, grade=DEFAULT_GRADE_CAP):
+        return suite_algebra(grade, seed)
+
+
+def test_a_huge_algebra_grade_returns():
+    """Sampled word weights stop at the weight cap; drawn up to grade - 1,
+    one word of a huge grade would never finish."""
+    reports = []
+    # a daemon thread: a hang fails the test instead of stalling the run
+    worker = threading.Thread(
+        target=lambda: reports.extend(_algebra_at_default_caps(10**20)), daemon=True
+    )
+    worker.start()
+    worker.join(timeout=2)
+    assert not worker.is_alive(), "suite_algebra(10**20) took over 2 s"
+    assert reports and all(r["pass"] for r in reports)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_algebra_suite_passes_above_the_weight_cap(seed):
+    """Grade 12 under the default cap: no sampled word outweighs the cap,
+    whatever the seed."""
+    reports = _algebra_at_default_caps(12, seed)
+    assert reports and all(r["pass"] for r in reports)

@@ -35,6 +35,16 @@ crossover was measured with the C10 words on 4 letters (ROADMAP.md);
 below it the stack route is faster, since the sweep pays a few numpy
 calls per cell whatever its width.
 
+Each letter is held as a base array and an optional (offset, scale):
+its increments are the base itself, as Evaluator(increments) holds
+them, or offset + scale * base, as Evaluator._affine holds letters that
+are affine images of one shared array (the flow study's entries,
+a dt + b dW).  Those increments are formed when a block reads them, a
+row chunk at a time on the stack route and a cell chunk at a time on the
+sweep, from one transposed base chunk shared by every letter on it; so
+no whole letter array is kept, and the formed values are the bits a
+whole offset + scale * base would hold.
+
 All core routines are shaped (..., cells): a batch axis in front
 evaluates many Monte Carlo paths in one sweep.
 """
@@ -72,7 +82,8 @@ class Evaluator:
     """Evaluates words and expansions against one set of increment arrays.
 
     increments maps each letter to an array of finite per-cell increments,
-    shaped (cells,) for one path or (batch, cells) for many.
+    shaped (cells,) for one path or (batch, cells) for many.  Each array is
+    held as it is, as the base of its letter.
 
     word_path builds a word's path from the running paths of its prefixes
     held on a stack, so at most len(longest word) path arrays are live.
@@ -95,10 +106,44 @@ class Evaluator:
         shapes = {v.shape for v in incs.values()}
         if len(shapes) != 1:
             raise ValueError("drivers must share one grid shape")
-        self.shape = shapes.pop()
-        rows, cells = prod(self.shape[:-1]), self.shape[-1]
-        # the increments as (rows, cells), and the row chunks blocks are built in
-        self._inc = {k: v.reshape(rows, cells) for k, v in incs.items()}
+        self._bind(shapes.pop(), list(incs.values()), {k: (n, None) for n, k in enumerate(incs)})
+
+    @classmethod
+    def _affine(cls, base: np.ndarray, letters: Mapping[int, tuple]) -> "Evaluator":
+        """An evaluator whose letter k moves by offset + scale * base, for
+        letters[k] = (offset, scale).
+
+        A letter's increments are formed a chunk at a time, when a block
+        reads them, by the operations offset + scale * base makes; so the
+        values match an Evaluator given the formed arrays, bit for bit, and
+        only base is kept whole.  x -> offset + scale * x is monotone under
+        rounding, so a letter is finite on every cell if and only if it is
+        finite at base.min() and base.max(); one that is not raises
+        ValueError naming it.
+        """
+        base = _finite("base increments", base)
+        ends = np.array([base.min(), base.max()]) if base.size else np.empty(0)
+        affine = {}
+        for k, (offset, scale) in letters.items():
+            k = _count("letter", k)
+            # an overflow is reported as the ValueError, not as numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                _finite(f"increments of letter {k}", offset + scale * ends)
+            affine[k] = (0, (offset, scale))
+        if not affine:
+            raise ValueError("need at least one driver")
+        ev = cls.__new__(cls)
+        ev._bind(base.shape, [base], affine)
+        return ev
+
+    def _bind(self, shape: tuple, bases: list[np.ndarray], letters: dict[int, tuple]) -> None:
+        """Hold each base as (rows, cells), and each letter as (the index of
+        its base, its (offset, scale) or None for the base itself)."""
+        self.shape = shape
+        rows, cells = prod(shape[:-1]), shape[-1]
+        self._bases = [b.reshape(rows, cells) for b in bases]
+        self._inc = letters
+        # the row chunks blocks are built in
         step = max(1, _CHUNK_FLOATS // max(cells, 1))
         self._chunks = [slice(r, r + step) for r in range(0, rows, step)]
         self._terminal_cache: dict[BracketWord, np.ndarray] = {}
@@ -115,8 +160,8 @@ class Evaluator:
             )
         return cls({l: bundle[l].increments() for l in bundle.letters()})
 
-    def _letters(self, block) -> list[np.ndarray]:
-        """The (rows, cells) increments of the block's letters, in order."""
+    def _letters(self, block) -> list[tuple]:
+        """The (base index, affine) of the block's letters, in order."""
         try:
             return [self._inc[letter] for letter in block]
         except KeyError as e:
@@ -130,14 +175,15 @@ class Evaluator:
         the empty word, all ones), then summed.  Chunking by rows changes
         no element's operations or their order.
         """
-        incs = self._letters(block)
-        rows, cells = incs[0].shape
+        incs = [(self._bases[n], affine) for n, affine in self._letters(block)]
+        rows, cells = self._bases[0].shape
         path = np.empty((rows, cells + 1))
         path[:, 0] = 0.0
         for r in self._chunks:
-            step = incs[0][r]
-            for inc in incs[1:]:
-                step = step * inc[r]
+            factors = (_formed(base[r], affine) for base, affine in incs)
+            step = next(factors)
+            for inc in factors:
+                step = step * inc
             if parent is not None:
                 step = step * parent[r, :-1]
             np.cumsum(step, axis=-1, out=path[r, 1:])
@@ -213,6 +259,7 @@ class Evaluator:
         # unbound letter is reported as that route reports it
         blocks = {b: k for k, b in enumerate(dict.fromkeys(key[-1] for key in nodes))}
         letters = {letter: inc for b in blocks for letter, inc in zip(b, self._letters(b))}
+        used = {n for n, _ in letters.values()}
         parent = np.array([trie[key[:-1]] for key in nodes], dtype=np.intp)
         block = np.array([blocks[key[-1]] for key in nodes], dtype=np.intp)
         rows, cells = prod(self.shape[:-1]), self.shape[-1]
@@ -224,7 +271,9 @@ class Evaluator:
         products = np.empty((min(step, cells), len(blocks), rows))
         for c0 in range(0, cells, step):
             c1 = min(c0 + step, cells)
-            chunk = {l: np.ascontiguousarray(inc[:, c0:c1].T) for l, inc in letters.items()}
+            # each base's cells transposed once, shared by every letter on it
+            bases = {n: np.ascontiguousarray(self._bases[n][:, c0:c1].T) for n in used}
+            chunk = {l: _formed(bases[n], affine) for l, (n, affine) in letters.items()}
             for b, k in blocks.items():
                 out = products[: c1 - c0, k]
                 np.copyto(out, chunk[b[0]])
@@ -257,6 +306,15 @@ class Evaluator:
             # float(c), correctly rounded, without numbers.Rational.__float__
             out = out + c.numerator / c.denominator * value
         return out
+
+
+def _formed(base: np.ndarray, affine: tuple | None) -> np.ndarray:
+    """A letter's increments on a chunk of its base: the chunk itself, or
+    offset + scale * chunk for affine = (offset, scale)."""
+    if affine is None:
+        return base
+    offset, scale = affine
+    return offset + scale * base
 
 
 def _prefix_trie(words: Iterable[BracketWord]) -> dict[tuple, int]:

@@ -13,6 +13,13 @@ and B make the flow genuinely noncommutative.  Three routes to X_T:
 On a shared grid the order-M Taylor evaluation equals the Euler product
 exactly (the product expands into exactly those left-point sums), so all
 comparisons are pure truncation studies, free of scheme mismatch.
+
+Every entry letter is an affine image of the one Brownian array: it moves
+by A[i,j] dt + B[i,j] dW on each step.  So the series routes build their
+Evaluator from dW and each entry's (A[i,j] dt, B[i,j]), and the letters
+are formed a chunk at a time as blocks read them.  A batch keeps dW
+whole and no letter array; flow_reference likewise forms dM a chunk of
+steps at a time.
 """
 
 from __future__ import annotations
@@ -79,16 +86,18 @@ def _check_increments(problem: FlowProblem, dW) -> np.ndarray:
     return dW
 
 
-def entry_increments(problem: FlowProblem, dW: np.ndarray) -> dict[int, np.ndarray]:
-    """Increments of each matrix-entry letter for a batch of paths."""
+def _entry_letters(problem: FlowProblem) -> dict[int, tuple]:
+    """Each matrix-entry letter's (offset, scale): entry (i, j) moves by
+    drift[i, j] * dt + diffusion[i, j] * dW on each step."""
     d = problem.dim
-    out = {}
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            a = problem.drift[i - 1, j - 1]
-            b = problem.diffusion[i - 1, j - 1]
-            out[entry_letter(i, j, d)] = a * problem.dt + b * dW
-    return out
+    return {
+        entry_letter(i, j, d): (
+            problem.drift[i - 1, j - 1] * problem.dt,
+            problem.diffusion[i - 1, j - 1],
+        )
+        for i in range(1, d + 1)
+        for j in range(1, d + 1)
+    }
 
 
 def flow_reference(problem: FlowProblem, dW: np.ndarray) -> np.ndarray:
@@ -130,7 +139,7 @@ def flow_from_taylor(problem: FlowProblem, order: int, dW: np.ndarray) -> np.nda
     """Truncated series evaluated pathwise: one (dim, dim) matrix per path."""
     dW = _check_increments(problem, dW)
     me = matrix_ito_taylor(problem.dim, order)
-    ev = Evaluator(entry_increments(problem, dW))
+    ev = Evaluator._affine(dW, _entry_letters(problem))
     return _evaluate_matrix(me, ev, dW.shape[0])
 
 
@@ -138,7 +147,7 @@ def flow_from_log(problem: FlowProblem, order: int, dW: np.ndarray) -> np.ndarra
     """exp(truncated log series), evaluated pathwise."""
     dW = _check_increments(problem, dW)
     me = matrix_log(problem.dim, order)
-    ev = Evaluator(entry_increments(problem, dW))
+    ev = Evaluator._affine(dW, _entry_letters(problem))
     logs = _evaluate_matrix(me, ev, dW.shape[0])
     return truncated_expm(logs)
 
@@ -204,6 +213,7 @@ def compare_flows(
     """
     _typed("problem", problem, FlowProblem)
     n_paths, batch_size = _count("n_paths", n_paths), _count("batch_size", batch_size)
+    seed = _count("seed", seed, 0)
     orders = sorted({_count("order", k) for k in orders})
     if not orders:
         raise ValueError("need at least one order")
@@ -227,7 +237,7 @@ def compare_flows(
         # FloatRangeError from the checks below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             x_ref = _finite("Euler product", flow_reference(problem, dW), FloatRangeError)
-            ev = Evaluator(entry_increments(problem, dW))
+            ev = Evaluator._affine(dW, _entry_letters(problem))
             ev.terminals(words)  # every word of the batch in one trie sweep or walk
             taylor_vals = {
                 k: _finite(

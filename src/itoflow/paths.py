@@ -136,8 +136,14 @@ class DriverSpec:
 
 
 def rng_for(seed: int, path_index: int = 0, driver_index: int = 0) -> np.random.Generator:
-    """Generator keyed by (seed, path, driver), independent of call order."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(path_index, driver_index))
+    """Generator keyed by (seed, path, driver), independent of call order.
+
+    Each key is an int >= 0, else ValueError; numpy ints draw as the equal int.
+    """
+    ss = np.random.SeedSequence(
+        entropy=_count("seed", seed, 0),
+        spawn_key=(_count("path_index", path_index, 0), _count("driver_index", driver_index, 0)),
+    )
     return np.random.default_rng(ss)
 
 
@@ -151,12 +157,12 @@ def simulate(
     """One path of the given driver on the grid."""
     _typed("spec", spec, DriverSpec)
     grid = _finite("grid", grid)
+    rng = rng_for(seed, path_index, driver_index)  # checks the keys of every kind
     dt = np.diff(grid)
     if spec.kind == "linear_drift":
         return SamplePath(grid, spec.slope * grid)
     if spec.kind == "table":
         return SamplePath(grid, spec.table)
-    rng = rng_for(seed, path_index, driver_index)
     if spec.kind == "brownian":
         inc = rng.normal(0.0, 1.0, size=len(dt)) * spec.sigma * np.sqrt(dt)
     else:  # poisson

@@ -10,14 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from itoflow import (
     BracketWord,
     DriverSpec,
     Evaluator,
     Expansion,
+    FlowProblem,
     SamplePath,
     PathBundle,
+    compare_flows,
     evaluate,
     make_grid,
     matrix_ito_taylor,
@@ -25,7 +28,7 @@ from itoflow import (
     qsh,
     simulate_bundle,
 )
-from itoflow.flows import _evaluate_matrix
+from itoflow.flows import _evaluate_matrix, brownian_increments
 from itoflow.verify import words_up_to
 
 # the package rebinds the name `evaluate` to the function
@@ -430,6 +433,114 @@ class TestSweepAgainstOracle:
         assert [g.tobytes() for g in got] == [o.tobytes() for o in other]
 
 
+def affine_pair(seed, shape, letters):
+    """Letters offset + scale * one base, held as plain arrays and chunk-formed."""
+    base = np.random.default_rng(seed).normal(scale=0.1, size=shape)
+    plain = Evaluator({k: offset + scale * base for k, (offset, scale) in letters.items()})
+    return plain, Evaluator._affine(base, letters)
+
+
+# signed zeros, negative scales and the identity among them
+affine_numbers = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.5]), st.floats(-3.0, 3.0, allow_nan=False)
+)
+affine_letters = st.fixed_dictionaries(
+    {k: st.tuples(affine_numbers, affine_numbers) for k in (1, 2, 3)}
+)
+
+
+class TestAffineLettersAgainstPlain:
+    """Letters formed a chunk at a time from one base against the same
+    letters formed whole, as plain increments."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.sampled_from([None, 1, 5]),
+        # 7000 cells: batches of 5 rows are built in two row chunks
+        cells=st.sampled_from([1, 2, 9, 7000]),
+        letters=affine_letters,
+        seed=st.integers(min_value=0, max_value=2**16),
+        words=st.lists(sweep_words, min_size=1, max_size=8),
+    )
+    def test_stack_paths_and_terminals_are_bit_identical(self, batch, cells, letters, seed, words):
+        shape = (cells,) if batch is None else (batch, cells)
+        plain, formed = affine_pair(seed, shape, letters)
+        with terminals_route(STACK):
+            for w in words:
+                assert formed.word_path(w).tobytes() == plain.word_path(w).tobytes()
+            asked = words[::-1]
+            got, expected = formed.terminals(asked), plain.terminals(asked)
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.sampled_from([None, 1, 3]),
+        cells=st.sampled_from([1, 2, 7, 33]),
+        sweep_floats=st.sampled_from([1, 64, 512, None]),
+        letters=affine_letters,
+        seed=st.integers(min_value=0, max_value=2**16),
+        words=st.lists(sweep_words, min_size=1, max_size=10),
+    )
+    def test_sweep_terminals_are_bit_identical(
+        self, batch, cells, sweep_floats, letters, seed, words
+    ):
+        shape = (cells,) if batch is None else (batch, cells)
+        plain, formed = affine_pair(seed, shape, letters)
+        with terminals_route(SWEEP, sweep_floats), mock.patch.object(
+            Evaluator, "_extend", refuse
+        ):
+            got, expected = formed.terminals(words), plain.terminals(words)
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+    @pytest.mark.parametrize("route", [STACK, SWEEP], ids=["stack", "sweep"])
+    def test_c10_words_with_zero_and_negative_scales(self, route):
+        # a pure drift letter, a negative scale, the base itself and a
+        # letter that is -0.0 + 0.0 * base: the C10 words repeat letters
+        # within brackets
+        letters = {1: (1e-3, 0.0), 2: (-2e-3, -1.5), 3: (0.0, 1.0), 4: (-0.0, 0.0)}
+        plain, formed = affine_pair(6, (8, 300), letters)
+        words = c10_words()
+        assert any(len(set(b)) < len(b) for w in words for b in w)
+        with terminals_route(route):
+            got, expected = formed.terminals(words), plain.terminals(words)
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 3), st.integers(1, 4)),
+            elements=st.one_of(
+                st.sampled_from([0.0, 1.0, -1.0, 9e307, -9e307, 1.7976931348623157e308]),
+                st.floats(-1.7e308, 1.7e308),
+            ),
+        ),
+        offset=st.one_of(st.sampled_from([0.0, 1e308, -1e308]), st.floats(-1.7e308, 1.7e308)),
+        scale=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0]), st.floats(-4.0, 4.0)),
+    )
+    def test_finite_check_agrees_with_every_cell(self, base, offset, scale):
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(offset + scale * base).all()
+        if finite:
+            Evaluator._affine(base, {2: (offset, scale)})
+        else:
+            with pytest.raises(ValueError, match="increments of letter 2 must be finite"):
+                Evaluator._affine(base, {2: (offset, scale)})
+
+    def test_an_overflowing_letter_is_named(self):
+        base = np.array([[1.0, -1e300, 2.0]])
+        letters = {1: (0.0, 1.0), 3: (0.0, -1e10), 2: (0.0, 1e10)}
+        with pytest.raises(ValueError, match="increments of letter 3 must be finite"):
+            Evaluator._affine(base, letters)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_nonfinite_base_is_refused(self, bad):
+        base = np.zeros((2, 4))
+        base[1, 2] = bad
+        with pytest.raises(ValueError, match="base increments must be finite"):
+            Evaluator._affine(base, {1: (0.0, 1.0)})
+
+
 class TestMemory:
     def test_paths_are_read_only(self):
         ev = Evaluator(random_increments(1, (2, 8)))
@@ -478,3 +589,24 @@ class TestMemory:
         # the sweep keeps one running value per trie node and row, and block
         # products for a chunk of cells: no path array
         assert peak < 2 * path_bytes
+
+    def test_flow_batch_peaks_below_three_increments_arrays(self):
+        # one C10 batch of 64 paths: the letters are formed a chunk at a
+        # time from dW, so the batch keeps dW and no whole letter array
+        problem = FlowProblem(
+            dim=2,
+            drift=np.array([[0.0, 1.0], [0.0, 0.0]]),
+            diffusion=np.array([[0.5, 0.0], [1.0, -0.5]]),
+            horizon=0.1,
+            steps=4096,
+        )
+        dW_bytes = brownian_increments(problem, 3, range(64)).nbytes
+        compare_flows(problem, [1, 2, 3], 64, 3)  # memos and symbolic series warm
+        tracemalloc.start()
+        try:
+            compare_flows(problem, [1, 2, 3], 64, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # four whole letter arrays and their temporaries read about 6x
+        assert peak < 3 * dW_bytes

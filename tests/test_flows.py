@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from itoflow import (
+    Evaluator,
     FloatRangeError,
     FlowProblem,
     compare_flows,
@@ -286,3 +287,48 @@ class TestCompareFlows:
         p = small_problem(steps=64)
         runs = [compare_flows(p, orders=[1, 2], n_paths=6, seed=11, batch_size=4) for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+def plain_letters(base, letters):
+    """Every entry letter formed whole, a * dt + b * dW, as plain increments."""
+    return Evaluator({k: offset + scale * base for k, (offset, scale) in letters.items()})
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the other route was taken")
+
+
+class TestLettersFormedFromDW:
+    """The routes build their evaluators from dW and each entry's
+    (a dt, b); with the letters formed whole instead, every bit is the same."""
+
+    # C10's 166 trie nodes: 4 rows are below the sweep's crossover, 8 past it
+    @pytest.mark.parametrize("batch, unused", [(4, "_sweep"), (8, "_extend")])
+    def test_compare_flows_reports_are_equal(self, monkeypatch, batch, unused):
+        p = flow_problem(256)
+        runs = []
+        for builder in (None, plain_letters):
+            with monkeypatch.context() as m:
+                m.setattr(Evaluator, unused, refuse)
+                if builder is not None:
+                    m.setattr(Evaluator, "_affine", staticmethod(builder))
+                runs.append(compare_flows(p, [1, 2, 3], 2 * batch, seed=4, batch_size=batch))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("route", [flow_from_taylor, flow_from_log])
+    def test_routes_are_bit_identical(self, monkeypatch, route):
+        p = small_problem(steps=64)
+        dW = brownian_increments(p, seed=2, path_indices=range(3))
+        got = route(p, 3, dW)
+        monkeypatch.setattr(Evaluator, "_affine", staticmethod(plain_letters))
+        assert got.tobytes() == route(p, 3, dW).tobytes()
+
+    def test_an_overflowing_entry_is_named_without_warnings(self):
+        # entry (2, 1) is letter 3 at dim 2: 1e300 * dW overflows
+        b = np.array([[0.5, 0.0], [1e300, 0.0]])
+        p = FlowProblem(dim=2, drift=A, diffusion=b, horizon=0.1, steps=4)
+        dW = np.full((1, 4), 1e10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="increments of letter 3 must be finite"):
+                flow_from_taylor(p, 2, dW)

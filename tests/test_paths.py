@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from itoflow import (
     BundleFormatError,
     DriverSpec,
+    FlowProblem,
     GridResolutionWarning,
     PathBundle,
     SamplePath,
@@ -18,6 +19,7 @@ from itoflow import (
     bundle_from_csv,
     bundle_to_binary,
     bundle_to_csv,
+    compare_flows,
     discrete_bracket,
     make_grid,
     read_bundle,
@@ -83,6 +85,30 @@ class TestSamplePath:
         assert p.n_steps == 2
 
 
+# every way a caller hands a stream key in; each key must be an int >= 0
+SEED_SITES = {
+    "rng_for-seed": lambda v: rng_for(v),
+    "rng_for-path_index": lambda v: rng_for(0, v),
+    "rng_for-driver_index": lambda v: rng_for(0, 0, v),
+    "simulate-seed": lambda v: simulate(DriverSpec.brownian(), GRID, seed=v),
+    "simulate-path_index": lambda v: simulate(DriverSpec.brownian(), GRID, path_index=v),
+    "simulate-driver_index": lambda v: simulate(DriverSpec.linear_drift(), GRID, driver_index=v),
+    "compare_flows-seed": lambda v: compare_flows(
+        FlowProblem(1, [[0.5]], [[1.0]], 0.1, 4), [1], 4, seed=v
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [True, -1, 2.5], ids=repr)
+@pytest.mark.parametrize("site", sorted(SEED_SITES))
+def test_stream_keys_are_counts(site, bad):
+    """A bool is not read as 1, and a negative or fractional key raises
+    ValueError naming the argument, not numpy's own error."""
+    name = site.split("-")[1]
+    with pytest.raises(ValueError, match=name):
+        SEED_SITES[site](bad)
+
+
 class TestSimulate:
     def test_brownian_reproducible(self):
         spec = DriverSpec.brownian(sigma=1.0)
@@ -102,6 +128,11 @@ class TestSimulate:
         x = rng_for(1, 0, 1).normal(size=4)
         y = rng_for(1, 0, 2).normal(size=4)
         assert not np.array_equal(x, y)
+
+    def test_numpy_int_keys_draw_as_ints(self):
+        x = rng_for(5, 2, 1).normal(size=4)
+        y = rng_for(np.int64(5), np.int32(2), np.uint8(1)).normal(size=4)
+        assert x.tobytes() == y.tobytes()
 
     def test_brownian_scaling(self):
         spec = DriverSpec.brownian(sigma=0.0)

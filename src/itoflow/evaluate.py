@@ -106,6 +106,8 @@ class Evaluator:
         shapes = {v.shape for v in incs.values()}
         if len(shapes) != 1:
             raise ValueError("drivers must share one grid shape")
+        if shapes == {()}:
+            raise ValueError(f"increments of letter {next(iter(incs))} need a cells axis")
         self._bind(shapes.pop(), list(incs.values()), {k: (n, None) for n, k in enumerate(incs)})
 
     @classmethod
@@ -122,6 +124,8 @@ class Evaluator:
         ValueError naming it.
         """
         base = _finite("base increments", base)
+        if not base.ndim:
+            raise ValueError("base increments need a cells axis")
         ends = np.array([base.min(), base.max()]) if base.size else np.empty(0)
         affine = {}
         for k, (offset, scale) in letters.items():

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._config import _count, _typed, check_grade
-from .logseries import _descent_law_terms
-from .surjections import Surjection, apply_surjection
+from .logseries import _descent_law_terms, _log_action
+from .surjections import Surjection
 from .words import (
     BracketWord,
     Expansion,
@@ -89,15 +90,8 @@ class LogTerm:
 
     def surjection(self) -> Surjection:
         """Recover f: position p maps to the index of its block."""
-        values = [0] * self.order
-        for idx, block_positions in enumerate(self.partition, start=1):
-            for p in block_positions:
-                values[p - 1] = idx
-        return Surjection(values)
-
-    def instantiate(self, letters: Sequence[int]) -> tuple[BracketWord, Fraction]:
-        """Fill the template with concrete driver letters, one per position."""
-        return apply_surjection(self.surjection(), BracketWord.from_letters(*letters)), self.coeff
+        block_of = {p: idx for idx, positions in enumerate(self.partition, 1) for p in positions}
+        return Surjection(block_of.get(p, 0) for p in range(1, self.order + 1))
 
     def pretty(self) -> str:
         """Theorem-style rendering, e.g. '-1/6 V_i V_j V_k I_{j[ik]}'."""
@@ -162,29 +156,16 @@ def apply_vanishing_rules(e: Expansion, alphabet: DriverAlphabet) -> Expansion:
     out: dict[BracketWord, Fraction] = {}
     for w, c in e:
         blocks = []
-        dead = False
         for b in w:
-            if alphabet.cross_brackets_zero:
-                primaries = {x for x in b if alphabet.is_primary(x)}
-                if len(primaries) >= 2:
-                    dead = True
-                    break
-            if alphabet.continuous:
-                depth = sum(alphabet.bracket_depth(x) for x in b)
-                if depth >= 3:
-                    dead = True
-                    break
-            if (
-                alphabet.paired_qv
-                and len(b) == 2
-                and b[0] == b[1]
-                and alphabet.is_primary(b[0])
-            ):
+            if alphabet.cross_brackets_zero and len({x for x in b if alphabet.is_primary(x)}) >= 2:
+                break
+            if alphabet.continuous and sum(map(alphabet.bracket_depth, b)) >= 3:
+                break
+            if alphabet.paired_qv and len(b) == 2 and b[0] == b[1] and alphabet.is_primary(b[0]):
                 b = (alphabet.qv_letter(b[0]),)
             blocks.append(b)
-        if dead:
-            continue
-        accumulate(out, BracketWord(blocks), c)
+        else:  # no block vanished
+            accumulate(out, BracketWord(blocks), c)
     return Expansion._raw(out)
 
 
@@ -193,23 +174,21 @@ def log_flow_expansion(
 ) -> Expansion:
     """Fully instantiated log expansion over concrete driver letters.
 
-    letters defaults to the primary drivers; every template of order n is
-    summed over all n-tuples from that pool, then normalized by the
-    vanishing rules.  Because only the word side is kept, terms whose
-    coefficient operators would need to commute cancel here: this is the
-    exact log for commuting coefficient fields (each field against its own
-    driver), e.g. the scalar case.  Keep the templates when the fields do
-    not commute.  Exponential in the order; meant for small cases.
+    The log element acts on every word of up to order letters from the pool
+    (default: the primary drivers) by matrix_log's merge, then the vanishing
+    rules normalize.  Only the word side is kept, so terms whose coefficient
+    operators would need to commute cancel: this is the exact log for
+    commuting fields (each against its own driver), e.g. the scalar case.
+    For fields that do not commute keep the templates, which
+    verify.check_linear_fields checks.  Exponential in the order.
     """
-    terms = log_flow_terms(alphabet, order)
+    _typed("alphabet", alphabet, DriverAlphabet)
+    order = check_grade(_count("order", order))
     pool = letters if letters is not None else range(1, alphabet.n_primary + 1)
     singletons = BracketWord.from_letters(*pool)  # checks each letter once
-    data: dict[BracketWord, Fraction] = {}
-    for term in terms:
-        f = term.surjection()  # once per template, not per letter tuple
-        for combo in itertools.product(singletons, repeat=term.order):
-            accumulate(data, apply_surjection(f, BracketWord._wrap(combo)), term.coeff)
-    return apply_vanishing_rules(Expansion._raw(data), alphabet)
+    products = (itertools.product(singletons, repeat=n) for n in range(1, order + 1))
+    words = Counter(map(BracketWord._wrap, itertools.chain.from_iterable(products)))
+    return apply_vanishing_rules(_log_action(order)(Expansion._raw(words)), alphabet)
 
 
 def terms_to_json(terms: Iterable[LogTerm], **kwargs) -> str:

@@ -16,14 +16,13 @@ by grade, in rational arithmetic.
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
-from itertools import repeat
 from math import lcm
 from typing import Callable, Iterable
 
 from ._config import _count, _typed, check_weight
-from .kernels import fibers_of, merge_fibers
-from .logseries import _exp_weights, log_identity_closed_form
+from .logseries import _exp_weights, _log_action
 from .quasishuffle import qsh
 from .words import (
     UNIT_WORD,
@@ -63,16 +62,8 @@ class MatrixExpansion:
 
     @classmethod
     def identity(cls, dim: int) -> "MatrixExpansion":
-        return cls(
-            dim,
-            [
-                [
-                    Expansion.unit() if i == j else Expansion.zero()
-                    for j in range(dim)
-                ]
-                for i in range(dim)
-            ],
-        )
+        unit, zero = Expansion.unit, Expansion.zero
+        return cls(dim, [[unit() if i == j else zero() for j in range(dim)] for i in range(dim)])
 
     @classmethod
     def zero(cls, dim: int) -> "MatrixExpansion":
@@ -88,24 +79,15 @@ class MatrixExpansion:
         return self.dim == other.dim and self.entries == other.entries
 
     def __add__(self, other: "MatrixExpansion") -> "MatrixExpansion":
-        self._check(other)
-        return MatrixExpansion(
-            self.dim,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        return self._entrywise(operator.add, other)
 
     def __sub__(self, other: "MatrixExpansion") -> "MatrixExpansion":
+        return self._entrywise(operator.sub, other)
+
+    def _entrywise(self, op, other: "MatrixExpansion") -> "MatrixExpansion":
         self._check(other)
-        return MatrixExpansion(
-            self.dim,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        rows = zip(self.entries, other.entries)
+        return MatrixExpansion(self.dim, [list(map(op, ra, rb)) for ra, rb in rows])
 
     def __mul__(self, scalar) -> "MatrixExpansion":
         return self.map_entries(lambda e: e * scalar)
@@ -228,33 +210,13 @@ def matrix_log(dim: int, order: int) -> MatrixExpansion:
     """Logarithm of the flow series, entry-wise, to the given order.
 
     The surjection log element of each grade n acts on every length-n
-    entry word of the flow series; fibers of two or more positions become
-    bracket blocks of entry letters.  Each surjection's fibers are worked
-    out once per call, and apply_element is the per-term oracle.
+    entry word of the flow series, by the merge log_flow_expansion shares
+    (logseries._log_action); fibers of two or more positions become
+    bracket blocks of entry letters.  apply_element is the per-term oracle.
     """
     order = check_weight(_count("order", order))
-    log_nums, d = log_identity_closed_form(order)._numerators()
-    # the arity-n part acts on each length-n word; there is no arity-0 part,
-    # so the identity part has no log contribution
-    fibers = [[] for _ in range(order + 1)]
-    coeffs = [[] for _ in range(order + 1)]
-    for f, c in log_nums._terms.items():
-        fibers[len(f)].append(fibers_of(f))
-        coeffs[len(f)].append(c)
-    taylor = matrix_ito_taylor(dim, order)
-
-    def log_entry(e: Expansion) -> Expansion:
-        nums, t = e._numerators()
-        data: dict = {}
-        get = data.get
-        for w, cw in nums._terms.items():
-            n = len(w)
-            for v, c in zip(map(merge_fibers, fibers[n], repeat(w)), coeffs[n]):
-                prev = get(v)
-                data[v] = cw * c if prev is None else prev + cw * c
-        return Expansion._over({BracketWord._wrap(v): c for v, c in data.items()}, t * d)
-
-    return taylor.map_entries(log_entry)
+    log = _log_action(order)
+    return matrix_ito_taylor(dim, order).map_entries(log)
 
 
 def matrix_exp(me: MatrixExpansion, order: int) -> MatrixExpansion:

@@ -344,16 +344,13 @@ def apply_surjection(f: SurjLike, w: WordLike) -> BracketWord:
 def apply_element(e: SurjElement, w: WordLike) -> Expansion:
     """Linear extension of apply_surjection in the surjection slot.
 
-    One apply_to_blocks per term: the oracle for matrix_log, which merges
-    along fibers worked out once per call.
+    One apply_surjection per term: the oracle for the log element's action
+    in matrix_log and log_flow_expansion (logseries._log_action), which
+    merges along fibers worked out once per call.
     """
     _typed("e", e, SurjElement)
     w = as_word(w)
     data: dict[BracketWord, Fraction] = {}
     for f, c in e._terms.items():
-        if len(f) != len(w):
-            raise ValueError(
-                f"arity {len(f)} does not match word length {len(w)}"
-            )
-        accumulate(data, BracketWord._wrap(apply_to_blocks(tuple(f), tuple(w))), c)
+        accumulate(data, apply_surjection(f, w), c)
     return Expansion._raw(data)

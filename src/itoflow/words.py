@@ -110,13 +110,7 @@ def word_literal(w: WordLike) -> str:
     w = as_word(w)
     if not w:
         return "e"
-    parts = []
-    for b in as_word(w):
-        if len(b) == 1:
-            parts.append(str(b[0]))
-        else:
-            parts.append("[" + ",".join(str(x) for x in b) + "]")
-    return ".".join(parts)
+    return ".".join(str(b[0]) if len(b) == 1 else f"[{','.join(map(str, b))}]" for b in w)
 
 
 def word_compact(w: WordLike) -> str:
@@ -126,13 +120,7 @@ def word_compact(w: WordLike) -> str:
         return "e"
     if any(x > 9 for b in w for x in b):
         return word_literal(w)
-    parts = []
-    for b in w:
-        if len(b) == 1:
-            parts.append(str(b[0]))
-        else:
-            parts.append("[" + "".join(str(x) for x in b) + "]")
-    return "".join(parts)
+    return "".join(str(b[0]) if len(b) == 1 else f"[{''.join(map(str, b))}]" for b in w)
 
 
 def pretty_word(w: WordLike) -> str:

@@ -8,7 +8,8 @@ as every size bound of the products and truncations that is not an int >= 0
 Each function in itoflow.__all__ has one row of small valid arguments.
 Each argument of the row is swapped in turn for every value in HOSTILE.
 The size values -1, 0 and 10**30 are left out: an unbounded dimension
-(matrix_ito_taylor(10**30, 1)) does not return.
+(matrix_ito_taylor(10**30, 1)) does not return.  Class constructors have
+value rows only, so far those of Evaluator.
 """
 
 import math
@@ -153,6 +154,18 @@ BOUNDS = {
 # malformed values of the right type, each of which must raise ValueError
 VALUE_ROWS = {
     "evaluate-unbound-letter": lambda: itoflow.evaluate(BracketWord.from_letters(3), BUNDLE),
+    "Evaluator-no-letters": lambda: itoflow.Evaluator({}),
+    "Evaluator-letter-0": lambda: itoflow.Evaluator({0: np.zeros(4)}),
+    "Evaluator-nan": lambda: itoflow.Evaluator({1: np.array([0.0, math.nan])}),
+    "Evaluator-shapes": lambda: itoflow.Evaluator({1: np.zeros(4), 2: np.zeros(5)}),
+    "Evaluator-0d-float": lambda: itoflow.Evaluator({1: 1.0}),
+    "Evaluator-0d-array": lambda: itoflow.Evaluator({1: np.array(2.0)}),
+    "Evaluator._affine-0d-base": lambda: itoflow.Evaluator._affine(
+        np.array(1.0), {1: (0.0, 1.0)}
+    ),
+    "Evaluator._affine-overflow": lambda: itoflow.Evaluator._affine(
+        np.array([1.0, 2.0]), {1: (0.0, 1e308)}
+    ),
     **{
         f"{site}={bad!r}": partial(call, bad)
         for site, call in BOUNDS.items()
@@ -164,6 +177,19 @@ VALUE_ROWS = {
 @pytest.mark.parametrize("name", sorted(VALUE_ROWS))
 def test_malformed_values_raise_value_error(name):
     with pytest.raises(ValueError):
+        VALUE_ROWS[name]()
+
+
+@pytest.mark.parametrize(
+    "name, names",
+    [
+        ("Evaluator-0d-float", "increments of letter 1"),
+        ("Evaluator-0d-array", "increments of letter 1"),
+        ("Evaluator._affine-0d-base", "base increments"),
+    ],
+)
+def test_an_increment_array_without_a_cells_axis_is_named(name, names):
+    with pytest.raises(ValueError, match=f"^{names} need a cells axis$"):
         VALUE_ROWS[name]()
 
 

@@ -12,9 +12,11 @@ import json
 import pytest
 
 from itoflow import (
+    DriverAlphabet,
     exp_element,
     log_identity_closed_form,
     log_identity_series,
+    log_flow_expansion,
     matrix_exp,
     matrix_log,
 )
@@ -44,6 +46,23 @@ GOLDEN = [
         "exp_element(log_identity_closed_form(5),5)",
         lambda: exp_element(log_identity_closed_form(5), 5),
         "2f22eee621040ab8f52fda34eea3505a97203a581eaea6468a796fc5d0bb8004",
+    ),
+    (
+        "log_flow_expansion(DriverAlphabet(2),5)",
+        lambda: log_flow_expansion(DriverAlphabet(2), 5),
+        "210506e980b929cc0365947fac41d0003dcc3d3262ebf184e8ef9a61e55ce14c",
+    ),
+    (
+        "log_flow_expansion(DriverAlphabet(2,continuous=False),5)",
+        lambda: log_flow_expansion(DriverAlphabet(2, continuous=False), 5),
+        "3e2cf603c0147e25d3fd82ed1c429868c8c7783714626b8495ad5856644a93cd",
+    ),
+    (
+        "log_flow_expansion(DriverAlphabet(3,jumps,cross_brackets,no_qv),4)",
+        lambda: log_flow_expansion(
+            DriverAlphabet(3, continuous=False, cross_brackets_zero=False, paired_qv=False), 4
+        ),
+        "5c713b0bd794ac2378c2572747ff99feb6366a3fdfc5d8291ce5e7f357b49904",
     ),
 ]
 

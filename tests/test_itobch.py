@@ -1,5 +1,6 @@
 """Flow-map logarithm templates and driver-specific vanishing rules."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,15 @@ from itoflow import (
     Expansion,
     LogTerm,
     Surjection,
+    apply_surjection,
     apply_vanishing_rules,
     enumerate_grade,
     log_flow_expansion,
     log_flow_terms,
 )
+from itoflow import verify
 from itoflow.logseries import descent_coefficient
+from itoflow.words import accumulate
 
 
 CONTINUOUS = DriverAlphabet(n_primary=2)
@@ -59,9 +63,9 @@ class TestLogTerm:
 
     def test_instantiate(self):
         t = template((2, 1, 2))
-        word, coeff = t.instantiate((1, 2, 3))
+        word = apply_surjection(t.surjection(), BracketWord.from_letters(1, 2, 3))
         assert word == BracketWord([(2,), (1, 3)])
-        assert coeff == Fraction(-1, 6)
+        assert t.coeff == Fraction(-1, 6)
 
     def test_pretty(self):
         t = template((2, 1, 2))
@@ -157,3 +161,71 @@ class TestLogFlowExpansion:
         alph = DriverAlphabet(n_primary=3)
         e = log_flow_expansion(alph, 1, letters=(2,))
         assert e == Expansion.of(BracketWord([(2,)]))
+
+
+def template_route(alphabet, order, letters=None):
+    """The oracle of log_flow_expansion: every log_flow_terms template over
+    every letter tuple of the pool, by apply_surjection, then the rules."""
+    terms = log_flow_terms(alphabet, order)
+    pool = letters if letters is not None else range(1, alphabet.n_primary + 1)
+    singletons = BracketWord.from_letters(*pool)
+    data = {}
+    for term in terms:
+        f = term.surjection()
+        for combo in itertools.product(singletons, repeat=term.order):
+            accumulate(data, apply_surjection(f, BracketWord._wrap(combo)), term.coeff)
+    return apply_vanishing_rules(Expansion._raw(data), alphabet)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+ALPHABETS = [
+    DriverAlphabet(n, continuous=c, cross_brackets_zero=z, paired_qv=q)
+    for n, c, z, q in itertools.product((1, 2, 3), *[(True, False)] * 3)
+]
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS, ids=repr)
+def test_log_flow_expansion_equals_the_template_route(alphabet):
+    # the full log element, then the rules, matches the continuous templates
+    # too: they leave out fibers of three or more positions, and every block
+    # of three or more letters has depth three or more, so the rules drop it
+    for order in range(1, (4 if alphabet.n_primary == 3 else 5) + 1):
+        for pool in (None, (2,), (1, 3)):  # an error, too, is the same one
+            want = outcome(template_route, alphabet, order, pool)
+            assert outcome(log_flow_expansion, alphabet, order, pool) == want
+
+
+def test_a_repeated_pool_letter_counts_as_often_as_it_is_given():
+    alphabet = DriverAlphabet(1, continuous=False)
+    assert log_flow_expansion(alphabet, 3, (1, 1)) == template_route(alphabet, 3, (1, 1))
+    assert log_flow_expansion(alphabet, 1, (1, 1)) == Expansion.of(BracketWord([(1,)]), 2)
+
+
+LINEAR_FIELD_SIZES = [(2, 2, 3), (2, 3, 3), (3, 2, 3), (2, 2, 4)]
+
+
+@pytest.mark.parametrize("continuous", [False, True], ids=["jumps", "continuous"])
+@pytest.mark.parametrize("dim, drivers, order", LINEAR_FIELD_SIZES)
+def test_templates_give_the_log_of_non_commuting_linear_flows(dim, drivers, order, continuous):
+    assert verify.check_linear_fields(dim, drivers, order, continuous) == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_linear_fields_hold_for_other_generators(seed):
+    assert verify.check_linear_fields(2, 2, 3, False, seed=seed) == 0
+
+
+def test_linear_fields_catch_a_missing_template(monkeypatch):
+    # the jump-mode templates without the three-point fibers of order 3
+    def without_triples(alphabet, order):
+        return [t for t in log_flow_terms(alphabet, order) if max(map(len, t.partition)) < 3]
+
+    monkeypatch.setattr(verify, "log_flow_terms", without_triples)
+    assert verify.check_linear_fields(2, 2, 3, False) > 0

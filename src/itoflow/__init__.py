@@ -13,6 +13,7 @@ embeddings) are plain Python in ``itoflow.kernels``.
 
 from ._config import (
     CapExceeded,
+    FloatRangeError,
     caps,
     grade_cap,
     weight_cap,
@@ -94,7 +95,6 @@ from .paths import (
 )
 from .evaluate import Evaluator, evaluate
 from .flows import (
-    FloatRangeError,
     FlowProblem,
     compare_flows,
     flow_reference,

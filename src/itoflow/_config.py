@@ -30,6 +30,12 @@ class CapExceeded(ValueError):
     """Raised when an operation would exceed the configured size caps."""
 
 
+class FloatRangeError(ArithmeticError):
+    """Finite inputs drove a float result past the float range: a simulated
+    path, a flow route's stack, or a matrix exponential whose series did
+    not converge or whose squaring overflowed."""
+
+
 def weight_cap() -> int:
     return _caps.get()[0]
 

@@ -19,9 +19,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from ._config import _count, caps, weight_cap
+from ._config import FloatRangeError, _count, caps, weight_cap
 from .flowmaps import DriverAlphabet, log_flow_terms, terms_to_json
-from .flows import FloatRangeError, compare_flows
+from .flows import compare_flows
 from .logseries import (
     log_identity_closed_form,
     log_identity_series,
@@ -100,7 +100,8 @@ def cmd_surj_log(args) -> int:
 
 
 def cmd_logflow(args) -> int:
-    alphabet = DriverAlphabet(n_primary=args.drivers, continuous=args.continuous)
+    # the templates read only continuity, not the number of drivers
+    alphabet = DriverAlphabet(n_primary=1, continuous=args.continuous)
     terms = log_flow_terms(alphabet, args.order)
     text = terms_to_json(terms, indent=2) if args.json else "\n".join(t.pretty() for t in terms)
     _emit(args, text)
@@ -218,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("logflow", help="flow-map log templates")
     p.add_argument("--order", type=int, default=3)
-    p.add_argument("--drivers", type=int, default=2, help="number of primary drivers")
     p.add_argument(
         "--continuous",
         action="store_true",

@@ -176,7 +176,7 @@ def log_flow_expansion(
 
     The log element acts on every word of up to order letters from the pool
     (default: the primary drivers) by matrix_log's merge, then the vanishing
-    rules normalize.  Only the word side is kept, so terms whose coefficient
+    rules normalize.  A pool letter outside the alphabet raises ValueError.  Only the word side is kept, so terms whose coefficient
     operators would need to commute cancel: this is the exact log for
     commuting fields (each against its own driver), e.g. the scalar case.
     For fields that do not commute keep the templates, which
@@ -186,6 +186,8 @@ def log_flow_expansion(
     order = check_grade(_count("order", order))
     pool = letters if letters is not None else range(1, alphabet.n_primary + 1)
     singletons = BracketWord.from_letters(*pool)  # checks each letter once
+    for (letter,) in singletons:
+        alphabet.bracket_depth(letter)  # and refuses one outside the alphabet
     products = (itertools.product(singletons, repeat=n) for n in range(1, order + 1))
     words = Counter(map(BracketWord._wrap, itertools.chain.from_iterable(products)))
     return apply_vanishing_rules(_log_action(order)(Expansion._raw(words)), alphabet)

@@ -10,6 +10,9 @@ and B make the flow genuinely noncommutative.  Three routes to X_T:
     flow_from_log     truncated series logarithm evaluated pathwise, then
                       a numeric matrix exponential
 
+compare_flows composes the three on shared batches.  Each route refuses
+its own float overflow on finite inputs with FloatRangeError.
+
 On a shared grid the order-M Taylor evaluation equals the Euler product
 exactly (the product expands into exactly those left-point sums), so all
 comparisons are pure truncation studies, free of scheme mismatch.
@@ -29,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._config import _count, _finite, _typed
+from ._config import FloatRangeError, _count, _finite, _typed
 from .evaluate import Evaluator
 from .matrixseries import MatrixExpansion, entry_letter, matrix_ito_taylor, matrix_log
 from .paths import _check_horizon, rng_for
@@ -116,23 +119,27 @@ def flow_reference(problem: FlowProblem, dW: np.ndarray) -> np.ndarray:
     x = np.broadcast_to(np.eye(d), (paths, d, d)).copy()
     xdm = np.empty_like(x)
     chunk = max(1, _STEP_FLOATS // max(x.size, 1))
-    for m0 in range(0, problem.steps, chunk):
-        dms = a_dt + dW[:, m0 : m0 + chunk].T[:, :, None, None] * b
-        for dm in dms:
-            np.matmul(x, dm, out=xdm)
-            np.add(x, xdm, out=x)
-    return x
+    # finite inputs can still overflow: that is reported once, as
+    # FloatRangeError, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m0 in range(0, problem.steps, chunk):
+            dms = a_dt + dW[:, m0 : m0 + chunk].T[:, :, None, None] * b
+            for dm in dms:
+                np.matmul(x, dm, out=xdm)
+                np.add(x, xdm, out=x)
+    return _finite("Euler product", x, FloatRangeError)
 
 
-def _evaluate_matrix(
-    me: MatrixExpansion, ev: Evaluator, paths: int
-) -> np.ndarray:
+def _evaluate_matrix(me: MatrixExpansion, ev: Evaluator, paths: int, name: str) -> np.ndarray:
+    """me evaluated pathwise by ev, one (dim, dim) matrix per path; a
+    result past the float range raises FloatRangeError naming the series."""
     d = me.dim
     out = np.empty((paths, d, d))
-    for i in range(d):
-        for j in range(d):
-            out[:, i, j] = ev(me.entries[i][j])
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(d):
+            for j in range(d):
+                out[:, i, j] = ev(me.entries[i][j])
+    return _finite(name, out, FloatRangeError)
 
 
 def flow_from_taylor(problem: FlowProblem, order: int, dW: np.ndarray) -> np.ndarray:
@@ -140,7 +147,7 @@ def flow_from_taylor(problem: FlowProblem, order: int, dW: np.ndarray) -> np.nda
     dW = _check_increments(problem, dW)
     me = matrix_ito_taylor(problem.dim, order)
     ev = Evaluator._affine(dW, _entry_letters(problem))
-    return _evaluate_matrix(me, ev, dW.shape[0])
+    return _evaluate_matrix(me, ev, dW.shape[0], "Taylor series")
 
 
 def flow_from_log(problem: FlowProblem, order: int, dW: np.ndarray) -> np.ndarray:
@@ -148,13 +155,7 @@ def flow_from_log(problem: FlowProblem, order: int, dW: np.ndarray) -> np.ndarra
     dW = _check_increments(problem, dW)
     me = matrix_log(problem.dim, order)
     ev = Evaluator._affine(dW, _entry_letters(problem))
-    logs = _evaluate_matrix(me, ev, dW.shape[0])
-    return truncated_expm(logs)
-
-
-class FloatRangeError(ArithmeticError):
-    """truncated_expm found no finite result for finite inputs: its series
-    did not converge, or squaring left the float range."""
+    return truncated_expm(_evaluate_matrix(me, ev, dW.shape[0], "log series"))
 
 
 def truncated_expm(mats: np.ndarray) -> np.ndarray:
@@ -218,13 +219,14 @@ def compare_flows(
     if not orders:
         raise ValueError("need at least one order")
     kmax = orders[-1]
+    taylor_orders = sorted(set(orders) | {k + 1 for k in orders})
     taylor_sym = matrix_ito_taylor(problem.dim, kmax + 1)
     log_sym = matrix_log(problem.dim, kmax)
     words = {
         w for me in (taylor_sym, log_sym) for row in me.entries for e in row for w in e.support()
     }
-
-    taylor_orders = sorted(set(orders) | {k + 1 for k in orders})
+    taylor = {k: taylor_sym.truncate_weight(k) for k in taylor_orders}
+    logs = {k: log_sym.truncate_weight(k) for k in orders}
 
     err_log = {k: 0.0 for k in orders}
     gap_taylor = {k: 0.0 for k in orders}
@@ -233,23 +235,18 @@ def compare_flows(
     while done < n_paths:
         batch = min(batch_size, n_paths - done)
         dW = brownian_increments(problem, seed, range(done, done + batch))
-        # finite inputs can still overflow: that is reported once, as
-        # FloatRangeError from the checks below, not as numpy warnings
+        x_ref = flow_reference(problem, dW)
+        ev = Evaluator._affine(dW, _entry_letters(problem))
+        # every word of the batch in one trie sweep or walk; an overflow
+        # there is reported by the range check of the series that reads it
         with np.errstate(over="ignore", invalid="ignore"):
-            x_ref = _finite("Euler product", flow_reference(problem, dW), FloatRangeError)
-            ev = Evaluator._affine(dW, _entry_letters(problem))
-            ev.terminals(words)  # every word of the batch in one trie sweep or walk
-            taylor_vals = {
-                k: _finite(
-                    "Taylor series",
-                    _evaluate_matrix(taylor_sym.truncate_weight(k), ev, batch),
-                    FloatRangeError,
-                )
-                for k in taylor_orders
-            }
-            for k in orders:
-                logs = _evaluate_matrix(log_sym.truncate_weight(k), ev, batch)
-                x_log = truncated_expm(_finite("log series", logs, FloatRangeError))
+            ev.terminals(words)
+        taylor_vals = {
+            k: _evaluate_matrix(taylor[k], ev, batch, "Taylor series") for k in taylor_orders
+        }
+        for k in orders:
+            x_log = truncated_expm(_evaluate_matrix(logs[k], ev, batch, "log series"))
+            with np.errstate(over="ignore", invalid="ignore"):
                 err_log[k] += float(np.sum(_strong_errors(x_ref, x_log)))
                 gap_taylor[k] += float(np.sum(_strong_errors(taylor_vals[k], x_log)))
                 next_layer[k] += float(

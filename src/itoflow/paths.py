@@ -20,7 +20,7 @@ from numbers import Real
 
 import numpy as np
 
-from ._config import _count, _finite, _typed
+from ._config import FloatRangeError, _count, _finite, _typed
 
 BINARY_MAGIC = b"ITOPATH1"
 
@@ -159,24 +159,27 @@ def simulate(
     grid = _finite("grid", grid)
     rng = rng_for(seed, path_index, driver_index)  # checks the keys of every kind
     dt = np.diff(grid)
-    if spec.kind == "linear_drift":
-        return SamplePath(grid, spec.slope * grid)
     if spec.kind == "table":
         return SamplePath(grid, spec.table)
-    if spec.kind == "brownian":
-        inc = rng.normal(0.0, 1.0, size=len(dt)) * spec.sigma * np.sqrt(dt)
-    else:  # poisson
-        counts = rng.poisson(spec.rate * dt)
-        if np.any(counts > 1):
-            warnings.warn(
-                "multiple jumps in one grid cell; the unit-jump identity "
-                "needs a finer grid",
-                GridResolutionWarning,
-                stacklevel=2,
-            )
-        inc = counts.astype(np.float64)
-    values = np.concatenate(([0.0], np.cumsum(inc)))
-    return SamplePath(grid, values)
+    # finite parameters can still drive a path past the float range: that
+    # is reported once, as FloatRangeError, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "linear_drift":
+            values = spec.slope * grid
+        elif spec.kind == "brownian":
+            inc = rng.normal(0.0, 1.0, size=len(dt)) * spec.sigma * np.sqrt(dt)
+            values = np.concatenate(([0.0], np.cumsum(inc)))
+        else:  # poisson
+            counts = rng.poisson(spec.rate * dt)
+            if np.any(counts > 1):
+                warnings.warn(
+                    "multiple jumps in one grid cell; the unit-jump identity "
+                    "needs a finer grid",
+                    GridResolutionWarning,
+                    stacklevel=2,
+                )
+            values = np.concatenate(([0.0], np.cumsum(counts.astype(np.float64))))
+    return SamplePath(grid, _finite(f"{spec.kind} path", values, FloatRangeError))
 
 
 def discrete_bracket(x: SamplePath, y: SamplePath) -> SamplePath:

@@ -4,6 +4,7 @@ import argparse
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -35,7 +36,7 @@ REPORT = OUTPUT + ["--seed", "--deterministic"]
 OPTIONS = {
     "qsh": OUTPUT,
     "surj-log": ["--grade", "--form"] + OUTPUT,
-    "logflow": ["--order", "--drivers", "--continuous"] + OUTPUT,
+    "logflow": ["--order", "--continuous"] + OUTPUT,
     "matrix-log": ["--dim", "--order", "--taylor"] + OUTPUT,
     "verify": ["--grade", "--steps", "--paths"] + REPORT,
     "simulate": ["--drivers", "--horizon", "--steps", "--path-index", "--out", "--seed"],
@@ -52,7 +53,7 @@ def test_each_subcommand_declares_the_flags_it_reads():
         for name, p in sub.choices.items()
     }
     assert declared == OPTIONS
-    assert sum(map(len, declared.values())) == 46
+    assert sum(map(len, declared.values())) == 45
 
 
 @pytest.mark.parametrize(
@@ -301,6 +302,18 @@ class TestSimulate:
     def test_unknown_driver_exits_2(self, capsys):
         code, out = run_cli("simulate", "--drivers", "gamma:1.0", capsys=capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("driver, kind", [("brownian", "brownian"), ("drift", "linear_drift")])
+    def test_a_path_past_the_float_range_exits_2_without_warnings(self, capsys, driver, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(
+                "simulate", "--drivers", f"{driver}:1e308", "--horizon", "100", "--steps", "4",
+                capsys=capsys,
+            )
+        assert code == 2
+        assert out.err == f"error: {kind} path must be finite\n"
+        assert out.out == ""
 
 
 class TestFlowCompare:

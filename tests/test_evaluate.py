@@ -340,7 +340,7 @@ class TestPrefixStackAgainstOracle:
         # 9000 cells: the 5 rows are evaluated in chunks of 3 and 2
         inc = random_increments(11, (5, 9000), letters=(1, 2, 3, 4))
         me = matrix_log(2, 3)
-        got = _evaluate_matrix(me, Evaluator(inc), 5)
+        got = _evaluate_matrix(me, Evaluator(inc), 5, "log series")
         for i in range(2):
             for j in range(2):
                 assert np.array_equal(got[:, i, j], reference_value(inc, me.entries[i][j]))

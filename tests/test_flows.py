@@ -187,6 +187,7 @@ class TestTruncatedExpm:
             with pytest.raises(FloatRangeError, match="matrix exponential must be finite"):
                 truncated_expm(m)
         assert issubclass(FloatRangeError, ArithmeticError)
+        assert flows_module.FloatRangeError is FloatRangeError
 
 
 class TestDeterministicLimit:
@@ -221,6 +222,15 @@ class TestRoutes:
         errs = _strong_errors(a, b)
         assert errs.shape == (4,)
         assert np.allclose(errs, 2.0)
+
+
+def compare_orders_to_3(problem):
+    return compare_flows(problem, orders=[1, 2, 3], n_paths=2, seed=0)
+
+
+def on_two_paths(route, *order):
+    """route run on the first two paths of the problem's increments."""
+    return lambda problem: route(problem, *order, brownian_increments(problem, 0, range(2)))
 
 
 class TestCompareFlows:
@@ -260,12 +270,13 @@ class TestCompareFlows:
             compare_flows(small_problem(steps=8), orders=[1], seed=0, **kwargs)
 
     @pytest.mark.parametrize(
-        "problem, stage",
+        "run, problem, stage",
         [
-            (flow_problem(8, horizon=1e200), "Euler product"),
-            (flow_problem(8, horizon=60.0), "strong error"),
+            (compare_orders_to_3, flow_problem(8, horizon=1e200), "Euler product"),
+            (compare_orders_to_3, flow_problem(8, horizon=60.0), "strong error"),
             # nilpotent: Euler and Taylor stay finite, the log's brackets do not
             (
+                compare_orders_to_3,
                 FlowProblem(
                     dim=2,
                     drift=np.zeros((2, 2)),
@@ -275,13 +286,18 @@ class TestCompareFlows:
                 ),
                 "log series",
             ),
+            # each route checks its own result
+            (on_two_paths(flow_reference), flow_problem(8, horizon=1e200), "Euler product"),
+            (on_two_paths(flow_from_taylor, 3), flow_problem(8, horizon=1e200), "Taylor series"),
+            (on_two_paths(flow_from_log, 3), flow_problem(8, horizon=1e200), "log series"),
         ],
+        ids=["compare-euler", "compare-strong-error", "compare-log", "euler", "taylor", "log"],
     )
-    def test_an_overflow_on_finite_inputs_raises_once_without_warnings(self, problem, stage):
+    def test_an_overflow_on_finite_inputs_raises_once_without_warnings(self, run, problem, stage):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatRangeError, match=f"{stage} must be finite"):
-                compare_flows(problem, orders=[1, 2, 3], n_paths=2, seed=0)
+                run(problem)
 
     def test_reports_repeat_exactly(self):
         p = small_problem(steps=64)

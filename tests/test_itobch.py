@@ -169,6 +169,8 @@ def template_route(alphabet, order, letters=None):
     terms = log_flow_terms(alphabet, order)
     pool = letters if letters is not None else range(1, alphabet.n_primary + 1)
     singletons = BracketWord.from_letters(*pool)
+    for letter in pool:
+        alphabet.bracket_depth(letter)  # a letter outside the alphabet is refused
     data = {}
     for term in terms:
         f = term.surjection()
@@ -200,6 +202,15 @@ def test_log_flow_expansion_equals_the_template_route(alphabet):
         for pool in (None, (2,), (1, 3)):  # an error, too, is the same one
             want = outcome(template_route, alphabet, order, pool)
             assert outcome(log_flow_expansion, alphabet, order, pool) == want
+
+
+@pytest.mark.parametrize("continuous", [False, True], ids=["jumps", "continuous"])
+def test_a_pool_letter_outside_the_alphabet_is_refused(continuous):
+    # with jumps no vanishing rule reads the letter's depth, so only the
+    # check before the merge sees it
+    alphabet = DriverAlphabet(1, continuous=continuous, paired_qv=False)
+    with pytest.raises(ValueError, match="letter 3 outside alphabet of 1"):
+        log_flow_expansion(alphabet, 2, (1, 3))
 
 
 def test_a_repeated_pool_letter_counts_as_often_as_it_is_given():

@@ -65,12 +65,12 @@ from .flowmaps import (
     DriverAlphabet,
     LogTerm,
     apply_vanishing_rules,
-    log_flow_expansion,
     log_flow_terms,
 )
 from .matrixseries import (
     MatrixExpansion,
     entry_letter,
+    linear_field_log,
     matrix_exp,
     matrix_ito_taylor,
     matrix_log,
@@ -153,7 +153,7 @@ __all__ = [
     "half_down",
     "half_up",
     "identity_series",
-    "log_flow_expansion",
+    "linear_field_log",
     "log_flow_terms",
     "log_identity_closed_form",
     "log_identity_series",

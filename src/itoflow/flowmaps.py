@@ -10,22 +10,21 @@ where the partition lists the fibers of f in target order (the order of
 integration), the coefficient is (-1)^d / (n * binomial(n-1, d)) with d
 the descent count, and the V's are abstract noncommuting generators, one
 per position.  Terms are emitted as templates over symbolic positions;
-instantiation with concrete driver letters and the standing assumptions
-(continuity, vanishing cross-brackets, named quadratic variations) is
-separate, so the exponential blowup over all letter words is opt-in.
+the log over concrete driver letters, under the standing assumptions
+(continuity, vanishing cross-brackets, named quadratic variations), is
+matrixseries.linear_field_log, so its exponential blowup is opt-in.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ._config import _count, _typed, check_grade
-from .logseries import _descent_law_terms, _log_action
+from .logseries import _descent_law_terms
 from .surjections import Surjection
 from .words import (
     BracketWord,
@@ -167,30 +166,6 @@ def apply_vanishing_rules(e: Expansion, alphabet: DriverAlphabet) -> Expansion:
         else:  # no block vanished
             accumulate(out, BracketWord(blocks), c)
     return Expansion._raw(out)
-
-
-def log_flow_expansion(
-    alphabet: DriverAlphabet, order: int, letters: Sequence[int] | None = None
-) -> Expansion:
-    """Fully instantiated log expansion over concrete driver letters.
-
-    The log element acts on every word of up to order letters from the pool
-    (default: the primary drivers) by matrix_log's merge, then the vanishing
-    rules normalize.  A pool letter outside the alphabet raises ValueError.  Only the word side is kept, so terms whose coefficient
-    operators would need to commute cancel: this is the exact log for
-    commuting fields (each against its own driver), e.g. the scalar case.
-    For fields that do not commute keep the templates, which
-    verify.check_linear_fields checks.  Exponential in the order.
-    """
-    _typed("alphabet", alphabet, DriverAlphabet)
-    order = check_grade(_count("order", order))
-    pool = letters if letters is not None else range(1, alphabet.n_primary + 1)
-    singletons = BracketWord.from_letters(*pool)  # checks each letter once
-    for (letter,) in singletons:
-        alphabet.bracket_depth(letter)  # and refuses one outside the alphabet
-    products = (itertools.product(singletons, repeat=n) for n in range(1, order + 1))
-    words = Counter(map(BracketWord._wrap, itertools.chain.from_iterable(products)))
-    return apply_vanishing_rules(_log_action(order)(Expansion._raw(words)), alphabet)
 
 
 def terms_to_json(terms: Iterable[LogTerm], **kwargs) -> str:

@@ -17,12 +17,10 @@ log of the flow map, the reason this module exists.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from math import comb, lcm
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ._config import _count, _typed, check_grade
-from .kernels import fibers_of, merge_fibers
 from .surjections import (
     SurjElement,
     Surjection,
@@ -31,7 +29,7 @@ from .surjections import (
     descent_sum_within,
     diamond,
 )
-from .words import BracketWord, Expansion, add_scaled
+from .words import add_scaled
 
 
 def descent_coefficient(n: int, d: int) -> Fraction:
@@ -87,33 +85,6 @@ def log_identity_closed_form(max_grade: int) -> SurjElement:
     for n in range(1, max_grade + 1):
         data.update(_descent_law_terms(n))
     return SurjElement._raw(data)
-
-
-def _log_action(max_grade: int) -> Callable[[Expansion], Expansion]:
-    """The log element up to max_grade acting on expansions of words of at
-    most max_grade blocks, for matrix_log and log_flow_expansion: each
-    length-n word's blocks merge along the fibers of each arity-n term,
-    worked out once, here.  apply_element is the per-term oracle.
-    """
-    log_nums, d = log_identity_closed_form(max_grade)._numerators()
-    fibers = [[] for _ in range(max_grade + 1)]
-    coeffs = [[] for _ in range(max_grade + 1)]
-    for f, c in log_nums._terms.items():
-        fibers[len(f)].append(fibers_of(f))
-        coeffs[len(f)].append(c)
-
-    def apply(e: Expansion) -> Expansion:
-        nums, t = e._numerators()
-        data: dict = {}
-        get = data.get
-        for w, cw in nums._terms.items():
-            n = len(w)
-            for v, c in zip(map(merge_fibers, fibers[n], repeat(w)), coeffs[n]):
-                prev = get(v)
-                data[v] = cw * c if prev is None else prev + cw * c
-        return Expansion._over({BracketWord._wrap(v): c for v, c in data.items()}, t * d)
-
-    return apply
 
 
 def log_identity_subset_form(max_grade: int) -> SurjElement:

@@ -15,14 +15,17 @@ by grade, in rational arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Iterable
+from math import lcm, prod
+from typing import Callable, Iterable, Mapping
 
 from ._config import _count, _typed, check_weight
-from .logseries import _exp_weights, _log_action
+from .flowmaps import DriverAlphabet, apply_vanishing_rules
+from .kernels import fibers_of, merge_fibers
+from .logseries import _exp_weights, log_identity_closed_form
 from .quasishuffle import qsh
 from .words import (
     UNIT_WORD,
@@ -209,14 +212,66 @@ def matrix_ito_taylor(dim: int, order: int) -> MatrixExpansion:
 def matrix_log(dim: int, order: int) -> MatrixExpansion:
     """Logarithm of the flow series, entry-wise, to the given order.
 
-    The surjection log element of each grade n acts on every length-n
-    entry word of the flow series, by the merge log_flow_expansion shares
-    (logseries._log_action); fibers of two or more positions become
-    bracket blocks of entry letters.  apply_element is the per-term oracle.
+    The surjection log element of each grade n acts on every length-n entry
+    word: its blocks merge along the fibers of each arity-n term, worked out
+    once per call, so fibers of two or more positions become bracket blocks
+    of entry letters.  apply_element is the per-term oracle.
     """
     order = check_weight(_count("order", order))
-    log = _log_action(order)
+    log_nums, d = log_identity_closed_form(order)._numerators()
+    fibers = [[] for _ in range(order + 1)]
+    coeffs = [[] for _ in range(order + 1)]
+    for f, c in log_nums._terms.items():
+        fibers[len(f)].append(fibers_of(f))
+        coeffs[len(f)].append(c)
+
+    def log(e: Expansion) -> Expansion:
+        nums, t = e._numerators()
+        data: dict = {}
+        get = data.get
+        for w, cw in nums._terms.items():
+            n = len(w)
+            for v, c in zip(map(merge_fibers, fibers[n], itertools.repeat(w)), coeffs[n]):
+                prev = get(v)
+                data[v] = cw * c if prev is None else prev + cw * c
+        return Expansion._over({BracketWord._wrap(v): c for v, c in data.items()}, t * d)
+
     return matrix_ito_taylor(dim, order).map_entries(log)
+
+
+def linear_field_log(alphabet: DriverAlphabet, order: int, generators: Mapping) -> tuple:
+    """Flow-map log of the linear fields V_i x = x A_i: dim rows of dim Expansions.
+
+    generators maps each driver letter i to A_i, a square int or Fraction
+    matrix; the A_i need not commute.  Entry (p, q) is that of matrix_log with
+    each entry letter M^{ab} replaced by sum_i (A_i)_{ab} z_i, multilinearly,
+    under the alphabet's vanishing rules.  1x1 is the scalar log; [[n]] counts a driver n times.
+    """
+    _typed("alphabet", alphabet, DriverAlphabet)
+    mats = {}
+    for letter, matrix in _typed("generators", generators, Mapping).items():
+        letter = _count("letter", letter)
+        alphabet.bracket_depth(letter)  # refuses a letter outside it, before any work
+        mats[letter] = [[_typed("generator entry", a, int, Fraction) for a in r] for r in matrix]
+    sizes = {len(m) for m in mats.values()}
+    if len(sizes) != 1 or any(len(r) != len(m) for m in mats.values() for r in m):
+        raise ValueError("generators must be one or more square matrices of one size")
+    (dim,) = sizes
+    # entry letter (a - 1) * dim + b: the (driver letter, nonzero (A_i)_ab) pairs
+    positions = itertools.product(range(dim), repeat=2)
+    subs = [()] + [[(i, m[a][b]) for i, m in mats.items() if m[a][b]] for a, b in positions]
+
+    def entry(e: Expansion) -> Expansion:
+        nums, d = e._numerators()
+        data: dict = {}
+        for w, cw in nums._terms.items():
+            for combo in itertools.product(*(subs[m] for b in w for m in b)):
+                letters = iter(combo)
+                word = tuple(tuple(sorted(next(letters)[0] for _ in b)) for b in w)
+                accumulate(data, BracketWord._wrap(word), cw * prod(a for _, a in combo))
+        return apply_vanishing_rules(Expansion._over(data, d), alphabet)
+
+    return tuple(tuple(map(entry, row)) for row in matrix_log(dim, order).entries)
 
 
 def matrix_exp(me: MatrixExpansion, order: int) -> MatrixExpansion:

@@ -43,15 +43,9 @@ class SamplePath:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid, values):
-        grid, values = _finite("grid", grid), _finite("values", values)
-        if grid.ndim != 1 or values.shape != grid.shape:
+        grid, values = _check_grid(grid), _finite("values", values)
+        if values.shape != grid.shape:
             raise ValueError("grid and values must be equal-length 1-D arrays")
-        if len(grid) < 2:
-            raise ValueError("need at least two grid points")
-        if grid[0] != 0.0:
-            raise ValueError("grid must start at time 0")
-        if not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
         if values[0] != 0.0:
             raise ValueError("paths are normalized to start at 0")
         self.grid = grid
@@ -81,6 +75,20 @@ class SamplePath:
             f"SamplePath(T={self.grid[-1]:g}, steps={self.n_steps}, "
             f"terminal={self.terminal:g})"
         )
+
+
+def _check_grid(grid) -> np.ndarray:
+    """grid as a float array if it is a grid that paths can live on, else ValueError."""
+    grid = _finite("grid", grid)
+    if grid.ndim != 1:
+        raise ValueError("grid must be a 1-D array")
+    if len(grid) < 2:
+        raise ValueError("need at least two grid points")
+    if grid[0] != 0.0:
+        raise ValueError("grid must start at time 0")
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError("grid must be strictly increasing")
+    return grid
 
 
 def _check_horizon(horizon) -> None:
@@ -156,7 +164,7 @@ def simulate(
 ) -> SamplePath:
     """One path of the given driver on the grid."""
     _typed("spec", spec, DriverSpec)
-    grid = _finite("grid", grid)
+    grid = _check_grid(grid)  # before any draw: a negative step has no sqrt or rate
     rng = rng_for(seed, path_index, driver_index)  # checks the keys of every kind
     dt = np.diff(grid)
     if spec.kind == "table":
@@ -170,7 +178,10 @@ def simulate(
             inc = rng.normal(0.0, 1.0, size=len(dt)) * spec.sigma * np.sqrt(dt)
             values = np.concatenate(([0.0], np.cumsum(inc)))
         else:  # poisson
-            counts = rng.poisson(spec.rate * dt)
+            try:
+                counts = rng.poisson(spec.rate * dt)
+            except ValueError as e:  # a rate x step past what numpy can draw
+                raise ValueError(f"poisson driver of rate {spec.rate:g}: {e}") from None
             if np.any(counts > 1):
                 warnings.warn(
                     "multiple jumps in one grid cell; the unit-jump identity "
@@ -203,7 +214,8 @@ class PathBundle:
     __slots__ = ("grid", "paths")
 
     def __init__(self, paths: Mapping[int, SamplePath]):
-        self.paths = {_count("letter", k): p for k, p in dict(paths).items()}
+        items = dict(paths).items()
+        self.paths = {_count("letter", k): _typed("path", p, SamplePath) for k, p in items}
         if not self.paths:
             raise ValueError("a bundle needs at least one path")
         self.grid = next(iter(self.paths.values())).grid

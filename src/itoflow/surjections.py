@@ -345,8 +345,7 @@ def apply_element(e: SurjElement, w: WordLike) -> Expansion:
     """Linear extension of apply_surjection in the surjection slot.
 
     One apply_surjection per term: the oracle for the log element's action
-    in matrix_log and log_flow_expansion (logseries._log_action), which
-    merges along fibers worked out once per call.
+    in matrix_log, which merges along fibers worked out once per call.
     """
     _typed("e", e, SurjElement)
     w = as_word(w)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import random
 from functools import reduce
-from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,7 +36,7 @@ from .logseries import (
     log_identity_subset_form,
     subset_alternating_sum,
 )
-from .matrixseries import matrix_exp, matrix_ito_taylor, matrix_log
+from .matrixseries import linear_field_log, matrix_exp, matrix_ito_taylor, matrix_log
 from .paths import (
     DriverSpec,
     PathBundle,
@@ -125,37 +124,26 @@ def check_exp_log(grade: int, matrix_orders: Iterable[int] = ()) -> int:
 def check_linear_fields(
     dim: int, drivers: int, order: int, continuous: bool, seed: int = 0
 ) -> int:
-    """Coefficients where the flow-log templates miss matrix_log for the
-    non-commuting linear fields V_i x = x A_i (A_i random integer matrices),
-    whose flow is the matrix flow of M = sum_i A_i Z^i.  Entry (p, q) sums
-    each template over letter tuples times (A_{i_1} ... A_{i_n})_{pq}, and
-    matrix_log's entry letters M^{ab} become sum_i (A_i)_{ab} z_i
-    multilinearly.  Cross brackets are kept; continuous mode drops deeper ones.
+    """Coefficients where the flow-log templates miss linear_field_log for the
+    non-commuting linear fields V_i x = x A_i, A_i random integer matrices.
+    Entry (p, q) sums each template over letter tuples times (A_{i_1} ...
+    A_{i_n})_{pq}.  Cross brackets are kept; continuous mode drops deeper ones.
     """
     rng = random.Random(seed)
-    gens = [
-        np.array([rng.randint(-3, 3) for _ in range(dim * dim)], dtype=object).reshape(dim, dim)
-        for _ in range(drivers)
-    ]
+    gens = np.array([rng.randint(-3, 3) for _ in range(drivers * dim * dim)], dtype=object)
+    gens = gens.reshape(drivers, dim, dim)
     alphabet = DriverAlphabet(drivers, continuous, cross_brackets_zero=False, paired_qv=False)
     want: list[dict] = [{} for _ in range(dim * dim)]  # entries in row-major order
-    got: list[dict] = [{} for _ in range(dim * dim)]
     for t in log_flow_terms(alphabet, order):
         f = t.surjection()
         for tup in itertools.product(range(drivers), repeat=t.order):
             word = apply_surjection(f, BracketWord.from_letters(*(i + 1 for i in tup)))
             for pq, c in enumerate(reduce(np.matmul, [gens[i] for i in tup]).flat):
                 accumulate(want[pq], word, t.coeff * c)
-    for pq, e in enumerate(itertools.chain(*matrix_log(dim, order).entries)):
-        for w, c in e:
-            flat = [m - 1 for b in w for m in b]  # entry letter m is M^{ab}, flat index m - 1
-            for tup in itertools.product(range(drivers), repeat=len(flat)):
-                letters = iter(tup)
-                word = BracketWord([[next(letters) + 1 for _ in b] for b in w])
-                accumulate(got[pq], word, c * prod(gens[i].flat[m] for i, m in zip(tup, flat)))
+    got = linear_field_log(alphabet, order, {i + 1: g for i, g in enumerate(gens)})
     return sum(
-        _mismatch(*(apply_vanishing_rules(Expansion._raw(e), alphabet) for e in pair))
-        for pair in zip(want, got)
+        _mismatch(apply_vanishing_rules(Expansion._raw(w), alphabet), g)
+        for w, g in zip(want, itertools.chain(*got))
     )
 
 

@@ -9,10 +9,12 @@ Each function in itoflow.__all__ has one row of small valid arguments.
 Each argument of the row is swapped in turn for every value in HOSTILE.
 The size values -1, 0 and 10**30 are left out: an unbounded dimension
 (matrix_ito_taylor(10**30, 1)) does not return.  Class constructors have
-value rows only, so far those of Evaluator.
+value rows only: Evaluator, PathBundle, FlowProblem, DriverSpec,
+DriverAlphabet and MatrixExpansion.
 """
 
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -26,6 +28,8 @@ from itoflow import (
     Expansion,
     FlowProblem,
     MatrixExpansion,
+    PathBundle,
+    SamplePath,
     Surjection,
     SurjElement,
     bundle_to_binary,
@@ -75,7 +79,7 @@ ROWS = {
     "half_down": (WORD, WORD),
     "half_up": (WORD, WORD),
     "identity_series": (3,),
-    "log_flow_expansion": (ALPHABET, 2),
+    "linear_field_log": (ALPHABET, 2, {1: [[1, 2], [0, -1]], 2: [[0, 1], [Fraction(1, 2), 0]]}),
     "log_flow_terms": (ALPHABET, 2),
     "log_identity_closed_form": (3,),
     "log_identity_series": (3,),
@@ -178,6 +182,49 @@ VALUE_ROWS = {
 def test_malformed_values_raise_value_error(name):
     with pytest.raises(ValueError):
         VALUE_ROWS[name]()
+
+
+PATH = BUNDLE[1]
+# malformed values for the constructors: each raises the ValueError family,
+# or TypeError where a value inside a container has the wrong type
+CONSTRUCTOR_ROWS = {
+    "PathBundle-str-path": lambda: PathBundle({1: "x"}),
+    "PathBundle-none-path": lambda: PathBundle({1: None}),
+    "PathBundle-no-paths": lambda: PathBundle({}),
+    "PathBundle-letter-0": lambda: PathBundle({0: PATH}),
+    "PathBundle-two-grids": lambda: PathBundle(
+        {1: PATH, 2: SamplePath(make_grid(2.0, 4), PATH.values)}
+    ),
+    "FlowProblem-dim-0": lambda: FlowProblem(0, [[0.5]], [[1.0]], 0.1, 4),
+    "FlowProblem-shapes": lambda: FlowProblem(2, [[0.5]], [[1.0]], 0.1, 4),
+    "FlowProblem-nan-drift": lambda: FlowProblem(1, [[math.nan]], [[1.0]], 0.1, 4),
+    "FlowProblem-horizon-0": lambda: FlowProblem(1, [[0.5]], [[1.0]], 0.0, 4),
+    "FlowProblem-str-horizon": lambda: FlowProblem(1, [[0.5]], [[1.0]], "x", 4),
+    "FlowProblem-steps-0": lambda: FlowProblem(1, [[0.5]], [[1.0]], 0.1, 0),
+    "DriverSpec-kind": lambda: DriverSpec("gamma"),
+    "DriverSpec-nan-sigma": lambda: DriverSpec.brownian(math.nan),
+    "DriverSpec-negative-sigma": lambda: DriverSpec.brownian(-1.0),
+    "DriverSpec-rate-0": lambda: DriverSpec.poisson(0.0),
+    "DriverSpec-str-rate": lambda: DriverSpec.poisson("x"),
+    "DriverSpec-no-table": lambda: DriverSpec("table"),
+    "DriverSpec-nan-table": lambda: DriverSpec("table", table=(0.0, math.nan)),
+    "DriverSpec-str-table": lambda: DriverSpec("table", table=("x",)),
+    "DriverAlphabet-0": lambda: DriverAlphabet(0),
+    "DriverAlphabet-float": lambda: DriverAlphabet(2.5),
+    "DriverAlphabet-bool": lambda: DriverAlphabet(True),
+    "MatrixExpansion-dim-0": lambda: MatrixExpansion(0, []),
+    "MatrixExpansion-ragged": lambda: MatrixExpansion(
+        2, [[Expansion.zero()] * 2, [Expansion.zero()]]
+    ),
+    "MatrixExpansion-int-entry": lambda: MatrixExpansion(1, [[1]]),
+    "MatrixExpansion-no-rows": lambda: MatrixExpansion(1, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTOR_ROWS))
+def test_malformed_constructor_values_raise_the_contract_errors(name):
+    with pytest.raises((TypeError, ValueError)):
+        CONSTRUCTOR_ROWS[name]()
 
 
 @pytest.mark.parametrize(

@@ -315,6 +315,17 @@ class TestSimulate:
         assert out.err == f"error: {kind} path must be finite\n"
         assert out.out == ""
 
+    def test_a_poisson_rate_past_the_sampler_names_its_driver(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(
+                "simulate", "--drivers", "poisson:1e308", "--horizon", "100", "--steps", "4",
+                capsys=capsys,
+            )
+        assert code == 2
+        assert out.err.startswith("error: poisson driver of rate 1e+308")
+        assert out.out == ""
+
 
 class TestFlowCompare:
     def test_small_run_reports_decreasing_errors(self, capsys):

@@ -16,10 +16,16 @@ from itoflow import (
     exp_element,
     log_identity_closed_form,
     log_identity_series,
-    log_flow_expansion,
+    linear_field_log,
     matrix_exp,
     matrix_log,
 )
+
+def scalar_log(alphabet, order):
+    """The 1x1 case of linear_field_log: generator [[1]] for each primary driver."""
+    primaries = range(1, alphabet.n_primary + 1)
+    return linear_field_log(alphabet, order, {letter: [[1]] for letter in primaries})[0][0]
+
 
 GOLDEN = [
     (
@@ -48,18 +54,18 @@ GOLDEN = [
         "2f22eee621040ab8f52fda34eea3505a97203a581eaea6468a796fc5d0bb8004",
     ),
     (
-        "log_flow_expansion(DriverAlphabet(2),5)",
-        lambda: log_flow_expansion(DriverAlphabet(2), 5),
+        "scalar_log(DriverAlphabet(2),5)",
+        lambda: scalar_log(DriverAlphabet(2), 5),
         "210506e980b929cc0365947fac41d0003dcc3d3262ebf184e8ef9a61e55ce14c",
     ),
     (
-        "log_flow_expansion(DriverAlphabet(2,continuous=False),5)",
-        lambda: log_flow_expansion(DriverAlphabet(2, continuous=False), 5),
+        "scalar_log(DriverAlphabet(2,continuous=False),5)",
+        lambda: scalar_log(DriverAlphabet(2, continuous=False), 5),
         "3e2cf603c0147e25d3fd82ed1c429868c8c7783714626b8495ad5856644a93cd",
     ),
     (
-        "log_flow_expansion(DriverAlphabet(3,jumps,cross_brackets,no_qv),4)",
-        lambda: log_flow_expansion(
+        "scalar_log(DriverAlphabet(3,jumps,cross_brackets,no_qv),4)",
+        lambda: scalar_log(
             DriverAlphabet(3, continuous=False, cross_brackets_zero=False, paired_qv=False), 4
         ),
         "5c713b0bd794ac2378c2572747ff99feb6366a3fdfc5d8291ce5e7f357b49904",

@@ -1,6 +1,7 @@
 """Flow-map logarithm templates and driver-specific vanishing rules."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from itoflow import (
     apply_surjection,
     apply_vanishing_rules,
     enumerate_grade,
-    log_flow_expansion,
+    linear_field_log,
     log_flow_terms,
 )
 from itoflow import verify
@@ -140,10 +141,18 @@ class TestVanishingRules:
         assert out == Expansion.of(BracketWord([(2,), (3,), (1,)]))
 
 
-class TestLogFlowExpansion:
+def scalar_log(alphabet, order, letters=None):
+    """The 1x1 case of linear_field_log over a pool of driver letters (default:
+    the primary drivers): a letter given n times gets the generator [[n]]."""
+    pool = letters if letters is not None else range(1, alphabet.n_primary + 1)
+    generators = {letter: [[n]] for letter, n in Counter(pool).items()}
+    return linear_field_log(alphabet, order, generators)[0][0]
+
+
+class TestScalarLog:
     def test_order_two_single_driver(self):
         alph = DriverAlphabet(n_primary=1)
-        e = log_flow_expansion(alph, 2)
+        e = scalar_log(alph, 2)
         # log = I_1 - 1/2 [1,1] -> - 1/2 I_{QV}; the two order-2 words with
         # distinct letters need a second driver, and (1)(1) cancels in pairs
         assert e[BracketWord([(1,)])] == 1
@@ -151,21 +160,21 @@ class TestLogFlowExpansion:
         assert len(e) == 2
 
     def test_order_two_two_drivers(self):
-        e = log_flow_expansion(CONTINUOUS, 2)
+        e = scalar_log(CONTINUOUS, 2)
         # cross terms: 1/2 (12) - 1/2 (21) on letters (i, j) and (j, i)
         assert e[BracketWord([(1,), (2,)])] == 0  # +1/2 from (12), -1/2 from (21)
         assert e[BracketWord([(3,)])] == Fraction(-1, 2)
         assert e[BracketWord([(4,)])] == Fraction(-1, 2)
 
-    def test_letters_argument_restricts_pool(self):
+    def test_only_the_drivers_given_appear(self):
         alph = DriverAlphabet(n_primary=3)
-        e = log_flow_expansion(alph, 1, letters=(2,))
+        e = scalar_log(alph, 1, letters=(2,))
         assert e == Expansion.of(BracketWord([(2,)]))
 
 
 def template_route(alphabet, order, letters=None):
-    """The oracle of log_flow_expansion: every log_flow_terms template over
-    every letter tuple of the pool, by apply_surjection, then the rules."""
+    """The oracle of the 1x1 case: every log_flow_terms template over every
+    letter tuple of the pool, by apply_surjection, then the rules."""
     terms = log_flow_terms(alphabet, order)
     pool = letters if letters is not None else range(1, alphabet.n_primary + 1)
     singletons = BracketWord.from_letters(*pool)
@@ -194,14 +203,14 @@ ALPHABETS = [
 
 
 @pytest.mark.parametrize("alphabet", ALPHABETS, ids=repr)
-def test_log_flow_expansion_equals_the_template_route(alphabet):
+def test_the_scalar_case_equals_the_template_route(alphabet):
     # the full log element, then the rules, matches the continuous templates
     # too: they leave out fibers of three or more positions, and every block
     # of three or more letters has depth three or more, so the rules drop it
     for order in range(1, (4 if alphabet.n_primary == 3 else 5) + 1):
-        for pool in (None, (2,), (1, 3)):  # an error, too, is the same one
+        for pool in (None, (1,), (1, 1), (2,)):  # an error, too, is the same one
             want = outcome(template_route, alphabet, order, pool)
-            assert outcome(log_flow_expansion, alphabet, order, pool) == want
+            assert outcome(scalar_log, alphabet, order, pool) == want
 
 
 @pytest.mark.parametrize("continuous", [False, True], ids=["jumps", "continuous"])
@@ -210,13 +219,45 @@ def test_a_pool_letter_outside_the_alphabet_is_refused(continuous):
     # check before the merge sees it
     alphabet = DriverAlphabet(1, continuous=continuous, paired_qv=False)
     with pytest.raises(ValueError, match="letter 3 outside alphabet of 1"):
-        log_flow_expansion(alphabet, 2, (1, 3))
+        scalar_log(alphabet, 2, (1, 3))
 
 
 def test_a_repeated_pool_letter_counts_as_often_as_it_is_given():
     alphabet = DriverAlphabet(1, continuous=False)
-    assert log_flow_expansion(alphabet, 3, (1, 1)) == template_route(alphabet, 3, (1, 1))
-    assert log_flow_expansion(alphabet, 1, (1, 1)) == Expansion.of(BracketWord([(1,)]), 2)
+    assert scalar_log(alphabet, 3, (1, 1)) == template_route(alphabet, 3, (1, 1))
+    assert scalar_log(alphabet, 1, (1, 1)) == Expansion.of(BracketWord([(1,)]), 2)
+
+
+class TestLinearFieldLog:
+    ALPHABET = DriverAlphabet(2, continuous=False, cross_brackets_zero=False, paired_qv=False)
+
+    def test_order_one_is_the_generators_times_their_letters(self):
+        rows = linear_field_log(self.ALPHABET, 1, {1: [[1, 2], [0, 1]], 2: [[0, 1], [3, 0]]})
+        z1, z2 = Expansion.of(BracketWord([(1,)])), Expansion.of(BracketWord([(2,)]))
+        assert rows == ((z1, 2 * z1 + z2), (3 * z2, z1))
+
+    def test_fraction_entries_stay_exact(self):
+        # log of dX = X a dZ is a I_{1} - a^2/2 I_{[11]} to order 2; here a = 1/2
+        ((e,),) = linear_field_log(self.ALPHABET, 2, {1: [[Fraction(1, 2)]]})
+        half, bracket = Fraction(1, 2), BracketWord([(1, 1)])
+        assert e == Expansion({BracketWord([(1,)]): half, bracket: -half * half / 2})
+
+    @pytest.mark.parametrize(
+        "generators, error, message",
+        [
+            ({1: [[0.5]]}, TypeError, "generator entry must be int or Fraction, not float"),
+            ({1: [[1, 0], [0]]}, ValueError, "square matrices of one size"),
+            ({1: [[1]], 2: [[1, 0], [0, 1]]}, ValueError, "square matrices of one size"),
+            ({}, ValueError, "square matrices of one size"),
+            ({3: [[1]]}, ValueError, "letter 3 outside alphabet of 2"),
+            ({0: [[1]]}, ValueError, "letter must be >= 1"),
+            ([[1]], TypeError, "generators must be Mapping"),
+        ],
+        ids=["float", "ragged", "mixed", "empty", "outside", "letter-0", "not-a-mapping"],
+    )
+    def test_malformed_generators_are_refused(self, generators, error, message):
+        with pytest.raises(error, match=message):
+            linear_field_log(self.ALPHABET, 2, generators)
 
 
 LINEAR_FIELD_SIZES = [(2, 2, 3), (2, 3, 3), (3, 2, 3), (2, 2, 4)]

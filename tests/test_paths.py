@@ -85,6 +85,25 @@ class TestSamplePath:
         assert p.n_steps == 2
 
 
+@pytest.mark.parametrize(
+    "spec", [DriverSpec.brownian(), DriverSpec.poisson()], ids=["brownian", "poisson"]
+)
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ([0.0, 0.5, 0.25], "grid must be strictly increasing"),
+        ([0.5, 1.0], "grid must start at time 0"),
+        ([0.0], "need at least two grid points"),
+        ([[0.0, 1.0]], "grid must be a 1-D array"),
+    ],
+    ids=["decreasing", "late-start", "one-point", "2-D"],
+)
+def test_simulate_checks_its_grid_before_it_draws(spec, grid, message):
+    # a negative step once reached the sqrt and the Poisson rate first
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simulate(spec, np.array(grid))
+
+
 # every way a caller hands a stream key in; each key must be an int >= 0
 SEED_SITES = {
     "rng_for-seed": lambda v: rng_for(v),

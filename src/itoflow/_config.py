@@ -63,9 +63,9 @@ def _count(name: str, value, least: int = 1) -> int:
 def _typed(name: str, value, *types):
     """value if it is an instance of one of types, else TypeError.
 
-    The one check for an argument's plain type, as _count is for integers.
+    The one check for an argument's plain type; as in _count, a bool is no number.
     """
-    if not isinstance(value, types):
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         expected = " or ".join(t.__name__ for t in types)
         raise TypeError(f"{name} must be {expected}, not {type(value).__name__}")
     return value

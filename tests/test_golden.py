@@ -16,15 +16,10 @@ from itoflow import (
     exp_element,
     log_identity_closed_form,
     log_identity_series,
-    linear_field_log,
     matrix_exp,
     matrix_log,
 )
-
-def scalar_log(alphabet, order):
-    """The 1x1 case of linear_field_log: generator [[1]] for each primary driver."""
-    primaries = range(1, alphabet.n_primary + 1)
-    return linear_field_log(alphabet, order, {letter: [[1]] for letter in primaries})[0][0]
+from test_itobch import scalar_log  # the 1x1 case of linear_field_log
 
 
 GOLDEN = [

@@ -208,7 +208,7 @@ def test_the_scalar_case_equals_the_template_route(alphabet):
     # too: they leave out fibers of three or more positions, and every block
     # of three or more letters has depth three or more, so the rules drop it
     for order in range(1, (4 if alphabet.n_primary == 3 else 5) + 1):
-        for pool in (None, (1,), (1, 1), (2,)):  # an error, too, is the same one
+        for pool in (None, (1,), (1, 1), (2,), (1, 3)):  # an error, too, is the same one
             want = outcome(template_route, alphabet, order, pool)
             assert outcome(scalar_log, alphabet, order, pool) == want
 
@@ -246,6 +246,7 @@ class TestLinearFieldLog:
         "generators, error, message",
         [
             ({1: [[0.5]]}, TypeError, "generator entry must be int or Fraction, not float"),
+            ({1: [[True]]}, TypeError, "generator entry must be int or Fraction, not bool"),
             ({1: [[1, 0], [0]]}, ValueError, "square matrices of one size"),
             ({1: [[1]], 2: [[1, 0], [0, 1]]}, ValueError, "square matrices of one size"),
             ({}, ValueError, "square matrices of one size"),
@@ -253,7 +254,7 @@ class TestLinearFieldLog:
             ({0: [[1]]}, ValueError, "letter must be >= 1"),
             ([[1]], TypeError, "generators must be Mapping"),
         ],
-        ids=["float", "ragged", "mixed", "empty", "outside", "letter-0", "not-a-mapping"],
+        ids=["float", "bool", "ragged", "mixed", "empty", "outside", "letter-0", "not-a-mapping"],
     )
     def test_malformed_generators_are_refused(self, generators, error, message):
         with pytest.raises(error, match=message):

@@ -134,11 +134,12 @@ def log_flow_terms(alphabet: DriverAlphabet, order: int) -> list[LogTerm]:
     """
     _typed("alphabet", alphabet, DriverAlphabet)
     order = check_grade(_count("order", order))
-    max_fiber = 2 if alphabet.continuous else 0
+    max_fiber = 2 if alphabet.continuous else order
     return [
         LogTerm(order=n, partition=f.fibers(), coeff=c)
         for n in range(1, order + 1)
-        for f, c in _descent_law_terms(n, max_fiber)
+        for f, c in _descent_law_terms(n)
+        if max(map(f.count, f)) <= max_fiber
     ]
 
 
@@ -149,16 +150,19 @@ def apply_vanishing_rules(e: Expansion, alphabet: DriverAlphabet) -> Expansion:
     cross-brackets vanish; a bracket of three or more factors (counting a
     quadratic-variation letter as two) is zero for continuous drivers; an
     exact self-bracket {i, i} of a primary driver folds to its
-    quadratic-variation letter when those are named.
+    quadratic-variation letter when those are named.  A letter outside
+    the alphabet raises ValueError, wherever it stands.
     """
     _typed("alphabet", alphabet, DriverAlphabet)
     out: dict[BracketWord, Fraction] = {}
     for w, c in e:
+        # every block's depth before any rule, so each letter is checked
+        depths = [sum(map(alphabet.bracket_depth, b)) for b in w]
         blocks = []
-        for b in w:
+        for b, depth in zip(w, depths):
             if alphabet.cross_brackets_zero and len({x for x in b if alphabet.is_primary(x)}) >= 2:
                 break
-            if alphabet.continuous and sum(map(alphabet.bracket_depth, b)) >= 3:
+            if alphabet.continuous and depth >= 3:
                 break
             if alphabet.paired_qv and len(b) == 2 and b[0] == b[1] and alphabet.is_primary(b[0]):
                 b = (alphabet.qv_letter(b[0]),)

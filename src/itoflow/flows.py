@@ -10,8 +10,9 @@ and B make the flow genuinely noncommutative.  Three routes to X_T:
     flow_from_log     truncated series logarithm evaluated pathwise, then
                       a numeric matrix exponential
 
-compare_flows composes the three on shared batches.  Each route refuses
-its own float overflow on finite inputs with FloatRangeError.
+compare_flows composes the three on shared batches; the two series
+routes are one function, _series_flows.  Each route refuses its own
+float overflow on finite inputs with FloatRangeError.
 
 On a shared grid the order-M Taylor evaluation equals the Euler product
 exactly (the product expands into exactly those left-point sums), so all
@@ -142,20 +143,32 @@ def _evaluate_matrix(me: MatrixExpansion, ev: Evaluator, paths: int, name: str) 
     return _finite(name, out, FloatRangeError)
 
 
+def _series_flows(problem: FlowProblem, dW: np.ndarray, taylor: dict, logs: dict) -> tuple:
+    """Each Taylor series evaluated on the checked dW, and exp of each log
+    series, keyed as given.  Every word of every series is evaluated in
+    one terminals call; an overflow there is reported by the range check
+    of the series that reads it."""
+    ev = Evaluator._affine(dW, _entry_letters(problem))
+    series = [*taylor.values(), *logs.values()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev.terminals({w for me in series for row in me.entries for e in row for w in e.support()})
+    paths = dW.shape[0]
+    taylor_flows = {k: _evaluate_matrix(me, ev, paths, "Taylor series") for k, me in taylor.items()}
+    return taylor_flows, {
+        k: truncated_expm(_evaluate_matrix(me, ev, paths, "log series")) for k, me in logs.items()
+    }
+
+
 def flow_from_taylor(problem: FlowProblem, order: int, dW: np.ndarray) -> np.ndarray:
     """Truncated series evaluated pathwise: one (dim, dim) matrix per path."""
     dW = _check_increments(problem, dW)
-    me = matrix_ito_taylor(problem.dim, order)
-    ev = Evaluator._affine(dW, _entry_letters(problem))
-    return _evaluate_matrix(me, ev, dW.shape[0], "Taylor series")
+    return _series_flows(problem, dW, {order: matrix_ito_taylor(problem.dim, order)}, {})[0][order]
 
 
 def flow_from_log(problem: FlowProblem, order: int, dW: np.ndarray) -> np.ndarray:
     """exp(truncated log series), evaluated pathwise."""
     dW = _check_increments(problem, dW)
-    me = matrix_log(problem.dim, order)
-    ev = Evaluator._affine(dW, _entry_letters(problem))
-    return truncated_expm(_evaluate_matrix(me, ev, dW.shape[0], "log series"))
+    return _series_flows(problem, dW, {}, {order: matrix_log(problem.dim, order)})[1][order]
 
 
 def truncated_expm(mats: np.ndarray) -> np.ndarray:
@@ -211,6 +224,9 @@ def compare_flows(
     evaluation, and the empirical magnitude of the next Taylor layer
     (the natural yardstick for that gap).  Accumulation runs in a fixed
     path order, so a given (seed, batch_size) is bit-reproducible.
+
+    n_paths has no cap: the work is paths x steps x words evaluated, and
+    a batch holds batch_size x steps increments.
     """
     _typed("problem", problem, FlowProblem)
     n_paths, batch_size = _count("n_paths", n_paths), _count("batch_size", batch_size)
@@ -222,9 +238,6 @@ def compare_flows(
     taylor_orders = sorted(set(orders) | {k + 1 for k in orders})
     taylor_sym = matrix_ito_taylor(problem.dim, kmax + 1)
     log_sym = matrix_log(problem.dim, kmax)
-    words = {
-        w for me in (taylor_sym, log_sym) for row in me.entries for e in row for w in e.support()
-    }
     taylor = {k: taylor_sym.truncate_weight(k) for k in taylor_orders}
     logs = {k: log_sym.truncate_weight(k) for k in orders}
 
@@ -236,19 +249,11 @@ def compare_flows(
         batch = min(batch_size, n_paths - done)
         dW = brownian_increments(problem, seed, range(done, done + batch))
         x_ref = flow_reference(problem, dW)
-        ev = Evaluator._affine(dW, _entry_letters(problem))
-        # every word of the batch in one trie sweep or walk; an overflow
-        # there is reported by the range check of the series that reads it
-        with np.errstate(over="ignore", invalid="ignore"):
-            ev.terminals(words)
-        taylor_vals = {
-            k: _evaluate_matrix(taylor[k], ev, batch, "Taylor series") for k in taylor_orders
-        }
+        taylor_vals, log_vals = _series_flows(problem, dW, taylor, logs)
         for k in orders:
-            x_log = truncated_expm(_evaluate_matrix(logs[k], ev, batch, "log series"))
             with np.errstate(over="ignore", invalid="ignore"):
-                err_log[k] += float(np.sum(_strong_errors(x_ref, x_log)))
-                gap_taylor[k] += float(np.sum(_strong_errors(taylor_vals[k], x_log)))
+                err_log[k] += float(np.sum(_strong_errors(x_ref, log_vals[k])))
+                gap_taylor[k] += float(np.sum(_strong_errors(taylor_vals[k], log_vals[k])))
                 next_layer[k] += float(
                     np.sum(_strong_errors(taylor_vals[k + 1], taylor_vals[k]))
                 )

@@ -88,7 +88,7 @@ def _surjections(n, k, max_fiber):
     return out
 
 
-def grade_table(n, max_fiber=0):
+def grade_table(n):
     """The surjections of arity n onto any k in (k, lex) order, and beside
     them their descent counts, as two tuples.
 
@@ -98,10 +98,7 @@ def grade_table(n, max_fiber=0):
     calls no other kernel, so a traced run makes the same kernel calls
     on a cold memo as on a warm one.
     """
-    if n == 0:
-        return ((),), (0,)
-    lo = (n + max_fiber - 1) // max_fiber if max_fiber else 1
-    surjs = tuple(f for k in range(lo, n + 1) for f in _surjections(n, k, max_fiber))
+    surjs = tuple(f for k in range(n + 1) for f in _surjections(n, k, 0))
     return surjs, tuple(map(_descents, surjs))
 
 

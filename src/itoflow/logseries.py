@@ -17,6 +17,7 @@ log of the flow map, the reason this module exists.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, combinations
 from math import comb, lcm
 from typing import Iterable
 
@@ -65,15 +66,14 @@ def log_identity_series(max_grade: int) -> SurjElement:
     return SurjElement._over(out, scale)
 
 
-def _descent_law_terms(n: int, max_fiber: int = 0):
+def _descent_law_terms(n: int):
     """The descent law over the arity's table: (f, descent_coefficient(n, d))
     for each arity-n surjection f in (k, lex) order, d its descent count.
 
     Both log_identity_closed_form and flowmaps.log_flow_terms read their
-    coefficients here.  n must already be within the grade cap; max_fiber
-    is as in enumerate_grade.
+    coefficients here.  n must already be within the grade cap.
     """
-    surjs, descents = _grade_table(n, max_fiber)
+    surjs, descents = _grade_table(n)
     by_descents = [descent_coefficient(n, d) for d in range(n)]
     return zip(surjs, map(by_descents.__getitem__, descents))
 
@@ -105,8 +105,7 @@ def log_identity_subset_form(max_grade: int) -> SurjElement:
 
 def _subsets(items: Iterable[int]):
     items = list(items)
-    for mask in range(1 << len(items)):
-        yield [x for i, x in enumerate(items) if mask >> i & 1]
+    return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
 
 
 def subset_alternating_sum(n: int, positions: Iterable[int]) -> Fraction:

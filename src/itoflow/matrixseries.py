@@ -199,7 +199,10 @@ def _integrate_against(me: MatrixExpansion) -> MatrixExpansion:
 
 
 def matrix_ito_taylor(dim: int, order: int) -> MatrixExpansion:
-    """Flow series to the given order: identity plus iterated integrals of M."""
+    """Flow series to the given order: identity plus iterated integrals of M.
+
+    dim has no cap: the series has sum over k <= order of dim^(k+1) terms.
+    """
     order = check_weight(_count("order", order, 0))
     total = MatrixExpansion.identity(dim)
     layer = MatrixExpansion.identity(dim)

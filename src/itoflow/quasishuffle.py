@@ -35,29 +35,25 @@ from .words import (
 )
 
 
-# the coefficient of a word as an expansion, shared: a Fraction is immutable
-ONE = whole(1)
-
-
 def _as_expansion(x) -> Expansion:
-    return x if isinstance(x, Expansion) else Expansion._raw({as_word(x): ONE})
+    return x if isinstance(x, Expansion) else Expansion._raw({as_word(x): whole(1)})
 
 
-def _weight_classes(x, one) -> dict:
+def _weight_classes(x) -> dict:
     """An expansion's terms bucketed by weight, kept on it, or for a word
-    its one bucket {weight: [(word, one)]}."""
+    its one bucket {weight: [(word, 1)]}."""
     if isinstance(x, Expansion):
         return x._graded()
     w = as_word(x)
-    return {w.weight: [(w, one)]}
+    return {w.weight: [(w, 1)]}
 
 
-def _weight_pairs(a, b, max_weight: int | None = None, one=ONE):
+def _weight_pairs(a, b, max_weight: int | None = None):
     """Term pairs (u, v, cu * cv) of words or expansions, pruned by weight.
 
-    A word operand carries the coefficient one.
+    A word operand carries the int 1.
     """
-    return graded_pairs(_weight_classes(a, one), _weight_classes(b, one), max_weight, check_weight)
+    return graded_pairs(_weight_classes(a), _weight_classes(b), max_weight, check_weight)
 
 
 def qsh(*operands, max_weight: int | None = None) -> Expansion:
@@ -86,7 +82,7 @@ def qsh(*operands, max_weight: int | None = None) -> Expansion:
     for rhs in operands[1:]:
         data: dict = {}
         get = data.get
-        for u, v, c in _weight_pairs(acc, rhs, max_weight, one=1):
+        for u, v, c in _weight_pairs(acc, rhs, max_weight):
             for w, mult in qsh_words(u, v).items():
                 t = c if mult == 1 else c * mult
                 prev = get(w)
@@ -117,12 +113,13 @@ def _bullet_pair(u: BracketWord, v: BracketWord):
 
 
 def _bilinear(pair_op, a, b) -> Expansion:
+    """pair_op extended bilinearly, its Fractions built once, at the end."""
     data = {}
     for u, v, c in _weight_pairs(a, b):
         _require_nonempty(u, v)
         for w, mult in pair_op(u, v):
             accumulate(data, w, c * mult)
-    return Expansion._raw(data)
+    return Expansion._over(data, 1)
 
 
 def half_up(u, v) -> Expansion:

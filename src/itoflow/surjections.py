@@ -14,6 +14,7 @@ provided exactly and as subset-closed sums, related by inclusion-exclusion.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Iterable, Sequence, Union
@@ -53,10 +54,6 @@ class Surjection(tuple):
         return super().__new__(cls, vals)
 
     @classmethod
-    def _wrap(cls, values) -> "Surjection":
-        return tuple.__new__(cls, values)
-
-    @classmethod
     def identity(cls, n: int) -> "Surjection":
         return cls._wrap(range(1, n + 1))
 
@@ -88,6 +85,9 @@ class Surjection(tuple):
 
     def __repr__(self) -> str:
         return f"Surjection({str(self)!r})"
+
+
+Surjection._wrap = partial(tuple.__new__, Surjection)
 
 
 def parse_surjection(text: str) -> Surjection:
@@ -133,35 +133,36 @@ def enumerate_surjections(n: int, k: int, max_fiber: int = 0) -> list[Surjection
 def enumerate_grade(n: int, max_fiber: int = 0) -> list[Surjection]:
     """All surjections of arity n, any target size, in (k, lex) order.
 
-    A fresh list each call, copied from the arity's table in _grade_table.
+    A fresh list each call, filtered from the arity's table in _grade_table.
     """
     n = check_grade(_count("n", n, 0))
-    return list(_grade_table(n, _count("max_fiber", max_fiber, 0))[0])
+    max_fiber = _count("max_fiber", max_fiber, 0) or n
+    return [f for f in _grade_table(n)[0] if all(f.count(v) <= max_fiber for v in f)]
 
 
-def _grade_table(n: int, max_fiber: int) -> tuple[tuple[Surjection, ...], tuple[int, ...]]:
+def _grade_table(n: int) -> tuple[tuple[Surjection, ...], tuple[int, ...]]:
     """The surjections of arity n in (k, lex) order, and beside them their
     descent counts, as two tuples (kernels.grade_table, wrapped).
 
-    Kept for n up to DEFAULT_GRADE_CAP, at most 16 (n, max_fiber) tables,
-    least recently used dropped first; a larger arity, reachable only
-    under a raised grade cap, is enumerated afresh on each call and not
-    kept.  Measured with tracemalloc, the kept tables of arities 1 to 6
-    take 0.76 MiB together (max_fiber=2: 0.45 MiB).  The table is not
-    checked against the grade cap: every caller checks n first, so a
-    lowered cap still raises CapExceeded on a warm table.
+    Kept for n up to DEFAULT_GRADE_CAP, at most 8 tables, least recently
+    used dropped first; a larger arity, reachable only under a raised
+    grade cap, is enumerated afresh on each call and not kept.  Measured
+    with tracemalloc, the kept tables of arities 1 to 6 take 0.56 MiB
+    together.  The table is not checked against the grade cap: every
+    caller checks n first, so a lowered cap still raises CapExceeded on a
+    warm table.
     """
     if n <= DEFAULT_GRADE_CAP:
-        return _kept_grade_table(n, max_fiber)
-    return _wrapped_grade_table(n, max_fiber)
+        return _kept_grade_table(n)
+    return _wrapped_grade_table(n)
 
 
-def _wrapped_grade_table(n: int, max_fiber: int):
-    surjs, descents = grade_table(n, max_fiber)
+def _wrapped_grade_table(n: int):
+    surjs, descents = grade_table(n)
     return tuple(map(Surjection._wrap, surjs)), descents
 
 
-_kept_grade_table = lru_cache(maxsize=16)(_wrapped_grade_table)
+_kept_grade_table = lru_cache(maxsize=8)(_wrapped_grade_table)
 
 
 SurjLike = Union[Surjection, Sequence[int]]
@@ -201,10 +202,6 @@ def _as_element(x: ElementLike) -> SurjElement:
     return SurjElement.of(as_surjection(x))
 
 
-# Surjection._wrap without the classmethod call, for diamond's per-term loop
-_new_surjection = partial(tuple.__new__, Surjection)
-
-
 def diamond(a: ElementLike, b: ElementLike, max_grade: int | None = None) -> SurjElement:
     """Product on surjections, extended bilinearly.
 
@@ -227,7 +224,7 @@ def diamond(a: ElementLike, b: ElementLike, max_grade: int | None = None) -> Sur
         for h in diamond_words(f, g):
             prev = get(h)
             data[h] = c if prev is None else prev + c
-    wrapped = zip(map(_new_surjection, data), data.values())
+    wrapped = zip(map(Surjection._wrap, data), data.values())
     return SurjElement._raw({h: c for h, c in wrapped if c})
 
 
@@ -293,16 +290,14 @@ class Composition(tuple):
 def compositions_of(n: int) -> list[Composition]:
     """All compositions of n, in length-then-lex order."""
     n = check_grade(_count("n", n, 0))
-    out = []
-    stack = [(n, [])]
-    while stack:
-        rest, parts = stack.pop()
-        if rest == 0:
-            out.append(parts)
-            continue
-        for p in range(rest, 0, -1):
-            stack.append((rest - p, parts + [p]))
-    return sorted((Composition(p) for p in out), key=lambda c: (len(c), c))
+    if not n:
+        return [Composition()]
+    # k cut points of 1..n-1, in lex order, give k + 1 parts in lex order
+    return [
+        Composition(b - a for a, b in zip((0, *cuts), (*cuts, n)))
+        for k in range(n)
+        for cuts in itertools.combinations(range(1, n), k)
+    ]
 
 
 def embed_composition(c: Composition | Sequence[int]) -> SurjElement:
@@ -316,12 +311,7 @@ def embed_composition(c: Composition | Sequence[int]) -> SurjElement:
     c = Composition(c)
     if not c:
         return SurjElement.unit()
-    cuts = []
-    acc = 0
-    for p in c[:-1]:
-        acc += p
-        cuts.append(acc)
-    return descent_sum_within(c.total, cuts)
+    return descent_sum_within(c.total, itertools.accumulate(c[:-1]))
 
 
 # -- action on bracket words --------------------------------------------------

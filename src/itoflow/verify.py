@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._config import _count, caps, weight_cap
+from ._config import DEFAULT_WEIGHT_CAP, _count, caps, weight_cap
 from .evaluate import Evaluator
 from .flowmaps import DriverAlphabet, apply_vanishing_rules, log_flow_terms
 from .flows import FlowProblem, compare_flows
@@ -247,12 +247,13 @@ def suite_algebra(grade: int = 4, seed: int = 0) -> list[dict]:
     rng = random.Random(seed)
     reports = []
 
-    # word weights stop at the weight cap: an uncapped draw up to grade - 1
-    # could exceed it, or never end for a huge grade
-    words = _random_words(rng, 8, max_weight=min(max(1, grade - 1), weight_cap()))
-    # products are sampled up to the word-weight cap, which 2 * grade
-    # passes from grade 5 on
-    max_weight = min(2 * grade, weight_cap())
+    # word weights stop at the weight cap, and at the default one under a
+    # raised cap, so the sample's cost follows neither the grade nor the cap
+    top = min(weight_cap(), DEFAULT_WEIGHT_CAP)
+    words = _random_words(rng, 8, max_weight=min(max(1, grade - 1), top))
+    # products are sampled up to that bound too, which 2 * grade passes
+    # from grade 5 on
+    max_weight = min(2 * grade, top)
     pairs = [
         (u, v) for u, v in itertools.combinations(words, 2) if u.weight + v.weight <= max_weight
     ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from operator import is_
 from typing import Iterable, Iterator, Mapping, Union
@@ -66,11 +67,6 @@ class BracketWord(tuple):
         """Word of singleton blocks, one per letter: from_letters(2,1) = (2)(1)."""
         return cls((x,) for x in letters)
 
-    @classmethod
-    def _wrap(cls, blocks) -> "BracketWord":
-        """Adopt already-canonical blocks without re-validating (hot paths)."""
-        return tuple.__new__(cls, blocks)
-
     @property
     def weight(self) -> int:
         """Total letter count over all blocks, with multiplicity."""
@@ -86,6 +82,9 @@ class BracketWord(tuple):
     def __repr__(self) -> str:
         return f"BracketWord({word_literal(self)!r})"
 
+
+# adopt already-canonical blocks without re-validating (hot paths)
+BracketWord._wrap = partial(tuple.__new__, BracketWord)
 
 UNIT_WORD = BracketWord()
 

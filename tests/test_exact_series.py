@@ -4,9 +4,11 @@ log_identity_series, exp_element, matrix_exp and matrix_log compute on
 integer numerators over one common denominator and build the Fractions
 at the end.  Fraction(2) == 2 and JSON reads only numerator and
 denominator, so neither equality nor the golden digests would see an int
-leaking out of that route; the type test below does.  The oracles are the
-plain-Fraction power series: sum over k of the k-th diamond or matmul
-power over k!, built with the public products and Combination arithmetic.
+leaking out of that route; the type test below does.  The half products
+of two words add int multiplicities and build their Fractions at the
+end too.  The oracles are the plain-Fraction power series: sum over k of
+the k-th diamond or matmul power over k!, built with the public products
+and Combination arithmetic.
 """
 
 from fractions import Fraction
@@ -22,9 +24,12 @@ from itoflow import (
     MatrixExpansion,
     SurjElement,
     Surjection,
+    bullet,
     diamond,
     enumerate_surjections,
     exp_element,
+    half_down,
+    half_up,
     log_identity_closed_form,
     log_identity_series,
     matrix_exp,
@@ -62,6 +67,18 @@ RESULTS = [
             Expansion([(parse_word("12"), 2)]), Expansion([(parse_word("3"), Fraction(1, 2))])
         ),
         id="qsh",
+    ),
+    *(
+        pytest.param(lambda half=half, a=a, b=b: half(a, b), id=f"{half.__name__}-{kind}")
+        for half in (half_up, half_down, bullet)
+        for kind, a, b in [
+            ("words", parse_word("1[23]"), parse_word("21")),
+            (
+                "expansions",
+                Expansion([(parse_word("12"), 2), (parse_word("3"), Fraction(1, 3))]),
+                Expansion([(parse_word("[13]"), Fraction(-1, 2))]),
+            ),
+        ]
     ),
     pytest.param(lambda: diamond((1, 2), (1,)), id="diamond-surjections"),
     pytest.param(lambda: diamond(log_identity_closed_form(2), SurjElement.of((1,), 3)), id="diamond"),

@@ -15,10 +15,12 @@ from itoflow import (
     DriverAlphabet,
     exp_element,
     log_identity_closed_form,
+    log_flow_terms,
     log_identity_series,
     matrix_exp,
     matrix_log,
 )
+from itoflow.flowmaps import terms_to_json
 from test_itobch import scalar_log  # the 1x1 case of linear_field_log
 
 
@@ -78,3 +80,27 @@ def canonical_digest(obj) -> str:
 )
 def test_exact_output_is_unchanged(build, digest):
     assert canonical_digest(build()) == digest
+
+
+# the template tables of log_flow_terms; continuous mode keeps the
+# surjections whose fibers hold at most two positions
+TEMPLATES = [
+    (True, 5, 532, "496e52c0650cc98dcc62698d4958a67491c22692e41873ca6e92f49f7effd758"),
+    (True, 6, 4222, "eb1b569c0437023a015121d825c7bfa2e2e072442dbd54927f96fa24cebc7ace"),
+    (False, 5, 633, "4db7b5392fc60627201903feca03b76cd3ee5dba9cb51feea7d11f18f7ebb6e9"),
+    (False, 6, 5316, "388dbfbe877a8b00330caee7aaf4c95c022c2e2a89edf40bff793a7a44d50764"),
+]
+
+
+@pytest.mark.parametrize(
+    "continuous, order, count, digest",
+    [
+        pytest.param(*row, id=f"log_flow_terms({'continuous' if row[0] else 'jumps'},{row[1]})")
+        for row in TEMPLATES
+    ],
+)
+def test_template_tables_are_unchanged(continuous, order, count, digest):
+    terms = log_flow_terms(DriverAlphabet(1, continuous=continuous), order)
+    text = terms_to_json(terms, sort_keys=True, separators=(",", ":"))
+    assert len(terms) == count
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

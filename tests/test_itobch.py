@@ -17,6 +17,7 @@ from itoflow import (
     enumerate_grade,
     linear_field_log,
     log_flow_terms,
+    parse_word,
 )
 from itoflow import verify
 from itoflow.logseries import descent_coefficient
@@ -140,6 +141,15 @@ class TestVanishingRules:
         out = apply_vanishing_rules(e, CONTINUOUS)
         assert out == Expansion.of(BracketWord([(2,), (3,), (1,)]))
 
+    @pytest.mark.parametrize("continuous", [True, False], ids=["continuous", "jumps"])
+    @pytest.mark.parametrize("literal, letter", [("5", 5), ("[1,2,5]", 5), ("[1,2].7", 7)])
+    def test_a_letter_outside_the_alphabet_is_refused(self, continuous, literal, letter):
+        # [1,2,5] is a cross bracket, and [1,2].7 dies at its first block:
+        # no rule that fires first may hide the letter, in either mode
+        alphabet = DriverAlphabet(2, continuous=continuous)
+        with pytest.raises(ValueError, match=f"letter {letter} outside alphabet of 4"):
+            apply_vanishing_rules(Expansion.of(parse_word(literal)), alphabet)
+
 
 def scalar_log(alphabet, order, letters=None):
     """The 1x1 case of linear_field_log over a pool of driver letters (default:
@@ -178,8 +188,6 @@ def template_route(alphabet, order, letters=None):
     terms = log_flow_terms(alphabet, order)
     pool = letters if letters is not None else range(1, alphabet.n_primary + 1)
     singletons = BracketWord.from_letters(*pool)
-    for letter in pool:
-        alphabet.bracket_depth(letter)  # a letter outside the alphabet is refused
     data = {}
     for term in terms:
         f = term.surjection()

@@ -199,11 +199,14 @@ class TestGradeTable:
     @pytest.mark.parametrize("max_fiber", [0, 2])
     @pytest.mark.parametrize("n", range(7))
     def test_table_equals_a_fresh_enumeration(self, n, max_fiber):
-        surjs, descents = _grade_table(n, max_fiber)
-        fresh = [f for k in range(n + 1) for f in kernels.surjections(n, k, max_fiber)]
-        assert list(surjs) == fresh  # (k, lex) order
+        """One table per arity; max_fiber filters it to the pruned
+        enumeration, in the same (k, lex) order."""
+        surjs, descents = _grade_table(n)
+        every = [f for k in range(n + 1) for f in kernels.surjections(n, k)]
+        assert list(surjs) == every  # (k, lex) order
         assert all(type(f) is Surjection for f in surjs)
-        assert descents == tuple(map(kernels.descent_count, fresh))
+        assert descents == tuple(map(kernels.descent_count, every))
+        fresh = [f for k in range(n + 1) for f in kernels.surjections(n, k, max_fiber)]
         assert enumerate_grade(n, max_fiber) == fresh
 
     def test_changing_the_returned_list_leaves_the_next_call_unchanged(self):
@@ -231,19 +234,29 @@ class TestGradeTable:
         assert [call() for call in calls] == warm
 
     def test_the_memo_is_bounded(self):
-        """At most 16 tables, and only arities within the default grade cap."""
-        assert _kept_grade_table.cache_info().maxsize == 16
+        """At most 8 tables, and only arities within the default grade cap."""
+        assert _kept_grade_table.cache_info().maxsize == 8
         before = _kept_grade_table.cache_info()
         with caps(grade=7):
-            surjs, descents = _grade_table(7, 2)
-            assert enumerate_grade(7, max_fiber=2) == list(surjs)
-        assert len(descents) == sum(len(kernels.surjections(7, k, 2)) for k in range(8))
+            surjs, descents = _grade_table(7)
+            paired = [f for f in surjs if max(map(f.count, f)) <= 2]
+            assert enumerate_grade(7, max_fiber=2) == paired
+        assert len(descents) == sum(len(kernels.surjections(7, k)) for k in range(8))
         assert _kept_grade_table.cache_info() == before
+
+    def test_one_table_per_arity(self):
+        """The log element and both template modes read the same tables."""
+        _kept_grade_table.cache_clear()
+        log_identity_closed_form(6)
+        log_flow_terms(DriverAlphabet(1), 6)
+        log_flow_terms(DriverAlphabet(1, continuous=False), 6)
+        enumerate_grade(6, max_fiber=2)
+        assert _kept_grade_table.cache_info().currsize == 6
 
     def test_filling_the_table_calls_no_exported_kernel(self, monkeypatch):
         """So a traced run makes the same kernel calls on a cold table as
         on a warm one."""
-        expected = [_grade_table(n, mf) for n in range(6) for mf in (0, 2)]
+        expected = [_grade_table(n) for n in range(6)]
 
         def refuse(*args):
             raise AssertionError("exported kernel called")
@@ -253,7 +266,7 @@ class TestGradeTable:
         monkeypatch.setattr(surjections_module, "_enumerate", refuse)
         monkeypatch.setattr(surjections_module, "_descent_count", refuse)
         _kept_grade_table.cache_clear()
-        assert [_grade_table(n, mf) for n in range(6) for mf in (0, 2)] == expected
+        assert [_grade_table(n) for n in range(6)] == expected
 
 
 @lru_cache(maxsize=64)
@@ -420,6 +433,13 @@ class TestCompositions:
             Composition((1, 1, 1)),
         }
         assert len(list(compositions_of(5))) == 2 ** 4
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_length_then_lex_order(self, n):
+        got = compositions_of(n)
+        assert got == sorted(got, key=lambda c: (len(c), c))
+        assert len(set(got)) == len(got) == max(1, 2 ** (n - 1))
+        assert all(type(c) is Composition and c.total == n for c in got)
 
     def test_zero_has_one_composition_and_negatives_none(self):
         assert compositions_of(0) == [Composition(())]

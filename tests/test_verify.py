@@ -1,12 +1,12 @@
 """Verification suites: report schema and pass status."""
 
+import contextvars
 import json
 import threading
 
 import pytest
 
-from itoflow import SUITES, caps, run_suite
-from itoflow._config import DEFAULT_GRADE_CAP, DEFAULT_WEIGHT_CAP
+from itoflow import SUITES, run_suite
 from itoflow.cli import main
 from itoflow.verify import suite_algebra
 
@@ -124,20 +124,16 @@ def test_python_defaults_are_the_cli_defaults(capsys, name):
     assert json.loads(out)["cases"] == reports
 
 
-
-def _algebra_at_default_caps(grade, seed=0):
-    """suite_algebra under the library's default caps, not the session's."""
-    with caps(weight=DEFAULT_WEIGHT_CAP, grade=DEFAULT_GRADE_CAP):
-        return suite_algebra(grade, seed)
-
-
 def test_a_huge_algebra_grade_returns():
-    """Sampled word weights stop at the weight cap; drawn up to grade - 1,
-    one word of a huge grade would never finish."""
+    """Sampled word weights stop at the default weight cap, under this
+    session's raised one too; drawn up to grade - 1, or up to the raised
+    cap, one word of a huge grade would never finish."""
     reports = []
-    # a daemon thread: a hang fails the test instead of stalling the run
+    # a daemon thread: a hang fails the test instead of stalling the run.
+    # A thread starts in a fresh context, so it is given this one's caps.
+    context = contextvars.copy_context()
     worker = threading.Thread(
-        target=lambda: reports.extend(_algebra_at_default_caps(10**20)), daemon=True
+        target=lambda: reports.extend(context.run(suite_algebra, 10**20)), daemon=True
     )
     worker.start()
     worker.join(timeout=2)
@@ -147,7 +143,7 @@ def test_a_huge_algebra_grade_returns():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_the_algebra_suite_passes_above_the_weight_cap(seed):
-    """Grade 12 under the default cap: no sampled word outweighs the cap,
-    whatever the seed."""
-    reports = _algebra_at_default_caps(12, seed)
+    """Grade 12: no sampled word outweighs the default cap, whatever the
+    seed and under this session's raised cap."""
+    reports = suite_algebra(12, seed)
     assert reports and all(r["pass"] for r in reports)

@@ -143,11 +143,11 @@ def _parse_driver(spec: str) -> DriverSpec:
     kind = kind.strip().lower()
     value = float(param) if param else 1.0
     if kind == "brownian":
-        return DriverSpec.brownian(value)
+        return DriverSpec(kind, sigma=value)
     if kind == "poisson":
-        return DriverSpec.poisson(value)
+        return DriverSpec(kind, rate=value)
     if kind in ("drift", "linear_drift"):
-        return DriverSpec.linear_drift(value)
+        return DriverSpec("linear_drift", slope=value)
     raise ValueError(f"unknown driver {kind!r}; use brownian, poisson or drift")
 
 
@@ -273,8 +273,9 @@ def main(argv=None) -> int:
     try:
         with _call_caps(getattr(args, "max_grade", None)):
             return args.fn(args)
-    # CapExceeded and WordParseError are ValueErrors
-    except (ValueError, FloatRangeError) as exc:
+    # CapExceeded and WordParseError are ValueErrors; a MemoryError is a
+    # size flag too large to allocate
+    except (ValueError, FloatRangeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

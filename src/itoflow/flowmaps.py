@@ -57,6 +57,8 @@ class DriverAlphabet:
 
     def __post_init__(self):
         object.__setattr__(self, "n_primary", _count("n_primary", self.n_primary))
+        for flag in ("continuous", "cross_brackets_zero", "paired_qv"):
+            _typed(flag, getattr(self, flag), bool)
 
     @property
     def n_letters(self) -> int:

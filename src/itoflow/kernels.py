@@ -50,17 +50,13 @@ def descent_set(f):
     return tuple(compress(count(1), map(ge, f, f[1:])))
 
 
-def surjections(n, k, max_fiber=0):
-    """All surjections [n] -> [k] as value tuples, lexicographically sorted.
-
-    max_fiber > 0 restricts every preimage to at most that many elements
-    (max_fiber=2 gives the continuous-semimartingale index set).
-    """
-    return _surjections(n, k, max_fiber)
+def surjections(n, k):
+    """All surjections [n] -> [k] as value tuples, lexicographically sorted."""
+    return _surjections(n, k)
 
 
-def _surjections(n, k, max_fiber):
-    if k > n or k < 0 or (max_fiber and k * max_fiber < n):
+def _surjections(n, k):
+    if k > n or k < 0:
         return []
     if n == 0:
         return [()]
@@ -77,7 +73,7 @@ def _surjections(n, k, max_fiber):
         tight = missing == n - pos
         for v in range(1, k + 1):
             c = counts[v]
-            if (c and tight) or (max_fiber and c >= max_fiber):
+            if c and tight:
                 continue
             counts[v] = c + 1
             buf[pos] = v
@@ -98,7 +94,7 @@ def grade_table(n):
     calls no other kernel, so a traced run makes the same kernel calls
     on a cold memo as on a warm one.
     """
-    surjs = tuple(f for k in range(n + 1) for f in _surjections(n, k, 0))
+    surjs = tuple(f for k in range(n + 1) for f in _surjections(n, k))
     return surjs, tuple(map(_descents, surjs))
 
 

@@ -16,7 +16,6 @@ by grade, in rational arithmetic.
 from __future__ import annotations
 
 import itertools
-import json
 import operator
 from fractions import Fraction
 from math import lcm, prod
@@ -168,13 +167,6 @@ class MatrixExpansion:
         with refuse_malformed(cls.__name__):
             entries = [[Expansion.from_json_dict(e) for e in row] for row in obj["entries"]]
             return cls(obj["dim"], entries)
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MatrixExpansion":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _integrate_against(me: MatrixExpansion) -> MatrixExpansion:

@@ -62,11 +62,6 @@ class SamplePath:
     def increments(self) -> np.ndarray:
         return np.diff(self.values)
 
-    def same_grid(self, other: "SamplePath") -> bool:
-        return self.grid.shape == other.grid.shape and np.array_equal(
-            self.grid, other.grid
-        )
-
     def __len__(self) -> int:
         return len(self.grid)
 
@@ -130,18 +125,6 @@ class DriverSpec:
         if self.kind == "table" and self.table is None:
             raise ValueError("table driver needs values")
 
-    @classmethod
-    def brownian(cls, sigma: float = 1.0) -> "DriverSpec":
-        return cls(kind="brownian", sigma=sigma)
-
-    @classmethod
-    def poisson(cls, rate: float = 1.0) -> "DriverSpec":
-        return cls(kind="poisson", rate=rate)
-
-    @classmethod
-    def linear_drift(cls, slope: float = 1.0) -> "DriverSpec":
-        return cls(kind="linear_drift", slope=slope)
-
 
 def rng_for(seed: int, path_index: int = 0, driver_index: int = 0) -> np.random.Generator:
     """Generator keyed by (seed, path, driver), independent of call order.
@@ -202,7 +185,7 @@ def discrete_bracket(x: SamplePath, y: SamplePath) -> SamplePath:
     """
     _typed("x", x, SamplePath)
     _typed("y", y, SamplePath)
-    if not x.same_grid(y):
+    if not np.array_equal(x.grid, y.grid):
         raise ValueError("paths must share a grid")
     inc = x.increments() * y.increments()
     return SamplePath(x.grid, np.concatenate(([0.0], np.cumsum(inc))))

@@ -114,30 +114,22 @@ def pack(values: Sequence[int]) -> Surjection:
     return Surjection._wrap(pack_word(tuple(values)))
 
 
-def enumerate_surjections(n: int, k: int, max_fiber: int = 0) -> list[Surjection]:
-    """All surjections [n] onto [k] in lexicographic order.
-
-    max_fiber > 0 keeps only those with every preimage of size <= max_fiber
-    (0 keeps all); max_fiber=2 is the index set that survives for
-    continuous drivers.
-    """
+def enumerate_surjections(n: int, k: int) -> list[Surjection]:
+    """All surjections [n] onto [k] in lexicographic order."""
     n, k = check_grade(_count("n", n, 0)), _count("k", k, 0)
-    max_fiber = _count("max_fiber", max_fiber, 0)
     if n == 0 and k == 0:
         return [Surjection()]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    return [Surjection._wrap(f) for f in _enumerate(n, k, max_fiber)]
+    return [Surjection._wrap(f) for f in _enumerate(n, k)]
 
 
-def enumerate_grade(n: int, max_fiber: int = 0) -> list[Surjection]:
+def enumerate_grade(n: int) -> list[Surjection]:
     """All surjections of arity n, any target size, in (k, lex) order.
 
-    A fresh list each call, filtered from the arity's table in _grade_table.
+    A fresh list each call, copied from the arity's table in _grade_table.
     """
-    n = check_grade(_count("n", n, 0))
-    max_fiber = _count("max_fiber", max_fiber, 0) or n
-    return [f for f in _grade_table(n)[0] if all(f.count(v) <= max_fiber for v in f)]
+    return list(_grade_table(check_grade(_count("n", n, 0)))[0])
 
 
 def _grade_table(n: int) -> tuple[tuple[Surjection, ...], tuple[int, ...]]:

@@ -186,9 +186,9 @@ def check_subset_law() -> tuple[int, int]:
 def pathwise_bundle(seed: int, steps: int) -> PathBundle:
     """Brownian (letter 1), rate-2 Poisson (2) and unit drift (3) on [0, 1]."""
     specs = {
-        1: DriverSpec.brownian(1.0),
-        2: DriverSpec.poisson(2.0),
-        3: DriverSpec.linear_drift(1.0),
+        1: DriverSpec("brownian", sigma=1.0),
+        2: DriverSpec("poisson", rate=2.0),
+        3: DriverSpec("linear_drift", slope=1.0),
     }
     return simulate_bundle(specs, make_grid(1.0, steps), seed=seed)
 

@@ -13,7 +13,6 @@ blockwise lexicographic comparison.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
@@ -533,13 +532,6 @@ class Combination:
         key = cls._json_key
         with refuse_malformed(cls.__name__):
             return cls((t[key], frac_from_json(t["coeff"])) for t in obj["terms"])
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
-    @classmethod
-    def from_json(cls, text: str):
-        return cls.from_json_dict(json.loads(text))
 
 
 class Expansion(Combination):

@@ -179,7 +179,7 @@ def test_c02_order3_continuous_template_table(capsys):
         assert got == ORDER3_COEFFS
 
         # the order-3 support is exactly the fiber-size-<=2 maps of grade 3
-        assert set(got) == {tuple(s) for s in enumerate_grade(3, max_fiber=2)}
+        assert set(got) == {tuple(s) for s in enumerate_grade(3) if max(map(s.count, s)) <= 2}
 
         # pinned coefficient multisets: the full table, and the 15-entry
         # display that groups out one of the -1/6 slots (the (1,2,1) map)

@@ -46,7 +46,7 @@ HOSTILE = ("x", None, (), True, 2.5, math.nan)
 WORD = BracketWord([(1,), (1, 2)])
 SURJ = Surjection([2, 1, 2])
 GRID = make_grid(1.0, 4)
-BUNDLE = simulate_bundle({1: DriverSpec.brownian(), 2: DriverSpec.linear_drift()}, GRID)
+BUNDLE = simulate_bundle({1: DriverSpec("brownian"), 2: DriverSpec("linear_drift")}, GRID)
 PROBLEM = FlowProblem(1, [[0.5]], [[1.0]], 0.1, 4)
 ALPHABET = DriverAlphabet(2)
 FILE = "bundle.bin"  # relative to the test's tmp_path, its working directory
@@ -98,8 +98,8 @@ ROWS = {
     "run_suite": ("algebra",),
     "shuffle": (WORD, WORD),
     "shuffle_projection": (Expansion.of(WORD),),
-    "simulate": (DriverSpec.poisson(0.5), GRID),
-    "simulate_bundle": ({1: DriverSpec.brownian()}, GRID),
+    "simulate": (DriverSpec("poisson", rate=0.5), GRID),
+    "simulate_bundle": ({1: DriverSpec("brownian")}, GRID),
     "strichartz_restriction": (3,),
     "subset_alternating_sum": (3, [1]),
     "truncated_expm": (np.zeros((2, 2, 2)),),
@@ -202,16 +202,19 @@ CONSTRUCTOR_ROWS = {
     "FlowProblem-str-horizon": lambda: FlowProblem(1, [[0.5]], [[1.0]], "x", 4),
     "FlowProblem-steps-0": lambda: FlowProblem(1, [[0.5]], [[1.0]], 0.1, 0),
     "DriverSpec-kind": lambda: DriverSpec("gamma"),
-    "DriverSpec-nan-sigma": lambda: DriverSpec.brownian(math.nan),
-    "DriverSpec-negative-sigma": lambda: DriverSpec.brownian(-1.0),
-    "DriverSpec-rate-0": lambda: DriverSpec.poisson(0.0),
-    "DriverSpec-str-rate": lambda: DriverSpec.poisson("x"),
+    "DriverSpec-nan-sigma": lambda: DriverSpec("brownian", sigma=math.nan),
+    "DriverSpec-negative-sigma": lambda: DriverSpec("brownian", sigma=-1.0),
+    "DriverSpec-rate-0": lambda: DriverSpec("poisson", rate=0.0),
+    "DriverSpec-str-rate": lambda: DriverSpec("poisson", rate="x"),
     "DriverSpec-no-table": lambda: DriverSpec("table"),
     "DriverSpec-nan-table": lambda: DriverSpec("table", table=(0.0, math.nan)),
     "DriverSpec-str-table": lambda: DriverSpec("table", table=("x",)),
     "DriverAlphabet-0": lambda: DriverAlphabet(0),
     "DriverAlphabet-float": lambda: DriverAlphabet(2.5),
     "DriverAlphabet-bool": lambda: DriverAlphabet(True),
+    "DriverAlphabet-str-continuous": lambda: DriverAlphabet(1, continuous="no"),
+    "DriverAlphabet-none-paired_qv": lambda: DriverAlphabet(1, paired_qv=None),
+    "DriverAlphabet-int-cross_brackets_zero": lambda: DriverAlphabet(1, cross_brackets_zero=1),
     "MatrixExpansion-dim-0": lambda: MatrixExpansion(0, []),
     "MatrixExpansion-ragged": lambda: MatrixExpansion(
         2, [[Expansion.zero()] * 2, [Expansion.zero()]]

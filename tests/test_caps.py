@@ -154,11 +154,7 @@ COUNT_SITES = {
     "log_flow_terms-order": (lambda v: log_flow_terms(DriverAlphabet(2), v), "order", 1),
     "enumerate_surjections-n": (lambda v: enumerate_surjections(v, 1), "n", 0),
     "enumerate_surjections-k": (lambda v: enumerate_surjections(3, v), "k", 0),
-    "enumerate_surjections-max_fiber": (
-        lambda v: enumerate_surjections(3, 2, v), "max_fiber", 0
-    ),
     "enumerate_grade-n": (enumerate_grade, "n", 0),
-    "enumerate_grade-max_fiber": (lambda v: enumerate_grade(3, v), "max_fiber", 0),
     "compositions_of": (compositions_of, "n", 0),
     "entry_letter-i": (lambda v: entry_letter(v, 1, 2), "i", 1),
     "entry_letter-j": (lambda v: entry_letter(1, v, 2), "j", 1),

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import resource
 import subprocess
 import sys
 import warnings
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from itoflow import (
+    DriverSpec,
     Expansion,
     SurjElement,
     caps,
@@ -21,7 +23,7 @@ from itoflow import (
     strichartz_restriction,
     weight_cap,
 )
-from itoflow.cli import build_parser, main
+from itoflow.cli import _parse_driver, build_parser, main
 from itoflow.verify import flow_problem
 
 
@@ -302,6 +304,21 @@ class TestSimulate:
     def test_unknown_driver_exits_2(self, capsys):
         code, out = run_cli("simulate", "--drivers", "gamma:1.0", capsys=capsys)
         assert code == 2
+        assert out.err.startswith("error: unknown driver 'gamma'")
+
+    @pytest.mark.parametrize(
+        "text, spec",
+        [
+            ("brownian", DriverSpec("brownian")),
+            ("brownian:0.5", DriverSpec("brownian", sigma=0.5)),
+            ("poisson:3", DriverSpec("poisson", rate=3.0)),
+            ("drift:-2", DriverSpec("linear_drift", slope=-2.0)),
+            ("linear_drift:2", DriverSpec("linear_drift", slope=2.0)),
+            (" Brownian:1", DriverSpec("brownian", sigma=1.0)),
+        ],
+    )
+    def test_each_driver_name_sets_its_own_parameter(self, text, spec):
+        assert _parse_driver(text) == spec
 
     @pytest.mark.parametrize("driver, kind", [("brownian", "brownian"), ("drift", "linear_drift")])
     def test_a_path_past_the_float_range_exits_2_without_warnings(self, capsys, driver, kind):
@@ -393,6 +410,35 @@ class TestFlowCompare:
         assert code == 2
         assert "n_paths must be >= 1" in out.err
         assert out.out == ""
+
+
+# each asks numpy for far more than the address space the command runs in
+HUGE_SIZES = [
+    "simulate --steps 4000000000000",
+    "flow-compare --steps 4000000000000 --paths 2",
+    "verify pathwise --steps 4000000000000",
+    "flow-compare --dim 100000 --steps 8 --paths 2",
+]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("args", HUGE_SIZES)
+def test_a_size_too_large_to_allocate_exits_2(args):
+    """Under a 2 GiB address-space limit only: without one, a command may
+    try to commit the memory."""
+    result = subprocess.run(
+        [sys.executable, "-m", "itoflow.cli", *args.split()],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: Unable to allocate")
 
 
 def test_console_script_runs():

@@ -80,7 +80,6 @@ def test_shared_behaviour(cls, keys, grade, data):
 
     blob = json.loads(json.dumps(a.to_json_dict()))
     assert cls.from_json_dict(blob) == a
-    assert cls.from_json(a.to_json()) == a
 
     kept = cls({k: c for k, c in a if grade(k) <= g})
     assert a.truncate(g) == kept
@@ -119,9 +118,10 @@ def test_grade_buckets_stay_out_of_equality_hash_and_json(cls, keys, grade, data
         for g in {grade(k) for k in a._terms}
     }
     assert a == fresh and hash(a) == hash(fresh)
-    assert a.to_json() == fresh.to_json()
-    assert "_classes" not in json.dumps(a.to_json_dict())
-    assert cls.from_json(a.to_json()) == a
+    text = json.dumps(a.to_json_dict())
+    assert text == json.dumps(fresh.to_json_dict())
+    assert "_classes" not in text
+    assert cls.from_json_dict(json.loads(text)) == a
 
 
 # weight at most 4, so a product of two stays within the default weight cap
@@ -217,5 +217,3 @@ def test_malformed_json_raises_value_error(cls, key, good, blob):
     assert cls.from_json_dict({"terms": [{key: good, "coeff": ONE}]})  # the well-formed twin
     with pytest.raises(ValueError):
         cls.from_json_dict(obj)
-    with pytest.raises(ValueError):
-        cls.from_json(json.dumps(obj))

@@ -166,7 +166,7 @@ class TestQuasiShuffleIdentityNumerically:
     @pytest.mark.parametrize("steps", [16, 256])
     def test_product_rule_brownian(self, steps):
         grid = make_grid(1.0, steps)
-        specs = {1: DriverSpec.brownian(1.0), 2: DriverSpec.brownian(0.5)}
+        specs = {1: DriverSpec("brownian", sigma=1.0), 2: DriverSpec("brownian", sigma=0.5)}
         bundle = simulate_bundle(specs, grid, seed=9, path_index=0)
         u = BracketWord([(1,), (2,)])
         v = BracketWord([(1,)])

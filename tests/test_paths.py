@@ -86,7 +86,7 @@ class TestSamplePath:
 
 
 @pytest.mark.parametrize(
-    "spec", [DriverSpec.brownian(), DriverSpec.poisson()], ids=["brownian", "poisson"]
+    "spec", [DriverSpec("brownian"), DriverSpec("poisson")], ids=["brownian", "poisson"]
 )
 @pytest.mark.parametrize(
     "grid, message",
@@ -109,9 +109,9 @@ SEED_SITES = {
     "rng_for-seed": lambda v: rng_for(v),
     "rng_for-path_index": lambda v: rng_for(0, v),
     "rng_for-driver_index": lambda v: rng_for(0, 0, v),
-    "simulate-seed": lambda v: simulate(DriverSpec.brownian(), GRID, seed=v),
-    "simulate-path_index": lambda v: simulate(DriverSpec.brownian(), GRID, path_index=v),
-    "simulate-driver_index": lambda v: simulate(DriverSpec.linear_drift(), GRID, driver_index=v),
+    "simulate-seed": lambda v: simulate(DriverSpec("brownian"), GRID, seed=v),
+    "simulate-path_index": lambda v: simulate(DriverSpec("brownian"), GRID, path_index=v),
+    "simulate-driver_index": lambda v: simulate(DriverSpec("linear_drift"), GRID, driver_index=v),
     "compare_flows-seed": lambda v: compare_flows(
         FlowProblem(1, [[0.5]], [[1.0]], 0.1, 4), [1], 4, seed=v
     ),
@@ -130,13 +130,13 @@ def test_stream_keys_are_counts(site, bad):
 
 class TestSimulate:
     def test_brownian_reproducible(self):
-        spec = DriverSpec.brownian(sigma=1.0)
+        spec = DriverSpec("brownian", sigma=1.0)
         a = simulate(spec, GRID, seed=5, path_index=0, driver_index=1)
         b = simulate(spec, GRID, seed=5, path_index=0, driver_index=1)
         assert np.array_equal(a.values, b.values)
 
     def test_streams_independent_across_indices(self):
-        spec = DriverSpec.brownian(sigma=1.0)
+        spec = DriverSpec("brownian", sigma=1.0)
         a = simulate(spec, GRID, seed=5, path_index=0, driver_index=1)
         b = simulate(spec, GRID, seed=5, path_index=0, driver_index=2)
         c = simulate(spec, GRID, seed=5, path_index=1, driver_index=1)
@@ -154,23 +154,23 @@ class TestSimulate:
         assert x.tobytes() == y.tobytes()
 
     def test_brownian_scaling(self):
-        spec = DriverSpec.brownian(sigma=0.0)
+        spec = DriverSpec("brownian", sigma=0.0)
         p = simulate(spec, GRID, seed=0, path_index=0, driver_index=1)
         assert np.all(p.values == 0)
 
     def test_poisson_counts_are_integers(self):
-        spec = DriverSpec.poisson(rate=3.0)
+        spec = DriverSpec("poisson", rate=3.0)
         p = simulate(spec, GRID, seed=2, path_index=0, driver_index=1)
         assert np.all(p.values == np.round(p.values))
         assert np.all(np.diff(p.values) >= 0)
 
     def test_poisson_warns_on_coarse_grid(self):
-        spec = DriverSpec.poisson(rate=200.0)
+        spec = DriverSpec("poisson", rate=200.0)
         with pytest.warns(GridResolutionWarning):
             simulate(spec, make_grid(1.0, 8), seed=0, path_index=0, driver_index=1)
 
     def test_linear_drift(self):
-        spec = DriverSpec.linear_drift(slope=2.0)
+        spec = DriverSpec("linear_drift", slope=2.0)
         p = simulate(spec, GRID, seed=0, path_index=0, driver_index=1)
         assert np.allclose(p.values, 2.0 * GRID)
 
@@ -183,9 +183,9 @@ class TestSimulate:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            DriverSpec.brownian(sigma=-1.0)
+            DriverSpec("brownian", sigma=-1.0)
         with pytest.raises(ValueError):
-            DriverSpec.poisson(rate=0.0)
+            DriverSpec("poisson", rate=0.0)
         with pytest.raises(ValueError):
             DriverSpec(kind="weird")
 
@@ -194,9 +194,11 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "make, field",
         [
-            (DriverSpec.brownian, "sigma"),
-            (DriverSpec.poisson, "rate"),
-            (DriverSpec.linear_drift, "slope"),
+            pytest.param(lambda v: DriverSpec("brownian", sigma=v), "sigma", id="brownian-sigma"),
+            pytest.param(lambda v: DriverSpec("poisson", rate=v), "rate", id="poisson-rate"),
+            pytest.param(
+                lambda v: DriverSpec("linear_drift", slope=v), "slope", id="linear_drift-slope"
+            ),
             (lambda v: DriverSpec("table", table=(0.0, v)), "table"),
         ],
     )
@@ -227,13 +229,20 @@ class TestDiscreteBracket:
         assert np.allclose(br.values, [0.0, 1.0, 1.0])
 
     def test_symmetric(self):
-        x = simulate(DriverSpec.brownian(1.0), GRID, 1, 0, 1)
-        y = simulate(DriverSpec.brownian(1.0), GRID, 1, 0, 2)
+        x = simulate(DriverSpec("brownian", sigma=1.0), GRID, 1, 0, 1)
+        y = simulate(DriverSpec("brownian", sigma=1.0), GRID, 1, 0, 2)
         assert np.array_equal(discrete_bracket(x, y).values, discrete_bracket(y, x).values)
+
+    def test_paths_on_different_grids_are_refused(self):
+        x = SamplePath([0.0, 0.5, 1.0], [0.0, 1.0, 1.0])
+        for grid in ([0.0, 1.0], [0.0, 0.25, 1.0]):  # another length, other points
+            y = SamplePath(grid, [0.0] * len(grid))
+            with pytest.raises(ValueError, match="paths must share a grid"):
+                discrete_bracket(x, y)
 
 
 def _bundle(seed=3):
-    specs = {1: DriverSpec.brownian(1.0), 2: DriverSpec.poisson(2.0)}
+    specs = {1: DriverSpec("brownian", sigma=1.0), 2: DriverSpec("poisson", rate=2.0)}
     return simulate_bundle(specs, GRID, seed=seed, path_index=0)
 
 
@@ -243,13 +252,13 @@ class TestBundle:
         assert b.letters() == [1, 2]
 
     def test_requires_positive_int_letters(self):
-        p = simulate(DriverSpec.brownian(1.0), GRID, 0, 0, 1)
+        p = simulate(DriverSpec("brownian", sigma=1.0), GRID, 0, 0, 1)
         with pytest.raises(ValueError):
             PathBundle({0: p})
 
     def test_requires_shared_grid(self):
-        p = simulate(DriverSpec.brownian(1.0), GRID, 0, 0, 1)
-        q = simulate(DriverSpec.brownian(1.0), make_grid(1.0, 32), 0, 0, 2)
+        p = simulate(DriverSpec("brownian", sigma=1.0), GRID, 0, 0, 1)
+        q = simulate(DriverSpec("brownian", sigma=1.0), make_grid(1.0, 32), 0, 0, 2)
         with pytest.raises(ValueError):
             PathBundle({1: p, 2: q})
 

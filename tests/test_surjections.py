@@ -3,6 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -159,22 +160,9 @@ class TestEnumeration:
         fs = enumerate_surjections(4, 2)
         assert fs == sorted(set(fs))
 
-    def test_bounded_fibers(self):
-        fs = enumerate_surjections(4, 2, max_fiber=2)
-        assert all(max(f.count(v) for v in set(f)) <= 2 for f in fs)
-        assert len(fs) == 6  # pairings of {1,2,3,4} into two ordered fibers of size 2
-
-    def test_max_fiber_zero_is_unbounded(self):
-        assert enumerate_surjections(4, 2, max_fiber=0) == enumerate_surjections(4, 2)
-        with pytest.raises(ValueError, match="max_fiber"):
-            enumerate_surjections(4, 2, max_fiber=-1)
-
-    @pytest.mark.parametrize(
-        "args, message", [((3, -1), "max_fiber must be >= 0"), ((-2,), "n must be >= 0, not -2")]
-    )
-    def test_grade_bounds_are_checked(self, args, message):
-        with pytest.raises(ValueError, match=message):
-            enumerate_grade(*args)
+    def test_grade_bounds_are_checked(self):
+        with pytest.raises(ValueError, match="n must be >= 0, not -2"):
+            enumerate_grade(-2)
 
     @pytest.mark.parametrize(
         "enumerate_, args",
@@ -189,25 +177,17 @@ class TestEnumeration:
         with caps(grade=4):
             assert enumerate_(*args)
 
-    def test_bounded_grade_continuous_counts(self):
-        # fiber size <= 2: n=3 gives 6 bijections + 6 one-pair maps
-        assert len(enumerate_grade(3, max_fiber=2)) == 12
-        assert len(enumerate_grade(2, max_fiber=2)) == 3
-
 
 class TestGradeTable:
-    @pytest.mark.parametrize("max_fiber", [0, 2])
     @pytest.mark.parametrize("n", range(7))
-    def test_table_equals_a_fresh_enumeration(self, n, max_fiber):
-        """One table per arity; max_fiber filters it to the pruned
-        enumeration, in the same (k, lex) order."""
+    def test_table_equals_a_fresh_enumeration(self, n):
+        """One table per arity, in (k, lex) order."""
         surjs, descents = _grade_table(n)
         every = [f for k in range(n + 1) for f in kernels.surjections(n, k)]
         assert list(surjs) == every  # (k, lex) order
         assert all(type(f) is Surjection for f in surjs)
         assert descents == tuple(map(kernels.descent_count, every))
-        fresh = [f for k in range(n + 1) for f in kernels.surjections(n, k, max_fiber)]
-        assert enumerate_grade(n, max_fiber) == fresh
+        assert enumerate_grade(n) == every
 
     def test_changing_the_returned_list_leaves_the_next_call_unchanged(self):
         first = enumerate_grade(4)
@@ -221,7 +201,6 @@ class TestGradeTable:
         alphabet = DriverAlphabet(1, continuous=False)
         calls = [
             lambda: enumerate_grade(4),
-            lambda: enumerate_grade(4, max_fiber=2),
             lambda: log_identity_closed_form(4),
             lambda: log_flow_terms(alphabet, 4),
         ]
@@ -239,8 +218,7 @@ class TestGradeTable:
         before = _kept_grade_table.cache_info()
         with caps(grade=7):
             surjs, descents = _grade_table(7)
-            paired = [f for f in surjs if max(map(f.count, f)) <= 2]
-            assert enumerate_grade(7, max_fiber=2) == paired
+            assert enumerate_grade(7) == list(surjs)
         assert len(descents) == sum(len(kernels.surjections(7, k)) for k in range(8))
         assert _kept_grade_table.cache_info() == before
 
@@ -250,7 +228,7 @@ class TestGradeTable:
         log_identity_closed_form(6)
         log_flow_terms(DriverAlphabet(1), 6)
         log_flow_terms(DriverAlphabet(1, continuous=False), 6)
-        enumerate_grade(6, max_fiber=2)
+        enumerate_grade(6)
         assert _kept_grade_table.cache_info().currsize == 6
 
     def test_filling_the_table_calls_no_exported_kernel(self, monkeypatch):
@@ -270,6 +248,7 @@ class TestGradeTable:
 
 
 @lru_cache(maxsize=64)
+@lru_cache(maxsize=None)
 def onto_maps(n, k):
     """Every map [n] -> [k] that is onto [k], from all k**n maps, sorted.
 
@@ -280,14 +259,61 @@ def onto_maps(n, k):
     return sorted(f for f in product(range(1, k + 1), repeat=n if k <= n else 0) if set(f) == onto)
 
 
-@pytest.mark.parametrize("max_fiber", range(4))
 @pytest.mark.parametrize(("n", "k"), [(n, k) for n in range(8) for k in range(n + 2)])
-def test_kernel_surjections_match_brute_force(n, k, max_fiber):
-    """Includes k > n, k = 0 and fiber caps that leave nothing, which the
-    public enumerators refuse before reaching the kernel."""
-    expected = [f for f in onto_maps(n, k) if all(f.count(v) <= (max_fiber or n) for v in f)]
-    assert kernels.surjections(n, k, max_fiber) == expected
+def test_kernel_surjections_match_brute_force(n, k):
+    """Includes k > n and k = 0, which the public enumerators refuse before
+    reaching the kernel."""
+    assert kernels.surjections(n, k) == onto_maps(n, k)
 
+
+# every arity up to 7 and every k up to arity + 1, in both driver modes
+TEMPLATE_GRID = [(n, k) for n in range(1, 8) for k in range(n + 2)]
+MODES = pytest.mark.parametrize("continuous", [True, False], ids=["continuous", "jumps"])
+
+
+@lru_cache(maxsize=None)
+def _order_templates(n, continuous):
+    """The order-n templates of log_flow_terms, in table order."""
+    with caps(grade=7):
+        terms = log_flow_terms(DriverAlphabet(1, continuous=continuous), n)
+    return tuple(t for t in terms if t.order == n)
+
+
+def _continuous_templates(n):
+    """The surjections of the order-n continuous templates, in table order."""
+    return [t.surjection() for t in _order_templates(n, True)]
+
+
+class TestContinuousTemplates:
+    """log_flow_terms is the one home of the continuous-driver rule: a
+    surjection survives when each of its fibers holds at most two positions.
+    With jumps every surjection survives."""
+
+    @MODES
+    @pytest.mark.parametrize(("n", "k"), TEMPLATE_GRID)
+    def test_match_brute_force(self, n, k, continuous):
+        bound = 2 if continuous else n
+        expected = [f for f in onto_maps(n, k) if all(f.count(v) <= bound for v in f)]
+        onto_k = [t.surjection() for t in _order_templates(n, continuous) if len(t.partition) == k]
+        assert onto_k == expected
+
+    @MODES
+    @pytest.mark.parametrize(("n", "k"), TEMPLATE_GRID)
+    def test_coefficients_are_the_descent_law(self, n, k, continuous):
+        """(-1)^d / (n * binomial(n - 1, d)), d the positions i with
+        f(i) >= f(i + 1), counted here from the values themselves."""
+        for t in _order_templates(n, continuous):
+            if len(t.partition) == k:
+                f = t.surjection()
+                d = sum(a >= b for a, b in zip(f, f[1:]))
+                assert t.coeff == Fraction((-1) ** d, n * comb(n - 1, d))
+
+    def test_bounded_fiber_counts(self):
+        # pairings of {1,2,3,4} into two ordered fibers of size 2
+        assert sum(f.onto == 2 for f in _continuous_templates(4)) == 6
+        # arity 3: 6 bijections and 6 maps with one pair
+        assert len(_continuous_templates(3)) == 12
+        assert len(_continuous_templates(2)) == 3
 
 
 def test_diamond_kernel_matches_brute_force():

@@ -57,8 +57,8 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from ._config import _count, _finite, _typed
-from .words import BracketWord, Expansion, WordLike, as_word
+from ._config import FloatRangeError, _count, _finite, _typed
+from .words import BracketWord, Expansion, WordLike, as_word, word_literal
 from .paths import PathBundle
 
 
@@ -298,17 +298,25 @@ class Evaluator:
             self._terminal_cache[w] = _read_only(run[trie[w]].reshape(shape).copy())
 
     def __call__(self, e: Union[Expansion, WordLike]) -> np.ndarray:
-        """Terminal value of an expansion: rationals become floats here."""
+        """Terminal value of an expansion: rationals become floats here.
+
+        A coefficient past the float range raises FloatRangeError naming its word.
+        """
         if not isinstance(e, Expansion):
             return self.word_terminal(e)
-        words, coeffs = e.support(), e._terms
+        words, nums, den = e.support(), e._terms, e._den
         out = np.zeros(self.shape[:-1])
         # one term at a time, in support order: a vectorised sum would add
         # in another order and change the bits
         for w, value in zip(words, self.terminals(words)):
-            c = coeffs[w]
-            # float(c), correctly rounded, without numbers.Rational.__float__
-            out = out + c.numerator / c.denominator * value
+            # int division is correctly rounded, whether den is the least or not
+            try:
+                c = nums[w] / den
+            except OverflowError:
+                raise FloatRangeError(
+                    f"the coefficient of {word_literal(w)} is past the float range"
+                ) from None
+            out = out + c * value
         return out
 
 

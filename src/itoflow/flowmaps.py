@@ -137,10 +137,11 @@ def log_flow_terms(alphabet: DriverAlphabet, order: int) -> list[LogTerm]:
     _typed("alphabet", alphabet, DriverAlphabet)
     order = check_grade(_count("order", order))
     max_fiber = 2 if alphabet.continuous else order
+    laws = [(n, *_descent_law_terms(n)) for n in range(1, order + 1)]
     return [
-        LogTerm(order=n, partition=f.fibers(), coeff=c)
-        for n in range(1, order + 1)
-        for f, c in _descent_law_terms(n)
+        LogTerm(order=n, partition=f.fibers(), coeff=Fraction(c, den))
+        for n, surjs, nums, den in laws
+        for f, c in zip(surjs, nums)
         if max(map(f.count, f)) <= max_fiber
     ]
 
@@ -155,9 +156,11 @@ def apply_vanishing_rules(e: Expansion, alphabet: DriverAlphabet) -> Expansion:
     quadratic-variation letter when those are named.  A letter outside
     the alphabet raises ValueError, wherever it stands.
     """
+    _typed("e", e, Expansion)
     _typed("alphabet", alphabet, DriverAlphabet)
-    out: dict[BracketWord, Fraction] = {}
-    for w, c in e:
+    out: dict[BracketWord, int] = {}
+    terms = e._terms
+    for w in e.support():
         # every block's depth before any rule, so each letter is checked
         depths = [sum(map(alphabet.bracket_depth, b)) for b in w]
         blocks = []
@@ -170,8 +173,8 @@ def apply_vanishing_rules(e: Expansion, alphabet: DriverAlphabet) -> Expansion:
                 b = (alphabet.qv_letter(b[0]),)
             blocks.append(b)
         else:  # no block vanished
-            accumulate(out, BracketWord(blocks), c)
-    return Expansion._raw(out)
+            accumulate(out, BracketWord(blocks), terms[w])
+    return Expansion._raw(out, e._den)
 
 
 def terms_to_json(terms: Iterable[LogTerm], **kwargs) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations
-from math import comb, lcm
+from math import comb, factorial, lcm
 from typing import Iterable
 
 from ._config import _count, _typed, check_grade
@@ -30,7 +30,6 @@ from .surjections import (
     descent_sum_within,
     diamond,
 )
-from .words import add_scaled
 
 
 def descent_coefficient(n: int, d: int) -> Fraction:
@@ -54,37 +53,40 @@ def log_identity_series(max_grade: int) -> SurjElement:
     positive-arity identities, truncated beyond max_grade.
     """
     max_grade = check_grade(_count("max_grade", max_grade))
-    # int-valued throughout: the sum is scaled by L = lcm(1..max_grade), so
-    # the k-th power enters with the integer weight (-1)^(k-1) L/k
     x = SurjElement._raw({Surjection.identity(n): 1 for n in range(1, max_grade + 1)})
-    scale = lcm(*range(1, max_grade + 1))
-    out: dict = {}
-    power = SurjElement._raw({Surjection(): 1})
+    power = SurjElement.unit()
+    terms = []
     for k in range(1, max_grade + 1):
         power = diamond(power, x, max_grade=max_grade)
-        add_scaled(out, power._terms, (-1) ** (k - 1) * (scale // k))
-    return SurjElement._over(out, scale)
+        terms.append(power * Fraction((-1) ** (k - 1), k))
+    return SurjElement.sum(terms)
 
 
 def _descent_law_terms(n: int):
-    """The descent law over the arity's table: (f, descent_coefficient(n, d))
-    for each arity-n surjection f in (k, lex) order, d its descent count.
+    """The descent law over the arity's table, as int numerators over one
+    denominator: (surjections, numerators, den), the arity-n surjections in
+    (k, lex) order and beside each f the numerator of
+    descent_coefficient(n, d) over den, d the descent count of f.
 
     Both log_identity_closed_form and flowmaps.log_flow_terms read their
     coefficients here.  n must already be within the grade cap.
     """
     surjs, descents = _grade_table(n)
-    by_descents = [descent_coefficient(n, d) for d in range(n)]
-    return zip(surjs, map(by_descents.__getitem__, descents))
+    dens = [n * comb(n - 1, d) for d in range(n)]
+    den = lcm(*dens)
+    by_descents = [(-1) ** d * (den // m) for d, m in enumerate(dens)]
+    return surjs, map(by_descents.__getitem__, descents), den
 
 
 def log_identity_closed_form(max_grade: int) -> SurjElement:
     """The same element from the descent-count coefficient law directly."""
     max_grade = check_grade(_count("max_grade", max_grade))
+    laws = [_descent_law_terms(n) for n in range(1, max_grade + 1)]
+    den = lcm(*(d for _, _, d in laws))
     data = {}
-    for n in range(1, max_grade + 1):
-        data.update(_descent_law_terms(n))
-    return SurjElement._raw(data)
+    for surjs, nums, d in laws:  # arities share no surjection: nothing to add up
+        data.update(zip(surjs, map((den // d).__mul__, nums)))
+    return SurjElement._raw(data, den)
 
 
 def log_identity_subset_form(max_grade: int) -> SurjElement:
@@ -136,25 +138,13 @@ def exp_element(e: SurjElement, max_grade: int) -> SurjElement:
     max_grade = check_grade(_count("max_grade", max_grade))
     if Surjection() in e:
         raise ValueError("exp needs an element with no grade-0 term")
-    # e = nums / d; the sum is scaled by n! d^n (n = max_grade), so the k-th
-    # power of nums enters with the integer weight n!/k! d^(n-k)
-    nums, d = e.truncate(max_grade)._numerators()
-    unit = Surjection()
-    weights = _exp_weights(max_grade, d)
-    out = {unit: weights[0]}
-    power = SurjElement._raw({unit: 1})
+    e = e.truncate(max_grade)
+    power = SurjElement.unit()
+    terms = [power]
     for k in range(1, max_grade + 1):
-        power = diamond(power, nums, max_grade=max_grade)
-        add_scaled(out, power._terms, weights[k])
-    return SurjElement._over(out, weights[0])
-
-
-def _exp_weights(n: int, d: int) -> list[int]:
-    """n!/k! d^(n-k) for k = 0..n: the exponential series scaled by n! d^n."""
-    weights = [1] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        weights[k] = weights[k + 1] * (k + 1) * d
-    return weights
+        power = diamond(power, e, max_grade=max_grade)
+        terms.append(power * Fraction(1, factorial(k)))
+    return SurjElement.sum(terms)
 
 
 def strichartz_restriction(max_grade: int) -> SurjElement:

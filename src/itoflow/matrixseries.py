@@ -18,22 +18,15 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import lcm, prod
+from math import factorial, lcm, prod
 from typing import Callable, Iterable, Mapping
 
 from ._config import _count, _typed, check_weight
 from .flowmaps import DriverAlphabet, apply_vanishing_rules
 from .kernels import fibers_of, merge_fibers
-from .logseries import _exp_weights, log_identity_closed_form
+from .logseries import log_identity_closed_form
 from .quasishuffle import qsh
-from .words import (
-    UNIT_WORD,
-    BracketWord,
-    Expansion,
-    accumulate,
-    add_scaled,
-    refuse_malformed,
-)
+from .words import BracketWord, Expansion, accumulate, refuse_malformed
 
 LETTER_ENCODING = "row-major: letter(i, j) = (i - 1) * dim + j, 1-based"
 
@@ -177,15 +170,16 @@ def _integrate_against(me: MatrixExpansion) -> MatrixExpansion:
     """
     d = me.dim
     rows = []
-    for i in range(d):
+    for entries in me.entries:
+        den = lcm(*(e._den for e in entries))
         row = []
         for j in range(d):
-            acc: dict[BracketWord, Fraction] = {}
-            for k in range(d):
-                letter = entry_letter(k + 1, j + 1, d)
-                for w, c in me.entries[i][k]:
-                    accumulate(acc, BracketWord._wrap(tuple(w) + ((letter,),)), c)
-            row.append(Expansion._raw(acc))
+            # the words of distinct k end in distinct letters: no two add up
+            acc: dict[BracketWord, int] = {}
+            for k, e in enumerate(entries):
+                last, s = (entry_letter(k + 1, j + 1, d),), den // e._den
+                acc.update({BracketWord._wrap((*w, last)): c * s for w, c in e._terms.items()})
+            row.append(Expansion._raw(acc, den))
         rows.append(row)
     return MatrixExpansion(d, rows)
 
@@ -213,23 +207,23 @@ def matrix_log(dim: int, order: int) -> MatrixExpansion:
     of entry letters.  apply_element is the per-term oracle.
     """
     order = check_weight(_count("order", order))
-    log_nums, d = log_identity_closed_form(order)._numerators()
+    element = log_identity_closed_form(order)
     fibers = [[] for _ in range(order + 1)]
     coeffs = [[] for _ in range(order + 1)]
-    for f, c in log_nums._terms.items():
+    for f, c in element._terms.items():
         fibers[len(f)].append(fibers_of(f))
         coeffs[len(f)].append(c)
 
     def log(e: Expansion) -> Expansion:
-        nums, t = e._numerators()
         data: dict = {}
         get = data.get
-        for w, cw in nums._terms.items():
+        for w, cw in e._terms.items():
             n = len(w)
             for v, c in zip(map(merge_fibers, fibers[n], itertools.repeat(w)), coeffs[n]):
                 prev = get(v)
                 data[v] = cw * c if prev is None else prev + cw * c
-        return Expansion._over({BracketWord._wrap(v): c for v, c in data.items()}, t * d)
+        words = {BracketWord._wrap(v): c for v, c in data.items() if c}
+        return Expansion._raw(words, e._den * element._den)
 
     return matrix_ito_taylor(dim, order).map_entries(log)
 
@@ -257,14 +251,14 @@ def linear_field_log(alphabet: DriverAlphabet, order: int, generators: Mapping) 
     subs = [()] + [[(i, m[a][b]) for i, m in mats.items() if m[a][b]] for a, b in positions]
 
     def entry(e: Expansion) -> Expansion:
-        nums, d = e._numerators()
         data: dict = {}
-        for w, cw in nums._terms.items():
+        for w, cw in e._terms.items():
             for combo in itertools.product(*(subs[m] for b in w for m in b)):
                 letters = iter(combo)
                 word = tuple(tuple(sorted(next(letters)[0] for _ in b)) for b in w)
                 accumulate(data, BracketWord._wrap(word), cw * prod(a for _, a in combo))
-        return apply_vanishing_rules(Expansion._over(data, d), alphabet)
+        # the generator entries may be Fractions: the constructor puts them over one denominator
+        return apply_vanishing_rules(Expansion(data) * Fraction(1, e._den), alphabet)
 
     return tuple(tuple(map(entry, row)) for row in matrix_log(dim, order).entries)
 
@@ -279,23 +273,12 @@ def matrix_exp(me: MatrixExpansion, order: int) -> MatrixExpansion:
     _typed("me", me, MatrixExpansion)
     if me.has_constant_part():
         raise ValueError("exp needs an expansion with no weight-0 part")
-    # as in exp_element: me = nums / d, and the sum is scaled by n! d^n
-    # (n = order), so the k-th power of nums enters with weight n!/k! d^(n-k)
     me = me.truncate_weight(order)
-    dim = me.dim
-    d = lcm(*(e._denominator() for row in me.entries for e in row))
-    nums = me.map_entries(lambda e: e._numerators(d)[0])
-    weights = _exp_weights(order, d)
-    diagonal = [[i == j for j in range(dim)] for i in range(dim)]
-    total = [[{UNIT_WORD: weights[0]} if on else {} for on in row] for row in diagonal]
-    power = MatrixExpansion(
-        dim, [[Expansion._raw({UNIT_WORD: 1} if on else {}) for on in row] for row in diagonal]
-    )
+    power = MatrixExpansion.identity(me.dim)
+    terms = [power]
     for k in range(1, order + 1):
-        power = power.matmul(nums, max_weight=order)
-        for acc_row, row in zip(total, power.entries):
-            for acc, e in zip(acc_row, row):
-                add_scaled(acc, e._terms, weights[k])
-    return MatrixExpansion(
-        dim, [[Expansion._over(acc, weights[0]) for acc in row] for row in total]
-    )
+        power = power.matmul(me, max_weight=order)
+        terms.append(power * Fraction(1, factorial(k)))
+    # entry (i, j) of the sum: zip regroups the terms' rows, then each row's entries
+    rows = zip(*(t.entries for t in terms))
+    return MatrixExpansion(me.dim, [list(map(Expansion.sum, zip(*row))) for row in rows])

@@ -31,12 +31,16 @@ from .words import (
     as_word,
     block_product,
     graded_pairs,
-    whole,
 )
 
 
 def _as_expansion(x) -> Expansion:
-    return x if isinstance(x, Expansion) else Expansion._raw({as_word(x): whole(1)})
+    return x if isinstance(x, Expansion) else Expansion._raw({as_word(x): 1})
+
+
+def _den(x) -> int:
+    """The denominator of an expansion's numerators, or 1 for a word."""
+    return x._den if isinstance(x, Expansion) else 1
 
 
 def _weight_classes(x) -> dict:
@@ -67,12 +71,10 @@ def qsh(*operands, max_weight: int | None = None) -> Expansion:
     past max_weight is skipped whole, before the cap check and before any
     coefficient work.  This is the tool for truncated-series arithmetic.
 
-    The terms of each product are added into one dict keyed by plain
-    tuples; each distinct word is wrapped once, and zero sums are dropped,
-    at the end.  A word operand carries the int 1, so a product of two
-    words adds int multiplicities, and each becomes a coefficient once, at
-    the end, from the shared table of words.whole: two equal products then
-    hold the same coefficient objects.
+    The int numerators of each product's terms are added into one dict
+    keyed by plain tuples, over the product of the operands' denominators;
+    each distinct word is wrapped once, and zero sums are dropped, at the
+    end.  A word operand carries the numerator 1 over 1.
     """
     if max_weight is not None:
         max_weight = _count("max_weight", max_weight, 0)
@@ -84,14 +86,10 @@ def qsh(*operands, max_weight: int | None = None) -> Expansion:
         get = data.get
         for u, v, c in _weight_pairs(acc, rhs, max_weight):
             for w, mult in qsh_words(u, v).items():
-                t = c if mult == 1 else c * mult
                 prev = get(w)
-                # a new key starts at t: 0 + t takes Fraction's slow __radd__
-                data[w] = t if prev is None else prev + t
-        if isinstance(acc, Expansion) or isinstance(rhs, Expansion):
-            acc = Expansion._raw({BracketWord._wrap(w): c for w, c in data.items() if c})
-        else:  # two words: every sum is a positive int
-            acc = Expansion._raw({BracketWord._wrap(w): whole(c) for w, c in data.items()})
+                data[w] = c * mult if prev is None else prev + c * mult
+        words = {BracketWord._wrap(w): c for w, c in data.items() if c}
+        acc = Expansion._raw(words, _den(acc) * _den(rhs))
     return _as_expansion(acc)
 
 
@@ -113,13 +111,13 @@ def _bullet_pair(u: BracketWord, v: BracketWord):
 
 
 def _bilinear(pair_op, a, b) -> Expansion:
-    """pair_op extended bilinearly, its Fractions built once, at the end."""
+    """pair_op extended bilinearly."""
     data = {}
     for u, v, c in _weight_pairs(a, b):
         _require_nonempty(u, v)
         for w, mult in pair_op(u, v):
             accumulate(data, w, c * mult)
-    return Expansion._over(data, 1)
+    return Expansion._raw(data, _den(a) * _den(b))
 
 
 def half_up(u, v) -> Expansion:
@@ -157,15 +155,15 @@ def qsh_via_surjections(u: WordLike, v: WordLike) -> Expansion:
     into u's blocks, v's blocks and the merges of a block of u with a
     block of v, which are worked out once per call.  The weight cap is
     checked before the memo is read, so a memoized shape still raises
-    CapExceeded when the cap is lowered.  Each word's count becomes its
-    coefficient from the shared table of words.whole, as in qsh.
+    CapExceeded when the cap is lowered.  Each word's count is its
+    numerator, over 1.
     """
     u, v = as_word(u), as_word(v)
     check_weight(u.weight + v.weight)
     _, picks = diamond_plan(len(u), len(v))
     blocks = (*u, *v, *[block_product(a, b) for a in u for b in v])
     counts = Counter(pick(blocks) for pick in picks)
-    return Expansion._raw({BracketWord._wrap(w): whole(c) for w, c in counts.items()})
+    return Expansion._raw({BracketWord._wrap(w): c for w, c in counts.items()})
 
 
 def shuffle_projection(e: Expansion) -> Expansion:

@@ -15,7 +15,6 @@ provided exactly and as subset-closed sums, related by inclusion-exclusion.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Iterable, Sequence, Union
 
@@ -217,7 +216,7 @@ def diamond(a: ElementLike, b: ElementLike, max_grade: int | None = None) -> Sur
             prev = get(h)
             data[h] = c if prev is None else prev + c
     wrapped = zip(map(Surjection._wrap, data), data.values())
-    return SurjElement._raw({h: c for h, c in wrapped if c})
+    return SurjElement._raw({h: c for h, c in wrapped if c}, ea._den * eb._den)
 
 
 def diamond_reference(f: SurjLike, g: SurjLike) -> SurjElement:
@@ -331,7 +330,7 @@ def apply_element(e: SurjElement, w: WordLike) -> Expansion:
     """
     _typed("e", e, SurjElement)
     w = as_word(w)
-    data: dict[BracketWord, Fraction] = {}
+    data: dict[BracketWord, int] = {}
     for f, c in e._terms.items():
         accumulate(data, apply_surjection(f, w), c)
-    return Expansion._raw(data)
+    return Expansion._raw(data, e._den)

@@ -142,7 +142,7 @@ def check_linear_fields(
                 accumulate(want[pq], word, t.coeff * c)
     got = linear_field_log(alphabet, order, {i + 1: g for i, g in enumerate(gens)})
     return sum(
-        _mismatch(apply_vanishing_rules(Expansion._raw(w), alphabet), g)
+        _mismatch(apply_vanishing_rules(Expansion(w), alphabet), g)
         for w, g in zip(want, itertools.chain(*got))
     )
 

@@ -214,18 +214,6 @@ def _parse_compact(text: str) -> BracketWord:
 # -- exact coefficients -------------------------------------------------------
 
 
-# Fraction(n) for 0 <= n < 256, one shared object per value.  A product of
-# words has non-negative int multiplicities; taking its coefficients from
-# this fixed table makes two equal products hold the same objects, so
-# comparing them is decided by identity, never by Fraction.__eq__.
-_WHOLE = tuple(map(Fraction, range(256)))
-
-
-def whole(n: int) -> Fraction:
-    """Fraction(n) for an int multiplicity n >= 0, shared while n < 256."""
-    return _WHOLE[n] if n < 256 else Fraction(n)
-
-
 def frac_to_json(c: Fraction) -> dict:
     return {"num": str(c.numerator), "den": str(c.denominator)}
 
@@ -262,7 +250,7 @@ def frac_str(c: Fraction) -> str:
 
 
 def graded_pairs(left: dict, right: dict, max_grade, check):
-    """Term pairs (x, y, cx * cy) of two coefficient maps, by grade class.
+    """Term pairs (x, y, cx * cy) of two numerator maps, by grade class.
 
     left and right are the maps bucketed by grade, as Combination._graded
     keeps them; the grade must add up on products (word weight for qsh,
@@ -283,29 +271,13 @@ def graded_pairs(left: dict, right: dict, max_grade, check):
 
 
 def accumulate(data: dict, key, c) -> None:
-    """data[key] += c for exact coefficients; a zero sum drops the key.
-
-    A new key starts at c itself: 0 + c would take the slow
-    Fraction.__radd__ route for every new term.
-    """
+    """data[key] += c for exact coefficients; a zero sum drops the key."""
     prev = data.get(key)
     tot = c if prev is None else prev + c
     if tot:
         data[key] = tot
     else:
         data.pop(key, None)
-
-
-def add_scaled(data: dict, terms: dict, s) -> None:
-    """data[key] += s * c for every term of terms.
-
-    A zero sum stays in data: each caller drops its zeros once, at the
-    end, as Combination._over does.
-    """
-    get = data.get
-    for k, c in terms.items():
-        prev = get(k)
-        data[k] = s * c if prev is None else prev + s * c
 
 
 def _json_list(key):
@@ -316,17 +288,21 @@ def _json_list(key):
 class Combination:
     """Finite formal sum of graded keys with exact rational coefficients.
 
-    Zero coefficients are never stored; equality is exact coefficient-map
-    equality between combinations of one type.  A subclass sets what is
-    particular to its keys: _coerce (key coercion), _grade (key grade),
-    _render (display; an empty string marks a constant term), _json_key
-    (name of the key field in JSON) and _product (where the product of two
-    combinations lives).  Keys are tuples, listed in length-lexicographic
-    order: fewer entries first, then lexicographic.
+    The coefficients have one form: _terms maps each key to a nonzero int
+    numerator, over _den, one positive denominator shared by every term and
+    not necessarily the least one.  Products multiply denominators and sums
+    take their lcm, so every exact loop adds and multiplies ints; iteration,
+    [], pretty and JSON read each coefficient out as a reduced Fraction.
+    Equality is equality of those values between combinations of one type.
+    A subclass sets what is particular to its keys: _coerce (key coercion),
+    _grade (key grade), _render (display; an empty string marks a constant
+    term), _json_key (name of the key field in JSON) and _product (where
+    the product of two combinations lives).  Keys are tuples, listed in
+    length-lexicographic order: fewer entries first, then lexicographic.
     """
 
     # _classes: the terms bucketed by grade, filled on first use (_graded)
-    __slots__ = ("_terms", "_classes")
+    __slots__ = ("_terms", "_den", "_classes")
 
     def __init__(self, terms=None):
         data: dict = {}
@@ -334,8 +310,10 @@ class Combination:
             coerce = self._coerce
             items = terms.items() if isinstance(terms, Mapping) else terms
             for k, c in items:
-                accumulate(data, coerce(k), Fraction(c))
-        self._terms = data
+                accumulate(data, coerce(k), _typed("coefficient", c, int, Fraction))
+        den = lcm(*(c.denominator for c in data.values()))
+        self._terms = {k: c.numerator * (den // c.denominator) for k, c in data.items()}
+        self._den = den
 
     # construction helpers
     @classmethod
@@ -352,52 +330,30 @@ class Combination:
         return cls([(key, coeff)])
 
     @classmethod
-    def _raw(cls, data: dict):
+    def _raw(cls, data: dict, den: int = 1):
+        """The combination data / den: nonzero int numerators, taken as they are."""
         e = cls.__new__(cls)
         e._terms = data
+        e._den = den
         return e
 
     @classmethod
     def sum(cls, combinations: Iterable["Combination"]):
-        """Sum of combinations, accumulated into one dict (no copy per term);
-        zero sums are dropped once, at the end."""
+        """Sum of combinations over the lcm of their denominators, accumulated
+        into one dict (no copy per term); zero sums are dropped once, at the end."""
+        combinations = list(combinations)
+        den = lcm(*(e._den for e in combinations))
         data: dict = {}
         get = data.get
         for e in combinations:
+            s = den // e._den
             for k, c in e._terms.items():
                 prev = get(k)
-                data[k] = c if prev is None else prev + c
-        return cls._raw({k: c for k, c in data.items() if c})
-
-    # integer numerators: the exact series loops multiply and add int-valued
-    # combinations over one common denominator and build one Fraction per
-    # output term at the end, instead of normalizing a Fraction per step
-    def _numerators(self, d: int | None = None):
-        """(copy with int coefficients c * d, d).
-
-        d defaults to the lcm of the denominators; a given d must be a
-        multiple of each of them.
-        """
-        terms = self._terms
-        if d is None:
-            d = self._denominator()
-        return self._raw({k: c.numerator * (d // c.denominator) for k, c in terms.items()}), d
-
-    def _denominator(self) -> int:
-        """lcm of the coefficient denominators (1 for zero)."""
-        return lcm(*(c.denominator for c in self._terms.values()))
-
-    @classmethod
-    def _over(cls, nums: dict, d: int):
-        """The Fraction-valued combination nums / d; zero numerators are dropped.
-
-        One Fraction is built per distinct numerator and shared by its terms.
-        """
-        fracs = {n: Fraction(n, d) for n in set(nums.values()) if n}
-        return cls._raw({k: fracs[n] for k, n in nums.items() if n})
+                data[k] = c * s if prev is None else prev + c * s
+        return cls._raw({k: c for k, c in data.items() if c}, den)
 
     def _graded(self) -> dict:
-        """The terms as grade -> [(key, coeff), ...], worked out once and kept.
+        """The terms as grade -> [(key, numerator), ...], worked out once and kept.
 
         A combination never changes after it is built, so an operand used
         in many products is bucketed once.  The slot takes no part in ==,
@@ -421,11 +377,12 @@ class Combination:
         return bool(self._terms)
 
     def __iter__(self) -> Iterator[tuple]:
+        terms, den = self._terms, self._den
         for k in self.support():
-            yield k, self._terms[k]
+            yield k, Fraction(terms[k], den)
 
     def __getitem__(self, key) -> Fraction:
-        return self._terms.get(self._coerce(key), Fraction(0))
+        return Fraction(self._terms.get(self._coerce(key), 0), self._den)
 
     def __contains__(self, key) -> bool:
         return self._coerce(key) in self._terms
@@ -440,18 +397,19 @@ class Combination:
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._terms == other._terms
+        a, b, da, db = self._terms, other._terms, self._den, other._den
+        if da == db:
+            return a == b
+        return a.keys() == b.keys() and all(c * db == b[k] * da for k, c in a.items())
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        den = self._den
+        return hash(frozenset((k, Fraction(c, den)) for k, c in self._terms.items()))
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        data = dict(self._terms)
-        for k, c in other._terms.items():
-            accumulate(data, k, c)
-        return self._raw(data)
+        return self.sum((self, other))
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -459,20 +417,18 @@ class Combination:
         return self + (-other)
 
     def __neg__(self):
-        return self._raw({k: -c for k, c in self._terms.items()})
+        return self._raw({k: -c for k, c in self._terms.items()}, self._den)
 
     def __mul__(self, scalar):
         if isinstance(scalar, type(self)):
             raise TypeError(f"use {self._product}")
-        if not isinstance(scalar, (int, Fraction)):
-            raise TypeError(
-                f"coefficients are exact rationals; got {type(scalar).__name__} "
-                "(wrap in fractions.Fraction)"
-            )
-        c = Fraction(scalar)
+        c = _typed("coefficient", scalar, int, Fraction)
         if not c:
             return type(self)()
-        return self._raw({k: b * c for k, b in self._terms.items()})
+        n, terms = c.numerator, self._terms
+        # a combination never changes once built, so one numerator map can serve two
+        nums = terms if n == 1 else {k: b * n for k, b in terms.items()}
+        return self._raw(nums, self._den * c.denominator)
 
     __rmul__ = __mul__
 
@@ -487,13 +443,13 @@ class Combination:
         """Homogeneous part of the given grade."""
         grade = _count("grade", grade, 0)
         g = self._grade
-        return self._raw({k: c for k, c in self._terms.items() if g(k) == grade})
+        return self._raw({k: c for k, c in self._terms.items() if g(k) == grade}, self._den)
 
     def truncate(self, max_grade: int):
         """Drop every term of grade above max_grade."""
         max_grade = _count("max_grade", max_grade, 0)
         g = self._grade
-        return self._raw({k: c for k, c in self._terms.items() if g(k) <= max_grade})
+        return self._raw({k: c for k, c in self._terms.items() if g(k) <= max_grade}, self._den)
 
     # rendering
     def pretty(self) -> str:

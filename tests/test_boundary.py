@@ -221,6 +221,13 @@ CONSTRUCTOR_ROWS = {
     ),
     "MatrixExpansion-int-entry": lambda: MatrixExpansion(1, [[1]]),
     "MatrixExpansion-no-rows": lambda: MatrixExpansion(1, None),
+    # a coefficient is an int or a Fraction, in the constructor as in *
+    **{
+        f"{cls.__name__}-coefficient-{bad!r}": partial(cls, [(key, bad)])
+        for cls, key in ((Expansion, WORD), (SurjElement, SURJ))
+        for bad in (0.1, True, "1/3", math.inf, None)
+    },
+    "Expansion-times-True": lambda: Expansion.of(WORD) * True,
 }
 
 

@@ -3,12 +3,14 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itoflow import (
     BracketWord,
+    Evaluator,
     Expansion,
     SurjElement,
     Surjection,
@@ -155,6 +157,35 @@ def test_qsh_of_an_operand_used_many_times_equals_the_surjection_route(a, ws, k)
         assert qsh(a, w, max_weight=k) == qsh(fresh, w, max_weight=k) == reference(a, v)
         assert qsh(v, a, max_weight=k) == qsh(v, Expansion(dict(a)), max_weight=k) == reference(v, a)
         assert qsh(a, a, max_weight=k) == reference(fresh, fresh)
+
+
+def _readings(e):
+    """All a reader sees of a combination: its terms, hash, JSON and display."""
+    return list(e), hash(e), e.to_json_dict(), e.pretty()
+
+
+# one evaluator for every letter the strategies draw: two paths of 8 cells
+VALUES = Evaluator({k: np.random.default_rng(k).standard_normal((2, 8)) for k in range(1, 6)})
+
+
+@given(
+    st.lists(st.tuples(small_words, coeffs), max_size=4).map(Expansion),
+    st.lists(st.tuples(small_words, coeffs), max_size=4).map(Expansion),
+)
+@settings(max_examples=40, deadline=None)
+def test_one_rational_over_different_denominators_reads_the_same(a, b):
+    """A combination holds int numerators over a denominator that need not
+    be the least; the same values over another one read the same."""
+    scaled = a * 3 * Fraction(1, 3)
+    assert scaled._den == 3 * a._den  # not reduced
+    pairs = [(a, scaled), (a, (a + b) - b), (qsh(a, b), qsh(a * Fraction(1, 2), b) * 2)]
+    for e, same in pairs:
+        assert e == same and same == e
+        assert _readings(e) == _readings(same)
+        for x in (e, same):
+            assert all(type(c) is int and c for c in x._terms.values())
+            assert all(type(c) is Fraction for _, c in x)
+    assert VALUES(scaled).tobytes() == VALUES(a).tobytes()
 
 
 @given(

@@ -17,6 +17,7 @@ from itoflow import (
     DriverSpec,
     Evaluator,
     Expansion,
+    FloatRangeError,
     FlowProblem,
     SamplePath,
     PathBundle,
@@ -200,6 +201,13 @@ class TestEvaluator:
         b = two_step_bundle(1.0, 2.0, 3.0, 4.0)
         e = Fraction(1, 3) * Expansion.of(BracketWord([(1,)]))
         assert evaluate(e, b) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("coeff", [10**400, Fraction(-(10**400), 3)], ids=["int", "Fraction"])
+    def test_coefficient_past_the_float_range_is_named(self, coeff):
+        ev = Evaluator({1: np.array([0.5, 0.25])})
+        e = Expansion([(BracketWord.from_letters(1), 1), (BracketWord([(1,), (1, 1)]), coeff)])
+        with pytest.raises(FloatRangeError, match=r"coefficient of 1\.\[1,1\] is past the float range"):
+            ev(e)
 
     def test_batched_paths(self):
         # evaluator broadcasts over leading axes of the increment arrays

@@ -193,7 +193,7 @@ def template_route(alphabet, order, letters=None):
         f = term.surjection()
         for combo in itertools.product(singletons, repeat=term.order):
             accumulate(data, apply_surjection(f, BracketWord._wrap(combo)), term.coeff)
-    return apply_vanishing_rules(Expansion._raw(data), alphabet)
+    return apply_vanishing_rules(Expansion(data), alphabet)
 
 
 def outcome(fn, *args):

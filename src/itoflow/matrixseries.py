@@ -26,7 +26,7 @@ from .flowmaps import DriverAlphabet, apply_vanishing_rules
 from .kernels import fibers_of, merge_fibers
 from .logseries import log_identity_closed_form
 from .quasishuffle import qsh
-from .words import BracketWord, Expansion, accumulate, refuse_malformed
+from .words import BracketWord, Expansion, accumulate, drop_zeros, refuse_malformed
 
 LETTER_ENCODING = "row-major: letter(i, j) = (i - 1) * dim + j, 1-based"
 
@@ -175,10 +175,10 @@ def _integrate_against(me: MatrixExpansion) -> MatrixExpansion:
         row = []
         for j in range(d):
             # the words of distinct k end in distinct letters: no two add up
-            acc: dict[BracketWord, int] = {}
+            acc: dict[tuple, int] = {}
             for k, e in enumerate(entries):
                 last, s = (entry_letter(k + 1, j + 1, d),), den // e._den
-                acc.update({BracketWord._wrap((*w, last)): c * s for w, c in e._terms.items()})
+                acc.update({(*w, last): c * s for w, c in e._terms.items()})
             row.append(Expansion._raw(acc, den))
         rows.append(row)
     return MatrixExpansion(d, rows)
@@ -222,8 +222,7 @@ def matrix_log(dim: int, order: int) -> MatrixExpansion:
             for v, c in zip(map(merge_fibers, fibers[n], itertools.repeat(w)), coeffs[n]):
                 prev = get(v)
                 data[v] = cw * c if prev is None else prev + cw * c
-        words = {BracketWord._wrap(v): c for v, c in data.items() if c}
-        return Expansion._raw(words, e._den * element._den)
+        return Expansion._raw(drop_zeros(data), e._den * element._den)
 
     return matrix_ito_taylor(dim, order).map_entries(log)
 

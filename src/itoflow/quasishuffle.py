@@ -28,6 +28,7 @@ from .words import (
     Expansion,
     WordLike,
     accumulate,
+    add_into,
     as_word,
     block_product,
     graded_pairs,
@@ -45,15 +46,15 @@ def _den(x) -> int:
 
 def _weight_classes(x) -> dict:
     """An expansion's terms bucketed by weight, kept on it, or for a word
-    its one bucket {weight: [(word, 1)]}."""
+    its one bucket {weight: {word: 1}}."""
     if isinstance(x, Expansion):
         return x._graded()
     w = as_word(x)
-    return {w.weight: [(w, 1)]}
+    return {w.weight: {w: 1}}
 
 
 def _weight_pairs(a, b, max_weight: int | None = None):
-    """Term pairs (u, v, cu * cv) of words or expansions, pruned by weight.
+    """Bucket pairs (weight, us, vs) of words or expansions, pruned by weight.
 
     A word operand carries the int 1.
     """
@@ -71,10 +72,13 @@ def qsh(*operands, max_weight: int | None = None) -> Expansion:
     past max_weight is skipped whole, before the cap check and before any
     coefficient work.  This is the tool for truncated-series arithmetic.
 
-    The int numerators of each product's terms are added into one dict
-    keyed by plain tuples, over the product of the operands' denominators;
-    each distinct word is wrapped once, and zero sums are dropped, at the
-    end.  A word operand carries the numerator 1 over 1.
+    Every term of a pair of weight classes has their summed weight, so
+    the int numerators of a product's terms are added into one dict per
+    weight, over the product of the operands' denominators, keyed by the
+    plain tuples the kernel returns.  Zero sums are dropped in place at the
+    end, and the result keeps those dicts as its weight buckets, ready to
+    be the next product's operand.  A word operand carries the numerator 1
+    over 1.
     """
     if max_weight is not None:
         max_weight = _count("max_weight", max_weight, 0)
@@ -82,14 +86,13 @@ def qsh(*operands, max_weight: int | None = None) -> Expansion:
         return Expansion.unit()
     acc = operands[0]
     for rhs in operands[1:]:
-        data: dict = {}
-        get = data.get
-        for u, v, c in _weight_pairs(acc, rhs, max_weight):
-            for w, mult in qsh_words(u, v).items():
-                prev = get(w)
-                data[w] = c * mult if prev is None else prev + c * mult
-        words = {BracketWord._wrap(w): c for w, c in data.items() if c}
-        acc = Expansion._raw(words, _den(acc) * _den(rhs))
+        classes: dict = {}
+        for g, us, vs in _weight_pairs(acc, rhs, max_weight):
+            data = classes.setdefault(g, {})
+            for u, cu in us:
+                for v, cv in vs:
+                    add_into(data, qsh_words(u, v), cu * cv)
+        acc = Expansion._bucketed(classes, _den(acc) * _den(rhs))
     return _as_expansion(acc)
 
 
@@ -113,10 +116,12 @@ def _bullet_pair(u: BracketWord, v: BracketWord):
 def _bilinear(pair_op, a, b) -> Expansion:
     """pair_op extended bilinearly."""
     data = {}
-    for u, v, c in _weight_pairs(a, b):
-        _require_nonempty(u, v)
-        for w, mult in pair_op(u, v):
-            accumulate(data, w, c * mult)
+    for _, us, vs in _weight_pairs(a, b):
+        for u, cu in us:
+            for v, cv in vs:
+                _require_nonempty(u, v)
+                for w, mult in pair_op(u, v):
+                    accumulate(data, w, cu * cv * mult)
     return Expansion._raw(data, _den(a) * _den(b))
 
 

@@ -169,6 +169,7 @@ class SurjElement(Combination):
     __slots__ = ()
 
     _coerce = staticmethod(as_surjection)
+    _view = Surjection._wrap
     _grade = len
     _json_key = "f"
     _product = "diamond for products of surjection elements"
@@ -204,19 +205,23 @@ def diamond(a: ElementLike, b: ElementLike, max_grade: int | None = None) -> Sur
     past max_grade is skipped whole, before the cap check and before any
     coefficient work.  That keeps truncated
     series work bounded.  As in qsh, the terms are added into one dict of
-    plain tuples, and each distinct term is wrapped once at the end.
+    plain tuples per arity, and the result keeps those dicts as its arity
+    buckets.
     """
     if max_grade is not None:
         max_grade = _count("max_grade", max_grade, 0)
     ea, eb = _as_element(a), _as_element(b)
-    data: dict = {}
-    get = data.get
-    for f, g, c in graded_pairs(ea._graded(), eb._graded(), max_grade, check_grade):
-        for h in diamond_words(f, g):
-            prev = get(h)
-            data[h] = c if prev is None else prev + c
-    wrapped = zip(map(Surjection._wrap, data), data.values())
-    return SurjElement._raw({h: c for h, c in wrapped if c}, ea._den * eb._den)
+    classes: dict = {}
+    for n, fs, gs in graded_pairs(ea._graded(), eb._graded(), max_grade, check_grade):
+        data = classes.setdefault(n, {})
+        get = data.get
+        for f, cf in fs:
+            for g, cg in gs:
+                c = cf * cg
+                for h in diamond_words(f, g):
+                    prev = get(h)
+                    data[h] = c if prev is None else prev + c
+    return SurjElement._bucketed(classes, ea._den * eb._den)
 
 
 def diamond_reference(f: SurjLike, g: SurjLike) -> SurjElement:

@@ -250,14 +250,16 @@ def frac_str(c: Fraction) -> str:
 
 
 def graded_pairs(left: dict, right: dict, max_grade, check):
-    """Term pairs (x, y, cx * cy) of two numerator maps, by grade class.
+    """Bucket pairs (grade, xs, ys) of two numerator maps bucketed by grade.
 
-    left and right are the maps bucketed by grade, as Combination._graded
+    left and right map each grade to {key: numerator}, as Combination._graded
     keeps them; the grade must add up on products (word weight for qsh,
-    arity for the surjection product).  A bucket pair whose summed grade
-    exceeds max_grade (None: no limit) is skipped whole, before check and
-    before any coefficient multiply.  check(summed grade) is the size cap,
-    applied once per surviving bucket pair, so a pruned pair never raises.
+    arity for the surjection product), so every product of a key of xs with
+    a key of ys has the yielded grade.  xs and ys are items views.  A bucket
+    pair whose summed grade exceeds max_grade (None: no limit) is skipped
+    whole, before check and before any coefficient multiply.  check(summed
+    grade) is the size cap, applied once per surviving bucket pair, so a
+    pruned pair never raises.
     """
     for gx, xs in left.items():
         for gy, ys in right.items():
@@ -265,9 +267,7 @@ def graded_pairs(left: dict, right: dict, max_grade, check):
             if max_grade is not None and g > max_grade:
                 continue
             check(g)
-            for x, cx in xs:
-                for y, cy in ys:
-                    yield x, y, cx * cy
+            yield g, xs.items(), ys.items()
 
 
 def accumulate(data: dict, key, c) -> None:
@@ -278,6 +278,26 @@ def accumulate(data: dict, key, c) -> None:
         data[key] = tot
     else:
         data.pop(key, None)
+
+
+def add_into(data: dict, terms: dict, scale: int) -> None:
+    """data[k] += c * scale for each term k, c of terms.  A zero sum stays in
+    data, for the caller to drop once, at the end (drop_zeros)."""
+    if not data and scale == 1:
+        data.update(terms)
+        return
+    get = data.get
+    for k, c in terms.items():
+        prev = get(k)
+        data[k] = c * scale if prev is None else prev + c * scale
+
+
+def drop_zeros(data: dict) -> dict:
+    """data with its zero values deleted, in place; the scan for a zero runs in C."""
+    if 0 in data.values():
+        for k in [k for k, c in data.items() if not c]:
+            del data[k]
+    return data
 
 
 def _json_list(key):
@@ -294,14 +314,26 @@ class Combination:
     take their lcm, so every exact loop adds and multiplies ints; iteration,
     [], pretty and JSON read each coefficient out as a reduced Fraction.
     Equality is equality of those values between combinations of one type.
+
+    A key in _terms is a canonical tuple, plain or already an instance of
+    the key class: the key classes are tuple subclasses that hash and
+    compare as tuples, so ==, hash, in and [] see no difference.  Products
+    keep the plain tuples their kernels return; support(), and so
+    iteration, pretty and JSON, hand out each key wrapped by _view.
+
+    _classes holds the terms bucketed by grade, {grade: {key: numerator}},
+    or None until first asked for (_graded).  qsh and diamond fill it as
+    they add up a product, sum keeps it when every summand has it, and a
+    scalar product by numerator 1 shares it.
+
     A subclass sets what is particular to its keys: _coerce (key coercion),
-    _grade (key grade), _render (display; an empty string marks a constant
-    term), _json_key (name of the key field in JSON) and _product (where
-    the product of two combinations lives).  Keys are tuples, listed in
+    _view (a canonical tuple as the key class, unchecked), _grade (key
+    grade), _render (display; an empty string marks a constant term),
+    _json_key (name of the key field in JSON) and _product (where the
+    product of two combinations lives).  Keys are tuples, listed in
     length-lexicographic order: fewer entries first, then lexicographic.
     """
 
-    # _classes: the terms bucketed by grade, filled on first use (_graded)
     __slots__ = ("_terms", "_den", "_classes")
 
     def __init__(self, terms=None):
@@ -314,6 +346,7 @@ class Combination:
         den = lcm(*(c.denominator for c in data.values()))
         self._terms = {k: c.numerator * (den // c.denominator) for k, c in data.items()}
         self._den = den
+        self._classes = None
 
     # construction helpers
     @classmethod
@@ -330,44 +363,77 @@ class Combination:
         return cls([(key, coeff)])
 
     @classmethod
-    def _raw(cls, data: dict, den: int = 1):
-        """The combination data / den: nonzero int numerators, taken as they are."""
+    def _raw(cls, data: dict, den: int = 1, classes: dict | None = None):
+        """The combination data / den: nonzero int numerators, taken as they
+        are, with classes its grade buckets if they are known."""
         e = cls.__new__(cls)
         e._terms = data
         e._den = den
+        e._classes = classes
         return e
+
+    @classmethod
+    def _bucketed(cls, classes: dict, den: int = 1):
+        """The combination whose grade buckets are classes, over den.
+
+        classes maps each grade to {key: numerator}, every key of that
+        grade; zero numerators and empty grades are dropped in place, and
+        the buckets are kept.  A lone bucket is _terms itself: neither
+        changes once built.
+        """
+        for g in [g for g, data in classes.items() if not drop_zeros(data)]:
+            del classes[g]
+        if len(classes) == 1:
+            (terms,) = classes.values()
+        else:
+            terms = {}
+            for data in classes.values():
+                terms.update(data)
+        return cls._raw(terms, den, classes)
 
     @classmethod
     def sum(cls, combinations: Iterable["Combination"]):
         """Sum of combinations over the lcm of their denominators, accumulated
-        into one dict (no copy per term); zero sums are dropped once, at the end."""
+        into one dict (no copy per term); zero sums are dropped once, at the end.
+
+        When every summand has its grade buckets, the sum adds grade by
+        grade and keeps its own.  Otherwise it adds flat: bucketing the
+        other summands would cost about 5% of a symbolic pass, for sums
+        (the last of each series) that no product reads.
+        """
         combinations = list(combinations)
         den = lcm(*(e._den for e in combinations))
-        data: dict = {}
-        get = data.get
+        if any(e._classes is None for e in combinations):
+            data: dict = {}
+            for e in combinations:
+                add_into(data, e._terms, den // e._den)
+            return cls._raw(drop_zeros(data), den)
+        classes: dict = {}
         for e in combinations:
             s = den // e._den
-            for k, c in e._terms.items():
-                prev = get(k)
-                data[k] = c * s if prev is None else prev + c * s
-        return cls._raw({k: c for k, c in data.items() if c}, den)
+            for g, part in e._classes.items():
+                add_into(classes.setdefault(g, {}), part, s)
+        return cls._bucketed(classes, den)
 
     def _graded(self) -> dict:
-        """The terms as grade -> [(key, numerator), ...], worked out once and kept.
+        """The terms as grade -> {key: numerator}, worked out once and kept.
 
         A combination never changes after it is built, so an operand used
         in many products is bucketed once.  The slot takes no part in ==,
         hash or JSON.
         """
-        try:
-            return self._classes
-        except AttributeError:
-            classes: dict = {}
+        classes = self._classes
+        if classes is None:
+            classes = {}
             grade = self._grade
             for k, c in self._terms.items():
-                classes.setdefault(grade(k), []).append((k, c))
+                g = grade(k)
+                bucket = classes.get(g)
+                if bucket is None:
+                    classes[g] = bucket = {}
+                bucket[k] = c
             self._classes = classes
-            return classes
+        return classes
 
     # container protocol
     def __len__(self) -> int:
@@ -388,10 +454,10 @@ class Combination:
         return self._coerce(key) in self._terms
 
     def support(self) -> list:
-        """The keys in length-lexicographic order."""
+        """The keys in length-lexicographic order, as instances of the key class."""
         # two sorts with C-level keys: the second is stable, so keys of one
         # length stay in lexicographic order
-        return sorted(sorted(self._terms), key=len)
+        return list(map(self._view, sorted(sorted(self._terms), key=len)))
 
     # arithmetic
     def __eq__(self, other) -> bool:
@@ -425,10 +491,12 @@ class Combination:
         c = _typed("coefficient", scalar, int, Fraction)
         if not c:
             return type(self)()
-        n, terms = c.numerator, self._terms
-        # a combination never changes once built, so one numerator map can serve two
-        nums = terms if n == 1 else {k: b * n for k, b in terms.items()}
-        return self._raw(nums, self._den * c.denominator)
+        n, den = c.numerator, self._den * c.denominator
+        # a combination never changes once built, so one numerator map and
+        # its buckets can serve two
+        if n == 1:
+            return self._raw(self._terms, den, self._classes)
+        return self._raw({k: b * n for k, b in self._terms.items()}, den)
 
     __rmul__ = __mul__
 
@@ -499,6 +567,7 @@ class Expansion(Combination):
     __slots__ = ()
 
     _coerce = staticmethod(as_word)
+    _view = BracketWord._wrap
     _grade = staticmethod(BracketWord.weight.fget)  # no property lookup per term
     _json_key = "word"
     _product = "itoflow.quasishuffle.qsh for products of expansions"

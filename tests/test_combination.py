@@ -116,7 +116,7 @@ def test_grade_buckets_stay_out_of_equality_hash_and_json(cls, keys, grade, data
     classes = a._graded()
     assert a._graded() is classes  # worked out once, then kept
     assert classes == {
-        g: [(k, c) for k, c in a._terms.items() if grade(k) == g]
+        g: {k: c for k, c in a._terms.items() if grade(k) == g}
         for g in {grade(k) for k in a._terms}
     }
     assert a == fresh and hash(a) == hash(fresh)
@@ -210,6 +210,78 @@ def test_diamond_of_an_operand_used_many_times_equals_the_reference(a, gs, k):
         assert diamond(a, g, max_grade=k) == diamond(fresh, g, max_grade=k) == reference(a, e)
         assert diamond(e, a, max_grade=k) == reference(e, a)
         assert diamond(a, a, max_grade=k) == reference(fresh, fresh)
+
+
+def _fresh_buckets(e):
+    """The grade buckets of e worked out afresh from its terms."""
+    out = {}
+    for k, c in e._terms.items():
+        out.setdefault(type(e)._grade(k), {})[k] = c
+    return out
+
+
+def _assert_finished(e, key_class):
+    """e keeps buckets that a fresh bucketing of its terms repeats, and
+    hands out every key, by support() and by iteration, as key_class."""
+    assert e._classes is not None
+    assert e._classes == _fresh_buckets(e)
+    assert all(type(k) is key_class for k in e.support())
+    assert all(type(k) is key_class for k, _ in e)
+
+
+@given(
+    st.lists(st.tuples(small_words, small_coeffs), min_size=1, max_size=4).map(Expansion),
+    st.lists(st.tuples(small_words, small_coeffs), min_size=1, max_size=4).map(Expansion),
+    st.none() | st.integers(min_value=0, max_value=8),
+    small_coeffs,
+)
+@settings(max_examples=60, deadline=None)
+def test_qsh_products_and_their_sums_keep_their_weight_buckets(a, b, k, scalar):
+    p, q = qsh(a, b, max_weight=k), qsh(b, a * scalar, max_weight=k)
+    for e in (p, q, Expansion.sum([p, q]), qsh(p, a, max_weight=k), qsh(BracketWord(), a)):
+        _assert_finished(e, BracketWord)
+        # the kernels' plain tuples stay plain inside
+        assert all(type(w) is tuple for w in e._terms)
+    # a sum that cancels keeps no zero term and no empty bucket
+    gone = Expansion.sum([p, qsh(-a, b, max_weight=k)])
+    assert not gone and gone._classes == {} and gone._terms == {}
+    # by numerator 1 the buckets are shared; by any other they are left to work out
+    assert (p * Fraction(1, 3))._classes is p._classes
+    third = p * (scalar * 3)
+    assert third._graded() == _fresh_buckets(third)
+
+
+@given(
+    st.lists(st.tuples(surjections(max_n=3), small_coeffs), min_size=1, max_size=4).map(SurjElement),
+    st.lists(st.tuples(surjections(max_n=3), small_coeffs), min_size=1, max_size=4).map(SurjElement),
+    st.none() | st.integers(min_value=0, max_value=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_diamond_products_and_their_sums_keep_their_arity_buckets(a, b, k):
+    p, q = diamond(a, b, max_grade=k), diamond(b, a, max_grade=k)
+    for e in (p, q, SurjElement.sum([p, q]), p * Fraction(1, 2)):
+        _assert_finished(e, Surjection)
+    assert all(type(f) is tuple for f in p._terms)
+
+
+@given(
+    st.lists(st.tuples(small_words, small_coeffs), min_size=1, max_size=4).map(Expansion),
+    st.lists(st.tuples(small_words, small_coeffs), min_size=1, max_size=4).map(Expansion),
+)
+@settings(max_examples=40, deadline=None)
+def test_plain_keys_read_as_the_constructor_built_keys(a, b):
+    """A product keeps its words as plain tuples; the same terms with
+    checked BracketWord keys read the same everywhere."""
+    product = qsh(a, b)
+    raw = Expansion._raw({tuple(w): c for w, c in product._terms.items()}, product._den)
+    built = Expansion(dict(product))
+    assert all(type(w) is BracketWord for w in built._terms)
+    assert raw == built and built == raw and hash(raw) == hash(built)
+    assert raw.pretty() == built.pretty()
+    assert json.dumps(raw.to_json_dict()) == json.dumps(built.to_json_dict())
+    assert VALUES(raw).tobytes() == VALUES(built).tobytes()
+    for w in built.support():
+        assert w in raw and raw[w] == built[w]
 
 
 def test_types_never_compare_equal():

@@ -304,7 +304,7 @@ class Evaluator:
         """
         if not isinstance(e, Expansion):
             return self.word_terminal(e)
-        words, nums, den = e.support(), e._terms, e._den
+        words, nums, den = e.support(), e._flat(), e._den
         out = np.zeros(self.shape[:-1])
         # one term at a time, in support order: a vectorised sum would add
         # in another order and change the bits

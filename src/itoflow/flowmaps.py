@@ -158,8 +158,9 @@ def apply_vanishing_rules(e: Expansion, alphabet: DriverAlphabet) -> Expansion:
     """
     _typed("e", e, Expansion)
     _typed("alphabet", alphabet, DriverAlphabet)
-    out: dict[BracketWord, int] = {}
-    terms = e._terms
+    # folding a self-bracket lowers a word's weight: each result is filed by its own
+    classes: dict[int, dict] = {}
+    terms = e._flat()
     for w in e.support():
         # every block's depth before any rule, so each letter is checked
         depths = [sum(map(alphabet.bracket_depth, b)) for b in w]
@@ -173,8 +174,9 @@ def apply_vanishing_rules(e: Expansion, alphabet: DriverAlphabet) -> Expansion:
                 b = (alphabet.qv_letter(b[0]),)
             blocks.append(b)
         else:  # no block vanished
-            accumulate(out, BracketWord(blocks), terms[w])
-    return Expansion._raw(out, e._den)
+            v = BracketWord(blocks)
+            accumulate(classes.setdefault(v.weight, {}), v, terms[w])
+    return Expansion._bucketed(classes, e._den)
 
 
 def terms_to_json(terms: Iterable[LogTerm], **kwargs) -> str:

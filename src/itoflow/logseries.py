@@ -53,7 +53,7 @@ def log_identity_series(max_grade: int) -> SurjElement:
     positive-arity identities, truncated beyond max_grade.
     """
     max_grade = check_grade(_count("max_grade", max_grade))
-    x = SurjElement._raw({Surjection.identity(n): 1 for n in range(1, max_grade + 1)})
+    x = SurjElement._raw({n: {Surjection.identity(n): 1} for n in range(1, max_grade + 1)})
     power = SurjElement.unit()
     terms = []
     for k in range(1, max_grade + 1):
@@ -66,27 +66,30 @@ def _descent_law_terms(n: int):
     """The descent law over the arity's table, as int numerators over one
     denominator: (surjections, numerators, den), the arity-n surjections in
     (k, lex) order and beside each f the numerator of
-    descent_coefficient(n, d) over den, d the descent count of f.
+    descent_coefficient(n, d) over den, the lcm of the law's denominators,
+    d the descent count of f.
 
     Both log_identity_closed_form and flowmaps.log_flow_terms read their
     coefficients here.  n must already be within the grade cap.
     """
     surjs, descents = _grade_table(n)
-    dens = [n * comb(n - 1, d) for d in range(n)]
-    den = lcm(*dens)
-    by_descents = [(-1) ** d * (den // m) for d, m in enumerate(dens)]
+    law = [descent_coefficient(n, d) for d in range(n)]
+    den = lcm(*(c.denominator for c in law))
+    by_descents = [c.numerator * (den // c.denominator) for c in law]
     return surjs, map(by_descents.__getitem__, descents), den
 
 
 def log_identity_closed_form(max_grade: int) -> SurjElement:
-    """The same element from the descent-count coefficient law directly."""
+    """The same element from the descent-count coefficient law directly,
+    one arity bucket per arity."""
     max_grade = check_grade(_count("max_grade", max_grade))
     laws = [_descent_law_terms(n) for n in range(1, max_grade + 1)]
     den = lcm(*(d for _, _, d in laws))
-    data = {}
-    for surjs, nums, d in laws:  # arities share no surjection: nothing to add up
-        data.update(zip(surjs, map((den // d).__mul__, nums)))
-    return SurjElement._raw(data, den)
+    classes = {
+        n: dict(zip(surjs, map((den // d).__mul__, nums)))
+        for n, (surjs, nums, d) in enumerate(laws, start=1)
+    }
+    return SurjElement._raw(classes, den)
 
 
 def log_identity_subset_form(max_grade: int) -> SurjElement:

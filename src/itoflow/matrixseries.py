@@ -26,7 +26,7 @@ from .flowmaps import DriverAlphabet, apply_vanishing_rules
 from .kernels import fibers_of, merge_fibers
 from .logseries import log_identity_closed_form
 from .quasishuffle import qsh
-from .words import BracketWord, Expansion, accumulate, drop_zeros, refuse_malformed
+from .words import BracketWord, Expansion, accumulate, refuse_malformed
 
 LETTER_ENCODING = "row-major: letter(i, j) = (i - 1) * dim + j, 1-based"
 
@@ -166,7 +166,8 @@ def _integrate_against(me: MatrixExpansion) -> MatrixExpansion:
     """Left-point integral of a matrix expansion against dM.
 
     Entry (i, j) of the result sums entry (i, k) of the input with the
-    letter of M^{k j} appended as a new final singleton block.
+    letter of M^{k j} appended as a new final singleton block, which puts
+    each word one weight up.
     """
     d = me.dim
     rows = []
@@ -175,11 +176,13 @@ def _integrate_against(me: MatrixExpansion) -> MatrixExpansion:
         row = []
         for j in range(d):
             # the words of distinct k end in distinct letters: no two add up
-            acc: dict[tuple, int] = {}
+            classes: dict[int, dict] = {}
             for k, e in enumerate(entries):
                 last, s = (entry_letter(k + 1, j + 1, d),), den // e._den
-                acc.update({(*w, last): c * s for w, c in e._terms.items()})
-            row.append(Expansion._raw(acc, den))
+                for g, part in e._classes.items():
+                    acc = classes.setdefault(g + 1, {})
+                    acc.update({(*w, last): c * s for w, c in part.items()})
+            row.append(Expansion._raw(classes, den))
         rows.append(row)
     return MatrixExpansion(d, rows)
 
@@ -203,26 +206,30 @@ def matrix_log(dim: int, order: int) -> MatrixExpansion:
 
     The surjection log element of each grade n acts on every length-n entry
     word: its blocks merge along the fibers of each arity-n term, worked out
-    once per call, so fibers of two or more positions become bracket blocks
-    of entry letters.  apply_element is the per-term oracle.
+    once per call from the element's arity-n bucket, so fibers of two or
+    more positions become bracket blocks of entry letters.  Merging keeps a
+    word's weight, so each weight bucket of an entry maps into the same
+    weight.  apply_element is the per-term oracle.
     """
     order = check_weight(_count("order", order))
     element = log_identity_closed_form(order)
-    fibers = [[] for _ in range(order + 1)]
-    coeffs = [[] for _ in range(order + 1)]
-    for f, c in element._terms.items():
-        fibers[len(f)].append(fibers_of(f))
-        coeffs[len(f)].append(c)
+    fibers = [()] * (order + 1)  # the unit word, of length 0, maps to nothing
+    coeffs = [()] * (order + 1)
+    for n, part in element._classes.items():
+        fibers[n] = list(map(fibers_of, part))
+        coeffs[n] = list(part.values())
 
     def log(e: Expansion) -> Expansion:
-        data: dict = {}
-        get = data.get
-        for w, cw in e._terms.items():
-            n = len(w)
-            for v, c in zip(map(merge_fibers, fibers[n], itertools.repeat(w)), coeffs[n]):
-                prev = get(v)
-                data[v] = cw * c if prev is None else prev + cw * c
-        return Expansion._raw(drop_zeros(data), e._den * element._den)
+        classes: dict = {}
+        for g, part in e._classes.items():
+            data = classes[g] = {}
+            get = data.get
+            for w, cw in part.items():
+                n = len(w)
+                for v, c in zip(map(merge_fibers, fibers[n], itertools.repeat(w)), coeffs[n]):
+                    prev = get(v)
+                    data[v] = cw * c if prev is None else prev + cw * c
+        return Expansion._bucketed(classes, e._den * element._den)
 
     return matrix_ito_taylor(dim, order).map_entries(log)
 
@@ -251,7 +258,7 @@ def linear_field_log(alphabet: DriverAlphabet, order: int, generators: Mapping) 
 
     def entry(e: Expansion) -> Expansion:
         data: dict = {}
-        for w, cw in e._terms.items():
+        for w, cw in e._flat().items():
             for combo in itertools.product(*(subs[m] for b in w for m in b)):
                 letters = iter(combo)
                 word = tuple(tuple(sorted(next(letters)[0] for _ in b)) for b in w)

@@ -36,29 +36,12 @@ from .words import (
 
 
 def _as_expansion(x) -> Expansion:
-    return x if isinstance(x, Expansion) else Expansion._raw({as_word(x): 1})
-
-
-def _den(x) -> int:
-    """The denominator of an expansion's numerators, or 1 for a word."""
-    return x._den if isinstance(x, Expansion) else 1
-
-
-def _weight_classes(x) -> dict:
-    """An expansion's terms bucketed by weight, kept on it, or for a word
-    its one bucket {weight: {word: 1}}."""
+    """An expansion as it is; a word as its one-term expansion, filed
+    under its weight."""
     if isinstance(x, Expansion):
-        return x._graded()
+        return x
     w = as_word(x)
-    return {w.weight: {w: 1}}
-
-
-def _weight_pairs(a, b, max_weight: int | None = None):
-    """Bucket pairs (weight, us, vs) of words or expansions, pruned by weight.
-
-    A word operand carries the int 1.
-    """
-    return graded_pairs(_weight_classes(a), _weight_classes(b), max_weight, check_weight)
+    return Expansion._raw({w.weight: {w: 1}})
 
 
 def qsh(*operands, max_weight: int | None = None) -> Expansion:
@@ -67,33 +50,34 @@ def qsh(*operands, max_weight: int | None = None) -> Expansion:
     With more than two operands the product is folded left to right, which
     is safe because qsh is associative.  Every term of a product of words
     has the summed weight of its factors, so max_weight prunes per weight
-    class: an expansion's terms are grouped by weight the first time it
-    is an operand and kept on it, and a pair of classes whose weights sum
-    past max_weight is skipped whole, before the cap check and before any
+    class: a pair of an operand's weight buckets whose weights sum past
+    max_weight is skipped whole, before the cap check and before any
     coefficient work.  This is the tool for truncated-series arithmetic.
+    A lone operand comes back truncated at max_weight.
 
-    Every term of a pair of weight classes has their summed weight, so
-    the int numerators of a product's terms are added into one dict per
-    weight, over the product of the operands' denominators, keyed by the
-    plain tuples the kernel returns.  Zero sums are dropped in place at the
-    end, and the result keeps those dicts as its weight buckets, ready to
-    be the next product's operand.  A word operand carries the numerator 1
-    over 1.
+    A word operand is taken once as a one-term expansion.  The int
+    numerators of the terms of a pair of weight buckets are added into the
+    dict of their summed weight, over the product of the operands'
+    denominators, keyed by the plain tuples the kernel returns; zero sums
+    are dropped in place at the end, and those dicts are the product's
+    weight buckets, ready for the next product.
     """
     if max_weight is not None:
         max_weight = _count("max_weight", max_weight, 0)
     if not operands:
         return Expansion.unit()
-    acc = operands[0]
-    for rhs in operands[1:]:
+    acc = _as_expansion(operands[0])
+    if len(operands) == 1:
+        return acc if max_weight is None else acc.truncate(max_weight)
+    for rhs in map(_as_expansion, operands[1:]):
         classes: dict = {}
-        for g, us, vs in _weight_pairs(acc, rhs, max_weight):
+        for g, us, vs in graded_pairs(acc._classes, rhs._classes, max_weight, check_weight):
             data = classes.setdefault(g, {})
             for u, cu in us:
                 for v, cv in vs:
                     add_into(data, qsh_words(u, v), cu * cv)
-        acc = Expansion._bucketed(classes, _den(acc) * _den(rhs))
-    return _as_expansion(acc)
+        acc = Expansion._bucketed(classes, acc._den * rhs._den)
+    return acc
 
 
 def _require_nonempty(u: BracketWord, v: BracketWord) -> None:
@@ -114,15 +98,18 @@ def _bullet_pair(u: BracketWord, v: BracketWord):
 
 
 def _bilinear(pair_op, a, b) -> Expansion:
-    """pair_op extended bilinearly."""
-    data = {}
-    for _, us, vs in _weight_pairs(a, b):
+    """pair_op extended bilinearly; like qsh's, each term of a pair of
+    weight buckets has their summed weight."""
+    a, b = _as_expansion(a), _as_expansion(b)
+    classes: dict = {}
+    for g, us, vs in graded_pairs(a._classes, b._classes, None, check_weight):
+        data = classes.setdefault(g, {})
         for u, cu in us:
             for v, cv in vs:
                 _require_nonempty(u, v)
                 for w, mult in pair_op(u, v):
                     accumulate(data, w, cu * cv * mult)
-    return Expansion._raw(data, _den(a) * _den(b))
+    return Expansion._bucketed(classes, a._den * b._den)
 
 
 def half_up(u, v) -> Expansion:
@@ -161,14 +148,14 @@ def qsh_via_surjections(u: WordLike, v: WordLike) -> Expansion:
     block of v, which are worked out once per call.  The weight cap is
     checked before the memo is read, so a memoized shape still raises
     CapExceeded when the cap is lowered.  Each word's count is its
-    numerator, over 1.
+    numerator, over 1, and every word has weight |u| + |v|.
     """
     u, v = as_word(u), as_word(v)
-    check_weight(u.weight + v.weight)
+    weight = check_weight(u.weight + v.weight)
     _, picks = diamond_plan(len(u), len(v))
     blocks = (*u, *v, *[block_product(a, b) for a in u for b in v])
     counts = Counter(pick(blocks) for pick in picks)
-    return Expansion._raw({BracketWord._wrap(w): c for w, c in counts.items()})
+    return Expansion._raw({weight: {BracketWord._wrap(w): c for w, c in counts.items()}})
 
 
 def shuffle_projection(e: Expansion) -> Expansion:

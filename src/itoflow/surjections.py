@@ -200,19 +200,17 @@ def diamond(a: ElementLike, b: ElementLike, max_grade: int | None = None) -> Sur
     For surjections f, g the product is the multiplicity-free sum of all h
     with pack(h restricted to the first block) = f and pack(rest) = g, so
     every term has the summed arity of its factors.  max_grade prunes per
-    grade class: an element's terms are grouped by arity the first time it
-    is an operand and kept on it, and a pair of classes whose arities sum
+    grade class: a pair of an operand's arity buckets whose arities sum
     past max_grade is skipped whole, before the cap check and before any
-    coefficient work.  That keeps truncated
-    series work bounded.  As in qsh, the terms are added into one dict of
-    plain tuples per arity, and the result keeps those dicts as its arity
-    buckets.
+    coefficient work.  That keeps truncated series work bounded.  As in
+    qsh, the terms are added into one dict of plain tuples per arity, and
+    those dicts are the result's arity buckets.
     """
     if max_grade is not None:
         max_grade = _count("max_grade", max_grade, 0)
     ea, eb = _as_element(a), _as_element(b)
     classes: dict = {}
-    for n, fs, gs in graded_pairs(ea._graded(), eb._graded(), max_grade, check_grade):
+    for n, fs, gs in graded_pairs(ea._classes, eb._classes, max_grade, check_grade):
         data = classes.setdefault(n, {})
         get = data.get
         for f, cf in fs:
@@ -332,10 +330,11 @@ def apply_element(e: SurjElement, w: WordLike) -> Expansion:
 
     One apply_surjection per term: the oracle for the log element's action
     in matrix_log, which merges along fibers worked out once per call.
+    Merging keeps the weight of w, so every term is filed under it.
     """
     _typed("e", e, SurjElement)
     w = as_word(w)
     data: dict[BracketWord, int] = {}
-    for f, c in e._terms.items():
+    for f, c in e._flat().items():
         accumulate(data, apply_surjection(f, w), c)
-    return Expansion._raw(data, e._den)
+    return Expansion._bucketed({w.weight: data}, e._den)

@@ -250,16 +250,16 @@ def frac_str(c: Fraction) -> str:
 
 
 def graded_pairs(left: dict, right: dict, max_grade, check):
-    """Bucket pairs (grade, xs, ys) of two numerator maps bucketed by grade.
+    """Bucket pairs (grade, xs, ys) of two combinations' grade buckets.
 
-    left and right map each grade to {key: numerator}, as Combination._graded
-    keeps them; the grade must add up on products (word weight for qsh,
-    arity for the surjection product), so every product of a key of xs with
-    a key of ys has the yielded grade.  xs and ys are items views.  A bucket
-    pair whose summed grade exceeds max_grade (None: no limit) is skipped
-    whole, before check and before any coefficient multiply.  check(summed
-    grade) is the size cap, applied once per surviving bucket pair, so a
-    pruned pair never raises.
+    left and right are two _classes, each grade -> {key: numerator}; the
+    grade must add up on products (word weight for qsh, arity for the
+    surjection product), so every product of a key of xs with a key of ys
+    has the yielded grade, and the caller files it there.  xs and ys are
+    items views.  A bucket pair whose summed grade exceeds max_grade (None:
+    no limit) is skipped whole, before check and before any coefficient
+    multiply.  check(summed grade) is the size cap, applied once per
+    surviving bucket pair, so a pruned pair never raises.
     """
     for gx, xs in left.items():
         for gy, ys in right.items():
@@ -308,23 +308,27 @@ def _json_list(key):
 class Combination:
     """Finite formal sum of graded keys with exact rational coefficients.
 
-    The coefficients have one form: _terms maps each key to a nonzero int
-    numerator, over _den, one positive denominator shared by every term and
-    not necessarily the least one.  Products multiply denominators and sums
-    take their lcm, so every exact loop adds and multiplies ints; iteration,
-    [], pretty and JSON read each coefficient out as a reduced Fraction.
-    Equality is equality of those values between combinations of one type.
+    The terms have one stored form: _classes files them by grade,
+    {grade: {key: numerator}}, every key under its own grade, with no
+    empty grade and no zero numerator, over _den, one positive denominator
+    shared by every term and not necessarily the least one.  Products
+    multiply denominators and sums take their lcm, so every exact loop adds
+    and multiplies ints, grade by grade; iteration, [], pretty and JSON
+    read each coefficient out as a reduced Fraction.  Equality is equality
+    of those values between combinations of one type.
 
-    A key in _terms is a canonical tuple, plain or already an instance of
-    the key class: the key classes are tuple subclasses that hash and
-    compare as tuples, so ==, hash, in and [] see no difference.  Products
-    keep the plain tuples their kernels return; support(), and so
-    iteration, pretty and JSON, hand out each key wrapped by _view.
+    Every route builds its result already filed: the constructor and
+    apply_vanishing_rules work out each key's grade, and the products and
+    maps file each term under a grade they know (qsh and diamond add the
+    grades of a bucket pair, matrix_log keeps a word's weight).  A
+    combination never changes once built, so a scalar product by numerator
+    1, restrict and truncate share its grade dicts.
 
-    _classes holds the terms bucketed by grade, {grade: {key: numerator}},
-    or None until first asked for (_graded).  qsh and diamond fill it as
-    they add up a product, sum keeps it when every summand has it, and a
-    scalar product by numerator 1 shares it.
+    A key is a canonical tuple, plain or already an instance of the key
+    class: the key classes are tuple subclasses that hash and compare as
+    tuples, so ==, hash, in and [] see no difference.  Products keep the
+    plain tuples their kernels return; support(), and so iteration, pretty
+    and JSON, hand out each key wrapped by _view.
 
     A subclass sets what is particular to its keys: _coerce (key coercion),
     _view (a canonical tuple as the key class, unchecked), _grade (key
@@ -334,7 +338,7 @@ class Combination:
     length-lexicographic order: fewer entries first, then lexicographic.
     """
 
-    __slots__ = ("_terms", "_den", "_classes")
+    __slots__ = ("_classes", "_den")
 
     def __init__(self, terms=None):
         data: dict = {}
@@ -344,9 +348,12 @@ class Combination:
             for k, c in items:
                 accumulate(data, coerce(k), _typed("coefficient", c, int, Fraction))
         den = lcm(*(c.denominator for c in data.values()))
-        self._terms = {k: c.numerator * (den // c.denominator) for k, c in data.items()}
+        classes: dict = {}
+        grade = self._grade
+        for k, c in data.items():
+            classes.setdefault(grade(k), {})[k] = c.numerator * (den // c.denominator)
+        self._classes = classes
         self._den = den
-        self._classes = None
 
     # construction helpers
     @classmethod
@@ -363,51 +370,30 @@ class Combination:
         return cls([(key, coeff)])
 
     @classmethod
-    def _raw(cls, data: dict, den: int = 1, classes: dict | None = None):
-        """The combination data / den: nonzero int numerators, taken as they
-        are, with classes its grade buckets if they are known."""
+    def _raw(cls, classes: dict, den: int = 1):
+        """The combination classes / den, taken as it is: every key filed
+        under its grade, no empty grade, nonzero int numerators."""
         e = cls.__new__(cls)
-        e._terms = data
-        e._den = den
         e._classes = classes
+        e._den = den
         return e
 
     @classmethod
     def _bucketed(cls, classes: dict, den: int = 1):
-        """The combination whose grade buckets are classes, over den.
-
-        classes maps each grade to {key: numerator}, every key of that
-        grade; zero numerators and empty grades are dropped in place, and
-        the buckets are kept.  A lone bucket is _terms itself: neither
-        changes once built.
-        """
+        """The combination classes / den, every key filed under its grade,
+        once its zero numerators and then its empty grades are dropped, in
+        place."""
         for g in [g for g, data in classes.items() if not drop_zeros(data)]:
             del classes[g]
-        if len(classes) == 1:
-            (terms,) = classes.values()
-        else:
-            terms = {}
-            for data in classes.values():
-                terms.update(data)
-        return cls._raw(terms, den, classes)
+        return cls._raw(classes, den)
 
     @classmethod
     def sum(cls, combinations: Iterable["Combination"]):
-        """Sum of combinations over the lcm of their denominators, accumulated
-        into one dict (no copy per term); zero sums are dropped once, at the end.
-
-        When every summand has its grade buckets, the sum adds grade by
-        grade and keeps its own.  Otherwise it adds flat: bucketing the
-        other summands would cost about 5% of a symbolic pass, for sums
-        (the last of each series) that no product reads.
-        """
+        """Sum of combinations over the lcm of their denominators, added
+        grade by grade into one dict per grade (no copy per term); zero
+        sums are dropped once, at the end."""
         combinations = list(combinations)
         den = lcm(*(e._den for e in combinations))
-        if any(e._classes is None for e in combinations):
-            data: dict = {}
-            for e in combinations:
-                add_into(data, e._terms, den // e._den)
-            return cls._raw(drop_zeros(data), den)
         classes: dict = {}
         for e in combinations:
             s = den // e._den
@@ -415,62 +401,64 @@ class Combination:
                 add_into(classes.setdefault(g, {}), part, s)
         return cls._bucketed(classes, den)
 
-    def _graded(self) -> dict:
-        """The terms as grade -> {key: numerator}, worked out once and kept.
-
-        A combination never changes after it is built, so an operand used
-        in many products is bucketed once.  The slot takes no part in ==,
-        hash or JSON.
-        """
+    def _flat(self) -> dict:
+        """The terms as one {key: numerator} map, to read and not to change:
+        a lone grade's dict is the map itself, more grades are merged."""
         classes = self._classes
-        if classes is None:
-            classes = {}
-            grade = self._grade
-            for k, c in self._terms.items():
-                g = grade(k)
-                bucket = classes.get(g)
-                if bucket is None:
-                    classes[g] = bucket = {}
-                bucket[k] = c
-            self._classes = classes
-        return classes
+        if len(classes) == 1:
+            (terms,) = classes.values()
+            return terms
+        terms = {}
+        for part in classes.values():
+            terms.update(part)
+        return terms
 
     # container protocol
     def __len__(self) -> int:
-        return len(self._terms)
+        return sum(map(len, self._classes.values()))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._classes)
 
     def __iter__(self) -> Iterator[tuple]:
-        terms, den = self._terms, self._den
+        terms, den = self._flat(), self._den
         for k in self.support():
             yield k, Fraction(terms[k], den)
 
+    def _numerator(self, key) -> int:
+        """The numerator of key, 0 if it is not a term."""
+        key = self._coerce(key)
+        return self._classes.get(self._grade(key), {}).get(key, 0)
+
     def __getitem__(self, key) -> Fraction:
-        return Fraction(self._terms.get(self._coerce(key), 0), self._den)
+        return Fraction(self._numerator(key), self._den)
 
     def __contains__(self, key) -> bool:
-        return self._coerce(key) in self._terms
+        return bool(self._numerator(key))
 
     def support(self) -> list:
         """The keys in length-lexicographic order, as instances of the key class."""
         # two sorts with C-level keys: the second is stable, so keys of one
         # length stay in lexicographic order
-        return list(map(self._view, sorted(sorted(self._terms), key=len)))
+        return list(map(self._view, sorted(sorted(self._flat()), key=len)))
 
     # arithmetic
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        a, b, da, db = self._terms, other._terms, self._den, other._den
+        da, db = self._den, other._den
         if da == db:
-            return a == b
+            return self._classes == other._classes
+        a, b = self._flat(), other._flat()
         return a.keys() == b.keys() and all(c * db == b[k] * da for k, c in a.items())
 
     def __hash__(self):
         den = self._den
-        return hash(frozenset((k, Fraction(c, den)) for k, c in self._terms.items()))
+        return hash(
+            frozenset(
+                (k, Fraction(c, den)) for part in self._classes.values() for k, c in part.items()
+            )
+        )
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
@@ -483,7 +471,7 @@ class Combination:
         return self + (-other)
 
     def __neg__(self):
-        return self._raw({k: -c for k, c in self._terms.items()}, self._den)
+        return self._scaled(-1, self._den)
 
     def __mul__(self, scalar):
         if isinstance(scalar, type(self)):
@@ -491,37 +479,41 @@ class Combination:
         c = _typed("coefficient", scalar, int, Fraction)
         if not c:
             return type(self)()
-        n, den = c.numerator, self._den * c.denominator
-        # a combination never changes once built, so one numerator map and
-        # its buckets can serve two
-        if n == 1:
-            return self._raw(self._terms, den, self._classes)
-        return self._raw({k: b * n for k, b in self._terms.items()}, den)
+        return self._scaled(c.numerator, self._den * c.denominator)
 
     __rmul__ = __mul__
 
+    def _scaled(self, n: int, den: int):
+        """Every numerator times the nonzero int n, over den.  A combination
+        never changes once built, so by n = 1 its grade dicts serve two."""
+        if n == 1:
+            return self._raw(self._classes, den)
+        return self._raw(
+            {g: {k: c * n for k, c in part.items()} for g, part in self._classes.items()}, den
+        )
+
     # grading
     def grades(self) -> list[int]:
-        return sorted({self._grade(k) for k in self._terms})
+        return sorted(self._classes)
 
     def max_grade(self) -> int:
-        return max(map(self._grade, self._terms), default=0)
+        return max(self._classes, default=0)
 
     def restrict(self, grade: int):
         """Homogeneous part of the given grade."""
         grade = _count("grade", grade, 0)
-        g = self._grade
-        return self._raw({k: c for k, c in self._terms.items() if g(k) == grade}, self._den)
+        part = self._classes.get(grade)
+        return self._raw({grade: part} if part else {}, self._den)
 
     def truncate(self, max_grade: int):
         """Drop every term of grade above max_grade."""
         max_grade = _count("max_grade", max_grade, 0)
-        g = self._grade
-        return self._raw({k: c for k, c in self._terms.items() if g(k) <= max_grade}, self._den)
+        classes = {g: part for g, part in self._classes.items() if g <= max_grade}
+        return self._raw(classes, self._den)
 
     # rendering
     def pretty(self) -> str:
-        if not self._terms:
+        if not self._classes:
             return "0"
         parts = []
         for i, (k, c) in enumerate(self):

@@ -10,15 +10,24 @@ from hypothesis import strategies as st
 
 from itoflow import (
     BracketWord,
+    DriverAlphabet,
     Evaluator,
     Expansion,
+    MatrixExpansion,
     SurjElement,
     Surjection,
+    apply_element,
+    apply_vanishing_rules,
     diamond,
+    enumerate_grade,
     enumerate_surjections,
+    linear_field_log,
+    log_identity_closed_form,
+    matrix_log,
     qsh,
     qsh_via_surjections,
 )
+from itoflow.matrixseries import _integrate_against
 from itoflow.surjections import diamond_reference
 
 letters = st.integers(min_value=1, max_value=5)
@@ -46,6 +55,16 @@ KINDS = [
     pytest.param(Expansion, words, lambda w: w.weight, id="Expansion"),
     pytest.param(SurjElement, surjections(), len, id="SurjElement"),
 ]
+
+
+def _assert_filed(e):
+    """e files every key under its own grade, with no empty grade, and
+    every numerator is a nonzero int."""
+    grade = type(e)._grade
+    for g, part in e._classes.items():
+        assert part, f"empty grade {g}"
+        assert all(grade(k) == g for k in part), g
+        assert all(type(c) is int and c for c in part.values())
 
 
 @pytest.mark.parametrize("cls, keys, grade", KINDS)
@@ -113,12 +132,8 @@ def test_cancelling_products_and_sums_keep_no_zero_term():
 def test_grade_buckets_stay_out_of_equality_hash_and_json(cls, keys, grade, data):
     terms = data.draw(st.lists(st.tuples(keys, coeffs), max_size=6))
     a, fresh = cls(terms), cls(terms)
-    classes = a._graded()
-    assert a._graded() is classes  # worked out once, then kept
-    assert classes == {
-        g: {k: c for k, c in a._terms.items() if grade(k) == g}
-        for g in {grade(k) for k in a._terms}
-    }
+    _assert_filed(a)
+    assert a.grades() == sorted({grade(k) for k in a.support()})
     assert a == fresh and hash(a) == hash(fresh)
     text = json.dumps(a.to_json_dict())
     assert text == json.dumps(fresh.to_json_dict())
@@ -183,7 +198,7 @@ def test_one_rational_over_different_denominators_reads_the_same(a, b):
         assert e == same and same == e
         assert _readings(e) == _readings(same)
         for x in (e, same):
-            assert all(type(c) is int and c for c in x._terms.values())
+            _assert_filed(x)
             assert all(type(c) is Fraction for _, c in x)
     assert VALUES(scaled).tobytes() == VALUES(a).tobytes()
 
@@ -212,19 +227,10 @@ def test_diamond_of_an_operand_used_many_times_equals_the_reference(a, gs, k):
         assert diamond(a, a, max_grade=k) == reference(fresh, fresh)
 
 
-def _fresh_buckets(e):
-    """The grade buckets of e worked out afresh from its terms."""
-    out = {}
-    for k, c in e._terms.items():
-        out.setdefault(type(e)._grade(k), {})[k] = c
-    return out
-
-
 def _assert_finished(e, key_class):
-    """e keeps buckets that a fresh bucketing of its terms repeats, and
-    hands out every key, by support() and by iteration, as key_class."""
-    assert e._classes is not None
-    assert e._classes == _fresh_buckets(e)
+    """e files its terms by grade, and hands out every key, by support()
+    and by iteration, as key_class."""
+    _assert_filed(e)
     assert all(type(k) is key_class for k in e.support())
     assert all(type(k) is key_class for k, _ in e)
 
@@ -241,14 +247,13 @@ def test_qsh_products_and_their_sums_keep_their_weight_buckets(a, b, k, scalar):
     for e in (p, q, Expansion.sum([p, q]), qsh(p, a, max_weight=k), qsh(BracketWord(), a)):
         _assert_finished(e, BracketWord)
         # the kernels' plain tuples stay plain inside
-        assert all(type(w) is tuple for w in e._terms)
+        assert all(type(w) is tuple for w in e._flat())
     # a sum that cancels keeps no zero term and no empty bucket
     gone = Expansion.sum([p, qsh(-a, b, max_weight=k)])
-    assert not gone and gone._classes == {} and gone._terms == {}
-    # by numerator 1 the buckets are shared; by any other they are left to work out
+    assert not gone and gone._classes == {}
+    # by numerator 1 the buckets are shared; by any other they are scaled
     assert (p * Fraction(1, 3))._classes is p._classes
-    third = p * (scalar * 3)
-    assert third._graded() == _fresh_buckets(third)
+    _assert_finished(p * (scalar * 3), BracketWord)
 
 
 @given(
@@ -261,7 +266,7 @@ def test_diamond_products_and_their_sums_keep_their_arity_buckets(a, b, k):
     p, q = diamond(a, b, max_grade=k), diamond(b, a, max_grade=k)
     for e in (p, q, SurjElement.sum([p, q]), p * Fraction(1, 2)):
         _assert_finished(e, Surjection)
-    assert all(type(f) is tuple for f in p._terms)
+    assert all(type(f) is tuple for f in p._flat())
 
 
 @given(
@@ -273,15 +278,86 @@ def test_plain_keys_read_as_the_constructor_built_keys(a, b):
     """A product keeps its words as plain tuples; the same terms with
     checked BracketWord keys read the same everywhere."""
     product = qsh(a, b)
-    raw = Expansion._raw({tuple(w): c for w, c in product._terms.items()}, product._den)
+    classes = {g: {tuple(w): c for w, c in part.items()} for g, part in product._classes.items()}
+    raw = Expansion._raw(classes, product._den)
     built = Expansion(dict(product))
-    assert all(type(w) is BracketWord for w in built._terms)
+    assert all(type(w) is BracketWord for w in built._flat())
     assert raw == built and built == raw and hash(raw) == hash(built)
     assert raw.pretty() == built.pretty()
     assert json.dumps(raw.to_json_dict()) == json.dumps(built.to_json_dict())
     assert VALUES(raw).tobytes() == VALUES(built).tobytes()
     for w in built.support():
         assert w in raw and raw[w] == built[w]
+
+
+# letters 1 to 4 of a two-driver alphabet: (1, 1) folds to 3, a grade lower
+alphabet_words = st.lists(
+    st.lists(st.integers(1, 4), min_size=1, max_size=2).map(lambda ls: tuple(sorted(ls))),
+    max_size=3,
+).map(BracketWord)
+small_expansions = st.lists(st.tuples(small_words, small_coeffs), min_size=1, max_size=4).map(
+    Expansion
+)
+small_elements = st.lists(
+    st.tuples(surjections(max_n=3), small_coeffs), min_size=1, max_size=4
+).map(SurjElement)
+
+
+def _terms_of(keys):
+    return st.lists(st.tuples(keys, small_coeffs), min_size=1, max_size=4)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_route_files_each_key_under_its_grade(data):
+    """Whichever route builds a combination, each key sits under its own
+    grade, with no empty grade and no zero numerator."""
+    draw = data.draw
+    a, b = draw(small_expansions), draw(small_expansions)
+    s, t = draw(small_elements), draw(small_elements)
+    u, v, w = draw(small_words), draw(small_words), draw(alphabet_words)
+    k, arity, scalar = draw(st.integers(0, 8)), draw(st.integers(0, 3)), draw(small_coeffs)
+    dim, order = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    alphabet = DriverAlphabet(
+        2, continuous=draw(st.booleans()), cross_brackets_zero=draw(st.booleans())
+    )
+    on_alphabet = draw(_terms_of(alphabet_words))
+    acting = draw(_terms_of(st.sampled_from(enumerate_grade(len(w)))))
+    row = st.lists(st.integers(-1, 1), min_size=dim, max_size=dim)
+    generators = draw(
+        st.dictionaries(st.integers(1, 2), st.lists(row, min_size=dim, max_size=dim), min_size=1)
+    )
+
+    integrated = _integrate_against(MatrixExpansion(2, [[a, b], [-b, a * scalar]]))
+    routes = [
+        Expansion(list(a) + list(b)),
+        SurjElement(list(s) + list(t)),
+        qsh(a, b),
+        qsh(a, u, max_weight=k),
+        qsh(a, max_weight=k),
+        qsh(u, max_weight=k),
+        diamond(s, t),
+        diamond(s, t, max_grade=k),
+        Expansion.sum([a, b, -a]),
+        a - a,
+        s - s,
+        -s,
+        a * scalar,
+        s * scalar,
+        a.truncate(k),
+        a.restrict(k),
+        s.truncate(arity),
+        s.restrict(arity),
+        *(e for row in matrix_log(dim, order).entries for e in row),
+        *(e for row in integrated.entries for e in row),
+        apply_element(SurjElement(acting), w),
+        apply_vanishing_rules(Expansion(on_alphabet), alphabet),
+        *(e for row in linear_field_log(alphabet, order, generators) for e in row),
+        qsh_via_surjections(u, v),
+        log_identity_closed_form(order),
+    ]
+    for e in routes:
+        _assert_filed(e)
 
 
 def test_types_never_compare_equal():

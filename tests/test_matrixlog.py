@@ -18,23 +18,55 @@ from itoflow import (
     matrix_log,
     qsh,
 )
+from itoflow.flows import _entry_letters, _evaluate_matrix, brownian_increments
 from itoflow.matrixseries import _integrate_against
+from itoflow.verify import flow_problem
+
+
+def word_free_log(dm, order):
+    """The graded matrix log, to the given order, of the word-free Taylor
+    layers of the entry increments dm, shaped (dim, dim, paths, cells):
+    one (dim, dim) matrix per path, as (paths, dim, dim).
+
+    The weight-m Taylor layer L_m is run up cell by cell with the
+    left-point recursion L_m += L_{m-1} dM, m from order down to 1, so no
+    word enters.  Evaluation on a grid is a character of the quasi-shuffle
+    algebra, so matrix_log(dim, order) evaluates to the sum over k of
+    (-1)^(k+1)/k times every product L_{m_1} ... L_{m_k} with
+    m_1 + ... + m_k <= order, up to rounding.  It uses neither qsh nor the
+    surjection log element.
+    """
+    dim, _, paths, _ = dm.shape
+    layers = np.zeros((order + 1, paths, dim, dim))
+    layers[0] = np.eye(dim)
+    for step in np.moveaxis(dm, (-1, -2), (0, 1)):  # (paths, dim, dim) per cell
+        for m in range(order, 0, -1):
+            layers[m] += layers[m - 1] @ step
+    log = np.zeros((paths, dim, dim))
+    power = layers.copy()
+    power[0] = 0.0  # the graded parts of (L_1 + ... + L_order)^k, k = 1 first
+    for k in range(1, order + 1):
+        log += (-1) ** (k + 1) / k * power.sum(axis=0)
+        nxt = np.zeros_like(power)
+        for g in range(order + 1):
+            for m in range(1, g):
+                nxt[g] += power[g - m] @ layers[m]
+        power = nxt
+    return log
+
+
+def relative_gap(got, want):
+    """Largest |got - want|, relative to max(1, the largest entry of want)."""
+    return float(np.abs(got - want).max() / max(1.0, np.abs(want).max()))
 
 
 def pathwise_log_gap(dim, order, seed, jumps):
-    """Largest gap between matrix_log(dim, order) evaluated on random
-    increments and the graded matrix log of its word-free Taylor layers,
-    relative to max(1, the largest entry of the latter).
+    """The relative gap between matrix_log(dim, order) evaluated on random
+    increments and word_free_log of the same increments.
 
     Each entry letter moves by its own increments, on 8 paths of 256
     cells: Gaussian with a drift, plus compound-Poisson jumps if jumps is
-    true.  The weight-m Taylor layer L_m is run up cell by cell with the
-    left-point recursion L_m += L_{m-1} dM, m from order down to 1, so no
-    word enters.  Evaluation on a grid is a character of the quasi-shuffle
-    algebra, so the entry words evaluate to the sum over k of
-    (-1)^(k+1)/k times every product L_{m_1} ... L_{m_k} with
-    m_1 + ... + m_k <= order, up to rounding.  The recursion side uses
-    neither qsh nor the surjection log element.
+    true.
     """
     paths, cells = 8, 256
     rng = np.random.default_rng(seed)
@@ -42,24 +74,9 @@ def pathwise_log_gap(dim, order, seed, jumps):
     dm = rng.normal(0.5 / cells, cells**-0.5, size=shape)
     if jumps:  # rate 2 over the unit horizon, standard normal jump sizes
         dm += rng.normal(0.0, np.sqrt(rng.poisson(2.0 / cells, size=shape)))
-    layers = np.zeros((order + 1, paths, dim, dim))
-    layers[0] = np.eye(dim)
-    for step in np.moveaxis(dm, (-1, -2), (0, 1)):  # (paths, dim, dim) per cell
-        for m in range(order, 0, -1):
-            layers[m] += layers[m - 1] @ step
-    want = np.zeros((paths, dim, dim))
-    power = layers.copy()
-    power[0] = 0.0  # the graded parts of (L_1 + ... + L_order)^k, k = 1 first
-    for k in range(1, order + 1):
-        want += (-1) ** (k + 1) / k * power.sum(axis=0)
-        nxt = np.zeros_like(power)
-        for g in range(order + 1):
-            for m in range(1, g):
-                nxt[g] += power[g - m] @ layers[m]
-        power = nxt
     ev = Evaluator({entry_letter(a + 1, b + 1, dim): dm[a, b] for a in range(dim) for b in range(dim)})
     got = np.moveaxis([[ev(e) for e in row] for row in matrix_log(dim, order).entries], -1, 0)
-    return float(np.abs(got - want).max() / max(1.0, np.abs(want).max()))
+    return relative_gap(got, word_free_log(dm, order))
 
 
 class TestLetterEncoding:
@@ -198,3 +215,14 @@ class TestMatrixLogExp:
         # the oracle outside the exact layer: float matrix products of the
         # Taylor layers, run up by the left-point recursion, with no word
         assert pathwise_log_gap(dim, order, seed=order, jumps=jumps) <= 1e-12
+
+    def test_flow_study_log_stack_equals_the_word_free_log(self):
+        # the log as compare_flows evaluates it, at the flow study's shape:
+        # one Brownian motion drives every entry, affinely
+        problem = flow_problem(2**12)
+        paths = 16
+        dW = brownian_increments(problem, 7, range(paths))
+        ev = Evaluator._affine(dW, _entry_letters(problem))
+        got = _evaluate_matrix(matrix_log(2, 4), ev, paths, "log series")
+        a_dt, b = (x[:, :, None, None] for x in (problem.drift * problem.dt, problem.diffusion))
+        assert relative_gap(got, word_free_log(a_dt + b * dW, 4)) <= 1e-12

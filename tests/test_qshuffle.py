@@ -105,6 +105,16 @@ def test_max_weight_equals_truncated_full_product(a, b, k):
     assert qsh(a, b, max_weight=k) == qsh(a, b).truncate(k)
 
 
+@given(st.one_of(expansions, words), st.integers(min_value=0, max_value=7))
+@example(BracketWord.from_letters(1, 2, 3), 2)
+@settings(max_examples=60, deadline=None)
+def test_one_operand_is_truncated_at_max_weight(x, k):
+    """A lone operand keeps no term above max_weight, as its product with
+    the unit does not."""
+    e = x if isinstance(x, Expansion) else Expansion.of(x)
+    assert qsh(x, max_weight=k) == qsh(x, UNIT_WORD, max_weight=k) == e.truncate(k)
+
+
 def test_pruned_pairs_do_not_hit_the_weight_cap():
     a = Expansion({BracketWord.from_letters(1): 1, BracketWord.from_letters(1, 2, 3): 2})
     b = Expansion({BracketWord.from_letters(2): -1, BracketWord([(1, 2), (3,)]): 3})

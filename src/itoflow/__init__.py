@@ -93,7 +93,7 @@ from .paths import (
     simulate_bundle,
     write_bundle,
 )
-from .evaluate import Evaluator, evaluate
+from .evaluate import Evaluator
 from .flows import (
     FlowProblem,
     compare_flows,
@@ -146,7 +146,6 @@ __all__ = [
     "entry_letter",
     "enumerate_grade",
     "enumerate_surjections",
-    "evaluate",
     "exp_element",
     "flow_reference",
     "grade_cap",

@@ -340,8 +340,3 @@ def _prefix_trie(words: Iterable[BracketWord]) -> dict[tuple, int]:
         for i in range(1, len(w) + 1):
             trie.setdefault(w[:i], len(trie))
     return trie
-
-
-def evaluate(e: Union[Expansion, WordLike], bundle: PathBundle) -> float:
-    """Terminal value of an expansion or word on one path bundle."""
-    return float(Evaluator.from_bundle(bundle)(e))

@@ -29,7 +29,6 @@ from .surjections import Surjection
 from .words import (
     BracketWord,
     Expansion,
-    accumulate,
     frac_from_json,
     frac_str,
     frac_to_json,
@@ -175,7 +174,8 @@ def apply_vanishing_rules(e: Expansion, alphabet: DriverAlphabet) -> Expansion:
             blocks.append(b)
         else:  # no block vanished
             v = BracketWord(blocks)
-            accumulate(classes.setdefault(v.weight, {}), v, terms[w])
+            data = classes.setdefault(v.weight, {})
+            data[v] = data.get(v, 0) + terms[w]
     return Expansion._bucketed(classes, e._den)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import Callable, Iterable, Mapping
 
 from ._config import _count, _typed, check_weight
@@ -26,7 +26,7 @@ from .flowmaps import DriverAlphabet, apply_vanishing_rules
 from .kernels import fibers_of, merge_fibers
 from .logseries import log_identity_closed_form
 from .quasishuffle import qsh
-from .words import BracketWord, Expansion, accumulate, refuse_malformed
+from .words import BracketWord, Expansion, refuse_malformed
 
 LETTER_ENCODING = "row-major: letter(i, j) = (i - 1) * dim + j, 1-based"
 
@@ -162,43 +162,32 @@ class MatrixExpansion:
             return cls(obj["dim"], entries)
 
 
-def _integrate_against(me: MatrixExpansion) -> MatrixExpansion:
-    """Left-point integral of a matrix expansion against dM.
-
-    Entry (i, j) of the result sums entry (i, k) of the input with the
-    letter of M^{k j} appended as a new final singleton block, which puts
-    each word one weight up.
-    """
-    d = me.dim
-    rows = []
-    for entries in me.entries:
-        den = lcm(*(e._den for e in entries))
-        row = []
-        for j in range(d):
-            # the words of distinct k end in distinct letters: no two add up
-            classes: dict[int, dict] = {}
-            for k, e in enumerate(entries):
-                last, s = (entry_letter(k + 1, j + 1, d),), den // e._den
-                for g, part in e._classes.items():
-                    acc = classes.setdefault(g + 1, {})
-                    acc.update({(*w, last): c * s for w, c in part.items()})
-            row.append(Expansion._raw(classes, den))
-        rows.append(row)
-    return MatrixExpansion(d, rows)
-
-
 def matrix_ito_taylor(dim: int, order: int) -> MatrixExpansion:
     """Flow series to the given order: identity plus iterated integrals of M.
+
+    Built layer by layer: entry (i, j)'s weight-n bucket holds entry
+    (i, k)'s weight-(n-1) words, each with the letter of M^{k j} appended
+    as a new final singleton block, for every k.  The words of distinct k
+    end in distinct letters, so every numerator is 1, over 1.
 
     dim has no cap: the series has sum over k <= order of dim^(k+1) terms.
     """
     order = check_weight(_count("order", order, 0))
-    total = MatrixExpansion.identity(dim)
-    layer = MatrixExpansion.identity(dim)
-    for _ in range(order):
-        layer = _integrate_against(layer)
-        total = total + layer
-    return total
+    d = _count("dim", dim)
+    ix = range(d)
+    # appended[k][j]: the one-block suffix of the letter of M^{k j}
+    appended = [[((k * d + j + 1,),) for j in ix] for k in ix]
+    layer = [[{(): 1} if i == j else {} for j in ix] for i in ix]
+    buckets = [[{0: part} if part else {} for part in row] for row in layer]
+    for n in range(1, order + 1):
+        layer = [
+            [{w + ends[j]: 1 for words, ends in zip(row, appended) for w in words} for j in ix]
+            for row in layer
+        ]
+        for grades, row in zip(buckets, layer):
+            for classes, part in zip(grades, row):
+                classes[n] = part  # d^(n-1) chains from any i to any j: never empty
+    return MatrixExpansion(d, [[Expansion._raw(classes) for classes in row] for row in buckets])
 
 
 def matrix_log(dim: int, order: int) -> MatrixExpansion:
@@ -261,8 +250,8 @@ def linear_field_log(alphabet: DriverAlphabet, order: int, generators: Mapping) 
         for w, cw in e._flat().items():
             for combo in itertools.product(*(subs[m] for b in w for m in b)):
                 letters = iter(combo)
-                word = tuple(tuple(sorted(next(letters)[0] for _ in b)) for b in w)
-                accumulate(data, BracketWord._wrap(word), cw * prod(a for _, a in combo))
+                word = BracketWord._wrap(tuple(sorted(next(letters)[0] for _ in b)) for b in w)
+                data[word] = data.get(word, 0) + cw * prod(a for _, a in combo)
         # the generator entries may be Fractions: the constructor puts them over one denominator
         return apply_vanishing_rules(Expansion(data) * Fraction(1, e._den), alphabet)
 

@@ -24,10 +24,10 @@ from collections import Counter
 from ._config import _count, check_weight
 from .kernels import diamond_plan, qsh_words
 from .words import (
+    UNIT_WORD,
     BracketWord,
     Expansion,
     WordLike,
-    accumulate,
     add_into,
     as_word,
     block_product,
@@ -44,39 +44,47 @@ def _as_expansion(x) -> Expansion:
     return Expansion._raw({w.weight: {w: 1}})
 
 
+def _product(pair, a, b, max_weight: int | None = None) -> Expansion:
+    """pair extended bilinearly to words or expansions a and b.
+
+    pair(u, v) is a {word: multiplicity} dict of plain tuples, every word
+    of weight |u| + |v|, as qsh_words returns.  A pair of weight buckets
+    whose weights sum past max_weight is skipped whole, before the cap
+    check and before any coefficient work.  The int numerators of the
+    terms of a kept pair are added into the dict of their summed weight,
+    over the product of the operands' denominators; zero sums are dropped
+    in place at the end, and those dicts are the product's weight buckets,
+    ready for the next product.
+    """
+    a, b = _as_expansion(a), _as_expansion(b)
+    classes: dict = {}
+    for g, us, vs in graded_pairs(a._classes, b._classes, max_weight, check_weight):
+        data = classes.setdefault(g, {})
+        for u, cu in us:
+            for v, cv in vs:
+                add_into(data, pair(u, v), cu * cv)
+    return Expansion._bucketed(classes, a._den * b._den)
+
+
 def qsh(*operands, max_weight: int | None = None) -> Expansion:
     """Quasi-shuffle product of words or expansions, extended bilinearly.
 
     With more than two operands the product is folded left to right, which
-    is safe because qsh is associative.  Every term of a product of words
-    has the summed weight of its factors, so max_weight prunes per weight
-    class: a pair of an operand's weight buckets whose weights sum past
-    max_weight is skipped whole, before the cap check and before any
-    coefficient work.  This is the tool for truncated-series arithmetic.
-    A lone operand comes back truncated at max_weight.
-
-    A word operand is taken once as a one-term expansion.  The int
-    numerators of the terms of a pair of weight buckets are added into the
-    dict of their summed weight, over the product of the operands'
-    denominators, keyed by the plain tuples the kernel returns; zero sums
-    are dropped in place at the end, and those dicts are the product's
-    weight buckets, ready for the next product.
+    is safe because qsh is associative; a lone operand is its product with
+    the unit word.  Every term of a product of words has the summed weight
+    of its factors, so max_weight prunes per weight class and the weight
+    cap is checked once per kept pair of weight buckets (see _product).
+    This is the tool for truncated-series arithmetic.  A word operand is
+    taken once as a one-term expansion.
     """
     if max_weight is not None:
         max_weight = _count("max_weight", max_weight, 0)
     if not operands:
         return Expansion.unit()
-    acc = _as_expansion(operands[0])
-    if len(operands) == 1:
-        return acc if max_weight is None else acc.truncate(max_weight)
-    for rhs in map(_as_expansion, operands[1:]):
-        classes: dict = {}
-        for g, us, vs in graded_pairs(acc._classes, rhs._classes, max_weight, check_weight):
-            data = classes.setdefault(g, {})
-            for u, cu in us:
-                for v, cv in vs:
-                    add_into(data, qsh_words(u, v), cu * cv)
-        acc = Expansion._bucketed(classes, acc._den * rhs._den)
+    acc, *rest = operands if len(operands) > 1 else (operands[0], UNIT_WORD)
+    for rhs in rest:
+        # the kernel is read from this module at each call, where a recorder may rebind it
+        acc = _product(qsh_words, acc, rhs, max_weight)
     return acc
 
 
@@ -85,31 +93,16 @@ def _require_nonempty(u: BracketWord, v: BracketWord) -> None:
         raise ValueError("half-products are defined on nonempty words only")
 
 
-def _half_up_pair(u: BracketWord, v: BracketWord):
-    last = u[-1]
-    for w, mult in qsh_words(tuple(u[:-1]), tuple(v)).items():
-        yield BracketWord._wrap(w + (last,)), mult
+def _half_up_pair(u, v) -> dict:
+    _require_nonempty(u, v)
+    last = (u[-1],)
+    return {w + last: mult for w, mult in qsh_words(u[:-1], v).items()}
 
 
-def _bullet_pair(u: BracketWord, v: BracketWord):
-    merged = block_product(u[-1], v[-1])
-    for w, mult in qsh_words(tuple(u[:-1]), tuple(v[:-1])).items():
-        yield BracketWord._wrap(w + (merged,)), mult
-
-
-def _bilinear(pair_op, a, b) -> Expansion:
-    """pair_op extended bilinearly; like qsh's, each term of a pair of
-    weight buckets has their summed weight."""
-    a, b = _as_expansion(a), _as_expansion(b)
-    classes: dict = {}
-    for g, us, vs in graded_pairs(a._classes, b._classes, None, check_weight):
-        data = classes.setdefault(g, {})
-        for u, cu in us:
-            for v, cv in vs:
-                _require_nonempty(u, v)
-                for w, mult in pair_op(u, v):
-                    accumulate(data, w, cu * cv * mult)
-    return Expansion._bucketed(classes, a._den * b._den)
+def _bullet_pair(u, v) -> dict:
+    _require_nonempty(u, v)
+    merged = (block_product(u[-1], v[-1]),)
+    return {w + merged: mult for w, mult in qsh_words(u[:-1], v[:-1]).items()}
 
 
 def half_up(u, v) -> Expansion:
@@ -118,17 +111,17 @@ def half_up(u, v) -> Expansion:
     Extends bilinearly when either operand is an Expansion; every word in
     either operand must be nonempty.
     """
-    return _bilinear(_half_up_pair, u, v)
+    return _product(_half_up_pair, u, v)
 
 
 def half_down(u, v) -> Expansion:
     """Terms of qsh(u, v) whose final block is the last block of v."""
-    return _bilinear(lambda a, b: _half_up_pair(b, a), u, v)
+    return _product(lambda a, b: _half_up_pair(b, a), u, v)
 
 
 def bullet(u, v) -> Expansion:
     """Terms of qsh(u, v) ending with the merge of both last blocks."""
-    return _bilinear(_bullet_pair, u, v)
+    return _product(_bullet_pair, u, v)
 
 
 def qsh_via_surjections(u: WordLike, v: WordLike) -> Expansion:

@@ -35,7 +35,6 @@ from .words import (
     Combination,
     Expansion,
     WordLike,
-    accumulate,
     as_word,
     graded_pairs,
 )
@@ -336,5 +335,6 @@ def apply_element(e: SurjElement, w: WordLike) -> Expansion:
     w = as_word(w)
     data: dict[BracketWord, int] = {}
     for f, c in e._flat().items():
-        accumulate(data, apply_surjection(f, w), c)
+        v = apply_surjection(f, w)
+        data[v] = data.get(v, 0) + c
     return Expansion._bucketed({w.weight: data}, e._den)

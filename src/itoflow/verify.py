@@ -57,7 +57,7 @@ from .surjections import (
     embed_composition,
     enumerate_grade,
 )
-from .words import BracketWord, Expansion, accumulate
+from .words import BracketWord, Expansion
 
 PATHWISE_TOL = 1e-9  # relative residual allowed in a pathwise product identity
 _PATHWISE_MAX_WEIGHT = 3  # word weight sampled by the pathwise quasi-shuffle case
@@ -139,7 +139,7 @@ def check_linear_fields(
         for tup in itertools.product(range(drivers), repeat=t.order):
             word = apply_surjection(f, BracketWord.from_letters(*(i + 1 for i in tup)))
             for pq, c in enumerate(reduce(np.matmul, [gens[i] for i in tup]).flat):
-                accumulate(want[pq], word, t.coeff * c)
+                want[pq][word] = want[pq].get(word, 0) + t.coeff * c
     got = linear_field_log(alphabet, order, {i + 1: g for i, g in enumerate(gens)})
     return sum(
         _mismatch(apply_vanishing_rules(Expansion(w), alphabet), g)

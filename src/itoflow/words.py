@@ -270,19 +270,9 @@ def graded_pairs(left: dict, right: dict, max_grade, check):
             yield g, xs.items(), ys.items()
 
 
-def accumulate(data: dict, key, c) -> None:
-    """data[key] += c for exact coefficients; a zero sum drops the key."""
-    prev = data.get(key)
-    tot = c if prev is None else prev + c
-    if tot:
-        data[key] = tot
-    else:
-        data.pop(key, None)
-
-
 def add_into(data: dict, terms: dict, scale: int) -> None:
     """data[k] += c * scale for each term k, c of terms.  A zero sum stays in
-    data, for the caller to drop once, at the end (drop_zeros)."""
+    data, for _bucketed to drop once, at the end."""
     if not data and scale == 1:
         data.update(terms)
         return
@@ -292,12 +282,17 @@ def add_into(data: dict, terms: dict, scale: int) -> None:
         data[k] = c * scale if prev is None else prev + c * scale
 
 
-def drop_zeros(data: dict) -> dict:
-    """data with its zero values deleted, in place; the scan for a zero runs in C."""
-    if 0 in data.values():
-        for k in [k for k, c in data.items() if not c]:
-            del data[k]
-    return data
+def _prune(classes: dict) -> dict:
+    """classes, grade -> {key: numerator}, with its zero numerators and then
+    its empty grades deleted, in place; the scan for a zero runs in C."""
+    for g in list(classes):
+        data = classes[g]
+        if 0 in data.values():
+            for k in [k for k, c in data.items() if not c]:
+                del data[k]
+        if not data:
+            del classes[g]
+    return classes
 
 
 def _json_list(key):
@@ -317,12 +312,14 @@ class Combination:
     read each coefficient out as a reduced Fraction.  Equality is equality
     of those values between combinations of one type.
 
-    Every route builds its result already filed: the constructor and
-    apply_vanishing_rules work out each key's grade, and the products and
-    maps file each term under a grade they know (qsh and diamond add the
-    grades of a bucket pair, matrix_log keeps a word's weight).  A
-    combination never changes once built, so a scalar product by numerator
-    1, restrict and truncate share its grade dicts.
+    Every route builds its result in this form: the constructor and
+    apply_vanishing_rules file each key under the grade they work out for
+    it, the products and maps under a grade they know (qsh and diamond add
+    the grades of a bucket pair, matrix_log keeps a word's weight,
+    matrix_ito_taylor files its layer n under weight n).  Each adds its
+    terms up first and drops zero numerators and empty grades once, at the
+    end.  A combination never changes once built, so a scalar product by
+    numerator 1, restrict and truncate share its grade dicts.
 
     A key is a canonical tuple, plain or already an instance of the key
     class: the key classes are tuple subclasses that hash and compare as
@@ -346,13 +343,15 @@ class Combination:
             coerce = self._coerce
             items = terms.items() if isinstance(terms, Mapping) else terms
             for k, c in items:
-                accumulate(data, coerce(k), _typed("coefficient", c, int, Fraction))
+                k = coerce(k)
+                data[k] = data.get(k, 0) + _typed("coefficient", c, int, Fraction)
+        # a zero sum has denominator 1, so it leaves den as it is
         den = lcm(*(c.denominator for c in data.values()))
         classes: dict = {}
         grade = self._grade
         for k, c in data.items():
             classes.setdefault(grade(k), {})[k] = c.numerator * (den // c.denominator)
-        self._classes = classes
+        self._classes = _prune(classes)
         self._den = den
 
     # construction helpers
@@ -382,10 +381,8 @@ class Combination:
     def _bucketed(cls, classes: dict, den: int = 1):
         """The combination classes / den, every key filed under its grade,
         once its zero numerators and then its empty grades are dropped, in
-        place."""
-        for g in [g for g, data in classes.items() if not drop_zeros(data)]:
-            del classes[g]
-        return cls._raw(classes, den)
+        place (_prune, which the constructor runs too)."""
+        return cls._raw(_prune(classes), den)
 
     @classmethod
     def sum(cls, combinations: Iterable["Combination"]):

@@ -72,7 +72,6 @@ ROWS = {
     "entry_letter": (1, 2, 2),
     "enumerate_grade": (3,),
     "enumerate_surjections": (3, 2),
-    "evaluate": (WORD, BUNDLE),
     "exp_element": (log_identity_closed_form(2), 2),
     "flow_reference": (PROBLEM, np.zeros((1, 4))),
     "grade_cap": (),
@@ -157,7 +156,9 @@ BOUNDS = {
 
 # malformed values of the right type, each of which must raise ValueError
 VALUE_ROWS = {
-    "evaluate-unbound-letter": lambda: itoflow.evaluate(BracketWord.from_letters(3), BUNDLE),
+    "evaluate-unbound-letter": lambda: itoflow.Evaluator.from_bundle(BUNDLE)(
+        BracketWord.from_letters(3)
+    ),
     "Evaluator-no-letters": lambda: itoflow.Evaluator({}),
     "Evaluator-letter-0": lambda: itoflow.Evaluator({0: np.zeros(4)}),
     "Evaluator-nan": lambda: itoflow.Evaluator({1: np.array([0.0, math.nan])}),

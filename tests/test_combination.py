@@ -13,7 +13,6 @@ from itoflow import (
     DriverAlphabet,
     Evaluator,
     Expansion,
-    MatrixExpansion,
     SurjElement,
     Surjection,
     apply_element,
@@ -23,11 +22,11 @@ from itoflow import (
     enumerate_surjections,
     linear_field_log,
     log_identity_closed_form,
+    matrix_ito_taylor,
     matrix_log,
     qsh,
     qsh_via_surjections,
 )
-from itoflow.matrixseries import _integrate_against
 from itoflow.surjections import diamond_reference
 
 letters = st.integers(min_value=1, max_value=5)
@@ -328,7 +327,6 @@ def test_every_route_files_each_key_under_its_grade(data):
         st.dictionaries(st.integers(1, 2), st.lists(row, min_size=dim, max_size=dim), min_size=1)
     )
 
-    integrated = _integrate_against(MatrixExpansion(2, [[a, b], [-b, a * scalar]]))
     routes = [
         Expansion(list(a) + list(b)),
         SurjElement(list(s) + list(t)),
@@ -349,7 +347,7 @@ def test_every_route_files_each_key_under_its_grade(data):
         s.truncate(arity),
         s.restrict(arity),
         *(e for row in matrix_log(dim, order).entries for e in row),
-        *(e for row in integrated.entries for e in row),
+        *(e for row in matrix_ito_taylor(dim, order).entries for e in row),
         apply_element(SurjElement(acting), w),
         apply_vanishing_rules(Expansion(on_alphabet), alphabet),
         *(e for row in linear_field_log(alphabet, order, generators) for e in row),

@@ -1,6 +1,5 @@
 """Pathwise evaluation of bracket words on discretized drivers."""
 
-import importlib
 import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
@@ -12,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import itoflow.evaluate as evaluate_module
 from itoflow import (
     BracketWord,
     DriverSpec,
@@ -22,7 +22,6 @@ from itoflow import (
     SamplePath,
     PathBundle,
     compare_flows,
-    evaluate,
     make_grid,
     matrix_ito_taylor,
     matrix_log,
@@ -31,9 +30,6 @@ from itoflow import (
 )
 from itoflow.flows import _evaluate_matrix, brownian_increments
 from itoflow.verify import words_up_to
-
-# the package rebinds the name `evaluate` to the function
-evaluate_module = importlib.import_module("itoflow.evaluate")
 
 
 def reference_word_path(increments, w):
@@ -115,7 +111,7 @@ def two_step_bundle(a1, a2, b1, b2):
 class TestHandComputed:
     def test_single_letter_is_terminal(self):
         b = two_step_bundle(1.0, 2.0, 0.5, -0.5)
-        assert evaluate(Expansion.of(BracketWord([(1,)])), b) == 3.0
+        assert Evaluator.from_bundle(b)(Expansion.of(BracketWord([(1,)]))) == 3.0
 
     def test_two_letter_word_uses_left_endpoints(self):
         # integral of x dy on two cells: x_0 b1 + x_1 b2 = a1 * b2
@@ -126,13 +122,11 @@ class TestHandComputed:
     def test_bracket_block_is_increment_product_sum(self):
         b = two_step_bundle(2.0, 3.0, 5.0, 7.0)
         # [x, y] accumulates a1*b1 + a2*b2 = 10 + 21
-        assert evaluate(Expansion.of(BracketWord([(1, 2)])), b) == pytest.approx(
-            31.0
-        )
+        assert Evaluator.from_bundle(b)(Expansion.of(BracketWord([(1, 2)]))) == pytest.approx(31.0)
 
     def test_unit_word_is_one(self):
         b = two_step_bundle(1.0, 1.0, 1.0, 1.0)
-        assert evaluate(Expansion.unit(), b) == 1.0
+        assert Evaluator.from_bundle(b)(Expansion.unit()) == 1.0
 
     def test_word_path_starts_at_indicator(self):
         b = two_step_bundle(1.0, 1.0, 1.0, 1.0)
@@ -146,7 +140,7 @@ class TestBundleOnly:
     @pytest.mark.parametrize(
         "route",
         [
-            evaluate,
+            lambda w, b: Evaluator.from_bundle(b)(w),
             pytest.param(lambda w, b: Evaluator.from_bundle(b).word_path(w), id="evaluate_path"),
         ],
     )
@@ -171,16 +165,16 @@ class TestQuasiShuffleIdentityNumerically:
         bundle = simulate_bundle(specs, grid, seed=9, path_index=0)
         u = BracketWord([(1,), (2,)])
         v = BracketWord([(1,)])
-        lhs = evaluate(qsh(u, v), bundle)
-        rhs = evaluate(Expansion.of(u), bundle) * evaluate(
-            Expansion.of(v), bundle
-        )
+        ev = Evaluator.from_bundle(bundle)
+        lhs = ev(qsh(u, v))
+        rhs = ev(Expansion.of(u)) * ev(Expansion.of(v))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_square_of_single_letter(self):
         b = two_step_bundle(3.0, 4.0, 0.0, 0.0)
-        total = evaluate(Expansion.of(BracketWord([(1,)])), b)
-        sq = evaluate(qsh(BracketWord([(1,)]), BracketWord([(1,)])), b)
+        ev = Evaluator.from_bundle(b)
+        total = ev(Expansion.of(BracketWord([(1,)])))
+        sq = ev(qsh(BracketWord([(1,)]), BracketWord([(1,)])))
         assert sq == pytest.approx(total**2)
 
 
@@ -200,7 +194,7 @@ class TestEvaluator:
     def test_expansion_with_rational_coefficients(self):
         b = two_step_bundle(1.0, 2.0, 3.0, 4.0)
         e = Fraction(1, 3) * Expansion.of(BracketWord([(1,)]))
-        assert evaluate(e, b) == pytest.approx(1.0)
+        assert Evaluator.from_bundle(b)(e) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("coeff", [10**400, Fraction(-(10**400), 3)], ids=["int", "Fraction"])
     def test_coefficient_past_the_float_range_is_named(self, coeff):

@@ -21,7 +21,6 @@ from itoflow import (
 )
 from itoflow import verify
 from itoflow.logseries import descent_coefficient
-from itoflow.words import accumulate
 
 
 CONTINUOUS = DriverAlphabet(n_primary=2)
@@ -192,7 +191,8 @@ def template_route(alphabet, order, letters=None):
     for term in terms:
         f = term.surjection()
         for combo in itertools.product(singletons, repeat=term.order):
-            accumulate(data, apply_surjection(f, BracketWord._wrap(combo)), term.coeff)
+            w = apply_surjection(f, BracketWord._wrap(combo))
+            data[w] = data.get(w, 0) + term.coeff
     return apply_vanishing_rules(Expansion(data), alphabet)
 
 

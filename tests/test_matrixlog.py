@@ -1,5 +1,6 @@
 """Matrix-valued series: the flow expansion and its entry-wise logarithm."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,9 @@ from itoflow import (
     matrix_ito_taylor,
     matrix_log,
     qsh,
+    truncated_expm,
 )
 from itoflow.flows import _entry_letters, _evaluate_matrix, brownian_increments
-from itoflow.matrixseries import _integrate_against
 from itoflow.verify import flow_problem
 
 
@@ -77,6 +78,37 @@ def pathwise_log_gap(dim, order, seed, jumps):
     ev = Evaluator({entry_letter(a + 1, b + 1, dim): dm[a, b] for a in range(dim) for b in range(dim)})
     got = np.moveaxis([[ev(e) for e in row] for row in matrix_log(dim, order).entries], -1, 0)
     return relative_gap(got, word_free_log(dm, order))
+
+
+def scaled_flow_errors(dim, order, seed, epsilons):
+    """For each eps, the mean Frobenius distance between exp of
+    matrix_log(dim, order), evaluated on the increments eps dM, and the
+    Euler product of (I + eps dM) over the cells.
+
+    Each entry letter moves by its own increments, on 16 paths of 8
+    cells: a drift, a Brownian part and compound-Poisson jumps of rate 2
+    over the unit horizon with standard normal sizes.
+    """
+    paths, cells = 16, 8
+    rng = np.random.default_rng(seed)
+    shape = (dim, dim, paths, cells)
+    dm = 1.0 / cells + rng.normal(0.0, cells**-0.5, size=shape)
+    dm += rng.normal(0.0, np.sqrt(rng.poisson(2.0 / cells, size=shape)))
+    log = matrix_log(dim, order)
+    errors = []
+    for eps in epsilons:
+        scaled = {entry_letter(a, b, dim): eps * dm[a - 1, b - 1] for a, b in _positions(dim)}
+        ev = Evaluator(scaled)
+        got = truncated_expm(_evaluate_matrix(log, ev, paths, "log series"))
+        euler = np.broadcast_to(np.eye(dim), got.shape)
+        for step in np.moveaxis(eps * dm, (-1, -2), (0, 1)):  # (paths, dim, dim) per cell
+            euler = euler + euler @ step
+        errors.append(float(np.linalg.norm(got - euler, axis=(1, 2)).mean()))
+    return errors
+
+
+def _positions(dim):
+    return list(itertools.product(range(1, dim + 1), repeat=2))
 
 
 class TestLetterEncoding:
@@ -146,11 +178,32 @@ class TestTaylorSeries:
             BracketWord([(2,), (3,)]),  # (1,2)(2,1)
         }
 
-    def test_integrate_against_raises_weight(self):
-        m0 = MatrixExpansion.identity(2)
-        m1 = _integrate_against(m0)
-        assert m1.max_weight() == 1
-        assert _integrate_against(m1).max_weight() == 2
+    def test_layer_n_is_filed_under_weight_n(self):
+        m = matrix_ito_taylor(2, 3)
+        for i, j in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+            e = m[i, j]
+            # the unit sits on the diagonal only; every layer n >= 1 reaches every entry
+            assert e.grades() == list(range(0 if i == j else 1, 4))
+            for n, part in e._classes.items():
+                assert {len(w) for w in part} == {n}
+
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    @pytest.mark.parametrize("order", range(5))
+    def test_buckets_are_the_index_chains(self, dim, order):
+        # the definition, brute-forced: entry (i, j)'s weight-n bucket holds
+        # the word M^{i i_1} M^{i_1 i_2} ... M^{i_(n-1) j} of every index chain,
+        # each with numerator 1 over 1, and an empty bucket is absent
+        m = matrix_ito_taylor(dim, order)
+        for i, j in _positions(dim):
+            want = {0: {(): 1}} if i == j else {}
+            for n in range(1, order + 1):
+                mids = itertools.product(range(1, dim + 1), repeat=n - 1)
+                chains = [(i, *mid, j) for mid in mids]
+                want[n] = {
+                    tuple((entry_letter(a, b, dim),) for a, b in zip(c, c[1:])): 1 for c in chains
+                }
+            assert m[i, j]._den == 1
+            assert m[i, j]._classes == want
 
     def test_grading_by_order(self):
         for order in (1, 2, 3):
@@ -215,6 +268,17 @@ class TestMatrixLogExp:
         # the oracle outside the exact layer: float matrix products of the
         # Taylor layers, run up by the left-point recursion, with no word
         assert pathwise_log_gap(dim, order, seed=order, jumps=jumps) <= 1e-12
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_exp_log_meets_the_euler_product_to_order_plus_one(self, dim):
+        # for any increments scaled by eps, |exp(eval log_n) - Euler product|
+        # = O(eps^(n+1)): each halving of eps divides the error by about
+        # 2^(n+1); dropping log_3's 3-letter blocks leaves about 8 at n = 3
+        epsilons = (0.2, 0.1, 0.05, 0.025)
+        for order in range(1, 5):
+            errors = scaled_flow_errors(dim, order, seed=0, epsilons=epsilons)
+            ratios = [a / b for a, b in zip(errors, errors[1:])]
+            assert min(ratios) >= 0.75 * 2 ** (order + 1), (order, ratios)
 
     def test_flow_study_log_stack_equals_the_word_free_log(self):
         # the log as compare_flows evaluates it, at the flow study's shape:

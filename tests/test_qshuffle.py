@@ -115,6 +115,31 @@ def test_one_operand_is_truncated_at_max_weight(x, k):
     assert qsh(x, max_weight=k) == qsh(x, UNIT_WORD, max_weight=k) == e.truncate(k)
 
 
+def _product_or_cap(*operands, max_weight):
+    """qsh of the operands, or CapExceeded if it raises that."""
+    try:
+        return qsh(*operands, max_weight=max_weight)
+    except CapExceeded:
+        return CapExceeded
+
+
+@given(
+    st.one_of(expansions, words),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=7)),
+    st.integers(min_value=1, max_value=7),
+)
+@example(BracketWord.from_letters(1, 2, 3), None, 2)
+@settings(max_examples=80, deadline=None)
+def test_lone_operand_is_its_product_with_the_unit(x, k, w):
+    """Under any weight cap, a lone operand is truncated and checked as its
+    product with the unit is: the same result, or CapExceeded from both."""
+    with caps(weight=w):
+        lone = _product_or_cap(x, max_weight=k)
+        paired = _product_or_cap(x, UNIT_WORD, max_weight=k)
+    assert (lone is CapExceeded) == (paired is CapExceeded)
+    assert lone == paired
+
+
 def test_pruned_pairs_do_not_hit_the_weight_cap():
     a = Expansion({BracketWord.from_letters(1): 1, BracketWord.from_letters(1, 2, 3): 2})
     b = Expansion({BracketWord.from_letters(2): -1, BracketWord([(1, 2), (3,)]): 3})

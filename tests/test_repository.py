@@ -1,15 +1,18 @@
 """Repository hygiene: no tracked file is one that .gitignore marks as
 generated, no library module rebinds a module-level name from a function,
 every library memo has a stated finite size, no public library function
-takes a private parameter, and every argument check goes through
-itoflow._config."""
+takes a private parameter, every argument check goes through
+itoflow._config, and no public name hides a submodule."""
 
 import ast
+import pkgutil
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
+
+import itoflow
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -114,3 +117,10 @@ def test_argument_checks_live_in_config():
         if _inline_check(node)
     ]
     assert found == []
+
+
+def test_no_public_name_is_a_submodule_name():
+    # a package attribute named after a submodule shadows it: `import
+    # itoflow.x as m` would bind the attribute, not the module
+    submodules = {m.name for m in pkgutil.iter_modules(itoflow.__path__)}
+    assert sorted(submodules.intersection(itoflow.__all__)) == []

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from ._config import _count, _typed, check_grade
-from .logseries import _descent_law_terms
+from .logseries import log_identity_closed_form
 from .surjections import Surjection
 from .words import (
     BracketWord,
@@ -132,15 +132,17 @@ def log_flow_terms(alphabet: DriverAlphabet, order: int) -> list[LogTerm]:
     In continuous mode only surjections with fibers of at most two
     positions survive (larger fibers are iterated brackets of three or
     more continuous factors); with jumps every surjection contributes.
+    The terms are a filter of log_identity_closed_form(order), read
+    bucket by bucket in its (k, lex) order.
     """
     _typed("alphabet", alphabet, DriverAlphabet)
     order = check_grade(_count("order", order))
     max_fiber = 2 if alphabet.continuous else order
-    laws = [(n, *_descent_law_terms(n)) for n in range(1, order + 1)]
+    element = log_identity_closed_form(order)
     return [
-        LogTerm(order=n, partition=f.fibers(), coeff=Fraction(c, den))
-        for n, surjs, nums, den in laws
-        for f, c in zip(surjs, nums)
+        LogTerm(order=n, partition=Surjection._wrap(f).fibers(), coeff=Fraction(c, element._den))
+        for n, part in element._classes.items()
+        for f, c in part.items()
         if max(map(f.count, f)) <= max_fiber
     ]
 

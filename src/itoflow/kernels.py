@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations, compress, count
 from operator import ge, itemgetter
 
-from ._config import DEFAULT_WEIGHT_CAP
+from ._config import DEFAULT_GRADE_CAP, DEFAULT_WEIGHT_CAP
 
 # Kept for callers that record it in run metadata; there is no other backend.
 BACKEND = "python"
@@ -86,16 +86,32 @@ def _surjections(n, k):
 
 def grade_table(n):
     """The surjections of arity n onto any k in (k, lex) order, and beside
-    them their descent counts, as two tuples.
+    them their descent counts, as two tuples of plain tuples and ints.
 
-    The same enumeration and descent rule as surjections and
-    descent_count, reached without calling those two functions: filling
-    a memo from here (surjections._grade_table), as with diamond_plan,
-    calls no other kernel, so a traced run makes the same kernel calls
-    on a cold memo as on a warm one.
+    The only cache of these tables, under the rule of qsh_words' plans:
+    arities within DEFAULT_GRADE_CAP are kept, at most 8 tables, least
+    recently used dropped first; a larger one, reachable only under a
+    raised grade cap, is built on each call and dropped.  Every caller
+    checks n against the grade cap first.  The enumeration and descent
+    rule are those of surjections and descent_count, reached without
+    calling them: as with diamond_plan, filling a table calls no other
+    kernel, so a traced run makes the same kernel calls on a cold table
+    as on a warm one.
     """
+    return _kept_grade_table(n) if n <= DEFAULT_GRADE_CAP else _grade_table(n)
+
+
+def _grade_table(n):
     surjs = tuple(f for k in range(n + 1) for f in _surjections(n, k))
     return surjs, tuple(map(_descents, surjs))
+
+
+@lru_cache(maxsize=8)
+def _kept_grade_table(n):
+    """_grade_table(n), kept.  grade_table calls it only for n within
+    DEFAULT_GRADE_CAP: arities 1 to 6 take 0.52 MiB together, by
+    tracemalloc (arity 7 alone would keep 5.1 MiB)."""
+    return _grade_table(n)
 
 
 def qsh_words(u, v):

@@ -22,11 +22,11 @@ from math import comb, factorial, lcm
 from typing import Iterable
 
 from ._config import _count, _typed, check_grade
+from .kernels import grade_table
 from .surjections import (
     SurjElement,
     Surjection,
     _check_positions,
-    _grade_table,
     descent_sum_within,
     diamond,
 )
@@ -62,33 +62,25 @@ def log_identity_series(max_grade: int) -> SurjElement:
     return SurjElement.sum(terms)
 
 
-def _descent_law_terms(n: int):
-    """The descent law over the arity's table, as int numerators over one
-    denominator: (surjections, numerators, den), the arity-n surjections in
-    (k, lex) order and beside each f the numerator of
-    descent_coefficient(n, d) over den, the lcm of the law's denominators,
-    d the descent count of f.
-
-    Both log_identity_closed_form and flowmaps.log_flow_terms read their
-    coefficients here.  n must already be within the grade cap.
-    """
-    surjs, descents = _grade_table(n)
-    law = [descent_coefficient(n, d) for d in range(n)]
-    den = lcm(*(c.denominator for c in law))
-    by_descents = [c.numerator * (den // c.denominator) for c in law]
-    return surjs, map(by_descents.__getitem__, descents), den
-
-
 def log_identity_closed_form(max_grade: int) -> SurjElement:
-    """The same element from the descent-count coefficient law directly,
-    one arity bucket per arity."""
+    """The same element from the descent law directly, one arity bucket
+    per arity: bucket n holds kernels.grade_table(n)'s surjections in
+    (k, lex) order, and beside each f the numerator of
+    descent_coefficient(n, d), d the descent count of f, over one
+    denominator, the lcm of every arity's law.
+
+    The one builder of the log element: matrix_log,
+    strichartz_restriction and flowmaps.log_flow_terms each read its
+    buckets.
+    """
     max_grade = check_grade(_count("max_grade", max_grade))
-    laws = [_descent_law_terms(n) for n in range(1, max_grade + 1)]
-    den = lcm(*(d for _, _, d in laws))
-    classes = {
-        n: dict(zip(surjs, map((den // d).__mul__, nums)))
-        for n, (surjs, nums, d) in enumerate(laws, start=1)
-    }
+    laws = {n: [descent_coefficient(n, d) for d in range(n)] for n in range(1, max_grade + 1)}
+    den = lcm(*(c.denominator for law in laws.values() for c in law))
+    classes = {}
+    for n, law in laws.items():
+        surjs, descents = grade_table(n)
+        by_descents = [c.numerator * (den // c.denominator) for c in law]
+        classes[n] = dict(zip(surjs, map(by_descents.__getitem__, descents)))
     return SurjElement._raw(classes, den)
 
 
@@ -121,8 +113,7 @@ def subset_alternating_sum(n: int, positions: Iterable[int]) -> Fraction:
     2^(n-1-|I|) supersets, so n is bounded by the grade cap.
     """
     n = check_grade(_count("n", n))
-    base = set(positions)
-    _check_positions(n, tuple(base))
+    base = _check_positions(n, positions)
     rest = [i for i in range(1, n) if i not in base]
     total = Fraction(0)
     for extra in _subsets(rest):
@@ -155,10 +146,12 @@ def strichartz_restriction(max_grade: int) -> SurjElement:
 
     Restricting to permutations recovers the classical flow-logarithm
     coefficients of chronological calculus: (-1)^d / (n * binomial(n-1, d))
-    with d the number of strict descents of the permutation.
+    with d the number of strict descents of the permutation.  Each arity
+    bucket of log_identity_closed_form keeps its bijections (f onto its
+    arity), over the element's denominator.
     """
-    max_grade = check_grade(_count("max_grade", max_grade))
     full = log_identity_closed_form(max_grade)
-    return SurjElement(
-        (f, c) for f, c in full if f.is_bijection()
+    return SurjElement._raw(
+        {n: {f: c for f, c in part.items() if max(f) == n} for n, part in full._classes.items()},
+        full._den,
     )

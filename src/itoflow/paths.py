@@ -87,7 +87,7 @@ def _check_grid(grid) -> np.ndarray:
 
 
 def _check_horizon(horizon) -> None:
-    if not 0 < horizon < np.inf:
+    if not 0 < _typed("horizon", horizon, Real) < np.inf:
         raise ValueError(f"horizon must be positive and finite, not {horizon!r}")
 
 

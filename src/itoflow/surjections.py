@@ -15,10 +15,10 @@ provided exactly and as subset-closed sums, related by inclusion-exclusion.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterable, Sequence, Union
 
-from ._config import DEFAULT_GRADE_CAP, _count, _typed, check_grade
+from ._config import _count, _typed, check_grade
 from .kernels import (
     descent_count as _descent_count,
     descent_set as _descent_set,
@@ -109,7 +109,7 @@ def parse_surjection(text: str) -> Surjection:
 
 def pack(values: Sequence[int]) -> Surjection:
     """Rank-normalize any positive-integer word onto 1..k, e.g. 35731 -> 23421."""
-    return Surjection._wrap(pack_word(tuple(values)))
+    return Surjection._wrap(pack_word(tuple([_count("packed value", v) for v in values])))
 
 
 def enumerate_surjections(n: int, k: int) -> list[Surjection]:
@@ -125,34 +125,10 @@ def enumerate_surjections(n: int, k: int) -> list[Surjection]:
 def enumerate_grade(n: int) -> list[Surjection]:
     """All surjections of arity n, any target size, in (k, lex) order.
 
-    A fresh list each call, copied from the arity's table in _grade_table.
+    A fresh list each call: the arity's kernels.grade_table, each entry
+    wrapped as a Surjection.
     """
-    return list(_grade_table(check_grade(_count("n", n, 0)))[0])
-
-
-def _grade_table(n: int) -> tuple[tuple[Surjection, ...], tuple[int, ...]]:
-    """The surjections of arity n in (k, lex) order, and beside them their
-    descent counts, as two tuples (kernels.grade_table, wrapped).
-
-    Kept for n up to DEFAULT_GRADE_CAP, at most 8 tables, least recently
-    used dropped first; a larger arity, reachable only under a raised
-    grade cap, is enumerated afresh on each call and not kept.  Measured
-    with tracemalloc, the kept tables of arities 1 to 6 take 0.56 MiB
-    together.  The table is not checked against the grade cap: every
-    caller checks n first, so a lowered cap still raises CapExceeded on a
-    warm table.
-    """
-    if n <= DEFAULT_GRADE_CAP:
-        return _kept_grade_table(n)
-    return _wrapped_grade_table(n)
-
-
-def _wrapped_grade_table(n: int):
-    surjs, descents = grade_table(n)
-    return tuple(map(Surjection._wrap, surjs)), descents
-
-
-_kept_grade_table = lru_cache(maxsize=8)(_wrapped_grade_table)
+    return list(map(Surjection._wrap, grade_table(check_grade(_count("n", n, 0)))[0]))
 
 
 SurjLike = Union[Surjection, Sequence[int]]
@@ -237,8 +213,7 @@ def diamond_reference(f: SurjLike, g: SurjLike) -> SurjElement:
 
 def descent_sum_exact(n: int, positions: Iterable[int]) -> SurjElement:
     """Sum of all arity-n surjections whose descent set equals the given one."""
-    target = tuple(sorted(set(positions)))
-    _check_positions(n, target)
+    target = tuple(sorted(_check_positions(n, positions)))
     return SurjElement(
         (f, 1) for f in enumerate_grade(n) if f.descent_set() == target
     )
@@ -246,8 +221,7 @@ def descent_sum_exact(n: int, positions: Iterable[int]) -> SurjElement:
 
 def descent_sum_within(n: int, positions: Iterable[int]) -> SurjElement:
     """Sum of all arity-n surjections whose descents all lie in the given set."""
-    allowed = frozenset(positions)
-    _check_positions(n, tuple(allowed))
+    allowed = _check_positions(n, positions)
     return SurjElement(
         (f, 1)
         for f in enumerate_grade(n)
@@ -255,10 +229,13 @@ def descent_sum_within(n: int, positions: Iterable[int]) -> SurjElement:
     )
 
 
-def _check_positions(n: int, positions: tuple[int, ...]) -> None:
-    for i in positions:
-        if not 1 <= i <= n - 1:
+def _check_positions(n: int, positions: Iterable[int]) -> frozenset[int]:
+    """The descent positions as a set of ints, each in 1..n-1, else ValueError."""
+    out = frozenset([_count("descent position", i) for i in positions])
+    for i in out:
+        if i > n - 1:
             raise ValueError(f"descent position {i} outside 1..{n - 1}")
+    return out
 
 
 # -- compositions and the quasi-symmetric embedding ---------------------------

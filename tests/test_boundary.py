@@ -176,6 +176,15 @@ VALUE_ROWS = {
         for site, call in BOUNDS.items()
         for bad in (-1, True, 2.5, math.nan)
     },
+    # a descent position is an int, as every _count value is: 1.0 and True
+    # are not read as position 1
+    **{
+        f"{name}-position-{bad!r}": partial(getattr(itoflow, name), 3, [bad])
+        for name in ("descent_sum_exact", "descent_sum_within", "subset_alternating_sum")
+        for bad in (1.5, True, 1.0)
+    },
+    # pack rank-normalizes a word of positive ints
+    **{f"pack-{bad!r}": partial(itoflow.pack, bad) for bad in ([1.5, 2], [True, 2], "ab", [0, 1])},
 }
 
 
@@ -183,6 +192,22 @@ VALUE_ROWS = {
 def test_malformed_values_raise_value_error(name):
     with pytest.raises(ValueError):
         VALUE_ROWS[name]()
+
+
+# a horizon of a wrong type, which a comparison alone would take as a
+# number (True as 1) or refuse with an error that does not name it
+HORIZON_ROWS = {
+    "make_grid-True": lambda: make_grid(True, 4),
+    "make_grid-str": lambda: make_grid("x", 4),
+    "FlowProblem-True": lambda: FlowProblem(1, [[0.5]], [[1.0]], True, 4),
+    "FlowProblem-str": lambda: FlowProblem(1, [[0.5]], [[1.0]], "x", 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HORIZON_ROWS))
+def test_a_horizon_that_is_no_real_number_raises_type_error(name):
+    with pytest.raises(TypeError, match="^horizon must be Real, not "):
+        HORIZON_ROWS[name]()
 
 
 PATH = BUNDLE[1]

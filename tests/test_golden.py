@@ -19,6 +19,7 @@ from itoflow import (
     log_identity_series,
     matrix_exp,
     matrix_log,
+    strichartz_restriction,
 )
 from itoflow.flowmaps import terms_to_json
 from test_itobch import scalar_log  # the 1x1 case of linear_field_log
@@ -49,6 +50,11 @@ GOLDEN = [
         "exp_element(log_identity_closed_form(5),5)",
         lambda: exp_element(log_identity_closed_form(5), 5),
         "2f22eee621040ab8f52fda34eea3505a97203a581eaea6468a796fc5d0bb8004",
+    ),
+    (
+        "strichartz_restriction(6)",
+        lambda: strichartz_restriction(6),
+        "6f2f67e3c7c032987892aa589269eed2fe33ef91b6b9067c0de27dddba130b81",
     ),
     (
         "scalar_log(DriverAlphabet(2),5)",

@@ -33,7 +33,7 @@ from itoflow import kernels
 from itoflow.flowmaps import DriverAlphabet, log_flow_terms
 from itoflow.logseries import log_identity_closed_form
 from itoflow import surjections as surjections_module
-from itoflow.surjections import _grade_table, _kept_grade_table, diamond_reference
+from itoflow.surjections import diamond_reference
 
 # numbers of surjections [n] -> [k]: k! * S(n, k) (Stirling second kind)
 STIRLING_TIMES_FACTORIAL = {
@@ -181,13 +181,14 @@ class TestEnumeration:
 class TestGradeTable:
     @pytest.mark.parametrize("n", range(7))
     def test_table_equals_a_fresh_enumeration(self, n):
-        """One table per arity, in (k, lex) order."""
-        surjs, descents = _grade_table(n)
+        """One table per arity, in (k, lex) order; enumerate_grade hands
+        out its entries as Surjections."""
+        surjs, descents = kernels.grade_table(n)
         every = [f for k in range(n + 1) for f in kernels.surjections(n, k)]
         assert list(surjs) == every  # (k, lex) order
-        assert all(type(f) is Surjection for f in surjs)
         assert descents == tuple(map(kernels.descent_count, every))
         assert enumerate_grade(n) == every
+        assert all(type(f) is Surjection for f in enumerate_grade(n))
 
     def test_changing_the_returned_list_leaves_the_next_call_unchanged(self):
         first = enumerate_grade(4)
@@ -205,7 +206,7 @@ class TestGradeTable:
             lambda: log_flow_terms(alphabet, 4),
         ]
         warm = [call() for call in calls]
-        assert _kept_grade_table.cache_info().currsize
+        assert kernels._kept_grade_table.cache_info().currsize
         with caps(grade=3):
             for call in calls:
                 with pytest.raises(CapExceeded, match="grade 4 exceeds cap 3"):
@@ -214,27 +215,27 @@ class TestGradeTable:
 
     def test_the_memo_is_bounded(self):
         """At most 8 tables, and only arities within the default grade cap."""
-        assert _kept_grade_table.cache_info().maxsize == 8
-        before = _kept_grade_table.cache_info()
+        assert kernels._kept_grade_table.cache_info().maxsize == 8
+        before = kernels._kept_grade_table.cache_info()
         with caps(grade=7):
-            surjs, descents = _grade_table(7)
+            surjs, descents = kernels.grade_table(7)
             assert enumerate_grade(7) == list(surjs)
         assert len(descents) == sum(len(kernels.surjections(7, k)) for k in range(8))
-        assert _kept_grade_table.cache_info() == before
+        assert kernels._kept_grade_table.cache_info() == before
 
     def test_one_table_per_arity(self):
         """The log element and both template modes read the same tables."""
-        _kept_grade_table.cache_clear()
+        kernels._kept_grade_table.cache_clear()
         log_identity_closed_form(6)
         log_flow_terms(DriverAlphabet(1), 6)
         log_flow_terms(DriverAlphabet(1, continuous=False), 6)
         enumerate_grade(6)
-        assert _kept_grade_table.cache_info().currsize == 6
+        assert kernels._kept_grade_table.cache_info().currsize == 6
 
     def test_filling_the_table_calls_no_exported_kernel(self, monkeypatch):
         """So a traced run makes the same kernel calls on a cold table as
         on a warm one."""
-        expected = [_grade_table(n) for n in range(6)]
+        expected = [kernels.grade_table(n) for n in range(6)]
 
         def refuse(*args):
             raise AssertionError("exported kernel called")
@@ -243,8 +244,8 @@ class TestGradeTable:
             monkeypatch.setattr(kernels, name, refuse)
         monkeypatch.setattr(surjections_module, "_enumerate", refuse)
         monkeypatch.setattr(surjections_module, "_descent_count", refuse)
-        _kept_grade_table.cache_clear()
-        assert [_grade_table(n) for n in range(6)] == expected
+        kernels._kept_grade_table.cache_clear()
+        assert [kernels.grade_table(n) for n in range(6)] == expected
 
 
 @lru_cache(maxsize=64)

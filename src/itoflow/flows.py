@@ -177,7 +177,8 @@ def truncated_expm(mats: np.ndarray) -> np.ndarray:
     The scaling count is shared across the stack (from the largest norm),
     which keeps the computation vectorized and deterministic; inputs here
     are short-horizon logarithms with norms well below 1, so the series
-    converges in a handful of terms.
+    converges in a handful of terms.  A finite stack whose norm or
+    squared result leaves the float range raises FloatRangeError.
     """
     mats = _finite("matrix stack", mats)
     if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
@@ -185,9 +186,12 @@ def truncated_expm(mats: np.ndarray) -> np.ndarray:
     if not mats.size:
         return np.empty(mats.shape)
     d = mats.shape[-1]
-    norm = float(np.max(np.sum(np.abs(mats), axis=-1)))
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
-    scaled = mats / (2.0 ** squarings)
+    # a finite stack can still have a norm past the float range
+    with np.errstate(over="ignore"):
+        norm = _finite("matrix norm", np.max(np.sum(np.abs(mats), axis=-1)), FloatRangeError)
+    squarings = int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0
+    # the bits of a division by 2.0 ** squarings, with no power to overflow
+    scaled = np.ldexp(mats, -squarings)
     eye = np.broadcast_to(np.eye(d), mats.shape)
     acc = eye.copy()
     term = eye.copy()

@@ -237,33 +237,44 @@ def _pick(term, k, l):
     return itemgetter(*index)
 
 
-@lru_cache(maxsize=64)
 def diamond_plan(k, l):
     """Index pairs of every surjection product of shape (k, l), in term order.
 
     One tuple alpha + beta per pair of strictly increasing maps
     alpha: [k] -> [r] and beta: [l] -> [r] whose images jointly cover [r].
     The pairs depend only on the targets k and l, so they are enumerated
-    once per shape and kept for at most 64 shapes (least recently used
-    dropped first).  For identity operands the entries are the terms
+    once per shape: shapes within DEFAULT_WEIGHT_CAP in all, every one the
+    default caps reach, are kept, as qsh_words keeps its plans; a larger
+    one, reachable only under a raised cap, is built on each call and
+    dropped.  For identity operands the entries are the terms
     themselves: alpha o id = alpha.  Returns (values, picks): the value
     tuples, and beside each a selector that, applied to the tuple
     (*u, *v, *(block_product(a, b) for a in u for b in v)) of two words
     of lengths k and l, returns the term's word as a tuple of blocks.
     """
+    return _kept_diamond_plan(k, l) if k + l <= DEFAULT_WEIGHT_CAP else _diamond_plan(k, l)
+
+
+def _diamond_plan(k, l):
     out = []
     for r in range(max(k, l), k + l + 1):
         universe = range(1, r + 1)
         for alpha in combinations(universe, k):
             aset = set(alpha)
             need = [x for x in universe if x not in aset]
-            if len(need) > l:
-                continue
-            # beta must contain every value alpha misses
+            # beta must contain every value alpha misses: r - k <= l of them
             free = [x for x in universe if x in aset]
             for extra in combinations(free, l - len(need)):
                 out.append(alpha + tuple(sorted(need + list(extra))))
     return tuple(out), tuple(_pick(term, k, l) for term in out)
+
+
+@lru_cache(maxsize=64)
+def _kept_diamond_plan(k, l):
+    """_diamond_plan(k, l), kept.  diamond_plan calls it only for k + l
+    within DEFAULT_WEIGHT_CAP: 45 shapes, 0.44 MiB by tracemalloc (the
+    (7, 7) plan alone would keep 17 MiB)."""
+    return _diamond_plan(k, l)
 
 
 def diamond_words(f, g):

@@ -16,7 +16,6 @@ by grade, in rational arithmetic.
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
 from math import factorial, prod
 from typing import Callable, Iterable, Mapping
@@ -32,7 +31,8 @@ LETTER_ENCODING = "row-major: letter(i, j) = (i - 1) * dim + j, 1-based"
 
 
 def entry_letter(i: int, j: int, dim: int) -> int:
-    """Pack matrix position (i, j) into a single positive letter."""
+    """Pack the 1-based matrix position (i, j) into a single positive letter:
+    the one position rule, which m[i, j] and the series' letters read."""
     i, j, dim = _count("i", i), _count("j", j), _count("dim", dim)
     if not (i <= dim and j <= dim):
         raise ValueError(f"entry ({i},{j}) outside a {dim}x{dim} matrix")
@@ -40,7 +40,7 @@ def entry_letter(i: int, j: int, dim: int) -> int:
 
 
 class MatrixExpansion:
-    """Square grid of bracket-word expansions with exact coefficients."""
+    """Square grid of bracket-word expansions; m[i, j] is entry (i, j), 1-based."""
 
     __slots__ = ("dim", "entries")
 
@@ -65,24 +65,30 @@ class MatrixExpansion:
         return cls(dim, [[Expansion.zero()] * dim for _ in range(dim)])
 
     def __getitem__(self, ij: tuple[int, int]) -> Expansion:
-        i, j = ij
-        return self.entries[i - 1][j - 1]
+        row, col = divmod(entry_letter(*ij, self.dim) - 1, self.dim)
+        return self.entries[row][col]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixExpansion):
             return NotImplemented
         return self.dim == other.dim and self.entries == other.entries
 
+    @classmethod
+    def sum(cls, matrices: Iterable["MatrixExpansion"]) -> "MatrixExpansion":
+        """One Expansion.sum per entry of one or more matrices of one dimension."""
+        matrices = list(matrices)
+        if not matrices:
+            raise ValueError("a matrix sum needs a matrix, for its dimension")
+        for m in matrices:
+            cls._check(matrices[0], m)
+        rows = zip(*(m.entries for m in matrices))
+        return cls(matrices[0].dim, [list(map(Expansion.sum, zip(*row))) for row in rows])
+
     def __add__(self, other: "MatrixExpansion") -> "MatrixExpansion":
-        return self._entrywise(operator.add, other)
+        return self.sum((self, other))
 
     def __sub__(self, other: "MatrixExpansion") -> "MatrixExpansion":
-        return self._entrywise(operator.sub, other)
-
-    def _entrywise(self, op, other: "MatrixExpansion") -> "MatrixExpansion":
-        self._check(other)
-        rows = zip(self.entries, other.entries)
-        return MatrixExpansion(self.dim, [list(map(op, ra, rb)) for ra, rb in rows])
+        return self.sum((self, other * -1))
 
     def __mul__(self, scalar) -> "MatrixExpansion":
         return self.map_entries(lambda e: e * scalar)
@@ -175,8 +181,8 @@ def matrix_ito_taylor(dim: int, order: int) -> MatrixExpansion:
     order = check_weight(_count("order", order, 0))
     d = _count("dim", dim)
     ix = range(d)
-    # appended[k][j]: the one-block suffix of the letter of M^{k j}
-    appended = [[((k * d + j + 1,),) for j in ix] for k in ix]
+    # appended[k][j]: the one-block suffix of the letter of M^{k+1, j+1}
+    appended = [[((entry_letter(k + 1, j + 1, d),),) for j in ix] for k in ix]
     layer = [[{(): 1} if i == j else {} for j in ix] for i in ix]
     buckets = [[{0: part} if part else {} for part in row] for row in layer]
     for n in range(1, order + 1):
@@ -241,9 +247,10 @@ def linear_field_log(alphabet: DriverAlphabet, order: int, generators: Mapping) 
     if len(sizes) != 1 or any(len(r) != len(m) for m in mats.values() for r in m):
         raise ValueError("generators must be one or more square matrices of one size")
     (dim,) = sizes
-    # entry letter (a - 1) * dim + b: the (driver letter, nonzero (A_i)_ab) pairs
-    positions = itertools.product(range(dim), repeat=2)
-    subs = [()] + [[(i, m[a][b]) for i, m in mats.items() if m[a][b]] for a, b in positions]
+    # each entry letter's (driver letter, nonzero (A_i)_ab) pairs
+    subs = {}
+    for a, b in itertools.product(range(dim), repeat=2):
+        subs[entry_letter(a + 1, b + 1, dim)] = [(i, m[a][b]) for i, m in mats.items() if m[a][b]]
 
     def entry(e: Expansion) -> Expansion:
         data: dict = {}
@@ -262,7 +269,7 @@ def matrix_exp(me: MatrixExpansion, order: int) -> MatrixExpansion:
     """Truncated exponential via quasi-shuffle matrix powers.
 
     The input must have no constant (weight-0) part, so the series stops
-    at the order-th power.
+    at the order-th power; MatrixExpansion.sum adds the powers over k!.
     """
     order = check_weight(_count("order", order, 0))
     _typed("me", me, MatrixExpansion)
@@ -274,6 +281,4 @@ def matrix_exp(me: MatrixExpansion, order: int) -> MatrixExpansion:
     for k in range(1, order + 1):
         power = power.matmul(me, max_weight=order)
         terms.append(power * Fraction(1, factorial(k)))
-    # entry (i, j) of the sum: zip regroups the terms' rows, then each row's entries
-    rows = zip(*(t.entries for t in terms))
-    return MatrixExpansion(me.dim, [list(map(Expansion.sum, zip(*row))) for row in rows])
+    return MatrixExpansion.sum(terms)

@@ -35,15 +35,6 @@ from .words import (
 )
 
 
-def _as_expansion(x) -> Expansion:
-    """An expansion as it is; a word as its one-term expansion, filed
-    under its weight."""
-    if isinstance(x, Expansion):
-        return x
-    w = as_word(x)
-    return Expansion._raw({w.weight: {w: 1}})
-
-
 def _product(pair, a, b, max_weight: int | None = None) -> Expansion:
     """pair extended bilinearly to words or expansions a and b.
 
@@ -56,7 +47,7 @@ def _product(pair, a, b, max_weight: int | None = None) -> Expansion:
     in place at the end, and those dicts are the product's weight buckets,
     ready for the next product.
     """
-    a, b = _as_expansion(a), _as_expansion(b)
+    a, b = Expansion._operand(a), Expansion._operand(b)
     classes: dict = {}
     for g, us, vs in graded_pairs(a._classes, b._classes, max_weight, check_weight):
         data = classes.setdefault(g, {})
@@ -134,11 +125,11 @@ def qsh_via_surjections(u: WordLike, v: WordLike) -> Expansion:
     surjections, so the enumeration is shared with the surjection algebra.
 
     The terms depend only on the shape (n, m): they are the entries of
-    kernels.diamond_plan(n, m), enumerated once per shape in the kernel's
-    memo of at most 64 shapes, which holds every shape the default weight
-    cap allows, each term beside its pick: the term's blocks as indices
-    into u's blocks, v's blocks and the merges of a block of u with a
-    block of v, which are worked out once per call.  The weight cap is
+    kernels.diamond_plan(n, m), enumerated once per shape and kept for
+    every shape the default weight cap allows (a larger one is built on
+    each call and dropped), each term beside its pick: the term's blocks
+    as indices into u's blocks, v's blocks and the merges of a block of u
+    with a block of v, which are worked out once per call.  The weight cap is
     checked before the memo is read, so a memoized shape still raises
     CapExceeded when the cap is lowered.  Each word's count is its
     numerator, over 1, and every word has weight |u| + |v|.

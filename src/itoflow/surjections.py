@@ -53,7 +53,7 @@ class Surjection(tuple):
 
     @classmethod
     def identity(cls, n: int) -> "Surjection":
-        return cls._wrap(range(1, n + 1))
+        return cls._wrap(range(1, _count("n", n, 0) + 1))
 
     @property
     def onto(self) -> int:
@@ -163,12 +163,6 @@ class SurjElement(Combination):
 ElementLike = Union[SurjElement, Surjection, Sequence[int]]
 
 
-def _as_element(x: ElementLike) -> SurjElement:
-    if isinstance(x, SurjElement):
-        return x
-    return SurjElement.of(as_surjection(x))
-
-
 def diamond(a: ElementLike, b: ElementLike, max_grade: int | None = None) -> SurjElement:
     """Product on surjections, extended bilinearly.
 
@@ -183,7 +177,7 @@ def diamond(a: ElementLike, b: ElementLike, max_grade: int | None = None) -> Sur
     """
     if max_grade is not None:
         max_grade = _count("max_grade", max_grade, 0)
-    ea, eb = _as_element(a), _as_element(b)
+    ea, eb = SurjElement._operand(a), SurjElement._operand(b)
     classes: dict = {}
     for n, fs, gs in graded_pairs(ea._classes, eb._classes, max_grade, check_grade):
         data = classes.setdefault(n, {})

@@ -324,7 +324,8 @@ class Combination:
     A key is a canonical tuple, plain or already an instance of the key
     class: the key classes are tuple subclasses that hash and compare as
     tuples, so ==, hash, in and [] see no difference.  Products keep the
-    plain tuples their kernels return; support(), and so iteration, pretty
+    plain tuples their kernels return, and take a bare key operand as its
+    one-term combination (_operand); support(), and so iteration, pretty
     and JSON, hand out each key wrapped by _view.
 
     A subclass sets what is particular to its keys: _coerce (key coercion),
@@ -376,6 +377,14 @@ class Combination:
         e._classes = classes
         e._den = den
         return e
+
+    @classmethod
+    def _operand(cls, x):
+        """A combination as it is; a key as its one-term combination."""
+        if isinstance(x, cls):
+            return x
+        key = cls._coerce(x)
+        return cls._raw({cls._grade(key): {key: 1}})
 
     @classmethod
     def _bucketed(cls, classes: dict, den: int = 1):

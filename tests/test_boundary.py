@@ -185,6 +185,13 @@ VALUE_ROWS = {
     },
     # pack rank-normalizes a word of positive ints
     **{f"pack-{bad!r}": partial(itoflow.pack, bad) for bad in ([1.5, 2], [True, 2], "ab", [0, 1])},
+    # an arity is an int >= 0: -1 is not the unit, True not arity 1
+    **{f"Surjection.identity-{bad!r}": partial(Surjection.identity, bad) for bad in (-1, True, 1.5)},
+    # an entry position is 1-based and within the matrix, as entry_letter reads it
+    **{
+        f"MatrixExpansion[{i!r}, {j!r}]": partial(LOG.__getitem__, (i, j))
+        for i, j in ((0, 0), (3, 1), (True, 1))
+    },
 }
 
 

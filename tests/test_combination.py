@@ -13,6 +13,7 @@ from itoflow import (
     DriverAlphabet,
     Evaluator,
     Expansion,
+    MatrixExpansion,
     SurjElement,
     Surjection,
     apply_element,
@@ -306,6 +307,42 @@ def _terms_of(keys):
     return st.lists(st.tuples(keys, small_coeffs), min_size=1, max_size=4)
 
 
+def _matrices(dim):
+    def grid(es):
+        return MatrixExpansion(dim, [es[i * dim : (i + 1) * dim] for i in range(dim)])
+
+    return st.lists(small_expansions, min_size=dim * dim, max_size=dim * dim).map(grid)
+
+
+@given(words, surjections())
+@settings(max_examples=40, deadline=None)
+def test_a_bare_operand_is_its_one_term_combination(w, f):
+    """qsh and diamond take a key operand as its one-term combination, over 1."""
+    for cls, key in ((Expansion, w), (SurjElement, f)):
+        for given_key in (key, tuple(key)):
+            e = cls._operand(given_key)
+            assert e == cls.of(key) and e._den == 1
+            _assert_finished(e, type(key))
+        e = cls.of(key) * Fraction(1, 3)
+        assert cls._operand(e) is e
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_matrix_sum_is_one_expansion_sum_per_entry(data):
+    dim = data.draw(st.integers(1, 2))
+    a, b, c = (data.draw(_matrices(dim)) for _ in range(3))
+    total = MatrixExpansion.sum([a, b, c])
+    assert total == a + b + c
+    assert total - c == MatrixExpansion.sum(iter([a, b]))
+    for i in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            assert total[i, j] == Expansion.sum([a[i, j], b[i, j], c[i, j]])
+    for bad in ([], [a, MatrixExpansion.zero(dim + 1)], [Expansion.unit(), a], [a, None]):
+        with pytest.raises(ValueError):
+            MatrixExpansion.sum(bad)
+
+
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_every_route_files_each_key_under_its_grade(data):
@@ -320,6 +357,7 @@ def test_every_route_files_each_key_under_its_grade(data):
     alphabet = DriverAlphabet(
         2, continuous=draw(st.booleans()), cross_brackets_zero=draw(st.booleans())
     )
+    f = draw(surjections(max_n=3))
     on_alphabet = draw(_terms_of(alphabet_words))
     acting = draw(_terms_of(st.sampled_from(enumerate_grade(len(w)))))
     row = st.lists(st.integers(-1, 1), min_size=dim, max_size=dim)
@@ -327,6 +365,7 @@ def test_every_route_files_each_key_under_its_grade(data):
         st.dictionaries(st.integers(1, 2), st.lists(row, min_size=dim, max_size=dim), min_size=1)
     )
 
+    taylor, log = matrix_ito_taylor(dim, order), matrix_log(dim, order)
     routes = [
         Expansion(list(a) + list(b)),
         SurjElement(list(s) + list(t)),
@@ -346,13 +385,16 @@ def test_every_route_files_each_key_under_its_grade(data):
         a.restrict(k),
         s.truncate(arity),
         s.restrict(arity),
-        *(e for row in matrix_log(dim, order).entries for e in row),
-        *(e for row in matrix_ito_taylor(dim, order).entries for e in row),
+        *(e for row in log.entries for e in row),
+        *(e for row in taylor.entries for e in row),
         apply_element(SurjElement(acting), w),
         apply_vanishing_rules(Expansion(on_alphabet), alphabet),
         *(e for row in linear_field_log(alphabet, order, generators) for e in row),
         qsh_via_surjections(u, v),
         log_identity_closed_form(order),
+        Expansion._operand(u),
+        SurjElement._operand(f),
+        *(e for row in MatrixExpansion.sum([taylor, taylor * scalar, log]).entries for e in row),
     ]
     for e in routes:
         _assert_filed(e)

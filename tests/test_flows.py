@@ -189,6 +189,22 @@ class TestTruncatedExpm:
         assert issubclass(FloatRangeError, ArithmeticError)
         assert flows_module.FloatRangeError is FloatRangeError
 
+    def test_a_norm_near_the_float_range_is_scaled_without_overflow(self):
+        """A nilpotent stack of norm 5e307 needs 1024 squarings: 2.0 ** 1024
+        would overflow, while its exponential I + m is finite and exact."""
+        m = np.array([[[0.0, 5e307], [0.0, 0.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(truncated_expm(m), np.eye(2) + m)
+
+    def test_a_norm_past_the_float_range_is_an_arithmetic_error(self):
+        """A finite stack whose row sums overflow raises FloatRangeError, not
+        OverflowError, with no RuntimeWarning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatRangeError, match="matrix norm must be finite"):
+                truncated_expm(np.full((1, 2, 2), 1e308))
+
 
 class TestDeterministicLimit:
     def test_nilpotent_drift_no_noise_is_exact_at_order_one(self):

@@ -258,7 +258,7 @@ def test_surjection_route_checks_the_cap_on_a_memoized_shape():
 
 
 def test_surjection_route_memo_is_bounded():
-    memo = kernels.diamond_plan
+    memo = kernels._kept_diamond_plan
     memo.cache_clear()
     for n in range(9):
         for m in range(9 - n):
@@ -269,6 +269,18 @@ def test_surjection_route_memo_is_bounded():
             assert info.maxsize is not None and info.currsize <= info.maxsize
     # every shape the default weight cap allows fits without eviction
     assert memo.cache_info().currsize == 45
+
+
+def test_surjection_route_keeps_no_shape_past_the_default_cap():
+    """Under a raised cap a 9-letter shape is planned on each call and
+    dropped; the kept memo holds only shapes within the default cap."""
+    u, v = BracketWord.from_letters(1, 2, 3, 4, 5), BracketWord.from_letters(2, 3, 4, 5)
+    before = kernels._kept_diamond_plan.cache_info()
+    with caps(weight=16):
+        assert qsh_via_surjections(u, v) == qsh(u, v)
+    assert kernels._kept_diamond_plan.cache_info() == before
+    assert kernels.diamond_plan(5, 4) is not kernels.diamond_plan(5, 4)
+    assert kernels.diamond_plan(4, 4) is kernels.diamond_plan(4, 4)
 
 
 # two letters, so equal blocks repeat and a word can come up more than once
@@ -312,7 +324,7 @@ def refuse(*args):
 
 def test_surjection_route_does_not_use_qsh_words(monkeypatch):
     monkeypatch.setattr(quasishuffle, "qsh_words", refuse)
-    kernels.diamond_plan.cache_clear()
+    kernels._kept_diamond_plan.cache_clear()
     got = qsh_via_surjections(
         BracketWord.from_letters(1, 2), BracketWord.from_letters(3, 4)
     )
@@ -326,13 +338,13 @@ def test_surjection_route_does_not_use_the_lattice_planner(monkeypatch):
     kernels._kept_lattice_plan.cache_clear()
     with pytest.raises(AssertionError, match="refused"):
         qsh(u, v)  # the patch bites
-    kernels.diamond_plan.cache_clear()
+    kernels._kept_diamond_plan.cache_clear()
     assert qsh_via_surjections(u, v) == TWO_BY_TWO
 
 
 def test_the_lattice_route_does_not_use_diamond_plan(monkeypatch):
     u, v = BracketWord.from_letters(1, 2), BracketWord.from_letters(3, 4)
-    kernels.diamond_plan.cache_clear()
+    kernels._kept_diamond_plan.cache_clear()
     monkeypatch.setattr(kernels, "diamond_plan", refuse)
     monkeypatch.setattr(quasishuffle, "diamond_plan", refuse)
     with pytest.raises(AssertionError, match="refused"):

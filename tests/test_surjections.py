@@ -321,7 +321,7 @@ def test_diamond_kernel_matches_brute_force():
     """Every (f, g) of arity sum <= 6, empty operands included: the kernel's
     terms are distinct and are exactly the arity-(n+m) surjections whose two
     blocks pack to f and g; the per-shape plan memo stays bounded."""
-    kernels.diamond_plan.cache_clear()
+    kernels._kept_diamond_plan.cache_clear()
     for total in range(7):
         for n in range(total + 1):
             m = total - n
@@ -333,7 +333,7 @@ def test_diamond_kernel_matches_brute_force():
                     terms = kernels.diamond_words(f, g)
                     assert len(set(terms)) == len(terms), (f, g)
                     assert set(terms) == expected[f, g], (f, g)
-                    info = kernels.diamond_plan.cache_info()
+                    info = kernels._kept_diamond_plan.cache_info()
                     assert info.maxsize is not None and info.currsize <= info.maxsize
 
 class TestDiamond:

@@ -8,8 +8,9 @@ operations will attempt; callers that need more raise them for one block
 with ``with caps(weight=..., grade=...):``.  The caps live in a ContextVar,
 so they hold per thread or context, and the block's end restores them.
 
-Every argument check of the library is one of three rules here: _count
-for integers, _typed for plain types and _finite for float inputs.
+Every argument check of the library is one of four rules here: _count
+for integers, _decimal for integers written as text, _typed for plain
+types and _finite for float inputs.
 """
 
 from __future__ import annotations
@@ -58,6 +59,20 @@ def _count(name: str, value, least: int = 1) -> int:
     if value < least:
         raise ValueError(f"{name} must be >= {least}, not {value}")
     return int(value)
+
+
+def _decimal(text: str) -> int | None:
+    """The positive int that text writes in ASCII decimal digits, else None.
+
+    The one reading of an integer written as text: word and surjection
+    literals, CSV driver columns and CLI lists.  str.isdigit and int()
+    would also take other scripts' digits, superscripts, signs, spaces
+    and underscores; leading zeros are kept, so 'x01' names letter 1.
+    Each caller raises its own error, with the position it knows.
+    """
+    if text.isascii() and text.isdigit() and int(text) >= 1:
+        return int(text)
+    return None
 
 
 def _typed(name: str, value, *types):

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ._config import FloatRangeError, _count, caps, weight_cap
+from ._config import FloatRangeError, _count, _decimal, caps, weight_cap
 from .flowmaps import DriverAlphabet, log_flow_terms, terms_to_json
 from .flows import compare_flows
 from .logseries import (
@@ -176,7 +176,9 @@ def cmd_flow_compare(args) -> int:
         problem = replace(problem, drift=_parse_matrix(args.drift, problem.dim))
     if args.diffusion:
         problem = replace(problem, diffusion=_parse_matrix(args.diffusion, problem.dim))
-    orders = [int(k) for k in args.orders.split(",")]
+    orders = [_decimal(k.strip()) for k in args.orders.split(",")]
+    if None in orders:
+        raise ValueError(f"--orders must be a comma list of positive ints, not {args.orders!r}")
     report = compare_flows(problem, orders, args.paths, args.seed)
     if not args.deterministic:
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")

@@ -20,7 +20,7 @@ from numbers import Real
 
 import numpy as np
 
-from ._config import FloatRangeError, _count, _finite, _typed
+from ._config import FloatRangeError, _count, _decimal, _finite, _typed
 
 BINARY_MAGIC = b"ITOPATH1"
 
@@ -60,7 +60,7 @@ class SamplePath:
         return float(self.values[-1])
 
     def increments(self) -> np.ndarray:
-        return np.diff(self.values)
+        return _in_float_range("path increments", np.diff, self.values)
 
     def __len__(self) -> int:
         return len(self.grid)
@@ -84,6 +84,21 @@ def _check_grid(grid) -> np.ndarray:
     if not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be strictly increasing")
     return grid
+
+
+def _in_float_range(name: str, form, *args) -> np.ndarray:
+    """form(*args) with numpy's overflow warnings off: a result that finite
+    inputs drove past the float range raises FloatRangeError naming it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = form(*args)
+    return _finite(name, result, FloatRangeError)
+
+
+def _running_sum(increments, *factors) -> np.ndarray:
+    """The zero-led running sum of increments, each times every factor."""
+    for factor in factors:
+        increments = increments * factor
+    return np.concatenate(([0.0], np.cumsum(increments)))
 
 
 def _check_horizon(horizon) -> None:
@@ -152,28 +167,25 @@ def simulate(
     dt = np.diff(grid)
     if spec.kind == "table":
         return SamplePath(grid, spec.table)
-    # finite parameters can still drive a path past the float range: that
-    # is reported once, as FloatRangeError, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.kind == "linear_drift":
-            values = spec.slope * grid
-        elif spec.kind == "brownian":
-            inc = rng.normal(0.0, 1.0, size=len(dt)) * spec.sigma * np.sqrt(dt)
-            values = np.concatenate(([0.0], np.cumsum(inc)))
-        else:  # poisson
-            try:
+    if spec.kind == "linear_drift":
+        form, args = np.multiply, (spec.slope, grid)
+    elif spec.kind == "brownian":
+        form, args = _running_sum, (rng.normal(0.0, 1.0, size=len(dt)), spec.sigma, np.sqrt(dt))
+    else:  # poisson
+        try:
+            with np.errstate(over="ignore"):  # an infinite rate x step is numpy's to refuse
                 counts = rng.poisson(spec.rate * dt)
-            except ValueError as e:  # a rate x step past what numpy can draw
-                raise ValueError(f"poisson driver of rate {spec.rate:g}: {e}") from None
-            if np.any(counts > 1):
-                warnings.warn(
-                    "multiple jumps in one grid cell; the unit-jump identity "
-                    "needs a finer grid",
-                    GridResolutionWarning,
-                    stacklevel=2,
-                )
-            values = np.concatenate(([0.0], np.cumsum(counts.astype(np.float64))))
-    return SamplePath(grid, _finite(f"{spec.kind} path", values, FloatRangeError))
+        except ValueError as e:  # a rate x step past what numpy can draw
+            raise ValueError(f"poisson driver of rate {spec.rate:g}: {e}") from None
+        if np.any(counts > 1):
+            warnings.warn(
+                "multiple jumps in one grid cell; the unit-jump identity "
+                "needs a finer grid",
+                GridResolutionWarning,
+                stacklevel=2,
+            )
+        form, args = _running_sum, (counts.astype(np.float64),)
+    return SamplePath(grid, _in_float_range(f"{spec.kind} path", form, *args))
 
 
 def discrete_bracket(x: SamplePath, y: SamplePath) -> SamplePath:
@@ -187,8 +199,8 @@ def discrete_bracket(x: SamplePath, y: SamplePath) -> SamplePath:
     _typed("y", y, SamplePath)
     if not np.array_equal(x.grid, y.grid):
         raise ValueError("paths must share a grid")
-    inc = x.increments() * y.increments()
-    return SamplePath(x.grid, np.concatenate(([0.0], np.cumsum(inc))))
+    values = _in_float_range("bracket path", _running_sum, x.increments(), y.increments())
+    return SamplePath(x.grid, values)
 
 
 class PathBundle:
@@ -234,59 +246,61 @@ def simulate_bundle(
 # -- serialization ------------------------------------------------------------
 
 
+def _table(bundle: PathBundle) -> tuple[list[int], np.ndarray]:
+    """The bundle's letters and its (points, 1 + drivers) float64 table,
+    time column first: the one layout of both bundle files."""
+    _typed("bundle", bundle, PathBundle)
+    letters = bundle.letters()
+    return letters, np.column_stack([bundle.grid] + [bundle.paths[l].values for l in letters])
+
+
+def _from_table(letters: list[int], table: np.ndarray) -> PathBundle:
+    """Inverse of _table: the first column is the one grid every path shares."""
+    # one copy, so each path is contiguous and owns no read-only file buffer
+    grid, *columns = np.array(table.T, dtype=np.float64, order="C")
+    return PathBundle({letter: SamplePath(grid, c) for letter, c in zip(letters, columns)})
+
+
 def bundle_to_csv(bundle: PathBundle) -> str:
     """Time column then one column per letter, headers 't' and 'x<letter>'."""
-    _typed("bundle", bundle, PathBundle)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    letters = bundle.letters()
-    writer.writerow(["t"] + [f"x{letter}" for letter in letters])
-    cols = [bundle.grid] + [bundle.paths[l].values for l in letters]
-    for row in zip(*cols):
-        writer.writerow([repr(float(v)) for v in row])
-    return buf.getvalue()
+    letters, table = _table(bundle)
+    lines = [",".join(["t"] + [f"x{letter}" for letter in letters])]
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
+    return "\n".join(lines) + "\n"
 
 
 def bundle_from_csv(text: str) -> PathBundle:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
+    """Inverse of bundle_to_csv; blank lines are skipped, and a field that
+    is not a float or a row of another width raises ValueError naming it."""
+    lines = io.StringIO(text)
+    header = next(csv.reader(lines), None)
+    if header is None:
         raise ValueError("empty CSV: expected a 't,x<letter>,...' header and data rows")
-    header = rows[0]
     if not header or header[0] != "t":
         raise ValueError("first CSV column must be 't'")
     letters = []
     for name in header[1:]:
-        if not name.startswith("x") or not name[1:].isdigit():
+        letter = _decimal(name[1:]) if name.startswith("x") else None
+        if letter is None:
             raise ValueError(f"bad driver column {name!r}")
-        letter = int(name[1:])
         if letter in letters:
             raise ValueError(f"driver column {name!r} repeats driver letter {letter}")
         letters.append(letter)
-    if len(rows) < 2:
+    body = lines.read()
+    if not body.strip():
         raise ValueError("CSV has a header but no data rows")
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
-    grid = data[:, 0]
-    paths = {
-        letter: SamplePath(grid, data[:, i + 1])
-        for i, letter in enumerate(letters)
-    }
-    return PathBundle(paths)
+    table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, quotechar='"', ndmin=2)
+    if table.shape[1] != 1 + len(letters):
+        raise ValueError(f"CSV rows have {table.shape[1]} fields, the header {1 + len(letters)}")
+    return _from_table(letters, table)
 
 
 def bundle_to_binary(bundle: PathBundle) -> bytes:
     """Magic, row/driver counts and letters (little-endian uint64), then the
     float64 matrix (time column first) row-major, little-endian."""
-    _typed("bundle", bundle, PathBundle)
-    letters = bundle.letters()
-    rows = len(bundle.grid)
-    out = [BINARY_MAGIC]
-    out.append(struct.pack("<QQ", rows, len(letters)))
-    out.append(struct.pack(f"<{len(letters)}Q", *letters) if letters else b"")
-    matrix = np.column_stack(
-        [bundle.grid] + [bundle.paths[l].values for l in letters]
-    ).astype("<f8")
-    out.append(matrix.tobytes(order="C"))
-    return b"".join(out)
+    letters, table = _table(bundle)
+    header = struct.pack(f"<QQ{len(letters)}Q", len(table), len(letters), *letters)
+    return BINARY_MAGIC + header + table.astype("<f8").tobytes(order="C")
 
 
 def bundle_from_binary(blob: bytes) -> PathBundle:
@@ -307,13 +321,9 @@ def bundle_from_binary(blob: bytes) -> PathBundle:
     offset = 24
     expected = offset + 8 * n_drivers + 8 * rows * (1 + n_drivers)
     if len(blob) < expected:
-        raise BundleFormatError(
-            f"blob ends early: header asks for {expected} bytes", len(blob)
-        )
+        raise BundleFormatError(f"blob ends early: header asks for {expected} bytes", len(blob))
     if len(blob) > expected:
-        raise BundleFormatError(
-            f"{len(blob) - expected} trailing bytes after the data", expected
-        )
+        raise BundleFormatError(f"{len(blob) - expected} trailing bytes after the data", expected)
     letters = list(struct.unpack_from(f"<{n_drivers}Q", blob, offset))
     seen = set()
     for i, letter in enumerate(letters):
@@ -323,36 +333,25 @@ def bundle_from_binary(blob: bytes) -> PathBundle:
             raise BundleFormatError(f"driver letter {letter} is repeated", offset + 8 * i)
         seen.add(letter)
     offset += 8 * n_drivers
-    count = rows * (1 + n_drivers)
-    matrix = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    matrix = matrix.reshape(rows, 1 + n_drivers)
-    grid = matrix[:, 0].copy()
-    paths = {
-        letter: SamplePath(grid, matrix[:, i + 1].copy())
-        for i, letter in enumerate(letters)
-    }
-    return PathBundle(paths)
+    table = np.frombuffer(blob, dtype="<f8", count=rows * (1 + n_drivers), offset=offset)
+    return _from_table(letters, table.reshape(rows, 1 + n_drivers))
 
 
 def write_bundle(path, bundle: PathBundle) -> None:
     """Write binary for a .bin or .itopath suffix, else CSV."""
     # open() would adopt an int (or bool) as a file descriptor and close it
     _typed("path", path, str, os.PathLike)
-    _typed("bundle", bundle, PathBundle)
-    if str(path).endswith((".bin", ".itopath")):
-        with open(path, "wb") as fh:
-            fh.write(bundle_to_binary(bundle))
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(bundle_to_csv(bundle))
+    binary = str(path).endswith((".bin", ".itopath"))
+    blob = bundle_to_binary(bundle) if binary else bundle_to_csv(bundle).encode("utf-8")
+    with open(path, "wb") as fh:  # opened once the bundle is checked and written out
+        fh.write(blob)
 
 
 def read_bundle(path) -> PathBundle:
     """Read a bundle written by write_bundle, binary or CSV by its magic."""
     _typed("path", path, str, os.PathLike)
     with open(path, "rb") as fh:
-        head = fh.read(8)
-        rest = fh.read()
-    if head == BINARY_MAGIC:
-        return bundle_from_binary(head + rest)
-    return bundle_from_csv((head + rest).decode("utf-8"))
+        blob = fh.read()
+    if blob[:8] == BINARY_MAGIC:
+        return bundle_from_binary(blob)
+    return bundle_from_csv(blob.decode("utf-8"))

@@ -18,7 +18,7 @@ import itertools
 from functools import partial
 from typing import Iterable, Sequence, Union
 
-from ._config import _count, _typed, check_grade
+from ._config import _count, _decimal, _typed, check_grade
 from .kernels import (
     descent_count as _descent_count,
     descent_set as _descent_set,
@@ -97,14 +97,15 @@ def parse_surjection(text: str) -> Surjection:
     text = _typed("surjection literal", text, str).strip()
     if text in ("", "()"):
         return Surjection()
-    body = text
+    items = list(text)
     if text.startswith("(") and text.endswith(")"):
         body = text[1:-1]
-        if "," in body:
-            return Surjection(int(p) for p in body.split(","))
-    if not body.isdigit():
-        raise ValueError(f"cannot parse surjection from {text!r}")
-    return Surjection(int(ch) for ch in body)
+        items = [p.strip() for p in body.split(",")] if "," in body else list(body)
+    values = [_decimal(p) for p in items]
+    if None in values:
+        bad = items[values.index(None)]
+        raise ValueError(f"cannot parse surjection from {text!r}: bad value {bad!r}")
+    return Surjection(values)
 
 
 def pack(values: Sequence[int]) -> Surjection:

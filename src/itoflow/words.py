@@ -20,7 +20,7 @@ from math import lcm
 from operator import is_
 from typing import Iterable, Iterator, Mapping, Union
 
-from ._config import _count, _typed
+from ._config import _count, _decimal, _typed
 
 Block = tuple  # sorted tuple of positive ints
 
@@ -165,20 +165,14 @@ def _parse_dotted(text: str) -> BracketWord:
         if chunk.startswith("["):
             if not chunk.endswith("]"):
                 raise WordParseError(text, pos + len(chunk) - 1, "unclosed '['")
-            inner = chunk[1:-1]
             letters = []
             off = pos + 1
-            for item in inner.split(","):
-                item_s = item.strip()
-                if not item_s.isdigit() or int(item_s) < 1:
-                    raise WordParseError(text, off, f"bad letter {item!r}")
-                letters.append(int(item_s))
+            for item in chunk[1:-1].split(","):
+                letters.append(_letter(text, off, item.strip()))
                 off += len(item) + 1
             blocks.append(letters)
         else:
-            if not chunk.isdigit() or int(chunk) < 1:
-                raise WordParseError(text, pos, f"bad letter {chunk!r}")
-            blocks.append([int(chunk)])
+            blocks.append([_letter(text, pos, chunk)])
         pos += len(chunk) + 1
     return BracketWord(blocks)
 
@@ -188,27 +182,27 @@ def _parse_compact(text: str) -> BracketWord:
     i = 0
     n = len(text)
     while i < n:
-        c = text[i]
-        if c == "[":
+        if text[i] == "[":
             j = text.find("]", i)
             if j < 0:
                 raise WordParseError(text, i, "unclosed '['")
-            inner = text[i + 1 : j]
-            if not inner.isdigit():
-                raise WordParseError(text, i + 1, f"bad bracket content {inner!r}")
-            letters = [int(ch) for ch in inner]
-            if any(x < 1 for x in letters):
-                raise WordParseError(text, i + 1, "letter 0 is not allowed")
-            blocks.append(letters)
+            if j == i + 1:
+                raise WordParseError(text, i + 1, "empty bracket")
+            blocks.append([_letter(text, k, text[k]) for k in range(i + 1, j)])
             i = j + 1
-        elif c.isdigit():
-            if c == "0":
-                raise WordParseError(text, i, "letter 0 is not allowed")
-            blocks.append([int(c)])
-            i += 1
         else:
-            raise WordParseError(text, i, f"unexpected character {c!r}")
+            blocks.append([_letter(text, i, text[i])])
+            i += 1
     return BracketWord(blocks)
+
+
+def _letter(text: str, pos: int, digits: str) -> int:
+    """The letter that digits, read at pos of text, writes in ASCII, else
+    WordParseError at pos."""
+    letter = _decimal(digits)
+    if letter is None:
+        raise WordParseError(text, pos, f"bad letter {digits!r}")
+    return letter
 
 
 # -- exact coefficients -------------------------------------------------------

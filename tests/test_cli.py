@@ -197,6 +197,15 @@ class TestMatrixLog:
         assert code == 0
         assert MatrixExpansion.from_json_dict(json.loads(out.out)) == matrix_log(2, 2)
 
+    def test_text_output_is_one_line_per_entry(self, capsys):
+        from itoflow import matrix_log
+
+        code, out = run_cli("matrix-log", "--dim", "2", "--order", "2", capsys=capsys)
+        assert code == 0
+        m = matrix_log(2, 2)
+        want = [f"({i},{j}): {m[i, j].pretty()}" for i in (1, 2) for j in (1, 2)]
+        assert out.out.splitlines() == want
+
     def test_taylor_flag(self, capsys):
         from itoflow import MatrixExpansion, matrix_ito_taylor
 
@@ -301,6 +310,20 @@ class TestSimulate:
         assert bundle.letters() == [1, 2]
         assert bundle[1].n_steps == 16
 
+    def test_csv_on_stdout_reads_back(self, tmp_path, capsys):
+        # stdout ends in a blank line after the CSV: the reader skips it
+        argv = ["simulate", "--drivers", "brownian:1.0,poisson:2.0", "--steps", "16", "--seed", "3"]
+        code, out = run_cli(*argv, capsys=capsys)
+        assert code == 0
+        printed = tmp_path / "printed.csv"
+        printed.write_text(out.out, encoding="utf-8")
+        written = tmp_path / "written.csv"
+        assert run_cli(*argv, "--out", str(written), capsys=capsys)[0] == 0
+        bundle, again = read_bundle(printed), read_bundle(written)
+        assert bundle.letters() == again.letters() == [1, 2]
+        for letter in (1, 2):
+            assert bundle[letter].values.tobytes() == again[letter].values.tobytes()
+
     def test_unknown_driver_exits_2(self, capsys):
         code, out = run_cli("simulate", "--drivers", "gamma:1.0", capsys=capsys)
         assert code == 2
@@ -404,12 +427,43 @@ class TestFlowCompare:
         with pytest.raises(error, match="a fault"):
             main(["flow-compare", "--steps", "8", "--paths", "2"])
 
+    @pytest.mark.parametrize("orders", ["١", "1,²", "1,,2", "0", "+1"])
+    def test_orders_are_ascii_digits(self, capsys, orders):
+        code, out = run_cli(
+            "flow-compare", "--steps", "8", "--paths", "2", "--orders", orders, capsys=capsys
+        )
+        assert code == 2
+        assert out.err == f"error: --orders must be a comma list of positive ints, not {orders!r}\n"
+        assert out.out == ""
+
     @pytest.mark.parametrize("paths", ["0", "-3"])
     def test_no_paths_exits_2(self, capsys, paths):
         code, out = run_cli("flow-compare", "--steps", "8", "--paths", paths, capsys=capsys)
         assert code == 2
         assert "n_paths must be >= 1" in out.err
         assert out.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qsh", "12", "3"],
+        ["surj-log", "--grade", "3"],
+        ["matrix-log", "--dim", "2", "--order", "2"],
+        ["verify", "theorem", "--deterministic"],
+    ],
+    ids=["qsh", "surj-log", "matrix-log", "verify"],
+)
+def test_out_file_holds_exactly_the_printed_text(tmp_path, capsys, argv):
+    code, printed = run_cli(*argv, capsys=capsys)
+    assert code == 0
+    target = tmp_path / "out.txt"
+    code, out = run_cli(*argv, "--out", str(target), capsys=capsys)
+    assert code == 0
+    assert out.out == ""
+    text = target.read_text(encoding="utf-8")
+    assert text == printed.out
+    assert text.endswith("\n") and not text.endswith("\n\n")
 
 
 # each asks numpy for far more than the address space the command runs in

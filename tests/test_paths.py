@@ -1,7 +1,10 @@
 """Discretized driver paths: simulation, brackets, file round-trips."""
 
+import hashlib
 import os
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from itoflow import (
     BundleFormatError,
     DriverSpec,
+    FloatRangeError,
     FlowProblem,
     GridResolutionWarning,
     PathBundle,
@@ -34,16 +38,20 @@ GRID = make_grid(1.0, 64)
 
 
 @st.composite
-def bundle_blobs(draw):
-    """The binary form of a small bundle with arbitrary finite values."""
+def bundles(draw):
+    """A small bundle with arbitrary finite values, subnormals, -0.0 and the
+    largest double among them."""
     letters = draw(st.sets(st.integers(1, 2**64 - 1), min_size=1, max_size=3))
     steps = draw(st.integers(1, 5))
-    grid = make_grid(1.0, steps)
+    grid = make_grid(draw(st.floats(1e-300, 1e300)), steps)
     values = st.lists(
         st.floats(allow_nan=False, allow_infinity=False), min_size=steps, max_size=steps
     )
-    paths = {letter: SamplePath(grid, [0.0] + draw(values)) for letter in letters}
-    return bundle_to_binary(PathBundle(paths))
+    return PathBundle({letter: SamplePath(grid, [0.0] + draw(values)) for letter in letters})
+
+
+def bundle_blobs():
+    return bundles().map(bundle_to_binary)
 
 
 class TestGrid:
@@ -83,6 +91,13 @@ class TestSamplePath:
         assert np.allclose(p.increments(), [2.0, 1.0])
         assert p.terminal == 3.0
         assert p.n_steps == 2
+
+    def test_increments_past_the_float_range_raise_float_range_error(self):
+        p = SamplePath([0.0, 1.0, 2.0], [0.0, 1e308, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatRangeError, match="path increments must be finite"):
+                p.increments()
 
 
 @pytest.mark.parametrize(
@@ -233,6 +248,13 @@ class TestDiscreteBracket:
         y = simulate(DriverSpec("brownian", sigma=1.0), GRID, 1, 0, 2)
         assert np.array_equal(discrete_bracket(x, y).values, discrete_bracket(y, x).values)
 
+    def test_an_increment_product_past_the_float_range_raises_float_range_error(self):
+        x = SamplePath([0.0, 1.0, 2.0], [0.0, 1e200, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatRangeError, match="bracket path must be finite"):
+                discrete_bracket(x, x)
+
     def test_paths_on_different_grids_are_refused(self):
         x = SamplePath([0.0, 0.5, 1.0], [0.0, 1.0, 1.0])
         for grid in ([0.0, 1.0], [0.0, 0.25, 1.0]):  # another length, other points
@@ -263,7 +285,64 @@ class TestBundle:
             PathBundle({1: p, 2: q})
 
 
+# letter 7 holds -0.0, the least subnormal and the largest doubles
+GOLDEN_TABLE = (0.0, -0.0, 5e-324, 1e308, -1e308, 0.1, 1 / 3, -2.5, 7.0)
+
+
+def _golden_bundle():
+    specs = {
+        1: DriverSpec("brownian", sigma=0.5),
+        2: DriverSpec("poisson", rate=2.0),
+        3: DriverSpec("linear_drift", slope=-1.5),
+        7: DriverSpec("table", table=GOLDEN_TABLE),
+    }
+    return simulate_bundle(specs, make_grid(1.0, 8), seed=11)
+
+
+def _bits(bundle):
+    return [bundle.grid.tobytes()] + [bundle[letter].values.tobytes() for letter in bundle.letters()]
+
+
 class TestSerialization:
+    @pytest.mark.parametrize(
+        "write, digest",
+        [
+            (
+                lambda b: bundle_to_csv(b).encode(),
+                "b256c0adc66063b3a2cb9a9ce8483cdf90bba8657a21568ef15fce9a2feb4cdb",
+            ),
+            (
+                bundle_to_binary,
+                "1a853705c46bf5ef3f18cb05202b0523f084c77d270720d9bd7bc86c5e41f9d9",
+            ),
+        ],
+        ids=["csv", "binary"],
+    )
+    def test_writers_keep_their_bytes(self, write, digest):
+        assert hashlib.sha256(write(_golden_bundle())).hexdigest() == digest
+
+    @given(bundles())
+    @settings(max_examples=60, deadline=None)
+    def test_both_codecs_round_trip_every_bit(self, b):
+        for again in (bundle_from_csv(bundle_to_csv(b)), bundle_from_binary(bundle_to_binary(b))):
+            assert again.letters() == b.letters()
+            assert _bits(again) == _bits(b)
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            lambda lines: "\n".join(",".join(f'"{f}"' for f in line.split(",")) for line in lines),
+            lambda lines: "\r\n".join(lines) + "\r\n",
+            lambda lines: "\n".join(lines[:1] + [" , ".join(r.split(",")) + " " for r in lines[1:]]),
+            lambda lines: "\n\n".join(lines) + "\n\n",
+        ],
+        ids=["quoted", "crlf", "spaces", "blank-lines"],
+    )
+    def test_csv_variants_read_the_same_bits(self, variant):
+        b = _golden_bundle()
+        text = variant(bundle_to_csv(b).splitlines())
+        assert _bits(bundle_from_csv(text)) == _bits(b)
+
     def test_csv_round_trip(self):
         b = _bundle()
         again = bundle_from_csv(bundle_to_csv(b))
@@ -341,6 +420,25 @@ class TestSerialization:
     def test_non_finite_points_and_bool_letters_are_value_errors(self, load, message):
         with pytest.raises(ValueError, match=message):
             load()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,x1\n0,0\n1\n2,2\n", "at row 2"),
+            ("t,x1\n0,0\n1,abc\n", "'abc' to float64 at row 1, column 2"),
+            ("t,x1,x2\n0,0\n1,1\n", "CSV rows have 2 fields, the header 3"),
+            ("t,x1\n0,0\n1,1_000\n", "'1_000' to float64 at row 1"),
+        ],
+        ids=["ragged", "abc", "narrower-than-header", "underscore"],
+    )
+    def test_csv_bad_row_is_a_value_error_naming_it(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            bundle_from_csv(text)
+
+    @pytest.mark.parametrize("name", ["x²", "x١", "x+1", "x 1", "x0", "x"])
+    def test_csv_driver_column_is_x_and_ascii_digits(self, name):
+        with pytest.raises(ValueError, match=re.escape(f"bad driver column '{name}'")):
+            bundle_from_csv(f"t,{name}\n0,0\n1,1\n")
 
     @pytest.mark.parametrize("text", ["", "t,x1\n"], ids=["empty", "header-only"])
     def test_csv_without_data_rows_is_a_value_error(self, text):

@@ -93,11 +93,12 @@ def test_public_functions_take_no_private_parameter():
 
 
 def _inline_check(node):
-    """An np.isfinite call or an isinstance(x, bool): the checks that
-    _config._finite and _config._count make."""
+    """An np.isfinite call, an isinstance(x, bool), or a str.isdigit,
+    isdecimal or isnumeric call: the checks that _config._finite,
+    _config._count and _config._decimal make."""
     if not isinstance(node, ast.Call):
         return False
-    if _callee_name(node) == "isfinite":
+    if _callee_name(node) in ("isfinite", "isdigit", "isdecimal", "isnumeric"):
         return True
     return (
         _callee_name(node) == "isinstance"
@@ -108,7 +109,8 @@ def _inline_check(node):
 
 
 def test_argument_checks_live_in_config():
-    # _count checks integers and _finite float inputs; a copy elsewhere drifts
+    # _count checks integers, _decimal integers written as text and _finite
+    # float inputs; a copy elsewhere drifts
     found = [
         f"{path.relative_to(ROOT)}:{node.lineno}"
         for path in sorted((ROOT / "src" / "itoflow").rglob("*.py"))

@@ -1,5 +1,6 @@
 """Surjection algebra: packing, descents, the diamond product, embeddings."""
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -134,6 +135,16 @@ class TestSurjection:
         assert SurjElement.of(f).pretty() == "(1,2,3,4,5,6,7,8,9,10)"
         assert parse_surjection(SurjElement.of(f).pretty()) == f
         assert parse_surjection("(212)") == (2, 1, 2)
+
+    @pytest.mark.parametrize(
+        "text, bad", [("١٢", "١"), ("(1,²)", "²"), ("(1,,2)", ""), ("(1,+2)", "+2"), ("102", "0")]
+    )
+    def test_parse_reads_ascii_digits_only(self, text, bad):
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse surjection from {text!r}: bad value {bad!r}")):
+            parse_surjection(text)
+
+    def test_parse_keeps_spaces_around_comma_list_values(self):
+        assert parse_surjection("(2, 1, 2)") == (2, 1, 2)
 
     @pytest.mark.parametrize("text", [5, None, b"12", (1, 2)])
     def test_parse_refuses_a_non_string(self, text):

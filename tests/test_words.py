@@ -118,6 +118,16 @@ class TestParsing:
         with pytest.raises(WordParseError):
             parse_word(bad)
 
+    @pytest.mark.parametrize(
+        "text, pos",
+        [("١٢", 0), ("²", 0), ("1[2²]", 3), ("1.[2,٣]", 5), ("1.+2", 2), ("1.2_0", 2)],
+    )
+    def test_letters_are_ascii_digits(self, text, pos):
+        # str.isdigit and int() take other scripts' digits and superscripts
+        with pytest.raises(WordParseError, match=f"at position {pos} in") as info:
+            parse_word(text)
+        assert info.value.pos == pos
+
     @pytest.mark.parametrize("text", [12, None, b"12", ["1"]])
     def test_refuses_a_non_string(self, text):
         with pytest.raises(TypeError, match="word literal must be str"):

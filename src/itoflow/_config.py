@@ -8,9 +8,9 @@ operations will attempt; callers that need more raise them for one block
 with ``with caps(weight=..., grade=...):``.  The caps live in a ContextVar,
 so they hold per thread or context, and the block's end restores them.
 
-Every argument check of the library is one of four rules here: _count
-for integers, _decimal for integers written as text, _typed for plain
-types and _finite for float inputs.
+Every argument check of the library is one of five rules here: _count
+for integers, _decimal and _float for integers and floats written as
+text, _typed for plain types and _finite for float inputs.
 """
 
 from __future__ import annotations
@@ -73,6 +73,19 @@ def _decimal(text: str) -> int | None:
     if text.isascii() and text.isdigit() and int(text) >= 1:
         return int(text)
     return None
+
+
+def _float(text: str) -> float:
+    """The float that text writes in ASCII, else ValueError.
+
+    The one reading of a float written as text, as numpy's CSV reader
+    reads a field: CLI float flags, and the rescan that names a bad CSV
+    row.  float() alone would also take other scripts' digits and
+    underscores; ASCII text reads as float() reads it.
+    """
+    if text.strip().isascii() and "_" not in text:
+        return float(text)
+    raise ValueError(f"{text!r} is not a float written in ASCII")
 
 
 def _typed(name: str, value, *types):

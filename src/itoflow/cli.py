@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ._config import FloatRangeError, _count, _decimal, caps, weight_cap
+from ._config import FloatRangeError, _count, _decimal, _float, caps, weight_cap
 from .flowmaps import DriverAlphabet, log_flow_terms, terms_to_json
 from .flows import compare_flows
 from .logseries import (
@@ -141,7 +141,7 @@ def cmd_verify(args) -> int:
 def _parse_driver(spec: str) -> DriverSpec:
     kind, _, param = spec.partition(":")
     kind = kind.strip().lower()
-    value = float(param) if param else 1.0
+    value = _float(param) if param else 1.0
     if kind == "brownian":
         return DriverSpec(kind, sigma=value)
     if kind == "poisson":
@@ -164,7 +164,7 @@ def cmd_simulate(args) -> int:
 
 def _parse_matrix(text: str, dim: int) -> np.ndarray:
     rows = [r for r in text.split(";") if r.strip()]
-    mat = np.array([[float(v) for v in r.split(",")] for r in rows])
+    mat = np.array([[_float(v) for v in r.split(",")] for r in rows])
     if mat.shape != (dim, dim):
         raise ValueError(f"matrix {text!r} is not {dim}x{dim}")
     return mat
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="brownian:1.0",
         help="comma list like brownian:1.0,poisson:2.0,drift:1.0 (letters 1..n)",
     )
-    p.add_argument("--horizon", type=float, default=1.0)
+    p.add_argument("--horizon", type=_float, default=1.0)
     p.add_argument("--steps", type=int, default=1024)
     p.add_argument("--path-index", type=int, default=argparse.SUPPRESS)
     _flags(p, ("--out", "--seed"))
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow-compare", help="strong-error study of the flow routes")
     p.add_argument("--dim", type=int, default=argparse.SUPPRESS)
     p.add_argument("--orders", default="1,2,3")
-    p.add_argument("--horizon", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--horizon", type=_float, default=argparse.SUPPRESS)
     p.add_argument("--steps", type=int, default=16384)
     p.add_argument("--paths", type=int, default=1000)
     p.add_argument("--drift", help="matrix as rows 'a,b;c,d'")

@@ -115,30 +115,27 @@ def _kept_grade_table(n):
 
 
 def qsh_words(u, v):
-    """Quasi-shuffle of two block words, as a dict word -> multiplicity.
+    """Quasi-shuffle of two block words, as the list of its terms'
+    words, coefficient 1 each: a word reached by several paths is listed
+    that many times, as diamond_words lists its terms.
 
     Each term is a lattice path from (0, 0) to (len(u), len(v)) whose
     steps append the next block of u, the next block of v, or their
     merge.  The paths depend only on the two lengths, so each shape's
     picks come from _lattice_plan: every call forms its len(u) * len(v)
-    merged blocks once, applies every pick to (*u, *v, *merges) and
-    counts the words.  Shapes within DEFAULT_WEIGHT_CAP letters in all
-    are planned once and kept; a larger one, reachable only under a
-    raised weight cap, is planned on each call and dropped.
+    merged blocks once and applies every pick to (*u, *v, *merges).
+    Shapes within DEFAULT_WEIGHT_CAP letters in all are planned once and
+    kept; a larger one, reachable only under a raised weight cap, is
+    planned on each call and dropped.
     """
     nu, nv = len(u), len(v)
     if nu == 0:
-        return {tuple(v): 1}
+        return [tuple(v)]
     if nv == 0:
-        return {tuple(u): 1}
+        return [tuple(u)]
     plan = _kept_lattice_plan(nu, nv) if nu + nv <= DEFAULT_WEIGHT_CAP else _lattice_plan(nu, nv)
     blocks = (*u, *v, *[tuple(sorted(x + y)) for x in u for y in v])
-    out = {}
-    get = out.get
-    for pick in plan:
-        w = pick(blocks)
-        out[w] = get(w, 0) + 1
-    return out
+    return [pick(blocks) for pick in plan]
 
 
 def _lattice_plan(a, b):
@@ -202,18 +199,6 @@ def fibers_of(f):
     for pos, val in enumerate(f):
         out[val - 1].append(pos)
     return tuple(map(tuple, out))
-
-
-def merge_fibers(fibers, blocks):
-    """apply_to_blocks(f, blocks) from fibers = fibers_of(f), worked out once.
-
-    A one-position fiber is its block, which is already sorted; only a
-    fiber of two or more positions is merged and sorted.
-    """
-    return tuple([
-        blocks[fb[0]] if len(fb) == 1 else tuple(sorted([x for i in fb for x in blocks[i]]))
-        for fb in fibers
-    ])
 
 
 def _pick(term, k, l):

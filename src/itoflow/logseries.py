@@ -132,10 +132,9 @@ def exp_element(e: SurjElement, max_grade: int) -> SurjElement:
     max_grade = check_grade(_count("max_grade", max_grade))
     if Surjection() in e:
         raise ValueError("exp needs an element with no grade-0 term")
-    e = e.truncate(max_grade)
-    power = SurjElement.unit()
-    terms = [power]
-    for k in range(1, max_grade + 1):
+    power = e = e.truncate(max_grade)
+    terms = [SurjElement.unit(), e]
+    for k in range(2, max_grade + 1):
         power = diamond(power, e, max_grade=max_grade)
         terms.append(power * Fraction(1, factorial(k)))
     return SurjElement.sum(terms)

@@ -18,11 +18,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial, prod
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from ._config import _count, _typed, check_weight
 from .flowmaps import DriverAlphabet, apply_vanishing_rules
-from .kernels import fibers_of, merge_fibers
+from .kernels import fibers_of
 from .logseries import log_identity_closed_form
 from .quasishuffle import qsh
 from .words import BracketWord, Expansion, refuse_malformed
@@ -196,23 +197,42 @@ def matrix_ito_taylor(dim: int, order: int) -> MatrixExpansion:
     return MatrixExpansion(d, [[Expansion._raw(classes) for classes in row] for row in buckets])
 
 
+def _log_plan(element) -> list:
+    """Per arity n, (subsets, terms): the distinct fibers of the element's
+    arity-n terms, and each term's pick of its word from the subsets'
+    merges (_merges) beside its numerator, in the bucket's order."""
+    plan = [((), ())] * (max(element._classes, default=0) + 1)  # the unit word maps to nothing
+    for n, part in element._classes.items():
+        slot: dict = {}
+        index = [[slot.setdefault(fb, len(slot)) for fb in fibers_of(f)] for f in part]
+        # a one-fiber pick is a slice: itemgetter(i) would return the bare block
+        picks = [itemgetter(*i) if len(i) > 1 else itemgetter(slice(i[0], i[0] + 1)) for i in index]
+        plan[n] = (tuple(slot), list(zip(picks, part.values())))
+    return plan
+
+
+def _merges(w: tuple, subsets: tuple) -> tuple:
+    """w's blocks merged on each subset; a one-position subset is its block."""
+    return tuple([
+        w[s[0]] if len(s) == 1 else tuple(sorted([x for i in s for x in w[i]])) for s in subsets
+    ])
+
+
 def matrix_log(dim: int, order: int) -> MatrixExpansion:
     """Logarithm of the flow series, entry-wise, to the given order.
 
     The surjection log element of each grade n acts on every length-n entry
-    word: its blocks merge along the fibers of each arity-n term, worked out
-    once per call from the element's arity-n bucket, so fibers of two or
-    more positions become bracket blocks of entry letters.  Merging keeps a
-    word's weight, so each weight bucket of an entry maps into the same
-    weight.  apply_element is the per-term oracle.
+    word: its blocks merge along the fibers of each arity-n term, so fibers
+    of two or more positions become bracket blocks of entry letters.  The
+    element becomes picks once per call (_log_plan); each word then merges
+    each of its arity's subsets once, and every term's word is a pick of
+    those merges.  Merging keeps a word's weight, so each weight bucket of
+    an entry maps into the same weight.  apply_element is the per-term
+    oracle.
     """
     order = check_weight(_count("order", order))
     element = log_identity_closed_form(order)
-    fibers = [()] * (order + 1)  # the unit word, of length 0, maps to nothing
-    coeffs = [()] * (order + 1)
-    for n, part in element._classes.items():
-        fibers[n] = list(map(fibers_of, part))
-        coeffs[n] = list(part.values())
+    plan = _log_plan(element)
 
     def log(e: Expansion) -> Expansion:
         classes: dict = {}
@@ -220,8 +240,10 @@ def matrix_log(dim: int, order: int) -> MatrixExpansion:
             data = classes[g] = {}
             get = data.get
             for w, cw in part.items():
-                n = len(w)
-                for v, c in zip(map(merge_fibers, fibers[n], itertools.repeat(w)), coeffs[n]):
+                subsets, terms = plan[len(w)]
+                merged = _merges(w, subsets)
+                for pick, c in terms:
+                    v = pick(merged)
                     prev = get(v)
                     data[v] = cw * c if prev is None else prev + cw * c
         return Expansion._bucketed(classes, e._den * element._den)

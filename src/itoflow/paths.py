@@ -20,7 +20,7 @@ from numbers import Real
 
 import numpy as np
 
-from ._config import FloatRangeError, _count, _decimal, _finite, _typed
+from ._config import FloatRangeError, _count, _decimal, _finite, _float, _typed
 
 BINARY_MAGIC = b"ITOPATH1"
 
@@ -289,9 +289,21 @@ def bundle_from_csv(text: str) -> PathBundle:
     body = lines.read()
     if not body.strip():
         raise ValueError("CSV has a header but no data rows")
-    table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, quotechar='"', ndmin=2)
-    if table.shape[1] != 1 + len(letters):
-        raise ValueError(f"CSV rows have {table.shape[1]} fields, the header {1 + len(letters)}")
+    width = 1 + len(letters)
+    try:
+        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        # numpy counts rows two ways: rescan, and name the first bad row from 1
+        for i, row in enumerate(filter(None, csv.reader(io.StringIO(body))), 1):
+            try:
+                if len(row) != width:
+                    raise ValueError(f"width {len(row)}, the header's {width}")
+                list(map(_float, row))
+            except ValueError as exc:
+                raise ValueError(f"CSV data row {i}: {exc}") from None
+        raise
+    if table.shape[1] != width:
+        raise ValueError(f"CSV rows have {table.shape[1]} fields, the header {width}")
     return _from_table(letters, table)
 
 

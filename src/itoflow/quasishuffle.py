@@ -28,33 +28,9 @@ from .words import (
     BracketWord,
     Expansion,
     WordLike,
-    add_into,
     as_word,
     block_product,
-    graded_pairs,
 )
-
-
-def _product(pair, a, b, max_weight: int | None = None) -> Expansion:
-    """pair extended bilinearly to words or expansions a and b.
-
-    pair(u, v) is a {word: multiplicity} dict of plain tuples, every word
-    of weight |u| + |v|, as qsh_words returns.  A pair of weight buckets
-    whose weights sum past max_weight is skipped whole, before the cap
-    check and before any coefficient work.  The int numerators of the
-    terms of a kept pair are added into the dict of their summed weight,
-    over the product of the operands' denominators; zero sums are dropped
-    in place at the end, and those dicts are the product's weight buckets,
-    ready for the next product.
-    """
-    a, b = Expansion._operand(a), Expansion._operand(b)
-    classes: dict = {}
-    for g, us, vs in graded_pairs(a._classes, b._classes, max_weight, check_weight):
-        data = classes.setdefault(g, {})
-        for u, cu in us:
-            for v, cv in vs:
-                add_into(data, pair(u, v), cu * cv)
-    return Expansion._bucketed(classes, a._den * b._den)
 
 
 def qsh(*operands, max_weight: int | None = None) -> Expansion:
@@ -64,7 +40,7 @@ def qsh(*operands, max_weight: int | None = None) -> Expansion:
     is safe because qsh is associative; a lone operand is its product with
     the unit word.  Every term of a product of words has the summed weight
     of its factors, so max_weight prunes per weight class and the weight
-    cap is checked once per kept pair of weight buckets (see _product).
+    cap is checked once per kept pair of weight buckets (see Combination._bilinear).
     This is the tool for truncated-series arithmetic.  A word operand is
     taken once as a one-term expansion.
     """
@@ -75,7 +51,7 @@ def qsh(*operands, max_weight: int | None = None) -> Expansion:
     acc, *rest = operands if len(operands) > 1 else (operands[0], UNIT_WORD)
     for rhs in rest:
         # the kernel is read from this module at each call, where a recorder may rebind it
-        acc = _product(qsh_words, acc, rhs, max_weight)
+        acc = Expansion._bilinear(qsh_words, acc, rhs, check_weight, max_weight)
     return acc
 
 
@@ -84,16 +60,16 @@ def _require_nonempty(u: BracketWord, v: BracketWord) -> None:
         raise ValueError("half-products are defined on nonempty words only")
 
 
-def _half_up_pair(u, v) -> dict:
+def _half_up_pair(u, v) -> list:
     _require_nonempty(u, v)
     last = (u[-1],)
-    return {w + last: mult for w, mult in qsh_words(u[:-1], v).items()}
+    return [w + last for w in qsh_words(u[:-1], v)]
 
 
-def _bullet_pair(u, v) -> dict:
+def _bullet_pair(u, v) -> list:
     _require_nonempty(u, v)
     merged = (block_product(u[-1], v[-1]),)
-    return {w + merged: mult for w, mult in qsh_words(u[:-1], v[:-1]).items()}
+    return [w + merged for w in qsh_words(u[:-1], v[:-1])]
 
 
 def half_up(u, v) -> Expansion:
@@ -102,17 +78,17 @@ def half_up(u, v) -> Expansion:
     Extends bilinearly when either operand is an Expansion; every word in
     either operand must be nonempty.
     """
-    return _product(_half_up_pair, u, v)
+    return Expansion._bilinear(_half_up_pair, u, v, check_weight)
 
 
 def half_down(u, v) -> Expansion:
     """Terms of qsh(u, v) whose final block is the last block of v."""
-    return _product(lambda a, b: _half_up_pair(b, a), u, v)
+    return Expansion._bilinear(lambda a, b: _half_up_pair(b, a), u, v, check_weight)
 
 
 def bullet(u, v) -> Expansion:
     """Terms of qsh(u, v) ending with the merge of both last blocks."""
-    return _product(_bullet_pair, u, v)
+    return Expansion._bilinear(_bullet_pair, u, v, check_weight)
 
 
 def qsh_via_surjections(u: WordLike, v: WordLike) -> Expansion:

@@ -36,7 +36,6 @@ from .words import (
     Expansion,
     WordLike,
     as_word,
-    graded_pairs,
 )
 
 
@@ -173,23 +172,13 @@ def diamond(a: ElementLike, b: ElementLike, max_grade: int | None = None) -> Sur
     grade class: a pair of an operand's arity buckets whose arities sum
     past max_grade is skipped whole, before the cap check and before any
     coefficient work.  That keeps truncated series work bounded.  As in
-    qsh, the terms are added into one dict of plain tuples per arity, and
-    those dicts are the result's arity buckets.
+    qsh, Combination._bilinear adds the terms into one dict of plain tuples
+    per arity, and those dicts are the result's arity buckets.
     """
     if max_grade is not None:
         max_grade = _count("max_grade", max_grade, 0)
-    ea, eb = SurjElement._operand(a), SurjElement._operand(b)
-    classes: dict = {}
-    for n, fs, gs in graded_pairs(ea._classes, eb._classes, max_grade, check_grade):
-        data = classes.setdefault(n, {})
-        get = data.get
-        for f, cf in fs:
-            for g, cg in gs:
-                c = cf * cg
-                for h in diamond_words(f, g):
-                    prev = get(h)
-                    data[h] = c if prev is None else prev + c
-    return SurjElement._bucketed(classes, ea._den * eb._den)
+    # the kernel is read from this module at each call, where a recorder may rebind it
+    return SurjElement._bilinear(diamond_words, a, b, check_grade, max_grade)
 
 
 def diamond_reference(f: SurjLike, g: SurjLike) -> SurjElement:

@@ -243,27 +243,6 @@ def frac_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def graded_pairs(left: dict, right: dict, max_grade, check):
-    """Bucket pairs (grade, xs, ys) of two combinations' grade buckets.
-
-    left and right are two _classes, each grade -> {key: numerator}; the
-    grade must add up on products (word weight for qsh, arity for the
-    surjection product), so every product of a key of xs with a key of ys
-    has the yielded grade, and the caller files it there.  xs and ys are
-    items views.  A bucket pair whose summed grade exceeds max_grade (None:
-    no limit) is skipped whole, before check and before any coefficient
-    multiply.  check(summed grade) is the size cap, applied once per
-    surviving bucket pair, so a pruned pair never raises.
-    """
-    for gx, xs in left.items():
-        for gy, ys in right.items():
-            g = gx + gy
-            if max_grade is not None and g > max_grade:
-                continue
-            check(g)
-            yield g, xs.items(), ys.items()
-
-
 def add_into(data: dict, terms: dict, scale: int) -> None:
     """data[k] += c * scale for each term k, c of terms.  A zero sum stays in
     data, for _bucketed to drop once, at the end."""
@@ -400,6 +379,38 @@ class Combination:
             for g, part in e._classes.items():
                 add_into(classes.setdefault(g, {}), part, s)
         return cls._bucketed(classes, den)
+
+    @classmethod
+    def _bilinear(cls, pair, a, b, check, max_grade=None):
+        """a times b, combinations or keys, where pair(x, y) is the list of
+        the keys of the product of two keys, coefficient 1 each, every one
+        of grade grade(x) + grade(y), as qsh_words and diamond_words list
+        them.
+
+        A pair of grade buckets whose grades sum past max_grade (None: no
+        limit) is skipped whole, before the size cap check(summed grade)
+        and before any coefficient multiply, so a pruned pair never raises.
+        Each key of a kept pair adds cx * cy into the dict of its grade,
+        over the product of the denominators; those dicts, once their zero
+        sums are dropped, are the product's grade buckets.
+        """
+        a, b = cls._operand(a), cls._operand(b)
+        classes: dict = {}
+        for gx, xs in a._classes.items():
+            for gy, ys in b._classes.items():
+                g = gx + gy
+                if max_grade is not None and g > max_grade:
+                    continue
+                check(g)
+                data = classes.setdefault(g, {})
+                get = data.get
+                for x, cx in xs.items():
+                    for y, cy in ys.items():
+                        c = cx * cy
+                        for k in pair(x, y):
+                            prev = get(k)
+                            data[k] = c if prev is None else prev + c
+        return cls._bucketed(classes, a._den * b._den)
 
     def _flat(self) -> dict:
         """The terms as one {key: numerator} map, to read and not to change:

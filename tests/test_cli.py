@@ -23,7 +23,7 @@ from itoflow import (
     strichartz_restriction,
     weight_cap,
 )
-from itoflow.cli import _parse_driver, build_parser, main
+from itoflow.cli import _parse_driver, _parse_matrix, build_parser, main
 from itoflow.verify import flow_problem
 
 
@@ -442,6 +442,53 @@ class TestFlowCompare:
         assert code == 2
         assert "n_paths must be >= 1" in out.err
         assert out.out == ""
+
+
+# an Arabic-Indic one, an underscore, an Arabic-Indic five after "0.", a
+# fullwidth one: float() takes each, numpy's CSV float reader none
+NOT_ASCII_FLOATS = ["\u0661", "1_0", "0.\u0665", "\uff11"]
+ASCII_FLOATS = [
+    "0.1", "1e-3", " 2.5 ", "+.5", "7", "5.", "0.30000000000000004", "1.7976931348623157e308",
+]
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_FLOATS)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--steps", "4", "--drivers", "brownian:{}"],
+        ["simulate", "--steps", "4", "--drivers", "brownian:1,poisson:{}"],
+        ["flow-compare", "--steps", "8", "--paths", "2", "--drift", "{},0;0,1"],
+        ["flow-compare", "--steps", "8", "--paths", "2", "--diffusion", "1,0;0,{}"],
+    ],
+    ids=["sigma", "rate", "drift", "diffusion"],
+)
+def test_float_text_that_is_not_ascii_exits_2(capsys, argv, text):
+    code, out = run_cli(*[a.format(text) for a in argv], capsys=capsys)
+    assert code == 2
+    assert out.err == f"error: {text!r} is not a float written in ASCII\n"
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_FLOATS)
+@pytest.mark.parametrize("command", ["simulate", "flow-compare"])
+def test_a_horizon_that_is_not_ascii_exits_2(capsys, command, text):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--horizon", text, "--steps", "4"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --horizon: invalid" in err and repr(text) in err
+
+
+@pytest.mark.parametrize("text", ASCII_FLOATS)
+def test_ascii_float_text_reads_to_the_bits_of_float(text):
+    bits = float(text).hex()
+    assert _parse_driver(f"brownian:{text}").sigma.hex() == bits
+    assert _parse_driver(f"poisson:{text}").rate.hex() == bits
+    assert _parse_driver(f"drift:{text}").slope.hex() == bits
+    assert [x.hex() for x in _parse_matrix(f"{text},0;0,{text}", 2).diagonal()] == [bits] * 2
+    for command in ("simulate", "flow-compare"):
+        assert build_parser().parse_args([command, "--horizon", text]).horizon.hex() == bits
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itoflow import (
     BracketWord,
@@ -20,8 +22,43 @@ from itoflow import (
     qsh,
     truncated_expm,
 )
+from itoflow import kernels
 from itoflow.flows import _entry_letters, _evaluate_matrix, brownian_increments
+from itoflow.matrixseries import _log_plan, _merges
 from itoflow.verify import flow_problem
+
+
+@pytest.fixture(scope="module")
+def log7_and_plan():
+    """The log element to arity 7 and its plan, built once for the module."""
+    element = log_identity_closed_form(7)
+    return element, _log_plan(element)
+
+
+# seven blocks over three letters, so blocks repeat within a word and
+# letters repeat within a block
+SEVEN_BLOCKS = st.lists(
+    st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3).map(
+        lambda b: tuple(sorted(b))
+    ),
+    min_size=7,
+    max_size=7,
+)
+
+
+@given(SEVEN_BLOCKS)
+@settings(max_examples=6, deadline=None)
+def test_log_picks_are_apply_to_blocks(log7_and_plan, blocks):
+    """matrix_log's route, term by term: for every term f of arities 1 to
+    7, its pick from the merges of the word's subsets is f applied to the
+    word's blocks, and its numerator is f's."""
+    element, plan = log7_and_plan
+    for n, part in element._classes.items():
+        w = tuple(blocks[:n])
+        subsets, terms = plan[n]
+        merged = _merges(w, subsets)
+        assert [pick(merged) for pick, _ in terms] == [kernels.apply_to_blocks(f, w) for f in part]
+        assert [c for _, c in terms] == list(part.values())
 
 
 def word_free_log(dm, order):
@@ -246,7 +283,7 @@ class TestMatrixLogExp:
         with pytest.raises(TypeError, match="MatrixExpansion, not str"):
             matrix_exp("x", 2)
 
-    @pytest.mark.parametrize("dim, order", [(2, 4), (3, 3)])
+    @pytest.mark.parametrize("dim, order", [(2, 4), (3, 3), (2, 5)])
     def test_log_equals_the_apply_element_route(self, dim, order):
         # the oracle: one apply_element per Taylor word, with the arity-n
         # part of the log element acting on each length-n word

@@ -424,16 +424,25 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("t,x1\n0,0\n1\n2,2\n", "at row 2"),
-            ("t,x1\n0,0\n1,abc\n", "'abc' to float64 at row 1, column 2"),
-            ("t,x1,x2\n0,0\n1,1\n", "CSV rows have 2 fields, the header 3"),
-            ("t,x1\n0,0\n1,1_000\n", "'1_000' to float64 at row 1"),
+            ("t,x1\n0,0\n1\n2,2\n", "^CSV data row 2: width 1, the header's 2$"),
+            ("t,x1\n0,0\n1,abc\n", "^CSV data row 2: could not convert string to float: 'abc'$"),
+            ("t,x1,x2\n0,0\n1,1\n", "^CSV rows have 2 fields, the header 3$"),
+            ("t,x1\n0,0\n1,1_000\n", "^CSV data row 2: '1_000' is not a float written in ASCII$"),
+            ("t,x1\n0,0\n1,\u0661\n", "^CSV data row 2: '\u0661' is not a float written in ASCII$"),
+            ("t,x1\r\n\r\n0,0\r\n\r\n\r\n1,2\r\n2,x\r\n", "^CSV data row 3: could not"),
+            ("t,x1\n0,0\n\n1,2\n\n2,2,2\n", "^CSV data row 3: width 3, the header's 2$"),
         ],
-        ids=["ragged", "abc", "narrower-than-header", "underscore"],
+        ids=[
+            "ragged", "abc", "narrower-than-header", "underscore", "arabic-indic-digit",
+            "blank-lines-not-counted", "ragged-after-blank-lines",
+        ],
     )
     def test_csv_bad_row_is_a_value_error_naming_it(self, text, message):
-        with pytest.raises(ValueError, match=message):
+        """One count of data rows, from 1: the header and blank lines are
+        not counted, and numpy's own messages do not pass through."""
+        with pytest.raises(ValueError, match=message) as info:
             bundle_from_csv(text)
+        assert "usecols" not in str(info.value) and info.value.__cause__ is None
 
     @pytest.mark.parametrize("name", ["x²", "x١", "x+1", "x 1", "x0", "x"])
     def test_csv_driver_column_is_x_and_ascii_digits(self, name):

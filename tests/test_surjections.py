@@ -552,24 +552,6 @@ class TestApply:
             apply_element(None, ((1,),))
 
 
-@st.composite
-def surjection_and_blocks(draw, max_n=7):
-    """A surjection of arity n, from packing n random values, and n blocks."""
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    values = draw(st.lists(st.integers(min_value=1, max_value=max(n, 1)), min_size=n, max_size=n))
-    block = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3)
-    blocks = draw(st.lists(block.map(lambda b: tuple(sorted(b))), min_size=n, max_size=n))
-    return kernels.pack_word(values), tuple(blocks)
-
-
-@given(surjection_and_blocks())
-@settings(max_examples=200, deadline=None)
-def test_fiber_kernel_matches_apply_to_blocks(case):
-    f, blocks = case
-    fibers = kernels.fibers_of(f)
-    assert kernels.merge_fibers(fibers, blocks) == kernels.apply_to_blocks(f, blocks)
-
-
 class TestSurjElement:
     def test_pretty(self):
         el = SurjElement(

@@ -43,7 +43,10 @@ a dt + b dW).  Those increments are formed when a block reads them, a
 row chunk at a time on the stack route and a cell chunk at a time on the
 sweep, from one transposed base chunk shared by every letter on it; so
 no whole letter array is kept, and the formed values are the bits a
-whole offset + scale * base would hold.
+whole offset + scale * base would hold.  The sweep reads the cells in
+chunks, in time order, so Evaluator._streamed can sweep a base that is
+never held whole, its chunks made as they are read (the flow study's
+wide batches draw dW so).
 
 All core routines are shaped (..., cells): a batch axis in front
 evaluates many Monte Carlo paths in one sweep.
@@ -118,26 +121,43 @@ class Evaluator:
         A letter's increments are formed a chunk at a time, when a block
         reads them, by the operations offset + scale * base makes; so the
         values match an Evaluator given the formed arrays, bit for bit, and
-        only base is kept whole.  x -> offset + scale * x is monotone under
-        rounding, so a letter is finite on every cell if and only if it is
-        finite at base.min() and base.max(); one that is not raises
-        ValueError naming it.
+        only base is kept whole.  Each letter is checked at base's minimum
+        and maximum, as _affine_letters says.
         """
         base = _finite("base increments", base)
         if not base.ndim:
             raise ValueError("base increments need a cells axis")
         ends = np.array([base.min(), base.max()]) if base.size else np.empty(0)
-        affine = {}
-        for k, (offset, scale) in letters.items():
-            k = _count("letter", k)
-            # an overflow is reported as the ValueError, not as numpy warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                _finite(f"increments of letter {k}", offset + scale * ends)
-            affine[k] = (0, (offset, scale))
-        if not affine:
-            raise ValueError("need at least one driver")
         ev = cls.__new__(cls)
-        ev._bind(base.shape, [base], affine)
+        ev._bind(base.shape, [base], _affine_letters(letters, ends))
+        return ev
+
+    @classmethod
+    def _streamed(
+        cls, shape: tuple, letters: Mapping[int, tuple], trie: dict, words: list, chunks
+    ) -> "Evaluator":
+        """The evaluator _affine(base, letters) gives, holding only the
+        sorted words' terminals, with trie their prefix trie; base, shaped
+        shape, is never held whole.
+
+        chunks yields base's cells in time order, a (rows, cells) chunk at a
+        time, and the words are swept from each chunk as it comes.  Once
+        chunks ends, each letter is checked at the running minimum and
+        maximum of the chunks, so an error chunks raises at its end comes
+        before any letter's.
+        """
+        ends = [np.inf, -np.inf]
+
+        def held():
+            for chunk in chunks:
+                ends[:] = min(ends[0], chunk.min()), max(ends[1], chunk.max())
+                yield [chunk]
+
+        ev = cls.__new__(cls)
+        # bound as _affine binds them; no cell is checked yet
+        ev._bind(shape, [], _affine_letters(letters, np.empty(0)))
+        ev._sweep(trie, words, held())
+        _affine_letters(letters, np.array(ends))
         return ev
 
     def _bind(self, shape: tuple, bases: list[np.ndarray], letters: dict[int, tuple]) -> None:
@@ -241,22 +261,25 @@ class Evaluator:
             pass
         todo = sorted({w for w in words if w not in cache})
         trie = _prefix_trie(todo)
-        if prod(self.shape[:-1]) * (len(trie) - 1) >= _SWEEP_WIDTH:
-            self._sweep(trie, todo)
+        if _sweeps(prod(self.shape[:-1]), trie):
+            self._sweep(trie, todo, [self._bases])
         else:
             for w in todo:
                 self.word_terminal(w)
         return [cache[w] for w in words]
 
-    def _sweep(self, trie: dict[tuple, int], words: list[BracketWord]) -> None:
+    def _sweep(self, trie: dict[tuple, int], words: list[BracketWord], chunks) -> None:
         """Cache the words' terminals from one pass over the cells.
 
-        run holds each trie node's running value on each row, at the left
-        end of the current cell; node 0 is the empty word, all ones.  Per
-        cell, every node's parent value is gathered, multiplied by the
-        node's block product (its letters' increments multiplied in
-        order) and added to the node's value.  An unbound letter raises
-        before any work, with nothing cached.
+        chunks yields the cells in time order, a chunk at a time, as the
+        list of each base's (rows, cells in the chunk) slice.  run holds
+        each trie node's running value on each row, at the left end of the
+        current cell; node 0 is the empty word, all ones.  Per cell, every
+        node's parent value is gathered, multiplied by the node's block
+        product (its letters' increments multiplied in order) and added to
+        the node's value.  Where chunks split the cells changes no value's
+        operations.  An unbound letter raises before any chunk is read,
+        with nothing cached.
         """
         nodes = list(trie)[1:]
         # blocks in the order the stack route would first build them, so an
@@ -273,26 +296,30 @@ class Evaluator:
         gathered, factor = np.empty_like(values), np.empty_like(values)
         step = max(1, _SWEEP_FLOATS // max(len(blocks) * rows, 1))
         products = np.empty((min(step, cells), len(blocks), rows))
-        for c0 in range(0, cells, step):
-            c1 = min(c0 + step, cells)
-            # each base's cells transposed once, shared by every letter on it
-            bases = {n: np.ascontiguousarray(self._bases[n][:, c0:c1].T) for n in used}
-            chunk = {l: _formed(bases[n], affine) for l, (n, affine) in letters.items()}
-            for b, k in blocks.items():
-                out = products[: c1 - c0, k]
-                np.copyto(out, chunk[b[0]])
-                for letter in b[1:]:
-                    np.multiply(out, chunk[letter], out=out)
-            for i in range(c1 - c0):
-                # mode="clip" writes straight into out; "raise" buffers it.
-                # The methods skip np.take's Python wrapper, ~1 us a call.
-                run.take(parent, axis=0, out=gathered, mode="clip")
-                products[i].take(block, axis=0, out=factor, mode="clip")
-                np.multiply(gathered, factor, out=gathered)
-                if c0 + i:
-                    np.add(values, gathered, out=values)
-                else:  # as cumsum's out[0] = x[0]: 0 + x would lose a -0.0
-                    values[...] = gathered
+        swept = 0  # cells before the current chunk
+        for held in chunks:
+            end = held[0].shape[1]
+            for c0 in range(0, end, step):
+                c1 = min(c0 + step, end)
+                # each base's cells transposed once, shared by every letter on it
+                bases = {n: np.ascontiguousarray(held[n][:, c0:c1].T) for n in used}
+                chunk = {l: _formed(bases[n], affine) for l, (n, affine) in letters.items()}
+                for b, k in blocks.items():
+                    out = products[: c1 - c0, k]
+                    np.copyto(out, chunk[b[0]])
+                    for letter in b[1:]:
+                        np.multiply(out, chunk[letter], out=out)
+                for i in range(c1 - c0):
+                    # mode="clip" writes straight into out; "raise" buffers it.
+                    # The methods skip np.take's Python wrapper, ~1 us a call.
+                    run.take(parent, axis=0, out=gathered, mode="clip")
+                    products[i].take(block, axis=0, out=factor, mode="clip")
+                    np.multiply(gathered, factor, out=gathered)
+                    if swept + c0 + i:
+                        np.add(values, gathered, out=values)
+                    else:  # as cumsum's out[0] = x[0]: 0 + x would lose a -0.0
+                        values[...] = gathered
+            swept += end
         shape = self.shape[:-1]
         for w in words:
             self._terminal_cache[w] = _read_only(run[trie[w]].reshape(shape).copy())
@@ -318,6 +345,31 @@ class Evaluator:
                 ) from None
             out = out + c * value
         return out
+
+
+def _affine_letters(letters: Mapping[int, tuple], ends: np.ndarray) -> dict[int, tuple]:
+    """Each letter k as (base 0, letters[k]), for letters[k] = (offset, scale).
+
+    x -> offset + scale * x is monotone under rounding, so a letter is
+    finite on every cell if and only if it is finite at the base's minimum
+    and maximum, ends; one that is not raises ValueError naming it.
+    """
+    affine = {}
+    for k, (offset, scale) in letters.items():
+        k = _count("letter", k)
+        # an overflow is reported as the ValueError, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            _finite(f"increments of letter {k}", offset + scale * ends)
+        affine[k] = (0, (offset, scale))
+    if not affine:
+        raise ValueError("need at least one driver")
+    return affine
+
+
+def _sweeps(rows: int, trie: dict[tuple, int]) -> bool:
+    """Whether the words of trie are swept, not built on the stack: rows x
+    trie nodes past the empty word reaches _SWEEP_WIDTH."""
+    return rows * (len(trie) - 1) >= _SWEEP_WIDTH
 
 
 def _formed(base: np.ndarray, affine: tuple | None) -> np.ndarray:

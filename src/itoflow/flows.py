@@ -21,9 +21,13 @@ comparisons are pure truncation studies, free of scheme mismatch.
 Every entry letter is an affine image of the one Brownian array: it moves
 by A[i,j] dt + B[i,j] dW on each step.  So the series routes build their
 Evaluator from dW and each entry's (A[i,j] dt, B[i,j]), and the letters
-are formed a chunk at a time as blocks read them.  A batch keeps dW
-whole and no letter array; flow_reference likewise forms dM a chunk of
-steps at a time.
+are formed a chunk at a time as blocks read them; the Euler recursion
+likewise forms dM a chunk of steps at a time.  A compare_flows batch
+wide enough for the Evaluator's sweep holds no dW either: each path's
+increments are drawn about 1024 steps at a time, and each drawn chunk
+steps the Euler recursion and is then swept.  A 64-path C10 batch's
+traced peak is 3.3 MB at 2^12 and at 2^14 steps (3.8 and 10.1 MB with
+dW whole).  A narrower batch keeps dW whole.
 """
 
 from __future__ import annotations
@@ -34,13 +38,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._config import FloatRangeError, _count, _finite, _typed
-from .evaluate import Evaluator
+from .evaluate import Evaluator, _prefix_trie, _sweeps
 from .matrixseries import MatrixExpansion, entry_letter, matrix_ito_taylor, matrix_log
 from .paths import _check_horizon, rng_for
 
 EXPM_TOL = 1e-12
-# flow_reference forms dM for about this many floats' worth of steps at once
+# the Euler recursion forms dM for about this many floats' worth of steps at once
 _STEP_FLOATS = 1 << 15
+# each path's increments are drawn this many steps at a time
+_DRAW_STEPS = 1 << 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,15 +74,29 @@ class FlowProblem:
         return self.horizon / self.steps
 
 
+def _drawn(problem: FlowProblem, seed: int, path_indices: Sequence[int]):
+    """Scalar Brownian increments, one row per path index, keyed per path,
+    yielded _DRAW_STEPS steps at a time as (paths, steps in the chunk)
+    arrays in time order.  Each row continues its path's own generator, so
+    the chunks, joined, are the bits of one draw of all the steps."""
+    rngs = [rng_for(seed, p, 0) for p in path_indices]
+    scale = np.sqrt(problem.dt)
+    # with no path there is nothing to draw, however many steps
+    for m0 in range(0, problem.steps if rngs else 0, _DRAW_STEPS):
+        chunk = np.empty((len(rngs), min(_DRAW_STEPS, problem.steps - m0)))
+        for row, rng in zip(chunk, rngs):
+            row[:] = rng.normal(0.0, scale, size=row.size)
+        yield chunk
+
+
 def brownian_increments(
     problem: FlowProblem, seed: int, path_indices: Iterable[int]
 ) -> np.ndarray:
     """Scalar Brownian increments, one row per path index, keyed per path."""
     idx = list(path_indices)
     out = np.empty((len(idx), problem.steps))
-    scale = np.sqrt(problem.dt)
-    for row, p in enumerate(idx):
-        out[row] = rng_for(seed, p, 0).normal(0.0, scale, size=problem.steps)
+    for m0, chunk in zip(range(0, problem.steps, _DRAW_STEPS), _drawn(problem, seed, idx)):
+        out[:, m0 : m0 + _DRAW_STEPS] = chunk
     return out
 
 
@@ -104,30 +124,39 @@ def _entry_letters(problem: FlowProblem) -> dict[int, tuple]:
     }
 
 
-def flow_reference(problem: FlowProblem, dW: np.ndarray) -> np.ndarray:
-    """Left-point Euler recursion X <- X + X dM over the grid, batched.
+def _euler_steps(problem: FlowProblem, x: np.ndarray, dW: np.ndarray) -> None:
+    """Advance the (paths, d, d) stack x in place by the left-point Euler
+    recursion X <- X + X dM over the steps of dW, shaped (paths, steps).
 
     The steps' dM = drift dt + dW diffusion are formed a chunk of steps
     at a time, as one contiguous (steps, paths, d, d) stack.  Each step's
     dM is then a contiguous (paths, d, d) array, as one formed on its own
-    would be, so the matmul runs the same kernel and rounds the same way.
+    would be, so the matmul runs the same kernel and rounds the same way;
+    and where dW's steps are split changes no step.
     """
-    dW = _check_increments(problem, dW)
-    paths = dW.shape[0]
-    d = problem.dim
     a_dt = problem.drift * problem.dt
     b = problem.diffusion
-    x = np.broadcast_to(np.eye(d), (paths, d, d)).copy()
     xdm = np.empty_like(x)
     chunk = max(1, _STEP_FLOATS // max(x.size, 1))
     # finite inputs can still overflow: that is reported once, as
     # FloatRangeError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for m0 in range(0, problem.steps, chunk):
+        for m0 in range(0, dW.shape[1], chunk):
             dms = a_dt + dW[:, m0 : m0 + chunk].T[:, :, None, None] * b
             for dm in dms:
                 np.matmul(x, dm, out=xdm)
                 np.add(x, xdm, out=x)
+
+
+def _identities(paths: int, d: int) -> np.ndarray:
+    return np.broadcast_to(np.eye(d), (paths, d, d)).copy()
+
+
+def flow_reference(problem: FlowProblem, dW: np.ndarray) -> np.ndarray:
+    """Left-point Euler recursion X <- X + X dM over the grid, batched."""
+    dW = _check_increments(problem, dW)
+    x = _identities(dW.shape[0], problem.dim)
+    _euler_steps(problem, x, dW)
     return _finite("Euler product", x, FloatRangeError)
 
 
@@ -143,16 +172,50 @@ def _evaluate_matrix(me: MatrixExpansion, ev: Evaluator, paths: int, name: str) 
     return _finite(name, out, FloatRangeError)
 
 
-def _series_flows(problem: FlowProblem, dW: np.ndarray, taylor: dict, logs: dict) -> tuple:
-    """Each Taylor series evaluated on the checked dW, and exp of each log
-    series, keyed as given.  Every word of every series is evaluated in
+def _series_words(series: Iterable[MatrixExpansion]) -> list:
+    """Every word of every series, sorted."""
+    return sorted({w for me in series for row in me.entries for e in row for w in e.support()})
+
+
+def _whole_evaluator(problem: FlowProblem, dW: np.ndarray, words: list) -> Evaluator:
+    """The words' terminals on the checked dW, held whole, all evaluated in
     one terminals call; an overflow there is reported by the range check
     of the series that reads it."""
     ev = Evaluator._affine(dW, _entry_letters(problem))
-    series = [*taylor.values(), *logs.values()]
     with np.errstate(over="ignore", invalid="ignore"):
-        ev.terminals({w for me in series for row in me.entries for e in row for w in e.support()})
-    paths = dW.shape[0]
+        ev.terminals(words)
+    return ev
+
+
+def _streamed_batch(
+    problem: FlowProblem, seed: int, paths: range, trie: dict, words: list
+) -> tuple:
+    """The Euler flows of one batch, and the words' terminals, with its
+    increments drawn a chunk of steps at a time and never held whole.
+
+    Each drawn chunk is checked finite, steps the Euler recursion, and is
+    then swept by the Evaluator.  The checks come in the order the whole-dW
+    route makes them: dW, then the Euler product once the last chunk is
+    stepped, then each letter at dW's minimum and maximum.
+    """
+    x = _identities(len(paths), problem.dim)
+
+    def fed():
+        for dW in _drawn(problem, seed, paths):
+            dW = _finite("dW", dW)
+            _euler_steps(problem, x, dW)
+            yield dW
+        _finite("Euler product", x, FloatRangeError)
+
+    shape = (len(paths), problem.steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev = Evaluator._streamed(shape, _entry_letters(problem), trie, words, fed())
+    return x, ev
+
+
+def _series_flows(ev: Evaluator, paths: int, taylor: dict, logs: dict) -> tuple:
+    """Each Taylor series summed from ev's terminals, and exp of each log
+    series, keyed as given."""
     taylor_flows = {k: _evaluate_matrix(me, ev, paths, "Taylor series") for k, me in taylor.items()}
     return taylor_flows, {
         k: truncated_expm(_evaluate_matrix(me, ev, paths, "log series")) for k, me in logs.items()
@@ -162,13 +225,17 @@ def _series_flows(problem: FlowProblem, dW: np.ndarray, taylor: dict, logs: dict
 def flow_from_taylor(problem: FlowProblem, order: int, dW: np.ndarray) -> np.ndarray:
     """Truncated series evaluated pathwise: one (dim, dim) matrix per path."""
     dW = _check_increments(problem, dW)
-    return _series_flows(problem, dW, {order: matrix_ito_taylor(problem.dim, order)}, {})[0][order]
+    me = matrix_ito_taylor(problem.dim, order)
+    ev = _whole_evaluator(problem, dW, _series_words([me]))
+    return _evaluate_matrix(me, ev, dW.shape[0], "Taylor series")
 
 
 def flow_from_log(problem: FlowProblem, order: int, dW: np.ndarray) -> np.ndarray:
     """exp(truncated log series), evaluated pathwise."""
     dW = _check_increments(problem, dW)
-    return _series_flows(problem, dW, {}, {order: matrix_log(problem.dim, order)})[1][order]
+    me = matrix_log(problem.dim, order)
+    ev = _whole_evaluator(problem, dW, _series_words([me]))
+    return truncated_expm(_evaluate_matrix(me, ev, dW.shape[0], "log series"))
 
 
 def truncated_expm(mats: np.ndarray) -> np.ndarray:
@@ -229,8 +296,11 @@ def compare_flows(
     (the natural yardstick for that gap).  Accumulation runs in a fixed
     path order, so a given (seed, batch_size) is bit-reproducible.
 
-    n_paths has no cap: the work is paths x steps x words evaluated, and
-    a batch holds batch_size x steps increments.
+    n_paths has no cap: the work is paths x steps x words evaluated.  A
+    batch past the Evaluator's sweep crossover (C10's words on 7 paths
+    or more) draws its increments a chunk of steps at a time, so its
+    memory does not grow with steps; a narrower one holds batch_size x
+    steps increments.
     """
     _typed("problem", problem, FlowProblem)
     n_paths, batch_size = _count("n_paths", n_paths), _count("batch_size", batch_size)
@@ -248,12 +318,19 @@ def compare_flows(
     err_log = {k: 0.0 for k in orders}
     gap_taylor = {k: 0.0 for k in orders}
     next_layer = {k: 0.0 for k in orders}
+    words = _series_words([*taylor.values(), *logs.values()])
+    trie = _prefix_trie(words)
     done = 0
     while done < n_paths:
         batch = min(batch_size, n_paths - done)
-        dW = brownian_increments(problem, seed, range(done, done + batch))
-        x_ref = flow_reference(problem, dW)
-        taylor_vals, log_vals = _series_flows(problem, dW, taylor, logs)
+        paths = range(done, done + batch)
+        if _sweeps(batch, trie):
+            x_ref, ev = _streamed_batch(problem, seed, paths, trie, words)
+        else:
+            dW = brownian_increments(problem, seed, paths)
+            x_ref = flow_reference(problem, dW)
+            ev = _whole_evaluator(problem, dW, words)
+        taylor_vals, log_vals = _series_flows(ev, batch, taylor, logs)
         for k in orders:
             with np.errstate(over="ignore", invalid="ignore"):
                 err_log[k] += float(np.sum(_strong_errors(x_ref, log_vals[k])))

@@ -29,7 +29,7 @@ from itoflow import (
     simulate_bundle,
 )
 from itoflow.flows import _evaluate_matrix, brownian_increments
-from itoflow.verify import words_up_to
+from itoflow.verify import flow_problem, words_up_to
 
 
 def reference_word_path(increments, w):
@@ -535,6 +535,63 @@ class TestAffineLettersAgainstPlain:
         with pytest.raises(ValueError, match="increments of letter 3 must be finite"):
             Evaluator._affine(base, letters)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.sampled_from([1, 3]),
+        cells=st.sampled_from([1, 2, 7, 33]),
+        # where the chunks end, past the first cell
+        cuts=st.sets(st.integers(1, 32), max_size=4),
+        sweep_floats=st.sampled_from([1, 64, 512, None]),
+        letters=affine_letters,
+        seed=st.integers(min_value=0, max_value=2**16),
+        words=st.lists(sweep_words, min_size=1, max_size=10),
+    )
+    def test_streamed_terminals_are_bit_identical(
+        self, batch, cells, cuts, sweep_floats, letters, seed, words
+    ):
+        plain, formed = affine_pair(seed, (batch, cells), letters)
+        base = formed._bases[0]
+        ends = [0, *sorted(c for c in cuts if c < cells), cells]
+        words = sorted(set(words))
+        trie = evaluate_module._prefix_trie(words)
+        with terminals_route(SWEEP, sweep_floats), mock.patch.object(
+            Evaluator, "_extend", refuse
+        ):
+            chunks = (base[:, a:b] for a, b in zip(ends, ends[1:]))
+            streamed = Evaluator._streamed(base.shape, letters, trie, words, chunks)
+            expected = plain.terminals(words)
+        got = streamed.terminals(words)
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+    def test_a_streamed_letter_is_checked_once_the_chunks_end(self):
+        # letter 3 overflows on the first chunk's cells and letter 2 on the
+        # second's: the first letter past the range at the ends of every
+        # chunk is named, as _affine names it on the whole base
+        base = np.array([[1e308, 0.0, -1e308, 0.0]])
+        letters = {1: (0.0, 1.0), 2: (-1e308, 1.0), 3: (1e308, 1.0)}
+        words = [BracketWord([(1, 2, 3)])]
+        trie = evaluate_module._prefix_trie(words)
+        read = []
+
+        def chunks(error=None):
+            for c0 in (0, 2):
+                read.append(c0)
+                yield base[:, c0 : c0 + 2]
+            if error is not None:
+                raise error
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="increments of letter 2 must be finite"):
+                Evaluator._affine(base, letters)
+            with pytest.raises(ValueError, match="increments of letter 2 must be finite"):
+                Evaluator._streamed(base.shape, letters, trie, words, chunks())
+            assert read == [0, 2]
+            # an error the chunks raise at their end comes first
+            with pytest.raises(FloatRangeError, match="first"):
+                Evaluator._streamed(
+                    base.shape, letters, trie, words, chunks(FloatRangeError("first"))
+                )
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_nonfinite_base_is_refused(self, bad):
         base = np.zeros((2, 4))
@@ -612,3 +669,18 @@ class TestMemory:
             tracemalloc.stop()
         # four whole letter arrays and their temporaries read about 6x
         assert peak < 3 * dW_bytes
+
+    def test_a_streamed_flow_batch_peak_does_not_grow_with_its_steps(self):
+        # 64 rows x C10's 166 trie nodes is past the sweep's crossover, so a
+        # batch draws dW a chunk of steps at a time and holds none of it whole
+        compare_flows(flow_problem(2**12), [1, 2, 3], 64, 3)  # memos and symbolic series warm
+        peaks = []
+        for steps in (2**12, 2**14):
+            tracemalloc.start()
+            try:
+                compare_flows(flow_problem(steps), [1, 2, 3], 64, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # with a whole dW the peak read 3.8 MB at 2^12 steps and 10.1 MB at 2^14
+        assert peaks[1] <= 1.2 * peaks[0]

@@ -13,6 +13,7 @@ from itoflow import (
     compare_flows,
     flow_reference,
     make_grid,
+    rng_for,
     truncated_expm,
 )
 from itoflow import flows as flows_module
@@ -21,6 +22,8 @@ from itoflow.verify import flow_problem
 
 A = np.array([[0.0, 1.0], [0.0, 0.0]])
 B = np.array([[0.5, 0.0], [1.0, -0.5]])
+# the steps each path's increments are drawn in at a time
+DRAW = flows_module._DRAW_STEPS
 
 
 def small_problem(steps=64, horizon=0.1):
@@ -86,6 +89,15 @@ class TestFlowProblem:
         p = small_problem(steps=4, horizon=1.0)
         assert np.allclose(make_grid(p.horizon, p.steps), [0.0, 0.25, 0.5, 0.75, 1.0])
         assert p.dt == 0.25
+
+
+class TestBrownianIncrements:
+    @pytest.mark.parametrize("steps", [1, DRAW - 1, DRAW, DRAW + 1, 3000])
+    def test_bytes_equal_one_draw_per_path(self, steps):
+        p = small_problem(steps=steps)
+        paths = [4, 0, 7]
+        one_draw = [rng_for(9, path, 0).normal(0.0, np.sqrt(p.dt), steps) for path in paths]
+        assert brownian_increments(p, 9, paths).tobytes() == np.array(one_draw).tobytes()
 
 
 class TestFlowReference:
@@ -244,6 +256,26 @@ def compare_orders_to_3(problem):
     return compare_flows(problem, orders=[1, 2, 3], n_paths=2, seed=0)
 
 
+def compare_wide(problem):
+    """compare_flows on one batch past the sweep's crossover (8 rows x C10's
+    166 trie nodes), so its increments are streamed."""
+    return compare_flows(problem, orders=[1, 2, 3], n_paths=8, seed=0)
+
+
+# entry (2, 1) overflows its letter, 1e308 * dW, and the Euler product
+OVERFLOWING_ENTRY = FlowProblem(
+    dim=2, drift=A, diffusion=np.array([[0.5, 0.0], [1e308, -0.5]]), horizon=100.0, steps=8
+)
+# nilpotent: Euler and Taylor stay finite, the log's brackets do not
+NILPOTENT = FlowProblem(
+    dim=2,
+    drift=np.zeros((2, 2)),
+    diffusion=np.array([[0.0, 1e200], [0.0, 0.0]]),
+    horizon=1.0,
+    steps=8,
+)
+
+
 def on_two_paths(route, *order):
     """route run on the first two paths of the problem's increments."""
     return lambda problem: route(problem, *order, brownian_increments(problem, 0, range(2)))
@@ -290,24 +322,30 @@ class TestCompareFlows:
         [
             (compare_orders_to_3, flow_problem(8, horizon=1e200), "Euler product"),
             (compare_orders_to_3, flow_problem(8, horizon=60.0), "strong error"),
-            # nilpotent: Euler and Taylor stay finite, the log's brackets do not
-            (
-                compare_orders_to_3,
-                FlowProblem(
-                    dim=2,
-                    drift=np.zeros((2, 2)),
-                    diffusion=np.array([[0.0, 1e200], [0.0, 0.0]]),
-                    horizon=1.0,
-                    steps=8,
-                ),
-                "log series",
-            ),
+            (compare_orders_to_3, NILPOTENT, "log series"),
+            (compare_orders_to_3, OVERFLOWING_ENTRY, "Euler product"),
+            # the same on a streamed batch: the Euler product's error comes
+            # before the overflowing letter's
+            (compare_wide, flow_problem(8, horizon=1e200), "Euler product"),
+            (compare_wide, OVERFLOWING_ENTRY, "Euler product"),
+            (compare_wide, NILPOTENT, "log series"),
             # each route checks its own result
             (on_two_paths(flow_reference), flow_problem(8, horizon=1e200), "Euler product"),
             (on_two_paths(flow_from_taylor, 3), flow_problem(8, horizon=1e200), "Taylor series"),
             (on_two_paths(flow_from_log, 3), flow_problem(8, horizon=1e200), "log series"),
         ],
-        ids=["compare-euler", "compare-strong-error", "compare-log", "euler", "taylor", "log"],
+        ids=[
+            "compare-euler",
+            "compare-strong-error",
+            "compare-log",
+            "compare-entry",
+            "wide-euler",
+            "wide-entry",
+            "wide-log",
+            "euler",
+            "taylor",
+            "log",
+        ],
     )
     def test_an_overflow_on_finite_inputs_raises_once_without_warnings(self, run, problem, stage):
         with warnings.catch_warnings():
@@ -334,18 +372,55 @@ class TestLettersFormedFromDW:
     """The routes build their evaluators from dW and each entry's
     (a dt, b); with the letters formed whole instead, every bit is the same."""
 
-    # C10's 166 trie nodes: 4 rows are below the sweep's crossover, 8 past it
+    # C10's 166 trie nodes: 4 rows are below the sweep's crossover, 8 past
+    # it.  A batch past it draws dW a chunk at a time and calls no _affine,
+    # so the plain run takes the whole-dW route to its sweep.
     @pytest.mark.parametrize("batch, unused", [(4, "_sweep"), (8, "_extend")])
     def test_compare_flows_reports_are_equal(self, monkeypatch, batch, unused):
         p = flow_problem(256)
         runs = []
-        for builder in (None, plain_letters):
+        for plain in (False, True):
             with monkeypatch.context() as m:
                 m.setattr(Evaluator, unused, refuse)
-                if builder is not None:
-                    m.setattr(Evaluator, "_affine", staticmethod(builder))
+                if plain:
+                    m.setattr(flows_module, "_sweeps", lambda rows, trie: False)
+                    m.setattr(Evaluator, "_affine", staticmethod(plain_letters))
                 runs.append(compare_flows(p, [1, 2, 3], 2 * batch, seed=4, batch_size=batch))
         assert runs[0] == runs[1]
+
+    def test_a_streamed_batch_equals_the_whole_dW_routes(self, monkeypatch):
+        # 8 rows x C10's 166 trie nodes is past the crossover; the steps are
+        # two whole draw chunks and part of a third
+        p = flow_problem(2 * DRAW + 452)
+        orders, n_paths, batch, seed = [1, 2, 3], 16, 8, 4
+        with monkeypatch.context() as m:
+            for name in ("brownian_increments", "flow_reference"):
+                m.setattr(flows_module, name, refuse)
+            m.setattr(Evaluator, "_affine", refuse)
+            got = compare_flows(p, orders, n_paths, seed, batch_size=batch)
+        sums = {key: {k: 0.0 for k in orders} for key in ("log", "gap", "next")}
+        for done in range(0, n_paths, batch):
+            dW = brownian_increments(p, seed, range(done, done + batch))
+            x_ref = flow_reference(p, dW)
+            taylor = {k: flow_from_taylor(p, k, dW) for k in range(1, orders[-1] + 2)}
+            for k in orders:
+                log = flow_from_log(p, k, dW)
+                sums["log"][k] += float(np.sum(_strong_errors(x_ref, log)))
+                sums["gap"][k] += float(np.sum(_strong_errors(taylor[k], log)))
+                sums["next"][k] += float(np.sum(_strong_errors(taylor[k + 1], taylor[k])))
+        mean = {key: {str(k): v / n_paths for k, v in by.items()} for key, by in sums.items()}
+        assert got == {
+            "dim": 2,
+            "horizon": p.horizon,
+            "steps": p.steps,
+            "paths": n_paths,
+            "seed": seed,
+            "orders": orders,
+            "mean_strong_error_log": mean["log"],
+            "mean_gap_log_vs_taylor": mean["gap"],
+            "mean_next_taylor_layer": mean["next"],
+            "expm_tolerance": flows_module.EXPM_TOL,
+        }
 
     @pytest.mark.parametrize("route", [flow_from_taylor, flow_from_log])
     def test_routes_are_bit_identical(self, monkeypatch, route):

@@ -132,21 +132,20 @@ def _scoped(*new):
         _caps.reset(token)
 
 
-def check_weight(weight: int) -> int:
-    cap = _caps.get()[0]
-    if weight > cap:
+def _within_cap(value: int, slot: int, what: str) -> int:
+    """value if it is within cap slot 0 (weight) or 1 (grade), else CapExceeded."""
+    cap = _caps.get()[slot]
+    if value > cap:
+        keyword = ("weight", "grade")[slot]
         raise CapExceeded(
-            f"word weight {weight} exceeds cap {cap}; "
-            "raise it with itoflow.caps(weight=...)"
+            f"{what} {value} exceeds cap {cap}; raise it with itoflow.caps({keyword}=...)"
         )
-    return weight
+    return value
+
+
+def check_weight(weight: int) -> int:
+    return _within_cap(weight, 0, "word weight")
 
 
 def check_grade(grade: int) -> int:
-    cap = _caps.get()[1]
-    if grade > cap:
-        raise CapExceeded(
-            f"surjection grade {grade} exceeds cap {cap}; "
-            "raise it with itoflow.caps(grade=...)"
-        )
-    return grade
+    return _within_cap(grade, 1, "surjection grade")

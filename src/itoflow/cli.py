@@ -83,6 +83,14 @@ def _call_caps(n):
     return caps(grade=n, weight=max(n, weight_cap()))
 
 
+def _emit_report(args, payload: dict, lines: list) -> None:
+    """A report's payload, stamped unless --deterministic, as indented JSON
+    with --json, else its text lines."""
+    if not args.deterministic:
+        payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    _emit(args, json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+
+
 def _emit_result(args, result) -> int:
     """An exact result as indented JSON with --json, else as its pretty text."""
     _emit(args, json.dumps(result.to_json_dict(), indent=2) if args.json else result.pretty())
@@ -120,21 +128,15 @@ def cmd_verify(args) -> int:
     if unread:
         raise ValueError(f"suite {args.suite} does not take {', '.join(unread)}")
     ok, reports = run_suite(args.suite, **kwargs)
-    payload = {"suite": args.suite, "pass": ok, "cases": reports}
-    if not args.deterministic:
-        payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    if args.json:
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        # a suite without a seed (theorem) reports seed 0
-        seed = kwargs.get("seed", params["seed"].default if "seed" in params else 0)
-        lines = [
-            f"[{'PASS' if r['pass'] else 'FAIL'}] {r['test']} "
-            f"(err {r['max_abs_err']:.3g}, tol {r['tolerance']:.3g})"
-            for r in reports
-        ]
-        lines.append(f"suite {args.suite}: {'PASS' if ok else 'FAIL'} (seed {seed})")
-        _emit(args, "\n".join(lines))
+    # a suite without a seed (theorem) reports seed 0
+    seed = kwargs.get("seed", params["seed"].default if "seed" in params else 0)
+    lines = [
+        f"[{'PASS' if r['pass'] else 'FAIL'}] {r['test']} "
+        f"(err {r['max_abs_err']:.3g}, tol {r['tolerance']:.3g})"
+        for r in reports
+    ]
+    lines.append(f"suite {args.suite}: {'PASS' if ok else 'FAIL'} (seed {seed})")
+    _emit_report(args, {"suite": args.suite, "pass": ok, "cases": reports}, lines)
     return 0 if ok else 1
 
 
@@ -163,11 +165,16 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_matrix(text: str, dim: int) -> np.ndarray:
-    rows = [r for r in text.split(";") if r.strip()]
-    mat = np.array([[_float(v) for v in r.split(",")] for r in rows])
-    if mat.shape != (dim, dim):
+    rows = [r.split(",") for r in text.split(";") if r.strip()]
+    if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ValueError(f"matrix {text!r} is not {dim}x{dim}")
-    return mat
+    fields = [v for r in rows for v in r]
+    # float() reads other scripts' digits too, which _float then refuses by name
+    try:
+        list(map(float, fields))
+    except ValueError:
+        raise ValueError(f"matrix {text!r} has a field that is not a float") from None
+    return np.array(list(map(_float, fields))).reshape(dim, dim)
 
 
 def cmd_flow_compare(args) -> int:
@@ -180,21 +187,16 @@ def cmd_flow_compare(args) -> int:
     if None in orders:
         raise ValueError(f"--orders must be a comma list of positive ints, not {args.orders!r}")
     report = compare_flows(problem, orders, args.paths, args.seed)
-    if not args.deterministic:
-        report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    if args.json:
-        _emit(args, json.dumps(report, indent=2))
-    else:
-        lines = [
-            f"dim {problem.dim}, T {problem.horizon}, steps {args.steps}, "
-            f"paths {args.paths}, seed {args.seed}"
-        ]
-        for k in report["orders"]:
-            lines.append(
-                f"order {k}: strong error {report['mean_strong_error_log'][str(k)]:.6g}, "
-                f"log-vs-taylor gap {report['mean_gap_log_vs_taylor'][str(k)]:.6g}"
-            )
-        _emit(args, "\n".join(lines))
+    lines = [
+        f"dim {problem.dim}, T {problem.horizon}, steps {args.steps}, "
+        f"paths {args.paths}, seed {args.seed}"
+    ]
+    for k in report["orders"]:
+        lines.append(
+            f"order {k}: strong error {report['mean_strong_error_log'][str(k)]:.6g}, "
+            f"log-vs-taylor gap {report['mean_gap_log_vs_taylor'][str(k)]:.6g}"
+        )
+    _emit_report(args, report, lines)
     errs = [report["mean_strong_error_log"][str(k)] for k in report["orders"]]
     return 0 if all(a > b for a, b in zip(errs, errs[1:])) else 1
 

@@ -10,9 +10,11 @@ and B make the flow genuinely noncommutative.  Three routes to X_T:
     flow_from_log     truncated series logarithm evaluated pathwise, then
                       a numeric matrix exponential
 
-compare_flows composes the three on shared batches; the two series
-routes are one function, _series_flows.  Each route refuses its own
-float overflow on finite inputs with FloatRangeError.
+compare_flows composes the three on shared batches.  Every series
+evaluation is one function, _series_flows; the two series routes and a
+compare_flows batch that holds dW whole reach it through
+_whole_series_flows.  Each route refuses its own float overflow on
+finite inputs with FloatRangeError.
 
 On a shared grid the order-M Taylor evaluation equals the Euler product
 exactly (the product expands into exactly those left-point sums), so all
@@ -177,16 +179,6 @@ def _series_words(series: Iterable[MatrixExpansion]) -> list:
     return sorted({w for me in series for row in me.entries for e in row for w in e.support()})
 
 
-def _whole_evaluator(problem: FlowProblem, dW: np.ndarray, words: list) -> Evaluator:
-    """The words' terminals on the checked dW, held whole, all evaluated in
-    one terminals call; an overflow there is reported by the range check
-    of the series that reads it."""
-    ev = Evaluator._affine(dW, _entry_letters(problem))
-    with np.errstate(over="ignore", invalid="ignore"):
-        ev.terminals(words)
-    return ev
-
-
 def _streamed_batch(
     problem: FlowProblem, seed: int, paths: range, trie: dict, words: list
 ) -> tuple:
@@ -222,20 +214,28 @@ def _series_flows(ev: Evaluator, paths: int, taylor: dict, logs: dict) -> tuple:
     }
 
 
+def _whole_series_flows(problem: FlowProblem, dW: np.ndarray, taylor: dict, logs: dict) -> tuple:
+    """_series_flows on the checked dW, held whole: every word's terminal
+    is evaluated in one terminals call, and an overflow there is reported
+    by the range check of the series that reads it."""
+    ev = Evaluator._affine(dW, _entry_letters(problem))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev.terminals(_series_words([*taylor.values(), *logs.values()]))
+    return _series_flows(ev, dW.shape[0], taylor, logs)
+
+
 def flow_from_taylor(problem: FlowProblem, order: int, dW: np.ndarray) -> np.ndarray:
     """Truncated series evaluated pathwise: one (dim, dim) matrix per path."""
     dW = _check_increments(problem, dW)
-    me = matrix_ito_taylor(problem.dim, order)
-    ev = _whole_evaluator(problem, dW, _series_words([me]))
-    return _evaluate_matrix(me, ev, dW.shape[0], "Taylor series")
+    taylor = {order: matrix_ito_taylor(problem.dim, order)}
+    return _whole_series_flows(problem, dW, taylor, {})[0][order]
 
 
 def flow_from_log(problem: FlowProblem, order: int, dW: np.ndarray) -> np.ndarray:
     """exp(truncated log series), evaluated pathwise."""
     dW = _check_increments(problem, dW)
-    me = matrix_log(problem.dim, order)
-    ev = _whole_evaluator(problem, dW, _series_words([me]))
-    return truncated_expm(_evaluate_matrix(me, ev, dW.shape[0], "log series"))
+    logs = {order: matrix_log(problem.dim, order)}
+    return _whole_series_flows(problem, dW, {}, logs)[1][order]
 
 
 def truncated_expm(mats: np.ndarray) -> np.ndarray:
@@ -326,11 +326,11 @@ def compare_flows(
         paths = range(done, done + batch)
         if _sweeps(batch, trie):
             x_ref, ev = _streamed_batch(problem, seed, paths, trie, words)
+            taylor_vals, log_vals = _series_flows(ev, batch, taylor, logs)
         else:
             dW = brownian_increments(problem, seed, paths)
             x_ref = flow_reference(problem, dW)
-            ev = _whole_evaluator(problem, dW, words)
-        taylor_vals, log_vals = _series_flows(ev, batch, taylor, logs)
+            taylor_vals, log_vals = _whole_series_flows(problem, dW, taylor, logs)
         for k in orders:
             with np.errstate(over="ignore", invalid="ignore"):
                 err_log[k] += float(np.sum(_strong_errors(x_ref, log_vals[k])))

@@ -58,29 +58,28 @@ def surjections(n, k):
 def _surjections(n, k):
     if k > n or k < 0:
         return []
-    if n == 0:
-        return [()]
     out = []
-    counts = [0] * (k + 1)
-    buf = [0] * n
-    missing = k  # values of 1..k not yet used
+    word = []
+    counts = [0] * (k + 1)  # uses of each value 1..k in word; counts[0] stays 0
+    values = range(1, k + 1)
 
-    def rec(pos, missing):
-        if pos == n:
-            out.append(tuple(buf))
+    def rec():
+        if len(word) == n:
+            out.append(tuple(word))
             return
         # as many slots left as values unused: each must take an unused one
-        tight = missing == n - pos
-        for v in range(1, k + 1):
+        tight = counts.count(0) - 1 == n - len(word)
+        for v in values:
             c = counts[v]
             if c and tight:
                 continue
             counts[v] = c + 1
-            buf[pos] = v
-            rec(pos + 1, missing - (c == 0))
+            word.append(v)
+            rec()
+            del word[-1]
             counts[v] = c
 
-    rec(0, missing)
+    rec()
     return out
 
 
@@ -151,8 +150,9 @@ def _lattice_plan(a, b):
 
     This enumeration shares no code with diamond_plan, which the
     surjection route reads, so qsh_via_surjections stays an independent
-    check of qsh.  It calls no other kernel, so a traced run makes the
-    same kernel calls on a cold memo as on a warm one.
+    check of qsh; the two turn index tuples into picks by one _picker.
+    It calls no exported kernel, so a traced run makes the same kernel
+    calls on a cold memo as on a warm one.
     """
     row = [[tuple(range(a, a + j))] for j in range(b + 1)]
     for i in range(1, a + 1):
@@ -165,10 +165,7 @@ def _lattice_plan(a, b):
                 + [p + (merge,) for p in row[j - 1]]
             )
         row = cur
-    # a one-block path is picked by a slice: itemgetter(i) would return the bare block
-    return tuple(
-        itemgetter(*p) if len(p) > 1 else itemgetter(slice(p[0], p[0] + 1)) for p in row[b]
-    )
+    return tuple(map(_picker, row[b]))
 
 
 @lru_cache(maxsize=32)
@@ -201,25 +198,28 @@ def fibers_of(f):
     return tuple(map(tuple, out))
 
 
+def _picker(index):
+    """Selector of the items at index from a tuple, as a tuple for any
+    number of them: itemgetter(i) would return the bare item, so one index,
+    or none, is picked by a slice."""
+    if len(index) > 1:
+        return itemgetter(*index)
+    return itemgetter(slice(index[0], index[0] + 1) if index else slice(0))
+
+
 def _pick(term, k, l):
     """Selector of term's word from (*u, *v, *merges) for identity operands.
 
     term = alpha + beta with alpha, beta strictly increasing, so a fiber
     holds one position of u (index i), one of v (index k + j), or one of
-    each, whose merge sits at index k + l + i * l + j.  A one-block or
-    empty word is picked by a slice, so every pick of a tuple is a tuple.
+    each, whose merge sits at index k + l + i * l + j.
     """
     slot = {}
     for i, x in enumerate(term[:k]):
         slot[x] = i
     for j, x in enumerate(term[k:]):
         slot[x] = k + l + slot[x] * l + j if x in slot else k + j
-    index = [slot[x] for x in range(1, len(slot) + 1)]
-    if not index:  # the empty word, shape (0, 0)
-        return itemgetter(slice(0))
-    if len(index) == 1:  # itemgetter(i) would return the bare block
-        return itemgetter(slice(index[0], index[0] + 1))
-    return itemgetter(*index)
+    return _picker([slot[x] for x in range(1, len(slot) + 1)])
 
 
 def diamond_plan(k, l):

@@ -18,12 +18,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial, prod
-from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from ._config import _count, _typed, check_weight
 from .flowmaps import DriverAlphabet, apply_vanishing_rules
-from .kernels import fibers_of
+from .kernels import _picker, fibers_of
 from .logseries import log_identity_closed_form
 from .quasishuffle import qsh
 from .words import BracketWord, Expansion, refuse_malformed
@@ -204,9 +203,7 @@ def _log_plan(element) -> list:
     plan = [((), ())] * (max(element._classes, default=0) + 1)  # the unit word maps to nothing
     for n, part in element._classes.items():
         slot: dict = {}
-        index = [[slot.setdefault(fb, len(slot)) for fb in fibers_of(f)] for f in part]
-        # a one-fiber pick is a slice: itemgetter(i) would return the bare block
-        picks = [itemgetter(*i) if len(i) > 1 else itemgetter(slice(i[0], i[0] + 1)) for i in index]
+        picks = [_picker([slot.setdefault(fb, len(slot)) for fb in fibers_of(f)]) for f in part]
         plan[n] = (tuple(slot), list(zip(picks, part.values())))
     return plan
 

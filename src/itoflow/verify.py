@@ -41,6 +41,7 @@ from .paths import (
     DriverSpec,
     PathBundle,
     SamplePath,
+    _running_sum,
     discrete_bracket,
     make_grid,
     simulate_bundle,
@@ -330,9 +331,8 @@ def suite_pathwise(seed: int = 0, steps: int = 4096) -> list[dict]:
     x, y = bundle[1], bundle[2]
     br = discrete_bracket(x, y)
     dx, dy = x.increments(), y.increments()
-    residual = x.values * y.values - np.concatenate(
-        ([0.0], np.cumsum(x.values[:-1] * dy))
-    ) - np.concatenate(([0.0], np.cumsum(y.values[:-1] * dx))) - br.values
+    residual = x.values * y.values - _running_sum(dy, x.values[:-1])
+    residual = residual - _running_sum(dx, y.values[:-1]) - br.values
     reports.append(_case("discrete product rule", np.max(np.abs(residual)), 1e-9, seed, gp, 1))
 
     sym = np.max(np.abs(discrete_bracket(x, y).values - discrete_bracket(y, x).values))

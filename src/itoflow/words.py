@@ -105,20 +105,19 @@ def as_word(w: WordLike) -> BracketWord:
 
 def word_literal(w: WordLike) -> str:
     """Dotted literal: (2)([1,3]) -> '2.[1,3]'; unit -> 'e'."""
-    w = as_word(w)
-    if not w:
-        return "e"
-    return ".".join(str(b[0]) if len(b) == 1 else f"[{','.join(map(str, b))}]" for b in w)
+    return _rendered(as_word(w), ".", ",")
 
 
 def word_compact(w: WordLike) -> str:
     """Digit-juxtaposed form: (2)([1,3]) -> '2[13]'; falls back to the literal."""
     w = as_word(w)
-    if not w:
-        return "e"
-    if any(x > 9 for b in w for x in b):
-        return word_literal(w)
-    return "".join(str(b[0]) if len(b) == 1 else f"[{''.join(map(str, b))}]" for b in w)
+    return word_literal(w) if any(x > 9 for b in w for x in b) else _rendered(w, "", "")
+
+
+def _rendered(w: BracketWord, between: str, within: str) -> str:
+    """w's blocks joined by between, a bracket block's letters by within; unit -> 'e'."""
+    blocks = (str(b[0]) if len(b) == 1 else f"[{within.join(map(str, b))}]" for b in w)
+    return between.join(blocks) if w else "e"
 
 
 def pretty_word(w: WordLike) -> str:

@@ -9,8 +9,8 @@ Each function in itoflow.__all__ has one row of small valid arguments.
 Each argument of the row is swapped in turn for every value in HOSTILE.
 The size values -1, 0 and 10**30 are left out: an unbounded dimension
 (matrix_ito_taylor(10**30, 1)) does not return.  Class constructors have
-value rows only: Evaluator, PathBundle, FlowProblem, DriverSpec,
-DriverAlphabet and MatrixExpansion.
+value rows only: Evaluator, SamplePath, PathBundle, FlowProblem,
+DriverSpec, DriverAlphabet and MatrixExpansion.
 """
 
 import math
@@ -228,6 +228,11 @@ CONSTRUCTOR_ROWS = {
     "PathBundle-two-grids": lambda: PathBundle(
         {1: PATH, 2: SamplePath(make_grid(2.0, 4), PATH.values)}
     ),
+    "SamplePath-lengths": lambda: SamplePath(GRID, PATH.values[:-1]),
+    "SamplePath-start-1": lambda: SamplePath(GRID, PATH.values + 1.0),
+    "SamplePath-nan-value": lambda: SamplePath(GRID, [0.0, math.nan, 0.0, 0.0, 0.0]),
+    "SamplePath-2d-grid": lambda: SamplePath(GRID[None], PATH.values[None]),
+    "SamplePath-decreasing-grid": lambda: SamplePath(GRID[::-1] - 1.0, PATH.values),
     "FlowProblem-dim-0": lambda: FlowProblem(0, [[0.5]], [[1.0]], 0.1, 4),
     "FlowProblem-shapes": lambda: FlowProblem(2, [[0.5]], [[1.0]], 0.1, 4),
     "FlowProblem-nan-drift": lambda: FlowProblem(1, [[math.nan]], [[1.0]], 0.1, 4),

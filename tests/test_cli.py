@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from itoflow import (
     strichartz_restriction,
     weight_cap,
 )
-from itoflow.cli import _parse_driver, _parse_matrix, build_parser, main
+from itoflow.cli import _emit_report, _parse_driver, _parse_matrix, build_parser, main
 from itoflow.verify import flow_problem
 
 
@@ -288,6 +289,13 @@ class TestVerify:
         assert code == 2
         assert "n_paths must be >= 1" in out.err
 
+    def test_a_report_without_deterministic_is_stamped(self, capsys):
+        code, out = run_cli("verify", "theorem", "--grade", "2", "--json", capsys=capsys)
+        assert code == 0
+        payload = json.loads(out.out)
+        assert payload["pass"] is True
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", payload["timestamp"])
+
 
 class TestSimulate:
     def test_csv_to_stdout(self, capsys):
@@ -443,6 +451,26 @@ class TestFlowCompare:
         assert "n_paths must be >= 1" in out.err
         assert out.out == ""
 
+    @pytest.mark.parametrize("field", ["--drift", "--diffusion"])
+    @pytest.mark.parametrize("text", ["1,0;1", "1,,0;0,0", "1;0", "1,0;0,1;1,1", "1,0,0;0,1"])
+    def test_a_matrix_of_another_shape_exits_2(self, capsys, field, text):
+        code, out = run_cli(
+            "flow-compare", "--steps", "8", "--paths", "2", field, text, capsys=capsys
+        )
+        assert code == 2
+        assert out.err == f"error: matrix {text!r} is not 2x2\n"
+        assert out.out == ""
+
+    @pytest.mark.parametrize("field", ["--drift", "--diffusion"])
+    @pytest.mark.parametrize("text", ["1,;0,0", "x,0;0,1", "1,0;0,1e", "1,0;0,1.2.3"])
+    def test_a_matrix_field_that_is_not_a_float_exits_2(self, capsys, field, text):
+        code, out = run_cli(
+            "flow-compare", "--steps", "8", "--paths", "2", field, text, capsys=capsys
+        )
+        assert code == 2
+        assert out.err == f"error: matrix {text!r} has a field that is not a float\n"
+        assert out.out == ""
+
 
 # an Arabic-Indic one, an underscore, an Arabic-Indic five after "0.", a
 # fullwidth one: float() takes each, numpy's CSV float reader none
@@ -478,6 +506,20 @@ def test_a_horizon_that_is_not_ascii_exits_2(capsys, command, text):
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert "argument --horizon: invalid" in err and repr(text) in err
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_a_report_is_stamped_unless_deterministic_and_written_in_its_form(
+    capsys, as_json, deterministic
+):
+    args = argparse.Namespace(json=as_json, out=None, deterministic=deterministic)
+    payload = {"suite": "x", "pass": True}
+    _emit_report(args, payload, ["line one", "line two"])
+    out = capsys.readouterr().out
+    assert ("timestamp" in payload) is not deterministic
+    assert set(payload) - {"timestamp"} == {"suite", "pass"}
+    assert out == (json.dumps(payload, indent=2) if as_json else "line one\nline two") + "\n"
 
 
 @pytest.mark.parametrize("text", ASCII_FLOATS)

@@ -599,6 +599,10 @@ class TestAffineLettersAgainstPlain:
         with pytest.raises(ValueError, match="base increments must be finite"):
             Evaluator._affine(base, {1: (0.0, 1.0)})
 
+    def test_no_letter_is_refused(self):
+        with pytest.raises(ValueError, match="^need at least one driver$"):
+            Evaluator._affine(np.zeros((2, 4)), {})
+
 
 class TestMemory:
     def test_paths_are_read_only(self):

@@ -388,6 +388,20 @@ class TestLettersFormedFromDW:
                 runs.append(compare_flows(p, [1, 2, 3], 2 * batch, seed=4, batch_size=batch))
         assert runs[0] == runs[1]
 
+    def test_every_whole_dW_evaluation_goes_through_one_helper(self, monkeypatch):
+        # 2 paths hold dW whole; 64 rows of C10's words are past the sweep crossover
+        p = flow_problem(64)
+        dW = brownian_increments(p, seed=1, path_indices=range(2))
+        monkeypatch.setattr(flows_module, "_whole_series_flows", refuse)
+        for run in (
+            lambda: flow_from_taylor(p, 2, dW),
+            lambda: flow_from_log(p, 2, dW),
+            lambda: compare_flows(p, [1, 2, 3], 2, seed=0),
+        ):
+            with pytest.raises(AssertionError, match="the other route was taken"):
+                run()
+        compare_flows(p, [1, 2, 3], 64, seed=0)
+
     def test_a_streamed_batch_equals_the_whole_dW_routes(self, monkeypatch):
         # 8 rows x C10's 166 trie nodes is past the crossover; the steps are
         # two whole draw chunks and part of a third

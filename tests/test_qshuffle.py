@@ -80,6 +80,11 @@ def test_unit():
     assert qsh(w, UNIT_WORD) == Expansion.of(w)
 
 
+@pytest.mark.parametrize("max_weight", [None, 0, 3])
+def test_no_operand_is_the_unit(max_weight):
+    assert qsh(max_weight=max_weight) == Expansion.unit()
+
+
 def test_accepts_expansions_and_words():
     w = BracketWord.from_letters(1)
     e = Expansion.of(w)
@@ -432,6 +437,11 @@ class TestLatticePlan:
         with caps(weight=12):
             assert qsh(u, v) == qsh_via_surjections(u, v)
         assert kernels._kept_lattice_plan.cache_info().currsize == before
+
+    @pytest.mark.parametrize("index", [(), (2,), (3, 0, 3)])
+    def test_every_pick_returns_a_tuple(self, index):
+        items = ("a", "b", "c", "d")
+        assert kernels._picker(list(index))(items) == tuple(items[i] for i in index)
 
     @pytest.mark.parametrize("a", range(1, 7))
     @pytest.mark.parametrize("b", range(1, 7))

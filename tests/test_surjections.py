@@ -171,6 +171,14 @@ class TestEnumeration:
         fs = enumerate_surjections(4, 2)
         assert fs == sorted(set(fs))
 
+    def test_the_empty_map_is_the_one_surjection_of_grade_0(self):
+        assert enumerate_surjections(0, 0) == [Surjection()]
+
+    @pytest.mark.parametrize(("n", "k"), [(2, 3), (2, 0), (0, 1)])
+    def test_a_target_outside_1_to_n_is_refused(self, n, k):
+        with pytest.raises(ValueError, match=rf"^need 1 <= k <= n, got n={n}, k={k}$"):
+            enumerate_surjections(n, k)
+
     def test_grade_bounds_are_checked(self):
         with pytest.raises(ValueError, match="n must be >= 0, not -2"):
             enumerate_grade(-2)

@@ -33,8 +33,8 @@ class CapExceeded(ValueError):
 
 class FloatRangeError(ArithmeticError):
     """Finite inputs drove a float result past the float range: a simulated
-    path, a flow route's stack, or a matrix exponential whose series did
-    not converge or whose squaring overflowed."""
+    path, a flow route's stack, or a matrix exponential whose norm or
+    squaring overflowed."""
 
 
 def weight_cap() -> int:

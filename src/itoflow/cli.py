@@ -31,7 +31,7 @@ from .logseries import (
 from .matrixseries import matrix_ito_taylor, matrix_log
 from .paths import DriverSpec, make_grid, simulate_bundle, write_bundle, bundle_to_csv
 from .quasishuffle import qsh
-from .verify import SUITES, flow_problem, run_suite
+from .verify import SUITES, _strictly_falling, flow_problem, run_suite
 from .words import UNIT_WORD, Expansion, parse_word
 
 LOG_FORMS = {
@@ -198,7 +198,7 @@ def cmd_flow_compare(args) -> int:
         )
     _emit_report(args, report, lines)
     errs = [report["mean_strong_error_log"][str(k)] for k in report["orders"]]
-    return 0 if all(a > b for a, b in zip(errs, errs[1:])) else 1
+    return 0 if _strictly_falling(errs) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,7 +30,6 @@ from .words import (
     BracketWord,
     Expansion,
     frac_from_json,
-    frac_str,
     frac_to_json,
     refuse_malformed,
 )
@@ -95,13 +94,15 @@ class LogTerm:
 
     def pretty(self) -> str:
         """Theorem-style rendering, e.g. '-1/6 V_i V_j V_k I_{j[ik]}'."""
-        syms = [POSITION_SYMBOLS[p % len(POSITION_SYMBOLS)] for p in range(self.order)]
+        syms = POSITION_SYMBOLS[: self.order]
+        if len(syms) < self.order:
+            raise ValueError(f"pretty names at most {len(syms)} positions, not {self.order}")
         vs = " ".join(f"V_{s}" for s in syms)
         parts = []
         for positions in self.partition:
             body = "".join(syms[p - 1] for p in positions)
             parts.append(body if len(positions) == 1 else f"[{body}]")
-        coeff = "" if self.coeff == 1 else frac_str(self.coeff) + " "
+        coeff = "" if self.coeff == 1 else f"{self.coeff} "
         if self.coeff == -1:
             coeff = "-"
         return f"{coeff}{vs} I_{{{''.join(parts)}}}"

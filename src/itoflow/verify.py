@@ -243,6 +243,11 @@ def check_flow(
     return errs, gaps
 
 
+def _strictly_falling(errs: Sequence[float]) -> bool:
+    """Whether the mean strong errors of exp(log_k) fall strictly with k."""
+    return all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
+
+
 def suite_algebra(grade: int = 4, seed: int = 0) -> list[dict]:
     grade = _count("grade", grade)
     rng = random.Random(seed)
@@ -364,7 +369,7 @@ def suite_pathwise(seed: int = 0, steps: int = 4096) -> list[dict]:
 
 def suite_flow(seed: int = 0, steps: int = 4096, paths: int = 128) -> list[dict]:
     errs, gaps = check_flow(flow_problem(steps), (1, 2, 3), paths, seed)
-    mono = all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
+    mono = _strictly_falling(errs)
     where = (seed, steps + 1, paths)
     reports = [_case("strong error decreases with order", 0.0 if mono else 1.0, 0.0, *where)]
     for k, gap, bound in gaps:

@@ -78,6 +78,8 @@ class BracketWord(tuple):
     def __mul__(self, other):  # block repetition is never meaningful here
         return NotImplemented
 
+    __rmul__ = __mul__
+
     def __repr__(self) -> str:
         return f"BracketWord({word_literal(self)!r})"
 
@@ -238,22 +240,6 @@ def refuse_malformed(kind: str):
         raise ValueError(f"malformed {kind} JSON: {type(exc).__name__}: {exc}") from exc
 
 
-def frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def add_into(data: dict, terms: dict, scale: int) -> None:
-    """data[k] += c * scale for each term k, c of terms.  A zero sum stays in
-    data, for _bucketed to drop once, at the end."""
-    if not data and scale == 1:
-        data.update(terms)
-        return
-    get = data.get
-    for k, c in terms.items():
-        prev = get(k)
-        data[k] = c * scale if prev is None else prev + c * scale
-
-
 def _prune(classes: dict) -> dict:
     """classes, grade -> {key: numerator}, with its zero numerators and then
     its empty grades deleted, in place; the scan for a zero runs in C."""
@@ -376,7 +362,14 @@ class Combination:
         for e in combinations:
             s = den // e._den
             for g, part in e._classes.items():
-                add_into(classes.setdefault(g, {}), part, s)
+                data = classes.setdefault(g, {})
+                if not data and s == 1:
+                    data.update(part)
+                    continue
+                get = data.get
+                for k, c in part.items():
+                    prev = get(k)
+                    data[k] = c * s if prev is None else prev + c * s
         return cls._bucketed(classes, den)
 
     @classmethod
@@ -530,9 +523,9 @@ class Combination:
             mag = abs(c)
             body = self._render(k)
             if not body:
-                term = frac_str(mag)
+                term = str(mag)
             else:
-                term = body if mag == 1 else f"{frac_str(mag)} {body}"
+                term = body if mag == 1 else f"{mag} {body}"
             if i == 0:
                 parts.append(("-" if c < 0 else "") + term)
             else:

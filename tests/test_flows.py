@@ -217,6 +217,24 @@ class TestTruncatedExpm:
             with pytest.raises(FloatRangeError, match="matrix norm must be finite"):
                 truncated_expm(np.full((1, 2, 2), 1e308))
 
+    @pytest.mark.parametrize(
+        "top", [0.5, np.nextafter(0.5, 1.0)], ids=["no squaring", "one squaring"]
+    )
+    def test_the_scaling_edge_matches_scipy(self, top):
+        """At infinity-norm exactly 1/2 the series is summed unscaled; at the
+        next float above it the stack is halved and squared once."""
+        m = np.array([[[0.0, top], [-0.25, 0.25]], [[0.125, 0.0], [0.25, -0.125]]])
+        assert np.max(np.sum(np.abs(m), axis=-1)) == top
+        reference = np.stack([expm(a) for a in m])
+        err = np.max(np.abs(truncated_expm(m) - reference))
+        assert err <= 1e-13 * np.max(np.abs(reference))
+
+
+def test_identity_stacks_are_writable_and_own_their_data():
+    x = flows_module._identities((2, 3, 4, 4))
+    assert x.flags.writeable and x.flags.owndata
+    assert np.array_equal(x, np.broadcast_to(np.eye(4), (2, 3, 4, 4)))
+
 
 class TestDeterministicLimit:
     def test_nilpotent_drift_no_noise_is_exact_at_order_one(self):

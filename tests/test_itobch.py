@@ -50,6 +50,10 @@ class TestDriverAlphabet:
     def test_jump_mode_keeps_letters(self):
         assert JUMPY.n_letters == 2
 
+    def test_qv_letter_of_a_non_primary_letter_is_refused(self):
+        with pytest.raises(ValueError, match="3 is not a primary driver"):
+            CONTINUOUS.qv_letter(3)
+
 
 class TestLogTerm:
     def test_template_of_a_surjection(self):
@@ -77,6 +81,20 @@ class TestLogTerm:
     def test_json_round_trip(self):
         t = template((1, 2, 1))
         assert LogTerm.from_json_dict(t.to_json_dict()) == t
+
+    def test_pretty_writes_a_coefficient_of_minus_one_as_a_sign(self):
+        assert LogTerm(2, ((1, 2),), Fraction(-1)).pretty() == "-V_i V_j I_{[ij]}"
+
+    def test_pretty_names_at_most_18_positions(self):
+        singles = tuple((p,) for p in range(1, 19))
+        assert LogTerm(18, singles, Fraction(1, 2)).pretty() == (
+            "1/2 " + " ".join(f"V_{s}" for s in "ijklmnopqrstuvwxyz")
+            + " I_{ijklmnopqrstuvwxyz}"
+        )
+        # a 19th position would reuse i: I_{[ii]jkl...z}
+        paired = ((1, 19),) + tuple((p,) for p in range(2, 19))
+        with pytest.raises(ValueError, match="at most 18 positions, not 19"):
+            LogTerm(19, paired, Fraction(1)).pretty()
 
 
 class TestTermEnumeration:

@@ -168,6 +168,9 @@ class TestMatrixExpansion:
         assert m[1, 1] == Expansion.unit()
         assert m[1, 2] == Expansion.zero()
 
+    def test_a_matrix_is_not_equal_to_a_scalar(self):
+        assert (MatrixExpansion.identity(2) == 1) is False
+
     def test_arithmetic(self):
         m = MatrixExpansion.identity(2)
         two = m + m

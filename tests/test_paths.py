@@ -273,6 +273,11 @@ class TestBundle:
         b = _bundle()
         assert b.letters() == [1, 2]
 
+    def test_membership_is_by_letter(self):
+        b = _bundle()
+        assert 1 in b and 2 in b
+        assert 3 not in b
+
     def test_requires_positive_int_letters(self):
         p = simulate(DriverSpec("brownian", sigma=1.0), GRID, 0, 0, 1)
         with pytest.raises(ValueError):

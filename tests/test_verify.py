@@ -8,7 +8,7 @@ import pytest
 
 from itoflow import SUITES, run_suite
 from itoflow.cli import main
-from itoflow.verify import suite_algebra
+from itoflow.verify import _strictly_falling, suite_algebra
 
 SCHEMA = {"test", "max_abs_err", "tolerance", "pass", "seed", "grid_points", "paths"}
 
@@ -20,6 +20,14 @@ def test_suite_registry():
 def test_unknown_suite_raises():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nonsense")
+
+
+@pytest.mark.parametrize(
+    "errs, falling", [([0.3, 0.2, 0.1], True), ([0.3, 0.2, 0.2], False), ([0.3], True)]
+)
+def test_strong_errors_must_fall_strictly_with_the_order(errs, falling):
+    # the one rule behind the flow suite's first case and flow-compare's exit code
+    assert _strictly_falling(errs) is falling
 
 
 @pytest.mark.parametrize("name,kwargs", [

@@ -74,6 +74,14 @@ class TestBracketWord:
     def test_from_letters(self):
         assert BracketWord.from_letters(2, 1, 2) == BracketWord([(2,), (1,), (2,)])
 
+    def test_repetition_is_refused_on_either_side(self):
+        # tuple's own repetition would return a plain tuple of blocks
+        w = BracketWord([(1,), (2,)])
+        with pytest.raises(TypeError):
+            w * 2
+        with pytest.raises(TypeError):
+            2 * w
+
     def test_concatenation(self):
         u = BracketWord.from_letters(1)
         v = BracketWord.from_letters(2, 3)
@@ -127,6 +135,11 @@ class TestParsing:
         with pytest.raises(WordParseError, match=f"at position {pos} in") as info:
             parse_word(text)
         assert info.value.pos == pos
+
+    def test_an_unclosed_dotted_bracket_names_its_last_position(self):
+        with pytest.raises(WordParseError, match="unclosed") as info:
+            parse_word("1.[2")
+        assert info.value.pos == 3
 
     @pytest.mark.parametrize("text", [12, None, b"12", ["1"]])
     def test_refuses_a_non_string(self, text):

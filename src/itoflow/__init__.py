@@ -65,12 +65,12 @@ from .flowmaps import (
     DriverAlphabet,
     LogTerm,
     apply_vanishing_rules,
+    linear_field_log,
     log_flow_terms,
 )
 from .matrixseries import (
     MatrixExpansion,
     entry_letter,
-    linear_field_log,
     matrix_exp,
     matrix_ito_taylor,
     matrix_log,

@@ -10,9 +10,9 @@ where the partition lists the fibers of f in target order (the order of
 integration), the coefficient is (-1)^d / (n * binomial(n-1, d)) with d
 the descent count, and the V's are abstract noncommuting generators, one
 per position.  Terms are emitted as templates over symbolic positions;
-the log over concrete driver letters, under the standing assumptions
-(continuity, vanishing cross-brackets, named quadratic variations), is
-matrixseries.linear_field_log, so its exponential blowup is opt-in.
+linear_field_log sums them over concrete driver letters for linear
+fields, under the standing assumptions (continuity, vanishing
+cross-brackets, named quadratic variations): its exponential blowup is opt-in.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from ._config import _count, _typed, check_grade
+from ._config import _count, _typed, check_grade, check_weight
 from .logseries import log_identity_closed_form
-from .surjections import Surjection
+from .surjections import Surjection, apply_surjection
 from .words import (
     BracketWord,
     Expansion,
@@ -87,10 +87,21 @@ class LogTerm:
     partition: tuple[tuple[int, ...], ...]
     coeff: Fraction
 
+    def __post_init__(self):
+        order = _count("order", self.order)
+        partition = tuple([tuple([_count("position", p) for p in b]) for b in self.partition])
+        positions = sorted(itertools.chain(*partition))
+        # lengths first: the range is built only when it is as short as the partition
+        if not all(partition) or len(positions) != order or positions != list(range(1, order + 1)):
+            raise ValueError(f"partition {partition} is not a set partition of 1..{order}")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "partition", partition)
+        _typed("coeff", self.coeff, int, Fraction)
+
     def surjection(self) -> Surjection:
         """Recover f: position p maps to the index of its block."""
         block_of = {p: idx for idx, positions in enumerate(self.partition, 1) for p in positions}
-        return Surjection(block_of.get(p, 0) for p in range(1, self.order + 1))
+        return Surjection(block_of[p] for p in range(1, self.order + 1))
 
     def pretty(self) -> str:
         """Theorem-style rendering, e.g. '-1/6 V_i V_j V_k I_{j[ik]}'."""
@@ -118,13 +129,7 @@ class LogTerm:
     def from_json_dict(cls, obj: dict) -> "LogTerm":
         """Inverse of to_json_dict; a malformed blob raises ValueError."""
         with refuse_malformed(cls.__name__):
-            n = _count("n", obj["n"])
-            partition = tuple(tuple(_count("position", p) for p in b) for b in obj["partition"])
-            positions = sorted(itertools.chain(*partition))
-            # lengths first: the range is built only when it is as short as the blob
-            if not all(partition) or len(positions) != n or positions != list(range(1, n + 1)):
-                raise ValueError(f"partition {partition} is not a set partition of 1..{n}")
-            return cls(order=n, partition=partition, coeff=frac_from_json(obj["coeff"]))
+            return cls(obj["n"], obj["partition"], frac_from_json(obj["coeff"]))
 
 
 def log_flow_terms(alphabet: DriverAlphabet, order: int) -> list[LogTerm]:
@@ -180,6 +185,49 @@ def apply_vanishing_rules(e: Expansion, alphabet: DriverAlphabet) -> Expansion:
             data = classes.setdefault(v.weight, {})
             data[v] = data.get(v, 0) + terms[w]
     return Expansion._bucketed(classes, e._den)
+
+
+def linear_field_log(alphabet: DriverAlphabet, order: int, generators: Mapping) -> tuple:
+    """Flow-map log of the linear fields V_i x = x A_i: dim rows of dim Expansions.
+
+    generators maps each driver letter i to A_i, a square int or Fraction
+    matrix; the A_i need not commute.  Entry (p, q) adds each log_flow_terms
+    template's word on each letter tuple i_1 ... i_n times (A_{i_1} ... A_{i_n})_pq,
+    under the vanishing rules.  1x1 is the scalar log; [[n]] counts a driver n
+    times.  verify._substituted_log, which goes through matrix_log, is the oracle.
+    """
+    _typed("alphabet", alphabet, DriverAlphabet)
+    mats = {}
+    for letter, matrix in _typed("generators", generators, Mapping).items():
+        letter = _count("letter", letter)
+        alphabet.bracket_depth(letter)  # refuses a letter outside it, before any work
+        mats[letter] = [[_typed("generator entry", a, int, Fraction) for a in r] for r in matrix]
+    sizes = {len(m) for m in mats.values()}
+    if len(sizes) != 1 or any(len(r) != len(m) for m in mats.values() for r in m):
+        raise ValueError("generators must be one or more square matrices of one size")
+    terms = log_flow_terms(alphabet, check_weight(_count("order", order)))
+    dim = _count("dim", sizes.pop())  # a 0x0 generator is refused after the order
+    # layers[n]: each length-n word of driver letters with a nonzero product: its nonzero entries
+    layers = [{BracketWord(): {(p, p): 1 for p in range(dim)}}]
+    for _ in range(order):
+        layers.append({})
+        for w, prev in layers[-2].items():
+            for i, a in mats.items():
+                product: dict = {}
+                for (p, k), c in prev.items():
+                    for q, x in enumerate(a[k]):
+                        product[p, q] = product.get((p, q), 0) + c * x
+                if any(product.values()):
+                    word = BracketWord._wrap(w + ((i,),))
+                    layers[-1][word] = {pq: c for pq, c in product.items() if c}
+    rows = [[{} for _ in range(dim)] for _ in range(dim)]
+    for t in terms:
+        f = t.surjection()
+        for w, product in layers[t.order].items():
+            v = apply_surjection(f, w)
+            for (p, q), c in product.items():
+                rows[p][q][v] = rows[p][q].get(v, 0) + t.coeff * c
+    return tuple(tuple(apply_vanishing_rules(Expansion(d), alphabet) for d in row) for row in rows)
 
 
 def terms_to_json(terms: Iterable[LogTerm], **kwargs) -> str:

@@ -15,13 +15,11 @@ by grade, in rational arithmetic.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from math import factorial, prod
-from typing import Callable, Iterable, Mapping
+from math import factorial
+from typing import Callable, Iterable
 
 from ._config import _count, _typed, check_weight
-from .flowmaps import DriverAlphabet, apply_vanishing_rules
 from .kernels import _picker, fibers_of
 from .logseries import log_identity_closed_form
 from .quasishuffle import qsh
@@ -246,42 +244,6 @@ def matrix_log(dim: int, order: int) -> MatrixExpansion:
         return Expansion._bucketed(classes, e._den * element._den)
 
     return matrix_ito_taylor(dim, order).map_entries(log)
-
-
-def linear_field_log(alphabet: DriverAlphabet, order: int, generators: Mapping) -> tuple:
-    """Flow-map log of the linear fields V_i x = x A_i: dim rows of dim Expansions.
-
-    generators maps each driver letter i to A_i, a square int or Fraction
-    matrix; the A_i need not commute.  Entry (p, q) is that of matrix_log with
-    each entry letter M^{ab} replaced by sum_i (A_i)_{ab} z_i, multilinearly,
-    under the alphabet's vanishing rules.  1x1 is the scalar log; [[n]] counts a driver n times.
-    """
-    _typed("alphabet", alphabet, DriverAlphabet)
-    mats = {}
-    for letter, matrix in _typed("generators", generators, Mapping).items():
-        letter = _count("letter", letter)
-        alphabet.bracket_depth(letter)  # refuses a letter outside it, before any work
-        mats[letter] = [[_typed("generator entry", a, int, Fraction) for a in r] for r in matrix]
-    sizes = {len(m) for m in mats.values()}
-    if len(sizes) != 1 or any(len(r) != len(m) for m in mats.values() for r in m):
-        raise ValueError("generators must be one or more square matrices of one size")
-    (dim,) = sizes
-    # each entry letter's (driver letter, nonzero (A_i)_ab) pairs
-    subs = {}
-    for a, b in itertools.product(range(dim), repeat=2):
-        subs[entry_letter(a + 1, b + 1, dim)] = [(i, m[a][b]) for i, m in mats.items() if m[a][b]]
-
-    def entry(e: Expansion) -> Expansion:
-        data: dict = {}
-        for w, cw in e._flat().items():
-            for combo in itertools.product(*(subs[m] for b in w for m in b)):
-                letters = iter(combo)
-                word = BracketWord._wrap(tuple(sorted(next(letters)[0] for _ in b)) for b in w)
-                data[word] = data.get(word, 0) + cw * prod(a for _, a in combo)
-        # the generator entries may be Fractions: the constructor puts them over one denominator
-        return apply_vanishing_rules(Expansion(data) * Fraction(1, e._den), alphabet)
-
-    return tuple(tuple(map(entry, row)) for row in matrix_log(dim, order).entries)
 
 
 def matrix_exp(me: MatrixExpansion, order: int) -> MatrixExpansion:

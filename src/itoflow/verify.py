@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import reduce
-from typing import Iterable, Sequence
+from fractions import Fraction
+from math import prod
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ._config import DEFAULT_WEIGHT_CAP, _count, caps, weight_cap
 from .evaluate import Evaluator
-from .flowmaps import DriverAlphabet, apply_vanishing_rules, log_flow_terms
+from .flowmaps import DriverAlphabet, apply_vanishing_rules, linear_field_log
 from .flows import FlowProblem, compare_flows
 from .logseries import (
     descent_coefficient,
@@ -36,7 +37,7 @@ from .logseries import (
     log_identity_subset_form,
     subset_alternating_sum,
 )
-from .matrixseries import linear_field_log, matrix_exp, matrix_ito_taylor, matrix_log
+from .matrixseries import entry_letter, matrix_exp, matrix_ito_taylor, matrix_log
 from .paths import (
     DriverSpec,
     PathBundle,
@@ -49,7 +50,6 @@ from .paths import (
 from .quasishuffle import qsh, qsh_via_surjections
 from .surjections import (
     SurjElement,
-    apply_surjection,
     compositions_of,
     descent_sum_exact,
     descent_sum_within,
@@ -122,30 +122,42 @@ def check_exp_log(grade: int, matrix_orders: Iterable[int] = ()) -> int:
     return err
 
 
+def _substituted_log(alphabet: DriverAlphabet, order: int, generators: Mapping) -> tuple:
+    """linear_field_log's oracle, on generators that it accepts (this checks none):
+    entry (p, q) of matrix_log with each entry letter M^{ab} replaced by
+    sum_i (A_i)_{ab} z_i, multilinearly, under the vanishing rules.  Its cost
+    follows matrix_log's dim^(n+1) index chains, not the drivers."""
+    dim = len(next(iter(generators.values())))
+    subs = {}  # each entry letter's (driver letter, nonzero (A_i)_ab) pairs
+    for a, b in itertools.product(range(dim), repeat=2):
+        letter = entry_letter(a + 1, b + 1, dim)
+        subs[letter] = [(i, m[a][b]) for i, m in generators.items() if m[a][b]]
+
+    def entry(e: Expansion) -> Expansion:
+        data: dict = {}
+        for w, cw in e._flat().items():
+            for combo in itertools.product(*(subs[m] for b in w for m in b)):
+                letters = iter(combo)
+                word = BracketWord._wrap(tuple(sorted(next(letters)[0] for _ in b)) for b in w)
+                data[word] = data.get(word, 0) + cw * prod(a for _, a in combo)
+        # the generator entries may be Fractions: the constructor puts them over one denominator
+        return apply_vanishing_rules(Expansion(data) * Fraction(1, e._den), alphabet)
+
+    return tuple(tuple(map(entry, row)) for row in matrix_log(dim, order).entries)
+
+
 def check_linear_fields(
     dim: int, drivers: int, order: int, continuous: bool, seed: int = 0
 ) -> int:
-    """Coefficients where the flow-log templates miss linear_field_log for the
-    non-commuting linear fields V_i x = x A_i, A_i random integer matrices.
-    Entry (p, q) sums each template over letter tuples times (A_{i_1} ...
-    A_{i_n})_{pq}.  Cross brackets are kept; continuous mode drops deeper ones.
-    """
-    rng = random.Random(seed)
-    gens = np.array([rng.randint(-3, 3) for _ in range(drivers * dim * dim)], dtype=object)
-    gens = gens.reshape(drivers, dim, dim)
+    """Coefficients where linear_field_log misses _substituted_log for the non-commuting
+    linear fields V_i x = x A_i, A_i random integer matrices.  Cross brackets
+    are kept; continuous mode drops deeper ones."""
+    rng, rows = random.Random(seed), range(dim)
+    gens = {i: [[rng.randint(-3, 3) for _ in rows] for _ in rows] for i in range(1, drivers + 1)}
     alphabet = DriverAlphabet(drivers, continuous, cross_brackets_zero=False, paired_qv=False)
-    want: list[dict] = [{} for _ in range(dim * dim)]  # entries in row-major order
-    for t in log_flow_terms(alphabet, order):
-        f = t.surjection()
-        for tup in itertools.product(range(drivers), repeat=t.order):
-            word = apply_surjection(f, BracketWord.from_letters(*(i + 1 for i in tup)))
-            for pq, c in enumerate(reduce(np.matmul, [gens[i] for i in tup]).flat):
-                want[pq][word] = want[pq].get(word, 0) + t.coeff * c
-    got = linear_field_log(alphabet, order, {i + 1: g for i, g in enumerate(gens)})
-    return sum(
-        _mismatch(apply_vanishing_rules(Expansion(w), alphabet), g)
-        for w, g in zip(want, itertools.chain(*got))
-    )
+    got = linear_field_log(alphabet, order, gens)
+    want = _substituted_log(alphabet, order, gens)
+    return sum(map(_mismatch, itertools.chain(*got), itertools.chain(*want)))
 
 
 def check_qsh_routes(pairs: Iterable[tuple[BracketWord, BracketWord]]) -> tuple[int, int]:

@@ -10,7 +10,7 @@ Each argument of the row is swapped in turn for every value in HOSTILE.
 The size values -1, 0 and 10**30 are left out: an unbounded dimension
 (matrix_ito_taylor(10**30, 1)) does not return.  Class constructors have
 value rows only: Evaluator, SamplePath, PathBundle, FlowProblem,
-DriverSpec, DriverAlphabet and MatrixExpansion.
+DriverSpec, DriverAlphabet, LogTerm and MatrixExpansion.
 """
 
 import math
@@ -27,6 +27,7 @@ from itoflow import (
     DriverSpec,
     Expansion,
     FlowProblem,
+    LogTerm,
     MatrixExpansion,
     PathBundle,
     SamplePath,
@@ -253,6 +254,13 @@ CONSTRUCTOR_ROWS = {
     "DriverAlphabet-str-continuous": lambda: DriverAlphabet(1, continuous="no"),
     "DriverAlphabet-none-paired_qv": lambda: DriverAlphabet(1, paired_qv=None),
     "DriverAlphabet-int-cross_brackets_zero": lambda: DriverAlphabet(1, cross_brackets_zero=1),
+    # a template checks itself as its JSON reader does: pretty and to_json_dict
+    # would raise IndexError and AttributeError, or print ' I_{}', instead
+    "LogTerm-position-outside": lambda: LogTerm(2, ((1, 5),), Fraction(1)),
+    "LogTerm-order-0": lambda: LogTerm(0, (), 1),
+    "LogTerm-float-coeff": lambda: LogTerm(1, ((1,),), 0.5),
+    "LogTerm-bool-coeff": lambda: LogTerm(1, ((1,),), True),
+    "LogTerm-empty-block": lambda: LogTerm(1, ((1,), ()), Fraction(1)),
     "MatrixExpansion-dim-0": lambda: MatrixExpansion(0, []),
     "MatrixExpansion-ragged": lambda: MatrixExpansion(
         2, [[Expansion.zero()] * 2, [Expansion.zero()]]

@@ -1,10 +1,13 @@
 """Flow-map logarithm templates and driver-specific vanishing rules."""
 
+import dataclasses
 import itertools
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itoflow import (
     BracketWord,
@@ -19,7 +22,7 @@ from itoflow import (
     log_flow_terms,
     parse_word,
 )
-from itoflow import verify
+from itoflow import flowmaps, verify
 from itoflow.logseries import descent_coefficient
 
 
@@ -168,12 +171,13 @@ class TestVanishingRules:
             apply_vanishing_rules(Expansion.of(parse_word(literal)), alphabet)
 
 
-def scalar_log(alphabet, order, letters=None):
-    """The 1x1 case of linear_field_log over a pool of driver letters (default:
-    the primary drivers): a letter given n times gets the generator [[n]]."""
+def scalar_log(alphabet, order, letters=None, route=linear_field_log):
+    """The 1x1 case of linear_field_log, or of another route such as its oracle
+    verify._substituted_log, over a pool of driver letters (default: the
+    primary drivers): a letter given n times gets the generator [[n]]."""
     pool = letters if letters is not None else range(1, alphabet.n_primary + 1)
     generators = {letter: [[n]] for letter, n in Counter(pool).items()}
-    return linear_field_log(alphabet, order, generators)[0][0]
+    return route(alphabet, order, generators)[0][0]
 
 
 class TestScalarLog:
@@ -199,21 +203,6 @@ class TestScalarLog:
         assert e == Expansion.of(BracketWord([(2,)]))
 
 
-def template_route(alphabet, order, letters=None):
-    """The oracle of the 1x1 case: every log_flow_terms template over every
-    letter tuple of the pool, by apply_surjection, then the rules."""
-    terms = log_flow_terms(alphabet, order)
-    pool = letters if letters is not None else range(1, alphabet.n_primary + 1)
-    singletons = BracketWord.from_letters(*pool)
-    data = {}
-    for term in terms:
-        f = term.surjection()
-        for combo in itertools.product(singletons, repeat=term.order):
-            w = apply_surjection(f, BracketWord._wrap(combo))
-            data[w] = data.get(w, 0) + term.coeff
-    return apply_vanishing_rules(Expansion(data), alphabet)
-
-
 def outcome(fn, *args):
     """fn(*args), or the type and message of the ValueError it raises."""
     try:
@@ -229,13 +218,13 @@ ALPHABETS = [
 
 
 @pytest.mark.parametrize("alphabet", ALPHABETS, ids=repr)
-def test_the_scalar_case_equals_the_template_route(alphabet):
+def test_the_scalar_case_equals_the_substitution_oracle(alphabet):
     # the full log element, then the rules, matches the continuous templates
     # too: they leave out fibers of three or more positions, and every block
     # of three or more letters has depth three or more, so the rules drop it
     for order in range(1, (4 if alphabet.n_primary == 3 else 5) + 1):
         for pool in (None, (1,), (1, 1), (2,), (1, 3)):  # an error, too, is the same one
-            want = outcome(template_route, alphabet, order, pool)
+            want = outcome(scalar_log, alphabet, order, pool, verify._substituted_log)
             assert outcome(scalar_log, alphabet, order, pool) == want
 
 
@@ -250,7 +239,8 @@ def test_a_pool_letter_outside_the_alphabet_is_refused(continuous):
 
 def test_a_repeated_pool_letter_counts_as_often_as_it_is_given():
     alphabet = DriverAlphabet(1, continuous=False)
-    assert scalar_log(alphabet, 3, (1, 1)) == template_route(alphabet, 3, (1, 1))
+    oracle = scalar_log(alphabet, 3, (1, 1), verify._substituted_log)
+    assert scalar_log(alphabet, 3, (1, 1)) == oracle
     assert scalar_log(alphabet, 1, (1, 1)) == Expansion.of(BracketWord([(1,)]), 2)
 
 
@@ -276,11 +266,15 @@ class TestLinearFieldLog:
             ({1: [[1, 0], [0]]}, ValueError, "square matrices of one size"),
             ({1: [[1]], 2: [[1, 0], [0, 1]]}, ValueError, "square matrices of one size"),
             ({}, ValueError, "square matrices of one size"),
+            ({1: []}, ValueError, "dim must be >= 1, not 0"),
             ({3: [[1]]}, ValueError, "letter 3 outside alphabet of 2"),
             ({0: [[1]]}, ValueError, "letter must be >= 1"),
             ([[1]], TypeError, "generators must be Mapping"),
         ],
-        ids=["float", "bool", "ragged", "mixed", "empty", "outside", "letter-0", "not-a-mapping"],
+        ids=[
+            "float", "bool", "ragged", "mixed", "empty", "0x0",
+            "outside", "letter-0", "not-a-mapping",
+        ],
     )
     def test_malformed_generators_are_refused(self, generators, error, message):
         with pytest.raises(error, match=message):
@@ -306,5 +300,40 @@ def test_linear_fields_catch_a_missing_template(monkeypatch):
     def without_triples(alphabet, order):
         return [t for t in log_flow_terms(alphabet, order) if max(map(len, t.partition)) < 3]
 
-    monkeypatch.setattr(verify, "log_flow_terms", without_triples)
+    monkeypatch.setattr(flowmaps, "log_flow_terms", without_triples)
     assert verify.check_linear_fields(2, 2, 3, False) > 0
+
+
+def test_linear_fields_catch_a_negated_arity_two_coefficient(monkeypatch):
+    # the templates with the sign of the first arity-2 coefficient flipped
+    def negated(alphabet, order):
+        terms = log_flow_terms(alphabet, order)
+        i = next(i for i, t in enumerate(terms) if t.order == 2)
+        terms[i] = dataclasses.replace(terms[i], coeff=-terms[i].coeff)
+        return terms
+
+    monkeypatch.setattr(flowmaps, "log_flow_terms", negated)
+    assert verify.check_linear_fields(2, 2, 3, False) > 0
+
+
+@st.composite
+def linear_fields(draw):
+    """An alphabet of 1-3 drivers under any of its flags, an order (at most 4,
+    or 3 at dim 4) and generators of one dim 1-4 on some of its letters, the
+    quadratic-variation letters too where they are named: int and Fraction
+    entries, zero entries and whole zero generators among them."""
+    dim = draw(st.integers(1, 4))
+    order = draw(st.integers(1, 3 if dim == 4 else 4))
+    alphabet = DriverAlphabet(draw(st.integers(1, 3)), *draw(st.tuples(*[st.booleans()] * 3)))
+    entry = st.one_of(st.just(0), st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+    matrix = st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+    zero = st.just([[0] * dim for _ in range(dim)])
+    letters = st.integers(1, alphabet.n_letters)
+    generators = draw(st.dictionaries(letters, st.one_of(zero, matrix), min_size=1, max_size=4))
+    return alphabet, order, generators
+
+
+@given(linear_fields())
+@settings(max_examples=100, deadline=None)
+def test_linear_field_log_equals_the_substitution_oracle(case):
+    assert linear_field_log(*case) == verify._substituted_log(*case)

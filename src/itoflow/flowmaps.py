@@ -25,7 +25,8 @@ from typing import Iterable, Mapping
 
 from ._config import _count, _typed, check_grade, check_weight
 from .logseries import log_identity_closed_form
-from .surjections import Surjection, apply_surjection
+from .matrixseries import _log_map
+from .surjections import SurjElement, Surjection
 from .words import (
     BracketWord,
     Expansion,
@@ -88,8 +89,10 @@ class LogTerm:
     coeff: Fraction
 
     def __post_init__(self):
-        order = _count("order", self.order)
-        partition = tuple([tuple([_count("position", p) for p in b]) for b in self.partition])
+        order, partition = _count("order", self.order), tuple(self.partition)
+        if {*map(type, partition)} != {tuple} or {*map(type, itertools.chain(*partition))} != {int}:
+            # JSON lists, or a position that is not a plain int: tuples of checked ints
+            partition = tuple([tuple([_count("position", p) for p in b]) for b in partition])
         positions = sorted(itertools.chain(*partition))
         # lengths first: the range is built only when it is as short as the partition
         if not all(partition) or len(positions) != order or positions != list(range(1, order + 1)):
@@ -132,24 +135,28 @@ class LogTerm:
             return cls(obj["n"], obj["partition"], frac_from_json(obj["coeff"]))
 
 
-def log_flow_terms(alphabet: DriverAlphabet, order: int) -> list[LogTerm]:
-    """All template terms of the flow-map logarithm up to the given order.
-
-    In continuous mode only surjections with fibers of at most two
-    positions survive (larger fibers are iterated brackets of three or
-    more continuous factors); with jumps every surjection contributes.
-    The terms are a filter of log_identity_closed_form(order), read
-    bucket by bucket in its (k, lex) order.
-    """
+def _flow_log_element(alphabet: DriverAlphabet, order: int) -> SurjElement:
+    """The flow-log templates as one element, which log_flow_terms and
+    linear_field_log read: every term of log_identity_closed_form(order), or
+    in continuous mode those whose fibers have at most two positions (larger
+    fibers are iterated brackets of three or more continuous factors)."""
     _typed("alphabet", alphabet, DriverAlphabet)
-    order = check_grade(_count("order", order))
-    max_fiber = 2 if alphabet.continuous else order
-    element = log_identity_closed_form(order)
+    element = log_identity_closed_form(check_grade(_count("order", order)))
+    if not alphabet.continuous:
+        return element
+    classes = element._classes.items()
+    kept = {n: {f: c for f, c in part.items() if max(map(f.count, f)) <= 2} for n, part in classes}
+    return SurjElement._raw(kept, element._den)  # the identity of each arity is kept
+
+
+def log_flow_terms(alphabet: DriverAlphabet, order: int) -> list[LogTerm]:
+    """All template terms of the flow-map logarithm up to the given order:
+    those of _flow_log_element, bucket by bucket in its (k, lex) order."""
+    element = _flow_log_element(alphabet, order)
     return [
         LogTerm(order=n, partition=Surjection._wrap(f).fibers(), coeff=Fraction(c, element._den))
         for n, part in element._classes.items()
         for f, c in part.items()
-        if max(map(f.count, f)) <= max_fiber
     ]
 
 
@@ -191,10 +198,11 @@ def linear_field_log(alphabet: DriverAlphabet, order: int, generators: Mapping) 
     """Flow-map log of the linear fields V_i x = x A_i: dim rows of dim Expansions.
 
     generators maps each driver letter i to A_i, a square int or Fraction
-    matrix; the A_i need not commute.  Entry (p, q) adds each log_flow_terms
-    template's word on each letter tuple i_1 ... i_n times (A_{i_1} ... A_{i_n})_pq,
-    under the vanishing rules.  1x1 is the scalar log; [[n]] counts a driver n
-    times.  verify._substituted_log, which goes through matrix_log, is the oracle.
+    matrix; the A_i need not commute.  Entry (p, q) of the flow series sums
+    each word i_1 ... i_n of driver letters times (A_{i_1} ... A_{i_n})_pq;
+    the arity-n templates act on its length-n words (matrixseries._log_map),
+    and the vanishing rules apply.  1x1 is the scalar log; [[n]] counts a
+    driver n times.  verify._substituted_log, through matrix_log, is the oracle.
     """
     _typed("alphabet", alphabet, DriverAlphabet)
     mats = {}
@@ -205,29 +213,22 @@ def linear_field_log(alphabet: DriverAlphabet, order: int, generators: Mapping) 
     sizes = {len(m) for m in mats.values()}
     if len(sizes) != 1 or any(len(r) != len(m) for m in mats.values() for r in m):
         raise ValueError("generators must be one or more square matrices of one size")
-    terms = log_flow_terms(alphabet, check_weight(_count("order", order)))
+    element = _flow_log_element(alphabet, check_weight(_count("order", order)))
     dim = _count("dim", sizes.pop())  # a 0x0 generator is refused after the order
-    # layers[n]: each length-n word of driver letters with a nonzero product: its nonzero entries
-    layers = [{BracketWord(): {(p, p): 1 for p in range(dim)}}]
-    for _ in range(order):
-        layers.append({})
-        for w, prev in layers[-2].items():
-            for i, a in mats.items():
-                product: dict = {}
-                for (p, k), c in prev.items():
-                    for q, x in enumerate(a[k]):
-                        product[p, q] = product.get((p, q), 0) + c * x
-                if any(product.values()):
-                    word = BracketWord._wrap(w + ((i,),))
-                    layers[-1][word] = {pq: c for pq, c in product.items() if c}
-    rows = [[{} for _ in range(dim)] for _ in range(dim)]
-    for t in terms:
-        f = t.surjection()
-        for w, product in layers[t.order].items():
-            v = apply_surjection(f, w)
-            for (p, q), c in product.items():
-                rows[p][q][v] = rows[p][q].get(v, 0) + t.coeff * c
-    return tuple(tuple(apply_vanishing_rules(Expansion(d), alphabet) for d in row) for row in rows)
+    flow = [[{} for _ in range(dim)] for _ in range(dim)]  # the flow series: w (A_w)_pq
+    for p, row in enumerate(flow):
+        layer = {BracketWord(): {p: 1}}  # words w of one length: row p of A_w where nonzero
+        for n in range(order + 1):
+            words, layer = layer, {}
+            for w, v in words.items():
+                for q, c in v.items():
+                    row[q][w] = c
+                for i, a in mats.items() if n < order else ():
+                    u = {r: x for r in range(dim) if (x := sum(c * a[q][r] for q, c in v.items()))}
+                    if u:  # a zero product is never extended
+                        layer[BracketWord._wrap(w + ((i,),))] = u
+    log = _log_map(element)
+    return tuple(tuple(apply_vanishing_rules(log(Expansion(d)), alphabet) for d in r) for r in flow)
 
 
 def terms_to_json(terms: Iterable[LogTerm], **kwargs) -> str:

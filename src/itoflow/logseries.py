@@ -70,7 +70,7 @@ def log_identity_closed_form(max_grade: int) -> SurjElement:
     denominator, the lcm of every arity's law.
 
     The one builder of the log element: matrix_log,
-    strichartz_restriction and flowmaps.log_flow_terms each read its
+    strichartz_restriction and flowmaps._flow_log_element each read its
     buckets.
     """
     max_grade = check_grade(_count("max_grade", max_grade))

@@ -213,20 +213,13 @@ def _merges(w: tuple, subsets: tuple) -> tuple:
     ])
 
 
-def matrix_log(dim: int, order: int) -> MatrixExpansion:
-    """Logarithm of the flow series, entry-wise, to the given order.
-
-    The surjection log element of each grade n acts on every length-n entry
-    word: its blocks merge along the fibers of each arity-n term, so fibers
-    of two or more positions become bracket blocks of entry letters.  The
-    element becomes picks once per call (_log_plan); each word then merges
-    each of its arity's subsets once, and every term's word is a pick of
-    those merges.  Merging keeps a word's weight, so each weight bucket of
-    an entry maps into the same weight.  apply_element is the per-term
-    oracle.
-    """
-    order = check_weight(_count("order", order))
-    element = log_identity_closed_form(order)
+def _log_map(element) -> Callable[[Expansion], Expansion]:
+    """A surjection element as a map on Expansions: its arity-n terms act on
+    each length-n word, merging its blocks along their fibers.  The element
+    becomes picks once (_log_plan); each word then merges each of its
+    arity's subsets once, and every term's word is a pick of those merges.
+    Merging keeps a word's weight, so each weight bucket maps into the same
+    weight.  apply_element is the per-term oracle."""
     plan = _log_plan(element)
 
     def log(e: Expansion) -> Expansion:
@@ -243,6 +236,19 @@ def matrix_log(dim: int, order: int) -> MatrixExpansion:
                     data[v] = cw * c if prev is None else prev + cw * c
         return Expansion._bucketed(classes, e._den * element._den)
 
+    return log
+
+
+def matrix_log(dim: int, order: int) -> MatrixExpansion:
+    """Logarithm of the flow series, entry-wise, to the given order.
+
+    The surjection log element of each grade n acts on every length-n entry
+    word (_log_map): its blocks merge along the fibers of each arity-n
+    term, so fibers of two or more positions become bracket blocks of
+    entry letters.
+    """
+    order = check_weight(_count("order", order))
+    log = _log_map(log_identity_closed_form(order))  # the grade cap, then the dim
     return matrix_ito_taylor(dim, order).map_entries(log)
 
 

@@ -71,7 +71,7 @@ class Surjection(tuple):
 
     def fibers(self) -> tuple[tuple[int, ...], ...]:
         """Preimages of 1..k, each a sorted tuple of 1-based positions."""
-        return tuple(tuple(pos + 1 for pos in fb) for fb in fibers_of(self))
+        return tuple([tuple([pos + 1 for pos in fb]) for fb in fibers_of(self)])
 
     def __str__(self) -> str:
         if not self:

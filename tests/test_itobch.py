@@ -1,6 +1,5 @@
 """Flow-map logarithm templates and driver-specific vanishing rules."""
 
-import dataclasses
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +13,7 @@ from itoflow import (
     DriverAlphabet,
     Expansion,
     LogTerm,
+    SurjElement,
     Surjection,
     apply_surjection,
     apply_vanishing_rules,
@@ -295,24 +295,27 @@ def test_linear_fields_hold_for_other_generators(seed):
     assert verify.check_linear_fields(2, 2, 3, False, seed=seed) == 0
 
 
+TEMPLATES = flowmaps._flow_log_element  # what linear_field_log reads, before any mutant
+
+
 def test_linear_fields_catch_a_missing_template(monkeypatch):
     # the jump-mode templates without the three-point fibers of order 3
     def without_triples(alphabet, order):
-        return [t for t in log_flow_terms(alphabet, order) if max(map(len, t.partition)) < 3]
+        element = TEMPLATES(alphabet, order)
+        return SurjElement((f, c) for f, c in element if max(map(f.count, f)) < 3)
 
-    monkeypatch.setattr(flowmaps, "log_flow_terms", without_triples)
+    monkeypatch.setattr(flowmaps, "_flow_log_element", without_triples)
     assert verify.check_linear_fields(2, 2, 3, False) > 0
 
 
 def test_linear_fields_catch_a_negated_arity_two_coefficient(monkeypatch):
-    # the templates with the sign of the first arity-2 coefficient flipped
+    # the templates with the sign of one arity-2 coefficient flipped
     def negated(alphabet, order):
-        terms = log_flow_terms(alphabet, order)
-        i = next(i for i, t in enumerate(terms) if t.order == 2)
-        terms[i] = dataclasses.replace(terms[i], coeff=-terms[i].coeff)
-        return terms
+        element = TEMPLATES(alphabet, order)
+        f, c = next((f, c) for f, c in element if len(f) == 2)
+        return element - SurjElement([(f, 2 * c)])
 
-    monkeypatch.setattr(flowmaps, "log_flow_terms", negated)
+    monkeypatch.setattr(flowmaps, "_flow_log_element", negated)
     assert verify.check_linear_fields(2, 2, 3, False) > 0
 
 

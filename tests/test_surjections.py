@@ -305,9 +305,10 @@ def _continuous_templates(n):
 
 
 class TestContinuousTemplates:
-    """log_flow_terms is the one home of the continuous-driver rule: a
-    surjection survives when each of its fibers holds at most two positions.
-    With jumps every surjection survives."""
+    """flowmaps._flow_log_element, which log_flow_terms reads, is the one
+    home of the continuous-driver rule: a surjection survives when each of
+    its fibers holds at most two positions.  With jumps every surjection
+    survives."""
 
     @MODES
     @pytest.mark.parametrize(("n", "k"), TEMPLATE_GRID)

@@ -35,18 +35,11 @@ crossover was measured with the C10 words on 4 letters (ROADMAP.md);
 below it the stack route is faster, since the sweep pays a few numpy
 calls per cell whatever its width.
 
-Each letter is held as a base array and an optional (offset, scale):
-its increments are the base itself, as Evaluator(increments) holds
-them, or offset + scale * base, as Evaluator._affine holds letters that
-are affine images of one shared array (the flow study's entries,
-a dt + b dW).  Those increments are formed when a block reads them, a
-row chunk at a time on the stack route and a cell chunk at a time on the
-sweep, from one transposed base chunk shared by every letter on it; so
-no whole letter array is kept, and the formed values are the bits a
-whole offset + scale * base would hold.  The sweep reads the cells in
-chunks, in time order, so Evaluator._streamed can sweep a base that is
-never held whole, its chunks made as they are read (the flow study's
-wide batches draw dW so).
+Each letter is held as one (rows, cells) array of its increments.  The
+sweep reads the cells in chunks, in time order, each chunk one
+(cells in the chunk, rows) array per letter, so Evaluator._streamed can
+sweep increments that are never held whole, each chunk made as it is read
+(the flow study's wide batches sweep the Euler recursion's dM so).
 
 All core routines are shaped (..., cells): a batch axis in front
 evaluates many Monte Carlo paths in one sweep.
@@ -86,7 +79,7 @@ class Evaluator:
 
     increments maps each letter to an array of finite per-cell increments,
     shaped (cells,) for one path or (batch, cells) for many.  Each array is
-    held as it is, as the base of its letter.
+    held as it is.
 
     word_path builds a word's path from the running paths of its prefixes
     held on a stack, so at most len(longest word) path arrays are live.
@@ -109,64 +102,35 @@ class Evaluator:
         shapes = {v.shape for v in incs.values()}
         if len(shapes) != 1:
             raise ValueError("drivers must share one grid shape")
-        if shapes == {()}:
+        shape = shapes.pop()
+        if not shape:
             raise ValueError(f"increments of letter {next(iter(incs))} need a cells axis")
-        self._bind(shapes.pop(), list(incs.values()), {k: (n, None) for n, k in enumerate(incs)})
-
-    @classmethod
-    def _affine(cls, base: np.ndarray, letters: Mapping[int, tuple]) -> "Evaluator":
-        """An evaluator whose letter k moves by offset + scale * base, for
-        letters[k] = (offset, scale).
-
-        A letter's increments are formed a chunk at a time, when a block
-        reads them, by the operations offset + scale * base makes; so the
-        values match an Evaluator given the formed arrays, bit for bit, and
-        only base is kept whole.  Each letter is checked at base's minimum
-        and maximum, as _affine_letters says.
-        """
-        base = _finite("base increments", base)
-        if not base.ndim:
-            raise ValueError("base increments need a cells axis")
-        ends = np.array([base.min(), base.max()]) if base.size else np.empty(0)
-        ev = cls.__new__(cls)
-        ev._bind(base.shape, [base], _affine_letters(letters, ends))
-        return ev
+        rows = prod(shape[:-1])
+        self._bind(shape, {k: v.reshape(rows, shape[-1]) for k, v in incs.items()})
 
     @classmethod
     def _streamed(
-        cls, shape: tuple, letters: Mapping[int, tuple], trie: dict, words: list, chunks
+        cls, shape: tuple, letters: Iterable[int], trie: dict, words: list, chunks
     ) -> "Evaluator":
-        """The evaluator _affine(base, letters) gives, holding only the
-        sorted words' terminals, with trie their prefix trie; base, shaped
-        shape, is never held whole.
+        """An evaluator of the letters' increments, shaped shape, holding
+        only the sorted words' terminals, with trie their prefix trie; no
+        letter's increments are ever held whole.
 
-        chunks yields base's cells in time order, a (rows, cells) chunk at a
-        time, and the words are swept from each chunk as it comes.  Once
-        chunks ends, each letter is checked at the running minimum and
-        maximum of the chunks, so an error chunks raises at its end comes
-        before any letter's.
+        chunks yields the cells in time order, as _sweep reads them, and
+        the words are swept from each chunk as it comes.  Nothing in the
+        chunks is checked: the caller checks what it feeds.
         """
-        ends = [np.inf, -np.inf]
-
-        def held():
-            for chunk in chunks:
-                ends[:] = min(ends[0], chunk.min()), max(ends[1], chunk.max())
-                yield [chunk]
-
         ev = cls.__new__(cls)
-        # bound as _affine binds them; no cell is checked yet
-        ev._bind(shape, [], _affine_letters(letters, np.empty(0)))
-        ev._sweep(trie, words, held())
-        _affine_letters(letters, np.array(ends))
+        ev._bind(shape, dict.fromkeys(letters))
+        ev._sweep(trie, words, chunks)
         return ev
 
-    def _bind(self, shape: tuple, bases: list[np.ndarray], letters: dict[int, tuple]) -> None:
-        """Hold each base as (rows, cells), and each letter as (the index of
-        its base, its (offset, scale) or None for the base itself)."""
+    def _bind(self, shape: tuple, incs: dict) -> None:
+        """Hold each letter's increments as (rows, cells), or None for a
+        letter whose increments are only streamed."""
         self.shape = shape
         rows, cells = prod(shape[:-1]), shape[-1]
-        self._bases = [b.reshape(rows, cells) for b in bases]
-        self._inc = letters
+        self._incs = incs
         # the row chunks blocks are built in
         step = max(1, _CHUNK_FLOATS // max(cells, 1))
         self._chunks = [slice(r, r + step) for r in range(0, rows, step)]
@@ -184,10 +148,10 @@ class Evaluator:
             )
         return cls({l: bundle[l].increments() for l in bundle.letters()})
 
-    def _letters(self, block) -> list[tuple]:
-        """The (base index, affine) of the block's letters, in order."""
+    def _letters(self, block) -> list:
+        """The increments of the block's letters, in order."""
         try:
-            return [self._inc[letter] for letter in block]
+            return [self._incs[letter] for letter in block]
         except KeyError as e:
             raise ValueError(f"letter {e.args[0]} is not bound to a path") from None
 
@@ -199,15 +163,14 @@ class Evaluator:
         the empty word, all ones), then summed.  Chunking by rows changes
         no element's operations or their order.
         """
-        incs = [(self._bases[n], affine) for n, affine in self._letters(block)]
-        rows, cells = self._bases[0].shape
+        incs = self._letters(block)
+        rows, cells = incs[0].shape
         path = np.empty((rows, cells + 1))
         path[:, 0] = 0.0
         for r in self._chunks:
-            factors = (_formed(base[r], affine) for base, affine in incs)
-            step = next(factors)
-            for inc in factors:
-                step = step * inc
+            step = incs[0][r]
+            for inc in incs[1:]:
+                step = step * inc[r]
             if parent is not None:
                 step = step * parent[r, :-1]
             np.cumsum(step, axis=-1, out=path[r, 1:])
@@ -262,7 +225,7 @@ class Evaluator:
         todo = sorted({w for w in words if w not in cache})
         trie = _prefix_trie(todo)
         if _sweeps(prod(self.shape[:-1]), trie):
-            self._sweep(trie, todo, [self._bases])
+            self._sweep(trie, todo, [{k: inc.T for k, inc in self._incs.items()}])
         else:
             for w in todo:
                 self.word_terminal(w)
@@ -271,8 +234,8 @@ class Evaluator:
     def _sweep(self, trie: dict[tuple, int], words: list[BracketWord], chunks) -> None:
         """Cache the words' terminals from one pass over the cells.
 
-        chunks yields the cells in time order, a chunk at a time, as the
-        list of each base's (rows, cells in the chunk) slice.  run holds
+        chunks yields the cells in time order, a chunk at a time, each
+        chunk a {letter: (cells in the chunk, rows) array} dict.  run holds
         each trie node's running value on each row, at the left end of the
         current cell; node 0 is the empty word, all ones.  Per cell, every
         node's parent value is gathered, multiplied by the node's block
@@ -282,11 +245,11 @@ class Evaluator:
         with nothing cached.
         """
         nodes = list(trie)[1:]
-        # blocks in the order the stack route would first build them, so an
-        # unbound letter is reported as that route reports it
+        # blocks, and their letters, in the order the stack route would first
+        # build them, so an unbound letter is reported as that route reports it
         blocks = {b: k for k, b in enumerate(dict.fromkeys(key[-1] for key in nodes))}
-        letters = {letter: inc for b in blocks for letter, inc in zip(b, self._letters(b))}
-        used = {n for n, _ in letters.values()}
+        letters = dict.fromkeys(letter for b in blocks for letter in b)
+        self._letters(letters)
         parent = np.array([trie[key[:-1]] for key in nodes], dtype=np.intp)
         block = np.array([blocks[key[-1]] for key in nodes], dtype=np.intp)
         rows, cells = prod(self.shape[:-1]), self.shape[-1]
@@ -297,18 +260,17 @@ class Evaluator:
         step = max(1, _SWEEP_FLOATS // max(len(blocks) * rows, 1))
         products = np.empty((min(step, cells), len(blocks), rows))
         swept = 0  # cells before the current chunk
-        for held in chunks:
-            end = held[0].shape[1]
+        for chunk in chunks:
+            end = len(next(iter(chunk.values())))
             for c0 in range(0, end, step):
                 c1 = min(c0 + step, end)
-                # each base's cells transposed once, shared by every letter on it
-                bases = {n: np.ascontiguousarray(held[n][:, c0:c1].T) for n in used}
-                chunk = {l: _formed(bases[n], affine) for l, (n, affine) in letters.items()}
+                # each letter's cells made contiguous once, for every block on it
+                incs = {letter: np.ascontiguousarray(chunk[letter][c0:c1]) for letter in letters}
                 for b, k in blocks.items():
                     out = products[: c1 - c0, k]
-                    np.copyto(out, chunk[b[0]])
+                    np.copyto(out, incs[b[0]])
                     for letter in b[1:]:
-                        np.multiply(out, chunk[letter], out=out)
+                        np.multiply(out, incs[letter], out=out)
                 for i in range(c1 - c0):
                     # mode="clip" writes straight into out; "raise" buffers it.
                     # The methods skip np.take's Python wrapper, ~1 us a call.
@@ -320,6 +282,7 @@ class Evaluator:
                     else:  # as cumsum's out[0] = x[0]: 0 + x would lose a -0.0
                         values[...] = gathered
             swept += end
+            chunk = incs = None  # freed before the next chunk is made
         shape = self.shape[:-1]
         for w in words:
             self._terminal_cache[w] = _read_only(run[trie[w]].reshape(shape).copy())
@@ -347,38 +310,10 @@ class Evaluator:
         return out
 
 
-def _affine_letters(letters: Mapping[int, tuple], ends: np.ndarray) -> dict[int, tuple]:
-    """Each letter k as (base 0, letters[k]), for letters[k] = (offset, scale).
-
-    x -> offset + scale * x is monotone under rounding, so a letter is
-    finite on every cell if and only if it is finite at the base's minimum
-    and maximum, ends; one that is not raises ValueError naming it.
-    """
-    affine = {}
-    for k, (offset, scale) in letters.items():
-        k = _count("letter", k)
-        # an overflow is reported as the ValueError, not as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            _finite(f"increments of letter {k}", offset + scale * ends)
-        affine[k] = (0, (offset, scale))
-    if not affine:
-        raise ValueError("need at least one driver")
-    return affine
-
-
 def _sweeps(rows: int, trie: dict[tuple, int]) -> bool:
     """Whether the words of trie are swept, not built on the stack: rows x
     trie nodes past the empty word reaches _SWEEP_WIDTH."""
     return rows * (len(trie) - 1) >= _SWEEP_WIDTH
-
-
-def _formed(base: np.ndarray, affine: tuple | None) -> np.ndarray:
-    """A letter's increments on a chunk of its base: the chunk itself, or
-    offset + scale * chunk for affine = (offset, scale)."""
-    if affine is None:
-        return base
-    offset, scale = affine
-    return offset + scale * base
 
 
 def _prefix_trie(words: Iterable[BracketWord]) -> dict[tuple, int]:

@@ -22,16 +22,15 @@ expands into exactly those left-point sums), and the whole product at
 M = steps, so all comparisons are pure truncation studies, free of
 scheme mismatch.
 
-Every entry letter is an affine image of the one Brownian array: it moves
-by A[i,j] dt + B[i,j] dW on each step.  So the series routes build their
-Evaluator from dW and each entry's (A[i,j] dt, B[i,j]), and the letters
-are formed a chunk at a time as blocks read them; the Euler recursion
-likewise forms dM a chunk of steps at a time.  A compare_flows batch
-wide enough for the Evaluator's sweep holds no dW either: each path's
-increments are drawn about 1024 steps at a time, and each drawn chunk
-steps the Euler recursion and is then swept.  A 64-path C10 batch's
-traced peak is 3.3 MB at 2^12 and at 2^14 steps (3.8 and 10.1 MB with
-dW whole).  A narrower batch keeps dW whole.
+Entry (i, j) of dM is the increment of one letter of the series,
+entry_letter(i, j, dim), and moves by A[i,j] dt + B[i,j] dW on each step.
+The Euler recursion forms dM a chunk of steps at a time.  A compare_flows
+batch wide enough for the Evaluator's sweep holds no dW: each path's
+increments are drawn about 1024 steps at a time, each drawn chunk steps
+the Euler recursion, and each dM chunk the recursion formed is swept as
+the entry letters' increments, after one transposing copy.  A 64-path
+C10 batch's traced peak is 2.8 MB at 2^12 and at 2^14 steps.  The series
+routes and a narrower batch form each entry letter whole from dW.
 """
 
 from __future__ import annotations
@@ -114,42 +113,55 @@ def _check_increments(problem: FlowProblem, dW) -> np.ndarray:
     return dW
 
 
-def _entry_letters(problem: FlowProblem) -> dict[int, tuple]:
-    """Each matrix-entry letter's (offset, scale): entry (i, j) moves by
-    drift[i, j] * dt + diffusion[i, j] * dW on each step."""
-    d = problem.dim
-    return {
-        entry_letter(i, j, d): (
-            problem.drift[i - 1, j - 1] * problem.dt,
-            problem.diffusion[i - 1, j - 1],
-        )
-        for i in range(1, d + 1)
-        for j in range(1, d + 1)
-    }
+def _dM(problem: FlowProblem, dW: np.ndarray) -> np.ndarray:
+    """The matrix increment drift dt + dW diffusion at each value of dW,
+    shaped dW.shape + (dim, dim).  An overflow is left, unwarned, to the
+    caller's range check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return problem.drift * problem.dt + dW[..., None, None] * problem.diffusion
 
 
-def _euler_steps(problem: FlowProblem, x: np.ndarray, dW: np.ndarray) -> None:
+def _entry_increments(dM: np.ndarray) -> dict[int, np.ndarray]:
+    """Each entry letter's increments in a (..., d, d) stack of dM, made
+    contiguous by one transposing copy: letter entry_letter(i, j, d) moves
+    by entry (i, j) of each matrix."""
+    d = dM.shape[-1]
+    entries = np.ascontiguousarray(np.moveaxis(dM, (-2, -1), (0, 1)))
+    return {entry_letter(i + 1, j + 1, d): entries[i, j] for i in range(d) for j in range(d)}
+
+
+def _check_entries(problem: FlowProblem, ends) -> None:
+    """ValueError naming the first entry letter that is not finite at ends,
+    dW's least and greatest value.  x -> a + x b is monotone under
+    rounding, so a letter is finite on every step if and only if it is
+    finite at both ends."""
+    for k, inc in _entry_increments(_dM(problem, np.asarray(ends))).items():
+        _finite(f"increments of letter {k}", inc)
+
+
+def _euler_steps(problem: FlowProblem, x: np.ndarray, dW: np.ndarray):
     """Advance the (paths, d, d) stack x in place by the left-point Euler
-    recursion X <- X + X dM over the steps of dW, shaped (paths, steps).
+    recursion X <- X + X dM over the steps of dW, shaped (paths, steps),
+    and yield each chunk's (steps in the chunk, paths, d, d) dM stack
+    once x has stepped over it.
 
-    The steps' dM = drift dt + dW diffusion are formed a chunk of steps
-    at a time, as one contiguous (steps, paths, d, d) stack.  Each step's
-    dM is then a contiguous (paths, d, d) array, as one formed on its own
-    would be, so the matmul runs the same kernel and rounds the same way;
-    and where dW's steps are split changes no step.
+    The steps' dM are formed a chunk of steps at a time, as one
+    contiguous stack.  Each step's dM is then a contiguous (paths, d, d)
+    array, as one formed on its own would be, so the matmul runs the same
+    kernel and rounds the same way; and where dW's steps are split
+    changes no step.
     """
-    a_dt = problem.drift * problem.dt
-    b = problem.diffusion
     xdm = np.empty_like(x)
     chunk = max(1, _STEP_FLOATS // max(x.size, 1))
-    # finite inputs can still overflow: that is reported once, as
-    # FloatRangeError, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m0 in range(0, dW.shape[1], chunk):
-            dms = a_dt + dW[:, m0 : m0 + chunk].T[:, :, None, None] * b
+    for m0 in range(0, dW.shape[1], chunk):
+        dms = _dM(problem, dW[:, m0 : m0 + chunk].T)
+        # finite inputs can still overflow: that is reported once, as
+        # FloatRangeError, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
             for dm in dms:
                 np.matmul(x, dm, out=xdm)
                 np.add(x, xdm, out=x)
+        yield dms
 
 
 def _identities(shape: tuple) -> np.ndarray:
@@ -160,7 +172,8 @@ def flow_reference(problem: FlowProblem, dW: np.ndarray) -> np.ndarray:
     """Left-point Euler recursion X <- X + X dM over the grid, batched."""
     dW = _check_increments(problem, dW)
     x = _identities((dW.shape[0], problem.dim, problem.dim))
-    _euler_steps(problem, x, dW)
+    for _ in _euler_steps(problem, x, dW):
+        pass
     return _finite("Euler product", x, FloatRangeError)
 
 
@@ -187,23 +200,29 @@ def _streamed_batch(
     """The Euler flows of one batch, and the words' terminals, with its
     increments drawn a chunk of steps at a time and never held whole.
 
-    Each drawn chunk is checked finite, steps the Euler recursion, and is
-    then swept by the Evaluator.  The checks come in the order the whole-dW
+    Each drawn chunk of dW is checked finite and steps the Euler
+    recursion, and each dM stack the recursion formed is then swept as the
+    entry letters' increments.  The checks come in the order the whole-dW
     route makes them: dW, then the Euler product once the last chunk is
-    stepped, then each letter at dW's minimum and maximum.
+    stepped, then each letter at dW's least and greatest value.
     """
     x = _identities((len(paths), problem.dim, problem.dim))
 
     def fed():
+        ends = [np.inf, -np.inf]
         for dW in _drawn(problem, seed, paths):
             dW = _finite("dW", dW)
-            _euler_steps(problem, x, dW)
-            yield dW
+            ends = [min(ends[0], dW.min()), max(ends[1], dW.max())]
+            for dms in _euler_steps(problem, x, dW):
+                yield _entry_increments(dms)
         _finite("Euler product", x, FloatRangeError)
+        _check_entries(problem, ends)
 
     shape = (len(paths), problem.steps)
+    # entry_letter numbers the entries 1 to dim**2
+    letters = range(1, problem.dim**2 + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        ev = Evaluator._streamed(shape, _entry_letters(problem), trie, words, fed())
+        ev = Evaluator._streamed(shape, letters, trie, words, fed())
     return x, ev
 
 
@@ -220,7 +239,7 @@ def _whole_series_flows(problem: FlowProblem, dW: np.ndarray, taylor: dict, logs
     """_series_flows on the checked dW, held whole: every word's terminal
     is evaluated in one terminals call, and an overflow there is reported
     by the range check of the series that reads it."""
-    ev = Evaluator._affine(dW, _entry_letters(problem))
+    ev = Evaluator(_entry_increments(_dM(problem, dW)))
     with np.errstate(over="ignore", invalid="ignore"):
         ev.terminals(_series_words([*taylor.values(), *logs.values()]))
     return _series_flows(ev, dW.shape[0], taylor, logs)
@@ -298,8 +317,8 @@ def compare_flows(
     n_paths has no cap: the work is paths x steps x words evaluated.  A
     batch past the Evaluator's sweep crossover (C10's words on 7 paths
     or more) draws its increments a chunk of steps at a time, so its
-    memory does not grow with steps; a narrower one holds batch_size x
-    steps increments.
+    memory does not grow with steps; a narrower one holds dim**2 formed
+    letter arrays of batch_size x steps increments each.
     """
     _typed("problem", problem, FlowProblem)
     n_paths, batch_size = _count("n_paths", n_paths), _count("batch_size", batch_size)

@@ -166,12 +166,6 @@ VALUE_ROWS = {
     "Evaluator-shapes": lambda: itoflow.Evaluator({1: np.zeros(4), 2: np.zeros(5)}),
     "Evaluator-0d-float": lambda: itoflow.Evaluator({1: 1.0}),
     "Evaluator-0d-array": lambda: itoflow.Evaluator({1: np.array(2.0)}),
-    "Evaluator._affine-0d-base": lambda: itoflow.Evaluator._affine(
-        np.array(1.0), {1: (0.0, 1.0)}
-    ),
-    "Evaluator._affine-overflow": lambda: itoflow.Evaluator._affine(
-        np.array([1.0, 2.0]), {1: (0.0, 1e308)}
-    ),
     **{
         f"{site}={bad!r}": partial(call, bad)
         for site, call in BOUNDS.items()
@@ -288,7 +282,6 @@ def test_malformed_constructor_values_raise_the_contract_errors(name):
     [
         ("Evaluator-0d-float", "increments of letter 1"),
         ("Evaluator-0d-array", "increments of letter 1"),
-        ("Evaluator._affine-0d-base", "base increments"),
     ],
 )
 def test_an_increment_array_without_a_cells_axis_is_named(name, names):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import itoflow.evaluate as evaluate_module
 from itoflow import (
@@ -435,105 +434,9 @@ class TestSweepAgainstOracle:
         assert [g.tobytes() for g in got] == [o.tobytes() for o in other]
 
 
-def affine_pair(seed, shape, letters):
-    """Letters offset + scale * one base, held as plain arrays and chunk-formed."""
-    base = np.random.default_rng(seed).normal(scale=0.1, size=shape)
-    plain = Evaluator({k: offset + scale * base for k, (offset, scale) in letters.items()})
-    return plain, Evaluator._affine(base, letters)
-
-
-# signed zeros, negative scales and the identity among them
-affine_numbers = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.5]), st.floats(-3.0, 3.0, allow_nan=False)
-)
-affine_letters = st.fixed_dictionaries(
-    {k: st.tuples(affine_numbers, affine_numbers) for k in (1, 2, 3)}
-)
-
-
-class TestAffineLettersAgainstPlain:
-    """Letters formed a chunk at a time from one base against the same
-    letters formed whole, as plain increments."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        batch=st.sampled_from([None, 1, 5]),
-        # 7000 cells: batches of 5 rows are built in two row chunks
-        cells=st.sampled_from([1, 2, 9, 7000]),
-        letters=affine_letters,
-        seed=st.integers(min_value=0, max_value=2**16),
-        words=st.lists(sweep_words, min_size=1, max_size=8),
-    )
-    def test_stack_paths_and_terminals_are_bit_identical(self, batch, cells, letters, seed, words):
-        shape = (cells,) if batch is None else (batch, cells)
-        plain, formed = affine_pair(seed, shape, letters)
-        with terminals_route(STACK):
-            for w in words:
-                assert formed.word_path(w).tobytes() == plain.word_path(w).tobytes()
-            asked = words[::-1]
-            got, expected = formed.terminals(asked), plain.terminals(asked)
-        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        batch=st.sampled_from([None, 1, 3]),
-        cells=st.sampled_from([1, 2, 7, 33]),
-        sweep_floats=st.sampled_from([1, 64, 512, None]),
-        letters=affine_letters,
-        seed=st.integers(min_value=0, max_value=2**16),
-        words=st.lists(sweep_words, min_size=1, max_size=10),
-    )
-    def test_sweep_terminals_are_bit_identical(
-        self, batch, cells, sweep_floats, letters, seed, words
-    ):
-        shape = (cells,) if batch is None else (batch, cells)
-        plain, formed = affine_pair(seed, shape, letters)
-        with terminals_route(SWEEP, sweep_floats), mock.patch.object(
-            Evaluator, "_extend", refuse
-        ):
-            got, expected = formed.terminals(words), plain.terminals(words)
-        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
-
-    @pytest.mark.parametrize("route", [STACK, SWEEP], ids=["stack", "sweep"])
-    def test_c10_words_with_zero_and_negative_scales(self, route):
-        # a pure drift letter, a negative scale, the base itself and a
-        # letter that is -0.0 + 0.0 * base: the C10 words repeat letters
-        # within brackets
-        letters = {1: (1e-3, 0.0), 2: (-2e-3, -1.5), 3: (0.0, 1.0), 4: (-0.0, 0.0)}
-        plain, formed = affine_pair(6, (8, 300), letters)
-        words = c10_words()
-        assert any(len(set(b)) < len(b) for w in words for b in w)
-        with terminals_route(route):
-            got, expected = formed.terminals(words), plain.terminals(words)
-        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        base=arrays(
-            np.float64,
-            st.tuples(st.integers(1, 3), st.integers(1, 4)),
-            elements=st.one_of(
-                st.sampled_from([0.0, 1.0, -1.0, 9e307, -9e307, 1.7976931348623157e308]),
-                st.floats(-1.7e308, 1.7e308),
-            ),
-        ),
-        offset=st.one_of(st.sampled_from([0.0, 1e308, -1e308]), st.floats(-1.7e308, 1.7e308)),
-        scale=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0]), st.floats(-4.0, 4.0)),
-    )
-    def test_finite_check_agrees_with_every_cell(self, base, offset, scale):
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(offset + scale * base).all()
-        if finite:
-            Evaluator._affine(base, {2: (offset, scale)})
-        else:
-            with pytest.raises(ValueError, match="increments of letter 2 must be finite"):
-                Evaluator._affine(base, {2: (offset, scale)})
-
-    def test_an_overflowing_letter_is_named(self):
-        base = np.array([[1.0, -1e300, 2.0]])
-        letters = {1: (0.0, 1.0), 3: (0.0, -1e10), 2: (0.0, 1e10)}
-        with pytest.raises(ValueError, match="increments of letter 3 must be finite"):
-            Evaluator._affine(base, letters)
+class TestStreamedSweep:
+    """Evaluator._streamed sweeps the per-letter chunks it is fed, in time
+    order, to the bits of the oracle on the whole increments."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -542,66 +445,40 @@ class TestAffineLettersAgainstPlain:
         # where the chunks end, past the first cell
         cuts=st.sets(st.integers(1, 32), max_size=4),
         sweep_floats=st.sampled_from([1, 64, 512, None]),
-        letters=affine_letters,
         seed=st.integers(min_value=0, max_value=2**16),
         words=st.lists(sweep_words, min_size=1, max_size=10),
     )
     def test_streamed_terminals_are_bit_identical(
-        self, batch, cells, cuts, sweep_floats, letters, seed, words
+        self, batch, cells, cuts, sweep_floats, seed, words
     ):
-        plain, formed = affine_pair(seed, (batch, cells), letters)
-        base = formed._bases[0]
+        inc = random_increments(seed, (batch, cells))
         ends = [0, *sorted(c for c in cuts if c < cells), cells]
         words = sorted(set(words))
         trie = evaluate_module._prefix_trie(words)
+        # each chunk holds every letter's cells in it, as a contiguous
+        # (cells, rows) array
+        chunks = (
+            {k: np.ascontiguousarray(v[:, a:b].T) for k, v in inc.items()}
+            for a, b in zip(ends, ends[1:])
+        )
         with terminals_route(SWEEP, sweep_floats), mock.patch.object(
             Evaluator, "_extend", refuse
         ):
-            chunks = (base[:, a:b] for a, b in zip(ends, ends[1:]))
-            streamed = Evaluator._streamed(base.shape, letters, trie, words, chunks)
-            expected = plain.terminals(words)
+            streamed = Evaluator._streamed((batch, cells), inc, trie, words, chunks)
         got = streamed.terminals(words)
+        expected = [reference_word_path(inc, w)[..., -1] for w in words]
         assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
 
-    def test_a_streamed_letter_is_checked_once_the_chunks_end(self):
-        # letter 3 overflows on the first chunk's cells and letter 2 on the
-        # second's: the first letter past the range at the ends of every
-        # chunk is named, as _affine names it on the whole base
-        base = np.array([[1e308, 0.0, -1e308, 0.0]])
-        letters = {1: (0.0, 1.0), 2: (-1e308, 1.0), 3: (1e308, 1.0)}
-        words = [BracketWord([(1, 2, 3)])]
+    def test_an_unbound_letter_raises_before_any_chunk_is_read(self):
+        words = [BracketWord([(1,), (2, 4)])]
+
+        def chunks():
+            raise AssertionError("a chunk was read")
+            yield
+
         trie = evaluate_module._prefix_trie(words)
-        read = []
-
-        def chunks(error=None):
-            for c0 in (0, 2):
-                read.append(c0)
-                yield base[:, c0 : c0 + 2]
-            if error is not None:
-                raise error
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="increments of letter 2 must be finite"):
-                Evaluator._affine(base, letters)
-            with pytest.raises(ValueError, match="increments of letter 2 must be finite"):
-                Evaluator._streamed(base.shape, letters, trie, words, chunks())
-            assert read == [0, 2]
-            # an error the chunks raise at their end comes first
-            with pytest.raises(FloatRangeError, match="first"):
-                Evaluator._streamed(
-                    base.shape, letters, trie, words, chunks(FloatRangeError("first"))
-                )
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_a_nonfinite_base_is_refused(self, bad):
-        base = np.zeros((2, 4))
-        base[1, 2] = bad
-        with pytest.raises(ValueError, match="base increments must be finite"):
-            Evaluator._affine(base, {1: (0.0, 1.0)})
-
-    def test_no_letter_is_refused(self):
-        with pytest.raises(ValueError, match="^need at least one driver$"):
-            Evaluator._affine(np.zeros((2, 4)), {})
+        with pytest.raises(ValueError, match="^letter 4 is not bound to a path$"):
+            Evaluator._streamed((2, 3), (1, 2, 3), trie, words, chunks())
 
 
 class TestMemory:

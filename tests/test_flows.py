@@ -4,13 +4,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from itoflow import (
+    BracketWord,
     Evaluator,
     FloatRangeError,
     FlowProblem,
     compare_flows,
+    entry_letter,
     flow_reference,
     make_grid,
     rng_for,
@@ -377,9 +382,21 @@ class TestCompareFlows:
         assert runs[0] == runs[1]
 
 
-def plain_letters(base, letters):
-    """Every entry letter formed whole, a * dt + b * dW, as plain increments."""
-    return Evaluator({k: offset + scale * base for k, (offset, scale) in letters.items()})
+def formed_letters(problem, dW):
+    """Every entry letter formed whole, a dt + b dW, one at a time."""
+    a_dt, b, d = problem.drift * problem.dt, problem.diffusion, problem.dim
+    return {
+        entry_letter(i + 1, j + 1, d): a_dt[i, j] + dW * b[i, j]
+        for i in range(d)
+        for j in range(d)
+    }
+
+
+def plain_series_flows(problem, dW, taylor, logs):
+    """_whole_series_flows on an Evaluator given formed_letters."""
+    ev = Evaluator(formed_letters(problem, dW))
+    ev.terminals(flows_module._series_words([*taylor.values(), *logs.values()]))
+    return flows_module._series_flows(ev, dW.shape[0], taylor, logs)
 
 
 def refuse(*args, **kwargs):
@@ -387,12 +404,12 @@ def refuse(*args, **kwargs):
 
 
 class TestLettersFormedFromDW:
-    """The routes build their evaluators from dW and each entry's
-    (a dt, b); with the letters formed whole instead, every bit is the same."""
+    """The routes form the entry letters from dM stacks; with each letter
+    formed whole from dW instead, every bit is the same."""
 
     # C10's 166 trie nodes: 4 rows are below the sweep's crossover, 8 past
-    # it.  A batch past it draws dW a chunk at a time and calls no _affine,
-    # so the plain run takes the whole-dW route to its sweep.
+    # it.  A batch past it sweeps the Euler recursion's dM chunks, so the
+    # plain run takes the whole-dW route to its sweep.
     @pytest.mark.parametrize("batch, unused", [(4, "_sweep"), (8, "_extend")])
     def test_compare_flows_reports_are_equal(self, monkeypatch, batch, unused):
         p = flow_problem(256)
@@ -402,7 +419,7 @@ class TestLettersFormedFromDW:
                 m.setattr(Evaluator, unused, refuse)
                 if plain:
                     m.setattr(flows_module, "_sweeps", lambda rows, trie: False)
-                    m.setattr(Evaluator, "_affine", staticmethod(plain_letters))
+                    m.setattr(flows_module, "_whole_series_flows", plain_series_flows)
                 runs.append(compare_flows(p, [1, 2, 3], 2 * batch, seed=4, batch_size=batch))
         assert runs[0] == runs[1]
 
@@ -420,16 +437,19 @@ class TestLettersFormedFromDW:
                 run()
         compare_flows(p, [1, 2, 3], 64, seed=0)
 
-    def test_a_streamed_batch_equals_the_whole_dW_routes(self, monkeypatch):
-        # 8 rows x C10's 166 trie nodes is past the crossover; the steps are
-        # two whole draw chunks and part of a third
-        p = flow_problem(2 * DRAW + 452)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_streamed_batch_equals_the_whole_dW_routes(self, monkeypatch, dim):
+        # 8 rows x C10's trie nodes is past the crossover; the steps are
+        # two whole draw chunks and part of a third.  The whole-dW routes
+        # read each entry's letter formed whole, so a streamed entry
+        # mapped to the wrong letter shows.
+        p = flow_problem(2 * DRAW + 452, dim=dim)
         orders, n_paths, batch, seed = [1, 2, 3], 16, 8, 4
         with monkeypatch.context() as m:
-            for name in ("brownian_increments", "flow_reference"):
+            for name in ("brownian_increments", "flow_reference", "_whole_series_flows"):
                 m.setattr(flows_module, name, refuse)
-            m.setattr(Evaluator, "_affine", refuse)
             got = compare_flows(p, orders, n_paths, seed, batch_size=batch)
+        monkeypatch.setattr(flows_module, "_whole_series_flows", plain_series_flows)
         sums = {key: {k: 0.0 for k in orders} for key in ("log", "gap", "next")}
         for done in range(0, n_paths, batch):
             dW = brownian_increments(p, seed, range(done, done + batch))
@@ -442,7 +462,7 @@ class TestLettersFormedFromDW:
                 sums["next"][k] += float(np.sum(_strong_errors(taylor[k + 1], taylor[k])))
         mean = {key: {str(k): v / n_paths for k, v in by.items()} for key, by in sums.items()}
         assert got == {
-            "dim": 2,
+            "dim": dim,
             "horizon": p.horizon,
             "steps": p.steps,
             "paths": n_paths,
@@ -459,7 +479,7 @@ class TestLettersFormedFromDW:
         p = small_problem(steps=64)
         dW = brownian_increments(p, seed=2, path_indices=range(3))
         got = route(p, 3, dW)
-        monkeypatch.setattr(Evaluator, "_affine", staticmethod(plain_letters))
+        monkeypatch.setattr(flows_module, "_whole_series_flows", plain_series_flows)
         assert got.tobytes() == route(p, 3, dW).tobytes()
 
     def test_an_overflowing_entry_is_named_without_warnings(self):
@@ -471,3 +491,99 @@ class TestLettersFormedFromDW:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="increments of letter 3 must be finite"):
                 flow_from_taylor(p, 2, dW)
+
+
+def one_entry_problem(offset, scale):
+    """Entry (1, 2), letter 2, moves by offset + scale * dW; dt is 1, so
+    the offset is the drift itself, and every other letter is 0."""
+    drift, diffusion = np.zeros((2, 2)), np.zeros((2, 2))
+    drift[0, 1], diffusion[0, 1] = offset, scale
+    return FlowProblem(dim=2, drift=drift, diffusion=diffusion, horizon=1.0, steps=1)
+
+
+class TestEntryLetters:
+    """Entry (i, j) of dM is letter entry_letter(i, j, dim), and each
+    letter is checked at dW's least and greatest value."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_each_letter_reads_its_entry_contiguously(self, dim):
+        # a (steps, paths, dim, dim) stack as the Euler recursion yields it
+        dM = np.random.default_rng(dim).normal(size=(5, 3, dim, dim))
+        letters = flows_module._entry_increments(dM)
+        assert sorted(letters) == list(range(1, dim * dim + 1))
+        for i in range(dim):
+            for j in range(dim):
+                inc = letters[entry_letter(i + 1, j + 1, dim)]
+                assert inc.flags.c_contiguous
+                assert inc.tobytes() == dM[:, :, i, j].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dW=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 3), st.integers(1, 4)),
+            elements=st.one_of(
+                st.sampled_from([0.0, 1.0, -1.0, 9e307, -9e307, 1.7976931348623157e308]),
+                st.floats(-1.7e308, 1.7e308),
+            ),
+        ),
+        offset=st.one_of(st.sampled_from([0.0, 1e308, -1e308]), st.floats(-1.7e308, 1.7e308)),
+        scale=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0]), st.floats(-4.0, 4.0)),
+    )
+    def test_finite_check_agrees_with_every_cell(self, dW, offset, scale):
+        p = one_entry_problem(offset, scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(offset + scale * dW).all()
+        ends = [dW.min(), dW.max()]
+        if finite:
+            flows_module._check_entries(p, ends)
+        else:
+            with pytest.raises(ValueError, match="increments of letter 2 must be finite"):
+                flows_module._check_entries(p, ends)
+
+    def test_an_overflowing_letter_is_named(self):
+        # letters 3 and 4 overflow at dW = -1e300, letter 2 does not: the
+        # first in entry order is named
+        b = np.array([[1.0, 1.0], [-1e10, 1e10]])
+        p = FlowProblem(dim=2, drift=np.zeros((2, 2)), diffusion=b, horizon=1.0, steps=3)
+        with pytest.raises(ValueError, match="increments of letter 3 must be finite"):
+            flows_module._check_entries(p, [-1e300, 2.0])
+
+    @pytest.mark.parametrize(
+        "dW", [[1e308, 0.0, -1e308, 0.0], [-1e308, 0.0, 1e308, 0.0]], ids=["up-down", "down-up"]
+    )
+    def test_a_streamed_letter_is_checked_once_the_chunks_end(self, monkeypatch, dW):
+        # letter 2 moves by -1e308 + dW and letter 3 by 1e308 + dW: one
+        # overflows on each chunk's cells, so only dW's least and greatest
+        # value over every chunk names letter 2 in both orders
+        p = FlowProblem(
+            dim=2,
+            drift=np.array([[0.0, -1e308], [1e308, 0.0]]),
+            diffusion=np.ones((2, 2)),
+            horizon=4.0,
+            steps=4,
+        )
+        words = [BracketWord([(1, 2, 3)])]
+        trie = flows_module._prefix_trie(words)
+        read = []
+
+        def drawn(problem, seed, paths):
+            for c0 in (0, 2):
+                read.append(c0)
+                yield np.array([dW[c0 : c0 + 2]])
+
+        def unstepped(problem, x, dW):
+            # the recursion's dM, with x left at the identity
+            yield flows_module._dM(problem, dW.T)
+
+        monkeypatch.setattr(flows_module, "_drawn", drawn)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with monkeypatch.context() as m:
+                m.setattr(flows_module, "_euler_steps", unstepped)
+                with pytest.raises(ValueError, match="increments of letter 2 must be finite"):
+                    flows_module._streamed_batch(p, 0, range(1), trie, words)
+            assert read == [0, 2]
+            # with x stepped, the Euler product's error comes first
+            with pytest.raises(FloatRangeError, match="Euler product must be finite"):
+                flows_module._streamed_batch(p, 0, range(1), trie, words)

@@ -23,7 +23,7 @@ from itoflow import (
     truncated_expm,
 )
 from itoflow import kernels
-from itoflow.flows import _entry_letters, _evaluate_matrix, brownian_increments
+from itoflow.flows import _evaluate_matrix, brownian_increments
 from itoflow.matrixseries import _log_plan, _merges
 from itoflow.verify import flow_problem
 
@@ -326,7 +326,8 @@ class TestMatrixLogExp:
         problem = flow_problem(2**12)
         paths = 16
         dW = brownian_increments(problem, 7, range(paths))
-        ev = Evaluator._affine(dW, _entry_letters(problem))
-        got = _evaluate_matrix(matrix_log(2, 4), ev, paths, "log series")
         a_dt, b = (x[:, :, None, None] for x in (problem.drift * problem.dt, problem.diffusion))
-        assert relative_gap(got, word_free_log(a_dt + b * dW, 4)) <= 1e-12
+        dM = a_dt + b * dW  # entry (i, j) of each cell's dM at dM[i, j]
+        ev = Evaluator({entry_letter(i + 1, j + 1, 2): dM[i, j] for i in (0, 1) for j in (0, 1)})
+        got = _evaluate_matrix(matrix_log(2, 4), ev, paths, "log series")
+        assert relative_gap(got, word_free_log(dM, 4)) <= 1e-12

@@ -118,7 +118,8 @@ class Evaluator:
 
         chunks yields the cells in time order, as _sweep reads them, and
         the words are swept from each chunk as it comes.  Nothing in the
-        chunks is checked: the caller checks what it feeds.
+        chunks is checked: a flow batch feeds its Euler recursion's dM
+        entries, which the check of that recursion's product covers.
         """
         ev = cls.__new__(cls)
         ev._bind(shape, dict.fromkeys(letters))

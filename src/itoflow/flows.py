@@ -29,8 +29,10 @@ batch wide enough for the Evaluator's sweep holds no dW: each path's
 increments are drawn about 1024 steps at a time, each drawn chunk steps
 the Euler recursion, and each dM chunk the recursion formed is swept as
 the entry letters' increments, after one transposing copy.  A 64-path
-C10 batch's traced peak is 2.8 MB at 2^12 and at 2^14 steps.  The series
-routes and a narrower batch form each entry letter whole from dW.
+C10 batch's traced peak is 2.8 MB at 2^12 and at 2^14 steps.  Its letters
+are dM's entries bit for bit, so its Euler product's check covers them.
+The series routes and a narrower batch form each entry letter whole from
+dW, and Evaluator names one that overflows.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ class FlowProblem:
 def _drawn(problem: FlowProblem, seed: int, path_indices: Sequence[int]):
     """Scalar Brownian increments, one row per path index, keyed per path,
     yielded _DRAW_STEPS steps at a time as (paths, steps in the chunk)
-    arrays in time order.  Each row continues its path's own generator, so
-    the chunks, joined, are the bits of one draw of all the steps."""
+    arrays in time order, finite as dt is.  Each row continues its path's
+    own generator, so the chunks, joined, are one draw of all the steps."""
     rngs = [rng_for(seed, p, 0) for p in path_indices]
     scale = np.sqrt(problem.dt)
     # with no path there is nothing to draw, however many steps
@@ -130,26 +132,17 @@ def _entry_increments(dM: np.ndarray) -> dict[int, np.ndarray]:
     return {entry_letter(i + 1, j + 1, d): entries[i, j] for i in range(d) for j in range(d)}
 
 
-def _check_entries(problem: FlowProblem, ends) -> None:
-    """ValueError naming the first entry letter that is not finite at ends,
-    dW's least and greatest value.  x -> a + x b is monotone under
-    rounding, so a letter is finite on every step if and only if it is
-    finite at both ends."""
-    for k, inc in _entry_increments(_dM(problem, np.asarray(ends))).items():
-        _finite(f"increments of letter {k}", inc)
-
-
 def _euler_steps(problem: FlowProblem, x: np.ndarray, dW: np.ndarray):
     """Advance the (paths, d, d) stack x in place by the left-point Euler
     recursion X <- X + X dM over the steps of dW, shaped (paths, steps),
     and yield each chunk's (steps in the chunk, paths, d, d) dM stack
     once x has stepped over it.
 
-    The steps' dM are formed a chunk of steps at a time, as one
-    contiguous stack.  Each step's dM is then a contiguous (paths, d, d)
-    array, as one formed on its own would be, so the matmul runs the same
-    kernel and rounds the same way; and where dW's steps are split
-    changes no step.
+    The steps' dM are formed a chunk of steps at a time, by one broadcast
+    over the transposed dW that numpy lays out paths-major, so no step's
+    (paths, d, d) dM is contiguous; but each d x d matrix has unit inner
+    strides, as one formed alone would, so the matmul makes the same
+    per-matrix call and rounds the same way, wherever dW's steps split.
     """
     xdm = np.empty_like(x)
     chunk = max(1, _STEP_FLOATS // max(x.size, 1))
@@ -200,27 +193,22 @@ def _streamed_batch(
     """The Euler flows of one batch, and the words' terminals, with its
     increments drawn a chunk of steps at a time and never held whole.
 
-    Each drawn chunk of dW is checked finite and steps the Euler
-    recursion, and each dM stack the recursion formed is then swept as the
-    entry letters' increments.  The checks come in the order the whole-dW
-    route makes them: dW, then the Euler product once the last chunk is
-    stepped, then each letter at dW's least and greatest value.
+    Each drawn chunk of dW steps the Euler recursion, and each dM stack
+    the recursion formed is then swept as the entry letters' increments.
+    Only the Euler product is checked, once the last chunk is stepped: a
+    letter past the float range is a non-finite dM entry, which leaves
+    every row of the product non-finite from that step on.
     """
     x = _identities((len(paths), problem.dim, problem.dim))
 
     def fed():
-        ends = [np.inf, -np.inf]
         for dW in _drawn(problem, seed, paths):
-            dW = _finite("dW", dW)
-            ends = [min(ends[0], dW.min()), max(ends[1], dW.max())]
             for dms in _euler_steps(problem, x, dW):
                 yield _entry_increments(dms)
         _finite("Euler product", x, FloatRangeError)
-        _check_entries(problem, ends)
 
-    shape = (len(paths), problem.steps)
-    # entry_letter numbers the entries 1 to dim**2
-    letters = range(1, problem.dim**2 + 1)
+    shape, d = (len(paths), problem.steps), problem.dim
+    letters = [entry_letter(i, j, d) for i in range(1, d + 1) for j in range(1, d + 1)]
     with np.errstate(over="ignore", invalid="ignore"):
         ev = Evaluator._streamed(shape, letters, trie, words, fed())
     return x, ev

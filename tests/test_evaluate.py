@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import itoflow.evaluate as evaluate_module
+import itoflow.flows as flows_module
 from itoflow import (
     BracketWord,
     DriverSpec,
@@ -531,8 +532,9 @@ class TestMemory:
         assert peak < 2 * path_bytes
 
     def test_flow_batch_peaks_below_three_increments_arrays(self):
-        # one C10 batch of 64 paths: the letters are formed a chunk at a
-        # time from dW, so the batch keeps dW and no whole letter array
+        # one C10 batch of 64 paths, past the sweep's crossover: it draws dW
+        # a chunk of steps at a time, so it holds neither dW nor a whole
+        # letter array, and dW's size is only the yardstick
         problem = FlowProblem(
             dim=2,
             drift=np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -548,8 +550,25 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # four whole letter arrays and their temporaries read about 6x
+        # it read 1.33x; dW whole, with its four letters formed whole, read about 9x
         assert peak < 3 * dW_bytes
+
+    def test_a_narrow_flow_batch_peaks_below_two_dM_stacks(self, monkeypatch):
+        # 6 rows of C10's words are below the sweep's crossover, so the batch
+        # holds dW whole and forms the whole dM stack and its letters' copy,
+        # dim**2 floats each per dW float: it read 9.45x dW's size
+        monkeypatch.setattr(flows_module, "_streamed_batch", refuse)
+        problem = flow_problem(2**14)
+        dW_bytes = brownian_increments(problem, 3, range(6)).nbytes
+        compare_flows(problem, [1, 2, 3], 6, 3)  # memos and symbolic series warm
+        tracemalloc.start()
+        try:
+            compare_flows(problem, [1, 2, 3], 6, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a third whole stack would add dim**2 more
+        assert peak < (2 * problem.dim**2 + 2) * dW_bytes
 
     def test_a_streamed_flow_batch_peak_does_not_grow_with_its_steps(self):
         # 64 rows x C10's 166 trie nodes is past the sweep's crossover, so a

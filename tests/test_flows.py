@@ -1,6 +1,7 @@
 """Linear matrix flows: reference solver, truncations, comparison study."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from itoflow import (
     entry_letter,
     flow_reference,
     make_grid,
+    matrix_ito_taylor,
     rng_for,
     truncated_expm,
 )
@@ -493,17 +495,16 @@ class TestLettersFormedFromDW:
                 flow_from_taylor(p, 2, dW)
 
 
-def one_entry_problem(offset, scale):
-    """Entry (1, 2), letter 2, moves by offset + scale * dW; dt is 1, so
-    the offset is the drift itself, and every other letter is 0."""
-    drift, diffusion = np.zeros((2, 2)), np.zeros((2, 2))
-    drift[0, 1], diffusion[0, 1] = offset, scale
-    return FlowProblem(dim=2, drift=drift, diffusion=diffusion, horizon=1.0, steps=1)
+# values that overflow a letter or the Euler product, or neither
+EXTREMES = [0.0, 1.0, -1.0, 1e300, -1e300, 1.7e308, -1.7e308, 1.7976931348623157e308]
+
+
+extreme_floats = st.one_of(st.sampled_from(EXTREMES), st.floats(-1.7e308, 1.7e308))
 
 
 class TestEntryLetters:
-    """Entry (i, j) of dM is letter entry_letter(i, j, dim), and each
-    letter is checked at dW's least and greatest value."""
+    """Entry (i, j) of dM is letter entry_letter(i, j, dim); a streamed
+    batch's letters are covered by its Euler product's check."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_each_letter_reads_its_entry_contiguously(self, dim):
@@ -517,45 +518,46 @@ class TestEntryLetters:
                 assert inc.flags.c_contiguous
                 assert inc.tobytes() == dM[:, :, i, j].tobytes()
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        dW=arrays(
-            np.float64,
-            st.tuples(st.integers(1, 3), st.integers(1, 4)),
-            elements=st.one_of(
-                st.sampled_from([0.0, 1.0, -1.0, 9e307, -9e307, 1.7976931348623157e308]),
-                st.floats(-1.7e308, 1.7e308),
-            ),
-        ),
-        offset=st.one_of(st.sampled_from([0.0, 1e308, -1e308]), st.floats(-1.7e308, 1.7e308)),
-        scale=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0]), st.floats(-4.0, 4.0)),
-    )
-    def test_finite_check_agrees_with_every_cell(self, dW, offset, scale):
-        p = one_entry_problem(offset, scale)
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(offset + scale * dW).all()
-        ends = [dW.min(), dW.max()]
-        if finite:
-            flows_module._check_entries(p, ends)
-        else:
-            with pytest.raises(ValueError, match="increments of letter 2 must be finite"):
-                flows_module._check_entries(p, ends)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), paths=st.integers(1, 3), steps=st.integers(2, 4))
+    def test_a_streamed_batch_refuses_exactly_a_non_finite_letter_or_product(
+        self, data, dim, paths, steps
+    ):
+        matrix = arrays(np.float64, (dim, dim), elements=extreme_floats)
+        drift, diffusion = data.draw(matrix), data.draw(matrix)
+        dW = data.draw(arrays(np.float64, (paths, steps), elements=extreme_floats))
+        cut = data.draw(st.integers(1, steps - 1))
+        p = FlowProblem(dim=dim, drift=drift, diffusion=diffusion, horizon=1.0, steps=steps)
+        words = flows_module._series_words([matrix_ito_taylor(dim, 2)])
+        trie = flows_module._prefix_trie(words)
 
-    def test_an_overflowing_letter_is_named(self):
-        # letters 3 and 4 overflow at dW = -1e300, letter 2 does not: the
-        # first in entry order is named
-        b = np.array([[1.0, 1.0], [-1e10, 1e10]])
-        p = FlowProblem(dim=2, drift=np.zeros((2, 2)), diffusion=b, horizon=1.0, steps=3)
-        with pytest.raises(ValueError, match="increments of letter 3 must be finite"):
-            flows_module._check_entries(p, [-1e300, 2.0])
+        def drawn(problem, seed, path_indices):
+            yield dW[:, :cut]
+            yield dW[:, cut:]
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            letters = [drift[i, j] * p.dt + dW * diffusion[i, j] for i, j in np.ndindex(dim, dim)]
+            oracle = reference_flow(p, dW)
+        finite_letters = all(np.isfinite(inc).all() for inc in letters)
+        with warnings.catch_warnings(), mock.patch.object(flows_module, "_drawn", drawn):
+            warnings.simplefilter("error")
+            if finite_letters and np.isfinite(oracle).all():
+                x, _ = flows_module._streamed_batch(p, 0, range(paths), trie, words)
+                assert x.tobytes() == oracle.tobytes()
+            else:
+                # a non-finite letter is a non-finite dM entry, so the
+                # product is never finite after it
+                assert not np.isfinite(oracle).all()
+                with pytest.raises(FloatRangeError, match="^Euler product must be finite"):
+                    flows_module._streamed_batch(p, 0, range(paths), trie, words)
 
     @pytest.mark.parametrize(
         "dW", [[1e308, 0.0, -1e308, 0.0], [-1e308, 0.0, 1e308, 0.0]], ids=["up-down", "down-up"]
     )
     def test_a_streamed_letter_is_checked_once_the_chunks_end(self, monkeypatch, dW):
         # letter 2 moves by -1e308 + dW and letter 3 by 1e308 + dW: one
-        # overflows on each chunk's cells, so only dW's least and greatest
-        # value over every chunk names letter 2 in both orders
+        # overflows on each chunk's cells, and the Euler product's check
+        # reports it once every chunk is read
         p = FlowProblem(
             dim=2,
             drift=np.array([[0.0, -1e308], [1e308, 0.0]]),
@@ -572,18 +574,9 @@ class TestEntryLetters:
                 read.append(c0)
                 yield np.array([dW[c0 : c0 + 2]])
 
-        def unstepped(problem, x, dW):
-            # the recursion's dM, with x left at the identity
-            yield flows_module._dM(problem, dW.T)
-
         monkeypatch.setattr(flows_module, "_drawn", drawn)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with monkeypatch.context() as m:
-                m.setattr(flows_module, "_euler_steps", unstepped)
-                with pytest.raises(ValueError, match="increments of letter 2 must be finite"):
-                    flows_module._streamed_batch(p, 0, range(1), trie, words)
-            assert read == [0, 2]
-            # with x stepped, the Euler product's error comes first
             with pytest.raises(FloatRangeError, match="Euler product must be finite"):
                 flows_module._streamed_batch(p, 0, range(1), trie, words)
+        assert read == [0, 2]

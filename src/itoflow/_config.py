@@ -8,9 +8,9 @@ operations will attempt; callers that need more raise them for one block
 with ``with caps(weight=..., grade=...):``.  The caps live in a ContextVar,
 so they hold per thread or context, and the block's end restores them.
 
-Every argument check of the library is one of five rules here: _count
-for integers, _decimal and _float for integers and floats written as
-text, _typed for plain types and _finite for float inputs.
+Every argument check of the library is one of six rules here: _count
+for integers, _decimal, _int and _float (the last two through _ascii) for
+numbers written as text, _typed for plain types and _finite for floats.
 """
 
 from __future__ import annotations
@@ -64,10 +64,10 @@ def _count(name: str, value, least: int = 1) -> int:
 def _decimal(text: str) -> int | None:
     """The positive int that text writes in ASCII decimal digits, else None.
 
-    The one reading of an integer written as text: word and surjection
-    literals, CSV driver columns and CLI lists.  str.isdigit and int()
-    would also take other scripts' digits, superscripts, signs, spaces
-    and underscores; leading zeros are kept, so 'x01' names letter 1.
+    The one reading of a positive integer written as text: word and
+    surjection literals, CSV driver columns and CLI lists.  str.isdigit
+    and int() would also take other scripts' digits, superscripts, signs,
+    spaces and underscores; leading zeros are kept, so 'x01' is letter 1.
     Each caller raises its own error, with the position it knows.
     """
     if text.isascii() and text.isdigit() and int(text) >= 1:
@@ -75,17 +75,23 @@ def _decimal(text: str) -> int | None:
     return None
 
 
-def _float(text: str) -> float:
-    """The float that text writes in ASCII, else ValueError.
-
-    The one reading of a float written as text, as numpy's CSV reader
-    reads a field: CLI float flags, and the rescan that names a bad CSV
-    row.  float() alone would also take other scripts' digits and
-    underscores; ASCII text reads as float() reads it.
-    """
+def _ascii(text: str, read, noun: str):
+    """read(text) if text is ASCII with no underscore, else ValueError: the one
+    precondition of int(), float() and Fraction() on text, which alone would
+    also take other scripts' digits and underscores."""
     if text.strip().isascii() and "_" not in text:
-        return float(text)
-    raise ValueError(f"{text!r} is not a float written in ASCII")
+        return read(text)
+    raise ValueError(f"{text!r} is not {noun} written in ASCII")
+
+
+def _int(text: str) -> int:
+    """The int, sign included, that text writes in ASCII: CLI integer flags."""
+    return _ascii(text, int, "an int")
+
+
+def _float(text: str) -> float:
+    """The float that text writes in ASCII: CLI float flags and CSV fields."""
+    return _ascii(text, float, "a float")
 
 
 def _typed(name: str, value, *types):

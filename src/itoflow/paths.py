@@ -270,10 +270,13 @@ def bundle_to_csv(bundle: PathBundle) -> str:
 
 
 def bundle_from_csv(text: str) -> PathBundle:
-    """Inverse of bundle_to_csv; blank lines are skipped, and a field that
-    is not a float or a row of another width raises ValueError naming it."""
-    lines = io.StringIO(text)
-    header = next(csv.reader(lines), None)
+    """Inverse of bundle_to_csv, in one csv pass that skips blank lines and reads
+    each field by _float; a bad field, width or line raises ValueError naming it."""
+    reader, rows = csv.reader(io.StringIO(text)), []
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ValueError(f"CSV header: {exc}") from None
     if header is None:
         raise ValueError("empty CSV: expected a 't,x<letter>,...' header and data rows")
     if not header or header[0] != "t":
@@ -286,25 +289,16 @@ def bundle_from_csv(text: str) -> PathBundle:
         if letter in letters:
             raise ValueError(f"driver column {name!r} repeats driver letter {letter}")
         letters.append(letter)
-    body = lines.read()
-    if not body.strip():
-        raise ValueError("CSV has a header but no data rows")
-    width = 1 + len(letters)
     try:
-        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, quotechar='"', ndmin=2)
-    except ValueError:
-        # numpy counts rows two ways: rescan, and name the first bad row from 1
-        for i, row in enumerate(filter(None, csv.reader(io.StringIO(body))), 1):
-            try:
-                if len(row) != width:
-                    raise ValueError(f"width {len(row)}, the header's {width}")
-                list(map(_float, row))
-            except ValueError as exc:
-                raise ValueError(f"CSV data row {i}: {exc}") from None
-        raise
-    if table.shape[1] != width:
-        raise ValueError(f"CSV rows have {table.shape[1]} fields, the header {width}")
-    return _from_table(letters, table)
+        for row in filter(None, reader):  # data rows count from 1, blank lines not at all
+            if len(row) != len(header):
+                raise ValueError(f"width {len(row)}, the header's {len(header)}")
+            rows.append(list(map(_float, row)))
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"CSV data row {len(rows) + 1}: {exc}") from None
+    if not rows:
+        raise ValueError("CSV has a header but no data rows")
+    return _from_table(letters, np.array(rows))
 
 
 def bundle_to_binary(bundle: PathBundle) -> bytes:

@@ -20,7 +20,7 @@ from math import lcm
 from operator import is_
 from typing import Iterable, Iterator, Mapping, Union
 
-from ._config import _count, _decimal, _typed
+from ._config import _ascii, _count, _decimal, _typed
 
 Block = tuple  # sorted tuple of positive ints
 
@@ -214,20 +214,20 @@ def frac_to_json(c: Fraction) -> dict:
 
 
 def frac_from_json(obj) -> Fraction:
-    """Inverse of frac_to_json; also reads an int or a fraction string.
+    """Inverse of frac_to_json; also reads an int or an ASCII fraction string.
 
     A float or a bool is refused with ValueError: JSON numbers with a
     fraction part are binary floats, not the exact rational meant.
     """
     if isinstance(obj, dict):
-        return Fraction(int(_exact(obj["num"])), int(_exact(obj["den"])))
-    return Fraction(_exact(obj))
+        return Fraction(_exact(obj["num"], int), _exact(obj["den"], int))
+    return _exact(obj, Fraction)
 
 
-def _exact(x):
+def _exact(x, read):
     if isinstance(x, (bool, float)):
         raise ValueError(f"inexact JSON coefficient {x!r}; write integers as strings")
-    return x
+    return _ascii(x, read, "a JSON coefficient") if isinstance(x, str) else read(x)
 
 
 @contextmanager

@@ -508,6 +508,37 @@ def test_a_horizon_that_is_not_ascii_exits_2(capsys, command, text):
     assert "argument --horizon: invalid" in err and repr(text) in err
 
 
+INT_FLAGS = ["--dim", "--steps", "--paths", "--grade", "--order", "--seed", "--max-grade", "--path-index"]
+# each integer flag of each command, after the arguments that command needs
+INT_FLAG_USES = [
+    pytest.param(
+        [command] + {"qsh": ["1"], "verify": ["flow"]}.get(command, []), flag, id=f"{command} {flag}"
+    )
+    for command, flags in OPTIONS.items()
+    for flag in flags
+    if flag in INT_FLAGS
+]
+
+
+@pytest.mark.parametrize("text", ["\u0662", "1_0"])
+@pytest.mark.parametrize("argv, flag", INT_FLAG_USES)
+def test_an_integer_flag_that_is_not_ascii_exits_2(capsys, argv, flag, text):
+    """int() alone would read other scripts' digits and underscores."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + [flag, text])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid" in err and repr(text) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", INT_FLAG_USES)
+def test_an_ascii_integer_flag_reads_as_int_reads_it(argv, flag):
+    for text in ["12", " +7 ", "-3", "007"]:
+        args = build_parser().parse_args(argv + [flag, text])
+        assert getattr(args, flag[2:].replace("-", "_")) == int(text)
+
+
 @pytest.mark.parametrize("as_json", [False, True])
 @pytest.mark.parametrize("deterministic", [False, True])
 def test_a_report_is_stamped_unless_deterministic_and_written_in_its_form(

@@ -1,14 +1,18 @@
 """Logarithm of the identity series in the surjection algebra."""
 
 from fractions import Fraction
+from functools import cache
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 
 from itoflow import (
     CapExceeded,
+    Expansion,
     SurjElement,
     Surjection,
+    apply_element,
     caps,
     descent_sum_within,
     diamond,
@@ -18,9 +22,11 @@ from itoflow import (
     log_identity_closed_form,
     log_identity_series,
     log_identity_subset_form,
+    qsh,
     strichartz_restriction,
     subset_alternating_sum,
 )
+from itoflow.verify import words_up_to
 
 
 def closed_coeff(f: Surjection) -> Fraction:
@@ -147,3 +153,25 @@ class TestLogSolvesFixedPoint:
             fact *= k
             acc = acc + Fraction(1, fact) * power
         assert acc == identity_series(grade)
+
+
+def test_the_log_element_is_the_first_eulerian_idempotent():
+    """e_1 = log*(id), the log element acting on each word by its part of
+    the word's length, kills every qsh product of two nonempty words and is
+    idempotent (Loday 1994; Hoffman and Ihara 2017, "Quasi-shuffle products
+    revisited"). Only qsh and apply_element are read, not the descent law."""
+    log = log_identity_closed_form(4)
+
+    @cache
+    def e1_word(w):
+        return apply_element(log.restrict(len(w)), w)
+
+    def e1(x):
+        return Expansion.sum(e1_word(w) * c for w, c in x)
+
+    words = [w for weight, ws in words_up_to(4).items() if weight for w in ws]
+    # qsh commutes, so the 390 unordered pairs stand for all 762 ordered ones
+    pairs = [(u, v) for u, v in combinations_with_replacement(words, 2) if u.weight + v.weight <= 4]
+    assert (len(words), len(pairs)) == (445, 390)
+    assert [(u, v) for u, v in pairs if e1(qsh(u, v))] == []
+    assert [w for w in words if e1(e1_word(w)) != e1_word(w)] == []

@@ -431,23 +431,42 @@ class TestSerialization:
         [
             ("t,x1\n0,0\n1\n2,2\n", "^CSV data row 2: width 1, the header's 2$"),
             ("t,x1\n0,0\n1,abc\n", "^CSV data row 2: could not convert string to float: 'abc'$"),
-            ("t,x1,x2\n0,0\n1,1\n", "^CSV rows have 2 fields, the header 3$"),
+            ("t,x1,x2\n0,0\n1,1\n", "^CSV data row 1: width 2, the header's 3$"),
             ("t,x1\n0,0\n1,1_000\n", "^CSV data row 2: '1_000' is not a float written in ASCII$"),
             ("t,x1\n0,0\n1,\u0661\n", "^CSV data row 2: '\u0661' is not a float written in ASCII$"),
             ("t,x1\r\n\r\n0,0\r\n\r\n\r\n1,2\r\n2,x\r\n", "^CSV data row 3: could not"),
             ("t,x1\n0,0\n\n1,2\n\n2,2,2\n", "^CSV data row 3: width 3, the header's 2$"),
+            ("t,x1\r0,0\r1,1\r", "^CSV header: new-line character seen in unquoted field"),
+            ("t,x1\n0,0\r1,1\n", "^CSV data row 1: new-line character seen in unquoted field"),
         ],
         ids=[
             "ragged", "abc", "narrower-than-header", "underscore", "arabic-indic-digit",
             "blank-lines-not-counted", "ragged-after-blank-lines",
+            "bare-cr-in-the-header", "bare-cr-in-a-row",
         ],
     )
     def test_csv_bad_row_is_a_value_error_naming_it(self, text, message):
         """One count of data rows, from 1: the header and blank lines are
-        not counted, and numpy's own messages do not pass through."""
+        not counted, and a csv.Error is a ValueError naming its row too."""
         with pytest.raises(ValueError, match=message) as info:
             bundle_from_csv(text)
         assert "usecols" not in str(info.value) and info.value.__cause__ is None
+
+    @given(bundles(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_csv_one_character_edit_is_a_bundle_or_a_value_error(self, b, data):
+        """The CSV twin of the binary bit flip: a character inserted, replaced
+        or deleted anywhere, a line break, quote, NUL or non-ASCII digit
+        included, gives a bundle or a ValueError, never a csv.Error."""
+        text = bundle_to_csv(b)
+        at, cut = data.draw(st.integers(0, len(text))), data.draw(st.integers(0, 1))
+        char = data.draw(st.sampled_from([*',\n\r"0123456789x\x00\u0661', ""]))
+        edited = text[:at] + char + text[at + cut :]
+        try:
+            result = bundle_from_csv(edited)
+        except ValueError:
+            return
+        assert isinstance(result, PathBundle)
 
     @pytest.mark.parametrize("name", ["x²", "x١", "x+1", "x 1", "x0", "x"])
     def test_csv_driver_column_is_x_and_ascii_digits(self, name):

@@ -94,11 +94,11 @@ def test_public_functions_take_no_private_parameter():
 
 def _inline_check(node):
     """An np.isfinite call, an isinstance(x, bool), or a str.isdigit,
-    isdecimal or isnumeric call: the checks that _config._finite,
-    _config._count and _config._decimal make."""
+    isdecimal, isnumeric or isascii call: the checks that _config._finite,
+    _config._count, _config._decimal and _config._ascii make."""
     if not isinstance(node, ast.Call):
         return False
-    if _callee_name(node) in ("isfinite", "isdigit", "isdecimal", "isnumeric"):
+    if _callee_name(node) in ("isfinite", "isdigit", "isdecimal", "isnumeric", "isascii"):
         return True
     return (
         _callee_name(node) == "isinstance"
@@ -109,8 +109,8 @@ def _inline_check(node):
 
 
 def test_argument_checks_live_in_config():
-    # _count checks integers, _decimal integers written as text and _finite
-    # float inputs; a copy elsewhere drifts
+    # _count checks integers, _decimal and _ascii numbers written as text and
+    # _finite float inputs; a copy elsewhere drifts
     found = [
         f"{path.relative_to(ROOT)}:{node.lineno}"
         for path in sorted((ROOT / "src" / "itoflow").rglob("*.py"))

@@ -88,10 +88,39 @@ def test_inexact_coefficients_are_refused(coeff):
 
 @pytest.mark.parametrize(
     "coeff, value",
-    [({"num": "-3", "den": "4"}, Fraction(-3, 4)), (7, Fraction(7)), ("2/6", Fraction(1, 3))],
+    [
+        ({"num": "-3", "den": "4"}, Fraction(-3, 4)),
+        ({"num": 12, "den": " 8 "}, Fraction(3, 2)),
+        (7, Fraction(7)),
+        ("2/6", Fraction(1, 3)),
+        ("-0.25", Fraction(-1, 4)),
+    ],
 )
 def test_exact_coefficients_are_read(coeff, value):
     assert frac_from_json(coeff) == value
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [
+        {"num": "\u0661\u0662", "den": "1"},
+        {"num": "1", "den": "1_0"},
+        "1_000",
+        "\u0661/\u0662",
+        "0.\u0665",
+        "\uff11",
+    ],
+    ids=[
+        "arabic-indic-num", "underscore-den", "underscore",
+        "arabic-indic-fraction", "arabic-indic-decimal", "fullwidth",
+    ],
+)
+def test_coefficient_strings_that_are_not_ascii_are_refused(coeff):
+    """int() and Fraction() alone would read other scripts' digits and underscores."""
+    with pytest.raises(ValueError, match="is not a JSON coefficient written in ASCII"):
+        frac_from_json(coeff)
+    with pytest.raises(ValueError):
+        Expansion.from_json_dict({"terms": [{"word": [[1]], "coeff": coeff}]})
 
 
 def _matrix_blob():

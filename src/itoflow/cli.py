@@ -41,16 +41,32 @@ LOG_FORMS = {
     "strichartz": strichartz_restriction,
 }
 
+
+def _flag_reader(read):
+    """read as an argparse type: a text it refuses exits 2 with its own
+    message, such as the ASCII rule's, not "invalid <function> value"."""
+
+    def flag(text: str):
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return flag
+
+
+_int_flag, _float_flag = _flag_reader(_int), _flag_reader(_float)
+
 FLAGS = {
     "--json": dict(action="store_true", help="emit JSON instead of text"),
     "--out": dict(metavar="FILE", help="write output to FILE"),
     "--max-grade": dict(
-        type=_int,
+        type=_int_flag,
         metavar="N",
         help="set the surjection-grade cap to N and raise the word-weight cap "
         "to at least N, for this call only",
     ),
-    "--seed": dict(type=_int, default=argparse.SUPPRESS, help="master seed"),
+    "--seed": dict(type=_int_flag, default=argparse.SUPPRESS, help="master seed"),
     "--deterministic": dict(action="store_true", help="suppress the timestamp field in reports"),
 }
 OUTPUT_FLAGS = ("--json", "--out", "--max-grade")
@@ -214,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_qsh)
 
     p = sub.add_parser("surj-log", help="log of the identity series of surjections")
-    p.add_argument("--grade", type=_int, default=4)
+    p.add_argument("--grade", type=_int_flag, default=4)
     p.add_argument(
         "--form", choices=tuple(LOG_FORMS), default="closed", help="strichartz: bijection part only"
     )
@@ -222,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_surj_log)
 
     p = sub.add_parser("logflow", help="flow-map log templates")
-    p.add_argument("--order", type=_int, default=3)
+    p.add_argument("--order", type=_int_flag, default=3)
     p.add_argument(
         "--continuous",
         action="store_true",
@@ -232,17 +248,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_logflow)
 
     p = sub.add_parser("matrix-log", help="entry-wise log of a linear matrix flow")
-    p.add_argument("--dim", type=_int, default=2)
-    p.add_argument("--order", type=_int, default=3)
+    p.add_argument("--dim", type=_int_flag, default=2)
+    p.add_argument("--order", type=_int_flag, default=3)
     p.add_argument("--taylor", action="store_true", help="emit the flow series instead")
     _flags(p, OUTPUT_FLAGS)
     p.set_defaults(fn=cmd_matrix_log)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=tuple(SUITES))
-    p.add_argument("--grade", type=_int, default=argparse.SUPPRESS)
-    p.add_argument("--steps", type=_int, default=argparse.SUPPRESS)
-    p.add_argument("--paths", type=_int, default=argparse.SUPPRESS)
+    p.add_argument("--grade", type=_int_flag, default=argparse.SUPPRESS)
+    p.add_argument("--steps", type=_int_flag, default=argparse.SUPPRESS)
+    p.add_argument("--paths", type=_int_flag, default=argparse.SUPPRESS)
     _flags(p, REPORT_FLAGS)
     p.set_defaults(fn=cmd_verify)
 
@@ -252,18 +268,18 @@ def build_parser() -> argparse.ArgumentParser:
         default="brownian:1.0",
         help="comma list like brownian:1.0,poisson:2.0,drift:1.0 (letters 1..n)",
     )
-    p.add_argument("--horizon", type=_float, default=1.0)
-    p.add_argument("--steps", type=_int, default=1024)
-    p.add_argument("--path-index", type=_int, default=argparse.SUPPRESS)
+    p.add_argument("--horizon", type=_float_flag, default=1.0)
+    p.add_argument("--steps", type=_int_flag, default=1024)
+    p.add_argument("--path-index", type=_int_flag, default=argparse.SUPPRESS)
     _flags(p, ("--out", "--seed"))
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("flow-compare", help="strong-error study of the flow routes")
-    p.add_argument("--dim", type=_int, default=argparse.SUPPRESS)
+    p.add_argument("--dim", type=_int_flag, default=argparse.SUPPRESS)
     p.add_argument("--orders", default="1,2,3")
-    p.add_argument("--horizon", type=_float, default=argparse.SUPPRESS)
-    p.add_argument("--steps", type=_int, default=16384)
-    p.add_argument("--paths", type=_int, default=1000)
+    p.add_argument("--horizon", type=_float_flag, default=argparse.SUPPRESS)
+    p.add_argument("--steps", type=_int_flag, default=16384)
+    p.add_argument("--paths", type=_int_flag, default=1000)
     p.add_argument("--drift", help="matrix as rows 'a,b;c,d'")
     p.add_argument("--diffusion", help="matrix as rows 'a,b;c,d'")
     _flags(p, REPORT_FLAGS)

@@ -241,9 +241,11 @@ class Evaluator:
         current cell; node 0 is the empty word, all ones.  Per cell, every
         node's parent value is gathered, multiplied by the node's block
         product (its letters' increments multiplied in order) and added to
-        the node's value.  Where chunks split the cells changes no value's
-        operations.  An unbound letter raises before any chunk is read,
-        with nothing cached.
+        the node's value.  A block whose prefix is a block too continues
+        that prefix's product, which each chunk forms first, so it makes
+        the same multiplications in the same order.  Where chunks split
+        the cells changes no value's operations.  An unbound letter raises
+        before any chunk is read, with nothing cached.
         """
         nodes = list(trie)[1:]
         # blocks, and their letters, in the order the stack route would first
@@ -251,6 +253,10 @@ class Evaluator:
         blocks = {b: k for k, b in enumerate(dict.fromkeys(key[-1] for key in nodes))}
         letters = dict.fromkeys(letter for b in blocks for letter in b)
         self._letters(letters)
+        # (block, its slot, its prefix's slot if that prefix is a block too),
+        # shortest block first, so a prefix's product is formed before the
+        # blocks that continue it
+        plan = [(b, blocks[b], blocks.get(b[:-1])) for b in sorted(blocks, key=len)]
         parent = np.array([trie[key[:-1]] for key in nodes], dtype=np.intp)
         block = np.array([blocks[key[-1]] for key in nodes], dtype=np.intp)
         rows, cells = prod(self.shape[:-1]), self.shape[-1]
@@ -267,11 +273,14 @@ class Evaluator:
                 c1 = min(c0 + step, end)
                 # each letter's cells made contiguous once, for every block on it
                 incs = {letter: np.ascontiguousarray(chunk[letter][c0:c1]) for letter in letters}
-                for b, k in blocks.items():
+                for b, k, prefix in plan:
                     out = products[: c1 - c0, k]
-                    np.copyto(out, incs[b[0]])
-                    for letter in b[1:]:
-                        np.multiply(out, incs[letter], out=out)
+                    if prefix is None:
+                        np.copyto(out, incs[b[0]])
+                        for letter in b[1:]:
+                            np.multiply(out, incs[letter], out=out)
+                    else:
+                        np.multiply(products[: c1 - c0, prefix], incs[b[-1]], out=out)
                 for i in range(c1 - c0):
                     # mode="clip" writes straight into out; "raise" buffers it.
                     # The methods skip np.take's Python wrapper, ~1 us a call.

@@ -24,15 +24,17 @@ scheme mismatch.
 
 Entry (i, j) of dM is the increment of one letter of the series,
 entry_letter(i, j, dim), and moves by A[i,j] dt + B[i,j] dW on each step.
-The Euler recursion forms dM a chunk of steps at a time.  A compare_flows
-batch wide enough for the Evaluator's sweep holds no dW: each path's
+One helper, _letter_increments, forms dM letter-major, as a contiguous
+(dim, dim) stack of the letters' increments, on both routes.  The Euler
+recursion forms it a chunk of steps at a time.  A compare_flows batch
+wide enough for the Evaluator's sweep holds no dW: each path's
 increments are drawn about 1024 steps at a time, each drawn chunk steps
-the Euler recursion, and each dM chunk the recursion formed is swept as
-the entry letters' increments, after one transposing copy.  A 64-path
-C10 batch's traced peak is 2.8 MB at 2^12 and at 2^14 steps.  Its letters
-are dM's entries bit for bit, so its Euler product's check covers them.
-The series routes and a narrower batch form each entry letter whole from
-dW, and Evaluator names one that overflows.
+the Euler recursion, and each letter stack the recursion formed is swept
+as it is, with no copy.  A 64-path C10 batch's traced peak is 2.8 MB at
+2^12 and at 2^14 steps.  Its letters are dM's entries bit for bit, so
+its Euler product's check covers them.  The series routes and a narrower
+batch form the stack whole from dW, and Evaluator names a letter that
+overflows.
 """
 
 from __future__ import annotations
@@ -115,46 +117,53 @@ def _check_increments(problem: FlowProblem, dW) -> np.ndarray:
     return dW
 
 
-def _dM(problem: FlowProblem, dW: np.ndarray) -> np.ndarray:
-    """The matrix increment drift dt + dW diffusion at each value of dW,
-    shaped dW.shape + (dim, dim).  An overflow is left, unwarned, to the
-    caller's range check."""
+def _letter_increments(problem: FlowProblem, dW: np.ndarray) -> np.ndarray:
+    """The matrix increment drift dt + diffusion dW at each value of dW,
+    letter-major: a C-contiguous (dim, dim) + dW.shape stack whose [i, j]
+    is the increments of letter entry_letter(i + 1, j + 1, dim), each
+    contiguous too.  An overflow is left, unwarned, to the caller's range
+    check."""
+    d = problem.dim
+    # a streamed chunk's dW is a transposed view: the broadcast reads a
+    # contiguous copy of it about twice as fast
+    dW = np.ascontiguousarray(dW)
+    stack = np.empty((d, d) + dW.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        return problem.drift * problem.dt + dW[..., None, None] * problem.diffusion
+        np.multiply(problem.diffusion[:, :, None, None], dW, out=stack)
+        np.add(stack, (problem.drift * problem.dt)[:, :, None, None], out=stack)
+    return stack
 
 
-def _entry_increments(dM: np.ndarray) -> dict[int, np.ndarray]:
-    """Each entry letter's increments in a (..., d, d) stack of dM, made
-    contiguous by one transposing copy: letter entry_letter(i, j, d) moves
-    by entry (i, j) of each matrix."""
-    d = dM.shape[-1]
-    entries = np.ascontiguousarray(np.moveaxis(dM, (-2, -1), (0, 1)))
-    return {entry_letter(i + 1, j + 1, d): entries[i, j] for i in range(d) for j in range(d)}
+def _letters(stack: np.ndarray) -> dict[int, np.ndarray]:
+    """Each entry letter's increments in a letter-major stack: a view of
+    stack[i, j] for letter entry_letter(i + 1, j + 1, d)."""
+    d = stack.shape[0]
+    return {entry_letter(i + 1, j + 1, d): stack[i, j] for i in range(d) for j in range(d)}
 
 
 def _euler_steps(problem: FlowProblem, x: np.ndarray, dW: np.ndarray):
     """Advance the (paths, d, d) stack x in place by the left-point Euler
     recursion X <- X + X dM over the steps of dW, shaped (paths, steps),
-    and yield each chunk's (steps in the chunk, paths, d, d) dM stack
-    once x has stepped over it.
+    and yield each chunk's entry letters, contiguous (steps in the chunk,
+    paths) views of its letter stack, once x has stepped over the chunk.
 
-    The steps' dM are formed a chunk of steps at a time, by one broadcast
-    over the transposed dW that numpy lays out paths-major, so no step's
-    (paths, d, d) dM is contiguous; but each d x d matrix has unit inner
-    strides, as one formed alone would, so the matmul makes the same
+    The steps' dM are formed a chunk of steps at a time, letter-major, and
+    x steps over one matrix-major contiguous copy of the chunk, so each
+    step's (paths, d, d) dM is contiguous.  Each d x d matrix has unit
+    inner strides, as one formed alone would, so the matmul makes the same
     per-matrix call and rounds the same way, wherever dW's steps split.
     """
     xdm = np.empty_like(x)
     chunk = max(1, _STEP_FLOATS // max(x.size, 1))
     for m0 in range(0, dW.shape[1], chunk):
-        dms = _dM(problem, dW[:, m0 : m0 + chunk].T)
+        stack = _letter_increments(problem, dW[:, m0 : m0 + chunk].T)
         # finite inputs can still overflow: that is reported once, as
         # FloatRangeError, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for dm in dms:
+            for dm in np.ascontiguousarray(stack.transpose(2, 3, 0, 1)):
                 np.matmul(x, dm, out=xdm)
                 np.add(x, xdm, out=x)
-        yield dms
+        yield _letters(stack)
 
 
 def _identities(shape: tuple) -> np.ndarray:
@@ -193,18 +202,18 @@ def _streamed_batch(
     """The Euler flows of one batch, and the words' terminals, with its
     increments drawn a chunk of steps at a time and never held whole.
 
-    Each drawn chunk of dW steps the Euler recursion, and each dM stack
-    the recursion formed is then swept as the entry letters' increments.
-    Only the Euler product is checked, once the last chunk is stepped: a
-    letter past the float range is a non-finite dM entry, which leaves
-    every row of the product non-finite from that step on.
+    Each drawn chunk of dW steps the Euler recursion, and each letter
+    stack the recursion formed is then swept, each letter a contiguous
+    (steps, paths) view of it, with no copy.  Only the Euler product is
+    checked, once the last chunk is stepped: a letter past the float
+    range is a non-finite dM entry, which leaves every row of the product
+    non-finite from that step on.
     """
     x = _identities((len(paths), problem.dim, problem.dim))
 
     def fed():
         for dW in _drawn(problem, seed, paths):
-            for dms in _euler_steps(problem, x, dW):
-                yield _entry_increments(dms)
+            yield from _euler_steps(problem, x, dW)
         _finite("Euler product", x, FloatRangeError)
 
     shape, d = (len(paths), problem.steps), problem.dim
@@ -224,10 +233,12 @@ def _series_flows(ev: Evaluator, paths: int, taylor: dict, logs: dict) -> tuple:
 
 
 def _whole_series_flows(problem: FlowProblem, dW: np.ndarray, taylor: dict, logs: dict) -> tuple:
-    """_series_flows on the checked dW, held whole: every word's terminal
-    is evaluated in one terminals call, and an overflow there is reported
-    by the range check of the series that reads it."""
-    ev = Evaluator(_entry_increments(_dM(problem, dW)))
+    """_series_flows on the checked dW, held whole: the Evaluator holds the
+    (paths, steps) letters of one letter stack formed from the whole dW,
+    every word's terminal is evaluated in one terminals call, and an
+    overflow there is reported by the range check of the series that
+    reads it."""
+    ev = Evaluator(_letters(_letter_increments(problem, dW)))
     with np.errstate(over="ignore", invalid="ignore"):
         ev.terminals(_series_words([*taylor.values(), *logs.values()]))
     return _series_flows(ev, dW.shape[0], taylor, logs)

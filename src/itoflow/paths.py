@@ -269,14 +269,24 @@ def bundle_to_csv(bundle: PathBundle) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_fault(exc: Exception) -> str:
+    """exc's message, but for a carriage return that does not end its line,
+    named as such: csv's own message advises universal-newline mode."""
+    text = str(exc)
+    if text.startswith("new-line character seen in unquoted field"):
+        return "a stray carriage return: a line ends in \\n or \\r\\n"
+    return text
+
+
 def bundle_from_csv(text: str) -> PathBundle:
-    """Inverse of bundle_to_csv, in one csv pass that skips blank lines and reads
-    each field by _float; a bad field, width or line raises ValueError naming it."""
-    reader, rows = csv.reader(io.StringIO(text)), []
+    """Inverse of bundle_to_csv, in one strict csv pass that skips blank lines
+    and reads each field by _float; a bad field, width or line, an unclosed
+    quote included, raises ValueError naming it."""
+    reader, rows = csv.reader(io.StringIO(text), strict=True), []
     try:
         header = next(reader, None)
     except csv.Error as exc:
-        raise ValueError(f"CSV header: {exc}") from None
+        raise ValueError(f"CSV header: {_csv_fault(exc)}") from None
     if header is None:
         raise ValueError("empty CSV: expected a 't,x<letter>,...' header and data rows")
     if not header or header[0] != "t":
@@ -295,7 +305,7 @@ def bundle_from_csv(text: str) -> PathBundle:
                 raise ValueError(f"width {len(row)}, the header's {len(header)}")
             rows.append(list(map(_float, row)))
     except (ValueError, csv.Error) as exc:
-        raise ValueError(f"CSV data row {len(rows) + 1}: {exc}") from None
+        raise ValueError(f"CSV data row {len(rows) + 1}: {_csv_fault(exc)}") from None
     if not rows:
         raise ValueError("CSV has a header but no data rows")
     return _from_table(letters, np.array(rows))

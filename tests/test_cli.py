@@ -505,31 +505,55 @@ def test_a_horizon_that_is_not_ascii_exits_2(capsys, command, text):
         main([command, "--horizon", text, "--steps", "4"])
     assert exit_.value.code == 2
     err = capsys.readouterr().err
-    assert "argument --horizon: invalid" in err and repr(text) in err
+    assert f"argument --horizon: {text!r} is not a float written in ASCII" in err
 
 
 INT_FLAGS = ["--dim", "--steps", "--paths", "--grade", "--order", "--seed", "--max-grade", "--path-index"]
-# each integer flag of each command, after the arguments that command needs
-INT_FLAG_USES = [
-    pytest.param(
-        [command] + {"qsh": ["1"], "verify": ["flow"]}.get(command, []), flag, id=f"{command} {flag}"
-    )
-    for command, flags in OPTIONS.items()
-    for flag in flags
-    if flag in INT_FLAGS
-]
+FLOAT_FLAGS = ["--horizon"]
+
+
+def flag_uses(names):
+    """Each of the named flags of each command, after the arguments that command needs."""
+    return [
+        pytest.param(
+            [command] + {"qsh": ["1"], "verify": ["flow"]}.get(command, []),
+            flag,
+            id=f"{command} {flag}",
+        )
+        for command, flags in OPTIONS.items()
+        for flag in flags
+        if flag in names
+    ]
+
+
+INT_FLAG_USES = flag_uses(INT_FLAGS)
+
+
+def refusal(capsys, argv) -> str:
+    """The stderr of a command line that argparse refuses with exit code 2."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    return capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["\u0662", "1_0"])
 @pytest.mark.parametrize("argv, flag", INT_FLAG_USES)
 def test_an_integer_flag_that_is_not_ascii_exits_2(capsys, argv, flag, text):
-    """int() alone would read other scripts' digits and underscores."""
-    with pytest.raises(SystemExit) as exit_:
-        main(argv + [flag, text])
-    assert exit_.value.code == 2
-    err = capsys.readouterr().err
-    assert f"argument {flag}: invalid" in err and repr(text) in err
-    assert "Traceback" not in err
+    """int() alone would read other scripts' digits and underscores; the
+    refusal names the ASCII rule, not the private function that reads it."""
+    err = refusal(capsys, argv + [flag, text])
+    assert f"argument {flag}: {text!r} is not an int written in ASCII" in err
+    assert "Traceback" not in err and "_int" not in err
+
+
+@pytest.mark.parametrize("text", ["\u0662", "1_0"])
+@pytest.mark.parametrize("argv, flag", flag_uses(FLOAT_FLAGS))
+def test_a_float_flag_that_is_not_ascii_exits_2(capsys, argv, flag, text):
+    """The float twin: the refusal names the ASCII rule, not _float."""
+    err = refusal(capsys, argv + [flag, text])
+    assert f"argument {flag}: {text!r} is not a float written in ASCII" in err
+    assert "Traceback" not in err and "_float" not in err
 
 
 @pytest.mark.parametrize("argv, flag", INT_FLAG_USES)

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import itoflow.evaluate as evaluate_module
@@ -367,6 +367,12 @@ class TestSweepAgainstOracle:
         seed=st.integers(min_value=0, max_value=2**16),
         words=st.lists(sweep_words, min_size=1, max_size=10),
     )
+    # block (1,1) comes before its prefix block (1,) in trie order, so a
+    # product grown from its prefix's must wait for that prefix to be formed
+    @example(
+        batch=3, cells=7, sweep_floats=None, zero_letter=None, seed=0,
+        words=[BracketWord([(1, 1), (1,), (1, 1)])],
+    )
     def test_terminals_are_bit_identical(
         self, batch, cells, sweep_floats, zero_letter, seed, words
     ):
@@ -555,8 +561,9 @@ class TestMemory:
 
     def test_a_narrow_flow_batch_peaks_below_two_dM_stacks(self, monkeypatch):
         # 6 rows of C10's words are below the sweep's crossover, so the batch
-        # holds dW whole and forms the whole dM stack and its letters' copy,
-        # dim**2 floats each per dW float: it read 9.45x dW's size
+        # holds dW whole and forms one letter-major stack of its dim**2
+        # letters, with no copy; with the stack route's word paths on them
+        # it read 9.45x dW's size
         monkeypatch.setattr(flows_module, "_streamed_batch", refuse)
         problem = flow_problem(2**14)
         dW_bytes = brownian_increments(problem, 3, range(6)).nbytes

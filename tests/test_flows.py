@@ -506,17 +506,31 @@ class TestEntryLetters:
     """Entry (i, j) of dM is letter entry_letter(i, j, dim); a streamed
     batch's letters are covered by its Euler product's check."""
 
+    @pytest.mark.parametrize("streamed", [True, False], ids=["steps-paths", "paths-steps"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_each_letter_reads_its_entry_contiguously(self, dim):
-        # a (steps, paths, dim, dim) stack as the Euler recursion yields it
-        dM = np.random.default_rng(dim).normal(size=(5, 3, dim, dim))
-        letters = flows_module._entry_increments(dM)
+    def test_each_letter_reads_its_entry_contiguously(self, dim, streamed):
+        # a streamed chunk is the transposed (steps, paths) view of the
+        # drawn dW, as the Euler recursion forms it; the whole route's dW is
+        # (paths, steps)
+        rng = np.random.default_rng(dim)
+        p = FlowProblem(
+            dim=dim,
+            drift=rng.normal(size=(dim, dim)),
+            diffusion=rng.normal(size=(dim, dim)),
+            horizon=0.3,
+            steps=5,
+        )
+        dW = rng.normal(size=(3, 5))
+        if streamed:
+            dW = dW.T
+        letters = flows_module._letters(flows_module._letter_increments(p, dW))
         assert sorted(letters) == list(range(1, dim * dim + 1))
         for i in range(dim):
             for j in range(dim):
                 inc = letters[entry_letter(i + 1, j + 1, dim)]
-                assert inc.flags.c_contiguous
-                assert inc.tobytes() == dM[:, :, i, j].tobytes()
+                assert inc.shape == dW.shape and inc.flags.c_contiguous
+                expected = p.drift[i, j] * p.dt + p.diffusion[i, j] * dW
+                assert inc.tobytes() == np.ascontiguousarray(expected).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 3), paths=st.integers(1, 3), steps=st.integers(2, 4))

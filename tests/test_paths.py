@@ -436,13 +436,15 @@ class TestSerialization:
             ("t,x1\n0,0\n1,\u0661\n", "^CSV data row 2: '\u0661' is not a float written in ASCII$"),
             ("t,x1\r\n\r\n0,0\r\n\r\n\r\n1,2\r\n2,x\r\n", "^CSV data row 3: could not"),
             ("t,x1\n0,0\n\n1,2\n\n2,2,2\n", "^CSV data row 3: width 3, the header's 2$"),
-            ("t,x1\r0,0\r1,1\r", "^CSV header: new-line character seen in unquoted field"),
-            ("t,x1\n0,0\r1,1\n", "^CSV data row 1: new-line character seen in unquoted field"),
+            ("t,x1\r0,0\r1,1\r", r"^CSV header: a stray carriage return: a line ends in \\n or"),
+            ("t,x1\n0,0\r1,1\n", "^CSV data row 1: a stray carriage return"),
+            ('t,x1\n0,0\n1,"1\n', "^CSV data row 2: unexpected end of data$"),
+            ('t,x1\n0,0\n1,"1"x\n', "^CSV data row 2: .* expected after "),
         ],
         ids=[
             "ragged", "abc", "narrower-than-header", "underscore", "arabic-indic-digit",
             "blank-lines-not-counted", "ragged-after-blank-lines",
-            "bare-cr-in-the-header", "bare-cr-in-a-row",
+            "bare-cr-in-the-header", "bare-cr-in-a-row", "unclosed-quote", "text-after-a-quote",
         ],
     )
     def test_csv_bad_row_is_a_value_error_naming_it(self, text, message):

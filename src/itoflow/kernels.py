@@ -9,7 +9,7 @@ class machinery.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations, compress, count
 from operator import ge, itemgetter
 
@@ -17,6 +17,36 @@ from ._config import DEFAULT_GRADE_CAP, DEFAULT_WEIGHT_CAP
 
 # Kept for callers that record it in run metadata; there is no other backend.
 BACKEND = "python"
+
+
+def _kept(cap, size):
+    """Keep-or-rebuild, the one rule for every memo of these kernels.
+
+    The decorated build is kept, in an lru_cache of at most size entries
+    reachable as .kept, for every shape whose sizes sum to at most cap:
+    exactly the shapes the default caps reach.  A larger shape, reachable
+    only under a raised cap, is built on each call and dropped, so a raised
+    cap never grows a memo.  The default caps fill grade_table with 6
+    tables, 0.52 MiB (arity 7 alone would keep 5.1 MiB), _lattice_plan
+    with 28 shapes and 1664 picks, 0.26 MiB, and diamond_plan with 45
+    shapes, 0.44 MiB (the (7, 7) plan alone would keep 17 MiB), all by
+    tracemalloc.  No build calls an exported kernel, so a traced run makes
+    the same kernel calls on a cold memo as on a warm one.  Every caller
+    checks its cap before reading a memo, so a lowered cap still raises
+    CapExceeded on a kept shape.
+    """
+
+    def keep(build):
+        kept = lru_cache(maxsize=size)(build)
+
+        @wraps(build)
+        def read(*shape):
+            return kept(*shape) if sum(shape) <= cap else build(*shape)
+
+        read.kept = kept
+        return read
+
+    return keep
 
 
 def pack_word(values):
@@ -83,34 +113,16 @@ def _surjections(n, k):
     return out
 
 
+@_kept(DEFAULT_GRADE_CAP, 8)
 def grade_table(n):
     """The surjections of arity n onto any k in (k, lex) order, and beside
     them their descent counts, as two tuples of plain tuples and ints.
 
-    The only cache of these tables, under the rule of qsh_words' plans:
-    arities within DEFAULT_GRADE_CAP are kept, at most 8 tables, least
-    recently used dropped first; a larger one, reachable only under a
-    raised grade cap, is built on each call and dropped.  Every caller
-    checks n against the grade cap first.  The enumeration and descent
-    rule are those of surjections and descent_count, reached without
-    calling them: as with diamond_plan, filling a table calls no other
-    kernel, so a traced run makes the same kernel calls on a cold table
-    as on a warm one.
+    The only cache of these tables.  The enumeration and descent rule are
+    those of surjections and descent_count, reached without calling them.
     """
-    return _kept_grade_table(n) if n <= DEFAULT_GRADE_CAP else _grade_table(n)
-
-
-def _grade_table(n):
     surjs = tuple(f for k in range(n + 1) for f in _surjections(n, k))
     return surjs, tuple(map(_descents, surjs))
-
-
-@lru_cache(maxsize=8)
-def _kept_grade_table(n):
-    """_grade_table(n), kept.  grade_table calls it only for n within
-    DEFAULT_GRADE_CAP: arities 1 to 6 take 0.52 MiB together, by
-    tracemalloc (arity 7 alone would keep 5.1 MiB)."""
-    return _grade_table(n)
 
 
 def qsh_words(u, v):
@@ -123,20 +135,17 @@ def qsh_words(u, v):
     merge.  The paths depend only on the two lengths, so each shape's
     picks come from _lattice_plan: every call forms its len(u) * len(v)
     merged blocks once and applies every pick to (*u, *v, *merges).
-    Shapes within DEFAULT_WEIGHT_CAP letters in all are planned once and
-    kept; a larger one, reachable only under a raised weight cap, is
-    planned on each call and dropped.
     """
     nu, nv = len(u), len(v)
     if nu == 0:
         return [tuple(v)]
     if nv == 0:
         return [tuple(u)]
-    plan = _kept_lattice_plan(nu, nv) if nu + nv <= DEFAULT_WEIGHT_CAP else _lattice_plan(nu, nv)
     blocks = (*u, *v, *[tuple(sorted(x + y)) for x in u for y in v])
-    return [pick(blocks) for pick in plan]
+    return [pick(blocks) for pick in _lattice_plan(nu, nv)]
 
 
+@_kept(DEFAULT_WEIGHT_CAP, 32)
 def _lattice_plan(a, b):
     """Picks of every lattice path of shape (a, b), a, b >= 1, as a tuple.
 
@@ -151,8 +160,6 @@ def _lattice_plan(a, b):
     This enumeration shares no code with diamond_plan, which the
     surjection route reads, so qsh_via_surjections stays an independent
     check of qsh; the two turn index tuples into picks by one _picker.
-    It calls no exported kernel, so a traced run makes the same kernel
-    calls on a cold memo as on a warm one.
     """
     row = [[tuple(range(a, a + j))] for j in range(b + 1)]
     for i in range(1, a + 1):
@@ -166,13 +173,6 @@ def _lattice_plan(a, b):
             )
         row = cur
     return tuple(map(_picker, row[b]))
-
-
-@lru_cache(maxsize=32)
-def _kept_lattice_plan(a, b):
-    """_lattice_plan(a, b), kept.  qsh_words calls it only for a + b within
-    DEFAULT_WEIGHT_CAP: 28 shapes, 1664 picks, 0.26 MiB by tracemalloc."""
-    return _lattice_plan(a, b)
 
 
 def apply_to_blocks(f, blocks):
@@ -222,25 +222,19 @@ def _pick(term, k, l):
     return _picker([slot[x] for x in range(1, len(slot) + 1)])
 
 
+@_kept(DEFAULT_WEIGHT_CAP, 64)
 def diamond_plan(k, l):
     """Index pairs of every surjection product of shape (k, l), in term order.
 
     One tuple alpha + beta per pair of strictly increasing maps
     alpha: [k] -> [r] and beta: [l] -> [r] whose images jointly cover [r].
     The pairs depend only on the targets k and l, so they are enumerated
-    once per shape: shapes within DEFAULT_WEIGHT_CAP in all, every one the
-    default caps reach, are kept, as qsh_words keeps its plans; a larger
-    one, reachable only under a raised cap, is built on each call and
-    dropped.  For identity operands the entries are the terms
+    once per shape.  For identity operands the entries are the terms
     themselves: alpha o id = alpha.  Returns (values, picks): the value
     tuples, and beside each a selector that, applied to the tuple
     (*u, *v, *(block_product(a, b) for a in u for b in v)) of two words
     of lengths k and l, returns the term's word as a tuple of blocks.
     """
-    return _kept_diamond_plan(k, l) if k + l <= DEFAULT_WEIGHT_CAP else _diamond_plan(k, l)
-
-
-def _diamond_plan(k, l):
     out = []
     for r in range(max(k, l), k + l + 1):
         universe = range(1, r + 1)
@@ -252,14 +246,6 @@ def _diamond_plan(k, l):
             for extra in combinations(free, l - len(need)):
                 out.append(alpha + tuple(sorted(need + list(extra))))
     return tuple(out), tuple(_pick(term, k, l) for term in out)
-
-
-@lru_cache(maxsize=64)
-def _kept_diamond_plan(k, l):
-    """_diamond_plan(k, l), kept.  diamond_plan calls it only for k + l
-    within DEFAULT_WEIGHT_CAP: 45 shapes, 0.44 MiB by tracemalloc (the
-    (7, 7) plan alone would keep 17 MiB)."""
-    return _diamond_plan(k, l)
 
 
 def diamond_words(f, g):

@@ -101,14 +101,12 @@ def qsh_via_surjections(u: WordLike, v: WordLike) -> Expansion:
     surjections, so the enumeration is shared with the surjection algebra.
 
     The terms depend only on the shape (n, m): they are the entries of
-    kernels.diamond_plan(n, m), enumerated once per shape and kept for
-    every shape the default weight cap allows (a larger one is built on
-    each call and dropped), each term beside its pick: the term's blocks
-    as indices into u's blocks, v's blocks and the merges of a block of u
-    with a block of v, which are worked out once per call.  The weight cap is
-    checked before the memo is read, so a memoized shape still raises
-    CapExceeded when the cap is lowered.  Each word's count is its
-    numerator, over 1, and every word has weight |u| + |v|.
+    kernels.diamond_plan(n, m), enumerated once per shape, each term
+    beside its pick: the term's blocks as indices into u's blocks, v's
+    blocks and the merges of a block of u with a block of v, which are
+    worked out once per call.  The weight cap is checked before the plan
+    is read.  Each word's count is its numerator, over 1, and every word
+    has weight |u| + |v|.
     """
     u, v = as_word(u), as_word(v)
     weight = check_weight(u.weight + v.weight)

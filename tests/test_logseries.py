@@ -175,3 +175,36 @@ def test_the_log_element_is_the_first_eulerian_idempotent():
     assert (len(words), len(pairs)) == (445, 390)
     assert [(u, v) for u, v in pairs if e1(qsh(u, v))] == []
     assert [w for w in words if e1(e1_word(w)) != e1_word(w)] == []
+
+
+def test_the_log_element_starts_the_eulerian_idempotents():
+    """e_2 = (e_1 diamond e_1)/2 and e_3 = (e_2 diamond e_1)/3, with
+    e_1 = log*(id), are orthogonal idempotents, and e_1 + e_2 + e_3 is the
+    identity on words of at most 3 blocks, where every e_k with k > 3 acts
+    as 0 (Loday 1994; Hoffman 2000, "Quasi-shuffle products").  An element
+    acts on a word by its part of the word's length; only diamond and
+    apply_element are read, not the descent law."""
+    e1 = log_identity_closed_form(4)
+    e2 = Fraction(1, 2) * diamond(e1, e1, max_grade=4)
+    e3 = Fraction(1, 3) * diamond(e2, e1, max_grade=4)
+    idempotents = (e1, e2, e3)
+
+    @cache
+    def act(k, w):
+        return apply_element(idempotents[k].restrict(len(w)), w)
+
+    def acted(k, x):
+        return Expansion.sum(act(k, w) * c for w, c in x)
+
+    words = [w for weight, ws in words_up_to(4).items() if weight for w in ws if len(w) <= 3]
+    assert len(words) == 364
+    failed = [
+        (w, "sum") for w in words if Expansion.sum(act(k, w) for k in range(3)) != Expansion.of(w)
+    ]
+    for w in words:
+        for j in range(3):
+            for k in range(3):
+                image = act(k, w)
+                if acted(j, image) != (image if j == k else Expansion.zero()):
+                    failed.append((w, j + 1, k + 1))
+    assert failed == []

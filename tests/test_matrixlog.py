@@ -1,6 +1,7 @@
 """Matrix-valued series: the flow expansion and its entry-wise logarithm."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -248,6 +249,59 @@ class TestTaylorSeries:
     def test_grading_by_order(self):
         for order in (1, 2, 3):
             assert matrix_ito_taylor(2, order).max_weight() == order
+
+
+def _block_mean(block, a, b, dim):
+    """E[dI_block]/dt when dM_xy = A_xy dt + B_xy dW: A_xy for a one-letter
+    block m_xy, the bracket B_xy B_zw for a two-letter block, 0 for any
+    longer one."""
+    entries = [divmod(letter - 1, dim) for letter in block]
+    if len(entries) == 1:
+        return a[entries[0][0]][entries[0][1]]
+    if len(entries) == 2:
+        (x, y), (z, w) = entries
+        return b[x][y] * b[z][w]
+    return 0
+
+
+@pytest.mark.parametrize(("dim", "order"), [(2, 3), (3, 2)])
+def test_second_moments_obey_the_linear_sde_law(dim, order):
+    """The quasi-shuffle lift of X_ij X_kl, taken in expectation, is the
+    second-moment equation of dX = X dM with dM = A dt + B dW: E[X (x) X]
+    solves dY = Y G dt, G = A (x) I + I (x) A + B (x) B (Arnold 1974).  A
+    word of n blocks has E[I_w] = c(w) t^n / n!, c(w) the product of its
+    blocks' means, so the t^n coefficient of E[X_ij X_kl], times n!, is
+    the sum of coeff(w) c(w) over the n-block words of qsh(T_ij, T_kl),
+    and must be (G^n) at row (i, k), column (j, l).  Only words of
+    weight <= n reach it, so T = matrix_ito_taylor(dim, order) gives it
+    exactly for n <= order."""
+    rng = random.Random(0)
+    a, b = (
+        [[Fraction(rng.randint(-3, 3), 5) for _ in range(dim)] for _ in range(dim)]
+        for _ in range(2)
+    )
+    pairs = list(itertools.product(range(dim), repeat=2))
+    eye = [[int(x == y) for y in range(dim)] for x in range(dim)]
+    g = [
+        [a[i][j] * eye[k][l] + eye[i][j] * a[k][l] + b[i][j] * b[k][l] for j, l in pairs]
+        for i, k in pairs
+    ]
+    powers = [[[int(r == c) for c in range(len(pairs))] for r in range(len(pairs))]]
+    for _ in range(order):
+        last = powers[-1]
+        powers.append([[sum(x * y for x, y in zip(row, col)) for col in zip(*g)] for row in last])
+    t = matrix_ito_taylor(dim, order)
+    mismatches = []
+    for (r, (i, k)), (c, (j, l)) in itertools.product(enumerate(pairs), repeat=2):
+        moments = [0] * (order + 1)
+        for w, coeff in qsh(t[i + 1, j + 1], t[k + 1, l + 1]):
+            if len(w) <= order:
+                mean = 1
+                for block in w:
+                    mean *= _block_mean(block, a, b, dim)
+                moments[len(w)] += coeff * mean
+        mismatches += [(i, j, k, l, n) for n in range(order + 1) if moments[n] != powers[n][r][c]]
+    assert mismatches == []
 
 
 class TestMatrixLogExp:

@@ -263,7 +263,7 @@ def test_surjection_route_checks_the_cap_on_a_memoized_shape():
 
 
 def test_surjection_route_memo_is_bounded():
-    memo = kernels._kept_diamond_plan
+    memo = kernels.diamond_plan.kept
     memo.cache_clear()
     for n in range(9):
         for m in range(9 - n):
@@ -280,10 +280,10 @@ def test_surjection_route_keeps_no_shape_past_the_default_cap():
     """Under a raised cap a 9-letter shape is planned on each call and
     dropped; the kept memo holds only shapes within the default cap."""
     u, v = BracketWord.from_letters(1, 2, 3, 4, 5), BracketWord.from_letters(2, 3, 4, 5)
-    before = kernels._kept_diamond_plan.cache_info()
+    before = kernels.diamond_plan.kept.cache_info()
     with caps(weight=16):
         assert qsh_via_surjections(u, v) == qsh(u, v)
-    assert kernels._kept_diamond_plan.cache_info() == before
+    assert kernels.diamond_plan.kept.cache_info() == before
     assert kernels.diamond_plan(5, 4) is not kernels.diamond_plan(5, 4)
     assert kernels.diamond_plan(4, 4) is kernels.diamond_plan(4, 4)
 
@@ -329,7 +329,7 @@ def refuse(*args):
 
 def test_surjection_route_does_not_use_qsh_words(monkeypatch):
     monkeypatch.setattr(quasishuffle, "qsh_words", refuse)
-    kernels._kept_diamond_plan.cache_clear()
+    kernels.diamond_plan.kept.cache_clear()
     got = qsh_via_surjections(
         BracketWord.from_letters(1, 2), BracketWord.from_letters(3, 4)
     )
@@ -339,22 +339,22 @@ def test_surjection_route_does_not_use_qsh_words(monkeypatch):
 
 def test_surjection_route_does_not_use_the_lattice_planner(monkeypatch):
     u, v = BracketWord.from_letters(1, 2), BracketWord.from_letters(3, 4)
+    kernels._lattice_plan.kept.cache_clear()
     monkeypatch.setattr(kernels, "_lattice_plan", refuse)
-    kernels._kept_lattice_plan.cache_clear()
     with pytest.raises(AssertionError, match="refused"):
         qsh(u, v)  # the patch bites
-    kernels._kept_diamond_plan.cache_clear()
+    kernels.diamond_plan.kept.cache_clear()
     assert qsh_via_surjections(u, v) == TWO_BY_TWO
 
 
 def test_the_lattice_route_does_not_use_diamond_plan(monkeypatch):
     u, v = BracketWord.from_letters(1, 2), BracketWord.from_letters(3, 4)
-    kernels._kept_diamond_plan.cache_clear()
+    kernels.diamond_plan.kept.cache_clear()
     monkeypatch.setattr(kernels, "diamond_plan", refuse)
     monkeypatch.setattr(quasishuffle, "diamond_plan", refuse)
     with pytest.raises(AssertionError, match="refused"):
         qsh_via_surjections(u, v)  # the patch bites
-    kernels._kept_lattice_plan.cache_clear()
+    kernels._lattice_plan.kept.cache_clear()
     assert qsh(u, v) == TWO_BY_TWO
     # (1)(2) qsh (5): 125, 152, 512, [15]2, 1[25]
     five = Expansion((parse_word(w), 1) for w in ["125", "152", "512", "[15]2", "1[25]"])
@@ -414,29 +414,29 @@ class TestLatticePlan:
             if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "KERNELS"
         )
         assert "qsh_words" in recorded
-        expected = [lattice_paths(kernels._kept_lattice_plan(a, b), a, b) for a, b in KEPT_SHAPES]
+        expected = [lattice_paths(kernels._lattice_plan.kept(a, b), a, b) for a, b in KEPT_SHAPES]
         for name in recorded:
             monkeypatch.setattr(kernels, name, refuse)
-        kernels._kept_lattice_plan.cache_clear()
-        got = [lattice_paths(kernels._kept_lattice_plan(a, b), a, b) for a, b in KEPT_SHAPES]
+        kernels._lattice_plan.kept.cache_clear()
+        got = [lattice_paths(kernels._lattice_plan.kept(a, b), a, b) for a, b in KEPT_SHAPES]
         assert got == expected
 
     def test_the_default_shapes_fill_28_entries(self):
-        kernels._kept_lattice_plan.cache_clear()
+        kernels._lattice_plan.kept.cache_clear()
         for n in range(DEFAULT_WEIGHT_CAP + 1):
             for m in range(DEFAULT_WEIGHT_CAP + 1 - n):
                 qsh(BracketWord.from_letters(*[1] * n), BracketWord.from_letters(*[2] * m))
-        info = kernels._kept_lattice_plan.cache_info()
+        info = kernels._lattice_plan.kept.cache_info()
         assert info.currsize == len(KEPT_SHAPES) == 28
         assert info.currsize <= info.maxsize
-        assert sum(len(kernels._kept_lattice_plan(a, b)) for a, b in KEPT_SHAPES) == 1664
+        assert sum(len(kernels._lattice_plan.kept(a, b)) for a, b in KEPT_SHAPES) == 1664
 
     def test_a_shape_past_the_default_cap_is_not_kept(self):
         u, v = BracketWord.from_letters(1, 2, 1, 2, 1), BracketWord.from_letters(2, 1, 1, 2, 2)
-        before = kernels._kept_lattice_plan.cache_info().currsize
+        before = kernels._lattice_plan.kept.cache_info().currsize
         with caps(weight=12):
             assert qsh(u, v) == qsh_via_surjections(u, v)
-        assert kernels._kept_lattice_plan.cache_info().currsize == before
+        assert kernels._lattice_plan.kept.cache_info().currsize == before
 
     @pytest.mark.parametrize("index", [(), (2,), (3, 0, 3)])
     def test_every_pick_returns_a_tuple(self, index):

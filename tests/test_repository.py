@@ -1,6 +1,7 @@
 """Repository hygiene: no tracked file is one that .gitignore marks as
 generated, no library module rebinds a module-level name from a function,
-every library memo has a stated finite size, no public library function
+every library memo is kept by kernels._kept with a stated finite size,
+no public library function
 takes a private parameter, every argument check goes through
 itoflow._config, and no public name hides a submodule."""
 
@@ -52,10 +53,16 @@ def _callee_name(node):
     return target.id if isinstance(target, ast.Name) else None
 
 
-def _literal_maxsize(decorator):
+def _library_trees():
+    for path in sorted((ROOT / "src" / "itoflow").rglob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _literal_size(decorator):
+    """The size of a @_kept(cap, size) decorator, when it is an int literal."""
     if not isinstance(decorator, ast.Call):
-        return None  # bare @lru_cache / @cache: the size is not stated
-    given = [k.value for k in decorator.keywords if k.arg == "maxsize"] + decorator.args[:1]
+        return None
+    given = [k.value for k in decorator.keywords if k.arg == "size"] + decorator.args[1:2]
     if given and isinstance(given[0], ast.Constant):
         value = given[0].value
         if isinstance(value, int) and not isinstance(value, bool):
@@ -65,15 +72,59 @@ def _literal_maxsize(decorator):
 
 def test_library_memos_are_bounded():
     # a memo without a stated finite size grows with every distinct argument
-    found = [
-        f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
-        for path in sorted((ROOT / "src" / "itoflow").rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    kept = [
+        (f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}", _literal_size(d))
+        for path, tree in _library_trees()
+        for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for d in node.decorator_list
-        if _callee_name(d) in ("lru_cache", "cache") and _literal_maxsize(d) is None
+        if _callee_name(d) == "_kept"
     ]
+    assert kept, "no @_kept memo found"
+    assert [site for site, size in kept if size is None] == []
+
+
+MEMOS = ("lru_cache", "cache")
+
+
+def _memo_references(tree):
+    """Every use of functools.lru_cache or functools.cache in a module,
+    under any name an import binds to it."""
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {a.asname or a.name for a in node.names if a.name in MEMOS}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in names:
+            yield node
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in MEMOS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            yield node
+
+
+def test_every_library_memo_is_kept_by_one_rule():
+    # kernels._kept is the one keep-or-rebuild rule; a memo made elsewhere
+    # could keep shapes past the default caps, or state the rule again
+    found, homes = [], 0
+    for path, tree in _library_trees():
+        rule = set()
+        if path.name == "kernels.py":
+            home = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_kept"]
+            homes += len(home)
+            rule = {id(n) for h in home for n in ast.walk(h)}
+        found += [
+            f"{path.relative_to(ROOT)}:{node.lineno}"
+            for node in _memo_references(tree)
+            if id(node) not in rule
+        ]
     assert found == []
+    assert homes == 1
 
 
 def test_public_functions_take_no_private_parameter():

@@ -225,7 +225,7 @@ class TestGradeTable:
             lambda: log_flow_terms(alphabet, 4),
         ]
         warm = [call() for call in calls]
-        assert kernels._kept_grade_table.cache_info().currsize
+        assert kernels.grade_table.kept.cache_info().currsize
         with caps(grade=3):
             for call in calls:
                 with pytest.raises(CapExceeded, match="grade 4 exceeds cap 3"):
@@ -234,22 +234,22 @@ class TestGradeTable:
 
     def test_the_memo_is_bounded(self):
         """At most 8 tables, and only arities within the default grade cap."""
-        assert kernels._kept_grade_table.cache_info().maxsize == 8
-        before = kernels._kept_grade_table.cache_info()
+        assert kernels.grade_table.kept.cache_info().maxsize == 8
+        before = kernels.grade_table.kept.cache_info()
         with caps(grade=7):
             surjs, descents = kernels.grade_table(7)
             assert enumerate_grade(7) == list(surjs)
         assert len(descents) == sum(len(kernels.surjections(7, k)) for k in range(8))
-        assert kernels._kept_grade_table.cache_info() == before
+        assert kernels.grade_table.kept.cache_info() == before
 
     def test_one_table_per_arity(self):
         """The log element and both template modes read the same tables."""
-        kernels._kept_grade_table.cache_clear()
+        kernels.grade_table.kept.cache_clear()
         log_identity_closed_form(6)
         log_flow_terms(DriverAlphabet(1), 6)
         log_flow_terms(DriverAlphabet(1, continuous=False), 6)
         enumerate_grade(6)
-        assert kernels._kept_grade_table.cache_info().currsize == 6
+        assert kernels.grade_table.kept.cache_info().currsize == 6
 
     def test_filling_the_table_calls_no_exported_kernel(self, monkeypatch):
         """So a traced run makes the same kernel calls on a cold table as
@@ -263,7 +263,7 @@ class TestGradeTable:
             monkeypatch.setattr(kernels, name, refuse)
         monkeypatch.setattr(surjections_module, "_enumerate", refuse)
         monkeypatch.setattr(surjections_module, "_descent_count", refuse)
-        kernels._kept_grade_table.cache_clear()
+        kernels.grade_table.kept.cache_clear()
         assert [kernels.grade_table(n) for n in range(6)] == expected
 
 
@@ -341,7 +341,7 @@ def test_diamond_kernel_matches_brute_force():
     """Every (f, g) of arity sum <= 6, empty operands included: the kernel's
     terms are distinct and are exactly the arity-(n+m) surjections whose two
     blocks pack to f and g; the per-shape plan memo stays bounded."""
-    kernels._kept_diamond_plan.cache_clear()
+    kernels.diamond_plan.kept.cache_clear()
     for total in range(7):
         for n in range(total + 1):
             m = total - n
@@ -353,7 +353,7 @@ def test_diamond_kernel_matches_brute_force():
                     terms = kernels.diamond_words(f, g)
                     assert len(set(terms)) == len(terms), (f, g)
                     assert set(terms) == expected[f, g], (f, g)
-                    info = kernels._kept_diamond_plan.cache_info()
+                    info = kernels.diamond_plan.kept.cache_info()
                     assert info.maxsize is not None and info.currsize <= info.maxsize
 
 class TestDiamond:

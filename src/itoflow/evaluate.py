@@ -39,7 +39,8 @@ Each letter is held as one (rows, cells) array of its increments.  The
 sweep reads the cells in chunks, in time order, each chunk one
 (cells in the chunk, rows) array per letter, so Evaluator._streamed can
 sweep increments that are never held whole, each chunk made as it is read
-(the flow study's wide batches sweep the Euler recursion's dM so).
+(the flow study's wide batches sweep the Euler recursion's dM so).  The
+sweep helpers take the words and build their prefix trie from them.
 
 All core routines are shaped (..., cells): a batch axis in front
 evaluates many Monte Carlo paths in one sweep.
@@ -109,12 +110,10 @@ class Evaluator:
         self._bind(shape, {k: v.reshape(rows, shape[-1]) for k, v in incs.items()})
 
     @classmethod
-    def _streamed(
-        cls, shape: tuple, letters: Iterable[int], trie: dict, words: list, chunks
-    ) -> "Evaluator":
-        """An evaluator of the letters' increments, shaped shape, holding
-        only the sorted words' terminals, with trie their prefix trie; no
-        letter's increments are ever held whole.
+    def _streamed(cls, shape: tuple, words: list, chunks) -> "Evaluator":
+        """An evaluator shaped shape, holding only the sorted words'
+        terminals, of the letters the words use; no letter's increments
+        are ever held whole.
 
         chunks yields the cells in time order, as _sweep reads them, and
         the words are swept from each chunk as it comes.  Nothing in the
@@ -122,8 +121,8 @@ class Evaluator:
         entries, which the check of that recursion's product covers.
         """
         ev = cls.__new__(cls)
-        ev._bind(shape, dict.fromkeys(letters))
-        ev._sweep(trie, words, chunks)
+        ev._bind(shape, dict.fromkeys(letter for w in words for b in w for letter in b))
+        ev._sweep(words, chunks)
         return ev
 
     def _bind(self, shape: tuple, incs: dict) -> None:
@@ -224,15 +223,14 @@ class Evaluator:
         except KeyError:  # some word is not cached yet
             pass
         todo = sorted({w for w in words if w not in cache})
-        trie = _prefix_trie(todo)
-        if _sweeps(prod(self.shape[:-1]), trie):
-            self._sweep(trie, todo, [{k: inc.T for k, inc in self._incs.items()}])
+        if _sweeps(prod(self.shape[:-1]), todo):
+            self._sweep(todo, [{k: inc.T for k, inc in self._incs.items()}])
         else:
             for w in todo:
                 self.word_terminal(w)
         return [cache[w] for w in words]
 
-    def _sweep(self, trie: dict[tuple, int], words: list[BracketWord], chunks) -> None:
+    def _sweep(self, words: list[BracketWord], chunks) -> None:
         """Cache the words' terminals from one pass over the cells.
 
         chunks yields the cells in time order, a chunk at a time, each
@@ -247,6 +245,7 @@ class Evaluator:
         the cells changes no value's operations.  An unbound letter raises
         before any chunk is read, with nothing cached.
         """
+        trie = _prefix_trie(words)
         nodes = list(trie)[1:]
         # blocks, and their letters, in the order the stack route would first
         # build them, so an unbound letter is reported as that route reports it
@@ -320,10 +319,10 @@ class Evaluator:
         return out
 
 
-def _sweeps(rows: int, trie: dict[tuple, int]) -> bool:
-    """Whether the words of trie are swept, not built on the stack: rows x
-    trie nodes past the empty word reaches _SWEEP_WIDTH."""
-    return rows * (len(trie) - 1) >= _SWEEP_WIDTH
+def _sweeps(rows: int, words: Iterable[BracketWord]) -> bool:
+    """Whether the words are swept, not built on the stack: rows x the
+    nodes of their prefix trie past the empty word reaches _SWEEP_WIDTH."""
+    return rows * (len(_prefix_trie(words)) - 1) >= _SWEEP_WIDTH
 
 
 def _prefix_trie(words: Iterable[BracketWord]) -> dict[tuple, int]:

@@ -43,7 +43,11 @@ class DriverAlphabet:
     """Driver letters 1..n_primary and the standing vanishing assumptions.
 
     continuous: brackets of three or more factors vanish.
-    cross_brackets_zero: brackets of two distinct primary drivers vanish.
+    cross_brackets_zero: brackets of two distinct primary drivers vanish,
+        as they do for independent Brownian motions.  On a grid the
+        discrete bracket, the sum of dW1 dW2 over the cells, is not zero,
+        so an identity exact on the grid, in jump mode, needs
+        cross_brackets_zero=False.
     paired_qv: letter i + n_primary names the bracket of driver i with
         itself, so exact self-bracket blocks fold to a single letter and
         quadratic-variation letters count as two bracket factors.

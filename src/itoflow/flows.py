@@ -11,10 +11,10 @@ and B make the flow genuinely noncommutative.  Three routes to X_T:
                       a numeric matrix exponential
 
 compare_flows composes the three on shared batches.  Every series
-evaluation is one function, _series_flows; the two series routes and a
-compare_flows batch that holds dW whole reach it through
-_whole_series_flows.  Each route refuses its own float overflow on
-finite inputs with FloatRangeError.
+evaluation is one function, _series_flows, which reads the path count
+from its evaluator; the two series routes and a compare_flows batch that
+holds dW whole reach it through _whole_series_flows.  Each route refuses
+its own float overflow on finite inputs with FloatRangeError.
 
 On a shared grid the order-M Taylor evaluation equals the Euler
 product's terms of degree at most M in the increments (the product
@@ -45,7 +45,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._config import FloatRangeError, _count, _finite, _typed
-from .evaluate import Evaluator, _prefix_trie, _sweeps
+from .evaluate import Evaluator, _sweeps
 from .matrixseries import MatrixExpansion, entry_letter, matrix_ito_taylor, matrix_log
 from .paths import _check_horizon, rng_for
 
@@ -179,15 +179,16 @@ def flow_reference(problem: FlowProblem, dW: np.ndarray) -> np.ndarray:
     return _finite("Euler product", x, FloatRangeError)
 
 
-def _evaluate_matrix(me: MatrixExpansion, ev: Evaluator, paths: int, name: str) -> np.ndarray:
-    """me evaluated pathwise by ev, one (dim, dim) matrix per path; a
-    result past the float range raises FloatRangeError naming the series."""
-    d = me.dim
-    out = np.empty((paths, d, d))
+def _evaluate_matrix(grid, ev: Evaluator, name: str) -> np.ndarray:
+    """A square grid of expansions, as rows of entries, evaluated pathwise
+    by ev, shaped ev.shape[:-1] + (dim, dim); a result past the float range
+    raises FloatRangeError naming the series."""
+    d = len(grid)
+    out = np.empty(ev.shape[:-1] + (d, d))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(d):
-            for j in range(d):
-                out[:, i, j] = ev(me.entries[i][j])
+        for i, row in enumerate(grid):
+            for j, e in enumerate(row):
+                out[..., i, j] = ev(e)
     return _finite(name, out, FloatRangeError)
 
 
@@ -196,9 +197,7 @@ def _series_words(series: Iterable[MatrixExpansion]) -> list:
     return sorted({w for me in series for row in me.entries for e in row for w in e.support()})
 
 
-def _streamed_batch(
-    problem: FlowProblem, seed: int, paths: range, trie: dict, words: list
-) -> tuple:
+def _streamed_batch(problem: FlowProblem, seed: int, paths: range, words: list) -> tuple:
     """The Euler flows of one batch, and the words' terminals, with its
     increments drawn a chunk of steps at a time and never held whole.
 
@@ -216,19 +215,17 @@ def _streamed_batch(
             yield from _euler_steps(problem, x, dW)
         _finite("Euler product", x, FloatRangeError)
 
-    shape, d = (len(paths), problem.steps), problem.dim
-    letters = [entry_letter(i, j, d) for i in range(1, d + 1) for j in range(1, d + 1)]
     with np.errstate(over="ignore", invalid="ignore"):
-        ev = Evaluator._streamed(shape, letters, trie, words, fed())
+        ev = Evaluator._streamed((len(paths), problem.steps), words, fed())
     return x, ev
 
 
-def _series_flows(ev: Evaluator, paths: int, taylor: dict, logs: dict) -> tuple:
+def _series_flows(ev: Evaluator, taylor: dict, logs: dict) -> tuple:
     """Each Taylor series summed from ev's terminals, and exp of each log
     series, keyed as given."""
-    taylor_flows = {k: _evaluate_matrix(me, ev, paths, "Taylor series") for k, me in taylor.items()}
+    taylor_flows = {k: _evaluate_matrix(m.entries, ev, "Taylor series") for k, m in taylor.items()}
     return taylor_flows, {
-        k: truncated_expm(_evaluate_matrix(me, ev, paths, "log series")) for k, me in logs.items()
+        k: truncated_expm(_evaluate_matrix(m.entries, ev, "log series")) for k, m in logs.items()
     }
 
 
@@ -241,7 +238,7 @@ def _whole_series_flows(problem: FlowProblem, dW: np.ndarray, taylor: dict, logs
     ev = Evaluator(_letters(_letter_increments(problem, dW)))
     with np.errstate(over="ignore", invalid="ignore"):
         ev.terminals(_series_words([*taylor.values(), *logs.values()]))
-    return _series_flows(ev, dW.shape[0], taylor, logs)
+    return _series_flows(ev, taylor, logs)
 
 
 def flow_from_taylor(problem: FlowProblem, order: int, dW: np.ndarray) -> np.ndarray:
@@ -336,14 +333,13 @@ def compare_flows(
     gap_taylor = {k: 0.0 for k in orders}
     next_layer = {k: 0.0 for k in orders}
     words = _series_words([*taylor.values(), *logs.values()])
-    trie = _prefix_trie(words)
     done = 0
     while done < n_paths:
         batch = min(batch_size, n_paths - done)
         paths = range(done, done + batch)
-        if _sweeps(batch, trie):
-            x_ref, ev = _streamed_batch(problem, seed, paths, trie, words)
-            taylor_vals, log_vals = _series_flows(ev, batch, taylor, logs)
+        if _sweeps(batch, words):
+            x_ref, ev = _streamed_batch(problem, seed, paths, words)
+            taylor_vals, log_vals = _series_flows(ev, taylor, logs)
         else:
             dW = brownian_increments(problem, seed, paths)
             x_ref = flow_reference(problem, dW)

@@ -51,7 +51,7 @@ def qsh(*operands, max_weight: int | None = None) -> Expansion:
     acc, *rest = operands if len(operands) > 1 else (operands[0], UNIT_WORD)
     for rhs in rest:
         # the kernel is read from this module at each call, where a recorder may rebind it
-        acc = Expansion._bilinear(qsh_words, acc, rhs, check_weight, max_weight)
+        acc = Expansion._bilinear(qsh_words, acc, rhs, max_weight)
     return acc
 
 
@@ -78,17 +78,17 @@ def half_up(u, v) -> Expansion:
     Extends bilinearly when either operand is an Expansion; every word in
     either operand must be nonempty.
     """
-    return Expansion._bilinear(_half_up_pair, u, v, check_weight)
+    return Expansion._bilinear(_half_up_pair, u, v)
 
 
 def half_down(u, v) -> Expansion:
     """Terms of qsh(u, v) whose final block is the last block of v."""
-    return Expansion._bilinear(lambda a, b: _half_up_pair(b, a), u, v, check_weight)
+    return Expansion._bilinear(lambda a, b: _half_up_pair(b, a), u, v)
 
 
 def bullet(u, v) -> Expansion:
     """Terms of qsh(u, v) ending with the merge of both last blocks."""
-    return Expansion._bilinear(_bullet_pair, u, v, check_weight)
+    return Expansion._bilinear(_bullet_pair, u, v)
 
 
 def qsh_via_surjections(u: WordLike, v: WordLike) -> Expansion:

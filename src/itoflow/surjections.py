@@ -146,6 +146,7 @@ class SurjElement(Combination):
     _coerce = staticmethod(as_surjection)
     _view = Surjection._wrap
     _grade = len
+    _check = staticmethod(check_grade)
     _json_key = "f"
     _product = "diamond for products of surjection elements"
 
@@ -178,7 +179,7 @@ def diamond(a: ElementLike, b: ElementLike, max_grade: int | None = None) -> Sur
     if max_grade is not None:
         max_grade = _count("max_grade", max_grade, 0)
     # the kernel is read from this module at each call, where a recorder may rebind it
-    return SurjElement._bilinear(diamond_words, a, b, check_grade, max_grade)
+    return SurjElement._bilinear(diamond_words, a, b, max_grade)
 
 
 def diamond_reference(f: SurjLike, g: SurjLike) -> SurjElement:

@@ -20,7 +20,7 @@ from math import lcm
 from operator import is_
 from typing import Iterable, Iterator, Mapping, Union
 
-from ._config import _ascii, _count, _decimal, _typed
+from ._config import _ascii, _count, _decimal, _typed, check_weight
 
 Block = tuple  # sorted tuple of positive ints
 
@@ -288,9 +288,9 @@ class Combination:
 
     A subclass sets what is particular to its keys: _coerce (key coercion),
     _view (a canonical tuple as the key class, unchecked), _grade (key
-    grade), _render (display; an empty string marks a constant term),
-    _json_key (name of the key field in JSON) and _product (where the
-    product of two combinations lives).  Keys are tuples, listed in
+    grade), _check (its cap check), _render (display; "" marks a constant
+    term), _json_key (name of the key field in JSON) and _product (where
+    the product of two combinations lives).  Keys are tuples, listed in
     length-lexicographic order: fewer entries first, then lexicographic.
     """
 
@@ -373,20 +373,21 @@ class Combination:
         return cls._bucketed(classes, den)
 
     @classmethod
-    def _bilinear(cls, pair, a, b, check, max_grade=None):
+    def _bilinear(cls, pair, a, b, max_grade=None):
         """a times b, combinations or keys, where pair(x, y) is the list of
         the keys of the product of two keys, coefficient 1 each, every one
         of grade grade(x) + grade(y), as qsh_words and diamond_words list
         them.
 
         A pair of grade buckets whose grades sum past max_grade (None: no
-        limit) is skipped whole, before the size cap check(summed grade)
+        limit) is skipped whole, before the size cap _check(summed grade)
         and before any coefficient multiply, so a pruned pair never raises.
         Each key of a kept pair adds cx * cy into the dict of its grade,
         over the product of the denominators; those dicts, once their zero
         sums are dropped, are the product's grade buckets.
         """
         a, b = cls._operand(a), cls._operand(b)
+        check = cls._check
         classes: dict = {}
         for gx, xs in a._classes.items():
             for gy, ys in b._classes.items():
@@ -564,6 +565,7 @@ class Expansion(Combination):
     _coerce = staticmethod(as_word)
     _view = BracketWord._wrap
     _grade = staticmethod(BracketWord.weight.fget)  # no property lookup per term
+    _check = staticmethod(check_weight)
     _json_key = "word"
     _product = "itoflow.quasishuffle.qsh for products of expansions"
 

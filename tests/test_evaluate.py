@@ -14,6 +14,7 @@ import itoflow.evaluate as evaluate_module
 import itoflow.flows as flows_module
 from itoflow import (
     BracketWord,
+    DriverAlphabet,
     DriverSpec,
     Evaluator,
     Expansion,
@@ -22,6 +23,7 @@ from itoflow import (
     SamplePath,
     PathBundle,
     compare_flows,
+    linear_field_log,
     make_grid,
     matrix_ito_taylor,
     matrix_log,
@@ -342,10 +344,24 @@ class TestPrefixStackAgainstOracle:
         # 9000 cells: the 5 rows are evaluated in chunks of 3 and 2
         inc = random_increments(11, (5, 9000), letters=(1, 2, 3, 4))
         me = matrix_log(2, 3)
-        got = _evaluate_matrix(me, Evaluator(inc), 5, "log series")
+        got = _evaluate_matrix(me.entries, Evaluator(inc), "log series")
         for i in range(2):
             for j in range(2):
                 assert np.array_equal(got[:, i, j], reference_value(inc, me.entries[i][j]))
+
+    @pytest.mark.parametrize("width", [STACK, SWEEP], ids=["stack", "sweep"])
+    def test_a_one_path_grid_is_row_0_of_a_batch(self, width):
+        # a grid is any square of expansions: a MatrixExpansion's entries,
+        # or linear_field_log's rows over the letters 1-4
+        inc = random_increments(12, (2, 300), letters=(1, 2, 3, 4))
+        alphabet = DriverAlphabet(2, continuous=False, cross_brackets_zero=False)
+        fields = linear_field_log(alphabet, 3, {1: [[0, 1], [1, 0]], 2: [[1, 2], [0, -1]]})
+        for grid in (matrix_log(2, 3).entries, fields):
+            with terminals_route(width):
+                one = _evaluate_matrix(grid, Evaluator({k: v[0] for k, v in inc.items()}), "one")
+                two = _evaluate_matrix(grid, Evaluator(inc), "two")
+            assert one.shape == (2, 2) and two.shape == (2, 2, 2)
+            assert one.tobytes() == two[0].tobytes()
 
 
 # words over the bound letters 1-3
@@ -408,6 +424,18 @@ class TestSweepAgainstOracle:
         assert messages == ["letter 6 is not bound to a path"] * 2
         assert ev._terminal_cache == {}
 
+    def test_an_unbound_letter_raises_before_any_cell_is_swept(self):
+        # 512 rows x 2 trie nodes is past the crossover.  A streamed batch
+        # binds the letters its words read, so only a held batch can miss
+        # one; reading the missing letter's cells would raise KeyError
+        ev = Evaluator(random_increments(4, (512, 3)))
+        words = [BracketWord([(1,), (2, 4)])]
+        with mock.patch.object(Evaluator, "_extend", refuse), pytest.raises(
+            ValueError, match="^letter 4 is not bound to a path$"
+        ):
+            ev.terminals(words)
+        assert ev._terminal_cache == {}
+
     @pytest.mark.parametrize(
         "shape, unused",
         # 64 x 166 C10 trie nodes is past the crossover; 4 x 166 and 1 x 166
@@ -461,7 +489,6 @@ class TestStreamedSweep:
         inc = random_increments(seed, (batch, cells))
         ends = [0, *sorted(c for c in cuts if c < cells), cells]
         words = sorted(set(words))
-        trie = evaluate_module._prefix_trie(words)
         # each chunk holds every letter's cells in it, as a contiguous
         # (cells, rows) array
         chunks = (
@@ -471,21 +498,10 @@ class TestStreamedSweep:
         with terminals_route(SWEEP, sweep_floats), mock.patch.object(
             Evaluator, "_extend", refuse
         ):
-            streamed = Evaluator._streamed((batch, cells), inc, trie, words, chunks)
+            streamed = Evaluator._streamed((batch, cells), words, chunks)
         got = streamed.terminals(words)
         expected = [reference_word_path(inc, w)[..., -1] for w in words]
         assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
-
-    def test_an_unbound_letter_raises_before_any_chunk_is_read(self):
-        words = [BracketWord([(1,), (2, 4)])]
-
-        def chunks():
-            raise AssertionError("a chunk was read")
-            yield
-
-        trie = evaluate_module._prefix_trie(words)
-        with pytest.raises(ValueError, match="^letter 4 is not bound to a path$"):
-            Evaluator._streamed((2, 3), (1, 2, 3), trie, words, chunks())
 
 
 class TestMemory:

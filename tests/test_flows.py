@@ -398,7 +398,7 @@ def plain_series_flows(problem, dW, taylor, logs):
     """_whole_series_flows on an Evaluator given formed_letters."""
     ev = Evaluator(formed_letters(problem, dW))
     ev.terminals(flows_module._series_words([*taylor.values(), *logs.values()]))
-    return flows_module._series_flows(ev, dW.shape[0], taylor, logs)
+    return flows_module._series_flows(ev, taylor, logs)
 
 
 def refuse(*args, **kwargs):
@@ -420,7 +420,7 @@ class TestLettersFormedFromDW:
             with monkeypatch.context() as m:
                 m.setattr(Evaluator, unused, refuse)
                 if plain:
-                    m.setattr(flows_module, "_sweeps", lambda rows, trie: False)
+                    m.setattr(flows_module, "_sweeps", lambda rows, words: False)
                     m.setattr(flows_module, "_whole_series_flows", plain_series_flows)
                 runs.append(compare_flows(p, [1, 2, 3], 2 * batch, seed=4, batch_size=batch))
         assert runs[0] == runs[1]
@@ -543,7 +543,6 @@ class TestEntryLetters:
         cut = data.draw(st.integers(1, steps - 1))
         p = FlowProblem(dim=dim, drift=drift, diffusion=diffusion, horizon=1.0, steps=steps)
         words = flows_module._series_words([matrix_ito_taylor(dim, 2)])
-        trie = flows_module._prefix_trie(words)
 
         def drawn(problem, seed, path_indices):
             yield dW[:, :cut]
@@ -556,14 +555,14 @@ class TestEntryLetters:
         with warnings.catch_warnings(), mock.patch.object(flows_module, "_drawn", drawn):
             warnings.simplefilter("error")
             if finite_letters and np.isfinite(oracle).all():
-                x, _ = flows_module._streamed_batch(p, 0, range(paths), trie, words)
+                x, _ = flows_module._streamed_batch(p, 0, range(paths), words)
                 assert x.tobytes() == oracle.tobytes()
             else:
                 # a non-finite letter is a non-finite dM entry, so the
                 # product is never finite after it
                 assert not np.isfinite(oracle).all()
                 with pytest.raises(FloatRangeError, match="^Euler product must be finite"):
-                    flows_module._streamed_batch(p, 0, range(paths), trie, words)
+                    flows_module._streamed_batch(p, 0, range(paths), words)
 
     @pytest.mark.parametrize(
         "dW", [[1e308, 0.0, -1e308, 0.0], [-1e308, 0.0, 1e308, 0.0]], ids=["up-down", "down-up"]
@@ -580,7 +579,6 @@ class TestEntryLetters:
             steps=4,
         )
         words = [BracketWord([(1, 2, 3)])]
-        trie = flows_module._prefix_trie(words)
         read = []
 
         def drawn(problem, seed, paths):
@@ -592,5 +590,5 @@ class TestEntryLetters:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatRangeError, match="Euler product must be finite"):
-                flows_module._streamed_batch(p, 0, range(1), trie, words)
+                flows_module._streamed_batch(p, 0, range(1), words)
         assert read == [0, 2]

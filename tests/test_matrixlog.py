@@ -24,7 +24,7 @@ from itoflow import (
     truncated_expm,
 )
 from itoflow import kernels
-from itoflow.flows import _evaluate_matrix, brownian_increments
+from itoflow.flows import _evaluate_matrix, brownian_increments, flow_from_log, flow_reference
 from itoflow.matrixseries import _log_plan, _merges
 from itoflow.verify import flow_problem
 
@@ -137,7 +137,7 @@ def scaled_flow_errors(dim, order, seed, epsilons):
     for eps in epsilons:
         scaled = {entry_letter(a, b, dim): eps * dm[a - 1, b - 1] for a, b in _positions(dim)}
         ev = Evaluator(scaled)
-        got = truncated_expm(_evaluate_matrix(log, ev, paths, "log series"))
+        got = truncated_expm(_evaluate_matrix(log.entries, ev, "log series"))
         euler = np.broadcast_to(np.eye(dim), got.shape)
         for step in np.moveaxis(eps * dm, (-1, -2), (0, 1)):  # (paths, dim, dim) per cell
             euler = euler + euler @ step
@@ -304,6 +304,46 @@ def test_second_moments_obey_the_linear_sde_law(dim, order):
     assert mismatches == []
 
 
+def _max_z(x, mean, second):
+    """The largest |z| of the sample means of the (paths, d, d) stack x and
+    of its X (x) X against the exact mean and second moment: each entry's
+    gap over its standard error."""
+    d = x.shape[-1]
+    xx = np.einsum("pij,pkl->pikjl", x, x).reshape(len(x), d * d, d * d)
+    z = [
+        (sample.mean(axis=0) - exact) / (sample.std(axis=0, ddof=1) / np.sqrt(len(sample)))
+        for sample, exact in ((x, mean), (xx, second))
+    ]
+    return max(float(np.max(np.abs(v))) for v in z)
+
+
+@pytest.mark.parametrize(
+    ("route", "paths", "batch"),
+    # about 0.5 and 1.2 s on a 2-CPU host; with dW x 1.05 they read |z| 8.9 and 5.7
+    [(flow_reference, 20000, 20000), (lambda p, dW: flow_from_log(p, 4, dW), 8000, 500)],
+    ids=["euler", "exp-log4"],
+)
+def test_monte_carlo_moments_obey_the_euler_grid_law(route, paths, batch):
+    """Each step of the Euler grid multiplies X by I + A dt + B dW with
+    E[dW] = 0 and E[dW^2] = dt, so E[X] = (I + A dt)^N and
+    E[X (x) X] = (I + G dt + A (x) A dt^2)^N, G = A (x) I + I (x) A + B (x) B
+    (Arnold 1974 for the SDE).  The Euler route and exp(log_4) must meet
+    both within five standard errors on every entry."""
+    p = flow_problem(64)
+    a, b, dt, d = p.drift, p.diffusion, p.dt, p.dim
+    eye = np.eye(d)
+    mean = np.linalg.matrix_power(eye + a * dt, p.steps)
+    g = np.kron(a, eye) + np.kron(eye, a) + np.kron(b, b)
+    second = np.linalg.matrix_power(np.eye(d * d) + g * dt + np.kron(a, a) * dt**2, p.steps)
+    x = np.concatenate(
+        [
+            route(p, brownian_increments(p, 7, range(p0, p0 + batch)))
+            for p0 in range(0, paths, batch)
+        ]
+    )
+    assert _max_z(x, mean, second) <= 5
+
+
 class TestMatrixLogExp:
     def test_log_has_no_constant_part(self):
         lg = matrix_log(2, 2)
@@ -383,5 +423,5 @@ class TestMatrixLogExp:
         a_dt, b = (x[:, :, None, None] for x in (problem.drift * problem.dt, problem.diffusion))
         dM = a_dt + b * dW  # entry (i, j) of each cell's dM at dM[i, j]
         ev = Evaluator({entry_letter(i + 1, j + 1, 2): dM[i, j] for i in (0, 1) for j in (0, 1)})
-        got = _evaluate_matrix(matrix_log(2, 4), ev, paths, "log series")
+        got = _evaluate_matrix(matrix_log(2, 4).entries, ev, "log series")
         assert relative_gap(got, word_free_log(dM, 4)) <= 1e-12

@@ -3,12 +3,17 @@ generated, no library module rebinds a module-level name from a function,
 every library memo is kept by kernels._kept with a stated finite size,
 no public library function
 takes a private parameter, every argument check goes through
-itoflow._config, and no public name hides a submodule."""
+itoflow._config, no public name hides a submodule, and every inline
+Python script in the CI workflow parses and reads only names that
+exist."""
 
 import ast
+import importlib
 import pkgutil
+import re
 import shutil
 import subprocess
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -177,3 +182,67 @@ def test_no_public_name_is_a_submodule_name():
     # itoflow.x as m` would bind the attribute, not the module
     submodules = {m.name for m in pkgutil.iter_modules(itoflow.__path__)}
     assert sorted(submodules.intersection(itoflow.__all__)) == []
+
+
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+
+
+def _workflow_scripts():
+    """Every inline `python -c "..."` script in the CI workflow, dedented
+    out of its YAML block; a script holds no double quote."""
+    text = WORKFLOW.read_text(encoding="utf-8")
+    scripts = re.findall(r'python3? (?:-W \S+ )?-c "([^"]*)"', text)
+    assert len(scripts) == text.count('-c "'), "a python -c script was not read"
+    return [textwrap.dedent(script) for script in scripts]
+
+
+def _itoflow_reads(tree):
+    """(module, attribute chain) for each name a script imports from
+    itoflow, and for each dotted read of a name so bound: after
+    `from itoflow import kernels`, `kernels.diamond_plan.kept` reads
+    ("itoflow", ["kernels", "diamond_plan", "kept"])."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("itoflow"):
+            for a in node.names:
+                bound[a.asname or a.name] = (node.module, [a.name])
+                yield node.module, [a.name]
+        elif isinstance(node, ast.Import):
+            bound.update({a.asname or a.name: (a.name, []) for a in node.names})
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            module, prefix = bound[node.id]
+            if module.startswith("itoflow"):
+                yield module, prefix + chain
+
+
+def _resolves(module, chain):
+    try:
+        obj = importlib.import_module(module)
+        for attr in chain:
+            if not hasattr(obj, attr):  # a submodule not imported yet
+                importlib.import_module(f"{obj.__name__}.{attr}")
+            obj = getattr(obj, attr)
+    except (ImportError, AttributeError, TypeError):
+        return False
+    return True
+
+
+def test_workflow_scripts_parse_and_read_names_that_exist():
+    # the workflow cannot run here: a script that reads a renamed private
+    # name would fail only in CI
+    scripts = _workflow_scripts()
+    missing = []
+    for script in scripts:
+        tree = ast.parse(script)
+        missing += [
+            f"{module}: {'.'.join(chain)}"
+            for module, chain in _itoflow_reads(tree)
+            if not _resolves(module, chain)
+        ]
+    assert missing == []
+    assert len(scripts) >= 10
